@@ -13,12 +13,19 @@ use. The explicit ``dilation`` matrix, when materialized, may realize the
 same block with fewer physical ancillas (a single-ancilla contraction
 dilation, for instance); its physical ancilla count is always derived from
 its shape.
+
+The estimation pipeline needs only the encoded block of the density
+matrix (purified access), so it takes the dilation-free ``density_block``.
+``density_block_encoding`` adds the explicit SWAP-lemma unitary on top of
+the same block; it is kept as the lemma's verified construction and is not
+on the pipeline's path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +57,9 @@ class PurifiedState:
     env_qubits: int
     sys_qubits: int
     vec: np.ndarray
+    _reduced: DensityMatrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
@@ -75,10 +85,12 @@ class PurifiedState:
         return 2 ** self.sys_qubits
 
     def reduced_state(self) -> DensityMatrix:
-        """Trace out the environment register."""
-        red = partial_trace(self.vec, (self.env_dim, self.sys_dim), keep="B")
-        red = (red + red.conj().T) / 2
-        return DensityMatrix(red)
+        """Trace out the environment register (computed once, then cached)."""
+        if self._reduced is None:
+            red = partial_trace(self.vec, (self.env_dim, self.sys_dim), keep="B")
+            red = (red + red.conj().T) / 2
+            object.__setattr__(self, "_reduced", DensityMatrix(red))
+        return self._reduced
 
 
 @dataclass(frozen=True)
@@ -207,15 +219,33 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def density_block(purification: PurifiedState) -> BlockEncoding:
+    """Exact (1, a+n, 0) block encoding of the purified density matrix,
+    without a dilation.
+
+    The block is the reduced state and the ancilla count is that of the
+    SWAP-lemma circuit of ``density_block_encoding``, which is all the
+    eigenvalue transform and the query ledger read.
+    """
+    return BlockEncoding(
+        block=purification.reduced_state().mat,
+        alpha=1.0,
+        ancillas=purification.env_qubits + purification.sys_qubits,
+        err=0.0,
+    )
+
+
 def density_block_encoding(purification: PurifiedState) -> BlockEncoding:
-    """Exact (1, a+n, 0) block encoding of the purified density matrix.
+    """``density_block`` together with its explicit 3n-qubit unitary.
 
     With U the unitary preparing the purification from |0>_E |0>_I and a
     fresh system-sized register appended, the product
 
         (U^dag x I_n) (I_a x SWAP_n) (U x I_n)
 
-    places rho in the top-left block exactly.
+    places rho in the top-left block exactly. This is the SWAP lemma's
+    verified construction; the estimation pipeline uses ``density_block``
+    and never builds this unitary.
     """
     a_dim = purification.env_dim
     s_dim = purification.sys_dim
@@ -227,14 +257,7 @@ def density_block_encoding(purification: PurifiedState) -> BlockEncoding:
     middle = kron(np.eye(a_dim), swap)
     u_big = kron(u_rho, eye_n)
     dilation = u_big.conj().T @ middle @ u_big
-    rho = purification.reduced_state()
-    return BlockEncoding(
-        block=rho.mat,
-        alpha=1.0,
-        ancillas=purification.env_qubits + purification.sys_qubits,
-        err=0.0,
-        dilation=dilation,
-    )
+    return dataclasses.replace(density_block(purification), dilation=dilation)
 
 
 def _psd_sqrt_clipped(m: np.ndarray) -> np.ndarray:

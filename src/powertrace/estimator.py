@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, PurifiedState, _embed_outer_pair
+from .blockenc import BlockEncoding, PurifiedState
 from .errors import ResourceError, UnreliableEstimateError, ValidationError
 from .linalg import Observable, get_qubit_cap, trace_power_obs_oracle
 from .qsvt import QueryLedger, power_times_obs
@@ -100,6 +100,14 @@ def hadamard_test_prob(
     on it, optionally the inverse phase gate on the control (setting
     ``w="S_dagger"``), and a final H, starting from
     |0>_c |0>_anc |purification>.
+
+    The circuit is simulated on its state vector: the dilation acts on
+    (ancillas, system) with the environment idle, so its image of the
+    ancilla-zero input is the purification, reshaped to (environment,
+    system), contracted with the dilation's ancilla-zero columns. No
+    operator on the whole circuit is built. The qubit cap bounds the
+    circuit width, 1 + ancillas + environment + system, and is checked
+    before anything is allocated.
     """
     if w not in ("I", "S_dagger"):
         raise ValidationError(f'w must be "I" or "S_dagger", got {w!r}')
@@ -121,8 +129,9 @@ def hadamard_test_prob(
             f"Hadamard-test circuit needs {total_qubits} qubits, cap is "
             f"{get_qubit_cap()}"
         )
-    # dilation acts on (ancillas, system); insert identity on the environment
-    u_embedded = _embed_outer_pair(be.dilation, (anc_dim, sys_dim), env_dim)
+    psi = purification.vec.reshape(env_dim, sys_dim)
+    # U (|0>_anc x |psi_e>) for every environment row e, ordered (env, anc, sys)
+    image = (psi @ be.dilation[:, :sys_dim].T).reshape(env_dim, anc_dim, sys_dim)
 
     rest_dim = anc_dim * env_dim * sys_dim
     branch = np.zeros(rest_dim, dtype=np.complex128)
@@ -130,7 +139,7 @@ def hadamard_test_prob(
 
     # after H_c and the controlled dilation: (|0>|phi> + |1>U|phi>)/sqrt(2)
     amp0 = branch / math.sqrt(2.0)
-    amp1 = (u_embedded @ branch) / math.sqrt(2.0)
+    amp1 = image.transpose(1, 0, 2).reshape(rest_dim) / math.sqrt(2.0)
     if w == "S_dagger":
         amp1 = -1j * amp1
     # final H_c: outcome-0 amplitude (amp0 + amp1)/sqrt(2)

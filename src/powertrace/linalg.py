@@ -7,8 +7,10 @@ factor ``a`` is the more significant register, so ancilla registers written
 to the left of a system register occupy the leading index blocks and the
 "ancillas in |0>" subspace is the top-left block of a matrix.
 
-A global qubit cap (default 14) bounds the dimension of any operator this
-module will build, keeping every circuit materializable on a desk machine.
+A global qubit cap (default 14) bounds the dimension of any operator the
+package builds and the width of any circuit it simulates, keeping every
+simulation within a desk machine. A circuit simulated on its state vector
+is checked against the cap by its width, before anything is allocated.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, PurifiedState, density_block_encoding, halmos_dilate
+from .blockenc import BlockEncoding, PurifiedState, density_block, halmos_dilate
 from .chebyshev import ChebyshevPoly, clenshaw_eval, power_expansion, required_degree, truncate
 from .errors import ContractError, ValidationError
 from .linalg import Observable, eigh, op_norm
@@ -138,7 +138,7 @@ def power_block_encoding(
     exponent = int(k) - 1
     degree = required_degree(exponent, eps)
     report = truncate(power_expansion(exponent), degree, k=exponent)
-    source = density_block_encoding(purification)
+    source = density_block(purification)
     request = QsvtRequest(
         source=source, poly=report.kept, target_exponent=exponent, eps_poly=eps
     )

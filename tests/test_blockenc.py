@@ -96,6 +96,20 @@ def test_density_encoding_respects_cap():
         pt.set_qubit_cap(14)
 
 
+def test_density_block_is_the_encoding_without_its_dilation():
+    pur = pt.purify(pt.random_density(2, 3, seed=13))
+    bare = pt.density_block(pur)
+    full = pt.density_block_encoding(pur)
+    assert bare.dilation is None
+    assert np.array_equal(bare.block, full.block)
+    assert (bare.alpha, bare.ancillas, bare.err) == (full.alpha, full.ancillas, full.err)
+
+
+def test_reduced_state_is_computed_once():
+    pur = pt.purify(pt.random_density(2, 3, seed=15))
+    assert pur.reduced_state() is pur.reduced_state()
+
+
 # ----------------------------------------------------------- halmos_dilate
 
 def test_halmos_zero_matrix():

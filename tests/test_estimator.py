@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace.blockenc import _embed_outer_pair
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -37,6 +40,42 @@ def test_circuit_matches_closed_form(seed):
         assert circuit == pytest.approx(
             closed_form_p_zero(be, pt.purify(rho), setting), abs=1e-10
         )
+
+
+def _dense_circuit_p_zero(be, purification, w):
+    """Control-0 probability from the whole-circuit operator: the dilation
+    embedded on (ancillas, environment, system) applied to the input."""
+    anc_dim = 2 ** be.physical_ancillas
+    env_dim, sys_dim = purification.env_dim, purification.sys_dim
+    u_embedded = _embed_outer_pair(be.dilation, (anc_dim, sys_dim), env_dim)
+    branch = np.zeros(anc_dim * env_dim * sys_dim, dtype=complex)
+    branch[: env_dim * sys_dim] = purification.vec
+    image = u_embedded @ branch
+    if w == "S_dagger":
+        image = -1j * image
+    return float(np.linalg.norm((branch + image) / 2) ** 2)
+
+
+def _non_hermitian_observable(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    return pt.Observable(g / np.linalg.norm(g, 2), hermitian=False)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
+    for seed in range(3):
+        rho = pt.random_density(n, 2 ** n, seed)
+        if hermitian:
+            obs = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=seed))
+        else:
+            obs = _non_hermitian_observable(n, seed)
+        pur = pt.purify(rho)
+        be, _ = pt.power_times_obs(pur, obs, 4, 0.05)
+        for setting in ("I", "S_dagger"):
+            circuit = pt.hadamard_test_prob(be, pur, setting).p_zero
+            assert abs(circuit - _dense_circuit_p_zero(be, pur, setting)) <= 1e-12
 
 
 def test_hadamard_test_respects_cap():
@@ -208,6 +247,45 @@ def test_estimate_is_reproducible():
     a = pt.estimate_trace_power(pt.purify(rho), obs, 6, 0.05, seed=77)
     b = pt.estimate_trace_power(pt.purify(rho), obs, 6, 0.05, seed=77)
     assert a == b
+
+
+def _matrix_power_value(rho, obs, k):
+    """Tr(rho^k O) by repeated multiplication, sharing no code with the
+    package's eigendecomposition route."""
+    return complex(np.trace(np.linalg.matrix_power(rho.mat, k) @ obs.mat))
+
+
+@pytest.mark.parametrize("n, path", [(5, "explicit"), (6, "bookkeeping")])
+def test_estimate_beyond_four_qubits_at_default_cap(n, path):
+    assert pt.get_qubit_cap() == 14
+    spec = pt.InstanceSpec(qubits=n, rank=1, seed=n)
+    rho, obs = pt.make_state(spec), pt.make_observable(spec)
+    eps = 0.05
+    report = pt.estimate_trace_power(pt.purify(rho), obs, 16, eps, mode="ideal", seed=n)
+    assert report.circuit_path == path
+    exact = _matrix_power_value(rho, obs, 16)
+    assert abs(report.oracle_value - exact) <= 1e-10
+    assert report.model_error <= eps / 2
+    assert abs(report.estimate - exact) <= eps
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    rank_frac=st.floats(0.0, 1.0),
+    k=st.integers(2, 64),
+    eps=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
+    rank = 1 + round(rank_frac * (2 ** n - 1))
+    spec = pt.InstanceSpec(qubits=n, rank=rank, seed=seed)
+    rho, obs = pt.make_state(spec), pt.make_observable(spec)
+    report = pt.estimate_trace_power(pt.purify(rho), obs, k, eps, mode="ideal", seed=seed)
+    exact = _matrix_power_value(rho, obs, k)
+    assert abs(report.oracle_value - exact) <= 1e-10
+    assert report.model_error <= eps / 2
+    assert abs(report.estimate - exact) <= eps
 
 
 def test_estimate_validation():
