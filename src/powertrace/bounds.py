@@ -2,7 +2,12 @@
 
 The generalized swap test reads Tr(rho^k O) out of k state copies through
 the identity Tr(P_k rho^(x k) (O x I)) = Tr(rho^k O) with P_k the cyclic
-permutation of the copies. The remaining constructions turn the estimation
+permutation of the copies. The sampled test needs only the control and
+first-copy state after the controlled cycle, (1/2) [[rho, rho^k], [rho^k,
+rho]]: its off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k, so the
+exact outcome law costs one eigendecomposition of rho at every k and no
+Gaussian surrogate is needed (``SwapTestResult.mode`` is always "exact").
+The remaining constructions turn the estimation
 task into discrimination problems: a two-state instance whose optimal
 discrimination success is governed by fidelity decay, a two-coin instance
 governed by the Bernoulli KL divergence, a hybrid-argument pair of
@@ -19,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockenc import PurifiedState, halmos_dilate
-from .errors import ConstructionError, ResourceError, ValidationError
+from .errors import ConstructionError, ValidationError
 from .linalg import (
     DensityMatrix,
     Observable,
     as_complex_matrix,
     check_dim_within_cap,
     eigh,
-    get_qubit_cap,
     op_norm,
     partial_trace,
     trace_power_obs_oracle,
@@ -77,13 +81,6 @@ def cyclic_permutation(k: int, d: int) -> np.ndarray:
     return p
 
 
-def _tensor_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(k):
-        out = np.kron(out, m)
-    return out
-
-
 def swap_test_moments(rho: DensityMatrix, o: Observable, k: int) -> tuple[float, float]:
     """Exact per-shot mean and variance of the generalized swap test.
 
@@ -109,17 +106,16 @@ def _swap_test_outcome_table(
     rho: DensityMatrix, o: Observable, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome values and probabilities of measuring (X on the control) x
-    (O on the first copy) after the controlled-cycle circuit."""
+    (O on the first copy) after the controlled-cycle circuit.
+
+    The control and first-copy state after the circuit is
+    (1/2) [[rho, rho^k], [rho^k, rho]], since Tr_{2..k}(P rho^(x k)) = rho^k
+    for the cyclic permutation P; it costs one eigendecomposition of rho
+    at any k.
+    """
     d = rho.dim
-    r = _tensor_power(rho.mat, k)
-    p_cycle = cyclic_permutation(k, d).astype(complex)
-    # control-0/1 blocks of the output state; the full state is
-    # (1/2) [[R, R P^dag], [P R, P R P^dag]]
-    rest = d ** (k - 1)
-    top_right = partial_trace(r @ p_cycle.conj().T, (d, rest), keep="A")
-    bottom_left = partial_trace(p_cycle @ r, (d, rest), keep="A")
-    diag = partial_trace(r, (d, rest), keep="A")
-    tau = 0.5 * np.block([[diag, top_right], [bottom_left, diag]])
+    power = rho.power(k)
+    tau = 0.5 * np.block([[rho.mat, power], [power, rho.mat]])
 
     w_o, v_o = eigh(o.mat)
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -140,10 +136,10 @@ def swap_test_estimate(
 ) -> SwapTestResult:
     """Estimate Tr(rho^k O) by sampling the generalized swap test.
 
-    Within the qubit cap (n*k + 1 qubits) the outcome distribution of the
-    product observable is computed exactly from the circuit and sampled;
-    above the cap a Gaussian surrogate with the exact per-shot mean and
-    variance is drawn instead, and the result is labeled accordingly.
+    The shots are drawn from the exact outcome law of the (n*k + 1)-qubit
+    circuit, which ``_swap_test_outcome_table`` computes in closed form at
+    a cost independent of k. There is no surrogate: ``mode`` is always
+    "exact".
     """
     if not isinstance(shots, (int, np.integer)) or shots < 2:
         raise ValidationError(f"shots must be an integer >= 2, got {shots!r}")
@@ -154,22 +150,15 @@ def swap_test_estimate(
     if rho.dim != o.dim:
         raise ValidationError("state and observable dimensions differ")
     rng = np.random.default_rng(seed)
-    total_qubits = rho.qubits * int(k) + 1
-    if total_qubits <= get_qubit_cap():
-        values, probs = _swap_test_outcome_table(rho, o, int(k))
-        draws = values[rng.choice(values.size, size=int(shots), p=probs)]
-        mode = "exact"
-    else:
-        mean, var = swap_test_moments(rho, o, int(k))
-        draws = rng.normal(mean, math.sqrt(var), size=int(shots))
-        mode = "surrogate"
+    values, probs = _swap_test_outcome_table(rho, o, int(k))
+    draws = values[rng.choice(values.size, size=int(shots), p=probs)]
     mean_hat = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(shots))
     return SwapTestResult(
         mean=mean_hat,
         stderr=stderr,
         copies_used=int(k) * int(shots),
-        mode=mode,
+        mode="exact",
     )
 
 

@@ -171,6 +171,9 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
+    _spectrum: EighResult | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         mat = as_complex_matrix(self.mat, "density matrix")
@@ -204,9 +207,19 @@ class DensityMatrix:
         return int(math.log2(self.dim))
 
     def spectrum(self) -> EighResult:
-        """Eigendecomposition with tiny negative eigenvalues clipped to 0."""
-        w, v = eigh(self.mat)
-        return EighResult(clip_spectrum(w), v)
+        """Eigendecomposition with tiny negative eigenvalues clipped to 0
+        (computed once, then cached as read-only arrays)."""
+        if self._spectrum is None:
+            w, v = eigh(self.mat)
+            w = clip_spectrum(w)
+            w.flags.writeable = v.flags.writeable = False
+            object.__setattr__(self, "_spectrum", EighResult(w, v))
+        return self._spectrum
+
+    def power(self, k: int) -> np.ndarray:
+        """rho^k = V diag(w^k) V^dag from the cached spectrum, any integer k >= 0."""
+        w, v = self.spectrum()
+        return (v * w ** int(k)) @ v.conj().T
 
     def to_json(self) -> dict:
         return matrix_to_json(self.mat)
@@ -265,8 +278,8 @@ class Observable:
 def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex:
     """Exact Tr(rho^k O) through the eigendecomposition of rho.
 
-    The single canonical route to matrix powers: rho^k = V diag(w^k) V^dag
-    with clipped eigenvalues, contracted against O in the eigenbasis.
+    The matrix-power route of ``DensityMatrix.power`` (the cached, clipped
+    spectrum of rho), contracted against O in the eigenbasis.
     Accepts any integer k >= 1.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:

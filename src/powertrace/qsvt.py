@@ -145,9 +145,7 @@ def power_block_encoding(
     request.validate()
     be = apply_poly(source, report.kept)
 
-    rho = purification.reduced_state()
-    w, v = rho.spectrum()
-    exact_power = (v * w ** exponent) @ v.conj().T
+    exact_power = purification.reduced_state().power(exponent)
     model_error = op_norm(be.block - exact_power)
     ledger = QueryLedger(
         poly_degree=degree,

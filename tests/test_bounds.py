@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace import linalg
 from powertrace.bounds import _swap_test_outcome_table, helstrom_m_star
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -143,14 +146,87 @@ def test_swap_test_moments_closed_form():
     )
 
 
-def test_swap_test_surrogate_above_cap():
+@pytest.mark.parametrize("k", [10, 64])  # 21 and 129 qubits
+def test_swap_test_exact_above_cap(k):
     rho = pt.random_density(2, 2, seed=7)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    result = pt.swap_test_estimate(rho, obs, 10, shots=50_000, seed=8)  # 21 qubits
-    assert result.mode == "surrogate"
-    mean, var = pt.swap_test_moments(rho, obs, 10)
+    result = pt.swap_test_estimate(rho, obs, k, shots=50_000, seed=8)
+    assert result.mode == "exact"
+    mean, var = pt.swap_test_moments(rho, obs, k)
     assert abs(result.mean - mean) <= 5 * result.stderr
     assert result.stderr == pytest.approx(math.sqrt(var / 50_000), rel=0.05)
+
+
+def _tensor_product_outcome_table(rho, obs, k):
+    # the d^k-dimensional construction: rho^(x k), the cycle P, and the
+    # control-0/1 blocks (1/2) [[R, R P^dag], [P R, P R P^dag]] reduced to
+    # the first copy, read out in the same order as the closed form
+    d = rho.dim
+    r = tensor_power(rho.mat, k)
+    p_cycle = pt.cyclic_permutation(k, d).astype(complex)
+    rest = d ** (k - 1)
+    top_right = pt.partial_trace(r @ p_cycle.conj().T, (d, rest), keep="A")
+    bottom_left = pt.partial_trace(p_cycle @ r, (d, rest), keep="A")
+    diag = pt.partial_trace(r, (d, rest), keep="A")
+    tau = 0.5 * np.block([[diag, top_right], [bottom_left, diag]])
+    w_o, v_o = pt.eigh(obs.mat)
+    values, probs = [], []
+    for s, ctrl in ((1.0, [1.0, 1.0]), (-1.0, [1.0, -1.0])):
+        for j in range(d):
+            proj_vec = np.kron(np.array(ctrl) / math.sqrt(2.0), v_o[:, j])
+            values.append(s * float(w_o[j]))
+            probs.append(max(float(np.real(proj_vec.conj() @ tau @ proj_vec)), 0.0))
+    probs = np.asarray(probs)
+    return np.asarray(values), probs / probs.sum()
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 3), (1, 5), (2, 4), (3, 3), (1, 8)])
+def test_swap_test_closed_form_matches_tensor_construction(n, k):
+    rho = pt.random_density(n, 2, seed=20 + n + k)
+    obs = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=k))
+    want_values, want_probs = _tensor_product_outcome_table(rho, obs, k)
+    values, probs = _swap_test_outcome_table(rho, obs, k)
+    assert np.max(np.abs(values - want_values)) <= 1e-12
+    assert np.max(np.abs(probs - want_probs)) <= 1e-12
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        draws = want_values[rng.choice(want_values.size, size=500, p=want_probs)]
+        result = pt.swap_test_estimate(rho, obs, k, shots=500, seed=seed)
+        assert result.mean == float(np.mean(draws))
+        assert result.stderr == float(np.std(draws, ddof=1) / math.sqrt(500))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    rank_frac=st.floats(0.0, 1.0),
+    k=st.integers(1, 256),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_swap_test_outcome_table_law(n, rank_frac, k, seed):
+    rank = 1 + round(rank_frac * (2 ** n - 1))
+    spec = pt.InstanceSpec(qubits=n, rank=rank, seed=seed)
+    rho, obs = pt.make_state(spec), pt.make_observable(spec)
+    values, probs = _swap_test_outcome_table(rho, obs, k)
+    assert np.all(probs >= 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    mean = float(values @ probs)
+    exact = np.trace(np.linalg.matrix_power(rho.mat, k) @ obs.mat).real
+    assert abs(mean - exact) <= 1e-12
+    var = float((values ** 2) @ probs) - mean ** 2
+    assert abs(var - pt.swap_test_moments(rho, obs, k)[1]) <= 1e-12
+
+
+def test_swap_tests_on_one_state_share_one_decomposition(monkeypatch):
+    calls = []
+    real_eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
+    rho = pt.random_density(2, 3, seed=21)
+    obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
+    pt.swap_test_moments(rho, obs, 4)
+    for seed in range(5):
+        pt.swap_test_estimate(rho, obs, 4, shots=100, seed=seed)
+    assert len(calls) == 1
 
 
 def test_swap_test_stderr_scaling():

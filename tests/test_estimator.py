@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace import linalg
 from powertrace.blockenc import _embed_outer_pair
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
 
@@ -286,6 +287,16 @@ def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
     assert abs(report.oracle_value - exact) <= 1e-10
     assert report.model_error <= eps / 2
     assert abs(report.estimate - exact) <= eps
+
+
+def test_estimate_decomposes_the_reduced_state_once(monkeypatch):
+    pur = pt.purify(pt.random_density(2, 3, seed=17))
+    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=17))
+    calls = []
+    real_eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
+    pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
+    assert len(calls) == 1
 
 
 def test_estimate_validation():

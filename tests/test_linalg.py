@@ -181,6 +181,23 @@ def test_trace_power_matches_repeated_multiplication(seed, k):
     assert abs(got.imag) <= 1e-10
 
 
+def test_spectrum_is_computed_once_and_read_only():
+    rho = pt.random_density(2, 3, seed=4)
+    spec = rho.spectrum()
+    assert spec is rho.spectrum()
+    for arr in spec:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("seed,k", [(0, 0), (1, 1), (2, 7), (3, 40)])
+def test_density_power_matches_repeated_multiplication(seed, k):
+    rho = pt.random_density(3, 1 + seed, seed)
+    dense = np.linalg.matrix_power(rho.mat, k)
+    assert np.max(np.abs(rho.power(k) - dense)) <= 1e-12
+
+
 # ------------------------------------------------- distances and fidelities
 
 def test_fidelity_of_state_with_itself():
