@@ -14,11 +14,13 @@ same block with fewer physical ancillas (a single-ancilla contraction
 dilation, for instance); its physical ancilla count is always derived from
 its shape.
 
-The estimation pipeline needs only the encoded block of the density
-matrix (purified access), so it takes the dilation-free ``density_block``.
-``density_block_encoding`` adds the explicit SWAP-lemma unitary on top of
-the same block; it is kept as the lemma's verified construction and is not
-on the pipeline's path.
+The estimation pipeline reads only the encoded block (the Hadamard test's
+outcome law depends on U only through it), so its encodings -- the
+density block, the observable encoding and their product -- carry the
+block, scale, error and ancilla count but no unitary.
+``density_block_encoding`` (the SWAP lemma) and ``halmos_dilate`` (a
+contraction's one-ancilla dilation) are the verified unitary
+constructions; neither is on the pipeline's path.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
     Observable,
+    _psd_sqrt,
     as_complex_matrix,
     check_dim_within_cap,
-    clip_spectrum,
-    eigh,
-    get_qubit_cap,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -260,12 +260,6 @@ def density_block_encoding(purification: PurifiedState) -> BlockEncoding:
     return dataclasses.replace(density_block(purification), dilation=dilation)
 
 
-def _psd_sqrt_clipped(m: np.ndarray) -> np.ndarray:
-    w, v = eigh(m, atol=1e-8)
-    w = np.clip(clip_spectrum(w), 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def halmos_dilate(m) -> np.ndarray:
     """One-ancilla unitary dilation of a contraction M:
 
@@ -286,50 +280,27 @@ def halmos_dilate(m) -> np.ndarray:
     dim = m.shape[0]
     check_dim_within_cap(2 * dim, "contraction dilation")
     eye = np.eye(dim)
-    top_right = _psd_sqrt_clipped(eye - m @ m.conj().T)
-    bottom_left = _psd_sqrt_clipped(eye - m.conj().T @ m)
+    top_right = _psd_sqrt(eye - m @ m.conj().T)
+    bottom_left = _psd_sqrt(eye - m.conj().T @ m)
     return np.block([[m, top_right], [bottom_left, -m.conj().T]])
-
-
-def _embed_outer_pair(u: np.ndarray, dim_outer_pair: tuple[int, int], dim_mid: int) -> np.ndarray:
-    """Embed U acting on (A, C) into (A, B, C) with identity on the middle B."""
-    dim_a, dim_c = dim_outer_pair
-    big = np.kron(u, np.eye(dim_mid))  # acts on (A, C, B)
-    perm = np.kron(np.eye(dim_a), _swap_registers(dim_c, dim_mid))  # (A,C,B)->(A,B,C)
-    return perm @ big @ perm.conj().T
 
 
 def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     """Block encoding of the product A @ B from encodings of A and B.
 
     Scale and error compose as (alpha_a * alpha_b) and
-    (alpha_a * err_b + alpha_b * err_a); ancilla counts add. The explicit
-    dilation (built only when both factors carry one and the result fits
-    under the qubit cap) is U_b applied on (b-ancillas, system) followed by
-    U_a on (a-ancillas, system), with b's ancillas leading.
+    (alpha_a * err_b + alpha_b * err_a); ancilla counts add. The result
+    carries only the product block: no dilation is composed.
     """
     if a.dim != b.dim:
         raise ValidationError(
             f"block dimension mismatch: {a.dim} vs {b.dim}"
         )
-    block = a.block @ b.block
-    alpha = a.alpha * b.alpha
-    err = a.alpha * b.err + b.alpha * a.err
-    dilation = None
-    if a.dilation is not None and b.dilation is not None:
-        anc_a = 2 ** a.physical_ancillas
-        anc_b = 2 ** b.physical_ancillas
-        total = anc_b * anc_a * a.dim
-        if total <= 2 ** get_qubit_cap():
-            op_a = np.kron(np.eye(anc_b), a.dilation)  # (anc_b, anc_a, sys)
-            op_b = _embed_outer_pair(b.dilation, (anc_b, a.dim), anc_a)
-            dilation = op_a @ op_b
     return BlockEncoding(
-        block=block,
-        alpha=alpha,
+        block=a.block @ b.block,
+        alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
-        err=err,
-        dilation=dilation,
+        err=a.alpha * b.err + b.alpha * a.err,
     )
 
 
@@ -350,16 +321,13 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
 
 
 def observable_block_encoding(o: Observable) -> BlockEncoding:
-    """Error-free single-ancilla encoding of an observable.
+    """Error-free single-ancilla (max(1, ||O||), 1, 0) encoding of an
+    observable, without a dilation.
 
     The scale is max(1, ||O||): never below the operator norm, and never
-    below 1 so that O/alpha stays a contraction even for tiny observables.
+    below 1 so that O/alpha stays a contraction even for tiny observables;
+    ``halmos_dilate(o.mat / alpha)`` is then a unitary realizing the block.
     """
-    alpha = max(1.0, o.op_norm)
     return BlockEncoding(
-        block=o.mat,
-        alpha=alpha,
-        ancillas=1,
-        err=0.0,
-        dilation=halmos_dilate(o.mat / alpha),
+        block=o.mat, alpha=max(1.0, o.op_norm), ancillas=1, err=0.0
     )

@@ -11,6 +11,11 @@ after scale amplification). The final estimator is
 with the control probability P(0) = 1/2 + Re Tr(rho p(rho) O) / (2 alpha_O)
 for the plain setting and the imaginary part when an extra inverse phase
 gate precedes the final Hadamard.
+
+P(0) depends on the circuit's unitary only through its encoded block, so
+the estimator reads it from that identity (``closed_form_p_zero``) at
+every system size and builds no unitary; ``hadamard_test_prob``, the
+simulated circuit, is the reference the identity is tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import numpy as np
 
 from .blockenc import BlockEncoding, PurifiedState
 from .errors import ResourceError, UnreliableEstimateError, ValidationError
+from .instances import derive_seed
 from .linalg import Observable, get_qubit_cap, trace_power_obs_oracle
-from .qsvt import QueryLedger, power_times_obs
+from .qsvt import power_times_obs
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
@@ -66,7 +72,6 @@ class EstimationReport:
     alpha_o: float
     poly_degree: int
     model_error: float
-    circuit_path: str
 
     def to_json(self) -> dict:
         return {
@@ -86,7 +91,6 @@ class EstimationReport:
             "alpha_o": self.alpha_o,
             "poly_degree": self.poly_degree,
             "model_error": self.model_error,
-            "circuit_path": self.circuit_path,
         }
 
 
@@ -94,6 +98,10 @@ def hadamard_test_prob(
     be: BlockEncoding, purification: PurifiedState, w: str = "I"
 ) -> HadamardTestResult:
     """Exact control-0 probability of the Hadamard-test circuit.
+
+    This is the circuit-level reference that the estimator's identity,
+    ``closed_form_p_zero``, is tested against; the estimator itself never
+    calls it.
 
     Registers are ordered (control, encoding ancillas, environment,
     system). The circuit applies H on the control, the dilation controlled
@@ -151,7 +159,11 @@ def hadamard_test_prob(
 
 
 def closed_form_p_zero(be: BlockEncoding, purification: PurifiedState, w: str = "I") -> float:
-    """The circuit-free identity P(0) = 1/2 +- Re/Im(Tr(rho block))/(2 alpha)."""
+    """The circuit-free identity P(0) = 1/2 + Re/Im(Tr(rho block))/(2 alpha).
+
+    Exact for any unitary with ancilla-zero block block/alpha; ``w="I"``
+    takes the real part, ``"S_dagger"`` the imaginary part.
+    """
     rho = purification.reduced_state()
     overlap = complex(np.trace(rho.mat @ be.block)) / be.alpha
     part = overlap.real if w == "I" else overlap.imag
@@ -253,10 +265,6 @@ def choose_ae_grid(eps_prime: float) -> int:
     return K
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
 def estimate_trace_power(
     purification: PurifiedState,
     o: Observable,
@@ -270,9 +278,12 @@ def estimate_trace_power(
 
     One circuit setting for Hermitian O; non-Hermitian O adds a second,
     phase-shifted setting for the imaginary part (each with the full
-    budget). The report splits the error budget (eps/2 model error at trace
-    level, eps/2 after amplitude-estimation amplification) and carries the
-    exact oracle value and query counts. ``ae_grid`` forces a specific
+    budget). Each setting's control probability P(0) comes from the block
+    identity ``closed_form_p_zero``, one exact route at every system size,
+    and feeds the amplitude-estimation readout. The report splits the error
+    budget (eps/2 model error at trace level, eps/2 after
+    amplitude-estimation amplification) and carries the exact oracle value
+    and query counts. ``ae_grid`` forces a specific
     readout grid size instead of the smallest one meeting the budget.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
@@ -286,21 +297,10 @@ def estimate_trace_power(
 
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     parts = []
-    circuit_path = "explicit"
     for idx, setting in enumerate(settings):
-        total_qubits = (
-            1
-            + be.physical_ancillas
-            + purification.env_qubits
-            + purification.sys_qubits
-        )
-        if be.dilation is not None and total_qubits <= get_qubit_cap():
-            p_true = hadamard_test_prob(be, purification, setting).p_zero
-        else:
-            circuit_path = "bookkeeping"
-            p_true = closed_form_p_zero(be, purification, setting)
+        p_true = closed_form_p_zero(be, purification, setting)
         outcome = amplitude_estimate(
-            p_true, grid, mode=mode, rng_seed=_derived_seed(seed, idx)
+            p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx)
         )
         parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
     estimate = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
@@ -322,7 +322,6 @@ def estimate_trace_power(
         alpha_o=alpha_o,
         poly_degree=ledger.poly_degree,
         model_error=model_error,
-        circuit_path=circuit_path,
     )
 
 
@@ -442,7 +441,7 @@ def vd_ratio(
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
     num = estimate_trace_power(
-        purification, o, int(k), eps_num, mode=mode, seed=_derived_seed(seed, 100)
+        purification, o, int(k), eps_num, mode=mode, seed=derive_seed(seed, 100)
     )
     den = estimate_trace_power(
         purification,
@@ -450,7 +449,7 @@ def vd_ratio(
         int(k),
         eps_den,
         mode=mode,
-        seed=_derived_seed(seed, 200),
+        seed=derive_seed(seed, 200),
     )
     a_est = num.estimate.real
     b_est = den.estimate.real

@@ -33,6 +33,11 @@ class InstanceSpec:
         return asdict(self)
 
 
+def derive_seed(master: int, index: int) -> int:
+    """Child seed number ``index`` of a master seed, via SeedSequence."""
+    return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
+
+
 def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
     of shape (2^qubits, rank)."""

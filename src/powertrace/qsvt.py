@@ -3,10 +3,10 @@
 The transform is simulated at the matrix-function level: for a Hermitian
 encoded block A with spectrum in [-1, 1] and an admissible polynomial p
 (definite parity, |p| <= 1 on [-1, 1]), the encoding of p(A) is produced by
-an exact eigenvalue transform followed by a contraction dilation. Query
-counts are recorded as the polynomial degree the query-model circuit would
-use, with each application of the density block encoding costing two
-queries to the purification unitary.
+an exact eigenvalue transform of the encoded block. Query counts are
+recorded as the polynomial degree the query-model circuit would use, with
+each application of the density block encoding costing two queries to the
+purification unitary.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, PurifiedState, density_block, halmos_dilate
+from .blockenc import BlockEncoding, PurifiedState, be_product, density_block, observable_block_encoding
 from .chebyshev import ChebyshevPoly, clenshaw_eval, power_expansion, required_degree, truncate
 from .errors import ContractError, ValidationError
 from .linalg import Observable, eigh, op_norm
-from .blockenc import be_product, observable_block_encoding
 
 SUP_NORM_SLACK = 1e-9
 _SUP_GRID = 512
@@ -95,7 +94,8 @@ def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
     transform reduces to an eigenvalue transform for Hermitian blocks), so
     the returned encoding error is 0; any distance between p(A) and a
     matrix power being approximated is tracked by the caller as model
-    error. One ancilla is added on top of the source's count.
+    error. One ancilla is added on top of the source's count. The result
+    carries only the transformed block: no dilation is built.
     """
     if source.alpha != 1.0 or source.err != 0.0:
         raise ValidationError(
@@ -112,11 +112,7 @@ def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
     transformed = (v * clenshaw_eval(poly, w)) @ v.conj().T
     transformed = (transformed + transformed.conj().T) / 2
     return BlockEncoding(
-        block=transformed,
-        alpha=1.0,
-        ancillas=source.ancillas + 1,
-        err=0.0,
-        dilation=halmos_dilate(transformed),
+        block=transformed, alpha=1.0, ancillas=source.ancillas + 1, err=0.0
     )
 
 
@@ -187,7 +183,6 @@ def power_times_obs(
         alpha=product.alpha,
         ancillas=product.ancillas,
         err=obs_be.alpha * eps_poly,
-        dilation=product.dilation,
     )
     alt_eps = min(1.0, eps_total / (4.0 * obs_be.alpha * o.op_norm))
     ledger = QueryLedger(

@@ -44,9 +44,9 @@ from .chebyshev import (
     sup_error_scan,
     truncate,
 )
-from .errors import PowertraceError, ValidationError
+from .errors import ValidationError
 from .estimator import AE_SUCCESS_PROB, estimate_trace_power, renyi_entropy, tsallis_entropy, vd_ratio
-from .instances import InstanceSpec, make_observable, make_state, random_unitary
+from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
 SUITES = ("approx", "estimate", "baseline", "bounds", "bqp", "apps", "separation")
@@ -134,10 +134,6 @@ def _record(spec_obj, report_obj, cfg_hash: str, extra: dict | None = None) -> d
     if extra:
         rec.update(extra)
     return rec
-
-
-def _derive_seed(master: int, index: int) -> int:
-    return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
 def _log_slope(xs, ys) -> float:
@@ -314,7 +310,7 @@ def _suite_approx(cfg: dict, cfg_hash: str):
 def _run_estimate_record(cfg: dict, index: int) -> dict:
     ks = cfg["k_values"]
     k = int(ks[index % len(ks)])
-    seed = _derive_seed(int(cfg["seed"]), index)
+    seed = derive_seed(int(cfg["seed"]), index)
     spec = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -418,7 +414,7 @@ def _suite_baseline(cfg: dict, cfg_hash: str):
                 obs,
                 int(cfg["k"]),
                 int(shots),
-                seed=_derive_seed(int(cfg["seed"]), 100 * i + rep),
+                seed=derive_seed(int(cfg["seed"]), 100 * i + rep),
             )
             stderrs.append(result.stderr)
             err = abs(result.mean - oracle)
@@ -557,7 +553,7 @@ def _suite_bqp(cfg: dict, cfg_hash: str):
     defects, bernoulli_flags = [], []
     qs, ks = list(cfg["q_values"]), list(cfg["k_values"])
     for i in range(int(cfg["runs"])):
-        seed = _derive_seed(int(cfg["seed"]), i)
+        seed = derive_seed(int(cfg["seed"]), i)
         q = float(qs[i % len(qs)])
         k = int(ks[(i // len(qs)) % len(ks)])
         u = random_unitary(r_dim, seed)
@@ -598,7 +594,7 @@ def _suite_bqp(cfg: dict, cfg_hash: str):
 
 
 def _run_vd_record(cfg: dict, index: int) -> dict:
-    seed = _derive_seed(int(cfg["seed"]), 1000 + index)
+    seed = derive_seed(int(cfg["seed"]), 1000 + index)
     spec = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -726,7 +722,7 @@ def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):
         shots = math.ceil(var * (z / eps) ** 2)
         copies = k * shots
         report = estimate_trace_power(
-            pur, obs, k, eps, mode="sampled", seed=_derive_seed(int(cfg["seed"]), k)
+            pur, obs, k, eps, mode="sampled", seed=derive_seed(int(cfg["seed"]), k)
         )
         copies_list.append(copies)
         queries_list.append(report.u_rho_queries_total)

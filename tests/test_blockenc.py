@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,11 @@ import powertrace as pt
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _with_unitary(be):
+    """Attach the one-ancilla Halmos dilation of block/alpha."""
+    return dataclasses.replace(be, dilation=pt.halmos_dilate(be.block / be.alpha))
 
 
 def random_contraction(dim, seed):
@@ -168,7 +175,8 @@ def test_product_identity_times_identity():
     ident = pt.observable_block_encoding(pt.Observable(np.eye(2, dtype=complex)))
     prod = pt.be_product(ident, ident)
     assert np.allclose(prod.block, np.eye(2), atol=1e-12)
-    assert pt.verify_block_encoding(prod, np.eye(2)) <= 1e-10
+    assert pt.op_norm(prod.block - np.eye(2)) <= 1e-10
+    assert prod.dilation is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -178,7 +186,8 @@ def test_product_defect_within_bookkeeping(seed):
     a = pt.BlockEncoding(m_a, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m_a))
     b = pt.BlockEncoding(m_b, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m_b))
     prod = pt.be_product(a, b)
-    assert pt.verify_block_encoding(prod, m_a @ m_b) <= prod.err + 1e-8
+    assert pt.op_norm(prod.block - m_a @ m_b) <= prod.err + 1e-8
+    assert prod.dilation is None  # dilations on the factors are not composed
 
 
 def test_product_error_composition():
@@ -226,15 +235,21 @@ def test_verify_halmos_is_exact():
 
 def test_observable_encoding_pauli():
     be = pt.observable_block_encoding(pt.Observable(Z))
+    assert np.array_equal(be.block, Z)
     assert be.alpha == pytest.approx(1.0)
     assert be.ancillas == 1
-    assert pt.verify_block_encoding(be, Z) <= 1e-10
+    assert be.dilation is None
+    assert pt.verify_block_encoding(_with_unitary(be), Z) <= 1e-10
 
 
 def test_observable_encoding_scaled_projector():
     be = pt.observable_block_encoding(pt.Observable(3 * PROJ0))
+    assert np.array_equal(be.block, 3 * PROJ0)
     assert be.alpha == pytest.approx(3.0, abs=1e-9)
-    assert np.allclose(be.dilation[:2, :2], PROJ0, atol=1e-9)
+    assert be.dilation is None
+    unitary = _with_unitary(be)
+    assert np.allclose(unitary.dilation[:2, :2], PROJ0, atol=1e-9)
+    assert pt.verify_block_encoding(unitary, 3 * PROJ0) <= 1e-10
 
 
 def test_observable_encoding_x_plus_z():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from powertrace import linalg
-from powertrace.blockenc import _embed_outer_pair
+from powertrace import blockenc, estimator, linalg, qsvt
+from powertrace.blockenc import _swap_registers
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -31,16 +32,30 @@ def test_pure_state_projector_gives_one():
     assert result.p_zero == pytest.approx(1.0, abs=1e-10)
 
 
+def _with_unitary(be):
+    """The pipeline's block-only encoding with the one-ancilla Halmos
+    dilation of block/alpha attached, so the circuit can be simulated."""
+    return dataclasses.replace(be, dilation=pt.halmos_dilate(be.block / be.alpha))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_circuit_matches_closed_form(seed):
     rho = pt.random_density(2, 2, seed)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
-    be, _ = pt.power_times_obs(pt.purify(rho), obs, 3, 0.05)
+    be = _with_unitary(pt.power_times_obs(pt.purify(rho), obs, 3, 0.05)[0])
     for setting in ("I", "S_dagger"):
         circuit = pt.hadamard_test_prob(be, pt.purify(rho), setting).p_zero
         assert circuit == pytest.approx(
             closed_form_p_zero(be, pt.purify(rho), setting), abs=1e-10
         )
+
+
+def _embed_outer_pair(u, dim_outer_pair, dim_mid):
+    """Embed U acting on (A, C) into (A, B, C) with identity on the middle B."""
+    dim_a, dim_c = dim_outer_pair
+    big = np.kron(u, np.eye(dim_mid))  # acts on (A, C, B)
+    perm = np.kron(np.eye(dim_a), _swap_registers(dim_c, dim_mid))  # (A,C,B)->(A,B,C)
+    return perm @ big @ perm.conj().T
 
 
 def _dense_circuit_p_zero(be, purification, w):
@@ -73,7 +88,7 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
         else:
             obs = _non_hermitian_observable(n, seed)
         pur = pt.purify(rho)
-        be, _ = pt.power_times_obs(pur, obs, 4, 0.05)
+        be = _with_unitary(pt.power_times_obs(pur, obs, 4, 0.05)[0])
         for setting in ("I", "S_dagger"):
             circuit = pt.hadamard_test_prob(be, pur, setting).p_zero
             assert abs(circuit - _dense_circuit_p_zero(be, pur, setting)) <= 1e-12
@@ -82,6 +97,7 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
 def test_hadamard_test_respects_cap():
     rho = pt.random_density(2, 2, seed=2)
     be, _ = pt.power_times_obs(pt.purify(rho), pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
+    be = _with_unitary(be)  # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
     pt.set_qubit_cap(5)
     try:
         with pytest.raises(pt.ResourceError):
@@ -256,14 +272,13 @@ def _matrix_power_value(rho, obs, k):
     return complex(np.trace(np.linalg.matrix_power(rho.mat, k) @ obs.mat))
 
 
-@pytest.mark.parametrize("n, path", [(5, "explicit"), (6, "bookkeeping")])
-def test_estimate_beyond_four_qubits_at_default_cap(n, path):
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_estimate_beyond_four_qubits_at_default_cap(n):
     assert pt.get_qubit_cap() == 14
     spec = pt.InstanceSpec(qubits=n, rank=1, seed=n)
     rho, obs = pt.make_state(spec), pt.make_observable(spec)
     eps = 0.05
     report = pt.estimate_trace_power(pt.purify(rho), obs, 16, eps, mode="ideal", seed=n)
-    assert report.circuit_path == path
     exact = _matrix_power_value(rho, obs, 16)
     assert abs(report.oracle_value - exact) <= 1e-10
     assert report.model_error <= eps / 2
@@ -297,6 +312,25 @@ def test_estimate_decomposes_the_reduced_state_once(monkeypatch):
     monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
     pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
     assert len(calls) == 1
+
+
+def test_estimate_builds_no_unitary(monkeypatch):
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    for module in (blockenc, qsvt, estimator):
+        for name in ("halmos_dilate", "hadamard_test_prob"):
+            if hasattr(module, name):
+                counting(module, name)
+    pur = pt.purify(pt.random_density(2, 3, seed=18))
+    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=18))
+    pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
+    pt.estimate_trace_power(pur, _non_hermitian_observable(2, 18), 5, 0.05, seed=0)
+    assert calls == []
+    assert pt.power_times_obs(pur, obs, 5, 0.05)[0].dilation is None
 
 
 def test_estimate_validation():

@@ -19,7 +19,7 @@ GOLDEN_TABLE_SHA256 = {
     "baseline": "56cbb6e74ff28193c48330dc2aa6abebe9f6ed39ba916cd0d4b0dca619881125",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
     "bqp": "6891a9a784652f06074699efd051f022c52760d52b0b859c3142802e658f4c25",
-    "apps": "e4a3095f87c6ffe0920f99e28da39197bffc93fad973642287dbf76c98ef2005",
+    "apps": "b10a91114977366fb09c0a7ff54ca4119a759ab63f6b35c2da4fa18bda6ecd00",
     "separation": "7e37dca6177f8b8072b189ba8d30c7f39d765c6bc0c484bcf5414199ebb3942e",
 }
 

@@ -164,7 +164,7 @@ def test_recorded_error_bounds_true_defect():
     k, eps = 6, 1e-2
     be, _ = pt.power_times_obs(pt.purify(rho), obs, k, eps_total=eps)
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
-    assert pt.verify_block_encoding(be, target) <= be.err + 1e-8
+    assert pt.op_norm(target - be.block) <= be.err + 1e-8
     assert be.err == pytest.approx(be.alpha * min(1.0, eps / (2 * obs.op_norm)))
 
 
