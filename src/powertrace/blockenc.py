@@ -285,12 +285,16 @@ def halmos_dilate(m) -> np.ndarray:
     return np.block([[m, top_right], [bottom_left, -m.conj().T]])
 
 
-def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
+def be_product(
+    a: BlockEncoding, b: BlockEncoding, err: float | None = None
+) -> BlockEncoding:
     """Block encoding of the product A @ B from encodings of A and B.
 
     Scale and error compose as (alpha_a * alpha_b) and
-    (alpha_a * err_b + alpha_b * err_a); ancilla counts add. The result
-    carries only the product block: no dilation is composed.
+    (alpha_a * err_b + alpha_b * err_a); ancilla counts add. A given
+    ``err`` is recorded instead of the composed error, for a caller that
+    bounds the defect against a different target. The result carries only
+    the product block: no dilation is composed.
     """
     if a.dim != b.dim:
         raise ValidationError(
@@ -300,7 +304,7 @@ def be_product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
         block=a.block @ b.block,
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
-        err=a.alpha * b.err + b.alpha * a.err,
+        err=a.alpha * b.err + b.alpha * a.err if err is None else err,
     )
 
 

@@ -16,6 +16,14 @@ P(0) depends on the circuit's unitary only through its encoded block, so
 the estimator reads it from that identity (``closed_form_p_zero``) at
 every system size and builds no unitary; ``hadamard_test_prob``, the
 simulated circuit, is the reference the identity is tested against.
+
+The readout draws the phase-estimation outcome exactly in O(W) time and
+memory, W a fixed window, whatever the grid size K: ``amplitude_estimate``
+picks one of the two rotation branches, computes that branch's law on the
+2W+1 outcomes around its peak and reaches the rest of the grid by
+rejection under a 1/distance^2 envelope. ``ae_outcome_distribution``
+builds the dense K-point law; it is the reference the draw is tested
+against and is not on the estimator's path.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .qsvt import power_times_obs
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
+# half-width of the exactly computed outcome window around a branch's peak
+_AE_WINDOW = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,9 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     directions; each branch contributes the squared Dirichlet kernel
     sin^2(K pi d) / (K^2 sin^2(pi d)) at grid offset d, and the branches
     mix with weight 1/2.
+
+    This dense O(K) law is the reference the tests check the sampled
+    readout against; ``amplitude_estimate`` never builds it.
     """
     theta = math.asin(math.sqrt(p_true)) / math.pi
     y = np.arange(grid_size)
@@ -206,25 +219,106 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     return probs / total
 
 
+def _check_grid(K, mode: str) -> None:
+    """Reject a readout grid before anything is sized from it: an integer
+    >= 2, and in ``sampled`` mode also a power of two <= ``_MAX_AE_GRID``."""
+    if not isinstance(K, (int, np.integer)) or K < 2:
+        raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
+    if mode == "sampled" and (K & (K - 1) or K > _MAX_AE_GRID):
+        raise ValidationError(
+            f"sampled mode needs a power-of-two grid size <= {_MAX_AE_GRID}, "
+            f"got {K!r}"
+        )
+
+
+def _branch_law(frac: float, offsets, grid_size: int) -> np.ndarray:
+    """One branch's outcome law at integer offsets j from its nearest grid
+    point c, with frac = x - c for the branch peak x = +-theta K:
+    sin^2(pi frac) / (K^2 sin^2(pi (frac - j) / K)), and 1 at frac - j = 0.
+    Over the K residues of c + j it sums to exactly 1."""
+    offsets = np.asarray(offsets)
+    if frac == 0.0:  # the peak sits on the grid
+        return (offsets == 0).astype(np.float64)
+    denom = grid_size * np.sin((math.pi / grid_size) * (frac - offsets))
+    return (math.sin(math.pi * frac) / denom) ** 2
+
+
+def _draw_tail(frac: float, grid_size: int, rng: np.random.Generator) -> int:
+    """Offset j, W < |j| on the grid, drawn exactly from the branch law
+    restricted to the outcomes outside the window.
+
+    An outcome at |j| = m lies at circular distance >= m - 1/2 from the
+    peak, so with sin(pi s / K) >= 2 s / K its law is at most
+    sin^2(pi frac) / (4 (m - 1/2)^2). The proposal m = floor((W+1)/U)
+    (P(m' >= m) = (W+1)/m) with a fair sign, times the constant
+    sin^2(pi frac) (W+1)(W+2) / (4 (W+1/2)^2), lies above that envelope for
+    every m >= W+1; offsets past the grid are rejected.
+    """
+    w = _AE_WINDOW
+    scale = math.sin(math.pi * frac) ** 2 * (w + 1) * (w + 2) / (4.0 * (w + 0.5) ** 2)
+    while True:
+        m = math.floor((w + 1) / (1.0 - rng.random()))
+        j = m if rng.random() < 0.5 else -m
+        if not -(grid_size - 1 - grid_size // 2) <= j <= grid_size // 2:
+            continue
+        if rng.random() * scale / (m * (m + 1.0)) <= _branch_law(frac, j, grid_size):
+            return j
+
+
+def _draw_outcome(theta: float, grid_size: int, rng: np.random.Generator) -> int:
+    """One grid outcome of the phase-estimation law, in O(_AE_WINDOW).
+
+    A fair branch choice, then that branch's law: computed exactly on the
+    window of offsets -W..W around the peak (the whole grid once
+    K <= 2W+1) and drawn by rejection outside it. The window mass is
+    checked against 1 minus the envelope's tail mass sin^2(pi frac)/(2W).
+    """
+    peak = (theta if rng.random() < 0.5 else -theta) * grid_size
+    centre = round(peak)
+    frac = peak - centre
+    offsets = np.arange(
+        -min(_AE_WINDOW, grid_size // 2),
+        min(_AE_WINDOW, grid_size - 1 - grid_size // 2) + 1,
+    )
+    cdf = np.cumsum(_branch_law(frac, offsets, grid_size))
+    mass = float(cdf[-1])
+    whole_grid = offsets.size == grid_size
+    envelope_tail = 0.0 if whole_grid else math.sin(math.pi * frac) ** 2 / (2 * _AE_WINDOW)
+    if not 1.0 - envelope_tail - 1e-9 <= mass <= 1.0 + 1e-9:
+        raise ValidationError(
+            f"outcome window holds mass {mass}, outside "
+            f"[1 - {envelope_tail} - 1e-9, 1 + 1e-9]"
+        )
+    u = rng.random()
+    if whole_grid or u < mass:
+        idx = int(np.searchsorted(cdf, u * mass if whole_grid else u, side="right"))
+        j = int(offsets[min(idx, offsets.size - 1)])
+    else:
+        j = _draw_tail(frac, grid_size, rng)
+    return (centre + j) % grid_size
+
+
 def amplitude_estimate(
     p_true: float, K: int, mode: str = "sampled", rng_seed: int = 0
 ) -> AeOutcome:
     """Simulate one amplitude-estimation readout of a probability.
 
     ``sampled`` draws a grid outcome y from the canonical phase-estimation
-    distribution and returns sin^2(pi y / K); ``ideal`` returns the true
-    probability pushed exactly to the edge of the error bound, for
-    deterministic worst-case budget checks.
+    distribution and returns sin^2(pi y / K). The draw is exact and costs
+    O(W) time and memory at any K (window plus rejection-sampled tail, see
+    ``_draw_outcome``); the dense law ``ae_outcome_distribution`` is its
+    test reference only. ``ideal`` returns the true probability pushed
+    exactly to the edge of the error bound, for deterministic worst-case
+    budget checks.
     """
     if not -1e-12 <= p_true <= 1.0 + 1e-12:
         raise ValidationError(f"probability {p_true} outside [0, 1]")
     p_true = min(max(p_true, 0.0), 1.0)
     if mode not in ("sampled", "ideal"):
         raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
+    _check_grid(K, mode)
     bound = ae_error_bound(p_true, K)
     if mode == "ideal":
-        if not isinstance(K, (int, np.integer)) or K < 2:
-            raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
         p_est = p_true + bound
         if p_est > 1.0:
             p_est = max(0.0, p_true - bound)
@@ -234,13 +328,8 @@ def amplitude_estimate(
             raw_outcome_index=-1,
             within_bound=True,
         )
-    if not isinstance(K, (int, np.integer)) or K < 2 or (K & (K - 1)):
-        raise ValidationError(
-            f"sampled mode needs a power-of-two grid size >= 2, got {K!r}"
-        )
-    probs = ae_outcome_distribution(p_true, int(K))
-    rng = np.random.default_rng(rng_seed)
-    y = int(rng.choice(int(K), p=probs))
+    theta = math.asin(math.sqrt(p_true)) / math.pi
+    y = _draw_outcome(theta, int(K), np.random.default_rng(rng_seed))
     p_est = math.sin(math.pi * y / K) ** 2
     return AeOutcome(
         p_estimate=p_est,
@@ -284,12 +373,15 @@ def estimate_trace_power(
     budget (eps/2 model error at trace level, eps/2 after
     amplitude-estimation amplification) and carries the exact oracle value
     and query counts. ``ae_grid`` forces a specific
-    readout grid size instead of the smallest one meeting the budget.
+    readout grid size instead of the smallest one meeting the budget; it is
+    checked before any encoding is built.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"estimation needs integer k >= 2, got {k!r}")
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
+    if ae_grid is not None:
+        _check_grid(ae_grid, mode)
     be, ledger = power_times_obs(purification, o, int(k), eps)
     alpha_o = be.alpha
     eps_prime = eps / (4.0 * alpha_o)

@@ -177,13 +177,7 @@ def power_times_obs(
     eps_poly = min(1.0, eps_total / (2.0 * o.op_norm))
     power_be, power_ledger = power_block_encoding(purification, k, eps_poly)
     obs_be = observable_block_encoding(o)
-    product = be_product(power_be, obs_be)
-    recorded = BlockEncoding(
-        block=product.block,
-        alpha=product.alpha,
-        ancillas=product.ancillas,
-        err=obs_be.alpha * eps_poly,
-    )
+    recorded = be_product(power_be, obs_be, err=obs_be.alpha * eps_poly)
     alt_eps = min(1.0, eps_total / (4.0 * obs_be.alpha * o.op_norm))
     ledger = QueryLedger(
         poly_degree=power_ledger.poly_degree,

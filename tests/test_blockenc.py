@@ -199,6 +199,10 @@ def test_product_error_composition():
     assert prod.ancillas == 3
     assert prod.err == pytest.approx(2.0 * 0.0625 + 4.0 * 0.125)
     assert prod.dilation is None  # no dilations on the factors
+    recorded = pt.be_product(a, b, err=0.5)
+    assert recorded.err == 0.5
+    assert (recorded.alpha, recorded.ancillas) == (prod.alpha, prod.ancillas)
+    assert np.array_equal(recorded.block, prod.block)
 
 
 def test_product_dim_mismatch():

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import powertrace as pt
 from powertrace import blockenc, estimator, linalg, qsvt
+from powertrace.cli import main
 from powertrace.blockenc import _swap_registers
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
 
@@ -158,6 +161,120 @@ def test_ae_rejects_bad_grid():
         pt.amplitude_estimate(0.5, 100)  # not a power of two
     with pytest.raises(pt.ValidationError):
         pt.amplitude_estimate(0.5, 1)
+    for mode in ("sampled", "ideal"):
+        with pytest.raises(pt.ValidationError):
+            pt.amplitude_estimate(0.5, 0, mode=mode)
+    with pytest.raises(pt.ValidationError):
+        pt.amplitude_estimate(0.5, 2 * estimator._MAX_AE_GRID)
+    out = pt.amplitude_estimate(0.5, 2 * estimator._MAX_AE_GRID, mode="ideal")
+    assert out.grid_size_K == 2 * estimator._MAX_AE_GRID
+
+
+def _fft_outcome_law(p, K):
+    """QPE outcome law as |FFT|^2 of the phase register e^{+-2 pi i theta m},
+    branches mixed with weight 1/2; shares no code with the estimator."""
+    theta = math.asin(math.sqrt(p)) / math.pi
+    m = np.arange(K)
+    law = np.zeros(K)
+    for branch in (theta, -theta):
+        law += 0.5 * np.abs(np.fft.fft(np.exp(2j * np.pi * branch * m))) ** 2 / K ** 2
+    return law
+
+
+def _test_probabilities(K):
+    """0, 1, on the grid, peaks within half a step of 0 and of K/2 (where
+    a branch's window wraps around the grid), and a generic value."""
+    return (
+        0.0,
+        1.0,
+        math.sin(math.pi * 3 / K) ** 2,
+        math.sin(math.pi * 0.4 / K) ** 2,
+        math.cos(math.pi * 0.4 / K) ** 2,
+        0.3,
+    )
+
+
+@pytest.mark.parametrize("K", [2 ** e for e in range(1, 11)])
+def test_ae_distribution_matches_fft_oracle(K):
+    for p in _test_probabilities(K) + (0.77,):
+        assert np.max(np.abs(ae_outcome_distribution(p, K) - _fft_outcome_law(p, K))) <= 1e-12
+
+
+def _chi_square_pvalue(observed, expected, min_expected=20.0):
+    """Pearson test of draw counts against expected counts, in cell order;
+    neighbouring cells are merged until each bin expects min_expected draws."""
+    obs_bins, exp_bins = [0], [0.0]
+    for obs, exp in zip(observed, expected):
+        if exp_bins[-1] >= min_expected:
+            obs_bins.append(0)
+            exp_bins.append(0.0)
+        obs_bins[-1] += int(obs)
+        exp_bins[-1] += float(exp)
+    obs_bins, exp_bins = np.array(obs_bins), np.array(exp_bins)
+    stat = float(np.sum((obs_bins - exp_bins) ** 2 / exp_bins))
+    return 1.0 if obs_bins.size == 1 else float(chi2.sf(stat, obs_bins.size - 1))
+
+
+@pytest.mark.parametrize("window", [None, 1])
+@pytest.mark.parametrize("K", [2 ** 4, 2 ** 8, 2 ** 12, 2 ** 14])
+def test_ae_draws_follow_dense_law(K, window, monkeypatch):
+    """The O(window) draw against the dense reference law. With the window
+    at 1 the rejection-sampled tail carries up to an eighth of the draws."""
+    if window is not None:
+        monkeypatch.setattr(estimator, "_AE_WINDOW", window)
+    draws = 4000
+    for idx, p in enumerate(_test_probabilities(K)):
+        theta = math.asin(math.sqrt(p)) / math.pi
+        rng = np.random.default_rng(1000 * K + idx)
+        outcomes = [estimator._draw_outcome(theta, K, rng) for _ in range(draws)]
+        observed = np.bincount(outcomes, minlength=K)
+        expected = draws * ae_outcome_distribution(p, K)
+        assert _chi_square_pvalue(observed, expected) >= 1e-4
+
+
+@pytest.mark.parametrize(
+    "window,K", [(None, 2 ** 12), (None, 2 ** 14), (1, 2 ** 4), (1, 2 ** 8), (1, 2 ** 12), (1, 2 ** 14)]
+)
+def test_ae_tail_draws_follow_tail_law(window, K, monkeypatch):
+    """The rejection sampler alone against the branch law restricted to the
+    offsets outside the window, -(K-1-K/2)..-(W+1) and W+1..K/2."""
+    if window is not None:
+        monkeypatch.setattr(estimator, "_AE_WINDOW", window)
+    w = estimator._AE_WINDOW
+    offsets = np.concatenate((np.arange(-(K - 1 - K // 2), -w), np.arange(w + 1, K // 2 + 1)))
+    draws = 4000
+    for idx, frac in enumerate((0.4, -0.5, 0.05)):
+        rng = np.random.default_rng(7000 + 100 * K + idx)
+        tail = [estimator._draw_tail(frac, K, rng) for _ in range(draws)]
+        cells = np.searchsorted(offsets, tail)
+        assert np.array_equal(offsets[cells], tail)  # every draw is a tail offset
+        law = estimator._branch_law(frac, offsets, K)
+        observed = np.bincount(cells, minlength=offsets.size)
+        assert _chi_square_pvalue(observed, draws * law / law.sum()) >= 1e-4
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(log_k=st.integers(11, 16), frac=st.floats(-0.5, 0.5))
+def test_ae_tail_envelope_bounds_the_law(log_k, frac):
+    K = 2 ** log_k
+    w = estimator._AE_WINDOW
+    m = np.arange(w + 1, K // 2 + 1)
+    scale = math.sin(math.pi * frac) ** 2 * (w + 1) * (w + 2) / (4 * (w + 0.5) ** 2)
+    proposal_bound = scale / (m * (m + 1.0))
+    for offsets in (m, -m[: K - 1 - K // 2 - w]):
+        law = estimator._branch_law(frac, offsets, K)
+        assert np.all(law <= proposal_bound[: offsets.size] * (1 + 1e-12))
+
+
+def test_ae_sampled_draw_memory_is_independent_of_grid():
+    pt.amplitude_estimate(0.3, 2 ** 22, rng_seed=0)  # warm-up
+    tracemalloc.start()
+    try:
+        pt.amplitude_estimate(0.3, 2 ** 22, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_ae_ideal_mode_sits_on_bound_edge():
@@ -331,6 +448,39 @@ def test_estimate_builds_no_unitary(monkeypatch):
     pt.estimate_trace_power(pur, _non_hermitian_observable(2, 18), 5, 0.05, seed=0)
     assert calls == []
     assert pt.power_times_obs(pur, obs, 5, 0.05)[0].dilation is None
+
+
+def test_no_sampled_draw_builds_the_dense_law(monkeypatch, tmp_path):
+    def dense_law(*args, **kwargs):
+        raise AssertionError("the sampled readout built the dense outcome law")
+
+    monkeypatch.setattr(estimator, "ae_outcome_distribution", dense_law)
+    pur = pt.purify(pt.random_density(1, 2, seed=19))
+    report = pt.estimate_trace_power(pur, pt.Observable(Z), 4, 1e-5, seed=0)
+    assert report.ae_queries_K >= 2 ** 20
+    assert main(["estimate", "--runs", "5", "--out", str(tmp_path)]) == 0
+
+
+def test_forced_grid_is_checked_before_encoding(monkeypatch):
+    calls = []
+    real = estimator.power_times_obs
+    monkeypatch.setattr(estimator, "power_times_obs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    pur = pt.purify(pt.random_density(1, 2, seed=20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(pt.ValidationError):
+            pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, ae_grid=2 * estimator._MAX_AE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 2 ** 20
+    for grid in (0, 100):
+        with pytest.raises(pt.ValidationError):
+            pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, ae_grid=grid)
+    assert calls == []
+    report = pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="ideal", ae_grid=100)
+    assert report.ae_queries_K == 100
 
 
 def test_estimate_validation():

@@ -15,12 +15,12 @@ from powertrace.suites import SEED_ENV_VAR, SUITES
 
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
-    "estimate": "bd9a0c9bcec25d78eb41a2f13f24125428c6c81155def6a27aa87131d4792ea8",
+    "estimate": "16535913ec8db3efbbc1aaa6f16b8eca858dab9fb399eeb9bda9bf9e9e1fa093",
     "baseline": "56cbb6e74ff28193c48330dc2aa6abebe9f6ed39ba916cd0d4b0dca619881125",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
     "bqp": "6891a9a784652f06074699efd051f022c52760d52b0b859c3142802e658f4c25",
-    "apps": "b10a91114977366fb09c0a7ff54ca4119a759ab63f6b35c2da4fa18bda6ecd00",
-    "separation": "7e37dca6177f8b8072b189ba8d30c7f39d765c6bc0c484bcf5414199ebb3942e",
+    "apps": "2997a05ac58f4dc6500deebfa97c315751d4dc29b1509e217653002e9b20d961",
+    "separation": "eae970b6d5da9735811f17617b4111b40d85b027f9486d69d5eaa565837ea050",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import powertrace as pt
+from powertrace import blockenc, qsvt
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -166,6 +167,22 @@ def test_recorded_error_bounds_true_defect():
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
     assert pt.op_norm(target - be.block) <= be.err + 1e-8
     assert be.err == pytest.approx(be.alpha * min(1.0, eps / (2 * obs.op_norm)))
+
+
+def test_product_encoding_is_validated_once(monkeypatch):
+    pur = pt.purify(pt.random_density(2, 3, seed=16))
+    obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
+    calls = []
+    for module in (blockenc, qsvt):
+        real = module.op_norm
+        monkeypatch.setattr(
+            module, "op_norm", lambda m, real=real: calls.append(1) or real(m)
+        )
+    be, _ = pt.power_times_obs(pur, obs, 5, eps_total=1e-2)
+    # one per encoding built (density block, p(rho), observable, product),
+    # the Hermitian check of apply_poly and the model error
+    assert len(calls) == 6
+    assert be.err == pytest.approx(be.alpha * min(1.0, 1e-2 / (2 * obs.op_norm)))
 
 
 def test_alt_degree_recorded():
