@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
+    EighResult,
     Observable,
     _psd_sqrt,
     as_complex_matrix,
@@ -95,23 +96,34 @@ class PurifiedState:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """(alpha, ancillas, err) block encoding, optionally with its unitary."""
+    """(alpha, ancillas, err) block encoding, optionally with its unitary.
+
+    alpha >= ||block|| is checked by an SVD, unless the pipeline's
+    constructors pass an upper bound ``_norm_bound`` they hold (from a
+    Hermitian block's spectrum, or ||A|| ||B|| for a product) that lies
+    within alpha and so certifies it. ``_spectrum`` is a Hermitian block's
+    known eigendecomposition (the density block's is the state's own).
+    """
 
     block: np.ndarray
     alpha: float
     ancillas: int
     err: float
     dilation: np.ndarray | None = None
+    _norm_bound: float | None = field(default=None, repr=False, compare=False)
+    _spectrum: EighResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         block = as_complex_matrix(self.block, "encoded block")
         if block.shape[0] != block.shape[1]:
             raise ValidationError("encoded block must be square")
         object.__setattr__(self, "block", block)
-        if self.alpha < op_norm(block) - ALPHA_SLACK:
-            raise ValidationError(
-                f"alpha {self.alpha} is below the block norm {op_norm(block)}"
-            )
+        bound = self._norm_bound
+        if bound is None or bound > self.alpha + ALPHA_SLACK:
+            bound = op_norm(block)
+            if self.alpha < bound - ALPHA_SLACK:
+                raise ValidationError(f"alpha {self.alpha} is below the block norm {bound}")
+        object.__setattr__(self, "_norm_bound", bound)
         if self.err < 0:
             raise ValidationError("block-encoding error must be nonnegative")
         if self.ancillas < 0:
@@ -164,27 +176,21 @@ def purify(rho: DensityMatrix) -> PurifiedState:
 
     Environment basis states are computational basis states indexed by the
     rank of the eigenvalue they accompany (descending eigenvalues; exact
-    ties broken by lexicographic comparison of the eigenvector entries), so
-    the construction is deterministic.
+    ties broken by lexicographic comparison of the eigenvector entries,
+    real part before imaginary, row by row), so the construction is
+    deterministic. The (environment, system) amplitude matrix is
+    diag(sqrt(w)) V^T in that order, built in one step.
     """
     w, v = rho.spectrum()
-
-    def _tiebreak(i: int):
-        col = v[:, i]
-        return tuple((float(z.real), float(z.imag)) for z in col)
-
-    order = sorted(range(rho.dim), key=lambda i: (-w[i], _tiebreak(i)))
-    n = rho.qubits
-    vec = np.zeros(rho.dim * rho.dim, dtype=np.complex128)
-    for rank, i in enumerate(order):
-        p = w[i]
-        if p <= 0.0:
-            continue
-        env = np.zeros(rho.dim, dtype=np.complex128)
-        env[rank] = 1.0
-        vec += math.sqrt(p) * np.kron(env, v[:, i])
+    # np.lexsort sorts by its last key first
+    keys = np.stack((v.real, v.imag), axis=1).reshape(2 * rho.dim, rho.dim)
+    order = np.lexsort(np.vstack((keys[::-1], -w)))
+    # adding into zeros keeps every zero amplitude +0.0
+    amps = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    amps += np.sqrt(w[order])[:, None] * v[:, order].T
+    vec = amps.reshape(-1)
     vec /= np.linalg.norm(vec)
-    return PurifiedState(env_qubits=n, sys_qubits=n, vec=vec)
+    return PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec)
 
 
 def _swap_registers(dim_a: int, dim_b: int) -> np.ndarray:
@@ -227,11 +233,15 @@ def density_block(purification: PurifiedState) -> BlockEncoding:
     SWAP-lemma circuit of ``density_block_encoding``, which is all the
     eigenvalue transform and the query ledger read.
     """
+    rho = purification.reduced_state()
+    spectrum = rho.spectrum()
     return BlockEncoding(
-        block=purification.reduced_state().mat,
+        block=rho.mat,
         alpha=1.0,
         ancillas=purification.env_qubits + purification.sys_qubits,
         err=0.0,
+        _norm_bound=float(np.max(np.abs(spectrum.eigenvalues))),
+        _spectrum=spectrum,
     )
 
 
@@ -294,7 +304,8 @@ def be_product(
     (alpha_a * err_b + alpha_b * err_a); ancilla counts add. A given
     ``err`` is recorded instead of the composed error, for a caller that
     bounds the defect against a different target. The result carries only
-    the product block: no dilation is composed.
+    the product block: no dilation is composed. Its norm check is certified
+    by ||A B|| <= ||A|| ||B||.
     """
     if a.dim != b.dim:
         raise ValidationError(
@@ -305,6 +316,7 @@ def be_product(
         alpha=a.alpha * b.alpha,
         ancillas=a.ancillas + b.ancillas,
         err=a.alpha * b.err + b.alpha * a.err if err is None else err,
+        _norm_bound=a._norm_bound * b._norm_bound,
     )
 
 
@@ -333,5 +345,5 @@ def observable_block_encoding(o: Observable) -> BlockEncoding:
     ``halmos_dilate(o.mat / alpha)`` is then a unitary realizing the block.
     """
     return BlockEncoding(
-        block=o.mat, alpha=max(1.0, o.op_norm), ancillas=1, err=0.0
+        block=o.mat, alpha=max(1.0, o.op_norm), ancillas=1, err=0.0, _norm_bound=o.op_norm
     )

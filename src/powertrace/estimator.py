@@ -29,7 +29,7 @@ against and is not on the estimator's path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,24 +84,10 @@ class EstimationReport:
     model_error: float
 
     def to_json(self) -> dict:
-        return {
-            "estimate": {"re": self.estimate.real, "im": self.estimate.imag},
-            "oracle_value": {
-                "re": self.oracle_value.real,
-                "im": self.oracle_value.imag,
-            },
-            "k": self.k,
-            "eps_requested": self.eps_requested,
-            "eps_poly_budget": self.eps_poly_budget,
-            "eps_ae_budget": self.eps_ae_budget,
-            "ae_queries_K": self.ae_queries_K,
-            "u_rho_queries_total": self.u_rho_queries_total,
-            "seed": self.seed,
-            "mode": self.mode,
-            "alpha_o": self.alpha_o,
-            "poly_degree": self.poly_degree,
-            "model_error": self.model_error,
-        }
+        out = asdict(self)
+        for key in ("estimate", "oracle_value"):
+            out[key] = {"re": out[key].real, "im": out[key].imag}
+        return out
 
 
 def hadamard_test_prob(
@@ -174,8 +160,15 @@ def closed_form_p_zero(be: BlockEncoding, purification: PurifiedState, w: str = 
     Exact for any unitary with ancilla-zero block block/alpha; ``w="I"``
     takes the real part, ``"S_dagger"`` the imaginary part.
     """
-    rho = purification.reduced_state()
-    overlap = complex(np.trace(rho.mat @ be.block)) / be.alpha
+    return _p_zero(_block_trace(be, purification) / be.alpha, w)
+
+
+def _block_trace(be: BlockEncoding, purification: PurifiedState) -> complex:
+    """Tr(rho block), the overlap the Hadamard test reads, times alpha."""
+    return complex(np.trace(purification.reduced_state().mat @ be.block))
+
+
+def _p_zero(overlap: complex, w: str) -> float:
     part = overlap.real if w == "I" else overlap.imag
     return 0.5 + part / 2.0
 
@@ -217,6 +210,11 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValidationError(f"outcome distribution sums to {total}, not 1")
     return probs / total
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("sampled", "ideal"):
+        raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
 
 
 def _check_grid(K, mode: str) -> None:
@@ -314,8 +312,7 @@ def amplitude_estimate(
     if not -1e-12 <= p_true <= 1.0 + 1e-12:
         raise ValidationError(f"probability {p_true} outside [0, 1]")
     p_true = min(max(p_true, 0.0), 1.0)
-    if mode not in ("sampled", "ideal"):
-        raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
+    _check_mode(mode)
     _check_grid(K, mode)
     bound = ae_error_bound(p_true, K)
     if mode == "ideal":
@@ -373,13 +370,16 @@ def estimate_trace_power(
     budget (eps/2 model error at trace level, eps/2 after
     amplitude-estimation amplification) and carries the exact oracle value
     and query counts. ``ae_grid`` forces a specific
-    readout grid size instead of the smallest one meeting the budget; it is
-    checked before any encoding is built.
+    readout grid size instead of the smallest one meeting the budget; it and
+    ``mode`` are checked before any encoding is built. Tr(rho block) is
+    computed once and serves every setting and the trace-level model
+    error.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"estimation needs integer k >= 2, got {k!r}")
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
+    _check_mode(mode)
     if ae_grid is not None:
         _check_grid(ae_grid, mode)
     be, ledger = power_times_obs(purification, o, int(k), eps)
@@ -388,18 +388,18 @@ def estimate_trace_power(
     grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
 
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
+    block_trace = _block_trace(be, purification)
     parts = []
     for idx, setting in enumerate(settings):
-        p_true = closed_form_p_zero(be, purification, setting)
+        p_true = _p_zero(block_trace / alpha_o, setting)
         outcome = amplitude_estimate(
             p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx)
         )
         parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
     estimate = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
 
-    rho = purification.reduced_state()
-    oracle = trace_power_obs_oracle(rho, o, int(k))
-    model_error = abs(complex(np.trace(rho.mat @ be.block)) - oracle)
+    oracle = trace_power_obs_oracle(purification.reduced_state(), o, int(k))
+    model_error = abs(block_trace - oracle)
     return EstimationReport(
         estimate=estimate,
         oracle_value=oracle,

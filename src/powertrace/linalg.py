@@ -1,6 +1,11 @@
 """Dense complex linear algebra, quantum-state types, and the exact
 ground-truth value of Tr(rho^k O).
 
+A ``DensityMatrix`` is diagonalised once, by its validation, and every
+later use of its spectrum reads that cached ``eigh``. The oracle
+``trace_power_obs_oracle`` forms rho^k by repeated squaring instead, so it
+shares no eigendecomposition with the estimation pipeline.
+
 Everything is stored as dense ``numpy.complex128``. Composite registers
 follow the Kronecker convention of ``numpy.kron``: in ``kron(a, b)`` the
 factor ``a`` is the more significant register, so ancilla registers written
@@ -63,8 +68,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _square_operator(m, name: str) -> np.ndarray:
+    """Coerce to a finite square complex matrix on a power-of-two dimension."""
+    mat = as_complex_matrix(m, name)
+    dim = mat.shape[0]
+    if dim != mat.shape[1]:
+        raise ValidationError(f"{name} must be square")
+    if dim < 1 or dim & (dim - 1):
+        raise ValidationError(f"{name} dimension {dim} is not a power of two")
+    return mat
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -106,6 +118,16 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
+    """Raise ValidationError if ||m - m^dag|| > atol in operator norm. The
+    Frobenius norm bounds it, so an SVD runs only when that exceeds atol."""
+    diff = m - m.conj().T
+    if np.linalg.norm(diff) > atol:
+        defect = np.linalg.norm(diff, 2)
+        if defect > atol:
+            raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e}){hint}")
+
+
 def eigh(h, atol: float = 1e-8) -> EighResult:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -115,9 +137,7 @@ def eigh(h, atol: float = 1e-8) -> EighResult:
     h = as_complex_matrix(h, "eigh input")
     if h.shape[0] != h.shape[1]:
         raise ValidationError("eigh input must be square")
-    defect = np.linalg.norm(h - h.conj().T, 2)
-    if defect > atol:
-        raise ValidationError(f"eigh input is not Hermitian (defect {defect:.3e})")
+    _check_hermitian(h, atol, "eigh input")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return EighResult(w, v)
 
@@ -149,8 +169,8 @@ def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
             )
         psi = vec.reshape(da, db)
         if keep == "A":
-            return np.einsum("ab,cb->ac", psi, psi.conj())
-        return np.einsum("ab,ac->bc", psi, psi.conj())
+            return psi @ psi.conj().T
+        return psi.T @ psi.conj()
     mat = as_complex_matrix(arr, "partial_trace input")
     if mat.shape != (da * db, da * db):
         raise ValidationError(
@@ -167,36 +187,28 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace matrix on a power-of-two dimension.
 
     Validation tolerances: Hermiticity defect and |Tr - 1| at most 1e-10,
-    minimum eigenvalue at least -1e-10.
+    minimum eigenvalue at least -1e-10. The eigendecomposition that checks
+    the minimum eigenvalue is the one ``spectrum`` returns.
     """
 
     mat: np.ndarray
-    _spectrum: EighResult | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _spectrum: EighResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = as_complex_matrix(self.mat, "density matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError("density matrix must be square")
-        if not _is_power_of_two(mat.shape[0]):
-            raise ValidationError(
-                f"density matrix dimension {mat.shape[0]} is not a power of two"
-            )
-        herm_defect = np.linalg.norm(mat - mat.conj().T, 2)
-        if herm_defect > HERMITIAN_ATOL:
-            raise ValidationError(
-                f"density matrix is not Hermitian (defect {herm_defect:.3e})"
-            )
+        mat = _square_operator(self.mat, "density matrix")
+        _check_hermitian(mat, HERMITIAN_ATOL, "density matrix")
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace {tr} is not 1")
-        wmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if wmin < EIG_FLOOR:
+        w, v = eigh(mat)
+        if w[0] < EIG_FLOOR:
             raise ValidationError(
-                f"density matrix has negative eigenvalue {wmin:.3e}"
+                f"density matrix has negative eigenvalue {w[0]:.3e}"
             )
+        w = clip_spectrum(w)
+        w.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_spectrum", EighResult(w, v))
 
     @property
     def dim(self) -> int:
@@ -207,13 +219,8 @@ class DensityMatrix:
         return int(math.log2(self.dim))
 
     def spectrum(self) -> EighResult:
-        """Eigendecomposition with tiny negative eigenvalues clipped to 0
-        (computed once, then cached as read-only arrays)."""
-        if self._spectrum is None:
-            w, v = eigh(self.mat)
-            w = clip_spectrum(w)
-            w.flags.writeable = v.flags.writeable = False
-            object.__setattr__(self, "_spectrum", EighResult(w, v))
+        """Eigendecomposition with tiny negative eigenvalues clipped to 0,
+        as read-only arrays: the one ``eigh`` that validation ran."""
         return self._spectrum
 
     def power(self, k: int) -> np.ndarray:
@@ -243,20 +250,12 @@ class Observable:
     op_norm: float = field(init=False)
 
     def __post_init__(self):
-        mat = as_complex_matrix(self.mat, "observable")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError("observable must be square")
-        if not _is_power_of_two(mat.shape[0]):
-            raise ValidationError(
-                f"observable dimension {mat.shape[0]} is not a power of two"
-            )
+        mat = _square_operator(self.mat, "observable")
         if self.hermitian:
-            defect = np.linalg.norm(mat - mat.conj().T, 2)
-            if defect > HERMITIAN_ATOL:
-                raise ValidationError(
-                    f"observable flagged Hermitian has defect {defect:.3e}; "
-                    "pass hermitian=False for general matrices"
-                )
+            _check_hermitian(
+                mat, HERMITIAN_ATOL, "observable",
+                "; pass hermitian=False for general matrices",
+            )
             mat = (mat + mat.conj().T) / 2
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "op_norm", float(np.linalg.norm(mat, 2)))
@@ -276,10 +275,11 @@ class Observable:
 
 
 def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex:
-    """Exact Tr(rho^k O) through the eigendecomposition of rho.
+    """Exact Tr(rho^k O) by repeated squaring.
 
-    The matrix-power route of ``DensityMatrix.power`` (the cached, clipped
-    spectrum of rho), contracted against O in the eigenbasis.
+    rho^k takes about log2(k) matrix products and never reads the cached
+    spectrum, so the oracle is independent of the eigendecomposition the
+    estimation pipeline transforms; the trace against O is O(d^2).
     Accepts any integer k >= 1.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
@@ -288,9 +288,8 @@ def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex
         raise ValidationError(
             f"dimension mismatch: state dim {rho.dim}, observable dim {o.dim}"
         )
-    w, v = rho.spectrum()
-    diag_o = np.einsum("ij,jk,ki->i", v.conj().T, o.mat, v)
-    return complex(np.sum(w ** int(k) * diag_o))
+    power = np.linalg.matrix_power(rho.mat, int(k))
+    return complex(np.sum(power * o.mat.T))
 
 
 def op_norm(m) -> float:

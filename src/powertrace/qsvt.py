@@ -11,14 +11,14 @@ purification unitary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .blockenc import BlockEncoding, PurifiedState, be_product, density_block, observable_block_encoding
 from .chebyshev import ChebyshevPoly, clenshaw_eval, power_expansion, required_degree, truncate
 from .errors import ContractError, ValidationError
-from .linalg import Observable, eigh, op_norm
+from .linalg import Observable, _check_hermitian, eigh
 
 SUP_NORM_SLACK = 1e-9
 _SUP_GRID = 512
@@ -34,14 +34,17 @@ class QsvtRequest:
     eps_poly: float
 
     def validate(self) -> None:
-        if self.poly.parity == "none":
-            raise ContractError("transform polynomial needs a definite parity")
-        if self.poly.parity != ("odd" if self.target_exponent % 2 else "even"):
-            raise ContractError(
-                f"polynomial parity {self.poly.parity!r} does not match "
-                f"exponent {self.target_exponent}"
-            )
+        _check_parity(self.poly, self.target_exponent)
         _check_admissible(self.poly)
+
+
+def _check_parity(poly: ChebyshevPoly, exponent: int) -> None:
+    if poly.parity == "none":
+        raise ContractError("transform polynomial needs a definite parity")
+    if poly.parity != ("odd" if exponent % 2 else "even"):
+        raise ContractError(
+            f"polynomial parity {poly.parity!r} does not match exponent {exponent}"
+        )
 
 
 def _check_admissible(poly: ChebyshevPoly) -> None:
@@ -63,7 +66,9 @@ class QueryLedger:
     applications of the density block encoding, and ``u_rho_queries`` the
     resulting purification-unitary queries (two per application).
     ``model_error`` is the measured operator-norm distance between the
-    encoded polynomial of the state and the exact matrix power;
+    encoded polynomial of the state and the exact matrix power; both are
+    diagonal in the state's eigenbasis, so it is max_i |p(l_i) - l_i^(k-1)|
+    over the cached spectrum;
     ``tail_bound`` is its closed-form Chernoff bound. ``alt_poly_degree``
     records the degree the looser main-text budget ln(4*alpha_O*||O||/eps)
     would prescribe (equal to ``poly_degree`` for plain powers).
@@ -77,14 +82,7 @@ class QueryLedger:
     alt_poly_degree: int
 
     def to_json(self) -> dict:
-        return {
-            "poly_degree": self.poly_degree,
-            "be_rho_applications": self.be_rho_applications,
-            "u_rho_queries": self.u_rho_queries,
-            "model_error": self.model_error,
-            "tail_bound": self.tail_bound,
-            "alt_poly_degree": self.alt_poly_degree,
-        }
+        return asdict(self)
 
 
 def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
@@ -94,26 +92,24 @@ def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
     transform reduces to an eigenvalue transform for Hermitian blocks), so
     the returned encoding error is 0; any distance between p(A) and a
     matrix power being approximated is tracked by the caller as model
-    error. One ancilla is added on top of the source's count. The result
-    carries only the transformed block: no dilation is built.
+    error. The eigenbasis is the source's cached one: for the density
+    block, the spectrum the state computed when it was validated. One
+    ancilla is added on top of the source's count. The result carries only
+    the transformed block, with max |p(l_i)| as its norm bound: no dilation
+    is built.
     """
     if source.alpha != 1.0 or source.err != 0.0:
         raise ValidationError(
             "eigenvalue transform expects an exact, scale-1 source encoding"
         )
-    herm_defect = op_norm(source.block - source.block.conj().T)
-    if herm_defect > 1e-8:
-        raise ValidationError(
-            f"source block is not Hermitian (defect {herm_defect:.3e})"
-        )
+    _check_hermitian(source.block, 1e-8, "source block")
     _check_admissible(poly)
-    w, v = eigh(source.block)
-    w = np.clip(w, -1.0, 1.0)
-    transformed = (v * clenshaw_eval(poly, w)) @ v.conj().T
+    w, v = source._spectrum or eigh(source.block)
+    p_w = clenshaw_eval(poly, np.clip(w, -1.0, 1.0))
+    transformed = (v * p_w) @ v.conj().T
     transformed = (transformed + transformed.conj().T) / 2
-    return BlockEncoding(
-        block=transformed, alpha=1.0, ancillas=source.ancillas + 1, err=0.0
-    )
+    bound = float(np.max(np.abs(p_w)))
+    return BlockEncoding(transformed, 1.0, source.ancillas + 1, 0.0, _norm_bound=bound)
 
 
 def power_block_encoding(
@@ -125,7 +121,7 @@ def power_block_encoding(
     x^(k-1) to sup error ``eps``; the returned ledger carries that degree,
     the implied purification-query count (two per application of the
     density encoding), and the measured model error against the exact
-    power.
+    power, read off the state's spectrum.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"power estimation needs integer k >= 2, got {k!r}")
@@ -135,14 +131,12 @@ def power_block_encoding(
     degree = required_degree(exponent, eps)
     report = truncate(power_expansion(exponent), degree, k=exponent)
     source = density_block(purification)
-    request = QsvtRequest(
-        source=source, poly=report.kept, target_exponent=exponent, eps_poly=eps
-    )
-    request.validate()
+    _check_parity(report.kept, exponent)
     be = apply_poly(source, report.kept)
 
-    exact_power = purification.reduced_state().power(exponent)
-    model_error = op_norm(be.block - exact_power)
+    w = source._spectrum.eigenvalues
+    p_w = clenshaw_eval(report.kept, np.clip(w, -1.0, 1.0))
+    model_error = float(np.max(np.abs(p_w - w ** exponent)))
     ledger = QueryLedger(
         poly_degree=degree,
         be_rho_applications=degree,
@@ -179,12 +173,6 @@ def power_times_obs(
     obs_be = observable_block_encoding(o)
     recorded = be_product(power_be, obs_be, err=obs_be.alpha * eps_poly)
     alt_eps = min(1.0, eps_total / (4.0 * obs_be.alpha * o.op_norm))
-    ledger = QueryLedger(
-        poly_degree=power_ledger.poly_degree,
-        be_rho_applications=power_ledger.be_rho_applications,
-        u_rho_queries=power_ledger.u_rho_queries,
-        model_error=power_ledger.model_error,
-        tail_bound=power_ledger.tail_bound,
-        alt_poly_degree=required_degree(int(k) - 1, alt_eps),
+    return recorded, replace(
+        power_ledger, alt_poly_degree=required_degree(int(k) - 1, alt_eps)
     )
-    return recorded, ledger

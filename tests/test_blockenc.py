@@ -1,9 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace import blockenc, linalg
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -55,6 +60,91 @@ def test_purify_round_trip_dims(qubits, rank):
         rho = pt.random_density(qubits, rank, seed)
         back = pt.purify(rho).reduced_state()
         assert np.linalg.norm(back.mat - rho.mat, 2) <= 1e-11
+
+
+def _purify_loop(rho):
+    """The purification vector as built by one np.kron per eigenvalue, in
+    the order of a Python sort on (-w, eigenvector entries as (re, im))."""
+    w, v = rho.spectrum()
+
+    def _tiebreak(i):
+        return tuple((float(z.real), float(z.imag)) for z in v[:, i])
+
+    order = sorted(range(rho.dim), key=lambda i: (-w[i], _tiebreak(i)))
+    vec = np.zeros(rho.dim * rho.dim, dtype=np.complex128)
+    for rank, i in enumerate(order):
+        p = w[i]
+        if p <= 0.0:
+            continue
+        env = np.zeros(rho.dim, dtype=np.complex128)
+        env[rank] = 1.0
+        vec += math.sqrt(p) * np.kron(env, v[:, i])
+    vec /= np.linalg.norm(vec)
+    return vec
+
+
+def _rotated_spectrum(weights, seed):
+    """U diag(weights) U^dag for a seeded random unitary U."""
+    u = pt.random_unitary(len(weights), seed)
+    m = (u * np.asarray(weights, dtype=float)) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    return pt.DensityMatrix(m / np.trace(m).real)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        pt.DensityMatrix(np.eye(2, dtype=complex) / 2),
+        pt.DensityMatrix(np.eye(8, dtype=complex) / 8),
+        pt.DensityMatrix(np.diag([0.4, 0.4, 0.1, 0.1]).astype(complex)),
+        pt.DensityMatrix(np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)),
+        _rotated_spectrum([0.3, 0.3, 0.3, 0.1], seed=1),
+        _rotated_spectrum([0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0], seed=2),
+        pt.random_density(3, 1, seed=3),
+        pt.random_density(3, 2, seed=4),
+        pt.DensityMatrix(PROJ0),
+    ],
+    ids=["mixed-1", "mixed-3", "pairs", "rank-2-diag", "triple", "rank-4-rotated",
+         "rank-1", "rank-2", "projector"],
+)
+def test_purify_is_byte_equal_to_the_loop(rho):
+    assert pt.purify(rho).vec.tobytes() == _purify_loop(rho).tobytes()
+
+
+def _with_exact_spectrum(weights, seed):
+    """U diag(w) U^dag whose cached spectrum is exactly (w, U), w ascending:
+    exact eigenvalue ties with complex eigenvectors, which a solver rarely
+    returns, so the tie-break is exercised past the first entry. For odd
+    seeds U = 1 + U', so all but the first column tie on their first entry."""
+    w = np.sort(np.asarray(weights, dtype=float) / np.sum(weights))
+    dim = len(w)
+    u = pt.random_unitary(dim, seed)
+    if seed % 2:
+        u = scipy.linalg.block_diag(1.0, pt.random_unitary(dim - 1, seed)).astype(complex)
+    m = (u * w) @ u.conj().T
+    rho = pt.DensityMatrix((m + m.conj().T) / 2)
+    object.__setattr__(rho, "_spectrum", linalg.EighResult(w, u))
+    return rho
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    levels=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=8, max_size=8),
+    kind=st.sampled_from(["diagonal", "rotated", "exact"]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_purify_is_byte_equal_to_the_loop_on_degenerate_spectra(n, levels, kind, seed):
+    weights = np.asarray(levels[: 2 ** n])
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    if kind == "rotated":
+        rho = _rotated_spectrum(weights, seed)
+    elif kind == "exact":
+        rho = _with_exact_spectrum(weights, seed)
+    else:
+        rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+    assert pt.purify(rho).vec.tobytes() == _purify_loop(rho).tobytes()
 
 
 def test_purified_state_rejects_unnormalized():
@@ -156,6 +246,37 @@ def test_halmos_unitarity(seed):
 def test_halmos_rejects_expansion():
     with pytest.raises(pt.ValidationError):
         pt.halmos_dilate(2.0 * np.eye(2))
+
+
+# ------------------------------------------------------- alpha >= ||block||
+
+@pytest.mark.parametrize("seed", range(5))
+def test_alpha_below_the_block_norm_is_rejected(seed):
+    block = 3.0 * random_contraction(4, seed)
+    norm = pt.op_norm(block)
+    with pytest.raises(pt.ValidationError, match="below the block norm"):
+        pt.BlockEncoding(block, 0.5 * norm, 1, 0.0)
+    pt.BlockEncoding(block, norm, 1, 0.0)
+
+
+def test_loose_norm_bound_falls_back_to_the_exact_norm():
+    block = 2.0 * PROJ0
+    # a bound above alpha certifies nothing: the exact norm decides
+    be = pt.BlockEncoding(block, 2.0, 1, 0.0, _norm_bound=4.0)
+    assert be._norm_bound == pytest.approx(2.0)
+    with pytest.raises(pt.ValidationError):
+        pt.BlockEncoding(block, 1.0, 1, 0.0, _norm_bound=4.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pipeline_norm_bounds_hold(seed):
+    pur = pt.purify(pt.random_density(2, 1 + seed % 4, seed))
+    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
+    power, _ = pt.power_block_encoding(pur, 6, 1e-3)
+    for be in (pt.density_block(pur), power, pt.observable_block_encoding(obs),
+               pt.power_times_obs(pur, obs, 6, 1e-2)[0]):
+        assert pt.op_norm(be.block) <= be._norm_bound + 1e-12
+        assert pt.op_norm(be.block) <= be.alpha + blockenc.ALPHA_SLACK
 
 
 # -------------------------------------------------------------- be_product

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from powertrace import linalg
 from powertrace.bounds import _swap_test_outcome_table, helstrom_m_star
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -217,16 +216,18 @@ def test_swap_test_outcome_table_law(n, rank_frac, k, seed):
     assert abs(var - pt.swap_test_moments(rho, obs, k)[1]) <= 1e-12
 
 
-def test_swap_tests_on_one_state_share_one_decomposition(monkeypatch):
-    calls = []
-    real_eigh = linalg.eigh
-    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
+def test_swap_tests_on_one_state_share_one_decomposition(numpy_decompositions):
     rho = pt.random_density(2, 3, seed=21)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     pt.swap_test_moments(rho, obs, 4)
     for seed in range(5):
         pt.swap_test_estimate(rho, obs, 4, shots=100, seed=seed)
-    assert len(calls) == 1
+    names = [name for name, _ in numpy_decompositions]
+    assert "eigvalsh" not in names and "einsum" not in names
+    # rho is diagonalised once, when it is validated; each swap test
+    # diagonalises only the observable
+    on_rho = [arg for name, arg in numpy_decompositions if name == "eigh" and np.array_equal(arg, rho.mat)]
+    assert len(on_rho) == 1
 
 
 def test_swap_test_stderr_scaling():

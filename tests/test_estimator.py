@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import powertrace as pt
-from powertrace import blockenc, estimator, linalg, qsvt
+from powertrace import blockenc, estimator, qsvt
 from powertrace.cli import main
 from powertrace.blockenc import _swap_registers
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
@@ -421,14 +421,15 @@ def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
     assert abs(report.estimate - exact) <= eps
 
 
-def test_estimate_decomposes_the_reduced_state_once(monkeypatch):
-    pur = pt.purify(pt.random_density(2, 3, seed=17))
-    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=17))
-    calls = []
-    real_eigh = linalg.eigh
-    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real_eigh(*a, **kw))
-    pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
-    assert len(calls) == 1
+def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions):
+    rho = pt.random_density(3, 5, seed=17)
+    hermitian = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=17))
+    for obs in (hermitian, _non_hermitian_observable(3, 17)):
+        pur = pt.purify(rho)
+        numpy_decompositions.clear()
+        pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
+        # the reduced state's validation; no SVD, eigvalsh or einsum anywhere
+        assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
 def test_estimate_builds_no_unitary(monkeypatch):
@@ -481,6 +482,16 @@ def test_forced_grid_is_checked_before_encoding(monkeypatch):
     assert calls == []
     report = pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="ideal", ae_grid=100)
     assert report.ae_queries_K == 100
+
+
+def test_mode_is_checked_before_encoding(monkeypatch):
+    calls = []
+    real = estimator.power_times_obs
+    monkeypatch.setattr(estimator, "power_times_obs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    pur = pt.purify(pt.random_density(1, 2, seed=20))
+    with pytest.raises(pt.ValidationError, match="mode"):
+        pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="bogus")
+    assert calls == []
 
 
 def test_estimate_validation():

@@ -15,12 +15,12 @@ from powertrace.suites import SEED_ENV_VAR, SUITES
 
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
-    "estimate": "16535913ec8db3efbbc1aaa6f16b8eca858dab9fb399eeb9bda9bf9e9e1fa093",
+    "estimate": "68651c5b09c114e749152e06523e1ad82824a072fc33150daba4e51eeb384d33",
     "baseline": "56cbb6e74ff28193c48330dc2aa6abebe9f6ed39ba916cd0d4b0dca619881125",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
-    "bqp": "6891a9a784652f06074699efd051f022c52760d52b0b859c3142802e658f4c25",
-    "apps": "2997a05ac58f4dc6500deebfa97c315751d4dc29b1509e217653002e9b20d961",
-    "separation": "eae970b6d5da9735811f17617b4111b40d85b027f9486d69d5eaa565837ea050",
+    "bqp": "591f0a3a14091ab6588367638fb12f036bbfe9beaf518bb55c2df13bf805eaeb",
+    "apps": "384a803787585622b6aad32380b3f1f41ea6b28664f93e119102d58df47b7ecb",
+    "separation": "657709ecd78ba683c24932bb2c054faa186eb11e4c4055417a5a637d5d0161a4",
 }
 
 

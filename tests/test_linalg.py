@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace.chebyshev import MAX_POWER
 from powertrace.linalg import clip_spectrum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -181,6 +184,52 @@ def test_trace_power_matches_repeated_multiplication(seed, k):
     assert abs(got.imag) <= 1e-10
 
 
+def _eigen_route_oracle(w, v, o, k):
+    """Tr(rho^k O) as sum_i w_i^k (V^dag O V)_ii over the cached spectrum."""
+    diag_o = np.einsum("ij,jk,ki->i", v.conj().T, o.mat, v)
+    return complex(np.sum(w ** int(k) * diag_o))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    rank_frac=st.floats(0.0, 1.0),
+    k=st.integers(1, MAX_POWER),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_oracle_by_squaring_matches_eigen_route_and_matrix_power(n, rank_frac, k, hermitian, seed):
+    rank = 1 + round(rank_frac * (2 ** n - 1))
+    rho = pt.random_density(n, rank, seed)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+    obs = pt.Observable((g + g.conj().T) / 2 if hermitian else g, hermitian=hermitian)
+    w, v = rho.spectrum()
+    eigen = _eigen_route_oracle(w, v, obs, k)
+    dense = complex(np.trace(np.linalg.matrix_power(rho.mat, k) @ obs.mat))
+
+    def no_spectrum(self):
+        raise AssertionError("the oracle read the cached spectrum")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pt.DensityMatrix, "spectrum", no_spectrum)
+        got = pt.trace_power_obs_oracle(rho, obs, k)
+    scale = obs.op_norm
+    assert abs(got - eigen) <= 1e-12 * scale
+    assert abs(got - dense) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+def test_oracle_matches_k_fold_product(k):
+    rho = pt.random_density(3, 5, seed=k)
+    obs = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=k))
+    product = np.eye(8, dtype=complex)
+    for _ in range(k):
+        product = product @ rho.mat
+    expected = complex(np.trace(product @ obs.mat))
+    assert abs(pt.trace_power_obs_oracle(rho, obs, k) - expected) <= 1e-14
+
+
 def test_spectrum_is_computed_once_and_read_only():
     rho = pt.random_density(2, 3, seed=4)
     spec = rho.spectrum()
@@ -270,6 +319,39 @@ def test_density_matrix_rejects_non_hermitian():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(pt.ValidationError):
         pt.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _skewed(base, t):
+    """base plus t in its top-right entry: Hermitian defect t in operator
+    norm and t sqrt(2) in Frobenius norm."""
+    m = np.array(base, dtype=complex)
+    m[0, 1] += t
+    return m
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: pt.DensityMatrix(m),
+        lambda m: pt.Observable(m),
+    ],
+    ids=["density", "observable"],
+)
+@pytest.mark.parametrize("base", [np.eye(2) / 2, np.diag([0.7, 0.3])], ids=["mixed", "diag"])
+def test_hermitian_check_threshold_is_the_operator_norm(build, base):
+    # below 1e-10 in Frobenius norm: certified without an SVD
+    build(_skewed(base, 0.5e-10))
+    # below 1e-10 in operator norm but above it in Frobenius norm: accepted
+    build(_skewed(base, 0.999e-10))
+    # just above 1e-10 in operator norm: rejected, and the message reports it
+    with pytest.raises(pt.ValidationError, match="1.001e-10"):
+        build(_skewed(base, 1.001e-10))
+
+
+def test_eigh_hermitian_check_threshold():
+    pt.eigh(_skewed(Z, 0.999e-8))
+    with pytest.raises(pt.ValidationError, match="1.001e-08"):
+        pt.eigh(_skewed(Z, 1.001e-8))
 
 
 def test_density_matrix_rejects_non_power_of_two():

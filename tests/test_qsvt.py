@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import powertrace as pt
-from powertrace import blockenc, qsvt
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -38,13 +37,16 @@ def test_square_through_eigenvalues():
 def test_transform_matches_independent_eigen_sum():
     rho = pt.random_density(2, 3, seed=5)
     poly = pt.truncate(pt.power_expansion(5), 3).kept
-    out = pt.apply_poly(density_be(rho), poly)
     w, v = np.linalg.eigh(rho.mat)
     expected = sum(
         pt.clenshaw_eval(poly, float(np.clip(lam, -1, 1))) * np.outer(v[:, i], v[:, i].conj())
         for i, lam in enumerate(w)
     )
-    assert np.linalg.norm(out.block - expected, 2) <= 1e-10
+    # the density block carries the state's spectrum; a bare encoding of the
+    # same block is diagonalised by the transform itself
+    for source in (density_be(rho), pt.BlockEncoding(rho.mat, 1.0, 2, 0.0)):
+        out = pt.apply_poly(source, poly)
+        assert np.linalg.norm(out.block - expected, 2) <= 1e-10
 
 
 def test_rejects_mixed_parity():
@@ -169,19 +171,14 @@ def test_recorded_error_bounds_true_defect():
     assert be.err == pytest.approx(be.alpha * min(1.0, eps / (2 * obs.op_norm)))
 
 
-def test_product_encoding_is_validated_once(monkeypatch):
+def test_product_encoding_is_validated_once(numpy_decompositions):
     pur = pt.purify(pt.random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
-    calls = []
-    for module in (blockenc, qsvt):
-        real = module.op_norm
-        monkeypatch.setattr(
-            module, "op_norm", lambda m, real=real: calls.append(1) or real(m)
-        )
+    numpy_decompositions.clear()
     be, _ = pt.power_times_obs(pur, obs, 5, eps_total=1e-2)
-    # one per encoding built (density block, p(rho), observable, product),
-    # the Hermitian check of apply_poly and the model error
-    assert len(calls) == 6
+    # the reduced state's eigh; every norm check of the density block,
+    # p(rho), the observable and the product is certified without an SVD
+    assert [name for name, _ in numpy_decompositions] == ["eigh"]
     assert be.err == pytest.approx(be.alpha * min(1.0, 1e-2 / (2 * obs.op_norm)))
 
 
