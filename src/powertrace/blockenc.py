@@ -61,6 +61,8 @@ class PurifiedState:
     _reduced: DensityMatrix | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # ((exponent, degree), (encoding, ledger)) of the last power_block_encoding
+    _last_power: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
@@ -102,7 +104,7 @@ class BlockEncoding:
     constructors pass an upper bound ``_norm_bound`` they hold (from a
     Hermitian block's spectrum, or ||A|| ||B|| for a product) that lies
     within alpha and so certifies it. ``_spectrum`` is a Hermitian block's
-    known eigendecomposition (the density block's is the state's own).
+    known eigendecomposition (the state's own, or (p(l_i), V) for p(rho)).
     """
 
     block: np.ndarray

@@ -30,7 +30,6 @@ from .linalg import (
     Observable,
     as_complex_matrix,
     check_dim_within_cap,
-    eigh,
     op_norm,
     partial_trace,
     trace_power_obs_oracle,
@@ -111,13 +110,13 @@ def _swap_test_outcome_table(
     The control and first-copy state after the circuit is
     (1/2) [[rho, rho^k], [rho^k, rho]], since Tr_{2..k}(P rho^(x k)) = rho^k
     for the cyclic permutation P; it costs one eigendecomposition of rho
-    at any k.
+    at any k, and O's eigenbasis is the one the observable caches.
     """
     d = rho.dim
     power = rho.power(k)
     tau = 0.5 * np.block([[rho.mat, power], [power, rho.mat]])
 
-    w_o, v_o = eigh(o.mat)
+    w_o, v_o = o.spectrum()
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
     values, probs = [], []
@@ -233,7 +232,7 @@ def lecam_construction(
         raise ValidationError(
             f"eps={eps} gives bias delta={delta}, outside (0, 1/2)"
         )
-    w, v = eigh(o.mat)
+    w, v = o.spectrum()
     tol = 1e-9 * max(norm, 1.0)
     plus_idx = np.where(np.abs(w - norm) <= tol)[0]
     minus_idx = np.where(np.abs(w + norm) <= tol)[0]
@@ -293,7 +292,7 @@ def hybrid_bound_demo(o: Observable, eps: float, t_values: list[int]) -> HybridB
     delta = 2.0 * eps / norm
     if delta > 1.0:
         raise ValidationError(f"eps={eps} gives delta={delta} > 1")
-    w, v = eigh(o.mat)
+    w, v = o.spectrum()
     top = int(np.argmax(np.abs(w)))
     nu = v[:, top]
     dim = o.dim

@@ -28,6 +28,7 @@ against and is not on the estimator's path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -417,8 +418,12 @@ def estimate_trace_power(
     )
 
 
+@functools.cache
 def _identity_observable(dim: int) -> Observable:
-    return Observable(np.eye(dim))
+    """The identity observable, built once per dimension and shared read-only."""
+    obs = Observable(np.eye(dim))
+    obs.mat.flags.writeable = False
+    return obs
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 class EighResult(NamedTuple):
-    """Spectral decomposition H = V diag(w) V^dag, eigenvalues ascending."""
+    """Spectral decomposition H = V diag(w) V^dag (``eigh`` sorts w ascending)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -128,16 +128,16 @@ def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> N
             raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e}){hint}")
 
 
-def eigh(h, atol: float = 1e-8) -> EighResult:
+def eigh(h, atol: float = 1e-8, what: str = "eigh input") -> EighResult:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises ValidationError when the input deviates from Hermitian by more
-    than ``atol`` in operator norm.
+    than ``atol`` in operator norm; ``what`` names the input in the error.
     """
-    h = as_complex_matrix(h, "eigh input")
+    h = as_complex_matrix(h, what)
     if h.shape[0] != h.shape[1]:
-        raise ValidationError("eigh input must be square")
-    _check_hermitian(h, atol, "eigh input")
+        raise ValidationError(f"{what} must be square")
+    _check_hermitian(h, atol, what)
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return EighResult(w, v)
 
@@ -187,8 +187,8 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace matrix on a power-of-two dimension.
 
     Validation tolerances: Hermiticity defect and |Tr - 1| at most 1e-10,
-    minimum eigenvalue at least -1e-10. The eigendecomposition that checks
-    the minimum eigenvalue is the one ``spectrum`` returns.
+    minimum eigenvalue at least -1e-10. One ``eigh`` checks Hermiticity and
+    the minimum eigenvalue; its result is what ``spectrum`` returns.
     """
 
     mat: np.ndarray
@@ -196,11 +196,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _square_operator(self.mat, "density matrix")
-        _check_hermitian(mat, HERMITIAN_ATOL, "density matrix")
+        w, v = eigh(mat, HERMITIAN_ATOL, "density matrix")
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace {tr} is not 1")
-        w, v = eigh(mat)
         if w[0] < EIG_FLOOR:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {w[0]:.3e}"
@@ -238,7 +237,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Observable:
-    """Observable with cached operator norm.
+    """Observable with cached operator norm and (lazy) eigendecomposition.
 
     Hermitian by default; pass ``hermitian=False`` to carry a general
     matrix (downstream estimation then needs both the real- and
@@ -248,6 +247,7 @@ class Observable:
     mat: np.ndarray
     hermitian: bool = True
     op_norm: float = field(init=False)
+    _spectrum: EighResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _square_operator(self.mat, "observable")
@@ -263,6 +263,14 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    def spectrum(self) -> EighResult:
+        """Eigendecomposition by ``eigh`` on first use, then cached read-only."""
+        if self._spectrum is None:
+            w, v = eigh(self.mat)
+            w.flags.writeable = v.flags.writeable = False
+            object.__setattr__(self, "_spectrum", EighResult(w, v))
+        return self._spectrum
 
     def to_json(self) -> dict:
         out = matrix_to_json(self.mat)

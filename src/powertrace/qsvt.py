@@ -18,7 +18,7 @@ import numpy as np
 from .blockenc import BlockEncoding, PurifiedState, be_product, density_block, observable_block_encoding
 from .chebyshev import ChebyshevPoly, clenshaw_eval, power_expansion, required_degree, truncate
 from .errors import ContractError, ValidationError
-from .linalg import Observable, _check_hermitian, eigh
+from .linalg import EighResult, Observable, eigh
 
 SUP_NORM_SLACK = 1e-9
 _SUP_GRID = 512
@@ -48,8 +48,16 @@ def _check_parity(poly: ChebyshevPoly, exponent: int) -> None:
 
 
 def _check_admissible(poly: ChebyshevPoly) -> None:
+    """Require a definite parity and |p| <= 1 + SUP_NORM_SLACK on [-1, 1].
+
+    |T_n| <= 1 there, so sum |c_n| within that bound certifies it in O(m);
+    only a polynomial failing this certificate is scanned on the Chebyshev
+    grid plus both endpoints. The scan under-estimates the true sup, so
+    the certificate accepts nothing the scan would reject."""
     if poly.parity == "none":
         raise ContractError("transform polynomial needs a definite parity")
+    if poly.abs_coefficient_sum() <= 1.0 + SUP_NORM_SLACK:
+        return
     xs = np.cos(np.pi * (np.arange(_SUP_GRID) + 0.5) / _SUP_GRID)
     xs = np.concatenate((xs, [-1.0, 1.0]))
     sup = float(np.max(np.abs(clenshaw_eval(poly, xs))))
@@ -92,24 +100,25 @@ def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
     transform reduces to an eigenvalue transform for Hermitian blocks), so
     the returned encoding error is 0; any distance between p(A) and a
     matrix power being approximated is tracked by the caller as model
-    error. The eigenbasis is the source's cached one: for the density
-    block, the spectrum the state computed when it was validated. One
-    ancilla is added on top of the source's count. The result carries only
-    the transformed block, with max |p(l_i)| as its norm bound: no dilation
-    is built.
+    error. The eigenbasis is the source's cached one (for the density
+    block, the spectrum whose validation proved it Hermitian); a source
+    without one is checked and diagonalised by ``eigh``. One ancilla is
+    added on top of the source's count. The result carries the block, no
+    dilation, max |p(l_i)| as its norm bound and (p(l_i), V) as its
+    spectrum, so p is evaluated once per transform.
     """
     if source.alpha != 1.0 or source.err != 0.0:
         raise ValidationError(
             "eigenvalue transform expects an exact, scale-1 source encoding"
         )
-    _check_hermitian(source.block, 1e-8, "source block")
+    w, v = source._spectrum or eigh(source.block, what="source block")
     _check_admissible(poly)
-    w, v = source._spectrum or eigh(source.block)
     p_w = clenshaw_eval(poly, np.clip(w, -1.0, 1.0))
     transformed = (v * p_w) @ v.conj().T
     transformed = (transformed + transformed.conj().T) / 2
     bound = float(np.max(np.abs(p_w)))
-    return BlockEncoding(transformed, 1.0, source.ancillas + 1, 0.0, _norm_bound=bound)
+    return BlockEncoding(transformed, 1.0, source.ancillas + 1, 0.0,
+                         _norm_bound=bound, _spectrum=EighResult(p_w, v))
 
 
 def power_block_encoding(
@@ -120,8 +129,10 @@ def power_block_encoding(
     The truncation degree is the Chernoff-formula degree for approximating
     x^(k-1) to sup error ``eps``; the returned ledger carries that degree,
     the implied purification-query count (two per application of the
-    density encoding), and the measured model error against the exact
-    power, read off the state's spectrum.
+    density encoding), and the model error max_i |p(l_i) - l_i^(k-1)|,
+    with p(l_i) read from the transformed encoding's spectrum. The
+    purification keeps the last result, block read-only, for the next
+    request of the same exponent and degree.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"power estimation needs integer k >= 2, got {k!r}")
@@ -129,14 +140,15 @@ def power_block_encoding(
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
     exponent = int(k) - 1
     degree = required_degree(exponent, eps)
+    last = purification._last_power
+    if last is not None and last[0] == (exponent, degree):
+        return last[1]
     report = truncate(power_expansion(exponent), degree, k=exponent)
     source = density_block(purification)
     _check_parity(report.kept, exponent)
     be = apply_poly(source, report.kept)
-
     w = source._spectrum.eigenvalues
-    p_w = clenshaw_eval(report.kept, np.clip(w, -1.0, 1.0))
-    model_error = float(np.max(np.abs(p_w - w ** exponent)))
+    model_error = float(np.max(np.abs(be._spectrum.eigenvalues - w ** exponent)))
     ledger = QueryLedger(
         poly_degree=degree,
         be_rho_applications=degree,
@@ -145,6 +157,8 @@ def power_block_encoding(
         tail_bound=report.tail_chernoff,
         alt_poly_degree=degree,
     )
+    be.block.flags.writeable = False
+    object.__setattr__(purification, "_last_power", ((exponent, degree), (be, ledger)))
     return be, ledger
 
 

@@ -22,9 +22,9 @@ import math
 import os
 import tempfile
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .bounds import (
@@ -45,7 +45,8 @@ from .chebyshev import (
     truncate,
 )
 from .errors import ValidationError
-from .estimator import AE_SUCCESS_PROB, estimate_trace_power, renyi_entropy, tsallis_entropy, vd_ratio
+from .estimator import (AE_SUCCESS_PROB, _identity_observable, estimate_trace_power,
+                        renyi_entropy, tsallis_entropy, vd_ratio)
 from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
@@ -615,9 +616,7 @@ def _run_vd_record(cfg: dict, index: int) -> dict:
         seed=seed,
     )
     num = trace_power_obs_oracle(rho, obs, int(cfg["vd_k"])).real
-    den = trace_power_obs_oracle(
-        rho, Observable(np.eye(rho.dim, dtype=complex)), int(cfg["vd_k"])
-    ).real
+    den = trace_power_obs_oracle(rho, _identity_observable(rho.dim), int(cfg["vd_k"])).real
     true_ratio = num / den
     true_err = abs(result.ratio_estimate - true_ratio)
     return {
@@ -699,7 +698,9 @@ def _suite_apps(cfg: dict, cfg_hash: str, jobs: int = 1):
 
 
 def _separation_confidence_z(confidence: float) -> float:
-    return float(ndtri(0.5 + confidence / 2.0))
+    """Two-sided standard-normal quantile for ``confidence``, from the
+    standard library's inverse CDF (no SciPy import on this path)."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):

@@ -224,10 +224,12 @@ def test_swap_tests_on_one_state_share_one_decomposition(numpy_decompositions):
         pt.swap_test_estimate(rho, obs, 4, shots=100, seed=seed)
     names = [name for name, _ in numpy_decompositions]
     assert "eigvalsh" not in names and "einsum" not in names
-    # rho is diagonalised once, when it is validated; each swap test
-    # diagonalises only the observable
+    # rho is diagonalised once, when it is validated, and the observable
+    # once, on first use, for all five swap tests
     on_rho = [arg for name, arg in numpy_decompositions if name == "eigh" and np.array_equal(arg, rho.mat)]
     assert len(on_rho) == 1
+    on_obs = [arg for name, arg in numpy_decompositions if name == "eigh" and np.array_equal(arg, obs.mat)]
+    assert len(on_obs) == 1
 
 
 def test_swap_test_stderr_scaling():

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import powertrace as pt
-from powertrace import blockenc, estimator, qsvt
+from powertrace import blockenc, estimator, linalg, qsvt
 from powertrace.cli import main
 from powertrace.blockenc import _swap_registers
 from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
+from powertrace.instances import derive_seed
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -432,6 +433,31 @@ def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions):
         assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
+def test_estimate_evaluates_its_polynomial_once(monkeypatch):
+    calls = []
+    real = qsvt.clenshaw_eval
+    monkeypatch.setattr(qsvt, "clenshaw_eval", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rho = pt.random_density(2, 3, seed=19)
+    hermitian = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=19))
+    for obs in (hermitian, _non_hermitian_observable(2, 19)):
+        calls.clear()
+        pt.estimate_trace_power(pt.purify(rho), obs, 5, 0.05, seed=0)
+        # the transform's p(l_i), which the model error reuses; the
+        # admissibility check is certified by the coefficient sum
+        assert len(calls) == 1
+
+
+def test_estimate_checks_hermiticity_of_the_state_once(monkeypatch):
+    rho = pt.random_density(2, 3, seed=20)
+    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=20))
+    calls = []
+    real = linalg._check_hermitian
+    monkeypatch.setattr(linalg, "_check_hermitian", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
+    pt.estimate_trace_power(pt.purify(rho), obs, 5, 0.05, seed=0)
+    # the state's validation; the transform reads the spectrum it proved
+    assert calls == ["density matrix"]
+
+
 def test_estimate_builds_no_unitary(monkeypatch):
     calls = []
 
@@ -559,6 +585,36 @@ def test_vd_ratio_refuses_vanishing_denominator():
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     with pytest.raises(pt.UnreliableEstimateError):
         pt.vd_ratio(pt.purify(rho), obs, 8, 0.01, 0.01, mode="ideal", seed=2)
+
+
+def test_vd_ratio_builds_the_power_encoding_once_when_budgets_match(monkeypatch):
+    calls = []
+    real = qsvt.apply_poly
+    monkeypatch.setattr(qsvt, "apply_poly", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rho = pt.random_density(2, 3, seed=22)
+    obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))  # ||O|| = 1
+    shared = pt.vd_ratio(pt.purify(rho), obs, 9, 0.02, 0.02, mode="ideal", seed=3)
+    assert len(calls) == 1
+    calls.clear()
+    split = pt.vd_ratio(pt.purify(rho), obs, 9, 0.02, 1e-4, mode="ideal", seed=3)
+    assert len(calls) == 2
+    assert split.denominator.poly_degree > split.numerator.poly_degree
+    # sharing changes no number: both parts match estimates on fresh states
+    num = pt.estimate_trace_power(pt.purify(rho), obs, 9, 0.02, mode="ideal", seed=derive_seed(3, 100))
+    identity = pt.Observable(np.eye(4))
+    den = pt.estimate_trace_power(pt.purify(rho), identity, 9, 0.02, mode="ideal", seed=derive_seed(3, 200))
+    assert (shared.numerator, shared.denominator) == (num, den)
+
+
+def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
+    assert estimator._identity_observable(4) is estimator._identity_observable(4)
+    assert not estimator._identity_observable(4).mat.flags.writeable
+    rho = pt.random_density(2, 3, seed=23)
+    pt.renyi_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
+    numpy_decompositions.clear()
+    pt.tsallis_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
+    # the reduced state's eigh; no operator-norm SVD of a new identity
+    assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
 def test_vd_ratio_bound_covers_in_most_runs():

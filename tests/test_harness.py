@@ -1,12 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import powertrace as pt
 from powertrace.cli import main
-from powertrace.suites import canonical_json, config_hash, load_config_file, resolve_config
+from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
 
 
 # ------------------------------------------------------------ random_density
@@ -76,6 +78,23 @@ def test_config_hash_is_stable():
     cfg = {"suite": "approx", "k_values": [8], "eps": 1e-3}
     assert config_hash(cfg) == config_hash(dict(reversed(list(cfg.items()))))
     assert config_hash(cfg) != config_hash({**cfg, "eps": 1e-4})
+
+
+def test_separation_confidence_z_matches_scipy():
+    from scipy.special import ndtri
+
+    for confidence in np.arange(1, 1000) / 1000:
+        want = float(ndtri(0.5 + confidence / 2))
+        got = _separation_confidence_z(confidence)
+        assert abs(got - want) <= 4 * np.spacing(abs(want)), confidence
+
+
+def test_package_imports_without_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, powertrace, powertrace.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ CLI runs

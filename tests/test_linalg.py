@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace import linalg
 from powertrace.chebyshev import MAX_POWER
 from powertrace.linalg import clip_spectrum
 
@@ -346,6 +347,31 @@ def test_hermitian_check_threshold_is_the_operator_norm(build, base):
     # just above 1e-10 in operator norm: rejected, and the message reports it
     with pytest.raises(pt.ValidationError, match="1.001e-10"):
         build(_skewed(base, 1.001e-10))
+
+
+def test_density_matrix_validation_checks_hermiticity_once(monkeypatch):
+    calls = []
+    for name in ("eigh", "_check_hermitian"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *a, _n=name, _r=real, **kw: calls.append(_n) or _r(*a, **kw)
+        )
+    pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
+    assert calls == ["eigh", "_check_hermitian"]
+
+
+def test_observable_spectrum_is_computed_once_and_read_only(monkeypatch):
+    calls = []
+    real = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    obs = pt.Observable(np.kron(Z, X))
+    assert calls == []
+    w, v = obs.spectrum()
+    assert obs.spectrum() is obs.spectrum() and len(calls) == 1
+    assert np.allclose((v * w) @ v.conj().T, obs.mat, atol=1e-12)
+    assert not w.flags.writeable and not v.flags.writeable
+    with pytest.raises(pt.ValidationError, match="not Hermitian"):
+        pt.Observable(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False).spectrum()
 
 
 def test_eigh_hermitian_check_threshold():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import powertrace as pt
+from powertrace import qsvt
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -59,6 +60,58 @@ def test_rejects_sup_norm_violation():
     rho = pt.random_density(1, 2, seed=3)
     with pytest.raises(pt.ContractError):
         pt.apply_poly(density_be(rho), pt.ChebyshevPoly({1: 2.0}, parity="odd"))
+
+
+def _count_clenshaw(monkeypatch):
+    calls = []
+    real = qsvt.clenshaw_eval
+    monkeypatch.setattr(qsvt, "clenshaw_eval", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def test_admissibility_certificate_then_scan(monkeypatch):
+    calls = _count_clenshaw(monkeypatch)
+    # coefficients summing to 1: certified without evaluating the polynomial
+    qsvt._check_admissible(pt.truncate(pt.power_expansion(9), 5).kept)
+    assert calls == []
+    # 0.9 T1 - 0.3 T3 = 1.8x - 1.2x^3: sum |c| = 1.2 fails the certificate,
+    # but its sup, 1.2 / sqrt(2), passes the grid scan
+    wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
+    qsvt._check_admissible(wide)
+    assert len(calls) == 1
+    rho = pt.random_density(1, 2, seed=3)
+    out = pt.apply_poly(density_be(rho), wide)
+    w, v = np.linalg.eigh(rho.mat)
+    assert np.allclose(out.block, (v * (1.8 * w - 1.2 * w ** 3)) @ v.conj().T, atol=1e-12)
+    # a sup of 1 + 1e-7, reached at x = 1, is still rejected
+    with pytest.raises(pt.ContractError, match="sup-norm"):
+        qsvt._check_admissible(pt.ChebyshevPoly({1: 0.5, 3: 0.5 + 1e-7}, parity="odd"))
+
+
+def test_qsvt_request_rejects_what_the_scan_rejects():
+    rho = pt.random_density(1, 2, seed=4)
+    wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
+    pt.QsvtRequest(density_be(rho), wide, target_exponent=3, eps_poly=0.1).validate()
+    too_wide = pt.ChebyshevPoly({1: 1.2, 3: -0.1}, parity="odd")  # p(1) = 1.1
+    with pytest.raises(pt.ContractError, match="sup-norm"):
+        pt.QsvtRequest(density_be(rho), too_wide, target_exponent=3, eps_poly=0.1).validate()
+
+
+def test_transform_carries_its_spectrum():
+    rho = pt.random_density(2, 3, seed=5)
+    poly = pt.truncate(pt.power_expansion(5), 3).kept
+    source = density_be(rho)
+    out = pt.apply_poly(source, poly)
+    p_w, v = out._spectrum
+    assert np.array_equal(p_w, pt.clenshaw_eval(poly, np.clip(source._spectrum.eigenvalues, -1, 1)))
+    assert np.linalg.norm((v * p_w) @ v.conj().T - out.block, 2) <= 1e-12
+
+
+def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
+    calls = _count_clenshaw(monkeypatch)
+    be, ledger = pt.power_block_encoding(pt.purify(pt.random_density(2, 3, seed=6)), 9, 1e-3)
+    assert len(calls) == 1
+    assert ledger.model_error <= 1e-3
 
 
 def test_rejects_non_hermitian_block():
