@@ -1,7 +1,12 @@
 """Command-line entry point.
 
     powertrace <suite> [--config PATH] [--out DIR] [--seed INT] [--jobs INT]
-               [per-suite overrides: --k --eps --qubits --rank --shots --K ...]
+               [suite flags: --k --eps --qubits --rank --shots --K --runs --q --c]
+
+Each subparser is built from the suite's registry entry and registers only
+the shared flags whose config key that suite reads; ``powertrace <suite>
+-h`` lists them and the key each one sets. Any other flag, a config-file
+key the suite does not read, or ``--jobs`` below 1 exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
@@ -14,7 +19,7 @@ import argparse
 import sys
 
 from .errors import PowertraceError, ValidationError
-from .suites import SUITES, load_config_file, resolve_config, run_suite_config
+from .suites import SUITES, load_config_file, resolve_config, run_suite_config, suite_entry
 
 
 def _int_list(text: str) -> list[int]:
@@ -24,6 +29,29 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+# shared flag -> (parser, usual config key, help); a suite's registry entry
+# may send a flag to another key, and a suite is given only the flags
+# whose key it reads
+_FLAGS = {
+    "k": (_int_list, "k_values", "comma-separated k values"),
+    "eps": (float, "eps", "target additive accuracy"),
+    "qubits": (int, "qubits", "system qubit count"),
+    "rank": (int, "rank", "state rank"),
+    "shots": (_int_list, "shots_list", "comma-separated shot counts"),
+    "K": (int, "ae_grid_override", "force the amplitude-estimation grid size"),
+    "runs": (int, "runs", "number of records to run"),
+    "q": (float, "q_values", "weight parameter for the reduction suite"),
+    "c": (float, "c", "bias constant for the discrimination suite"),
+}
+
+
+def _suite_flags(suite: str) -> dict[str, str]:
+    """The shared flags ``suite`` reads, each mapped to the key it sets."""
+    entry = suite_entry(suite)
+    keys = {flag: entry.flag_keys.get(flag, key) for flag, (_, key, _) in _FLAGS.items()}
+    return {flag: key for flag, key in keys.items() if key in entry.defaults}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powertrace",
@@ -31,50 +59,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="suite", required=True, metavar="|".join(SUITES))
     for suite in SUITES:
-        sp = sub.add_parser(suite, help=f"run the {suite} suite")
+        # no abbreviations: "--c" must not be read as "--config" by a suite without --c
+        sp = sub.add_parser(suite, help=f"run the {suite} suite", allow_abbrev=False)
         sp.add_argument("--config", help="flat JSON config file")
         sp.add_argument("--out", default="out", help="output directory root (default: out)")
         sp.add_argument("--seed", type=int, help="master RNG seed override")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel record workers")
-        sp.add_argument("--k", type=_int_list, help="comma-separated k values")
-        sp.add_argument("--eps", type=float, help="target additive accuracy")
-        sp.add_argument("--qubits", type=int, help="system qubit count")
-        sp.add_argument("--rank", type=int, help="state rank")
-        sp.add_argument("--shots", type=_int_list, help="comma-separated shot counts")
-        sp.add_argument("--K", type=int, dest="ae_grid", help="force the amplitude-estimation grid size")
-        sp.add_argument("--runs", type=int, help="number of records to run")
-        sp.add_argument("--q", type=float, help="weight parameter for the reduction suite")
-        sp.add_argument("--c", type=float, help="bias constant for the discrimination suite")
+        sp.add_argument("--jobs", type=int, default=1, help="parallel record workers (at least 1)")
+        for flag, key in _suite_flags(suite).items():
+            kind, _, text = _FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, help=f"{text} (sets {key})")
     return parser
 
 
-def _overrides_from_args(suite: str, args: argparse.Namespace) -> dict:
-    over: dict = {}
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.eps is not None:
-        over["eps" if suite != "apps" else "vd_eps"] = args.eps
-    if args.qubits is not None:
-        over["qubits"] = args.qubits
-    if args.rank is not None:
-        over["rank"] = args.rank
-    if args.runs is not None:
-        over["runs" if suite != "apps" else "vd_runs"] = args.runs
-    if args.k is not None:
-        if suite == "baseline":
-            over["k"] = args.k[0]
-        elif suite == "apps":
-            over["vd_k"] = args.k[0]
-        else:
-            over["k_values"] = args.k
-    if args.shots is not None:
-        over["shots_list"] = args.shots
-    if args.ae_grid is not None:
-        over["ae_grid_override"] = args.ae_grid
-    if args.q is not None:
-        over["q_values"] = [args.q]
-    if args.c is not None:
-        over["c"] = args.c
+def _overrides_from_args(args: argparse.Namespace) -> dict:
+    """The config keys the given flags set. A value takes the shape of the
+    key's default: a list flag sets a scalar key to its first entry, and a
+    scalar flag sets a list key to a one-entry list."""
+    defaults = suite_entry(args.suite).defaults
+    over = {"seed": args.seed}
+    for flag, key in _suite_flags(args.suite).items():
+        value = getattr(args, flag)
+        if value is not None:
+            if isinstance(defaults[key], list) != isinstance(value, list):
+                value = [value] if isinstance(defaults[key], list) else value[0]
+            over[key] = value
     return over
 
 
@@ -84,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     suite = args.suite
     try:
         file_cfg = load_config_file(args.config) if args.config else None
-        cfg = resolve_config(suite, file_cfg, _overrides_from_args(suite, args))
+        cfg = resolve_config(suite, file_cfg, _overrides_from_args(args))
         code = run_suite_config(suite, cfg, out_root=args.out, jobs=args.jobs)
     except ValidationError as exc:
         print(f"powertrace: {exc}", file=sys.stderr)

@@ -1,11 +1,22 @@
 """Experiment suites: instance sweeps, persistence, and scaling tables.
 
+``SUITE_REGISTRY`` holds one ``Suite`` per suite name: its config
+defaults, its runner, its table columns and the config keys the shared
+command-line flags set. A runner returns ``(records, summary)``; the
+records are the suite's only data. ``table.csv`` is a projection of them:
+each column names a dotted path into a record ("report.estimate.re"),
+with "|"-separated fallbacks for tables that mix record kinds
+("report.m_star|report.t_star"), and a cell no path reaches is nan.
+
 Every suite resolves a flat JSON config (defaults <- config file <- CLI
 overrides <- POWERTRACE_SEED), runs its records, and writes
 
     <out>/<suite>/<config-hash>/records.json   per-record inputs + reports
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
+
+A config key outside the suite's defaults is rejected; ``seed`` is read
+by every suite, since POWERTRACE_SEED sets it for all of them.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -23,6 +34,7 @@ import os
 import tempfile
 from functools import partial
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +61,6 @@ from .estimator import (AE_SUCCESS_PROB, _identity_observable, estimate_trace_po
                         renyi_entropy, tsallis_entropy, vd_ratio)
 from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
-
-SUITES = ("approx", "estimate", "baseline", "bounds", "bqp", "apps", "separation")
 
 SEED_ENV_VAR = "POWERTRACE_SEED"
 
@@ -114,27 +124,30 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(fmt(cell) for cell in row) for row in rows]
+def _cell(record: dict, paths: str):
+    """The value at the first of the "|"-separated dotted ``paths`` that
+    ``record`` holds; nan if it holds none of them."""
+    for path in paths.split("|"):
+        value = record
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                break
+            value = value[key]
+        else:
+            return value
+    return math.nan
+
+
+def write_csv(path: str, columns: dict[str, str], records: list[dict]) -> None:
+    """Write the table of ``records``: one row per record, one column per
+    (header, paths) entry of ``columns``."""
+    lines = [",".join(columns)]
+    lines += [",".join(fmt(_cell(rec, paths)) for paths in columns.values()) for rec in records]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _record(spec_obj, report_obj, cfg_hash: str, extra: dict | None = None) -> dict:
-    rec = {
-        "spec": spec_obj,
-        "report": report_obj,
-        "timestamp": _timestamp(),
-        "tool_version": __version__,
-        "config_hash": cfg_hash,
-    }
-    if extra:
-        rec.update(extra)
-    return rec
 
 
 def _log_slope(xs, ys) -> float:
@@ -146,166 +159,51 @@ def _log_slope(xs, ys) -> float:
 
 
 def _map(fn, items, jobs: int):
-    if jobs <= 1:
+    """``[fn(item) for item in items]``, over at most ``jobs`` worker
+    processes and never more workers than items."""
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
-# config resolution
+# suite runners: run(cfg, jobs) -> (records, summary)
 # --------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "approx": {
-        "k_values": [8, 16, 32, 64, 128],
-        "eps": 1e-3,
-        "grid_size": 4096,
-        "slope_range": [0.4, 0.6],
-    },
-    "estimate": {
-        "qubits": 2,
-        "rank": 2,
-        "k_values": [4, 8, 16],
-        "eps": 0.05,
-        "runs": 200,
-        "seed": 0,
-        "state_kind": "random_mixed",
-        "observable_kind": "random_hermitian",
-        "mode": "sampled",
-        "pass_threshold": AE_SUCCESS_PROB - 0.05,
-        "ae_grid_override": None,
-    },
-    "baseline": {
-        "qubits": 1,
-        "rank": 2,
-        "k": 3,
-        "shots_list": [100, 1000, 10000],
-        "repeats": 5,
-        "seed": 0,
-        "state_kind": "random_mixed",
-        "observable_kind": "identity",
-        "slope_tolerance": 0.05,
-    },
-    "bounds": {
-        "k_values": [10, 20, 40, 80],
-        "c": 0.5,
-        "eps_grid": [0.3, 0.1, 0.03, 0.01],
-        "t_values": [1, 2, 4, 8, 16, 32, 64, 128],
-        "hybrid_eps_grid": [0.1, 0.03, 0.01, 0.003],
-        "helstrom_ratio_range": [7.0, 9.0],
-    },
-    "bqp": {
-        "r_qubits": 2,
-        "runs": 50,
-        "q_values": [2, 10],
-        "k_values": [1, 5, 20],
-        "seed": 0,
-        "defect_tolerance": 1e-10,
-    },
-    "apps": {
-        "renyi_alpha": 2,
-        "tsallis_q": 3,
-        "entropy_eps": 0.01,
-        "entropy_mode": "ideal",
-        "vd_runs": 200,
-        "vd_k": 4,
-        "vd_eps": 0.02,
-        "qubits": 2,
-        "rank": 2,
-        "seed": 0,
-        "coverage_threshold": 0.95,
-        "mode": "sampled",
-    },
-    "separation": {
-        "qubits": 2,
-        "rank": 2,
-        "k_values": [4, 8, 16, 32, 64],
-        "eps": 0.05,
-        "seed": 7,
-        "observable_kind": "pauli:ZI",
-        "confidence": AE_SUCCESS_PROB,
-        "swap_exponent_range": [0.85, 1.15],
-        "query_exponent_max": 0.65,
-    },
-}
-
-
-def suite_defaults(suite: str) -> dict:
-    if suite not in _DEFAULTS:
-        raise ValidationError(f"unknown suite {suite!r}; choose one of {SUITES}")
-    return dict(_DEFAULTS[suite])
-
-
-def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
-    cfg = suite_defaults(suite)
-    for layer in (file_config or {}), (overrides or {}):
-        for key, value in layer.items():
-            if value is not None and key != "suite":
-                cfg[key] = value
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg["seed"] = int(env_seed)
-    cfg["suite"] = suite
-    return cfg
-
-
-# --------------------------------------------------------------------------
-# suite implementations
-# --------------------------------------------------------------------------
-
-def _suite_approx(cfg: dict, cfg_hash: str):
-    rows, records = [], []
+def _suite_approx(cfg: dict, jobs: int):
+    records = []
     eps = float(cfg["eps"])
-    for k in cfg["k_values"]:
-        k = int(k)
+    for k in map(int, cfg["k_values"]):
         degree = required_degree(k, eps)
         trunc = truncate(power_expansion(k), degree, k=k)
         measured = sup_error_scan(trunc.kept, k, int(cfg["grid_size"]))
-        empirical = minimal_empirical_degree(k, eps, int(cfg["grid_size"]))
-        lower = degree_lower_bound_solve(k, eps) if (k >= 2 and eps <= 0.1) else math.nan
-        rows.append([k, eps, degree, empirical, measured, trunc.tail_chernoff, lower])
-        records.append(
-            _record(
-                {"k": k, "eps": eps},
-                {
-                    "formula_degree": degree,
-                    "empirical_degree": empirical,
-                    "measured_sup_error": measured,
-                    "tail_exact": trunc.tail_exact,
-                    "chernoff_tail": trunc.tail_chernoff,
-                    "lower_bound_d": lower,
-                    "within_eps": bool(measured <= eps),
-                },
-                cfg_hash,
-            )
-        )
-    header = [
-        "k",
-        "eps",
-        "formula_degree",
-        "empirical_degree",
-        "measured_sup_error",
-        "chernoff_tail",
-        "lower_bound_d",
-    ]
-    all_within = all(r["report"]["within_eps"] for r in records)
-    slope = _log_slope(
-        [r[0] for r in rows], [r[3] for r in rows]
-    ) if len(rows) >= 2 else math.nan
+        records.append({"spec": {"k": k, "eps": eps}, "report": {
+            "formula_degree": degree,
+            "empirical_degree": minimal_empirical_degree(k, eps, int(cfg["grid_size"])),
+            "measured_sup_error": measured,
+            "tail_exact": trunc.tail_exact,
+            "chernoff_tail": trunc.tail_chernoff,
+            "lower_bound_d": degree_lower_bound_solve(k, eps) if (k >= 2 and eps <= 0.1) else math.nan,
+            "within_eps": bool(measured <= eps),
+        }})
+    ks = [r["spec"]["k"] for r in records]
+    within = [r["report"]["within_eps"] for r in records]
+    slope = _log_slope(ks, [r["report"]["empirical_degree"] for r in records])
     lo, hi = cfg["slope_range"]
     # a scaling fit needs a few decades; short sweeps only gate on accuracy
-    slope_checked = len({r[0] for r in rows}) >= 3
-    slope_ok = (not slope_checked) or (lo <= slope <= hi)
+    slope_checked = len(set(ks)) >= 3
     summary = {
-        "all_within_eps": all_within,
+        "all_within_eps": all(within),
         "empirical_degree_slope": slope,
         "slope_range": list(cfg["slope_range"]),
         "slope_checked": slope_checked,
-        "pass": bool(all_within and slope_ok),
-        "pass_fraction": float(np.mean([r["report"]["within_eps"] for r in records])),
+        "pass": bool(all(within) and ((not slope_checked) or (lo <= slope <= hi))),
+        "pass_fraction": float(np.mean(within)),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
 def _run_estimate_record(cfg: dict, index: int) -> dict:
@@ -330,11 +228,11 @@ def _run_estimate_record(cfg: dict, index: int) -> dict:
         float(cfg["eps"]),
         mode=cfg["mode"],
         seed=seed,
-        ae_grid=cfg.get("ae_grid_override"),
+        ae_grid=cfg["ae_grid_override"],
     )
     err = abs(report.estimate - report.oracle_value)
     return {
-        "index": index,
+        "run": index,
         "spec": spec.to_json(),
         "report": report.to_json(),
         "abs_error": err,
@@ -342,46 +240,8 @@ def _run_estimate_record(cfg: dict, index: int) -> dict:
     }
 
 
-def _suite_estimate(cfg: dict, cfg_hash: str, jobs: int = 1):
-    results = _map(partial(_run_estimate_record, cfg), range(int(cfg["runs"])), jobs)
-    rows, records = [], []
-    for res in results:
-        rep = res["report"]
-        rows.append(
-            [
-                res["index"],
-                res["spec"]["k"],
-                res["spec"]["seed"],
-                rep["estimate"]["re"],
-                rep["estimate"]["im"],
-                rep["oracle_value"]["re"],
-                rep["oracle_value"]["im"],
-                res["abs_error"],
-                res["spec"]["eps"],
-                res["within_eps"],
-                rep["ae_queries_K"],
-                rep["u_rho_queries_total"],
-                rep["poly_degree"],
-            ]
-        )
-        records.append(
-            _record(res["spec"], rep, cfg_hash, {"within_eps": res["within_eps"]})
-        )
-    header = [
-        "run",
-        "k",
-        "seed",
-        "estimate_re",
-        "estimate_im",
-        "oracle_re",
-        "oracle_im",
-        "abs_error",
-        "eps",
-        "within_eps",
-        "ae_queries_K",
-        "u_rho_queries_total",
-        "poly_degree",
-    ]
+def _suite_estimate(cfg: dict, jobs: int):
+    records = _map(partial(_run_estimate_record, cfg), range(int(cfg["runs"])), jobs)
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
@@ -389,10 +249,10 @@ def _suite_estimate(cfg: dict, cfg_hash: str, jobs: int = 1):
         "pass": bool(fraction >= float(cfg["pass_threshold"])),
         "runs": len(records),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
-def _suite_baseline(cfg: dict, cfg_hash: str):
+def _suite_baseline(cfg: dict, jobs: int):
     spec = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -404,12 +264,10 @@ def _suite_baseline(cfg: dict, cfg_hash: str):
     rho = make_state(spec)
     obs = make_observable(spec)
     oracle = trace_power_obs_oracle(rho, obs, int(cfg["k"])).real
-    rows, records = [], []
-    repeats = int(cfg.get("repeats", 1))
-    mean_stderrs = []
+    records, mean_stderrs = [], []
     for i, shots in enumerate(cfg["shots_list"]):
         stderrs = []
-        for rep in range(repeats):
+        for rep in range(int(cfg["repeats"])):
             result = swap_test_estimate(
                 rho,
                 obs,
@@ -418,37 +276,17 @@ def _suite_baseline(cfg: dict, cfg_hash: str):
                 seed=derive_seed(int(cfg["seed"]), 100 * i + rep),
             )
             stderrs.append(result.stderr)
-            err = abs(result.mean - oracle)
-            rows.append(
-                [
-                    int(shots),
-                    rep,
-                    result.mean,
-                    result.stderr,
-                    result.copies_used,
-                    result.mode,
-                    oracle,
-                    err,
-                ]
-            )
-            records.append(
-                _record(
-                    spec.to_json(),
-                    {
-                        "shots": int(shots),
-                        "repeat": rep,
-                        "mean": result.mean,
-                        "stderr": result.stderr,
-                        "copies_used": result.copies_used,
-                        "mode": result.mode,
-                        "oracle_value": oracle,
-                        "abs_error": err,
-                    },
-                    cfg_hash,
-                )
-            )
+            records.append({"spec": spec.to_json(), "report": {
+                "shots": int(shots),
+                "repeat": rep,
+                "mean": result.mean,
+                "stderr": result.stderr,
+                "copies_used": result.copies_used,
+                "mode": result.mode,
+                "oracle_value": oracle,
+                "abs_error": abs(result.mean - oracle),
+            }})
         mean_stderrs.append(float(np.mean(stderrs)))
-    header = ["shots", "repeat", "mean", "stderr", "copies_used", "mode", "oracle", "abs_error"]
     slope = _log_slope([int(s) for s in cfg["shots_list"]], mean_stderrs)
     tol = float(cfg["slope_tolerance"])
     summary = {
@@ -457,70 +295,52 @@ def _suite_baseline(cfg: dict, cfg_hash: str):
         "slope_tolerance": tol,
         "pass": bool(abs(slope + 0.5) <= tol),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
-def _suite_bounds(cfg: dict, cfg_hash: str):
-    rows, records = [], []
+def _suite_bounds(cfg: dict, jobs: int):
+    records = []
     z = Observable(np.diag([1.0, -1.0]).astype(complex))
 
     m_stars = []
-    for k in cfg["k_values"]:
-        table = helstrom_experiment(int(k), float(cfg["c"]), [0, int(k), 4 * int(k)])
+    for k in map(int, cfg["k_values"]):
+        table = helstrom_experiment(k, float(cfg["c"]), [0, k, 4 * k])
         m_stars.append(table.m_star)
-        rows.append(["helstrom", k, float(cfg["c"]), table.eps_prime, table.m_star, math.nan])
-        records.append(
-            _record(
-                {"experiment": "helstrom", "k": int(k), "c": float(cfg["c"])},
-                {
-                    "m_star": table.m_star,
-                    "rows": [
-                        {"m": r.m, "fidelity": r.fidelity, "success_lower_bound": r.success_lower_bound}
-                        for r in table.rows
-                    ],
-                },
-                cfg_hash,
-            )
-        )
+        records.append({
+            "spec": {"experiment": "helstrom", "k": k, "c": float(cfg["c"])},
+            "report": {
+                "m_star": table.m_star,
+                "eps_prime": table.eps_prime,
+                "rows": [
+                    {"m": r.m, "fidelity": r.fidelity, "success_lower_bound": r.success_lower_bound}
+                    for r in table.rows
+                ],
+            },
+        })
 
     kl_values = []
-    for eps in cfg["eps_grid"]:
-        rho0, rho1, kl = lecam_construction(z, float(eps))
+    for eps in map(float, cfg["eps_grid"]):
+        rho0, rho1, kl = lecam_construction(z, eps)
         kl_values.append(kl)
-        rows.append(["lecam", math.nan, float(eps), float(eps) / 2.0, math.nan, kl])
-        records.append(
-            _record(
-                {"experiment": "lecam", "eps": float(eps), "obs": "Z"},
-                {
-                    "delta": float(eps) / 2.0,
-                    "kl": kl,
-                    "copies_bound": 1.0 / kl,
-                    "expectation_0": float(np.trace(rho0.mat @ z.mat).real),
-                    "expectation_1": float(np.trace(rho1.mat @ z.mat).real),
-                },
-                cfg_hash,
-            )
-        )
+        records.append({"spec": {"experiment": "lecam", "eps": eps, "obs": "Z"}, "report": {
+            "delta": eps / 2.0,
+            "kl": kl,
+            "copies_bound": 1.0 / kl,
+            "expectation_0": float(np.trace(rho0.mat @ z.mat).real),
+            "expectation_1": float(np.trace(rho1.mat @ z.mat).real),
+        }})
 
     t_stars = []
-    for eps in cfg["hybrid_eps_grid"]:
-        table = hybrid_bound_demo(z, float(eps), list(cfg["t_values"]))
+    for eps in map(float, cfg["hybrid_eps_grid"]):
+        table = hybrid_bound_demo(z, eps, list(cfg["t_values"]))
         t_stars.append(table.t_star)
-        rows.append(["hybrid", math.nan, float(eps), table.delta, table.t_star, table.norm_direct])
-        records.append(
-            _record(
-                {"experiment": "hybrid", "eps": float(eps), "obs": "Z"},
-                {
-                    "delta": table.delta,
-                    "norm_direct": table.norm_direct,
-                    "norm_closed_form": table.norm_closed_form,
-                    "t_star": table.t_star,
-                },
-                cfg_hash,
-            )
-        )
+        records.append({"spec": {"experiment": "hybrid", "eps": eps, "obs": "Z"}, "report": {
+            "delta": table.delta,
+            "norm_direct": table.norm_direct,
+            "norm_closed_form": table.norm_closed_form,
+            "t_star": table.t_star,
+        }})
 
-    header = ["experiment", "k", "eps_or_c", "delta_or_epsprime", "threshold_count", "value"]
     ks = [int(k) for k in cfg["k_values"]]
     ratio = m_stars[-1] / m_stars[0] if len(m_stars) >= 2 else math.nan
     expected_ratio = ks[-1] / ks[0] if len(ks) >= 2 else math.nan
@@ -543,55 +363,40 @@ def _suite_bounds(cfg: dict, cfg_hash: str):
             and abs(hybrid_slope - 1.0) <= 0.05
         ),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
-def _suite_bqp(cfg: dict, cfg_hash: str):
-    rows, records = [], []
+def _suite_bqp(cfg: dict, jobs: int):
+    records = []
     r_dim = 2 ** int(cfg["r_qubits"])
     acc = np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex))
     accept = Observable(acc)
-    defects, bernoulli_flags = [], []
     qs, ks = list(cfg["q_values"]), list(cfg["k_values"])
     for i in range(int(cfg["runs"])):
         seed = derive_seed(int(cfg["seed"]), i)
         q = float(qs[i % len(qs)])
         k = int(ks[(i // len(qs)) % len(ks)])
-        u = random_unitary(r_dim, seed)
-        inst = bqp_instance(u, accept, q, k)
-        bernoulli_ok = bool(inst.lam ** inst.k >= 1.0 - 1.0 / q - 1e-12)
-        defects.append(inst.identity_defect)
-        bernoulli_flags.append(bernoulli_ok)
-        rows.append(
-            [i, q, k, inst.lam, inst.p_x, inst.lam ** inst.k * inst.p_x,
-             inst.identity_defect, bernoulli_ok]
-        )
-        records.append(
-            _record(
-                {"run": i, "q": q, "k": k, "seed": seed, "r_qubits": int(cfg["r_qubits"])},
-                {
-                    "lambda": inst.lam,
-                    "p_x": inst.p_x,
-                    "trace_power": inst.lam ** inst.k * inst.p_x,
-                    "identity_defect": inst.identity_defect,
-                    "thresholds": list(inst.thresholds),
-                    "bernoulli_ok": bernoulli_ok,
-                },
-                cfg_hash,
-            )
-        )
-    header = ["run", "q", "k", "lambda", "p_x", "trace_power", "identity_defect", "bernoulli_ok"]
+        inst = bqp_instance(random_unitary(r_dim, seed), accept, q, k)
+        records.append({
+            "spec": {"run": i, "q": q, "k": k, "seed": seed, "r_qubits": int(cfg["r_qubits"])},
+            "report": {
+                "lambda": inst.lam,
+                "p_x": inst.p_x,
+                "trace_power": inst.lam ** inst.k * inst.p_x,
+                "identity_defect": inst.identity_defect,
+                "thresholds": list(inst.thresholds),
+                "bernoulli_ok": bool(inst.lam ** inst.k >= 1.0 - 1.0 / q - 1e-12),
+            },
+        })
+    defects = [r["report"]["identity_defect"] for r in records]
+    all_ok = all(r["report"]["bernoulli_ok"] for r in records)
     summary = {
         "max_identity_defect": max(defects) if defects else math.nan,
-        "all_bernoulli_ok": all(bernoulli_flags),
+        "all_bernoulli_ok": all_ok,
         "defect_tolerance": float(cfg["defect_tolerance"]),
-        "pass": bool(
-            defects
-            and max(defects) <= float(cfg["defect_tolerance"])
-            and all(bernoulli_flags)
-        ),
+        "pass": bool(defects and max(defects) <= float(cfg["defect_tolerance"]) and all_ok),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
 def _run_vd_record(cfg: dict, index: int) -> dict:
@@ -619,82 +424,47 @@ def _run_vd_record(cfg: dict, index: int) -> dict:
     den = trace_power_obs_oracle(rho, _identity_observable(rho.dim), int(cfg["vd_k"])).real
     true_ratio = num / den
     true_err = abs(result.ratio_estimate - true_ratio)
-    return {
-        "index": index,
-        "spec": spec.to_json(),
+    return {"application": "vd_ratio", "run": index, "spec": spec.to_json(), "report": {
         "ratio_estimate": result.ratio_estimate,
         "error_bound": result.error_bound,
         "true_ratio": true_ratio,
         "true_error": true_err,
         "covered": bool(result.error_bound >= true_err),
-    }
+    }}
 
 
-def _suite_apps(cfg: dict, cfg_hash: str, jobs: int = 1):
-    rows, records = [], []
-    eps = float(cfg["entropy_eps"])
-
-    one_qubit_mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    ren = renyi_entropy(
-        purify(one_qubit_mixed), int(cfg["renyi_alpha"]), eps,
-        mode=cfg["entropy_mode"], seed=int(cfg["seed"]),
-    )
-    ren_true = math.log(2.0)
-    rows.append(
-        ["renyi", int(cfg["renyi_alpha"]), ren.value, ren.error_bound, ren_true,
-         bool(abs(ren.value - ren_true) <= ren.error_bound)]
-    )
-    records.append(
-        _record(
-            {"application": "renyi", "order": int(cfg["renyi_alpha"]), "state": "max_mixed_1q"},
-            {"value": ren.value, "error_bound": ren.error_bound, "true_value": ren_true,
-             "trace_power": ren.trace_power.to_json()},
-            cfg_hash,
-        )
-    )
-
-    two_qubit_mixed = DensityMatrix(np.eye(4, dtype=complex) / 4)
-    tsa = tsallis_entropy(
-        purify(two_qubit_mixed), int(cfg["tsallis_q"]), eps,
-        mode=cfg["entropy_mode"], seed=int(cfg["seed"]) + 1,
-    )
+def _suite_apps(cfg: dict, jobs: int):
+    records = []
     q = int(cfg["tsallis_q"])
-    tsa_true = (1.0 / 4.0 ** (q - 1)) / (1 - q)
-    rows.append(
-        ["tsallis", q, tsa.value, tsa.error_bound, tsa_true,
-         bool(abs(tsa.value - tsa_true) <= tsa.error_bound)]
+    entropies = (
+        ("renyi", renyi_entropy, int(cfg["renyi_alpha"]), 1, math.log(2.0)),
+        ("tsallis", tsallis_entropy, q, 2, (1.0 / 4.0 ** (q - 1)) / (1 - q)),
     )
-    records.append(
-        _record(
-            {"application": "tsallis", "order": q, "state": "max_mixed_2q"},
-            {"value": tsa.value, "error_bound": tsa.error_bound, "true_value": tsa_true,
-             "trace_power": tsa.trace_power.to_json()},
-            cfg_hash,
+    for offset, (application, entropy, order, qubits, true_value) in enumerate(entropies):
+        dim = 2 ** qubits
+        est = entropy(
+            purify(DensityMatrix(np.eye(dim, dtype=complex) / dim)), order,
+            float(cfg["entropy_eps"]), mode=cfg["entropy_mode"], seed=int(cfg["seed"]) + offset,
         )
-    )
+        records.append({
+            "spec": {"application": application, "order": order, "state": f"max_mixed_{qubits}q"},
+            "report": {"value": est.value, "error_bound": est.error_bound, "true_value": true_value,
+                       "within_bound": bool(abs(est.value - true_value) <= est.error_bound),
+                       "trace_power": est.trace_power.to_json()},
+        })
+    renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
-    vd_results = _map(partial(_run_vd_record, cfg), range(int(cfg["vd_runs"])), jobs)
-    for res in vd_results:
-        rows.append(
-            ["vd_ratio", res["index"], res["ratio_estimate"], res["error_bound"],
-             res["true_ratio"], res["covered"]]
-        )
-        records.append(
-            _record(res["spec"],
-                    {k: res[k] for k in
-                     ("ratio_estimate", "error_bound", "true_ratio", "true_error", "covered")},
-                    cfg_hash))
-    header = ["application", "order_or_run", "value", "error_bound", "true_value", "within_bound"]
-    coverage = float(np.mean([res["covered"] for res in vd_results])) if vd_results else math.nan
-    entropy_ok = bool(rows[0][5]) and bool(rows[1][5])
+    vd = _map(partial(_run_vd_record, cfg), range(int(cfg["vd_runs"])), jobs)
+    records += vd
+    coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
     summary = {
-        "renyi_within_bound": bool(rows[0][5]),
-        "tsallis_within_bound": bool(rows[1][5]),
+        "renyi_within_bound": renyi_ok,
+        "tsallis_within_bound": tsallis_ok,
         "vd_coverage": coverage,
         "coverage_threshold": float(cfg["coverage_threshold"]),
-        "pass": bool(entropy_ok and coverage >= float(cfg["coverage_threshold"])),
+        "pass": bool(renyi_ok and tsallis_ok and coverage >= float(cfg["coverage_threshold"])),
     }
-    return header, rows, records, summary
+    return records, summary
 
 
 def _separation_confidence_z(confidence: float) -> float:
@@ -703,7 +473,7 @@ def _separation_confidence_z(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
-def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):
+def _suite_separation(cfg: dict, jobs: int):
     spec_base = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -715,39 +485,23 @@ def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):
     pur = purify(rho)
     eps = float(cfg["eps"])
     z = _separation_confidence_z(float(cfg["confidence"]))
-    rows, records = [], []
-    copies_list, queries_list = [], []
-    for k in cfg["k_values"]:
-        k = int(k)
+    records = []
+    ks = [int(k) for k in cfg["k_values"]]
+    for k in ks:
         mean, var = swap_test_moments(rho, obs, k)
         shots = math.ceil(var * (z / eps) ** 2)
-        copies = k * shots
         report = estimate_trace_power(
             pur, obs, k, eps, mode="sampled", seed=derive_seed(int(cfg["seed"]), k)
         )
-        copies_list.append(copies)
-        queries_list.append(report.u_rho_queries_total)
-        rows.append(
-            [k, var, shots, copies, report.poly_degree, report.ae_queries_K,
-             report.u_rho_queries_total,
-             abs(report.estimate - report.oracle_value)]
-        )
-        records.append(
-            _record(
-                {"k": k, "eps": eps, "confidence": float(cfg["confidence"]),
-                 "instance": spec_base.to_json()},
-                {"swap_variance": var, "swap_shots": shots, "swap_copies": copies,
-                 "estimator": report.to_json()},
-                cfg_hash,
-            )
-        )
-    header = [
-        "k", "swap_variance", "swap_shots_for_eps", "swap_copies_for_eps",
-        "poly_degree", "ae_queries_K", "qsvt_u_rho_queries_for_eps", "estimator_abs_error",
-    ]
-    ks = [int(k) for k in cfg["k_values"]]
-    swap_exp = _log_slope(ks, copies_list)
-    query_exp = _log_slope(ks, queries_list)
+        records.append({
+            "spec": {"k": k, "eps": eps, "confidence": float(cfg["confidence"]),
+                     "instance": spec_base.to_json()},
+            "report": {"swap_variance": var, "swap_shots": shots, "swap_copies": k * shots,
+                       "abs_error": abs(report.estimate - report.oracle_value),
+                       "estimator": report.to_json()},
+        })
+    swap_exp = _log_slope(ks, [r["report"]["swap_copies"] for r in records])
+    query_exp = _log_slope(ks, [r["report"]["estimator"]["u_rho_queries_total"] for r in records])
     lo, hi = cfg["swap_exponent_range"]
     summary = {
         "swap_copies_exponent": swap_exp,
@@ -756,7 +510,130 @@ def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):
         "query_exponent_max": float(cfg["query_exponent_max"]),
         "pass": bool(lo <= swap_exp <= hi and query_exp <= float(cfg["query_exponent_max"])),
     }
-    return header, rows, records, summary
+    return records, summary
+
+
+# --------------------------------------------------------------------------
+# the registry
+# --------------------------------------------------------------------------
+
+class Suite(NamedTuple):
+    """One suite. ``run(cfg, jobs)`` returns ``(records, summary)``, with
+    ``jobs`` the worker count of the suites that map records over a pool;
+    ``columns`` maps each table header to its record paths; ``flag_keys``
+    names the config key a shared CLI flag sets where it is not the
+    flag's usual key."""
+
+    defaults: dict
+    run: Callable
+    columns: dict
+    flag_keys: dict = {}
+
+
+SUITE_REGISTRY = {
+    "approx": Suite(
+        {"k_values": [8, 16, 32, 64, 128], "eps": 1e-3, "grid_size": 4096, "slope_range": [0.4, 0.6]},
+        _suite_approx,
+        {"k": "spec.k", "eps": "spec.eps", "formula_degree": "report.formula_degree",
+         "empirical_degree": "report.empirical_degree",
+         "measured_sup_error": "report.measured_sup_error",
+         "chernoff_tail": "report.chernoff_tail", "lower_bound_d": "report.lower_bound_d"},
+    ),
+    "estimate": Suite(
+        {"qubits": 2, "rank": 2, "k_values": [4, 8, 16], "eps": 0.05, "runs": 200, "seed": 0,
+         "state_kind": "random_mixed", "observable_kind": "random_hermitian", "mode": "sampled",
+         "pass_threshold": AE_SUCCESS_PROB - 0.05, "ae_grid_override": None},
+        _suite_estimate,
+        {"run": "run", "k": "spec.k", "seed": "spec.seed",
+         "estimate_re": "report.estimate.re", "estimate_im": "report.estimate.im",
+         "oracle_re": "report.oracle_value.re", "oracle_im": "report.oracle_value.im",
+         "abs_error": "abs_error", "eps": "spec.eps", "within_eps": "within_eps",
+         "ae_queries_K": "report.ae_queries_K", "u_rho_queries_total": "report.u_rho_queries_total",
+         "poly_degree": "report.poly_degree"},
+    ),
+    "baseline": Suite(
+        {"qubits": 1, "rank": 2, "k": 3, "shots_list": [100, 1000, 10000], "repeats": 5, "seed": 0,
+         "state_kind": "random_mixed", "observable_kind": "identity", "slope_tolerance": 0.05},
+        _suite_baseline,
+        {"shots": "report.shots", "repeat": "report.repeat", "mean": "report.mean",
+         "stderr": "report.stderr", "copies_used": "report.copies_used", "mode": "report.mode",
+         "oracle": "report.oracle_value", "abs_error": "report.abs_error"},
+        {"k": "k"},
+    ),
+    "bounds": Suite(
+        {"k_values": [10, 20, 40, 80], "c": 0.5, "eps_grid": [0.3, 0.1, 0.03, 0.01],
+         "t_values": [1, 2, 4, 8, 16, 32, 64, 128], "hybrid_eps_grid": [0.1, 0.03, 0.01, 0.003],
+         "helstrom_ratio_range": [7.0, 9.0]},
+        _suite_bounds,
+        {"experiment": "spec.experiment", "k": "spec.k", "eps_or_c": "spec.c|spec.eps",
+         "delta_or_epsprime": "report.eps_prime|report.delta",
+         "threshold_count": "report.m_star|report.t_star",
+         "value": "report.kl|report.norm_direct"},
+    ),
+    "bqp": Suite(
+        {"r_qubits": 2, "runs": 50, "q_values": [2, 10], "k_values": [1, 5, 20], "seed": 0,
+         "defect_tolerance": 1e-10},
+        _suite_bqp,
+        {"run": "spec.run", "q": "spec.q", "k": "spec.k", "lambda": "report.lambda",
+         "p_x": "report.p_x", "trace_power": "report.trace_power",
+         "identity_defect": "report.identity_defect", "bernoulli_ok": "report.bernoulli_ok"},
+    ),
+    "apps": Suite(
+        {"renyi_alpha": 2, "tsallis_q": 3, "entropy_eps": 0.01, "entropy_mode": "ideal",
+         "vd_runs": 200, "vd_k": 4, "vd_eps": 0.02, "qubits": 2, "rank": 2, "seed": 0,
+         "coverage_threshold": 0.95, "mode": "sampled"},
+        _suite_apps,
+        {"application": "spec.application|application", "order_or_run": "spec.order|run",
+         "value": "report.value|report.ratio_estimate", "error_bound": "report.error_bound",
+         "true_value": "report.true_value|report.true_ratio",
+         "within_bound": "report.within_bound|report.covered"},
+        {"k": "vd_k", "eps": "vd_eps", "runs": "vd_runs"},
+    ),
+    "separation": Suite(
+        {"qubits": 2, "rank": 2, "k_values": [4, 8, 16, 32, 64], "eps": 0.05, "seed": 7,
+         "observable_kind": "pauli:ZI", "confidence": AE_SUCCESS_PROB,
+         "swap_exponent_range": [0.85, 1.15], "query_exponent_max": 0.65},
+        _suite_separation,
+        {"k": "spec.k", "swap_variance": "report.swap_variance",
+         "swap_shots_for_eps": "report.swap_shots", "swap_copies_for_eps": "report.swap_copies",
+         "poly_degree": "report.estimator.poly_degree",
+         "ae_queries_K": "report.estimator.ae_queries_K",
+         "qsvt_u_rho_queries_for_eps": "report.estimator.u_rho_queries_total",
+         "estimator_abs_error": "report.abs_error"},
+    ),
+}
+
+SUITES = tuple(SUITE_REGISTRY)
+
+
+def suite_entry(suite: str) -> Suite:
+    if suite not in SUITE_REGISTRY:
+        raise ValidationError(f"unknown suite {suite!r}; choose one of {SUITES}")
+    return SUITE_REGISTRY[suite]
+
+
+def suite_defaults(suite: str) -> dict:
+    return dict(suite_entry(suite).defaults)
+
+
+def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
+    cfg = suite_defaults(suite)
+    readable = {*cfg, "seed"}
+    for layer in (file_config or {}), (overrides or {}):
+        for key, value in layer.items():
+            if key == "suite":
+                continue
+            if key not in readable:
+                raise ValidationError(
+                    f"suite {suite} reads no config key {key!r}; it reads {', '.join(sorted(readable))}"
+                )
+            if value is not None:
+                cfg[key] = value
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None:
+        cfg["seed"] = int(env_seed)
+    cfg["suite"] = suite
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -765,28 +642,17 @@ def _suite_separation(cfg: dict, cfg_hash: str, jobs: int = 1):
 
 def run_suite_config(suite: str, cfg: dict, out_root: str = "out", jobs: int = 1) -> int:
     """Run one suite with a fully resolved config; returns the exit code."""
-    cfg = dict(cfg)
-    cfg["suite"] = suite
+    entry = suite_entry(suite)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    cfg = {**cfg, "suite": suite}
     cfg_hash = config_hash(cfg)
-    if suite == "approx":
-        header, rows, records, summary = _suite_approx(cfg, cfg_hash)
-    elif suite == "estimate":
-        header, rows, records, summary = _suite_estimate(cfg, cfg_hash, jobs)
-    elif suite == "baseline":
-        header, rows, records, summary = _suite_baseline(cfg, cfg_hash)
-    elif suite == "bounds":
-        header, rows, records, summary = _suite_bounds(cfg, cfg_hash)
-    elif suite == "bqp":
-        header, rows, records, summary = _suite_bqp(cfg, cfg_hash)
-    elif suite == "apps":
-        header, rows, records, summary = _suite_apps(cfg, cfg_hash, jobs)
-    elif suite == "separation":
-        header, rows, records, summary = _suite_separation(cfg, cfg_hash, jobs)
-    else:
-        raise ValidationError(f"unknown suite {suite!r}; choose one of {SUITES}")
+    records, summary = entry.run(cfg, jobs)
+    stamp = {"tool_version": __version__, "config_hash": cfg_hash}
+    records = [{**rec, **stamp, "timestamp": _timestamp()} for rec in records]
 
     out_dir = os.path.join(out_root, suite, cfg_hash)
-    write_csv(os.path.join(out_dir, "table.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "table.csv"), entry.columns, records)
     _atomic_write(
         os.path.join(out_dir, "records.json"), canonical_json(records) + "\n"
     )
@@ -800,7 +666,7 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out", jobs: int = 1
     _atomic_write(
         os.path.join(out_dir, "summary.json"), canonical_json(summary_obj) + "\n"
     )
-    return 0 if summary.get("pass", True) else 1
+    return 0 if summary["pass"] else 1
 
 
 def load_config_file(path: str) -> dict:

@@ -1,0 +1,151 @@
+"""How the command line reaches a suite's config.
+
+Each shared flag sets one config key of the suite it is given to; a flag
+whose key the suite does not read is a usage error, as is a config-file
+key the suite does not read or a worker count below one.
+"""
+
+import concurrent.futures
+import json
+
+import pytest
+
+import powertrace.cli as cli
+from powertrace.cli import main
+from powertrace.errors import ValidationError
+from powertrace.suites import SEED_ENV_VAR, SUITES, _map, resolve_config, suite_defaults
+
+# (suite, argv after the suite name, config keys it sets)
+ROUTES = [
+    ("approx", ["--k", "8,16"], {"k_values": [8, 16]}),
+    ("approx", ["--eps", "0.01"], {"eps": 0.01}),
+    ("estimate", ["--k", "4,8"], {"k_values": [4, 8]}),
+    ("estimate", ["--eps", "0.1"], {"eps": 0.1}),
+    ("estimate", ["--qubits", "3"], {"qubits": 3}),
+    ("estimate", ["--rank", "1"], {"rank": 1}),
+    ("estimate", ["--runs", "7"], {"runs": 7}),
+    ("estimate", ["--K", "64"], {"ae_grid_override": 64}),
+    ("baseline", ["--k", "5"], {"k": 5}),
+    ("baseline", ["--qubits", "2"], {"qubits": 2}),
+    ("baseline", ["--rank", "1"], {"rank": 1}),
+    ("baseline", ["--shots", "10,20"], {"shots_list": [10, 20]}),
+    ("bounds", ["--k", "10,20"], {"k_values": [10, 20]}),
+    ("bounds", ["--c", "0.25"], {"c": 0.25}),
+    ("bqp", ["--k", "1,5"], {"k_values": [1, 5]}),
+    ("bqp", ["--runs", "6"], {"runs": 6}),
+    ("bqp", ["--q", "3"], {"q_values": [3.0]}),
+    ("apps", ["--k", "6", "--eps", "0.03", "--runs", "4"], {"vd_k": 6, "vd_eps": 0.03, "vd_runs": 4}),
+    ("apps", ["--qubits", "3"], {"qubits": 3}),
+    ("apps", ["--rank", "1"], {"rank": 1}),
+    ("separation", ["--k", "4,8"], {"k_values": [4, 8]}),
+    ("separation", ["--eps", "0.1"], {"eps": 0.1}),
+    ("separation", ["--qubits", "3"], {"qubits": 3}),
+    ("separation", ["--rank", "1"], {"rank": 1}),
+] + [(suite, ["--seed", "9"], {"seed": 9}) for suite in SUITES]
+
+SHARED_FLAGS = {"k": "4", "eps": "0.1", "qubits": "2", "rank": "1", "shots": "10",
+                "K": "64", "runs": "3", "q": "2", "c": "0.5"}
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """The (suite, config, jobs) that ``main`` hands to the suite runner;
+    no suite runs."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    calls = []
+
+    def recorder(suite, cfg, out_root="out", jobs=1):
+        calls.append((suite, cfg, jobs))
+        return 0
+
+    monkeypatch.setattr(cli, "run_suite_config", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("suite, argv, keys", ROUTES, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_flag_sets_the_suites_config_key(resolved, suite, argv, keys):
+    assert main([suite, *argv]) == 0
+    ((got_suite, cfg, _),) = resolved
+    assert got_suite == suite
+    assert cfg == {**suite_defaults(suite), **keys, "suite": suite}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_flags_a_suite_does_not_read_are_rejected(resolved, suite, capsys):
+    routed = {arg[2:] for s, argv, _ in ROUTES if s == suite for arg in argv if arg.startswith("--")}
+    for flag, value in SHARED_FLAGS.items():
+        if flag in routed:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([suite, f"--{flag}", value])
+        assert exc.value.code == 2, flag
+        assert f"--{flag}" in capsys.readouterr().err
+    assert resolved == []
+
+
+def test_suite_help_lists_only_its_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["baseline", "-h"])
+    text = capsys.readouterr().out
+    assert "--shots" in text and "--k" in text
+    assert "--eps" not in text and "--runs" not in text and "--K" not in text
+
+
+def test_config_file_key_a_suite_does_not_read_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_value": [8]}))
+    assert main(["approx", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'k_value'" in err and "k_values" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match="eps"):
+        resolve_config("bounds", {"eps": 0.1}, None)
+
+
+def test_seed_and_suite_keys_are_accepted_by_every_suite(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for suite in SUITES:
+        cfg = resolve_config(suite, {"suite": "estimate", "seed": 4}, None)
+        assert cfg["seed"] == 4 and cfg["suite"] == suite
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process, starting none."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.workers
+
+
+def test_map_asks_for_no_more_workers_than_records(pool):
+    assert _map(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert _map(abs, [-1], 8) == [1]
+    assert _map(abs, [], 8) == []
+    assert pool == [3]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_rejected_before_any_work(pool, tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["estimate", "--runs", "4", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert pool == []
+    assert not out.exists()

@@ -2,16 +2,20 @@
 
 Each hash is the sha256 of the suite's ``table.csv``. A change that moves
 numbers on purpose updates the hash it changes and says why; any other
-difference is a behaviour change.
+difference is a behaviour change. The same run pins the key paths of
+``records.json`` and checks that every table row is the projection of
+the record it came from.
 """
 
+import csv
 import hashlib
+import json
 import os
 
 import pytest
 
 from powertrace.cli import main
-from powertrace.suites import SEED_ENV_VAR, SUITES
+from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, SUITES
 
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
@@ -22,6 +26,86 @@ GOLDEN_TABLE_SHA256 = {
     "apps": "384a803787585622b6aad32380b3f1f41ea6b28664f93e119102d58df47b7ecb",
     "separation": "657709ecd78ba683c24932bb2c054faa186eb11e4c4055417a5a637d5d0161a4",
 }
+
+
+# An ``EstimationReport.to_json()``, as it appears under a record.
+_ESTIMATION_REPORT = (
+    "ae_queries_K alpha_o eps_ae_budget eps_poly_budget eps_requested estimate.im estimate.re k "
+    "mode model_error oracle_value.im oracle_value.re poly_degree seed u_rho_queries_total"
+).split()
+_INSTANCE_SPEC = "eps k observable_kind qubits rank seed state_kind".split()
+_STAMP = ["config_hash", "timestamp", "tool_version"]
+
+
+def _under(prefix, keys):
+    return [f"{prefix}.{key}" for key in keys]
+
+
+# Sorted dotted key paths over all records of each default records.json;
+# "[]" steps into a list.
+RECORD_KEY_PATHS = {
+    "approx": _STAMP + _under("report", [
+        "chernoff_tail", "empirical_degree", "formula_degree", "lower_bound_d",
+        "measured_sup_error", "tail_exact", "within_eps"]) + ["spec.eps", "spec.k"],
+    "estimate": ["abs_error", *_STAMP, *_under("report", _ESTIMATION_REPORT), "run",
+                 *_under("spec", _INSTANCE_SPEC), "within_eps"],
+    "baseline": _STAMP + _under("report", [
+        "abs_error", "copies_used", "mean", "mode", "oracle_value", "repeat", "shots", "stderr",
+    ]) + _under("spec", _INSTANCE_SPEC),
+    "bounds": _STAMP + _under("report", [
+        "copies_bound", "delta", "eps_prime", "expectation_0", "expectation_1", "kl", "m_star",
+        "norm_closed_form", "norm_direct", "rows[].fidelity", "rows[].m",
+        "rows[].success_lower_bound", "t_star",
+    ]) + _under("spec", ["c", "eps", "experiment", "k", "obs"]),
+    "bqp": _STAMP + _under("report", [
+        "bernoulli_ok", "identity_defect", "lambda", "p_x", "thresholds[]", "trace_power",
+    ]) + _under("spec", ["k", "q", "r_qubits", "run", "seed"]),
+    "apps": ["application", *_STAMP] + _under("report", [
+        "covered", "error_bound", "ratio_estimate",
+        *_under("trace_power", _ESTIMATION_REPORT),
+        "true_error", "true_ratio", "true_value", "value", "within_bound",
+    ]) + ["run"] + _under("spec", [
+        "application", "eps", "k", "observable_kind", "order", "qubits", "rank", "seed",
+        "state", "state_kind",
+    ]),
+    "separation": _STAMP + _under("report", [
+        "abs_error", *_under("estimator", _ESTIMATION_REPORT),
+        "swap_copies", "swap_shots", "swap_variance",
+    ]) + _under("spec", ["confidence", "eps", *_under("instance", _INSTANCE_SPEC), "k"]),
+}
+
+
+def _key_paths(obj, prefix=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _key_paths(value, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _key_paths(value, prefix + "[]")
+    else:
+        yield prefix
+
+
+def _lookup(record, paths):
+    """The record's value at the first of the "|"-separated dotted paths it
+    holds, or None if it holds none."""
+    for path in paths.split("|"):
+        value = record
+        for key in path.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if value is not None:
+            return value
+    return None
+
+
+def _same_cell(text, value):
+    if value is None:
+        return text == "nan"
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, str):
+        return text == value
+    return float(text) == value
 
 
 def test_every_suite_has_a_golden_hash():
@@ -35,3 +119,14 @@ def test_default_table_matches_golden_hash(suite, tmp_path, monkeypatch):
     (config_dir,) = os.listdir(tmp_path / suite)
     table = (tmp_path / suite / config_dir / "table.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_SHA256[suite]
+
+    records = json.loads((tmp_path / suite / config_dir / "records.json").read_text())
+    assert sorted({p for rec in records for p in _key_paths(rec)}) == sorted(RECORD_KEY_PATHS[suite])
+
+    header, *rows = csv.reader(table.decode().splitlines())
+    columns = SUITE_REGISTRY[suite].columns
+    assert header == list(columns)
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        for name, text in zip(header, row):
+            assert _same_cell(text, _lookup(rec, columns[name])), (name, text, rec)

@@ -205,6 +205,18 @@ def test_cli_jobs_parallel_matches_serial(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
+def test_cli_apps_jobs_parallel_matches_serial(tmp_path):
+    out_a = tmp_path / "serial"
+    out_b = tmp_path / "parallel"
+    args = ["apps", "--runs", "6"]
+    assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
+    assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
+    (csv_a,) = list((out_a / "apps").glob("*/table.csv"))
+    (csv_b,) = list((out_b / "apps").glob("*/table.csv"))
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+    assert len(csv_a.read_text().splitlines()) == 1 + 2 + 6
+
+
 def test_seed_env_var_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("POWERTRACE_SEED", "123")
     cfg = resolve_config("estimate", None, {"seed": 5})
