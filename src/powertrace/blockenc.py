@@ -53,14 +53,12 @@ UNITARITY_ATOL = 1e-9
 @dataclass(frozen=True)
 class PurifiedState:
     """Unit vector on (environment x system) whose reduced state is a target
-    density matrix."""
+    density matrix: the one ``purify`` was given, or a bare vector's trace."""
 
     env_qubits: int
     sys_qubits: int
     vec: np.ndarray
-    _reduced: DensityMatrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
     # ((exponent, degree), (encoding, ledger)) of the last power_block_encoding
     _last_power: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -88,7 +86,8 @@ class PurifiedState:
         return 2 ** self.sys_qubits
 
     def reduced_state(self) -> DensityMatrix:
-        """Trace out the environment register (computed once, then cached)."""
+        """The reduced state: the one ``purify`` was given, or, for a bare
+        vector, its partial trace, validated by one ``eigh`` and cached."""
         if self._reduced is None:
             red = partial_trace(self.vec, (self.env_dim, self.sys_dim), keep="B")
             red = (red + red.conj().T) / 2
@@ -178,30 +177,34 @@ def purify(rho: DensityMatrix) -> PurifiedState:
 
     Environment basis states are computational basis states indexed by the
     rank of the eigenvalue they accompany (descending eigenvalues; exact
-    ties broken by lexicographic comparison of the eigenvector entries,
-    real part before imaginary, row by row), so the construction is
+    nonzero ties broken by lexicographic comparison of the eigenvector
+    entries, real part before imaginary, row by row), so the vector is
     deterministic. The (environment, system) amplitude matrix is
-    diag(sqrt(w)) V^T in that order, built in one step.
+    diag(sqrt(w)) V^T in that order, built in one step. The result carries
+    ``rho`` as its reduced state, so nothing on it decomposes rho again.
     """
     w, v = rho.spectrum()
-    # np.lexsort sorts by its last key first
-    keys = np.stack((v.real, v.imag), axis=1).reshape(2 * rho.dim, rho.dim)
-    order = np.lexsort(np.vstack((keys[::-1], -w)))
+    order = np.argsort(-w, kind="stable")
+    positive = w[w > 0].tolist()
+    if len(set(positive)) < len(positive):  # some nonzero weights tie exactly
+        values, starts, sizes = np.unique(w[order], return_index=True, return_counts=True)
+        tied = (sizes > 1) & (values > 0)  # zero weights give zero rows in any order
+        for lo, size in zip(starts[tied], sizes[tied]):
+            run = order[lo : lo + size]  # a view; np.lexsort sorts by its last key first
+            keys = np.stack((v[:, run].real, v[:, run].imag), axis=1).reshape(-1, size)
+            run[:] = run[np.lexsort(keys[::-1])]
     # adding into zeros keeps every zero amplitude +0.0
     amps = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
     amps += np.sqrt(w[order])[:, None] * v[:, order].T
     vec = amps.reshape(-1)
     vec /= np.linalg.norm(vec)
-    return PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec)
+    return PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec, _reduced=rho)
 
 
 def _swap_registers(dim_a: int, dim_b: int) -> np.ndarray:
     """Permutation sending |i>_A |j>_B to |j>_B |i>_A."""
-    s = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for i in range(dim_a):
-        for j in range(dim_b):
-            s[j * dim_a + i, i * dim_b + j] = 1.0
-    return s
+    # row j * dim_a + i holds its 1 in column i * dim_b + j
+    return np.eye(dim_a * dim_b)[np.arange(dim_a * dim_b).reshape(dim_a, dim_b).T.reshape(-1)]
 
 
 def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
@@ -231,9 +234,9 @@ def density_block(purification: PurifiedState) -> BlockEncoding:
     """Exact (1, a+n, 0) block encoding of the purified density matrix,
     without a dilation.
 
-    The block is the reduced state and the ancilla count is that of the
-    SWAP-lemma circuit of ``density_block_encoding``, which is all the
-    eigenvalue transform and the query ledger read.
+    The block is the reduced state with its cached spectrum, and the
+    ancilla count is that of the SWAP-lemma circuit of
+    ``density_block_encoding``: all the transform and the ledger read.
     """
     rho = purification.reduced_state()
     spectrum = rho.spectrum()
@@ -333,9 +336,7 @@ def verify_block_encoding(be: BlockEncoding, target) -> float:
     target = as_complex_matrix(target, "target")
     if target.shape != be.block.shape:
         raise ValidationError("target shape does not match the encoded block")
-    dim = be.dim
-    top_left = be.dilation[:dim, :dim]
-    return op_norm(target - be.alpha * top_left)
+    return op_norm(target - be.alpha * be.dilation[: be.dim, : be.dim])
 
 
 def observable_block_encoding(o: Observable) -> BlockEncoding:

@@ -123,12 +123,7 @@ def hadamard_test_prob(
     anc_dim = 2 ** be.physical_ancillas
     env_dim = purification.env_dim
     sys_dim = purification.sys_dim
-    total_qubits = (
-        1
-        + be.physical_ancillas
-        + purification.env_qubits
-        + purification.sys_qubits
-    )
+    total_qubits = 1 + be.physical_ancillas + purification.env_qubits + purification.sys_qubits
     if total_qubits > get_qubit_cap():
         raise ResourceError(
             f"Hadamard-test circuit needs {total_qubits} qubits, cap is "
@@ -165,8 +160,8 @@ def closed_form_p_zero(be: BlockEncoding, purification: PurifiedState, w: str = 
 
 
 def _block_trace(be: BlockEncoding, purification: PurifiedState) -> complex:
-    """Tr(rho block), the overlap the Hadamard test reads, times alpha."""
-    return complex(np.trace(purification.reduced_state().mat @ be.block))
+    """Tr(rho block), the Hadamard test's overlap times alpha, in O(d^2)."""
+    return complex(np.sum(purification.reduced_state().mat * be.block.T))
 
 
 def _p_zero(overlap: complex, w: str) -> float:
@@ -374,7 +369,8 @@ def estimate_trace_power(
     readout grid size instead of the smallest one meeting the budget; it and
     ``mode`` are checked before any encoding is built. Tr(rho block) is
     computed once and serves every setting and the trace-level model
-    error.
+    error. Nothing decomposes rho again: every stage reads the state and
+    spectrum the purification carries.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"estimation needs integer k >= 2, got {k!r}")

@@ -2,7 +2,7 @@
 ground-truth value of Tr(rho^k O).
 
 A ``DensityMatrix`` is diagonalised once, by its validation, and every
-later use of its spectrum reads that cached ``eigh``. The oracle
+later use, through its purification too, reads that ``eigh``. The oracle
 ``trace_power_obs_oracle`` forms rho^k by repeated squaring instead, so it
 shares no eigendecomposition with the estimation pipeline.
 

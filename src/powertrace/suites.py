@@ -671,8 +671,11 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out", jobs: int = 1
 
 def load_config_file(path: str) -> dict:
     """Parse a flat JSON config; parse errors carry the line and column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -47,10 +47,17 @@ def test_purify_pure_state_is_product():
     assert abs(np.vdot(target, pur.vec)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _traced_back(rho):
+    """The reduced state of purify(rho)'s vector alone, as a bare vector's
+    purification computes it (purify's own result carries rho itself)."""
+    vec = pt.purify(rho).vec
+    return pt.PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec).reduced_state()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_purify_round_trip_random(seed):
     rho = pt.random_density(2, 2, seed)
-    back = pt.purify(rho).reduced_state()
+    back = _traced_back(rho)
     assert np.linalg.norm(back.mat - rho.mat, 2) <= 1e-11
 
 
@@ -58,7 +65,7 @@ def test_purify_round_trip_random(seed):
 def test_purify_round_trip_dims(qubits, rank):
     for seed in range(5):
         rho = pt.random_density(qubits, rank, seed)
-        back = pt.purify(rho).reduced_state()
+        back = _traced_back(rho)
         assert np.linalg.norm(back.mat - rho.mat, 2) <= 1e-11
 
 
@@ -150,6 +157,59 @@ def test_purify_is_byte_equal_to_the_loop_on_degenerate_spectra(n, levels, kind,
 def test_purified_state_rejects_unnormalized():
     with pytest.raises(pt.ValidationError):
         pt.PurifiedState(env_qubits=1, sys_qubits=1, vec=np.ones(4))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    kind=st.sampled_from(["diagonal", "rotated", "random"]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_purification_traces_back_to_its_state(n, data, kind, seed):
+    dim = 2 ** n
+    rank = data.draw(st.integers(1, dim), label="rank")
+    # few distinct levels, so nonzero eigenvalues tie as well as the zeros
+    levels = data.draw(
+        st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0]), min_size=rank, max_size=rank),
+        label="levels",
+    )
+    weights = np.array(levels + [0.0] * (dim - rank))
+    if kind == "rotated":
+        rho = _rotated_spectrum(weights, seed)
+    elif kind == "random":
+        rho = pt.random_density(n, rank, seed)
+    else:
+        rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
+    pur = pt.purify(rho)
+    traced = pt.partial_trace(pur.vec, (dim, dim), keep="B")
+    assert np.max(np.abs(traced - rho.mat)) <= 1e-12
+    assert pur.reduced_state() is rho
+
+
+def test_bare_vector_purification_validates_its_reduced_state_once(
+    numpy_decompositions, partial_traces
+):
+    rho = pt.random_density(2, 3, seed=24)
+    vec = pt.purify(rho).vec
+    numpy_decompositions.clear()
+    pur = pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=vec)
+    red = pur.reduced_state()
+    assert pur.reduced_state() is red
+    assert [name for name, _ in numpy_decompositions] == ["eigh"]
+    assert partial_traces == [(4, 4)]
+    assert np.linalg.norm(red.mat - rho.mat, 2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [np.ones(4) / 2, np.ones(8) / np.sqrt(8), np.ones(16), np.array([1.0, np.nan, 0.0, 0.0] * 4)],
+    ids=["short", "long", "unnormalized", "non-finite"],
+)
+def test_bare_vector_purification_rejects_a_bad_vector(vec, partial_traces):
+    with pytest.raises(pt.ValidationError):
+        pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=vec)
+    assert partial_traces == []
 
 
 # ------------------------------------------------- density_block_encoding

@@ -102,6 +102,29 @@ def test_config_file_key_a_suite_does_not_read_is_rejected(tmp_path, capsys):
         resolve_config("bounds", {"eps": 0.1}, None)
 
 
+@pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+def test_config_path_that_cannot_be_read_is_rejected(tmp_path, capsys, name):
+    (tmp_path / "a-directory").mkdir()
+    path = str(tmp_path / name)
+    assert main(["approx", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--k", ""], ["baseline", "--k", ""], ["apps", "--k", ""], ["baseline", "--shots", ""],
+     ["approx", "--k", "8,,16"], ["bqp", "--k", "1,"]],
+    ids=" ".join,
+)
+def test_empty_list_flag_element_is_rejected(resolved, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert resolved == []
+
+
 def test_seed_and_suite_keys_are_accepted_by_every_suite(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     for suite in SUITES:

@@ -422,15 +422,23 @@ def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
     assert abs(report.estimate - exact) <= eps
 
 
-def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions):
+def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions, partial_traces):
     rho = pt.random_density(3, 5, seed=17)
     hermitian = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=17))
     for obs in (hermitian, _non_hermitian_observable(3, 17)):
         pur = pt.purify(rho)
         numpy_decompositions.clear()
         pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
-        # the reduced state's validation; no SVD, eigvalsh or einsum anywhere
+        # rho's validation, before purify, was its one eigh; the estimate
+        # reads that spectrum and runs no SVD, eigvalsh or einsum anywhere
+        assert [name for name, _ in numpy_decompositions] == []
+        assert partial_traces == []
+        raw = pt.PurifiedState(env_qubits=3, sys_qubits=3, vec=pur.vec)
+        pt.estimate_trace_power(raw, obs, 5, 0.05, seed=0)
+        # a bare vector's reduced state: one partial trace, one validating eigh
         assert [name for name, _ in numpy_decompositions] == ["eigh"]
+        assert partial_traces == [(8, 8)]
+        partial_traces.clear()
 
 
 def test_estimate_evaluates_its_polynomial_once(monkeypatch):
@@ -454,7 +462,12 @@ def test_estimate_checks_hermiticity_of_the_state_once(monkeypatch):
     real = linalg._check_hermitian
     monkeypatch.setattr(linalg, "_check_hermitian", lambda *a, **kw: calls.append(a[2]) or real(*a, **kw))
     pt.estimate_trace_power(pt.purify(rho), obs, 5, 0.05, seed=0)
-    # the state's validation; the transform reads the spectrum it proved
+    # rho's validation proved it Hermitian before the patch; the purification
+    # carries rho, and the transform reads the spectrum it proved
+    assert calls == []
+    pur = pt.purify(rho)
+    pt.estimate_trace_power(pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=pur.vec), obs, 5, 0.05, seed=0)
+    # a bare vector's reduced state is proved Hermitian by its own validation
     assert calls == ["density matrix"]
 
 
@@ -606,15 +619,17 @@ def test_vd_ratio_builds_the_power_encoding_once_when_budgets_match(monkeypatch)
     assert (shared.numerator, shared.denominator) == (num, den)
 
 
-def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
+def test_identity_observable_is_built_once_per_dimension(numpy_decompositions, partial_traces):
     assert estimator._identity_observable(4) is estimator._identity_observable(4)
     assert not estimator._identity_observable(4).mat.flags.writeable
     rho = pt.random_density(2, 3, seed=23)
     pt.renyi_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
     numpy_decompositions.clear()
     pt.tsallis_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
-    # the reduced state's eigh; no operator-norm SVD of a new identity
-    assert [name for name, _ in numpy_decompositions] == ["eigh"]
+    # no operator-norm SVD of a new identity, and no eigh: the
+    # purification carries rho and its spectrum
+    assert [name for name, _ in numpy_decompositions] == []
+    assert partial_traces == []
 
 
 def test_vd_ratio_bound_covers_in_most_runs():

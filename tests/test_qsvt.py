@@ -224,14 +224,16 @@ def test_recorded_error_bounds_true_defect():
     assert be.err == pytest.approx(be.alpha * min(1.0, eps / (2 * obs.op_norm)))
 
 
-def test_product_encoding_is_validated_once(numpy_decompositions):
+def test_product_encoding_is_validated_once(numpy_decompositions, partial_traces):
     pur = pt.purify(pt.random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
     numpy_decompositions.clear()
     be, _ = pt.power_times_obs(pur, obs, 5, eps_total=1e-2)
-    # the reduced state's eigh; every norm check of the density block,
-    # p(rho), the observable and the product is certified without an SVD
-    assert [name for name, _ in numpy_decompositions] == ["eigh"]
+    # the density block reads the spectrum rho's validation computed; every
+    # norm check of it, p(rho), the observable and the product is certified
+    # without an SVD
+    assert [name for name, _ in numpy_decompositions] == []
+    assert partial_traces == []
     assert be.err == pytest.approx(be.alpha * min(1.0, 1e-2 / (2 * obs.op_norm)))
 
 
