@@ -1,31 +1,24 @@
 """Purifications, block encodings, and unitary dilations of contractions.
 
-A block encoding of a matrix A is a unitary U together with a scale
-``alpha >= ||A||`` such that the top-left block of U (the ancilla-zero
-subspace, ancillas leading in Kronecker order) reproduces A/alpha up to the
-recorded error:
+A block encoding of a matrix A is a scale ``alpha >= ||A||`` and an
+ancilla count a such that some unitary U on (ancillas, system) holds A/alpha
+in its top-left block (the ancilla-zero subspace, ancillas leading in
+Kronecker order) up to the recorded error:
 
     || A - alpha * (<0^a| x I) U (|0^a> x I) || <= err.
 
-``BlockEncoding.ancillas`` is the ancilla count of the query-model
-construction being simulated and is what complexity bookkeeping should
-use. The explicit ``dilation`` matrix, when materialized, may realize the
-same block with fewer physical ancillas (a single-ancilla contraction
-dilation, for instance); its physical ancilla count is always derived from
-its shape.
-
-The estimation pipeline reads only the encoded block (the Hadamard test's
-outcome law depends on U only through it), so its encodings -- the
-density block, the observable encoding and their product -- carry the
-block, scale, error and ancilla count but no unitary.
-``density_block_encoding`` (the SWAP lemma) and ``halmos_dilate`` (a
-contraction's one-ancilla dilation) are the verified unitary
-constructions; neither is on the pipeline's path.
+The estimation pipeline reads only that block (the Hadamard test's outcome
+law depends on U only through it), so a ``BlockEncoding`` is the block, its
+scale, error and ancilla count, and no unitary: the density block, the
+observable encoding and their product. ``ancillas`` is the count of the
+query-model construction being simulated and is what complexity
+bookkeeping uses. ``halmos_dilate`` builds a contraction's one-ancilla
+unitary, which the hybrid-argument bound runs; the SWAP-lemma unitary of
+the density block lives with the other test references in ``reference``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -39,15 +32,11 @@ from .linalg import (
     _psd_sqrt,
     as_complex_matrix,
     check_dim_within_cap,
-    kron,
-    matrix_from_json,
-    matrix_to_json,
     op_norm,
     partial_trace,
 )
 
 ALPHA_SLACK = 1e-9
-UNITARITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,8 +86,9 @@ class PurifiedState:
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """(alpha, ancillas, err) block encoding, optionally with its unitary.
+    """(alpha, ancillas, err) block encoding: the encoded block, no unitary.
 
+    alpha must be finite and positive, err finite and nonnegative.
     alpha >= ||block|| is checked by an SVD, unless the pipeline's
     constructors pass an upper bound ``_norm_bound`` they hold (from a
     Hermitian block's spectrum, or ||A|| ||B|| for a product) that lies
@@ -110,11 +100,16 @@ class BlockEncoding:
     alpha: float
     ancillas: int
     err: float
-    dilation: np.ndarray | None = None
     _norm_bound: float | None = field(default=None, repr=False, compare=False)
     _spectrum: EighResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not (math.isfinite(self.err) and self.err >= 0):
+            raise ValidationError(f"block-encoding error must be finite and nonnegative, got {self.err!r}")
+        if self.ancillas < 0:
+            raise ValidationError("ancilla count must be nonnegative")
         block = as_complex_matrix(self.block, "encoded block")
         if block.shape[0] != block.shape[1]:
             raise ValidationError("encoded block must be square")
@@ -125,51 +120,10 @@ class BlockEncoding:
             if self.alpha < bound - ALPHA_SLACK:
                 raise ValidationError(f"alpha {self.alpha} is below the block norm {bound}")
         object.__setattr__(self, "_norm_bound", bound)
-        if self.err < 0:
-            raise ValidationError("block-encoding error must be nonnegative")
-        if self.ancillas < 0:
-            raise ValidationError("ancilla count must be nonnegative")
-        if self.dilation is not None:
-            dil = as_complex_matrix(self.dilation, "dilation")
-            if dil.shape[0] != dil.shape[1] or dil.shape[0] % block.shape[0]:
-                raise ValidationError("dilation shape incompatible with block")
-            ratio = dil.shape[0] // block.shape[0]
-            if ratio & (ratio - 1):
-                raise ValidationError("dilation ancilla dimension is not a power of two")
-            object.__setattr__(self, "dilation", dil)
 
     @property
     def dim(self) -> int:
         return self.block.shape[0]
-
-    @property
-    def physical_ancillas(self) -> int:
-        """Ancilla count of the materialized dilation (shape-derived)."""
-        if self.dilation is None:
-            raise ValidationError("block encoding carries no explicit dilation")
-        return int(math.log2(self.dilation.shape[0] // self.dim))
-
-    def to_json(self) -> dict:
-        """Serialize without the dilation; load rebuilds one."""
-        return {
-            "block": matrix_to_json(self.block),
-            "alpha": float(self.alpha),
-            "ancillas": int(self.ancillas),
-            "err": float(self.err),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlockEncoding":
-        """Rebuild from JSON, recomputing a fresh single-ancilla dilation."""
-        block = matrix_from_json(obj["block"])
-        alpha = float(obj["alpha"])
-        return cls(
-            block=block,
-            alpha=alpha,
-            ancillas=int(obj["ancillas"]),
-            err=float(obj["err"]),
-            dilation=halmos_dilate(block / alpha),
-        )
 
 
 def purify(rho: DensityMatrix) -> PurifiedState:
@@ -201,42 +155,13 @@ def purify(rho: DensityMatrix) -> PurifiedState:
     return PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec, _reduced=rho)
 
 
-def _swap_registers(dim_a: int, dim_b: int) -> np.ndarray:
-    """Permutation sending |i>_A |j>_B to |j>_B |i>_A."""
-    # row j * dim_a + i holds its 1 in column i * dim_b + j
-    return np.eye(dim_a * dim_b)[np.arange(dim_a * dim_b).reshape(dim_a, dim_b).T.reshape(-1)]
-
-
-def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is the given unit vector.
-
-    Completed by Gram-Schmidt against the computational basis in index
-    order, which makes the result deterministic.
-    """
-    dim = first_column.size
-    cols = [first_column]
-    for i in range(dim):
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[i] = 1.0
-        for c in cols:
-            cand -= c * (c.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-9:
-            cols.append(cand / norm)
-        if len(cols) == dim:
-            break
-    if len(cols) != dim:
-        raise ValidationError("failed to complete a unitary from the first column")
-    return np.stack(cols, axis=1)
-
-
 def density_block(purification: PurifiedState) -> BlockEncoding:
-    """Exact (1, a+n, 0) block encoding of the purified density matrix,
-    without a dilation.
+    """Exact (1, a+n, 0) block encoding of the purified density matrix.
 
     The block is the reduced state with its cached spectrum, and the
-    ancilla count is that of the SWAP-lemma circuit of
-    ``density_block_encoding``: all the transform and the ledger read.
+    ancilla count is that of the SWAP-lemma circuit
+    (``reference.density_block_unitary``): all the transform and the
+    ledger read.
     """
     rho = purification.reduced_state()
     spectrum = rho.spectrum()
@@ -248,31 +173,6 @@ def density_block(purification: PurifiedState) -> BlockEncoding:
         _norm_bound=float(np.max(np.abs(spectrum.eigenvalues))),
         _spectrum=spectrum,
     )
-
-
-def density_block_encoding(purification: PurifiedState) -> BlockEncoding:
-    """``density_block`` together with its explicit 3n-qubit unitary.
-
-    With U the unitary preparing the purification from |0>_E |0>_I and a
-    fresh system-sized register appended, the product
-
-        (U^dag x I_n) (I_a x SWAP_n) (U x I_n)
-
-    places rho in the top-left block exactly. This is the SWAP lemma's
-    verified construction; the estimation pipeline uses ``density_block``
-    and never builds this unitary.
-    """
-    a_dim = purification.env_dim
-    s_dim = purification.sys_dim
-    total_dim = a_dim * s_dim * s_dim
-    check_dim_within_cap(total_dim, "density block encoding")
-    u_rho = _complete_unitary(purification.vec)
-    eye_n = np.eye(s_dim)
-    swap = _swap_registers(s_dim, s_dim)
-    middle = kron(np.eye(a_dim), swap)
-    u_big = kron(u_rho, eye_n)
-    dilation = u_big.conj().T @ middle @ u_big
-    return dataclasses.replace(density_block(purification), dilation=dilation)
 
 
 def halmos_dilate(m) -> np.ndarray:
@@ -308,9 +208,8 @@ def be_product(
     Scale and error compose as (alpha_a * alpha_b) and
     (alpha_a * err_b + alpha_b * err_a); ancilla counts add. A given
     ``err`` is recorded instead of the composed error, for a caller that
-    bounds the defect against a different target. The result carries only
-    the product block: no dilation is composed. Its norm check is certified
-    by ||A B|| <= ||A|| ||B||.
+    bounds the defect against a different target. Its norm check is
+    certified by ||A B|| <= ||A|| ||B||.
     """
     if a.dim != b.dim:
         raise ValidationError(
@@ -325,23 +224,9 @@ def be_product(
     )
 
 
-def verify_block_encoding(be: BlockEncoding, target) -> float:
-    """Operator-norm defect || target - alpha * (<0^a| x I) U (|0^a> x I) ||.
-
-    The projection uses the dilation's own (physical) ancilla space; the
-    caller compares the returned defect with ``be.err``.
-    """
-    if be.dilation is None:
-        raise ValidationError("verify_block_encoding needs an explicit dilation")
-    target = as_complex_matrix(target, "target")
-    if target.shape != be.block.shape:
-        raise ValidationError("target shape does not match the encoded block")
-    return op_norm(target - be.alpha * be.dilation[: be.dim, : be.dim])
-
-
 def observable_block_encoding(o: Observable) -> BlockEncoding:
     """Error-free single-ancilla (max(1, ||O||), 1, 0) encoding of an
-    observable, without a dilation.
+    observable.
 
     The scale is max(1, ||O||): never below the operator norm, and never
     below 1 so that O/alpha stays a contraction even for tiny observables;

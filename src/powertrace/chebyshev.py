@@ -68,19 +68,6 @@ class ChebyshevPoly:
     def abs_coefficient_sum(self) -> float:
         return float(sum(abs(c) for c in self.coeffs.values()))
 
-    def to_json(self) -> dict:
-        return {
-            "parity": self.parity,
-            "coeffs": {str(n): float(c) for n, c in sorted(self.coeffs.items())},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChebyshevPoly":
-        return cls(
-            coeffs={int(n): float(c) for n, c in obj["coeffs"].items()},
-            parity=obj["parity"],
-        )
-
 
 @dataclass(frozen=True)
 class TruncationReport:

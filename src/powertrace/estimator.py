@@ -12,18 +12,18 @@ with the control probability P(0) = 1/2 + Re Tr(rho p(rho) O) / (2 alpha_O)
 for the plain setting and the imaginary part when an extra inverse phase
 gate precedes the final Hadamard.
 
-P(0) depends on the circuit's unitary only through its encoded block, so
-the estimator reads it from that identity (``closed_form_p_zero``) at
-every system size and builds no unitary; ``hadamard_test_prob``, the
-simulated circuit, is the reference the identity is tested against.
+P(0) depends on the circuit only through the encoded block, so the
+estimator reads it from that identity (``closed_form_p_zero``) at every
+system size, from the block alone.
 
 The readout draws the phase-estimation outcome exactly in O(W) time and
 memory, W a fixed window, whatever the grid size K: ``amplitude_estimate``
 picks one of the two rotation branches, computes that branch's law on the
 2W+1 outcomes around its peak and reaches the rest of the grid by
-rejection under a 1/distance^2 envelope. ``ae_outcome_distribution``
-builds the dense K-point law; it is the reference the draw is tested
-against and is not on the estimator's path.
+rejection under a 1/distance^2 envelope.
+
+The simulated Hadamard-test circuit and the dense K-point outcome law
+that these two are tested against are in ``reference``.
 """
 
 from __future__ import annotations
@@ -35,24 +35,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .blockenc import BlockEncoding, PurifiedState
-from .errors import ResourceError, UnreliableEstimateError, ValidationError
+from .errors import UnreliableEstimateError, ValidationError
 from .instances import derive_seed
-from .linalg import Observable, get_qubit_cap, trace_power_obs_oracle
+from .linalg import Observable, trace_power_obs_oracle
 from .qsvt import power_times_obs
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
 # half-width of the exactly computed outcome window around a branch's peak
 _AE_WINDOW = 2 ** 10
-
-
-@dataclass(frozen=True)
-class HadamardTestResult:
-    """Born probability of control outcome 0 for one circuit setting."""
-
-    p_zero: float
-    w_setting: str
-    circuit_qubits: int
 
 
 @dataclass(frozen=True)
@@ -91,69 +82,11 @@ class EstimationReport:
         return out
 
 
-def hadamard_test_prob(
-    be: BlockEncoding, purification: PurifiedState, w: str = "I"
-) -> HadamardTestResult:
-    """Exact control-0 probability of the Hadamard-test circuit.
-
-    This is the circuit-level reference that the estimator's identity,
-    ``closed_form_p_zero``, is tested against; the estimator itself never
-    calls it.
-
-    Registers are ordered (control, encoding ancillas, environment,
-    system). The circuit applies H on the control, the dilation controlled
-    on it, optionally the inverse phase gate on the control (setting
-    ``w="S_dagger"``), and a final H, starting from
-    |0>_c |0>_anc |purification>.
-
-    The circuit is simulated on its state vector: the dilation acts on
-    (ancillas, system) with the environment idle, so its image of the
-    ancilla-zero input is the purification, reshaped to (environment,
-    system), contracted with the dilation's ancilla-zero columns. No
-    operator on the whole circuit is built. The qubit cap bounds the
-    circuit width, 1 + ancillas + environment + system, and is checked
-    before anything is allocated.
-    """
-    if w not in ("I", "S_dagger"):
-        raise ValidationError(f'w must be "I" or "S_dagger", got {w!r}')
-    if be.dilation is None:
-        raise ValidationError("Hadamard test needs an explicit dilation")
-    if be.dim != purification.sys_dim:
-        raise ValidationError("encoded block does not act on the system register")
-    anc_dim = 2 ** be.physical_ancillas
-    env_dim = purification.env_dim
-    sys_dim = purification.sys_dim
-    total_qubits = 1 + be.physical_ancillas + purification.env_qubits + purification.sys_qubits
-    if total_qubits > get_qubit_cap():
-        raise ResourceError(
-            f"Hadamard-test circuit needs {total_qubits} qubits, cap is "
-            f"{get_qubit_cap()}"
-        )
-    psi = purification.vec.reshape(env_dim, sys_dim)
-    # U (|0>_anc x |psi_e>) for every environment row e, ordered (env, anc, sys)
-    image = (psi @ be.dilation[:, :sys_dim].T).reshape(env_dim, anc_dim, sys_dim)
-
-    rest_dim = anc_dim * env_dim * sys_dim
-    branch = np.zeros(rest_dim, dtype=np.complex128)
-    branch[: env_dim * sys_dim] = purification.vec  # ancillas in |0>
-
-    # after H_c and the controlled dilation: (|0>|phi> + |1>U|phi>)/sqrt(2)
-    amp0 = branch / math.sqrt(2.0)
-    amp1 = image.transpose(1, 0, 2).reshape(rest_dim) / math.sqrt(2.0)
-    if w == "S_dagger":
-        amp1 = -1j * amp1
-    # final H_c: outcome-0 amplitude (amp0 + amp1)/sqrt(2)
-    p_zero = float(np.linalg.norm((amp0 + amp1) / math.sqrt(2.0)) ** 2)
-    p_zero = min(max(p_zero, 0.0), 1.0)
-    return HadamardTestResult(
-        p_zero=p_zero, w_setting=w, circuit_qubits=total_qubits
-    )
-
-
 def closed_form_p_zero(be: BlockEncoding, purification: PurifiedState, w: str = "I") -> float:
     """The circuit-free identity P(0) = 1/2 + Re/Im(Tr(rho block))/(2 alpha).
 
-    Exact for any unitary with ancilla-zero block block/alpha; ``w="I"``
+    Exact for any unitary with ancilla-zero block block/alpha
+    (``reference.hadamard_test_prob`` simulates the circuit); ``w="I"``
     takes the real part, ``"S_dagger"`` the imaginary part.
     """
     return _p_zero(_block_trace(be, purification) / be.alpha, w)
@@ -175,37 +108,6 @@ def ae_error_bound(p: float, grid_size: int) -> float:
         2.0 * math.pi * math.sqrt(max(p * (1.0 - p), 0.0)) / grid_size
         + math.pi ** 2 / grid_size ** 2
     )
-
-
-def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
-    """Phase-estimation outcome distribution over the K-point grid.
-
-    The phase theta = arcsin(sqrt(p))/pi appears in both rotation
-    directions; each branch contributes the squared Dirichlet kernel
-    sin^2(K pi d) / (K^2 sin^2(pi d)) at grid offset d, and the branches
-    mix with weight 1/2.
-
-    This dense O(K) law is the reference the tests check the sampled
-    readout against; ``amplitude_estimate`` never builds it.
-    """
-    theta = math.asin(math.sqrt(p_true)) / math.pi
-    y = np.arange(grid_size)
-    probs = np.zeros(grid_size, dtype=np.float64)
-    for branch in (theta, -theta):
-        delta = branch - y / grid_size
-        sin_small = np.sin(np.pi * delta)
-        on_grid = np.abs(sin_small) < 1e-14
-        safe = np.where(on_grid, 1.0, sin_small)
-        kernel = np.where(
-            on_grid,
-            1.0,
-            (np.sin(grid_size * np.pi * delta) / (grid_size * safe)) ** 2,
-        )
-        probs += 0.5 * kernel
-    total = probs.sum()
-    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-        raise ValidationError(f"outcome distribution sums to {total}, not 1")
-    return probs / total
 
 
 def _check_mode(mode: str) -> None:
@@ -300,8 +202,7 @@ def amplitude_estimate(
     ``sampled`` draws a grid outcome y from the canonical phase-estimation
     distribution and returns sin^2(pi y / K). The draw is exact and costs
     O(W) time and memory at any K (window plus rejection-sampled tail, see
-    ``_draw_outcome``); the dense law ``ae_outcome_distribution`` is its
-    test reference only. ``ideal`` returns the true probability pushed
+    ``_draw_outcome``). ``ideal`` returns the true probability pushed
     exactly to the edge of the error bound, for deterministic worst-case
     budget checks.
     """

@@ -79,29 +79,6 @@ def _square_operator(m, name: str) -> np.ndarray:
     return mat
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Serialize a square matrix as {"dim": n, "re": [...], "im": [...]} row-major."""
-    arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError("only square matrices serialize to JSON")
-    flat = arr.reshape(-1)
-    return {
-        "dim": int(arr.shape[0]),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
-    if re.size != dim * dim or im.size != dim * dim:
-        raise ValidationError("matrix JSON entry count does not match dim*dim")
-    return (re + 1j * im).reshape(dim, dim)
-
-
 class EighResult(NamedTuple):
     """Spectral decomposition H = V diag(w) V^dag (``eigh`` sorts w ascending)."""
 
@@ -227,13 +204,6 @@ class DensityMatrix:
         w, v = self.spectrum()
         return (v * w ** int(k)) @ v.conj().T
 
-    def to_json(self) -> dict:
-        return matrix_to_json(self.mat)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DensityMatrix":
-        return cls(matrix_from_json(obj))
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -272,15 +242,6 @@ class Observable:
             object.__setattr__(self, "_spectrum", EighResult(w, v))
         return self._spectrum
 
-    def to_json(self) -> dict:
-        out = matrix_to_json(self.mat)
-        out["hermitian"] = self.hermitian
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Observable":
-        return cls(matrix_from_json(obj), hermitian=bool(obj.get("hermitian", True)))
-
 
 def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex:
     """Exact Tr(rho^k O) by repeated squaring.
@@ -303,18 +264,6 @@ def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex
 def op_norm(m) -> float:
     """Operator (spectral) norm: largest singular value."""
     return float(np.linalg.norm(as_complex_matrix(m), 2))
-
-
-def schatten1(m) -> float:
-    """Schatten 1-norm (trace norm): sum of singular values."""
-    return float(np.linalg.norm(as_complex_matrix(m), "nuc"))
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """T(a, b) = (1/2) ||a - b||_1."""
-    if a.dim != b.dim:
-        raise ValidationError("trace_distance requires matching dimensions")
-    return 0.5 * schatten1(a.mat - b.mat)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

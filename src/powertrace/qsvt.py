@@ -24,20 +24,6 @@ SUP_NORM_SLACK = 1e-9
 _SUP_GRID = 512
 
 
-@dataclass(frozen=True)
-class QsvtRequest:
-    """Validated bundle for one eigenvalue-transform application."""
-
-    source: BlockEncoding
-    poly: ChebyshevPoly
-    target_exponent: int
-    eps_poly: float
-
-    def validate(self) -> None:
-        _check_parity(self.poly, self.target_exponent)
-        _check_admissible(self.poly)
-
-
 def _check_parity(poly: ChebyshevPoly, exponent: int) -> None:
     if poly.parity == "none":
         raise ContractError("transform polynomial needs a definite parity")
@@ -103,8 +89,8 @@ def apply_poly(source: BlockEncoding, poly: ChebyshevPoly) -> BlockEncoding:
     error. The eigenbasis is the source's cached one (for the density
     block, the spectrum whose validation proved it Hermitian); a source
     without one is checked and diagonalised by ``eigh``. One ancilla is
-    added on top of the source's count. The result carries the block, no
-    dilation, max |p(l_i)| as its norm bound and (p(l_i), V) as its
+    added on top of the source's count. The result carries the block,
+    max |p(l_i)| as its norm bound and (p(l_i), V) as its
     spectrum, so p is evaluated once per transform.
     """
     if source.alpha != 1.0 or source.err != 0.0:

@@ -15,8 +15,10 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
-A config key outside the suite's defaults is rejected; ``seed`` is read
-by every suite, since POWERTRACE_SEED sets it for all of them.
+A config key outside the suite's defaults is rejected, and so is a value
+of another JSON kind than its default's; ``seed`` is read by every suite,
+since POWERTRACE_SEED sets it for all of them, and must be a non-negative
+integer wherever it comes from.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -616,8 +618,33 @@ def suite_defaults(suite: str) -> dict:
     return dict(suite_entry(suite).defaults)
 
 
+def _kind(value) -> str:
+    """The JSON kind of a config value; a bool is not a number."""
+    kinds = {bool: "boolean", int: "number", float: "number", str: "string", list: "list"}
+    return kinds.get(type(value), type(value).__name__)
+
+
+def _check_kind(key: str, value, default) -> None:
+    """Reject a config value of another JSON kind than its default's, and
+    for a list key any element of another kind than the default's
+    elements. ``seed`` is a non-negative integer, ``ae_grid_override`` an
+    integer."""
+    if key in ("seed", "ae_grid_override"):
+        ok = type(value) is int and (key != "seed" or value >= 0)
+        expected = "a non-negative integer" if key == "seed" else "an integer"
+    elif isinstance(default, list):
+        kinds = sorted({_kind(x) for x in default})
+        ok = isinstance(value, list) and all(_kind(x) in kinds for x in value)
+        expected = f"a list of {' or '.join(kinds)} values"
+    else:
+        ok, expected = _kind(value) == _kind(default), f"a {_kind(default)}"
+    if not ok:
+        raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
-    cfg = suite_defaults(suite)
+    defaults = suite_entry(suite).defaults
+    cfg = dict(defaults)
     readable = {*cfg, "seed"}
     for layer in (file_config or {}), (overrides or {}):
         for key, value in layer.items():
@@ -628,9 +655,12 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
                     f"suite {suite} reads no config key {key!r}; it reads {', '.join(sorted(readable))}"
                 )
             if value is not None:
+                _check_kind(key, value, defaults.get(key))
                 cfg[key] = value
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
+        if not env_seed.strip().isdecimal():
+            raise ValidationError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}")
         cfg["seed"] = int(env_seed)
     cfg["suite"] = suite
     return cfg

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from powertrace import blockenc, linalg
+from powertrace import blockenc, linalg, reference
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _with_unitary(be):
-    """Attach the one-ancilla Halmos dilation of block/alpha."""
-    return dataclasses.replace(be, dilation=pt.halmos_dilate(be.block / be.alpha))
+def _unitary(be):
+    """The one-ancilla Halmos dilation of block/alpha: a unitary realizing
+    the block-only encoding."""
+    return pt.halmos_dilate(be.block / be.alpha)
 
 
 def random_contraction(dim, seed):
@@ -212,35 +212,35 @@ def test_bare_vector_purification_rejects_a_bad_vector(vec, partial_traces):
     assert partial_traces == []
 
 
-# ------------------------------------------------- density_block_encoding
+# ------------------------------------------------- density_block_unitary
 
 def test_density_encoding_projector():
-    be = pt.density_block_encoding(pt.purify(pt.DensityMatrix(PROJ0)))
-    assert np.linalg.norm(be.dilation[:2, :2] - PROJ0, 2) <= 1e-10
+    pur = pt.purify(pt.DensityMatrix(PROJ0))
+    unitary = reference.density_block_unitary(pur)
+    assert np.linalg.norm(unitary[:2, :2] - PROJ0, 2) <= 1e-10
+    be = pt.density_block(pur)
     assert (be.alpha, be.ancillas, be.err) == (1.0, 2, 0.0)
 
 
 def test_density_encoding_maximally_mixed():
     rho = pt.DensityMatrix(np.eye(2, dtype=complex) / 2)
-    be = pt.density_block_encoding(pt.purify(rho))
-    assert np.linalg.norm(be.dilation[:2, :2] - rho.mat, 2) <= 1e-10
+    unitary = reference.density_block_unitary(pt.purify(rho))
+    assert np.linalg.norm(unitary[:2, :2] - rho.mat, 2) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_density_encoding_exact_on_random_states(seed):
     qubits = 1 + seed % 2
     rho = pt.random_density(qubits, 1 + seed % 2 ** qubits, seed)
-    be = pt.density_block_encoding(pt.purify(rho))
-    assert pt.verify_block_encoding(be, rho.mat) <= 1e-10
+    unitary = reference.density_block_unitary(pt.purify(rho))
+    assert reference.verify_block_encoding(unitary, 1.0, rho.mat) <= 1e-10
 
 
 def test_density_encoding_dilation_is_unitary():
     rho = pt.random_density(2, 3, seed=12)
-    be = pt.density_block_encoding(pt.purify(rho))
-    dim = be.dilation.shape[0]
-    assert (
-        np.linalg.norm(be.dilation.conj().T @ be.dilation - np.eye(dim), 2) <= 1e-9
-    )
+    unitary = reference.density_block_unitary(pt.purify(rho))
+    dim = unitary.shape[0]
+    assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim), 2) <= 1e-9
 
 
 def test_density_encoding_respects_cap():
@@ -248,18 +248,20 @@ def test_density_encoding_respects_cap():
     try:
         rho = pt.random_density(2, 2, seed=0)
         with pytest.raises(pt.ResourceError):
-            pt.density_block_encoding(pt.purify(rho))
+            reference.density_block_unitary(pt.purify(rho))
     finally:
         pt.set_qubit_cap(14)
 
 
 def test_density_block_is_the_encoding_without_its_dilation():
+    """The pipeline's block-only density encoding is the top-left block of
+    the SWAP-lemma unitary, on as many ancillas as the unitary has."""
     pur = pt.purify(pt.random_density(2, 3, seed=13))
     bare = pt.density_block(pur)
-    full = pt.density_block_encoding(pur)
-    assert bare.dilation is None
-    assert np.array_equal(bare.block, full.block)
-    assert (bare.alpha, bare.ancillas, bare.err) == (full.alpha, full.ancillas, full.err)
+    unitary = reference.density_block_unitary(pur)
+    assert unitary.shape[0] == 2 ** bare.ancillas * bare.dim
+    assert np.linalg.norm(unitary[: bare.dim, : bare.dim] - bare.block, 2) <= 1e-10
+    assert (bare.alpha, bare.err) == (1.0, 0.0)
 
 
 def test_reduced_state_is_computed_once():
@@ -319,6 +321,20 @@ def test_alpha_below_the_block_norm_is_rejected(seed):
     pt.BlockEncoding(block, norm, 1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "block, alpha, err",
+    [(np.diag([0.5, 0.1]), math.nan, 0.0), (np.diag([0.5, 0.1]), 1.0, math.nan),
+     (np.diag([0.5, 0.1]), math.inf, 0.0), (np.diag([0.5, 0.1]), -math.inf, 0.0),
+     (np.diag([0.5, 0.1]), 1.0, math.inf), (np.diag([0.5, 0.1]), 1.0, -0.1),
+     (np.diag([0.5, 0.1]), -1.0, 0.0), (np.zeros((2, 2)), 0.0, 0.0)],
+    ids=["alpha-nan", "err-nan", "alpha-inf", "alpha-minus-inf", "err-inf", "err-negative",
+         "alpha-negative", "alpha-zero"],
+)
+def test_scale_and_error_must_be_finite(block, alpha, err):
+    with pytest.raises(pt.ValidationError, match="alpha must be|error must be"):
+        pt.BlockEncoding(block, alpha, 1, err)
+
+
 def test_loose_norm_bound_falls_back_to_the_exact_norm():
     block = 2.0 * PROJ0
     # a bound above alpha certifies nothing: the exact norm decides
@@ -343,7 +359,7 @@ def test_pipeline_norm_bounds_hold(seed):
 
 def test_product_scale_and_ancilla_bookkeeping():
     rho = pt.random_density(1, 2, seed=1)
-    a = pt.density_block_encoding(pt.purify(rho))  # (1, 2, 0)
+    a = pt.density_block(pt.purify(rho))  # (1, 2, 0)
     b = pt.observable_block_encoding(pt.Observable(3 * PROJ0))  # (3, 1, 0)
     prod = pt.be_product(a, b)
     assert prod.alpha == pytest.approx(3.0)
@@ -357,18 +373,16 @@ def test_product_identity_times_identity():
     prod = pt.be_product(ident, ident)
     assert np.allclose(prod.block, np.eye(2), atol=1e-12)
     assert pt.op_norm(prod.block - np.eye(2)) <= 1e-10
-    assert prod.dilation is None
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_product_defect_within_bookkeeping(seed):
     m_a = random_contraction(2, seed)
     m_b = random_contraction(2, seed + 1000)
-    a = pt.BlockEncoding(m_a, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m_a))
-    b = pt.BlockEncoding(m_b, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m_b))
+    a = pt.BlockEncoding(m_a, 1.0, 1, 0.0)
+    b = pt.BlockEncoding(m_b, 1.0, 1, 0.0)
     prod = pt.be_product(a, b)
     assert pt.op_norm(prod.block - m_a @ m_b) <= prod.err + 1e-8
-    assert prod.dilation is None  # dilations on the factors are not composed
 
 
 def test_product_error_composition():
@@ -379,7 +393,6 @@ def test_product_error_composition():
     assert prod.alpha == pytest.approx(8.0)
     assert prod.ancillas == 3
     assert prod.err == pytest.approx(2.0 * 0.0625 + 4.0 * 0.125)
-    assert prod.dilation is None  # no dilations on the factors
     recorded = pt.be_product(a, b, err=0.5)
     assert recorded.err == 0.5
     assert (recorded.alpha, recorded.ancillas) == (prod.alpha, prod.ancillas)
@@ -396,24 +409,24 @@ def test_product_dim_mismatch():
 # --------------------------------------------------- verify_block_encoding
 
 def test_verify_needs_dilation():
-    be = pt.BlockEncoding(PROJ0, 1.0, 1, 0.0)
-    with pytest.raises(pt.ValidationError):
-        pt.verify_block_encoding(be, PROJ0)
+    """A unitary whose dimension is not a multiple of the target's cannot
+    hold the target in its ancilla-zero block."""
+    with pytest.raises(pt.ValidationError, match="does not dilate"):
+        reference.verify_block_encoding(PROJ0, 1.0, np.eye(4))
+    with pytest.raises(pt.ValidationError, match="does not dilate"):
+        reference.verify_block_encoding(np.eye(6), 1.0, np.eye(4))
 
 
 def test_verify_flags_corrupted_dilation():
     rho = pt.random_density(1, 2, seed=3)
-    be = pt.density_block_encoding(pt.purify(rho))
-    corrupted = be.dilation.copy()
+    corrupted = reference.density_block_unitary(pt.purify(rho))
     corrupted[:, 0] *= -1.0  # phase flip on one basis column
-    bad = pt.BlockEncoding(be.block, be.alpha, be.ancillas, be.err, dilation=corrupted)
-    assert pt.verify_block_encoding(bad, rho.mat) > 1e-3
+    assert reference.verify_block_encoding(corrupted, 1.0, rho.mat) > 1e-3
 
 
 def test_verify_halmos_is_exact():
     m = random_contraction(4, 42)
-    be = pt.BlockEncoding(m, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m))
-    assert pt.verify_block_encoding(be, m) <= 1e-10
+    assert reference.verify_block_encoding(pt.halmos_dilate(m), 1.0, m) <= 1e-10
 
 
 # --------------------------------------------- observable_block_encoding
@@ -423,18 +436,16 @@ def test_observable_encoding_pauli():
     assert np.array_equal(be.block, Z)
     assert be.alpha == pytest.approx(1.0)
     assert be.ancillas == 1
-    assert be.dilation is None
-    assert pt.verify_block_encoding(_with_unitary(be), Z) <= 1e-10
+    assert reference.verify_block_encoding(_unitary(be), be.alpha, Z) <= 1e-10
 
 
 def test_observable_encoding_scaled_projector():
     be = pt.observable_block_encoding(pt.Observable(3 * PROJ0))
     assert np.array_equal(be.block, 3 * PROJ0)
     assert be.alpha == pytest.approx(3.0, abs=1e-9)
-    assert be.dilation is None
-    unitary = _with_unitary(be)
-    assert np.allclose(unitary.dilation[:2, :2], PROJ0, atol=1e-9)
-    assert pt.verify_block_encoding(unitary, 3 * PROJ0) <= 1e-10
+    unitary = _unitary(be)
+    assert np.allclose(unitary[:2, :2], PROJ0, atol=1e-9)
+    assert reference.verify_block_encoding(unitary, be.alpha, 3 * PROJ0) <= 1e-10
 
 
 def test_observable_encoding_x_plus_z():
@@ -445,21 +456,6 @@ def test_observable_encoding_x_plus_z():
 def test_observable_encoding_small_norm_keeps_alpha_one():
     be = pt.observable_block_encoding(pt.Observable(0.25 * Z))
     assert be.alpha == 1.0
-
-
-# ------------------------------------------------------------ serialization
-
-def test_block_encoding_json_round_trip():
-    rho = pt.random_density(1, 2, seed=9)
-    be = pt.density_block_encoding(pt.purify(rho))
-    loaded = pt.BlockEncoding.from_json(be.to_json())
-    assert np.allclose(loaded.block, be.block, atol=1e-15)
-    assert loaded.alpha == be.alpha
-    assert loaded.err == be.err
-    assert loaded.ancillas == be.ancillas
-    # the reloaded dilation is a fresh one-ancilla construction
-    assert loaded.physical_ancillas == 1
-    assert pt.verify_block_encoding(loaded, rho.mat) <= loaded.err + 1e-9
 
 
 def test_alpha_below_norm_rejected():

@@ -268,10 +268,3 @@ def test_poly_parity_validation():
         pt.ChebyshevPoly(coeffs={0: 0.5, 1: 0.5}, parity="even")
     with pytest.raises(pt.ValidationError):
         pt.ChebyshevPoly(coeffs={2: 1.0}, parity="odd")
-
-
-def test_poly_json_round_trip():
-    p = pt.truncate(pt.power_expansion(9), 5).kept
-    back = pt.ChebyshevPoly.from_json(p.to_json())
-    assert back.coeffs == p.coeffs
-    assert back.parity == p.parity

@@ -132,6 +132,69 @@ def test_seed_and_suite_keys_are_accepted_by_every_suite(monkeypatch):
         assert cfg["seed"] == 4 and cfg["suite"] == suite
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, config_seed",
+    [(["estimate", "--seed", "-1"], None, None), (["approx", "--seed", "-3"], None, None),
+     (["approx"], "abc", None), (["estimate"], "-1", None), (["estimate"], "1.5", None),
+     (["bounds"], "", None), (["estimate"], None, -2), (["estimate"], None, "7"),
+     (["approx"], None, 1.5), (["baseline"], None, True)],
+    ids=["flag-negative", "flag-negative-no-default", "env-text", "env-negative", "env-float",
+         "env-empty", "file-negative", "file-string", "file-float", "file-bool"],
+)
+def test_seed_that_is_not_a_non_negative_integer_exits_2(
+    resolved, monkeypatch, tmp_path, capsys, argv, env_seed, config_seed
+):
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+    if config_seed is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": config_seed}))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err
+    assert (SEED_ENV_VAR if env_seed is not None else "'seed'") in err
+    assert resolved == []
+
+
+def test_seed_from_each_source_is_accepted(resolved, monkeypatch, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    assert main(["approx", "--config", str(cfg)]) == 0
+    assert main(["approx", "--seed", "0"]) == 0
+    monkeypatch.setenv(SEED_ENV_VAR, " 12 ")
+    assert main(["approx", "--seed", "5"]) == 0
+    assert [cfg["seed"] for _, cfg, _ in resolved] == [3, 0, 12]
+
+
+@pytest.mark.parametrize(
+    "suite, key, value, expected",
+    [("estimate", "runs", "x", "a number"), ("estimate", "k_values", 5, "a list of number values"),
+     ("estimate", "k_values", [4, "8"], "a list of number values"), ("estimate", "eps", [0.1], "a number"),
+     ("estimate", "mode", 3, "a string"), ("estimate", "qubits", True, "a number"),
+     ("estimate", "ae_grid_override", 64.0, "an integer"), ("estimate", "ae_grid_override", "64", "an integer"),
+     ("approx", "slope_range", [0.4, None], "a list of number values"),
+     ("separation", "observable_kind", ["pauli:ZI"], "a string"), ("bqp", "runs", {"n": 1}, "a number")],
+    ids=["runs-string", "k_values-scalar", "k_values-string-element", "eps-list", "mode-number",
+         "qubits-bool", "ae_grid_override-float", "ae_grid_override-string", "slope_range-null-element",
+         "observable_kind-list", "runs-object"],
+)
+def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suite, key, value, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": suite, key: value}))
+    assert main([suite, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key!r} must be {expected}" in err
+    assert resolved == []
+
+
+def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    given = {"eps": 1, "k_values": [4, 8.0], "mode": "ideal", "ae_grid_override": 64, "runs": None}
+    cfg = resolve_config("estimate", given, None)
+    assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its worker count and maps
     in this process, starting none."""

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import powertrace as pt
-from powertrace import blockenc, estimator, linalg, qsvt
+from powertrace import blockenc, estimator, linalg, qsvt, reference
 from powertrace.cli import main
-from powertrace.blockenc import _swap_registers
-from powertrace.estimator import ae_error_bound, ae_outcome_distribution, choose_ae_grid, closed_form_p_zero
+from powertrace.estimator import ae_error_bound, choose_ae_grid, closed_form_p_zero
+from powertrace.reference import _swap_registers, ae_outcome_distribution, hadamard_test_prob
 from powertrace.instances import derive_seed
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -23,32 +22,29 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 def test_zero_block_gives_half():
     rho = pt.random_density(1, 2, seed=0)
-    zero = np.zeros((2, 2), dtype=complex)
-    be = pt.BlockEncoding(zero, 1.0, 1, 0.0, dilation=pt.halmos_dilate(zero))
-    result = pt.hadamard_test_prob(be, pt.purify(rho), "I")
-    assert result.p_zero == pytest.approx(0.5, abs=1e-12)
+    p_zero = hadamard_test_prob(pt.halmos_dilate(np.zeros((2, 2))), pt.purify(rho), "I")
+    assert p_zero == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pure_state_projector_gives_one():
     rho = pt.random_density(2, 1, seed=1)
-    be = pt.BlockEncoding(rho.mat, 1.0, 1, 0.0, dilation=pt.halmos_dilate(rho.mat))
-    result = pt.hadamard_test_prob(be, pt.purify(rho), "I")
-    assert result.p_zero == pytest.approx(1.0, abs=1e-10)
+    p_zero = hadamard_test_prob(pt.halmos_dilate(rho.mat), pt.purify(rho), "I")
+    assert p_zero == pytest.approx(1.0, abs=1e-10)
 
 
-def _with_unitary(be):
-    """The pipeline's block-only encoding with the one-ancilla Halmos
-    dilation of block/alpha attached, so the circuit can be simulated."""
-    return dataclasses.replace(be, dilation=pt.halmos_dilate(be.block / be.alpha))
+def _unitary(be):
+    """The one-ancilla Halmos dilation of block/alpha: a unitary realizing
+    the pipeline's block-only encoding, so the circuit can be simulated."""
+    return pt.halmos_dilate(be.block / be.alpha)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_circuit_matches_closed_form(seed):
     rho = pt.random_density(2, 2, seed)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
-    be = _with_unitary(pt.power_times_obs(pt.purify(rho), obs, 3, 0.05)[0])
+    be = pt.power_times_obs(pt.purify(rho), obs, 3, 0.05)[0]
     for setting in ("I", "S_dagger"):
-        circuit = pt.hadamard_test_prob(be, pt.purify(rho), setting).p_zero
+        circuit = hadamard_test_prob(_unitary(be), pt.purify(rho), setting)
         assert circuit == pytest.approx(
             closed_form_p_zero(be, pt.purify(rho), setting), abs=1e-10
         )
@@ -62,12 +58,12 @@ def _embed_outer_pair(u, dim_outer_pair, dim_mid):
     return perm @ big @ perm.conj().T
 
 
-def _dense_circuit_p_zero(be, purification, w):
-    """Control-0 probability from the whole-circuit operator: the dilation
+def _dense_circuit_p_zero(unitary, purification, w):
+    """Control-0 probability from the whole-circuit operator: the unitary
     embedded on (ancillas, environment, system) applied to the input."""
-    anc_dim = 2 ** be.physical_ancillas
     env_dim, sys_dim = purification.env_dim, purification.sys_dim
-    u_embedded = _embed_outer_pair(be.dilation, (anc_dim, sys_dim), env_dim)
+    anc_dim = unitary.shape[0] // sys_dim
+    u_embedded = _embed_outer_pair(unitary, (anc_dim, sys_dim), env_dim)
     branch = np.zeros(anc_dim * env_dim * sys_dim, dtype=complex)
     branch[: env_dim * sys_dim] = purification.vec
     image = u_embedded @ branch
@@ -92,29 +88,29 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
         else:
             obs = _non_hermitian_observable(n, seed)
         pur = pt.purify(rho)
-        be = _with_unitary(pt.power_times_obs(pur, obs, 4, 0.05)[0])
+        unitary = _unitary(pt.power_times_obs(pur, obs, 4, 0.05)[0])
         for setting in ("I", "S_dagger"):
-            circuit = pt.hadamard_test_prob(be, pur, setting).p_zero
-            assert abs(circuit - _dense_circuit_p_zero(be, pur, setting)) <= 1e-12
+            circuit = hadamard_test_prob(unitary, pur, setting)
+            assert abs(circuit - _dense_circuit_p_zero(unitary, pur, setting)) <= 1e-12
 
 
 def test_hadamard_test_respects_cap():
     rho = pt.random_density(2, 2, seed=2)
     be, _ = pt.power_times_obs(pt.purify(rho), pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
-    be = _with_unitary(be)  # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
+    unitary = _unitary(be)  # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
     pt.set_qubit_cap(5)
     try:
         with pytest.raises(pt.ResourceError):
-            pt.hadamard_test_prob(be, pt.purify(rho), "I")
+            hadamard_test_prob(unitary, pt.purify(rho), "I")
     finally:
         pt.set_qubit_cap(14)
 
 
 def test_hadamard_test_rejects_bad_setting():
     rho = pt.random_density(1, 2, seed=3)
-    be = pt.density_block_encoding(pt.purify(rho))
+    unitary = reference.density_block_unitary(pt.purify(rho))
     with pytest.raises(pt.ValidationError):
-        pt.hadamard_test_prob(be, pt.purify(rho), "S")
+        hadamard_test_prob(unitary, pt.purify(rho), "S")
 
 
 # ---------------------------------------------------------- amplitude_estimate
@@ -478,23 +474,21 @@ def test_estimate_builds_no_unitary(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
 
-    for module in (blockenc, qsvt, estimator):
-        for name in ("halmos_dilate", "hadamard_test_prob"):
-            if hasattr(module, name):
-                counting(module, name)
+    counting(blockenc, "halmos_dilate")
+    for name in ("_complete_unitary", "density_block_unitary", "hadamard_test_prob"):
+        counting(reference, name)
     pur = pt.purify(pt.random_density(2, 3, seed=18))
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=18))
     pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
     pt.estimate_trace_power(pur, _non_hermitian_observable(2, 18), 5, 0.05, seed=0)
     assert calls == []
-    assert pt.power_times_obs(pur, obs, 5, 0.05)[0].dilation is None
 
 
 def test_no_sampled_draw_builds_the_dense_law(monkeypatch, tmp_path):
     def dense_law(*args, **kwargs):
         raise AssertionError("the sampled readout built the dense outcome law")
 
-    monkeypatch.setattr(estimator, "ae_outcome_distribution", dense_law)
+    monkeypatch.setattr(reference, "ae_outcome_distribution", dense_law)
     pur = pt.purify(pt.random_density(1, 2, seed=19))
     report = pt.estimate_trace_power(pur, pt.Observable(Z), 4, 1e-5, seed=0)
     assert report.ae_queries_K >= 2 ** 20

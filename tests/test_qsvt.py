@@ -10,7 +10,7 @@ PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
 
 def density_be(rho):
-    return pt.density_block_encoding(pt.purify(rho))
+    return pt.density_block(pt.purify(rho))
 
 
 # ---------------------------------------------------------------- apply_poly
@@ -89,12 +89,13 @@ def test_admissibility_certificate_then_scan(monkeypatch):
 
 
 def test_qsvt_request_rejects_what_the_scan_rejects():
+    """A transform request is admitted by ``apply_poly``'s own check."""
     rho = pt.random_density(1, 2, seed=4)
     wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
-    pt.QsvtRequest(density_be(rho), wide, target_exponent=3, eps_poly=0.1).validate()
+    pt.apply_poly(density_be(rho), wide)
     too_wide = pt.ChebyshevPoly({1: 1.2, 3: -0.1}, parity="odd")  # p(1) = 1.1
     with pytest.raises(pt.ContractError, match="sup-norm"):
-        pt.QsvtRequest(density_be(rho), too_wide, target_exponent=3, eps_poly=0.1).validate()
+        pt.apply_poly(density_be(rho), too_wide)
 
 
 def test_transform_carries_its_spectrum():
@@ -116,18 +117,19 @@ def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
 
 def test_rejects_non_hermitian_block():
     m = np.array([[0, 0.5], [0, 0]], dtype=complex)
-    be = pt.BlockEncoding(m, 1.0, 1, 0.0, dilation=pt.halmos_dilate(m))
+    be = pt.BlockEncoding(m, 1.0, 1, 0.0)
     with pytest.raises(pt.ValidationError):
         pt.apply_poly(be, pt.ChebyshevPoly({1: 1.0}, parity="odd"))
 
 
 def test_qsvt_request_parity_discipline():
-    rho = pt.random_density(1, 2, seed=4)
+    """The polynomial's parity must match the exponent it approximates."""
     poly = pt.truncate(pt.power_expansion(3), 3).kept  # odd
-    req = pt.QsvtRequest(density_be(rho), poly, target_exponent=2, eps_poly=0.1)
-    with pytest.raises(pt.ContractError):
-        req.validate()
-    pt.QsvtRequest(density_be(rho), poly, target_exponent=3, eps_poly=0.1).validate()
+    with pytest.raises(pt.ContractError, match="does not match exponent"):
+        qsvt._check_parity(poly, 2)
+    qsvt._check_parity(poly, 3)
+    with pytest.raises(pt.ContractError, match="definite parity"):
+        qsvt._check_parity(pt.ChebyshevPoly({0: 0.5, 1: 0.5}), 3)
 
 
 # ------------------------------------------------------ power_block_encoding
