@@ -4,6 +4,8 @@ memory, for n = 1..10 system qubits.
 Each row is one full-rank instance (k = 16, eps = 0.05, random Hermitian O,
 seed = n):
 
+- ``observable_s``: wall time of ``make_observable`` (rows recorded before
+  this column existed lack it);
 - ``setup_s``: wall time of ``make_state`` + ``purify``;
 - ``estimate_s``: wall time of one ``estimate_trace_power`` on that
   purification;
@@ -45,7 +47,9 @@ MIB = 2 ** 20
 
 def measure(n: int) -> dict:
     spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=n)
-    obs = pt.make_observable(spec)  # an input of the estimate, outside both timings
+    start = time.perf_counter()
+    obs = pt.make_observable(spec)
+    observable_s = time.perf_counter() - start
     start = time.perf_counter()
     pur = pt.purify(pt.make_state(spec))
     setup_s = time.perf_counter() - start
@@ -61,6 +65,7 @@ def measure(n: int) -> dict:
         tracemalloc.stop()
     return {
         "n": n,
+        "observable_s": observable_s,
         "setup_s": setup_s,
         "estimate_s": estimate_s,
         "tracemalloc_peak_mib": peak / MIB,

@@ -2,12 +2,13 @@
 trace-power estimation.
 
 The package estimates Tr(rho^k O) under purified access by combining
-Chebyshev approximations of the power function, block-encoding algebra,
-an exact eigenvalue-transform stand-in for the singular-value transform,
-and a Hadamard-test + amplitude-estimation readout; a generalized swap
-test provides the sample-access baseline, and lower-bound constructions
-make the sample-vs-query separation runnable. Every estimate ships with
-the exact dense-matrix oracle value for self-validation.
+Chebyshev approximations of the power function, an exact
+eigenvalue-transform stand-in for the singular-value transform of the
+density block encoding, and a Hadamard-test + amplitude-estimation
+readout; a generalized swap test provides the sample-access baseline,
+and lower-bound constructions make the sample-vs-query separation
+runnable. Every estimate ships with the exact dense-matrix oracle value
+for self-validation.
 """
 
 from .errors import (
@@ -43,16 +44,8 @@ from .chebyshev import (
     sup_error_scan,
     truncate,
 )
-from .blockenc import (
-    BlockEncoding,
-    PurifiedState,
-    be_product,
-    density_block,
-    halmos_dilate,
-    observable_block_encoding,
-    purify,
-)
-from .qsvt import QueryLedger, apply_poly, power_block_encoding, power_times_obs
+from .blockenc import PurifiedState, halmos_dilate, purify
+from .qsvt import QueryLedger, power_block_encoding
 from .estimator import (
     AE_SUCCESS_PROB,
     AeOutcome,
@@ -87,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AE_SUCCESS_PROB",
     "AeOutcome",
-    "BlockEncoding",
     "BqpInstance",
     "ChebyshevPoly",
     "ConstructionError",
@@ -112,13 +104,10 @@ __all__ = [
     "ValidationError",
     "VdRatioResult",
     "amplitude_estimate",
-    "apply_poly",
-    "be_product",
     "bqp_instance",
     "clenshaw_eval",
     "cyclic_permutation",
     "degree_lower_bound_solve",
-    "density_block",
     "discrimination_instance",
     "eigh",
     "estimate_trace_power",
@@ -132,13 +121,11 @@ __all__ = [
     "make_observable",
     "make_state",
     "minimal_empirical_degree",
-    "observable_block_encoding",
     "op_norm",
     "partial_trace",
     "pauli_string",
     "power_block_encoding",
     "power_expansion",
-    "power_times_obs",
     "purify",
     "random_density",
     "random_unitary",

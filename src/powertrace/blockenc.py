@@ -1,25 +1,20 @@
-"""Purifications, block encodings, and unitary dilations of contractions.
+"""Purifications and unitary dilations of contractions.
 
-A block encoding of a matrix A is a scale ``alpha >= ||A||`` and an
-ancilla count a such that some unitary U on (ancillas, system) holds A/alpha
-in its top-left block (the ancilla-zero subspace, ancillas leading in
-Kronecker order) up to the recorded error:
-
-    || A - alpha * (<0^a| x I) U (|0^a> x I) || <= err.
-
-The estimation pipeline reads only that block (the Hadamard test's outcome
-law depends on U only through it), so a ``BlockEncoding`` is the block, its
-scale, error and ancilla count, and no unitary: the density block, the
-observable encoding and their product. ``ancillas`` is the count of the
-query-model construction being simulated and is what complexity
-bookkeeping uses. ``halmos_dilate`` builds a contraction's one-ancilla
-unitary, which the hybrid-argument bound runs; the SWAP-lemma unitary of
-the density block lives with the other test references in ``reference``.
+A block encoding of a matrix A is a scale ``alpha >= ||A||`` and a unitary
+U on (ancillas, system) holding A/alpha in its top-left block, the
+ancilla-zero subspace with the ancillas leading in Kronecker order. The
+estimation pipeline never builds one: the density block encoding of a
+purified state holds rho, the eigenvalue transform maps it to p(rho), and
+the Hadamard test reads Tr(rho p(rho) O)/alpha_O, which the estimator sums
+over rho's spectrum. This module holds what that sum starts from: the
+purification, which carries rho and its spectrum. ``halmos_dilate`` builds
+a contraction's one-ancilla unitary, which the hybrid-argument bound runs;
+the SWAP-lemma unitary of the density block lives with the other test
+references in ``reference``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,16 +22,12 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
-    EighResult,
-    Observable,
     _psd_sqrt,
     as_complex_matrix,
     check_dim_within_cap,
     op_norm,
     partial_trace,
 )
-
-ALPHA_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,6 @@ class PurifiedState:
     sys_qubits: int
     vec: np.ndarray
     _reduced: DensityMatrix | None = field(default=None, repr=False, compare=False)
-    # ((exponent, degree), (encoding, ledger)) of the last power_block_encoding
-    _last_power: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=np.complex128).reshape(-1)
@@ -84,48 +73,6 @@ class PurifiedState:
         return self._reduced
 
 
-@dataclass(frozen=True)
-class BlockEncoding:
-    """(alpha, ancillas, err) block encoding: the encoded block, no unitary.
-
-    alpha must be finite and positive, err finite and nonnegative.
-    alpha >= ||block|| is checked by an SVD, unless the pipeline's
-    constructors pass an upper bound ``_norm_bound`` they hold (from a
-    Hermitian block's spectrum, or ||A|| ||B|| for a product) that lies
-    within alpha and so certifies it. ``_spectrum`` is a Hermitian block's
-    known eigendecomposition (the state's own, or (p(l_i), V) for p(rho)).
-    """
-
-    block: np.ndarray
-    alpha: float
-    ancillas: int
-    err: float
-    _norm_bound: float | None = field(default=None, repr=False, compare=False)
-    _spectrum: EighResult | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(f"alpha must be finite and positive, got {self.alpha!r}")
-        if not (math.isfinite(self.err) and self.err >= 0):
-            raise ValidationError(f"block-encoding error must be finite and nonnegative, got {self.err!r}")
-        if self.ancillas < 0:
-            raise ValidationError("ancilla count must be nonnegative")
-        block = as_complex_matrix(self.block, "encoded block")
-        if block.shape[0] != block.shape[1]:
-            raise ValidationError("encoded block must be square")
-        object.__setattr__(self, "block", block)
-        bound = self._norm_bound
-        if bound is None or bound > self.alpha + ALPHA_SLACK:
-            bound = op_norm(block)
-            if self.alpha < bound - ALPHA_SLACK:
-                raise ValidationError(f"alpha {self.alpha} is below the block norm {bound}")
-        object.__setattr__(self, "_norm_bound", bound)
-
-    @property
-    def dim(self) -> int:
-        return self.block.shape[0]
-
-
 def purify(rho: DensityMatrix) -> PurifiedState:
     """Canonical purification with an environment as wide as the system.
 
@@ -155,26 +102,6 @@ def purify(rho: DensityMatrix) -> PurifiedState:
     return PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec, _reduced=rho)
 
 
-def density_block(purification: PurifiedState) -> BlockEncoding:
-    """Exact (1, a+n, 0) block encoding of the purified density matrix.
-
-    The block is the reduced state with its cached spectrum, and the
-    ancilla count is that of the SWAP-lemma circuit
-    (``reference.density_block_unitary``): all the transform and the
-    ledger read.
-    """
-    rho = purification.reduced_state()
-    spectrum = rho.spectrum()
-    return BlockEncoding(
-        block=rho.mat,
-        alpha=1.0,
-        ancillas=purification.env_qubits + purification.sys_qubits,
-        err=0.0,
-        _norm_bound=float(np.max(np.abs(spectrum.eigenvalues))),
-        _spectrum=spectrum,
-    )
-
-
 def halmos_dilate(m) -> np.ndarray:
     """One-ancilla unitary dilation of a contraction M:
 
@@ -198,40 +125,3 @@ def halmos_dilate(m) -> np.ndarray:
     top_right = _psd_sqrt(eye - m @ m.conj().T)
     bottom_left = _psd_sqrt(eye - m.conj().T @ m)
     return np.block([[m, top_right], [bottom_left, -m.conj().T]])
-
-
-def be_product(
-    a: BlockEncoding, b: BlockEncoding, err: float | None = None
-) -> BlockEncoding:
-    """Block encoding of the product A @ B from encodings of A and B.
-
-    Scale and error compose as (alpha_a * alpha_b) and
-    (alpha_a * err_b + alpha_b * err_a); ancilla counts add. A given
-    ``err`` is recorded instead of the composed error, for a caller that
-    bounds the defect against a different target. Its norm check is
-    certified by ||A B|| <= ||A|| ||B||.
-    """
-    if a.dim != b.dim:
-        raise ValidationError(
-            f"block dimension mismatch: {a.dim} vs {b.dim}"
-        )
-    return BlockEncoding(
-        block=a.block @ b.block,
-        alpha=a.alpha * b.alpha,
-        ancillas=a.ancillas + b.ancillas,
-        err=a.alpha * b.err + b.alpha * a.err if err is None else err,
-        _norm_bound=a._norm_bound * b._norm_bound,
-    )
-
-
-def observable_block_encoding(o: Observable) -> BlockEncoding:
-    """Error-free single-ancilla (max(1, ||O||), 1, 0) encoding of an
-    observable.
-
-    The scale is max(1, ||O||): never below the operator norm, and never
-    below 1 so that O/alpha stays a contraction even for tiny observables;
-    ``halmos_dilate(o.mat / alpha)`` is then a unitary realizing the block.
-    """
-    return BlockEncoding(
-        block=o.mat, alpha=max(1.0, o.op_norm), ancillas=1, err=0.0, _norm_bound=o.op_norm
-    )

@@ -7,7 +7,8 @@ Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
 -h`` lists them and the key each one sets. Any other flag, a config-file
 key the suite does not read, a value of the wrong kind, a seed that is
-not a non-negative integer, or ``--jobs`` below 1 exits 2.
+not a non-negative integer, a count (runs, repeats, shots, grid size)
+below its least value, or ``--jobs`` below 1 exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition

@@ -1,10 +1,11 @@
 """End-to-end estimation of Tr(rho^k O) from purified access.
 
-Pipeline: encode p(rho) O with p a truncated Chebyshev expansion of
-x^(k-1) (model error budget eps/2 at trace level), read the overlap out of
-a Hadamard-test circuit, and estimate the control-qubit probability with a
-simulated phase-estimation grid (amplitude-estimation error budget eps/2
-after scale amplification). The final estimator is
+Pipeline: transform the density block encoding by p, a truncated
+Chebyshev expansion of x^(k-1) (model error budget eps/2 at trace level),
+multiply by the observable's (max(1, ||O||), 1) encoding, read the overlap
+out of a Hadamard-test circuit, and estimate the control-qubit probability
+with a simulated phase-estimation grid (amplitude-estimation error budget
+eps/2 after scale amplification). The final estimator is
 
     E = alpha_O * (2 P(0) - 1),
 
@@ -12,9 +13,14 @@ with the control probability P(0) = 1/2 + Re Tr(rho p(rho) O) / (2 alpha_O)
 for the plain setting and the imaginary part when an extra inverse phase
 gate precedes the final Hadamard.
 
-P(0) depends on the circuit only through the encoded block, so the
-estimator reads it from that identity (``closed_form_p_zero``) at every
-system size, from the block alone.
+P(0) depends on the circuit only through its encoded block p(rho) O /
+alpha_O, and p(rho) is diagonal in rho's eigenbasis (l, V), so the overlap
+is the spectral sum
+
+    Tr(rho p(rho) O) = sum_i l_i p(l_i) (V^dag O V)_ii,
+
+read from the spectrum the purification carries and one O V product. No
+d x d block is built.
 
 The readout draws the phase-estimation outcome exactly in O(W) time and
 memory, W a fixed window, whatever the grid size K: ``amplitude_estimate``
@@ -22,8 +28,9 @@ picks one of the two rotation branches, computes that branch's law on the
 2W+1 outcomes around its peak and reaches the rest of the grid by
 rejection under a 1/distance^2 envelope.
 
-The simulated Hadamard-test circuit and the dense K-point outcome law
-that these two are tested against are in ``reference``.
+The simulated Hadamard-test circuit, the block identity
+``closed_form_p_zero`` and the dense K-point outcome law that these are
+tested against are in ``reference``.
 """
 
 from __future__ import annotations
@@ -34,11 +41,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, PurifiedState
+from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
 from .instances import derive_seed
 from .linalg import Observable, trace_power_obs_oracle
-from .qsvt import power_times_obs
+from .qsvt import QueryLedger, power_block_encoding
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
@@ -82,19 +89,28 @@ class EstimationReport:
         return out
 
 
-def closed_form_p_zero(be: BlockEncoding, purification: PurifiedState, w: str = "I") -> float:
-    """The circuit-free identity P(0) = 1/2 + Re/Im(Tr(rho block))/(2 alpha).
+def _power_overlap(
+    purification: PurifiedState, o: Observable, k: int, eps: float
+) -> tuple[complex, float, QueryLedger]:
+    """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and the ledger.
 
-    Exact for any unitary with ancilla-zero block block/alpha
-    (``reference.hadamard_test_prob`` simulates the circuit); ``w="I"``
-    takes the real part, ``"S_dagger"`` the imaginary part.
+    p approximates x^(k-1) to eps / (2 ||O||), so the trace-level model
+    error stays below eps / 2, and alpha_O = max(1, ||O||): never below
+    the operator norm, and never below 1 so that O / alpha_O stays a
+    contraction for tiny observables. The overlap is
+    sum_i l_i p(l_i) (V^dag O V)_ii over rho's cached spectrum (l, V).
     """
-    return _p_zero(_block_trace(be, purification) / be.alpha, w)
-
-
-def _block_trace(be: BlockEncoding, purification: PurifiedState) -> complex:
-    """Tr(rho block), the Hadamard test's overlap times alpha, in O(d^2)."""
-    return complex(np.sum(purification.reduced_state().mat * be.block.T))
+    if purification.sys_dim != o.dim:
+        raise ValidationError(
+            f"system dim {purification.sys_dim} does not match observable dim {o.dim}"
+        )
+    if o.op_norm <= 0.0:
+        raise ValidationError("observable must be nonzero")
+    eps_poly = min(1.0, eps / (2.0 * o.op_norm))
+    (p_w, v), ledger = power_block_encoding(purification, k, eps_poly)
+    w = purification.reduced_state().spectrum().eigenvalues
+    o_diag = np.sum(v.conj() * (o.mat @ v), axis=0)  # (V^dag O V)_ii
+    return complex(np.sum(w * p_w * o_diag)), max(1.0, o.op_norm), ledger
 
 
 def _p_zero(overlap: complex, w: str) -> float:
@@ -261,16 +277,17 @@ def estimate_trace_power(
 
     One circuit setting for Hermitian O; non-Hermitian O adds a second,
     phase-shifted setting for the imaginary part (each with the full
-    budget). Each setting's control probability P(0) comes from the block
-    identity ``closed_form_p_zero``, one exact route at every system size,
-    and feeds the amplitude-estimation readout. The report splits the error
-    budget (eps/2 model error at trace level, eps/2 after
-    amplitude-estimation amplification) and carries the exact oracle value
-    and query counts. ``ae_grid`` forces a specific
-    readout grid size instead of the smallest one meeting the budget; it and
-    ``mode`` are checked before any encoding is built. Tr(rho block) is
-    computed once and serves every setting and the trace-level model
-    error. Nothing decomposes rho again: every stage reads the state and
+    budget). Each setting's control probability P(0) comes from the
+    overlap Tr(rho p(rho) O), one spectral sum over rho's cached
+    eigenbasis at every system size, and feeds the amplitude-estimation
+    readout. The report splits the error budget (eps/2 model error at
+    trace level, eps/2 after amplitude-estimation amplification) and
+    carries the exact oracle value and query counts. ``ae_grid`` forces a
+    specific readout grid size instead of the smallest one meeting the
+    budget; it and ``mode`` are checked before the overlap is computed.
+    The overlap is computed once and serves every setting and the
+    trace-level model error. Nothing decomposes rho again, and no d x d
+    block of p(rho) or p(rho) O is built: every stage reads the state and
     spectrum the purification carries.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
@@ -280,16 +297,14 @@ def estimate_trace_power(
     _check_mode(mode)
     if ae_grid is not None:
         _check_grid(ae_grid, mode)
-    be, ledger = power_times_obs(purification, o, int(k), eps)
-    alpha_o = be.alpha
+    overlap, alpha_o, ledger = _power_overlap(purification, o, int(k), eps)
     eps_prime = eps / (4.0 * alpha_o)
     grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
 
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
-    block_trace = _block_trace(be, purification)
     parts = []
     for idx, setting in enumerate(settings):
-        p_true = _p_zero(block_trace / alpha_o, setting)
+        p_true = _p_zero(overlap / alpha_o, setting)
         outcome = amplitude_estimate(
             p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx)
         )
@@ -297,7 +312,7 @@ def estimate_trace_power(
     estimate = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
 
     oracle = trace_power_obs_oracle(purification.reduced_state(), o, int(k))
-    model_error = abs(block_trace - oracle)
+    model_error = abs(overlap - oracle)
     return EstimationReport(
         estimate=estimate,
         oracle_value=oracle,

@@ -1,11 +1,12 @@
 """Circuit-level references that the pipeline's closed forms are tested against.
 
-The estimation pipeline reads only encoded blocks: P(0) of the Hadamard
-test from the block identity, the amplitude-estimation draw from an
-O(window) law. This module builds what those stand for (the SWAP-lemma
-unitary of the density block, the simulated Hadamard-test circuit and the
-dense phase-estimation law) so the tests can compare the two. No pipeline
-module imports it.
+The estimation pipeline builds no unitary and no block: P(0) of the
+Hadamard test is read from the spectral sum Tr(rho p(rho) O) over rho's
+eigenbasis, the amplitude-estimation draw from an O(window) law. This
+module builds what those stand for (the SWAP-lemma unitary of the density
+block encoding, the block identity ``closed_form_p_zero``, the simulated
+Hadamard-test circuit and the dense phase-estimation law) so the tests can
+compare the two. No pipeline module imports it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
 
 def density_block_unitary(purification: PurifiedState) -> np.ndarray:
     """The SWAP lemma's 3n-qubit unitary, with the purified state in its
-    top-left block: the circuit that ``blockenc.density_block`` encodes.
+    top-left block: the density block encoding that the eigenvalue
+    transform (``qsvt.power_block_encoding``) acts on.
 
     With U the unitary preparing the purification from |0>_E |0>_I and a
     fresh system-sized register appended, the product
@@ -82,10 +84,21 @@ def verify_block_encoding(unitary, alpha: float, target) -> float:
     return op_norm(target - alpha * unitary[:dim, :dim])
 
 
+def closed_form_p_zero(block, alpha: float, purification: PurifiedState, w: str = "I") -> float:
+    """The circuit-free identity P(0) = 1/2 + Re/Im(Tr(rho block))/(2 alpha).
+
+    Exact for any unitary with ancilla-zero block block/alpha
+    (``hadamard_test_prob`` simulates the circuit); ``w="I"`` takes the
+    real part, ``"S_dagger"`` the imaginary part.
+    """
+    overlap = complex(np.sum(purification.reduced_state().mat * np.asarray(block).T))
+    return 0.5 + (overlap.real if w == "I" else overlap.imag) / (2.0 * alpha)
+
+
 def hadamard_test_prob(unitary, purification: PurifiedState, w: str = "I") -> float:
     """Exact control-0 probability of the Hadamard-test circuit.
 
-    This is the circuit-level reference for ``estimator.closed_form_p_zero``.
+    This is the circuit-level reference for ``closed_form_p_zero``.
     Registers are ordered (control, ancillas, environment, system). The
     circuit applies H on the control, the unitary on (ancillas, system)
     controlled on it, optionally the inverse phase gate on the control

@@ -16,9 +16,9 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
 A config key outside the suite's defaults is rejected, and so is a value
-of another JSON kind than its default's; ``seed`` is read by every suite,
-since POWERTRACE_SEED sets it for all of them, and must be a non-negative
-integer wherever it comes from.
+of another JSON kind than its default's, or a count below its least
+value; ``seed`` is read by every suite, since POWERTRACE_SEED sets it for
+all of them, and must be a non-negative integer wherever it comes from.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -642,6 +642,11 @@ def _check_kind(key: str, value, default) -> None:
         raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
+# count-like keys and their least value; a list key bounds every element.
+# A swap test needs two shots for its standard error, a scan two points.
+_COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2}
+
+
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
     defaults = suite_entry(suite).defaults
     cfg = dict(defaults)
@@ -656,6 +661,10 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
                 )
             if value is not None:
                 _check_kind(key, value, defaults.get(key))
+                least = _COUNT_MINIMUM.get(key)
+                values = value if isinstance(value, list) else [value]
+                if least is not None and any(x < least for x in values):
+                    raise ValidationError(f"config key {key!r} must be at least {least}, got {value!r}")
                 cfg[key] = value
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

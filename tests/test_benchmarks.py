@@ -24,4 +24,5 @@ def test_estimator_reach_keeps_each_labelled_run(tmp_path, capsys):
     assert [row["n"] for row in rows] == [1, 2]
     for row in rows:
         assert row["setup_s"] > 0 and row["estimate_s"] > 0 and row["tracemalloc_peak_mib"] > 0
+        assert row["observable_s"] > 0
         assert row["model_error"] <= 0.05 / 2

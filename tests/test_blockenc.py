@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from powertrace import blockenc, linalg, reference
+from conftest import dense_power_times_obs
+from powertrace import estimator, linalg, qsvt, reference
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def _unitary(be):
-    """The one-ancilla Halmos dilation of block/alpha: a unitary realizing
-    the block-only encoding."""
-    return pt.halmos_dilate(be.block / be.alpha)
+def _alpha_o(obs):
+    """The scale alpha_O an estimate of Tr(rho^k O) reports for O."""
+    rho = pt.DensityMatrix(np.eye(obs.dim, dtype=complex) / obs.dim)
+    return pt.estimate_trace_power(pt.purify(rho), obs, 2, 0.5, mode="ideal").alpha_o
 
 
 def random_contraction(dim, seed):
@@ -218,8 +219,7 @@ def test_density_encoding_projector():
     pur = pt.purify(pt.DensityMatrix(PROJ0))
     unitary = reference.density_block_unitary(pur)
     assert np.linalg.norm(unitary[:2, :2] - PROJ0, 2) <= 1e-10
-    be = pt.density_block(pur)
-    assert (be.alpha, be.ancillas, be.err) == (1.0, 2, 0.0)
+    assert unitary.shape == (2 ** 3, 2 ** 3)  # a + n = 2 ancillas on one system qubit
 
 
 def test_density_encoding_maximally_mixed():
@@ -254,14 +254,13 @@ def test_density_encoding_respects_cap():
 
 
 def test_density_block_is_the_encoding_without_its_dilation():
-    """The pipeline's block-only density encoding is the top-left block of
-    the SWAP-lemma unitary, on as many ancillas as the unitary has."""
+    """The state the pipeline transforms, the purification's reduced state,
+    is the top-left block of the SWAP-lemma unitary on a + n ancillas."""
     pur = pt.purify(pt.random_density(2, 3, seed=13))
-    bare = pt.density_block(pur)
+    rho = pur.reduced_state()
     unitary = reference.density_block_unitary(pur)
-    assert unitary.shape[0] == 2 ** bare.ancillas * bare.dim
-    assert np.linalg.norm(unitary[: bare.dim, : bare.dim] - bare.block, 2) <= 1e-10
-    assert (bare.alpha, bare.err) == (1.0, 0.0)
+    assert unitary.shape[0] == 2 ** (pur.env_qubits + pur.sys_qubits) * rho.dim
+    assert np.linalg.norm(unitary[: rho.dim, : rho.dim] - rho.mat, 2) <= 1e-10
 
 
 def test_reduced_state_is_computed_once():
@@ -314,96 +313,72 @@ def test_halmos_rejects_expansion():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_alpha_below_the_block_norm_is_rejected(seed):
+    """A unitary holds block/alpha in its top-left block only if
+    alpha >= ||block||: below it the Halmos dilation is refused."""
     block = 3.0 * random_contraction(4, seed)
     norm = pt.op_norm(block)
-    with pytest.raises(pt.ValidationError, match="below the block norm"):
-        pt.BlockEncoding(block, 0.5 * norm, 1, 0.0)
-    pt.BlockEncoding(block, norm, 1, 0.0)
-
-
-@pytest.mark.parametrize(
-    "block, alpha, err",
-    [(np.diag([0.5, 0.1]), math.nan, 0.0), (np.diag([0.5, 0.1]), 1.0, math.nan),
-     (np.diag([0.5, 0.1]), math.inf, 0.0), (np.diag([0.5, 0.1]), -math.inf, 0.0),
-     (np.diag([0.5, 0.1]), 1.0, math.inf), (np.diag([0.5, 0.1]), 1.0, -0.1),
-     (np.diag([0.5, 0.1]), -1.0, 0.0), (np.zeros((2, 2)), 0.0, 0.0)],
-    ids=["alpha-nan", "err-nan", "alpha-inf", "alpha-minus-inf", "err-inf", "err-negative",
-         "alpha-negative", "alpha-zero"],
-)
-def test_scale_and_error_must_be_finite(block, alpha, err):
-    with pytest.raises(pt.ValidationError, match="alpha must be|error must be"):
-        pt.BlockEncoding(block, alpha, 1, err)
-
-
-def test_loose_norm_bound_falls_back_to_the_exact_norm():
-    block = 2.0 * PROJ0
-    # a bound above alpha certifies nothing: the exact norm decides
-    be = pt.BlockEncoding(block, 2.0, 1, 0.0, _norm_bound=4.0)
-    assert be._norm_bound == pytest.approx(2.0)
-    with pytest.raises(pt.ValidationError):
-        pt.BlockEncoding(block, 1.0, 1, 0.0, _norm_bound=4.0)
+    with pytest.raises(pt.ValidationError, match="not a contraction"):
+        pt.halmos_dilate(block / (0.5 * norm))
+    unitary = pt.halmos_dilate(block / norm)
+    assert reference.verify_block_encoding(unitary, norm, block) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pipeline_norm_bounds_hold(seed):
+    """|p(l_i)| <= 1 for the transform, alpha_O >= ||O||, and so
+    |Tr(rho p(rho) O)| <= alpha_O: P(0) is a probability in both settings."""
     pur = pt.purify(pt.random_density(2, 1 + seed % 4, seed))
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
-    power, _ = pt.power_block_encoding(pur, 6, 1e-3)
-    for be in (pt.density_block(pur), power, pt.observable_block_encoding(obs),
-               pt.power_times_obs(pur, obs, 6, 1e-2)[0]):
-        assert pt.op_norm(be.block) <= be._norm_bound + 1e-12
-        assert pt.op_norm(be.block) <= be.alpha + blockenc.ALPHA_SLACK
+    (p_w, _), _ = pt.power_block_encoding(pur, 6, 1e-3)
+    assert np.max(np.abs(p_w)) <= 1.0 + qsvt.SUP_NORM_SLACK
+    overlap, alpha, _ = estimator._power_overlap(pur, obs, 6, 1e-2)
+    assert pt.op_norm(obs.mat) <= alpha
+    assert abs(overlap) <= alpha
 
 
-# -------------------------------------------------------------- be_product
+# ---------------------------------------------------- p(rho) O and its budget
 
 def test_product_scale_and_ancilla_bookkeeping():
+    """The product with 3|0><0| is read at scale alpha_O = 3, and the
+    overlap is its trace against rho."""
     rho = pt.random_density(1, 2, seed=1)
-    a = pt.density_block(pt.purify(rho))  # (1, 2, 0)
-    b = pt.observable_block_encoding(pt.Observable(3 * PROJ0))  # (3, 1, 0)
-    prod = pt.be_product(a, b)
-    assert prod.alpha == pytest.approx(3.0)
-    assert prod.ancillas == 3
-    assert prod.err == 0.0
-    assert np.allclose(prod.block, rho.mat @ (3 * PROJ0), atol=1e-12)
+    obs = pt.Observable(3 * PROJ0)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, 4, 1e-2)
+    assert alpha == pytest.approx(3.0)
+    block = dense_power_times_obs(rho, obs, 4, 1e-2)
+    assert overlap == pytest.approx(np.trace(rho.mat @ block), abs=1e-12)
 
 
 def test_product_identity_times_identity():
-    ident = pt.observable_block_encoding(pt.Observable(np.eye(2, dtype=complex)))
-    prod = pt.be_product(ident, ident)
-    assert np.allclose(prod.block, np.eye(2), atol=1e-12)
-    assert pt.op_norm(prod.block - np.eye(2)) <= 1e-10
+    """At k = 2 the truncation is x itself, so with O = I the product is
+    rho at scale 1 and the overlap is the purity Tr(rho^2)."""
+    rho = pt.random_density(1, 2, seed=1)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), pt.Observable(np.eye(2)), 2, 0.5)
+    assert alpha == 1.0
+    assert np.allclose(dense_power_times_obs(rho, pt.Observable(np.eye(2)), 2, 0.5), rho.mat, atol=1e-12)
+    assert overlap == pytest.approx(np.trace(rho.mat @ rho.mat), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_product_defect_within_bookkeeping(seed):
-    m_a = random_contraction(2, seed)
-    m_b = random_contraction(2, seed + 1000)
-    a = pt.BlockEncoding(m_a, 1.0, 1, 0.0)
-    b = pt.BlockEncoding(m_b, 1.0, 1, 0.0)
-    prod = pt.be_product(a, b)
-    assert pt.op_norm(prod.block - m_a @ m_b) <= prod.err + 1e-8
-
-
-def test_product_error_composition():
-    m = random_contraction(2, 7)
-    a = pt.BlockEncoding(m, 2.0, 1, 0.125)
-    b = pt.BlockEncoding(m, 4.0, 2, 0.0625)
-    prod = pt.be_product(a, b)
-    assert prod.alpha == pytest.approx(8.0)
-    assert prod.ancillas == 3
-    assert prod.err == pytest.approx(2.0 * 0.0625 + 4.0 * 0.125)
-    recorded = pt.be_product(a, b, err=0.5)
-    assert recorded.err == 0.5
-    assert (recorded.alpha, recorded.ancillas) == (prod.alpha, prod.ancillas)
-    assert np.array_equal(recorded.block, prod.block)
+    """p(rho) O is within alpha_O * eps_poly of rho^(k-1) O, the budget the
+    estimate books for it, and the estimator's overlap is its trace
+    against rho."""
+    qubits = 1 + seed % 2
+    rho = pt.random_density(qubits, 1 + seed % 2 ** qubits, seed)
+    obs = pt.make_observable(pt.InstanceSpec(qubits=qubits, rank=1, seed=seed))
+    k, eps = 2 + seed % 7, 1e-2
+    block = dense_power_times_obs(rho, obs, k, eps)
+    target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, k, eps)
+    assert pt.op_norm(block - target) <= alpha * min(1.0, eps / (2 * obs.op_norm)) + 1e-8
+    assert abs(overlap - np.trace(rho.mat @ block)) <= 1e-12
 
 
 def test_product_dim_mismatch():
-    a = pt.observable_block_encoding(pt.Observable(np.eye(2, dtype=complex)))
-    b = pt.observable_block_encoding(pt.Observable(np.eye(4, dtype=complex)))
-    with pytest.raises(pt.ValidationError):
-        pt.be_product(a, b)
+    pur = pt.purify(pt.random_density(1, 2, seed=2))
+    with pytest.raises(pt.ValidationError, match="does not match"):
+        pt.estimate_trace_power(pur, pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
 
 
 # --------------------------------------------------- verify_block_encoding
@@ -429,35 +404,36 @@ def test_verify_halmos_is_exact():
     assert reference.verify_block_encoding(pt.halmos_dilate(m), 1.0, m) <= 1e-10
 
 
-# --------------------------------------------- observable_block_encoding
+# ------------------------------------------ the observable's scale alpha_O
 
 def test_observable_encoding_pauli():
-    be = pt.observable_block_encoding(pt.Observable(Z))
-    assert np.array_equal(be.block, Z)
-    assert be.alpha == pytest.approx(1.0)
-    assert be.ancillas == 1
-    assert reference.verify_block_encoding(_unitary(be), be.alpha, Z) <= 1e-10
+    alpha = _alpha_o(pt.Observable(Z))
+    assert alpha == pytest.approx(1.0)
+    unitary = pt.halmos_dilate(Z / alpha)
+    assert reference.verify_block_encoding(unitary, alpha, Z) <= 1e-10
 
 
 def test_observable_encoding_scaled_projector():
-    be = pt.observable_block_encoding(pt.Observable(3 * PROJ0))
-    assert np.array_equal(be.block, 3 * PROJ0)
-    assert be.alpha == pytest.approx(3.0, abs=1e-9)
-    unitary = _unitary(be)
+    alpha = _alpha_o(pt.Observable(3 * PROJ0))
+    assert alpha == pytest.approx(3.0, abs=1e-9)
+    unitary = pt.halmos_dilate(3 * PROJ0 / alpha)
     assert np.allclose(unitary[:2, :2], PROJ0, atol=1e-9)
-    assert reference.verify_block_encoding(unitary, be.alpha, 3 * PROJ0) <= 1e-10
+    assert reference.verify_block_encoding(unitary, alpha, 3 * PROJ0) <= 1e-10
 
 
 def test_observable_encoding_x_plus_z():
-    be = pt.observable_block_encoding(pt.Observable(X + Z))
-    assert be.alpha == pytest.approx(np.sqrt(2), abs=1e-9)
+    assert _alpha_o(pt.Observable(X + Z)) == pytest.approx(np.sqrt(2), abs=1e-9)
 
 
 def test_observable_encoding_small_norm_keeps_alpha_one():
-    be = pt.observable_block_encoding(pt.Observable(0.25 * Z))
-    assert be.alpha == 1.0
+    assert _alpha_o(pt.Observable(0.25 * Z)) == 1.0
 
 
 def test_alpha_below_norm_rejected():
+    """alpha_O never falls below ||O||: 2I has no dilation at scale 1, and
+    has one at the scale the estimate reports."""
+    two = 2 * np.eye(2, dtype=complex)
     with pytest.raises(pt.ValidationError):
-        pt.BlockEncoding(2 * np.eye(2, dtype=complex), 1.0, 1, 0.0)
+        pt.halmos_dilate(two / 1.0)
+    assert _alpha_o(pt.Observable(two)) == pytest.approx(2.0)
+    pt.halmos_dilate(two / 2.0)

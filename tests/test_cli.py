@@ -195,6 +195,36 @@ def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
     assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
 
 
+@pytest.mark.parametrize(
+    "suite, argv, config, key",
+    [("estimate", ["--runs", "0"], {}, "runs"), ("estimate", ["--runs", "-1"], {}, "runs"),
+     ("bqp", ["--runs", "0"], {}, "runs"), ("apps", ["--runs", "0"], {}, "vd_runs"),
+     ("baseline", [], {"repeats": 0}, "repeats"), ("baseline", ["--shots", "100,0"], {}, "shots_list"),
+     ("baseline", [], {"shots_list": [1, 100]}, "shots_list"), ("approx", [], {"grid_size": 1}, "grid_size")],
+    ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
+         "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1"],
+)
+def test_count_below_its_least_value_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, suite, argv, config, key
+):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([suite, *argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config key {key!r} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_at_their_least_value_are_accepted(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    least = {"estimate": {"runs": 1}, "bqp": {"runs": 1}, "apps": {"vd_runs": 1},
+             "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
+    for suite, given in least.items():
+        cfg = resolve_config(suite, given, None)
+        assert {key: cfg[key] for key in given} == given
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its worker count and maps
     in this process, starting none."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,11 +9,16 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import powertrace as pt
+from conftest import dense_power_times_obs
 from powertrace import blockenc, estimator, linalg, qsvt, reference
 from powertrace.cli import main
-from powertrace.estimator import ae_error_bound, choose_ae_grid, closed_form_p_zero
-from powertrace.reference import _swap_registers, ae_outcome_distribution, hadamard_test_prob
-from powertrace.instances import derive_seed
+from powertrace.estimator import ae_error_bound, choose_ae_grid
+from powertrace.reference import (
+    _swap_registers,
+    ae_outcome_distribution,
+    closed_form_p_zero,
+    hadamard_test_prob,
+)
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -32,21 +38,26 @@ def test_pure_state_projector_gives_one():
     assert p_zero == pytest.approx(1.0, abs=1e-10)
 
 
-def _unitary(be):
-    """The one-ancilla Halmos dilation of block/alpha: a unitary realizing
-    the pipeline's block-only encoding, so the circuit can be simulated."""
-    return pt.halmos_dilate(be.block / be.alpha)
+def _alpha(obs):
+    return max(1.0, obs.op_norm)
+
+
+def _unitary(rho, obs, k, eps):
+    """The one-ancilla Halmos dilation of B / alpha_O, B = p(rho) O built
+    densely: a unitary realizing the encoding the estimate reads, so the
+    circuit can be simulated."""
+    return pt.halmos_dilate(dense_power_times_obs(rho, obs, k, eps) / _alpha(obs))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_circuit_matches_closed_form(seed):
     rho = pt.random_density(2, 2, seed)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
-    be = pt.power_times_obs(pt.purify(rho), obs, 3, 0.05)[0]
+    block = dense_power_times_obs(rho, obs, 3, 0.05)
     for setting in ("I", "S_dagger"):
-        circuit = hadamard_test_prob(_unitary(be), pt.purify(rho), setting)
+        circuit = hadamard_test_prob(pt.halmos_dilate(block / _alpha(obs)), pt.purify(rho), setting)
         assert circuit == pytest.approx(
-            closed_form_p_zero(be, pt.purify(rho), setting), abs=1e-10
+            closed_form_p_zero(block, _alpha(obs), pt.purify(rho), setting), abs=1e-10
         )
 
 
@@ -88,7 +99,7 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
         else:
             obs = _non_hermitian_observable(n, seed)
         pur = pt.purify(rho)
-        unitary = _unitary(pt.power_times_obs(pur, obs, 4, 0.05)[0])
+        unitary = _unitary(rho, obs, 4, 0.05)
         for setting in ("I", "S_dagger"):
             circuit = hadamard_test_prob(unitary, pur, setting)
             assert abs(circuit - _dense_circuit_p_zero(unitary, pur, setting)) <= 1e-12
@@ -96,8 +107,8 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
 
 def test_hadamard_test_respects_cap():
     rho = pt.random_density(2, 2, seed=2)
-    be, _ = pt.power_times_obs(pt.purify(rho), pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
-    unitary = _unitary(be)  # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
+    unitary = _unitary(rho, pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
+    # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
     pt.set_qubit_cap(5)
     try:
         with pytest.raises(pt.ResourceError):
@@ -497,8 +508,8 @@ def test_no_sampled_draw_builds_the_dense_law(monkeypatch, tmp_path):
 
 def test_forced_grid_is_checked_before_encoding(monkeypatch):
     calls = []
-    real = estimator.power_times_obs
-    monkeypatch.setattr(estimator, "power_times_obs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = estimator.power_block_encoding
+    monkeypatch.setattr(estimator, "power_block_encoding", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     pur = pt.purify(pt.random_density(1, 2, seed=20))
     tracemalloc.start()
     try:
@@ -519,8 +530,8 @@ def test_forced_grid_is_checked_before_encoding(monkeypatch):
 
 def test_mode_is_checked_before_encoding(monkeypatch):
     calls = []
-    real = estimator.power_times_obs
-    monkeypatch.setattr(estimator, "power_times_obs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = estimator.power_block_encoding
+    monkeypatch.setattr(estimator, "power_block_encoding", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     pur = pt.purify(pt.random_density(1, 2, seed=20))
     with pytest.raises(pt.ValidationError, match="mode"):
         pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="bogus")
@@ -534,6 +545,93 @@ def test_estimate_validation():
         pt.estimate_trace_power(pt.purify(rho), obs, 1, 0.05)
     with pytest.raises(pt.ValidationError):
         pt.estimate_trace_power(pt.purify(rho), obs, 4, 0.0)
+
+
+# ----------------------------------------------------------------- the overlap
+
+def _state(n, levels, kind, seed):
+    """A density matrix with the given eigenvalue levels (zeros and exact
+    ties included): diagonal, or rotated by a seeded unitary."""
+    weights = np.asarray(levels[: 2 ** n], dtype=float)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    weights = weights / weights.sum()
+    if kind == "diagonal":
+        return pt.DensityMatrix(np.diag(weights).astype(complex))
+    u = pt.random_unitary(2 ** n, seed)
+    m = (u * weights) @ u.conj().T
+    return pt.DensityMatrix((m + m.conj().T) / 2)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    levels=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=8, max_size=8),
+    kind=st.sampled_from(["diagonal", "rotated"]),
+    hermitian=st.booleans(),
+    scale=st.sampled_from([0.25, 1.0, 3.0]),
+    k=st.integers(2, 64),
+    eps=st.sampled_from([0.05, 1e-3]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_overlap_is_the_trace_of_the_dense_product(n, levels, kind, hermitian, scale, k, eps, seed):
+    """The spectral sum equals Tr(rho p(rho) O) with p(rho) from the matrix
+    Chebyshev recurrence, and at n <= 2 the estimator's P(0) is the
+    simulated Hadamard test's on the Halmos dilation of p(rho) O / alpha_O."""
+    rho = _state(n, levels, kind, seed)
+    if hermitian:
+        obs = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=seed))
+    else:
+        obs = _non_hermitian_observable(n, seed)
+    obs = pt.Observable(scale * obs.mat, hermitian=hermitian)
+    pur = pt.purify(rho)
+    overlap, alpha, ledger = estimator._power_overlap(pur, obs, k, eps)
+    assert ledger.poly_degree == pt.required_degree(k - 1, min(1.0, eps / (2 * obs.op_norm)))
+    block = dense_power_times_obs(rho, obs, k, eps)
+    assert abs(overlap - np.trace(rho.mat @ block)) <= 1e-12
+    assert alpha == max(1.0, obs.op_norm)
+    if n <= 2:
+        unitary = pt.halmos_dilate(block / alpha)
+        for setting in ("I", "S_dagger"):
+            circuit = hadamard_test_prob(unitary, pur, setting)
+            assert circuit == pytest.approx(estimator._p_zero(overlap / alpha, setting), abs=1e-12)
+
+
+def test_estimate_leaves_no_block_on_the_purification():
+    """An estimate keeps no d x d array alive: at n = 8 the memory traced
+    across it grows by less than one 256 x 256 complex array (1 MiB)."""
+    warm = pt.purify(pt.random_density(1, 2, seed=0))
+    pt.estimate_trace_power(warm, pt.Observable(Z), 16, 0.05, seed=0)
+    spec = pt.InstanceSpec(qubits=8, rank=2 ** 8, seed=8)
+    rho, obs = pt.make_state(spec), pt.make_observable(spec)
+    pur = pt.purify(rho)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = pt.estimate_trace_power(pur, obs, 16, 0.05, seed=8)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.model_error <= 0.05 / 2
+    assert growth < 256 * 256 * 16
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("powertrace", "BlockEncoding"), ("powertrace", "density_block"),
+     ("powertrace", "observable_block_encoding"), ("powertrace", "be_product"),
+     ("powertrace", "apply_poly"), ("powertrace", "power_times_obs"),
+     ("powertrace.blockenc", "ALPHA_SLACK"), ("powertrace.estimator", "_block_trace"),
+     ("powertrace.estimator", "closed_form_p_zero")],
+)
+def test_the_block_machinery_is_gone(module, name):
+    """The d x d block encodings left the pipeline with their names."""
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+    for home in (blockenc, qsvt, estimator):
+        assert not hasattr(home, name)
+    assert "_last_power" not in {f.name for f in dataclasses.fields(pt.PurifiedState)}
+    assert "alt_poly_degree" not in {f.name for f in dataclasses.fields(pt.QueryLedger)}
 
 
 # ------------------------------------------------------------------ entropies
@@ -592,25 +690,6 @@ def test_vd_ratio_refuses_vanishing_denominator():
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     with pytest.raises(pt.UnreliableEstimateError):
         pt.vd_ratio(pt.purify(rho), obs, 8, 0.01, 0.01, mode="ideal", seed=2)
-
-
-def test_vd_ratio_builds_the_power_encoding_once_when_budgets_match(monkeypatch):
-    calls = []
-    real = qsvt.apply_poly
-    monkeypatch.setattr(qsvt, "apply_poly", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    rho = pt.random_density(2, 3, seed=22)
-    obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))  # ||O|| = 1
-    shared = pt.vd_ratio(pt.purify(rho), obs, 9, 0.02, 0.02, mode="ideal", seed=3)
-    assert len(calls) == 1
-    calls.clear()
-    split = pt.vd_ratio(pt.purify(rho), obs, 9, 0.02, 1e-4, mode="ideal", seed=3)
-    assert len(calls) == 2
-    assert split.denominator.poly_degree > split.numerator.poly_degree
-    # sharing changes no number: both parts match estimates on fresh states
-    num = pt.estimate_trace_power(pt.purify(rho), obs, 9, 0.02, mode="ideal", seed=derive_seed(3, 100))
-    identity = pt.Observable(np.eye(4))
-    den = pt.estimate_trace_power(pt.purify(rho), identity, 9, 0.02, mode="ideal", seed=derive_seed(3, 200))
-    assert (shared.numerator, shared.denominator) == (num, den)
 
 
 def test_identity_observable_is_built_once_per_dimension(numpy_decompositions, partial_traces):

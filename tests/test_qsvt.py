@@ -4,35 +4,41 @@ import numpy as np
 import pytest
 
 import powertrace as pt
-from powertrace import qsvt
+from conftest import chebyshev_matrix, dense_power_times_obs
+from powertrace import estimator, qsvt
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
 
-def density_be(rho):
-    return pt.density_block(pt.purify(rho))
+def _dense(spectrum):
+    """V diag(p) V^dag from a transform's (p(l_i), V)."""
+    p_w, v = spectrum
+    return (v * p_w) @ v.conj().T
 
 
-# ---------------------------------------------------------------- apply_poly
+def _transform(rho, poly):
+    return _dense(qsvt._eigen_transform(rho.spectrum(), poly))
+
+
+# ----------------------------------------------------------- _eigen_transform
 
 def test_identity_map_polynomial():
     rho = pt.random_density(1, 2, seed=0)
-    out = pt.apply_poly(density_be(rho), pt.ChebyshevPoly({1: 1.0}, parity="odd"))
-    assert np.linalg.norm(out.block - rho.mat, 2) <= 1e-12
-    assert out.ancillas == 3  # source (a+n)=2 plus one
+    out = _transform(rho, pt.ChebyshevPoly({1: 1.0}, parity="odd"))
+    assert np.linalg.norm(out - rho.mat, 2) <= 1e-12
 
 
 def test_constant_one_polynomial():
     rho = pt.random_density(1, 2, seed=1)
-    out = pt.apply_poly(density_be(rho), pt.ChebyshevPoly({0: 1.0}, parity="even"))
-    assert np.allclose(out.block, np.eye(2), atol=1e-12)
+    out = _transform(rho, pt.ChebyshevPoly({0: 1.0}, parity="even"))
+    assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_square_through_eigenvalues():
     rho = pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     poly = pt.truncate(pt.power_expansion(2), 2).kept
-    out = pt.apply_poly(density_be(rho), poly)
-    assert np.allclose(out.block, np.diag([0.49, 0.09]), atol=1e-12)
+    out = _transform(rho, poly)
+    assert np.allclose(out, np.diag([0.49, 0.09]), atol=1e-12)
 
 
 def test_transform_matches_independent_eigen_sum():
@@ -43,23 +49,23 @@ def test_transform_matches_independent_eigen_sum():
         pt.clenshaw_eval(poly, float(np.clip(lam, -1, 1))) * np.outer(v[:, i], v[:, i].conj())
         for i, lam in enumerate(w)
     )
-    # the density block carries the state's spectrum; a bare encoding of the
-    # same block is diagonalised by the transform itself
-    for source in (density_be(rho), pt.BlockEncoding(rho.mat, 1.0, 2, 0.0)):
-        out = pt.apply_poly(source, poly)
-        assert np.linalg.norm(out.block - expected, 2) <= 1e-10
+    # the transform reads the spectrum rho's validation cached; the
+    # recurrence on rho.mat decomposes nothing
+    out = _transform(rho, poly)
+    assert np.linalg.norm(out - expected, 2) <= 1e-10
+    assert np.linalg.norm(out - chebyshev_matrix(poly, rho.mat), 2) <= 1e-10
 
 
 def test_rejects_mixed_parity():
     rho = pt.random_density(1, 2, seed=2)
     with pytest.raises(pt.ContractError):
-        pt.apply_poly(density_be(rho), pt.ChebyshevPoly({0: 0.5, 1: 0.5}))
+        _transform(rho, pt.ChebyshevPoly({0: 0.5, 1: 0.5}))
 
 
 def test_rejects_sup_norm_violation():
     rho = pt.random_density(1, 2, seed=3)
     with pytest.raises(pt.ContractError):
-        pt.apply_poly(density_be(rho), pt.ChebyshevPoly({1: 2.0}, parity="odd"))
+        _transform(rho, pt.ChebyshevPoly({1: 2.0}, parity="odd"))
 
 
 def _count_clenshaw(monkeypatch):
@@ -80,46 +86,49 @@ def test_admissibility_certificate_then_scan(monkeypatch):
     qsvt._check_admissible(wide)
     assert len(calls) == 1
     rho = pt.random_density(1, 2, seed=3)
-    out = pt.apply_poly(density_be(rho), wide)
+    out = _transform(rho, wide)
     w, v = np.linalg.eigh(rho.mat)
-    assert np.allclose(out.block, (v * (1.8 * w - 1.2 * w ** 3)) @ v.conj().T, atol=1e-12)
+    assert np.allclose(out, (v * (1.8 * w - 1.2 * w ** 3)) @ v.conj().T, atol=1e-12)
     # a sup of 1 + 1e-7, reached at x = 1, is still rejected
     with pytest.raises(pt.ContractError, match="sup-norm"):
         qsvt._check_admissible(pt.ChebyshevPoly({1: 0.5, 3: 0.5 + 1e-7}, parity="odd"))
 
 
 def test_qsvt_request_rejects_what_the_scan_rejects():
-    """A transform request is admitted by ``apply_poly``'s own check."""
+    """A transform request is admitted by the transform's own check."""
     rho = pt.random_density(1, 2, seed=4)
     wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
-    pt.apply_poly(density_be(rho), wide)
+    _transform(rho, wide)
     too_wide = pt.ChebyshevPoly({1: 1.2, 3: -0.1}, parity="odd")  # p(1) = 1.1
     with pytest.raises(pt.ContractError, match="sup-norm"):
-        pt.apply_poly(density_be(rho), too_wide)
+        _transform(rho, too_wide)
 
 
 def test_transform_carries_its_spectrum():
+    """p(rho) is returned as (p(l_i), V) in rho's own cached eigenbasis."""
     rho = pt.random_density(2, 3, seed=5)
-    poly = pt.truncate(pt.power_expansion(5), 3).kept
-    source = density_be(rho)
-    out = pt.apply_poly(source, poly)
-    p_w, v = out._spectrum
-    assert np.array_equal(p_w, pt.clenshaw_eval(poly, np.clip(source._spectrum.eigenvalues, -1, 1)))
-    assert np.linalg.norm((v * p_w) @ v.conj().T - out.block, 2) <= 1e-12
+    k, eps = 6, 1e-3
+    poly = pt.truncate(pt.power_expansion(k - 1), pt.required_degree(k - 1, eps)).kept
+    (p_w, v), _ = pt.power_block_encoding(pt.purify(rho), k, eps)
+    w, v_rho = rho.spectrum()
+    assert v is v_rho
+    assert np.array_equal(p_w, pt.clenshaw_eval(poly, np.clip(w, -1, 1)))
+    assert np.linalg.norm(_dense((p_w, v)) - chebyshev_matrix(poly, rho.mat), 2) <= 1e-12
 
 
 def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
     calls = _count_clenshaw(monkeypatch)
-    be, ledger = pt.power_block_encoding(pt.purify(pt.random_density(2, 3, seed=6)), 9, 1e-3)
+    _, ledger = pt.power_block_encoding(pt.purify(pt.random_density(2, 3, seed=6)), 9, 1e-3)
     assert len(calls) == 1
     assert ledger.model_error <= 1e-3
 
 
 def test_rejects_non_hermitian_block():
-    m = np.array([[0, 0.5], [0, 0]], dtype=complex)
-    be = pt.BlockEncoding(m, 1.0, 1, 0.0)
-    with pytest.raises(pt.ValidationError):
-        pt.apply_poly(be, pt.ChebyshevPoly({1: 1.0}, parity="odd"))
+    """The transform's one source is a purification's reduced state, so a
+    non-Hermitian block is stopped by the state's validation."""
+    m = np.array([[0.5, 0.5], [0, 0.5]], dtype=complex)
+    with pytest.raises(pt.ValidationError, match="Hermitian"):
+        pt.DensityMatrix(m)
 
 
 def test_qsvt_request_parity_discipline():
@@ -137,30 +146,30 @@ def test_qsvt_request_parity_discipline():
 def test_power_of_pure_state():
     rho = pt.random_density(2, 1, seed=6)
     for k in (2, 5):
-        be, _ = pt.power_block_encoding(pt.purify(rho), k, eps=1e-3)
-        assert np.linalg.norm(be.block - rho.mat, 2) <= 1e-3
+        power, _ = pt.power_block_encoding(pt.purify(rho), k, eps=1e-3)
+        assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-3
 
 
 def test_power_of_maximally_mixed():
     rho = pt.DensityMatrix(np.eye(2, dtype=complex) / 2)
-    be, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3)
-    assert np.linalg.norm(be.block - np.eye(2) / 4, 2) <= 1e-3
+    power, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3)
+    assert np.linalg.norm(_dense(power) - np.eye(2) / 4, 2) <= 1e-3
 
 
 def test_power_high_order_rank3():
     rho = pt.random_density(3, 3, seed=7)
-    be, ledger = pt.power_block_encoding(pt.purify(rho), 9, eps=1e-4)
+    power, ledger = pt.power_block_encoding(pt.purify(rho), 9, eps=1e-4)
     oracle = np.linalg.matrix_power(rho.mat, 8)
-    assert np.linalg.norm(be.block - oracle, 2) <= 1e-4
+    assert np.linalg.norm(_dense(power) - oracle, 2) <= 1e-4
     assert ledger.model_error <= ledger.tail_bound + 1e-12
 
 
 @pytest.mark.parametrize("k,eps", [(2, 0.5), (4, 1e-2), (9, 1e-3), (16, 1e-4)])
 def test_power_contract_tighter_than_chernoff(k, eps):
     rho = pt.random_density(2, 3, seed=k)
-    be, ledger = pt.power_block_encoding(pt.purify(rho), k, eps)
+    power, ledger = pt.power_block_encoding(pt.purify(rho), k, eps)
     oracle = np.linalg.matrix_power(rho.mat, k - 1)
-    defect = np.linalg.norm(be.block - oracle, 2)
+    defect = np.linalg.norm(_dense(power) - oracle, 2)
     chernoff = 2 * math.exp(-ledger.poly_degree ** 2 / (2 * (k - 1)))
     assert defect <= chernoff + 1e-12
     assert defect <= eps + 1e-12
@@ -177,8 +186,8 @@ def test_power_query_accounting():
 
 def test_power_k1_shortcut_is_exact():
     rho = pt.random_density(1, 2, seed=9)
-    be, ledger = pt.power_block_encoding(pt.purify(rho), 2, eps=0.9)
-    assert np.linalg.norm(be.block - rho.mat, 2) <= 1e-12
+    power, ledger = pt.power_block_encoding(pt.purify(rho), 2, eps=0.9)
+    assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-12
     assert ledger.model_error <= 1e-12
 
 
@@ -188,67 +197,63 @@ def test_power_rejects_k_below_two():
         pt.power_block_encoding(pt.purify(rho), 1, eps=0.1)
 
 
-# ----------------------------------------------------------- power_times_obs
+# ------------------------------------------------------ the estimator's overlap
 
 def test_identity_observable_reduces_to_power():
     rho = pt.random_density(1, 2, seed=11)
     obs = pt.Observable(np.eye(2, dtype=complex))
-    be, _ = pt.power_times_obs(pt.purify(rho), obs, 3, eps_total=1e-3)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, 3, 1e-3)
     power, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3 / 2)
-    assert be.alpha == pytest.approx(1.0)
-    assert np.allclose(be.block, power.block, atol=1e-12)
+    assert alpha == pytest.approx(1.0)
+    assert overlap == pytest.approx(np.trace(rho.mat @ _dense(power)), abs=1e-12)
 
 
 def test_depolarized_projector_product():
     rho1 = pt.DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
     obs = pt.Observable(PROJ0)
-    be, _ = pt.power_times_obs(pt.purify(rho1), obs, 3, eps_total=1e-3)
-    assert np.linalg.norm(be.block - 0.81 * PROJ0, 2) <= 1e-3
+    overlap, _, _ = estimator._power_overlap(pt.purify(rho1), obs, 3, 1e-3)
+    # p(rho) O ~ 0.81 |0><0|, so Tr(rho p(rho) O) ~ 0.9 * 0.81
+    assert np.linalg.norm(dense_power_times_obs(rho1, obs, 3, 1e-3) - 0.81 * PROJ0, 2) <= 1e-3
+    assert abs(overlap - 0.9 * 0.81) <= 1e-3
 
 
 def test_trace_against_oracle_two_qubits():
     rho = pt.random_density(2, 2, seed=12)
     zz = pt.Observable(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex))
     eps = 1e-3
-    be, _ = pt.power_times_obs(pt.purify(rho), zz, 5, eps_total=eps)
-    got = np.trace(rho.mat @ be.block)
+    got, _, _ = estimator._power_overlap(pt.purify(rho), zz, 5, eps)
     want = pt.trace_power_obs_oracle(rho, zz, 5)
     assert abs(got - want) <= eps
 
 
 def test_recorded_error_bounds_true_defect():
+    """p(rho) O lies within alpha_O * eps_poly of rho^(k-1) O, and the
+    overlap within ||O|| times the ledger's model error of Tr(rho^k O)."""
     rho = pt.random_density(2, 3, seed=13)
     obs = pt.Observable(3 * np.kron(PROJ0, np.eye(2)).astype(complex))
     k, eps = 6, 1e-2
-    be, _ = pt.power_times_obs(pt.purify(rho), obs, k, eps_total=eps)
+    eps_poly = min(1.0, eps / (2 * obs.op_norm))
+    overlap, alpha, ledger = estimator._power_overlap(pt.purify(rho), obs, k, eps)
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
-    assert pt.op_norm(target - be.block) <= be.err + 1e-8
-    assert be.err == pytest.approx(be.alpha * min(1.0, eps / (2 * obs.op_norm)))
+    assert pt.op_norm(target - dense_power_times_obs(rho, obs, k, eps)) <= alpha * eps_poly + 1e-8
+    assert ledger.model_error <= eps_poly
+    oracle = pt.trace_power_obs_oracle(rho, obs, k)
+    assert abs(overlap - oracle) <= obs.op_norm * ledger.model_error + 1e-12
 
 
 def test_product_encoding_is_validated_once(numpy_decompositions, partial_traces):
     pur = pt.purify(pt.random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
     numpy_decompositions.clear()
-    be, _ = pt.power_times_obs(pur, obs, 5, eps_total=1e-2)
-    # the density block reads the spectrum rho's validation computed; every
-    # norm check of it, p(rho), the observable and the product is certified
-    # without an SVD
+    _, alpha, _ = estimator._power_overlap(pur, obs, 5, 1e-2)
+    # the transform reads the spectrum rho's validation computed, and
+    # alpha_O the norm the observable cached: no SVD, no eigh
     assert [name for name, _ in numpy_decompositions] == []
     assert partial_traces == []
-    assert be.err == pytest.approx(be.alpha * min(1.0, 1e-2 / (2 * obs.op_norm)))
-
-
-def test_alt_degree_recorded():
-    rho = pt.random_density(1, 2, seed=14)
-    obs = pt.Observable(2 * PROJ0)
-    _, ledger = pt.power_times_obs(pt.purify(rho), obs, 12, eps_total=1e-2)
-    alt_eps = 1e-2 / (4 * 2.0 * 2.0)
-    assert ledger.alt_poly_degree == pt.required_degree(11, alt_eps)
-    assert ledger.alt_poly_degree >= ledger.poly_degree
+    assert alpha == max(1.0, obs.op_norm)
 
 
 def test_rejects_zero_observable():
     rho = pt.random_density(1, 2, seed=15)
-    with pytest.raises(pt.ValidationError):
-        pt.power_times_obs(pt.purify(rho), pt.Observable(np.zeros((2, 2))), 3, 1e-2)
+    with pytest.raises(pt.ValidationError, match="nonzero"):
+        pt.estimate_trace_power(pt.purify(rho), pt.Observable(np.zeros((2, 2))), 3, 1e-2)
