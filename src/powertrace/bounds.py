@@ -4,9 +4,11 @@ The generalized swap test reads Tr(rho^k O) out of k state copies through
 the identity Tr(P_k rho^(x k) (O x I)) = Tr(rho^k O) with P_k the cyclic
 permutation of the copies. The sampled test needs only the control and
 first-copy state after the controlled cycle, (1/2) [[rho, rho^k], [rho^k,
-rho]]: its off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k, so the
-exact outcome law costs one eigendecomposition of rho at every k and no
-Gaussian surrogate is needed (``SwapTestResult.mode`` is always "exact").
+rho]]: its off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k. Both
+blocks are diagonal in rho's eigenbasis, so the exact outcome law is read
+from rho's and O's cached spectra at every k, without forming rho^k, and
+no Gaussian surrogate is needed (``SwapTestResult.mode`` is always
+"exact").
 The remaining constructions turn the estimation
 task into discrimination problems: a two-state instance whose optimal
 discrimination success is governed by fidelity decay, a two-coin instance
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import PurifiedState, halmos_dilate
+from .blockenc import PurifiedState, halmos_dilate, purify
 from .errors import ConstructionError, ValidationError
 from .linalg import (
     DensityMatrix,
@@ -109,25 +111,18 @@ def _swap_test_outcome_table(
 
     The control and first-copy state after the circuit is
     (1/2) [[rho, rho^k], [rho^k, rho]], since Tr_{2..k}(P rho^(x k)) = rho^k
-    for the cyclic permutation P; it costs one eigendecomposition of rho
-    at any k, and O's eigenbasis is the one the observable caches.
+    for the cyclic permutation P. With rho = V diag(w) V^dag and
+    C = V^dag V_O over O's eigenvectors, outcome +-o_j has probability
+    (1/2) sum_i (w_i +- w_i^k) |C_ij|^2, read from the two cached spectra
+    at any k.
     """
-    d = rho.dim
-    power = rho.power(k)
-    tau = 0.5 * np.block([[rho.mat, power], [power, rho.mat]])
-
+    w, v = rho.spectrum()
     w_o, v_o = o.spectrum()
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    values, probs = [], []
-    for s, ctrl in ((1.0, plus), (-1.0, minus)):
-        for j in range(d):
-            proj_vec = np.kron(ctrl, v_o[:, j])
-            prob = float(np.real(proj_vec.conj() @ tau @ proj_vec))
-            values.append(s * float(w_o[j]))
-            probs.append(max(prob, 0.0))
-    probs_arr = np.asarray(probs)
-    return np.asarray(values), probs_arr / probs_arr.sum()
+    weights = np.abs(v.conj().T @ v_o) ** 2  # |C_ij|^2
+    w_k = w ** k
+    # w^k <= w on [0, 1]; an eigenvalue above 1 within the trace tolerance is clipped
+    probs = 0.5 * np.concatenate(((w + w_k) @ weights, np.maximum(w - w_k, 0.0) @ weights))
+    return np.concatenate((w_o, -w_o)), probs / probs.sum()
 
 
 def swap_test_estimate(
@@ -321,28 +316,20 @@ def hybrid_bound_demo(o: Observable, eps: float, t_values: list[int]) -> HybridB
 class BqpInstance:
     """Trace-power instance encoding a circuit's acceptance probability.
 
-    The purification splits weight lambda = 1 - 1/(q k) onto the circuit
-    branch and the rest onto an orthogonal branch the observable
-    annihilates, so Tr(rho^k O) = lambda^k p_x exactly.
+    The state is the reduced state of a purification that splits weight
+    lambda = 1 - 1/(q k) onto the circuit branch and the rest onto an
+    orthogonal branch the observable annihilates, so Tr(rho^k O) =
+    lambda^k p_x exactly. ``purified_state`` is purified access to that
+    checked state, which is what the estimators take.
     """
 
     lam: float
     k: int
     p_x: float
-    purification_vec: np.ndarray
+    purified_state: PurifiedState
     obs: Observable
     thresholds: tuple[float, float]
     identity_defect: float
-    env_qubits: int
-    sys_qubits: int
-
-    @property
-    def purified_state(self) -> PurifiedState:
-        return PurifiedState(
-            env_qubits=self.env_qubits,
-            sys_qubits=self.sys_qubits,
-            vec=self.purification_vec,
-        )
 
 
 def bqp_instance(u_x: np.ndarray, accept_projector: Observable, q: float, k: int) -> BqpInstance:
@@ -403,15 +390,12 @@ def bqp_instance(u_x: np.ndarray, accept_projector: Observable, q: float, k: int
             f"weight decay check failed: lambda^k = {lam ** int(k)} < 1 - 1/q"
         )
     thresholds = (lam ** int(k) * 2.0 / 3.0, lam ** int(k) / 3.0)
-    sys_qubits = 1 + int(math.log2(r_dim))
     return BqpInstance(
         lam=lam,
         k=int(k),
         p_x=p_x,
-        purification_vec=gamma,
+        purified_state=purify(rho),
         obs=obs,
         thresholds=thresholds,
         identity_defect=defect,
-        env_qubits=1,
-        sys_qubits=sys_qubits,
     )

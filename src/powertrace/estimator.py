@@ -19,8 +19,8 @@ is the spectral sum
 
     Tr(rho p(rho) O) = sum_i l_i p(l_i) (V^dag O V)_ii,
 
-read from the spectrum the purification carries and one O V product. No
-d x d block is built.
+read from the spectrum of the state the purified access carries and one
+O V product. No d x d block and no purification vector is built.
 
 The readout draws the phase-estimation outcome exactly in O(W) time and
 memory, W a fixed window, whatever the grid size K: ``amplitude_estimate``
@@ -100,15 +100,15 @@ def _power_overlap(
     contraction for tiny observables. The overlap is
     sum_i l_i p(l_i) (V^dag O V)_ii over rho's cached spectrum (l, V).
     """
-    if purification.sys_dim != o.dim:
+    if purification.state.dim != o.dim:
         raise ValidationError(
-            f"system dim {purification.sys_dim} does not match observable dim {o.dim}"
+            f"system dim {purification.state.dim} does not match observable dim {o.dim}"
         )
     if o.op_norm <= 0.0:
         raise ValidationError("observable must be nonzero")
     eps_poly = min(1.0, eps / (2.0 * o.op_norm))
     (p_w, v), ledger = power_block_encoding(purification, k, eps_poly)
-    w = purification.reduced_state().spectrum().eigenvalues
+    w = purification.state.spectrum().eigenvalues
     o_diag = np.sum(v.conj() * (o.mat @ v), axis=0)  # (V^dag O V)_ii
     return complex(np.sum(w * p_w * o_diag)), max(1.0, o.op_norm), ledger
 
@@ -311,7 +311,7 @@ def estimate_trace_power(
         parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
     estimate = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
 
-    oracle = trace_power_obs_oracle(purification.reduced_state(), o, int(k))
+    oracle = trace_power_obs_oracle(purification.state, o, int(k))
     model_error = abs(overlap - oracle)
     return EstimationReport(
         estimate=estimate,
@@ -364,7 +364,7 @@ def renyi_entropy(
         raise ValidationError(f"entropy order must be an integer >= 2, got {alpha_order!r}")
     report = estimate_trace_power(
         purification,
-        _identity_observable(purification.sys_dim),
+        _identity_observable(purification.state.dim),
         int(alpha_order),
         eps,
         mode=mode,
@@ -376,7 +376,7 @@ def renyi_entropy(
             f"trace-power estimate {t_est} minus eps {eps} is not positive; "
             "logarithm undefined in this regime"
         )
-    floor = float(purification.sys_dim) ** (1 - int(alpha_order))
+    floor = float(purification.state.dim) ** (1 - int(alpha_order))
     # interval must contain the true power (>= max(t - eps, floor)) and the
     # estimate itself, which can dip below the floor
     t_min = min(max(t_est - eps, floor), t_est)
@@ -403,7 +403,7 @@ def tsallis_entropy(
         raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
     report = estimate_trace_power(
         purification,
-        _identity_observable(purification.sys_dim),
+        _identity_observable(purification.state.dim),
         int(q),
         eps,
         mode=mode,
@@ -454,7 +454,7 @@ def vd_ratio(
     )
     den = estimate_trace_power(
         purification,
-        _identity_observable(purification.sys_dim),
+        _identity_observable(purification.state.dim),
         int(k),
         eps_den,
         mode=mode,

@@ -2,9 +2,10 @@
 ground-truth value of Tr(rho^k O).
 
 A ``DensityMatrix`` is diagonalised once, by its validation, and every
-later use, through its purification too, reads that ``eigh``. The oracle
-``trace_power_obs_oracle`` forms rho^k by repeated squaring instead, so it
-shares no eigendecomposition with the estimation pipeline.
+later use reads that ``eigh``: purified access to a state is the state
+itself, and the swap test's outcome law is read from the spectrum too.
+The oracle ``trace_power_obs_oracle`` forms rho^k by repeated squaring
+instead, so it shares no eigendecomposition with the estimation pipeline.
 
 Everything is stored as dense ``numpy.complex128``. Composite registers
 follow the Kronecker convention of ``numpy.kron``: in ``kron(a, b)`` the
@@ -198,11 +199,6 @@ class DensityMatrix:
         """Eigendecomposition with tiny negative eigenvalues clipped to 0,
         as read-only arrays: the one ``eigh`` that validation ran."""
         return self._spectrum
-
-    def power(self, k: int) -> np.ndarray:
-        """rho^k = V diag(w^k) V^dag from the cached spectrum, any integer k >= 0."""
-        w, v = self.spectrum()
-        return (v * w ** int(k)) @ v.conj().T
 
 
 @dataclass(frozen=True)

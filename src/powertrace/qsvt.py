@@ -91,7 +91,8 @@ def power_block_encoding(
     purification: PurifiedState, k: int, eps: float
 ) -> tuple[EighResult, QueryLedger]:
     """p(rho) for a truncated-expansion stand-in p of x^(k-1), as its
-    eigendecomposition (p(l_i), V) in rho's cached eigenbasis.
+    eigendecomposition (p(l_i), V) in the cached eigenbasis of the state
+    rho that ``purification`` gives access to.
 
     The truncation degree is the Chernoff-formula degree for approximating
     x^(k-1) to sup error ``eps``; the polynomial must have the exponent's
@@ -108,7 +109,7 @@ def power_block_encoding(
     degree = required_degree(exponent, eps)
     report = truncate(power_expansion(exponent), degree, k=exponent)
     _check_parity(report.kept, exponent)
-    spectrum = purification.reduced_state().spectrum()
+    spectrum = purification.state.spectrum()
     power = _eigen_transform(spectrum, report.kept)
     model_error = float(np.max(np.abs(power.eigenvalues - spectrum.eigenvalues ** exponent)))
     ledger = QueryLedger(

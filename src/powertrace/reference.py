@@ -1,12 +1,13 @@
 """Circuit-level references that the pipeline's closed forms are tested against.
 
-The estimation pipeline builds no unitary and no block: P(0) of the
-Hadamard test is read from the spectral sum Tr(rho p(rho) O) over rho's
-eigenbasis, the amplitude-estimation draw from an O(window) law. This
-module builds what those stand for (the SWAP-lemma unitary of the density
-block encoding, the block identity ``closed_form_p_zero``, the simulated
-Hadamard-test circuit and the dense phase-estimation law) so the tests can
-compare the two. No pipeline module imports it.
+The estimation pipeline builds no unitary, no block and no purification
+vector: P(0) of the Hadamard test is read from the spectral sum
+Tr(rho p(rho) O) over rho's eigenbasis, the amplitude-estimation draw from
+an O(window) law. This module builds what those stand for (a purification
+vector of the state, the SWAP-lemma unitary of the density block encoding,
+the block identity ``closed_form_p_zero``, the simulated Hadamard-test
+circuit and the dense phase-estimation law) so the tests can compare the
+two. No pipeline module imports it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,25 @@ import numpy as np
 
 from .blockenc import PurifiedState
 from .errors import ResourceError, ValidationError
-from .linalg import as_complex_matrix, check_dim_within_cap, get_qubit_cap, kron, op_norm
+from .linalg import (
+    DensityMatrix,
+    as_complex_matrix,
+    check_dim_within_cap,
+    get_qubit_cap,
+    kron,
+    op_norm,
+)
+
+
+def purification_vector(state: DensityMatrix) -> np.ndarray:
+    """A unit vector on (environment, system), both n qubits wide, whose
+    reduced state on the system is ``state``: the amplitude matrix
+    diag(sqrt(w)) V^T, environment basis state i paired with eigenvector i
+    in ``eigh`` order. Any purification gives the same circuit
+    probabilities, so no order among tied eigenvalues is imposed."""
+    w, v = state.spectrum()
+    vec = (np.sqrt(w)[:, None] * v.T).reshape(-1)
+    return vec / np.linalg.norm(vec)
 
 
 def _swap_registers(dim_a: int, dim_b: int) -> np.ndarray:
@@ -54,17 +73,16 @@ def density_block_unitary(purification: PurifiedState) -> np.ndarray:
     top-left block: the density block encoding that the eigenvalue
     transform (``qsvt.power_block_encoding``) acts on.
 
-    With U the unitary preparing the purification from |0>_E |0>_I and a
-    fresh system-sized register appended, the product
+    With U the unitary preparing ``purification_vector`` from |0>_E |0>_I
+    and a fresh system-sized register appended, the product
 
         (U^dag x I_n) (I_a x SWAP_n) (U x I_n)
 
     places rho in the ancilla-zero block exactly, its a+n ancillas leading.
     """
-    a_dim = purification.env_dim
-    s_dim = purification.sys_dim
+    s_dim = a_dim = purification.state.dim
     check_dim_within_cap(a_dim * s_dim * s_dim, "density block encoding")
-    u_big = kron(_complete_unitary(purification.vec), np.eye(s_dim))
+    u_big = kron(_complete_unitary(purification_vector(purification.state)), np.eye(s_dim))
     middle = kron(np.eye(a_dim), _swap_registers(s_dim, s_dim))
     return u_big.conj().T @ middle @ u_big
 
@@ -91,7 +109,7 @@ def closed_form_p_zero(block, alpha: float, purification: PurifiedState, w: str 
     (``hadamard_test_prob`` simulates the circuit); ``w="I"`` takes the
     real part, ``"S_dagger"`` the imaginary part.
     """
-    overlap = complex(np.sum(purification.reduced_state().mat * np.asarray(block).T))
+    overlap = complex(np.sum(purification.state.mat * np.asarray(block).T))
     return 0.5 + (overlap.real if w == "I" else overlap.imag) / (2.0 * alpha)
 
 
@@ -103,7 +121,9 @@ def hadamard_test_prob(unitary, purification: PurifiedState, w: str = "I") -> fl
     circuit applies H on the control, the unitary on (ancillas, system)
     controlled on it, optionally the inverse phase gate on the control
     (setting ``w="S_dagger"``), and a final H, starting from
-    |0>_c |0>_anc |purification>.
+    |0>_c |0>_anc |purification>, the purification being
+    ``purification_vector`` of the state, with an environment as wide as
+    the system.
 
     The circuit is simulated on its state vector: the unitary's image of
     the ancilla-zero input is the purification, reshaped to (environment,
@@ -114,27 +134,27 @@ def hadamard_test_prob(unitary, purification: PurifiedState, w: str = "I") -> fl
     """
     if w not in ("I", "S_dagger"):
         raise ValidationError(f'w must be "I" or "S_dagger", got {w!r}')
-    sys_dim = purification.sys_dim
+    sys_dim = env_dim = purification.state.dim
     dim = np.shape(unitary)[0]
     anc_dim = dim // sys_dim
     if np.shape(unitary) != (dim, dim) or anc_dim * sys_dim != dim or anc_dim & (anc_dim - 1):
         raise ValidationError("unitary does not act on (ancillas, system) registers")
     # a power of two's bit length is 1 + its log2: the control plus the ancillas
-    total_qubits = anc_dim.bit_length() + purification.env_qubits + purification.sys_qubits
+    total_qubits = anc_dim.bit_length() + 2 * purification.state.qubits
     if total_qubits > get_qubit_cap():
         raise ResourceError(
             f"Hadamard-test circuit needs {total_qubits} qubits, cap is "
             f"{get_qubit_cap()}"
         )
     unitary = as_complex_matrix(unitary, "unitary")
-    env_dim = purification.env_dim
-    psi = purification.vec.reshape(env_dim, sys_dim)
+    vec = purification_vector(purification.state)
+    psi = vec.reshape(env_dim, sys_dim)
     # U (|0>_anc x |psi_e>) for every environment row e, ordered (env, anc, sys)
     image = (psi @ unitary[:, :sys_dim].T).reshape(env_dim, anc_dim, sys_dim)
 
     rest_dim = anc_dim * env_dim * sys_dim
     branch = np.zeros(rest_dim, dtype=np.complex128)
-    branch[: env_dim * sys_dim] = purification.vec  # ancillas in |0>
+    branch[: env_dim * sys_dim] = vec  # ancillas in |0>
 
     # after H_c and the controlled unitary: (|0>|phi> + |1>U|phi>)/sqrt(2)
     amp0 = branch / math.sqrt(2.0)

@@ -626,9 +626,9 @@ def _kind(value) -> str:
 
 def _check_kind(key: str, value, default) -> None:
     """Reject a config value of another JSON kind than its default's, and
-    for a list key any element of another kind than the default's
-    elements. ``seed`` is a non-negative integer, ``ae_grid_override`` an
-    integer."""
+    for a list key an empty list or any element of another kind than the
+    default's elements; a ``*_range`` key is a (low, high) pair. ``seed``
+    is a non-negative integer, ``ae_grid_override`` an integer."""
     if key in ("seed", "ae_grid_override"):
         ok = type(value) is int and (key != "seed" or value >= 0)
         expected = "a non-negative integer" if key == "seed" else "an integer"
@@ -636,6 +636,9 @@ def _check_kind(key: str, value, default) -> None:
         kinds = sorted({_kind(x) for x in default})
         ok = isinstance(value, list) and all(_kind(x) in kinds for x in value)
         expected = f"a list of {' or '.join(kinds)} values"
+        pair = key.endswith("_range")
+        if ok and (len(value) != 2 if pair else not value):
+            ok, expected = False, "a [low, high] pair" if pair else "a non-empty list"
     else:
         ok, expected = _kind(value) == _kind(default), f"a {_kind(default)}"
     if not ok:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import powertrace as pt
-from powertrace import blockenc
 
 
 @pytest.fixture
@@ -28,16 +27,6 @@ def numpy_decompositions(monkeypatch):
         "norm",
         counting("norm2", np.linalg.norm, lambda x, ord=None, *a, **kw: ord == 2),
     )
-    return calls
-
-
-@pytest.fixture
-def partial_traces(monkeypatch):
-    """The dims of every partial trace a purification takes to find its
-    reduced state while the test runs."""
-    calls = []
-    real = blockenc.partial_trace
-    monkeypatch.setattr(blockenc, "partial_trace", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
     return calls
 
 

@@ -1,14 +1,14 @@
-import math
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
 from conftest import dense_power_times_obs
-from powertrace import estimator, linalg, qsvt, reference
+from powertrace import blockenc, estimator, qsvt, reference
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -29,37 +29,39 @@ def random_contraction(dim, seed):
 
 # ---------------------------------------------------------------- purify
 
+def _vector(rho):
+    return reference.purification_vector(rho)
+
+
 def test_purify_maximally_mixed():
     rho = pt.DensityMatrix(np.eye(2, dtype=complex) / 2)
-    pur = pt.purify(rho)
-    assert pur.env_qubits == pur.sys_qubits == 1
-    red = pur.reduced_state()
-    assert np.allclose(red.mat, rho.mat, atol=1e-12)
+    vec = _vector(pt.purify(rho).state)
+    assert vec.size == 4  # one environment qubit on one system qubit
+    assert np.allclose(pt.partial_trace(vec, (2, 2), keep="B"), rho.mat, atol=1e-12)
     # equal weight on two orthogonal environment states
-    psi = pur.vec.reshape(2, 2)
+    psi = vec.reshape(2, 2)
     weights = np.linalg.norm(psi, axis=1) ** 2
     assert np.allclose(weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_purify_pure_state_is_product():
     rho = pt.DensityMatrix(PROJ0)
-    pur = pt.purify(rho)
-    target = np.kron([1, 0], [1, 0]).astype(complex)
-    assert abs(np.vdot(target, pur.vec)) == pytest.approx(1.0, abs=1e-12)
+    vec = _vector(pt.purify(rho).state)
+    # eigh order puts the unit eigenvalue last: environment |1>, system |0>
+    target = np.kron([0, 1], [1, 0]).astype(complex)
+    assert abs(np.vdot(target, vec)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _traced_back(rho):
-    """The reduced state of purify(rho)'s vector alone, as a bare vector's
-    purification computes it (purify's own result carries rho itself)."""
-    vec = pt.purify(rho).vec
-    return pt.PurifiedState(env_qubits=rho.qubits, sys_qubits=rho.qubits, vec=vec).reduced_state()
+    """The system's reduced state of rho's purification vector."""
+    return pt.partial_trace(_vector(pt.purify(rho).state), (rho.dim, rho.dim), keep="B")
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_purify_round_trip_random(seed):
     rho = pt.random_density(2, 2, seed)
     back = _traced_back(rho)
-    assert np.linalg.norm(back.mat - rho.mat, 2) <= 1e-11
+    assert np.linalg.norm(back - rho.mat, 2) <= 1e-11
 
 
 @pytest.mark.parametrize("qubits,rank", [(1, 2), (2, 3), (3, 4)])
@@ -67,28 +69,7 @@ def test_purify_round_trip_dims(qubits, rank):
     for seed in range(5):
         rho = pt.random_density(qubits, rank, seed)
         back = _traced_back(rho)
-        assert np.linalg.norm(back.mat - rho.mat, 2) <= 1e-11
-
-
-def _purify_loop(rho):
-    """The purification vector as built by one np.kron per eigenvalue, in
-    the order of a Python sort on (-w, eigenvector entries as (re, im))."""
-    w, v = rho.spectrum()
-
-    def _tiebreak(i):
-        return tuple((float(z.real), float(z.imag)) for z in v[:, i])
-
-    order = sorted(range(rho.dim), key=lambda i: (-w[i], _tiebreak(i)))
-    vec = np.zeros(rho.dim * rho.dim, dtype=np.complex128)
-    for rank, i in enumerate(order):
-        p = w[i]
-        if p <= 0.0:
-            continue
-        env = np.zeros(rho.dim, dtype=np.complex128)
-        env[rank] = 1.0
-        vec += math.sqrt(p) * np.kron(env, v[:, i])
-    vec /= np.linalg.norm(vec)
-    return vec
+        assert np.linalg.norm(back - rho.mat, 2) <= 1e-11
 
 
 def _rotated_spectrum(weights, seed):
@@ -99,65 +80,13 @@ def _rotated_spectrum(weights, seed):
     return pt.DensityMatrix(m / np.trace(m).real)
 
 
-@pytest.mark.parametrize(
-    "rho",
-    [
-        pt.DensityMatrix(np.eye(2, dtype=complex) / 2),
-        pt.DensityMatrix(np.eye(8, dtype=complex) / 8),
-        pt.DensityMatrix(np.diag([0.4, 0.4, 0.1, 0.1]).astype(complex)),
-        pt.DensityMatrix(np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)),
-        _rotated_spectrum([0.3, 0.3, 0.3, 0.1], seed=1),
-        _rotated_spectrum([0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0], seed=2),
-        pt.random_density(3, 1, seed=3),
-        pt.random_density(3, 2, seed=4),
-        pt.DensityMatrix(PROJ0),
-    ],
-    ids=["mixed-1", "mixed-3", "pairs", "rank-2-diag", "triple", "rank-4-rotated",
-         "rank-1", "rank-2", "projector"],
-)
-def test_purify_is_byte_equal_to_the_loop(rho):
-    assert pt.purify(rho).vec.tobytes() == _purify_loop(rho).tobytes()
-
-
-def _with_exact_spectrum(weights, seed):
-    """U diag(w) U^dag whose cached spectrum is exactly (w, U), w ascending:
-    exact eigenvalue ties with complex eigenvectors, which a solver rarely
-    returns, so the tie-break is exercised past the first entry. For odd
-    seeds U = 1 + U', so all but the first column tie on their first entry."""
-    w = np.sort(np.asarray(weights, dtype=float) / np.sum(weights))
-    dim = len(w)
-    u = pt.random_unitary(dim, seed)
-    if seed % 2:
-        u = scipy.linalg.block_diag(1.0, pt.random_unitary(dim - 1, seed)).astype(complex)
-    m = (u * w) @ u.conj().T
-    rho = pt.DensityMatrix((m + m.conj().T) / 2)
-    object.__setattr__(rho, "_spectrum", linalg.EighResult(w, u))
-    return rho
-
-
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(
-    n=st.integers(1, 3),
-    levels=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=8, max_size=8),
-    kind=st.sampled_from(["diagonal", "rotated", "exact"]),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_purify_is_byte_equal_to_the_loop_on_degenerate_spectra(n, levels, kind, seed):
-    weights = np.asarray(levels[: 2 ** n])
-    if weights.sum() == 0.0:
-        weights[0] = 1.0
-    if kind == "rotated":
-        rho = _rotated_spectrum(weights, seed)
-    elif kind == "exact":
-        rho = _with_exact_spectrum(weights, seed)
-    else:
-        rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
-    assert pt.purify(rho).vec.tobytes() == _purify_loop(rho).tobytes()
-
-
 def test_purified_state_rejects_unnormalized():
+    """Purified access is to a validated state: an unnormalized matrix is
+    refused by ``DensityMatrix``, and a bare matrix by ``PurifiedState``."""
     with pytest.raises(pt.ValidationError):
-        pt.PurifiedState(env_qubits=1, sys_qubits=1, vec=np.ones(4))
+        pt.PurifiedState(pt.DensityMatrix(np.eye(2, dtype=complex)))
+    with pytest.raises(pt.ValidationError):
+        pt.PurifiedState(np.eye(2, dtype=complex) / 2)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -183,23 +112,9 @@ def test_purification_traces_back_to_its_state(n, data, kind, seed):
     else:
         rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
     pur = pt.purify(rho)
-    traced = pt.partial_trace(pur.vec, (dim, dim), keep="B")
+    traced = pt.partial_trace(_vector(pur.state), (dim, dim), keep="B")
     assert np.max(np.abs(traced - rho.mat)) <= 1e-12
-    assert pur.reduced_state() is rho
-
-
-def test_bare_vector_purification_validates_its_reduced_state_once(
-    numpy_decompositions, partial_traces
-):
-    rho = pt.random_density(2, 3, seed=24)
-    vec = pt.purify(rho).vec
-    numpy_decompositions.clear()
-    pur = pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=vec)
-    red = pur.reduced_state()
-    assert pur.reduced_state() is red
-    assert [name for name, _ in numpy_decompositions] == ["eigh"]
-    assert partial_traces == [(4, 4)]
-    assert np.linalg.norm(red.mat - rho.mat, 2) <= 1e-12
+    assert pur.state is rho
 
 
 @pytest.mark.parametrize(
@@ -207,10 +122,27 @@ def test_bare_vector_purification_validates_its_reduced_state_once(
     [np.ones(4) / 2, np.ones(8) / np.sqrt(8), np.ones(16), np.array([1.0, np.nan, 0.0, 0.0] * 4)],
     ids=["short", "long", "unnormalized", "non-finite"],
 )
-def test_bare_vector_purification_rejects_a_bad_vector(vec, partial_traces):
+def test_bare_vector_purification_rejects_a_bad_vector(vec):
+    """A purification is built from its state only: any bare vector is refused."""
     with pytest.raises(pt.ValidationError):
-        pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=vec)
-    assert partial_traces == []
+        pt.PurifiedState(vec)
+
+
+def test_purify_allocates_no_vector():
+    """purify(rho) at n = 8 carries rho and allocates far less than one
+    256 x 256 complex array (1 MiB); the state is all a purification holds."""
+    assert [f.name for f in dataclasses.fields(pt.PurifiedState)] == ["state"]
+    assert not hasattr(blockenc, "partial_trace")
+    rho = pt.random_density(8, 2 ** 8, seed=8)
+    pt.purify(pt.random_density(1, 2, seed=0))
+    tracemalloc.start()
+    try:
+        pur = pt.purify(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pur.state is rho
+    assert peak < 0.1 * 2 ** 20
 
 
 # ------------------------------------------------- density_block_unitary
@@ -254,18 +186,21 @@ def test_density_encoding_respects_cap():
 
 
 def test_density_block_is_the_encoding_without_its_dilation():
-    """The state the pipeline transforms, the purification's reduced state,
+    """The state the pipeline transforms, the one the purification carries,
     is the top-left block of the SWAP-lemma unitary on a + n ancillas."""
     pur = pt.purify(pt.random_density(2, 3, seed=13))
-    rho = pur.reduced_state()
+    rho = pur.state
     unitary = reference.density_block_unitary(pur)
-    assert unitary.shape[0] == 2 ** (pur.env_qubits + pur.sys_qubits) * rho.dim
+    assert unitary.shape[0] == rho.dim ** 3
     assert np.linalg.norm(unitary[: rho.dim, : rho.dim] - rho.mat, 2) <= 1e-10
 
 
 def test_reduced_state_is_computed_once():
-    pur = pt.purify(pt.random_density(2, 3, seed=15))
-    assert pur.reduced_state() is pur.reduced_state()
+    """The purification's reduced state is the state it was given: never
+    computed again."""
+    rho = pt.random_density(2, 3, seed=15)
+    assert pt.purify(rho).state is rho
+    assert pt.purify(rho) == pt.PurifiedState(rho)
 
 
 # ----------------------------------------------------------- halmos_dilate

@@ -383,7 +383,7 @@ def test_bqp_accepting_circuit():
     assert inst.p_x == pytest.approx(1.0)
     lam = 1 - 1 / (10 * 5)
     assert inst.lam == pytest.approx(lam)
-    rho = inst.purified_state.reduced_state()
+    rho = inst.purified_state.state
     assert pt.trace_power_obs_oracle(rho, inst.obs, 5).real == pytest.approx(
         lam ** 5, abs=1e-10
     )
@@ -392,7 +392,7 @@ def test_bqp_accepting_circuit():
 def test_bqp_rejecting_circuit():
     inst = pt.bqp_instance(np.eye(4, dtype=complex), _accept_first_qubit(2), q=10.0, k=5)
     assert inst.p_x == pytest.approx(0.0)
-    rho = inst.purified_state.reduced_state()
+    rho = inst.purified_state.state
     assert abs(pt.trace_power_obs_oracle(rho, inst.obs, 5)) <= 1e-12
 
 

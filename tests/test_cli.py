@@ -225,6 +225,38 @@ def test_counts_at_their_least_value_are_accepted(monkeypatch):
         assert {key: cfg[key] for key in given} == given
 
 
+LIST_KEYS = [(suite, key) for suite in SUITES for key, value in suite_defaults(suite).items()
+             if isinstance(value, list)]
+RANGE_KEYS = [(suite, key) for suite, key in LIST_KEYS if key.endswith("_range")]
+
+
+def _exits_2_before_any_work(tmp_path, suite, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([suite, "--config", str(cfg), "--out", str(out)])
+    return code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("suite, key", LIST_KEYS, ids=[f"{s}-{k}" for s, k in LIST_KEYS])
+def test_empty_list_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert _exits_2_before_any_work(tmp_path, suite, {key: []})
+    expected = "a [low, high] pair" if key.endswith("_range") else "a non-empty list"
+    assert f"config key {key!r} must be {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("suite, key", RANGE_KEYS, ids=[f"{s}-{k}" for s, k in RANGE_KEYS])
+def test_range_that_is_not_a_pair_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, suite, key, size
+):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    low, high = suite_defaults(suite)[key]
+    assert _exits_2_before_any_work(tmp_path, suite, {key: [low, high, high][:size]})
+    assert f"config key {key!r} must be a [low, high] pair" in capsys.readouterr().err
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its worker count and maps
     in this process, starting none."""

@@ -72,11 +72,11 @@ def _embed_outer_pair(u, dim_outer_pair, dim_mid):
 def _dense_circuit_p_zero(unitary, purification, w):
     """Control-0 probability from the whole-circuit operator: the unitary
     embedded on (ancillas, environment, system) applied to the input."""
-    env_dim, sys_dim = purification.env_dim, purification.sys_dim
+    env_dim = sys_dim = purification.state.dim
     anc_dim = unitary.shape[0] // sys_dim
     u_embedded = _embed_outer_pair(unitary, (anc_dim, sys_dim), env_dim)
     branch = np.zeros(anc_dim * env_dim * sys_dim, dtype=complex)
-    branch[: env_dim * sys_dim] = purification.vec
+    branch[: env_dim * sys_dim] = reference.purification_vector(purification.state)
     image = u_embedded @ branch
     if w == "S_dagger":
         image = -1j * image
@@ -429,7 +429,7 @@ def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
     assert abs(report.estimate - exact) <= eps
 
 
-def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions, partial_traces):
+def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions):
     rho = pt.random_density(3, 5, seed=17)
     hermitian = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=17))
     for obs in (hermitian, _non_hermitian_observable(3, 17)):
@@ -439,13 +439,6 @@ def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions, partia
         # rho's validation, before purify, was its one eigh; the estimate
         # reads that spectrum and runs no SVD, eigvalsh or einsum anywhere
         assert [name for name, _ in numpy_decompositions] == []
-        assert partial_traces == []
-        raw = pt.PurifiedState(env_qubits=3, sys_qubits=3, vec=pur.vec)
-        pt.estimate_trace_power(raw, obs, 5, 0.05, seed=0)
-        # a bare vector's reduced state: one partial trace, one validating eigh
-        assert [name for name, _ in numpy_decompositions] == ["eigh"]
-        assert partial_traces == [(8, 8)]
-        partial_traces.clear()
 
 
 def test_estimate_evaluates_its_polynomial_once(monkeypatch):
@@ -472,10 +465,6 @@ def test_estimate_checks_hermiticity_of_the_state_once(monkeypatch):
     # rho's validation proved it Hermitian before the patch; the purification
     # carries rho, and the transform reads the spectrum it proved
     assert calls == []
-    pur = pt.purify(rho)
-    pt.estimate_trace_power(pt.PurifiedState(env_qubits=2, sys_qubits=2, vec=pur.vec), obs, 5, 0.05, seed=0)
-    # a bare vector's reduced state is proved Hermitian by its own validation
-    assert calls == ["density matrix"]
 
 
 def test_estimate_builds_no_unitary(monkeypatch):
@@ -692,7 +681,7 @@ def test_vd_ratio_refuses_vanishing_denominator():
         pt.vd_ratio(pt.purify(rho), obs, 8, 0.01, 0.01, mode="ideal", seed=2)
 
 
-def test_identity_observable_is_built_once_per_dimension(numpy_decompositions, partial_traces):
+def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
     assert estimator._identity_observable(4) is estimator._identity_observable(4)
     assert not estimator._identity_observable(4).mat.flags.writeable
     rho = pt.random_density(2, 3, seed=23)
@@ -702,7 +691,6 @@ def test_identity_observable_is_built_once_per_dimension(numpy_decompositions, p
     # no operator-norm SVD of a new identity, and no eigh: the
     # purification carries rho and its spectrum
     assert [name for name, _ in numpy_decompositions] == []
-    assert partial_traces == []
 
 
 def test_vd_ratio_bound_covers_in_most_runs():

