@@ -11,7 +11,12 @@ seed = n):
   purification;
 - ``tracemalloc_peak_mib``: the ``tracemalloc`` peak over the same set-up
   and estimate, run again under tracing so that tracing never reaches a
-  timing.
+  timing;
+- ``setup_peak_mib``: the part of that traced run's peak reached during
+  ``make_state`` + ``purify``;
+- ``estimate_peak_mib``: the peak during the estimate, above what set-up
+  left allocated (``tracemalloc.reset_peak`` between the two stages).
+  Rows recorded before these two columns existed lack them.
 
 Every figure is a single run. The powertrace that is measured is the one
 in this checkout's ``src/``. Results are stored under ``--label`` in the
@@ -59,8 +64,11 @@ def measure(n: int) -> dict:
 
     tracemalloc.start()
     try:
-        pt.estimate_trace_power(pt.purify(pt.make_state(spec)), obs, K, EPS, seed=n)
-        peak = tracemalloc.get_traced_memory()[1]
+        pur = pt.purify(pt.make_state(spec))
+        held, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        pt.estimate_trace_power(pur, obs, K, EPS, seed=n)
+        estimate_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     return {
@@ -68,7 +76,9 @@ def measure(n: int) -> dict:
         "observable_s": observable_s,
         "setup_s": setup_s,
         "estimate_s": estimate_s,
-        "tracemalloc_peak_mib": peak / MIB,
+        "tracemalloc_peak_mib": max(setup_peak, held + estimate_peak) / MIB,
+        "setup_peak_mib": setup_peak / MIB,
+        "estimate_peak_mib": estimate_peak / MIB,
         "abs_error": abs(report.estimate - report.oracle_value),
         "model_error": report.model_error,
     }

@@ -22,11 +22,12 @@ is the spectral sum
 read from the spectrum of the state the purified access carries and one
 O V product. No d x d block and no purification vector is built.
 
-The readout draws the phase-estimation outcome exactly in O(W) time and
-memory, W a fixed window, whatever the grid size K: ``amplitude_estimate``
-picks one of the two rotation branches, computes that branch's law on the
-2W+1 outcomes around its peak and reaches the rest of the grid by
-rejection under a 1/distance^2 envelope.
+The readout draws the phase-estimation outcome exactly in O(log K) time
+and O(1) memory on a K = 2^t point grid, as the circuit produces it:
+``amplitude_estimate`` picks one of the two rotation branches with a fair
+coin, then measures the t counting qubits one at a time (the
+semiclassical inverse QFT), each bit from a Bernoulli law set by the
+phase and the bits already drawn.
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
@@ -49,8 +50,6 @@ from .qsvt import QueryLedger, power_block_encoding
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
-# half-width of the exactly computed outcome window around a branch's peak
-_AE_WINDOW = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,8 @@ def _check_mode(mode: str) -> None:
 
 def _check_grid(K, mode: str) -> None:
     """Reject a readout grid before anything is sized from it: an integer
-    >= 2, and in ``sampled`` mode also a power of two <= ``_MAX_AE_GRID``."""
+    >= 2, and in ``sampled`` mode also a power of two <= ``_MAX_AE_GRID``,
+    the K = 2^t outcomes of t counting qubits."""
     if not isinstance(K, (int, np.integer)) or K < 2:
         raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
     if mode == "sampled" and (K & (K - 1) or K > _MAX_AE_GRID):
@@ -143,71 +143,36 @@ def _check_grid(K, mode: str) -> None:
         )
 
 
-def _branch_law(frac: float, offsets, grid_size: int) -> np.ndarray:
-    """One branch's outcome law at integer offsets j from its nearest grid
-    point c, with frac = x - c for the branch peak x = +-theta K:
-    sin^2(pi frac) / (K^2 sin^2(pi (frac - j) / K)), and 1 at frac - j = 0.
-    Over the K residues of c + j it sums to exactly 1."""
-    offsets = np.asarray(offsets)
-    if frac == 0.0:  # the peak sits on the grid
-        return (offsets == 0).astype(np.float64)
-    denom = grid_size * np.sin((math.pi / grid_size) * (frac - offsets))
-    return (math.sin(math.pi * frac) / denom) ** 2
+def _bit_probability(phi: float, t: int, m: int, low: int) -> float:
+    """P(y_m = 1) for bit m of the t-qubit phase-estimation outcome y, given
+    its lower bits low = y mod 2^m: sin^2(pi (2^(t-1-m) phi - low / 2^(m+1))).
 
-
-def _draw_tail(frac: float, grid_size: int, rng: np.random.Generator) -> int:
-    """Offset j, W < |j| on the grid, drawn exactly from the branch law
-    restricted to the outcomes outside the window.
-
-    An outcome at |j| = m lies at circular distance >= m - 1/2 from the
-    peak, so with sin(pi s / K) >= 2 s / K its law is at most
-    sin^2(pi frac) / (4 (m - 1/2)^2). The proposal m = floor((W+1)/U)
-    (P(m' >= m) = (W+1)/m) with a fair sign, times the constant
-    sin^2(pi frac) (W+1)(W+2) / (4 (W+1/2)^2), lies above that envelope for
-    every m >= W+1; offsets past the grid are rejected.
+    The phase is reduced mod 1 before ``sin``; scaling by a power of two
+    is exact, so the bit keeps full precision at every grid size.
     """
-    w = _AE_WINDOW
-    scale = math.sin(math.pi * frac) ** 2 * (w + 1) * (w + 2) / (4.0 * (w + 0.5) ** 2)
-    while True:
-        m = math.floor((w + 1) / (1.0 - rng.random()))
-        j = m if rng.random() < 0.5 else -m
-        if not -(grid_size - 1 - grid_size // 2) <= j <= grid_size // 2:
-            continue
-        if rng.random() * scale / (m * (m + 1.0)) <= _branch_law(frac, j, grid_size):
-            return j
+    x = (math.ldexp(phi, t - 1 - m) % 1.0 - math.ldexp(low, -(m + 1))) % 1.0
+    return math.sin(math.pi * x) ** 2
 
 
 def _draw_outcome(theta: float, grid_size: int, rng: np.random.Generator) -> int:
-    """One grid outcome of the phase-estimation law, in O(_AE_WINDOW).
+    """One outcome y of the K = 2^t point phase-estimation law, in O(t).
 
-    A fair branch choice, then that branch's law: computed exactly on the
-    window of offsets -W..W around the peak (the whole grid once
-    K <= 2W+1) and drawn by rejection outside it. The window mass is
-    checked against 1 minus the envelope's tail mass sin^2(pi frac)/(2W).
+    A fair coin picks the branch phi = +-theta. Before the inverse QFT the
+    counting register is the product state of (|0> + e^(2 pi i 2^j phi)
+    |1>) / sqrt(2), so measuring it one qubit at a time (the semiclassical
+    inverse QFT of Griffiths and Niu) draws y bit by bit, least significant
+    first, each bit from ``_bit_probability``. The product of these
+    Bernoulli laws telescopes (sin 2x = 2 sin x cos x) to the Fejer law
+    sin^2(pi K d) / (K^2 sin^2(pi d)), d = phi - y / K, so the draw is
+    exact and takes 1 + t uniform draws.
     """
-    peak = (theta if rng.random() < 0.5 else -theta) * grid_size
-    centre = round(peak)
-    frac = peak - centre
-    offsets = np.arange(
-        -min(_AE_WINDOW, grid_size // 2),
-        min(_AE_WINDOW, grid_size - 1 - grid_size // 2) + 1,
-    )
-    cdf = np.cumsum(_branch_law(frac, offsets, grid_size))
-    mass = float(cdf[-1])
-    whole_grid = offsets.size == grid_size
-    envelope_tail = 0.0 if whole_grid else math.sin(math.pi * frac) ** 2 / (2 * _AE_WINDOW)
-    if not 1.0 - envelope_tail - 1e-9 <= mass <= 1.0 + 1e-9:
-        raise ValidationError(
-            f"outcome window holds mass {mass}, outside "
-            f"[1 - {envelope_tail} - 1e-9, 1 + 1e-9]"
-        )
-    u = rng.random()
-    if whole_grid or u < mass:
-        idx = int(np.searchsorted(cdf, u * mass if whole_grid else u, side="right"))
-        j = int(offsets[min(idx, offsets.size - 1)])
-    else:
-        j = _draw_tail(frac, grid_size, rng)
-    return (centre + j) % grid_size
+    phi = theta if rng.random() < 0.5 else -theta
+    t = grid_size.bit_length() - 1
+    y = 0
+    for m in range(t):
+        if rng.random() < _bit_probability(phi, t, m, y):
+            y += 1 << m
+    return y
 
 
 def amplitude_estimate(
@@ -217,10 +182,10 @@ def amplitude_estimate(
 
     ``sampled`` draws a grid outcome y from the canonical phase-estimation
     distribution and returns sin^2(pi y / K). The draw is exact and costs
-    O(W) time and memory at any K (window plus rejection-sampled tail, see
-    ``_draw_outcome``). ``ideal`` returns the true probability pushed
-    exactly to the edge of the error bound, for deterministic worst-case
-    budget checks.
+    O(log K) time and O(1) memory: the counting register is measured one
+    qubit at a time (see ``_draw_outcome``). ``ideal`` returns the true
+    probability pushed exactly to the edge of the error bound, for
+    deterministic worst-case budget checks.
     """
     if not -1e-12 <= p_true <= 1.0 + 1e-12:
         raise ValidationError(f"probability {p_true} outside [0, 1]")
@@ -391,13 +356,10 @@ def tsallis_entropy(
     eps: float,
     mode: str = "sampled",
     seed: int = 0,
-    standard_form: bool = False,
 ) -> EntropyEstimate:
-    """Tsallis entropy from the trace power, q >= 2.
-
-    Default is the plain ratio Tr(rho^q) / (1 - q); ``standard_form``
-    switches to (1 - Tr(rho^q)) / (q - 1). Both are linear in the trace
-    power, so the error bound is eps / (q - 1) either way.
+    """Tsallis entropy from the trace power, q >= 2, in the printed form
+    Tr(rho^q) / (1 - q). It is linear in the trace power, so the error
+    bound is eps / (q - 1).
     """
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
@@ -409,13 +371,10 @@ def tsallis_entropy(
         mode=mode,
         seed=seed,
     )
-    t_est = report.estimate.real
-    if standard_form:
-        value = (1.0 - t_est) / (int(q) - 1)
-    else:
-        value = t_est / (1 - int(q))
     return EntropyEstimate(
-        value=value, error_bound=eps / (int(q) - 1), trace_power=report
+        value=report.estimate.real / (1 - int(q)),
+        error_bound=eps / (int(q) - 1),
+        trace_power=report,
     )
 
 

@@ -2,12 +2,12 @@
 
 The estimation pipeline builds no unitary, no block and no purification
 vector: P(0) of the Hadamard test is read from the spectral sum
-Tr(rho p(rho) O) over rho's eigenbasis, the amplitude-estimation draw from
-an O(window) law. This module builds what those stand for (a purification
-vector of the state, the SWAP-lemma unitary of the density block encoding,
-the block identity ``closed_form_p_zero``, the simulated Hadamard-test
-circuit and the dense phase-estimation law) so the tests can compare the
-two. No pipeline module imports it.
+Tr(rho p(rho) O) over rho's eigenbasis, the amplitude-estimation outcome
+drawn bit by bit in O(log K). This module builds what those stand for (a
+purification vector of the state, the SWAP-lemma unitary of the density
+block encoding, the block identity ``closed_form_p_zero``, the simulated
+Hadamard-test circuit and the dense phase-estimation law) so the tests
+can compare the two. No pipeline module imports it.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     directions; each branch contributes the squared Dirichlet kernel
     sin^2(K pi d) / (K^2 sin^2(pi d)) at grid offset d, and the branches
     mix with weight 1/2. This dense O(K) law is the reference for
-    ``estimator.amplitude_estimate``'s O(window) draw.
+    ``estimator.amplitude_estimate``'s O(log K) bit-by-bit draw.
     """
     theta = math.asin(math.sqrt(p_true)) / math.pi
     y = np.arange(grid_size)

@@ -446,7 +446,8 @@ def _suite_apps(cfg: dict, jobs: int):
         dim = 2 ** qubits
         est = entropy(
             purify(DensityMatrix(np.eye(dim, dtype=complex) / dim)), order,
-            float(cfg["entropy_eps"]), mode=cfg["entropy_mode"], seed=int(cfg["seed"]) + offset,
+            float(cfg["entropy_eps"]), mode=cfg["entropy_mode"],
+            seed=derive_seed(int(cfg["seed"]), offset),
         )
         records.append({
             "spec": {"application": application, "order": order, "state": f"max_mixed_{qubits}q"},
@@ -727,15 +728,3 @@ def load_config_file(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValidationError(f"config at {path} must be a JSON object")
     return cfg
-
-
-def run_suite(config_path: str, out_root: str = "out", jobs: int = 1) -> int:
-    """Run the suite named by the config file's "suite" key."""
-    cfg_file = load_config_file(config_path)
-    suite = cfg_file.get("suite")
-    if suite not in SUITES:
-        raise ValidationError(
-            f'config at {config_path} needs a "suite" key, one of {SUITES}'
-        )
-    cfg = resolve_config(suite, cfg_file, None)
-    return run_suite_config(suite, cfg, out_root=out_root, jobs=jobs)

@@ -25,4 +25,6 @@ def test_estimator_reach_keeps_each_labelled_run(tmp_path, capsys):
     for row in rows:
         assert row["setup_s"] > 0 and row["estimate_s"] > 0 and row["tracemalloc_peak_mib"] > 0
         assert row["observable_s"] > 0
+        assert 0 < row["setup_peak_mib"] <= row["tracemalloc_peak_mib"]
+        assert 0 < row["estimate_peak_mib"] <= row["tracemalloc_peak_mib"]
         assert row["model_error"] <= 0.05 / 2

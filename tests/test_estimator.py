@@ -191,7 +191,7 @@ def _fft_outcome_law(p, K):
 
 def _test_probabilities(K):
     """0, 1, on the grid, peaks within half a step of 0 and of K/2 (where
-    a branch's window wraps around the grid), and a generic value."""
+    a branch's law wraps around the grid), and a generic value."""
     return (
         0.0,
         1.0,
@@ -223,13 +223,31 @@ def _chi_square_pvalue(observed, expected, min_expected=20.0):
     return 1.0 if obs_bins.size == 1 else float(chi2.sf(stat, obs_bins.size - 1))
 
 
-@pytest.mark.parametrize("window", [None, 1])
+def _bit_product_law(p, K):
+    """The outcome law as the product of the sampler's own per-bit
+    probabilities over every y, branches mixed with weight 1/2."""
+    theta = math.asin(math.sqrt(p)) / math.pi
+    t = K.bit_length() - 1
+    law = np.zeros(K)
+    for phi in (theta, -theta):
+        for y in range(K):
+            prob = 0.5
+            for m in range(t):
+                one = estimator._bit_probability(phi, t, m, y % 2 ** m)
+                prob *= one if y >> m & 1 else 1.0 - one
+            law[y] += prob
+    return law
+
+
+@pytest.mark.parametrize("K", [2 ** e for e in range(1, 11)])
+def test_ae_bit_product_is_the_dense_law(K):
+    for p in _test_probabilities(K) + (0.77,):
+        assert np.max(np.abs(_bit_product_law(p, K) - ae_outcome_distribution(p, K))) <= 1e-12
+
+
 @pytest.mark.parametrize("K", [2 ** 4, 2 ** 8, 2 ** 12, 2 ** 14])
-def test_ae_draws_follow_dense_law(K, window, monkeypatch):
-    """The O(window) draw against the dense reference law. With the window
-    at 1 the rejection-sampled tail carries up to an eighth of the draws."""
-    if window is not None:
-        monkeypatch.setattr(estimator, "_AE_WINDOW", window)
+def test_ae_draws_follow_dense_law(K):
+    """The bit-by-bit draw against the dense reference law."""
     draws = 4000
     for idx, p in enumerate(_test_probabilities(K)):
         theta = math.asin(math.sqrt(p)) / math.pi
@@ -240,38 +258,25 @@ def test_ae_draws_follow_dense_law(K, window, monkeypatch):
         assert _chi_square_pvalue(observed, expected) >= 1e-4
 
 
-@pytest.mark.parametrize(
-    "window,K", [(None, 2 ** 12), (None, 2 ** 14), (1, 2 ** 4), (1, 2 ** 8), (1, 2 ** 12), (1, 2 ** 14)]
-)
-def test_ae_tail_draws_follow_tail_law(window, K, monkeypatch):
-    """The rejection sampler alone against the branch law restricted to the
-    offsets outside the window, -(K-1-K/2)..-(W+1) and W+1..K/2."""
-    if window is not None:
-        monkeypatch.setattr(estimator, "_AE_WINDOW", window)
-    w = estimator._AE_WINDOW
-    offsets = np.concatenate((np.arange(-(K - 1 - K // 2), -w), np.arange(w + 1, K // 2 + 1)))
-    draws = 4000
-    for idx, frac in enumerate((0.4, -0.5, 0.05)):
-        rng = np.random.default_rng(7000 + 100 * K + idx)
-        tail = [estimator._draw_tail(frac, K, rng) for _ in range(draws)]
-        cells = np.searchsorted(offsets, tail)
-        assert np.array_equal(offsets[cells], tail)  # every draw is a tail offset
-        law = estimator._branch_law(frac, offsets, K)
-        observed = np.bincount(cells, minlength=offsets.size)
-        assert _chi_square_pvalue(observed, draws * law / law.sum()) >= 1e-4
+class _CountingRng:
+    """A generator that counts its uniform draws and offers nothing else."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(log_k=st.integers(11, 16), frac=st.floats(-0.5, 0.5))
-def test_ae_tail_envelope_bounds_the_law(log_k, frac):
-    K = 2 ** log_k
-    w = estimator._AE_WINDOW
-    m = np.arange(w + 1, K // 2 + 1)
-    scale = math.sin(math.pi * frac) ** 2 * (w + 1) * (w + 2) / (4 * (w + 0.5) ** 2)
-    proposal_bound = scale / (m * (m + 1.0))
-    for offsets in (m, -m[: K - 1 - K // 2 - w]):
-        law = estimator._branch_law(frac, offsets, K)
-        assert np.all(law <= proposal_bound[: offsets.size] * (1 + 1e-12))
+def test_ae_draw_takes_one_uniform_per_counting_qubit():
+    K = 2 ** 26
+    for seed, theta in enumerate((0.0, 0.5, 0.123456789, 1 / 3)):
+        rng = _CountingRng(seed)
+        y = estimator._draw_outcome(theta, K, rng)
+        assert 0 <= y < K
+        assert rng.draws <= 1 + 26
 
 
 def test_ae_sampled_draw_memory_is_independent_of_grid():
@@ -643,14 +648,12 @@ def test_renyi_raises_in_log_undefined_regime():
         pt.renyi_entropy(pt.purify(rho), 3, 0.1, mode="ideal", seed=2)
 
 
-def test_tsallis_printed_and_standard_forms():
+def test_tsallis_printed_form():
     rho = pt.DensityMatrix(np.eye(4, dtype=complex) / 4)
     pur = pt.purify(rho)
     printed = pt.tsallis_entropy(pur, 3, 0.005, mode="ideal", seed=3)
     # Tr(rho^3) = 1/16 under the plain ratio form
     assert printed.value == pytest.approx((1 / 16) / (1 - 3), abs=printed.error_bound)
-    standard = pt.tsallis_entropy(pur, 3, 0.005, mode="ideal", seed=3, standard_form=True)
-    assert standard.value == pytest.approx((1 - 1 / 16) / 2, abs=standard.error_bound)
 
 
 # -------------------------------------------------------------------- vd_ratio

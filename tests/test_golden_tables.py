@@ -19,11 +19,11 @@ from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, SUITES
 
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
-    "estimate": "d411718c7d43fec7c5a3afe9870db06c6ac1896dc6cd3e5d131765e02964ef22",
+    "estimate": "28c453530a1af4ea9be8143f8ce85480969bfb3d8c4cc042f8135cb9a75d347b",
     "baseline": "56cbb6e74ff28193c48330dc2aa6abebe9f6ed39ba916cd0d4b0dca619881125",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
     "bqp": "591f0a3a14091ab6588367638fb12f036bbfe9beaf518bb55c2df13bf805eaeb",
-    "apps": "1f7e5c0e9510a1b9840d81a8d0d70d5a77fbc1df7fc25456f8e3c27150d44c65",
+    "apps": "8831a561d137f2948fa0e3d803b0d0b582686c18a78a8cc75783add6948a5c54",
     "separation": "a406d05163c5fa0ae028a311ec518acea4ce1edc7114603b9e12bbd6b08c9456",
 }
 

@@ -229,11 +229,10 @@ def test_seed_env_var_overrides(tmp_path, monkeypatch):
 def test_run_suite_from_config_file(tmp_path):
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({"suite": "approx", "k_values": [8, 16], "eps": 0.01}))
-    from powertrace.suites import run_suite
-
-    code = run_suite(str(cfg_path), out_root=str(tmp_path / "out"))
+    code = main(["approx", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert (tmp_path / "out" / "approx").exists()
+    (summary_path,) = (tmp_path / "out" / "approx").glob("*/summary.json")
+    assert json.loads(summary_path.read_text())["config"]["k_values"] == [8, 16]
 
 
 def test_load_config_requires_object(tmp_path):
