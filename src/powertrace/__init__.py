@@ -34,15 +34,13 @@ from .linalg import (
     trace_power_obs_oracle,
 )
 from .chebyshev import (
-    ChebyshevPoly,
-    TruncationReport,
     clenshaw_eval,
     degree_lower_bound_solve,
     minimal_empirical_degree,
     power_expansion,
     required_degree,
     sup_error_scan,
-    truncate,
+    truncation_tails,
 )
 from .blockenc import PurifiedState, halmos_dilate, purify
 from .qsvt import QueryLedger, power_block_encoding
@@ -81,7 +79,6 @@ __all__ = [
     "AE_SUCCESS_PROB",
     "AeOutcome",
     "BqpInstance",
-    "ChebyshevPoly",
     "ConstructionError",
     "ContractError",
     "DensityMatrix",
@@ -99,7 +96,6 @@ __all__ = [
     "QueryLedger",
     "ResourceError",
     "SwapTestResult",
-    "TruncationReport",
     "UnreliableEstimateError",
     "ValidationError",
     "VdRatioResult",
@@ -136,7 +132,7 @@ __all__ = [
     "swap_test_estimate",
     "swap_test_moments",
     "trace_power_obs_oracle",
-    "truncate",
+    "truncation_tails",
     "tsallis_entropy",
     "vd_ratio",
 ]

@@ -4,17 +4,19 @@ The expansion used throughout is
 
     x^k = 2^(1-k) * sum_{j=0}^{floor(k/2)} a_j C(k, j) T_{k-2j}(x),
 
-with a_j = 1/2 when k is even and j = k/2, else a_j = 1. All coefficients
-are nonnegative and sum to 1, so every truncation is bounded by 1 on
-[-1, 1] -- the admissibility condition required by the eigenvalue
-transform in :mod:`powertrace.qsvt`. Dropping the modes above m leaves a
-tail bounded by the binomial Chernoff estimate 2*exp(-m^2 / (2k)).
+with a_j = 1/2 when k is even and j = k/2, else a_j = 1 (Sachdeva and
+Vishnoi, "Faster Algorithms via Approximation Theory", 2014, section 3).
+An expansion is its coefficient array c[0..k]; the truncation at degree m
+is the prefix c[:m + 1]. All coefficients are nonnegative and sum to 1,
+so every truncation is bounded by 1 on [-1, 1] -- the admissibility
+condition the eigenvalue transform in :mod:`powertrace.qsvt` certifies.
+Dropping the modes above m leaves a tail bounded by the binomial Chernoff
+estimate 2*exp(-m^2 / (2k)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,90 +28,42 @@ COEFF_FLOOR = 1e-300
 MAX_POWER = 1024
 
 
-@dataclass(frozen=True)
-class ChebyshevPoly:
-    """Sparse polynomial in the Chebyshev-T basis.
-
-    ``coeffs`` maps basis index n >= 0 to the real coefficient of T_n.
-    ``parity`` is "even", "odd", or "none"; an even/odd tag asserts that
-    every odd/even-index coefficient is exactly zero.
-    """
-
-    coeffs: dict[int, float]
-    parity: str = "none"
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd", "none"):
-            raise ValidationError(f"unknown parity tag {self.parity!r}")
-        clean = {}
-        for n, c in self.coeffs.items():
-            n = int(n)
-            if n < 0:
-                raise ValidationError(f"negative basis index {n}")
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValidationError(f"non-finite coefficient at index {n}")
-            if c != 0.0:
-                clean[n] = c
-        if self.parity == "even" and any(n % 2 for n in clean):
-            raise ValidationError("parity=even but an odd-index coefficient is set")
-        if self.parity == "odd" and any(n % 2 == 0 for n in clean):
-            raise ValidationError("parity=odd but an even-index coefficient is set")
-        object.__setattr__(self, "coeffs", clean)
-
-    @property
-    def degree(self) -> int:
-        """Largest index with a nonzero coefficient (-1 for the zero poly)."""
-        return max(self.coeffs) if self.coeffs else -1
-
-    def coefficient_sum(self) -> float:
-        return float(sum(self.coeffs.values()))
-
-    def abs_coefficient_sum(self) -> float:
-        return float(sum(abs(c) for c in self.coeffs.values()))
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Result of truncating an expansion at maximum index m.
-
-    ``tail_exact`` is the sum of the dropped (nonnegative) coefficients and
-    bounds the sup-norm truncation error exactly; ``tail_chernoff`` is the
-    closed-form bound 2*exp(-m^2/(2k)) when the source power k is known
-    (NaN otherwise).
-    """
-
-    kept: ChebyshevPoly
-    tail_exact: float
-    tail_chernoff: float
-    degree: int
-
-
-def power_expansion(k: int) -> ChebyshevPoly:
-    """Chebyshev-T expansion of x^k on [-1, 1].
+def power_expansion(k: int) -> np.ndarray:
+    """Chebyshev-T coefficients c[0..k] of x^k on [-1, 1], read-only.
 
     Each coefficient is the exact integer ratio a_j C(k, j) / 2^(k-1)
     evaluated with arbitrary-precision integers, so nothing overflows for
     k up to 1024 and dyadic values (such as the 1/2's at k = 2) come out
-    exact; terms below 1e-300 are dropped as exact zeros.
+    exact. Modes of the other parity, and terms below 1e-300, are exact
+    zeros. The truncation at degree m is the prefix c[:m + 1].
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"power must be a positive integer, got {k!r}")
     if k > MAX_POWER:
         raise ValidationError(f"power {k} exceeds supported maximum {MAX_POWER}")
     k = int(k)
-    coeffs: dict[int, float] = {}
+    c = np.zeros(k + 1)
     for j in range(k // 2 + 1):
-        n = k - 2 * j
-        numerator = math.comb(k, j)
         shift = k - 1
         if k % 2 == 0 and j == k // 2:
             shift = k  # the central mode carries an extra factor 1/2
-        c = numerator / (1 << shift)
-        if c < COEFF_FLOOR:
-            continue
-        coeffs[n] = c
-    return ChebyshevPoly(coeffs=coeffs, parity="odd" if k % 2 else "even")
+        value = math.comb(k, j) / (1 << shift)
+        if value >= COEFF_FLOOR:
+            c[k - 2 * j] = value
+    c.flags.writeable = False
+    return c
+
+
+def truncation_tails(c: np.ndarray, m: int) -> tuple[float, float]:
+    """(exact, Chernoff) tails of truncating the expansion c of x^k,
+    k = len(c) - 1, at degree m.
+
+    The exact tail is the sum of the dropped (nonnegative) coefficients and
+    bounds the sup-norm truncation error exactly; the Chernoff tail is its
+    closed-form bound 2*exp(-m^2/(2k)).
+    """
+    k = len(c) - 1
+    return math.fsum(c[m + 1:]), 2.0 * math.exp(-(m ** 2) / (2.0 * k))
 
 
 def required_degree(k: int, eps: float) -> int:
@@ -117,8 +71,8 @@ def required_degree(k: int, eps: float) -> int:
 
     Smallest integer at least sqrt(2 k ln(2/eps)) sharing the parity of k,
     from inverting the Chernoff tail bound 2*exp(-m^2/(2k)) <= eps. The
-    parity round-up keeps the truncated polynomial admissible for the
-    eigenvalue transform even when it adds one degree.
+    modes of the other parity are zero, so the round-up makes m the
+    degree of the truncated polynomial the transform is charged for.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"power must be a positive integer, got {k!r}")
@@ -131,50 +85,21 @@ def required_degree(k: int, eps: float) -> int:
     return m
 
 
-def truncate(expansion: ChebyshevPoly, m: int, k: int | None = None) -> TruncationReport:
-    """Keep the modes with index <= m; report the dropped-coefficient tail.
-
-    ``k`` is the power behind ``expansion`` when the caller has it; it only
-    feeds the closed-form Chernoff tail in the report.
-    """
-    if m < 0:
-        raise ValidationError(f"truncation index must be >= 0, got {m}")
-    kept = {n: c for n, c in expansion.coeffs.items() if n <= m}
-    dropped = [c for n, c in expansion.coeffs.items() if n > m]
-    tail_exact = float(math.fsum(dropped))
-    if k is not None:
-        tail_chernoff = 2.0 * math.exp(-(m ** 2) / (2.0 * k))
-    else:
-        tail_chernoff = math.nan
-    kept_poly = ChebyshevPoly(coeffs=kept, parity=expansion.parity)
-    return TruncationReport(
-        kept=kept_poly,
-        tail_exact=tail_exact,
-        tail_chernoff=tail_chernoff,
-        degree=kept_poly.degree,
-    )
-
-
-def clenshaw_eval(p: ChebyshevPoly, x):
-    """Evaluate sum_n c_n T_n(x) by the backward (Clenshaw) recurrence.
+def clenshaw_eval(c: np.ndarray, x):
+    """Evaluate sum_n c[n] T_n(x) by the backward (Clenshaw) recurrence.
 
     ``x`` may be a scalar or an array; every entry must lie in [-1, 1].
+    Trailing zero coefficients leave the recurrence at +0, so a prefix
+    padded with zeros evaluates to the same bits.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x_arr) > 1.0):
         raise ValidationError("clenshaw_eval requires |x| <= 1")
-    deg = p.degree
-    if deg < 0:
-        out = np.zeros_like(x_arr)
-        return float(out) if np.isscalar(x) else out
-    dense = np.zeros(deg + 1)
-    for n, c in p.coeffs.items():
-        dense[n] = c
     b1 = np.zeros_like(x_arr)
     b2 = np.zeros_like(x_arr)
-    for n in range(deg, 0, -1):
-        b1, b2 = dense[n] + 2.0 * x_arr * b1 - b2, b1
-    out = dense[0] + x_arr * b1 - b2
+    for n in range(len(c) - 1, 0, -1):
+        b1, b2 = c[n] + 2.0 * x_arr * b1 - b2, b1
+    out = c[0] + x_arr * b1 - b2
     return float(out) if np.isscalar(x) else out
 
 
@@ -185,8 +110,9 @@ def _scan_grid(grid_size: int) -> np.ndarray:
     return np.concatenate(([-1.0], np.sort(nodes), [1.0]))
 
 
-def sup_error_scan(p: ChebyshevPoly, k: int, grid_size: int) -> float:
-    """Max of |x^k - p(x)| over a Chebyshev-node grid with endpoints.
+def sup_error_scan(c: np.ndarray, k: int, grid_size: int) -> float:
+    """Max of |x^k - p(x)| for p = sum_n c[n] T_n over a Chebyshev-node
+    grid with endpoints.
 
     A grid scan lower-bounds the true sup-norm; with the nonnegative
     power-expansion coefficients the maximum sits exactly at x = 1.
@@ -194,7 +120,7 @@ def sup_error_scan(p: ChebyshevPoly, k: int, grid_size: int) -> float:
     if grid_size < 2:
         raise ValidationError(f"grid_size must be >= 2, got {grid_size}")
     xs = _scan_grid(grid_size)
-    return float(np.max(np.abs(xs ** int(k) - clenshaw_eval(p, xs))))
+    return float(np.max(np.abs(xs ** int(k) - clenshaw_eval(c, xs))))
 
 
 def minimal_empirical_degree(k: int, eps: float, grid_size: int = 4096) -> int:
@@ -206,7 +132,7 @@ def minimal_empirical_degree(k: int, eps: float, grid_size: int = 4096) -> int:
     expansion = power_expansion(k)
 
     def err(m: int) -> float:
-        return sup_error_scan(truncate(expansion, m).kept, k, grid_size)
+        return sup_error_scan(expansion[:m + 1], k, grid_size)
 
     lo_t, hi_t = 0, (k - k % 2) // 2  # m = 2t + (k mod 2)
     parity_bit = k % 2

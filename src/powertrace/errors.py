@@ -18,8 +18,9 @@ class NumericalError(PowertraceError):
 
 
 class ContractError(PowertraceError):
-    """A polynomial handed to the eigenvalue transform violates its
-    admissibility contract (parity or sup-norm)."""
+    """A polynomial handed to the eigenvalue transform fails its
+    admissibility certificate: its Chebyshev coefficients sum to more
+    than 1, so |p| <= 1 on [-1, 1] is not certified."""
 
 
 class ConstructionError(PowertraceError):

@@ -47,8 +47,11 @@ def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    m = (m + m.conj().T) / 2
-    return DensityMatrix(m / np.trace(m).real)
+    del g  # built in place from here: m and one transpose temporary
+    m += m.conj().T
+    m /= 2
+    m /= np.trace(m).real
+    return DensityMatrix(m)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

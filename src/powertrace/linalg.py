@@ -264,7 +264,7 @@ def op_norm(m) -> float:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = eigh(m)
-    w = np.clip(clip_spectrum(w), 0.0, None)
+    w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -278,5 +278,5 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValidationError("fidelity requires matching dimensions")
     ra = _psd_sqrt(a.mat)
     inner = ra @ b.mat @ ra
-    w = np.clip(clip_spectrum(eigh(inner, atol=1e-7).eigenvalues), 0.0, None)
+    w = np.clip(eigh(inner, atol=1e-7).eigenvalues, 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)

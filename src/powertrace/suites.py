@@ -56,7 +56,7 @@ from .chebyshev import (
     power_expansion,
     required_degree,
     sup_error_scan,
-    truncate,
+    truncation_tails,
 )
 from .errors import ValidationError
 from .estimator import (AE_SUCCESS_PROB, _identity_observable, estimate_trace_power,
@@ -180,14 +180,15 @@ def _suite_approx(cfg: dict, jobs: int):
     eps = float(cfg["eps"])
     for k in map(int, cfg["k_values"]):
         degree = required_degree(k, eps)
-        trunc = truncate(power_expansion(k), degree, k=k)
-        measured = sup_error_scan(trunc.kept, k, int(cfg["grid_size"]))
+        expansion = power_expansion(k)
+        tail_exact, chernoff_tail = truncation_tails(expansion, degree)
+        measured = sup_error_scan(expansion[:degree + 1], k, int(cfg["grid_size"]))
         records.append({"spec": {"k": k, "eps": eps}, "report": {
             "formula_degree": degree,
             "empirical_degree": minimal_empirical_degree(k, eps, int(cfg["grid_size"])),
             "measured_sup_error": measured,
-            "tail_exact": trunc.tail_exact,
-            "chernoff_tail": trunc.tail_chernoff,
+            "tail_exact": tail_exact,
+            "chernoff_tail": chernoff_tail,
             "lower_bound_d": degree_lower_bound_solve(k, eps) if (k >= 2 and eps <= 0.1) else math.nan,
             "within_eps": bool(measured <= eps),
         }})
@@ -658,6 +659,8 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
     for layer in (file_config or {}), (overrides or {}):
         for key, value in layer.items():
             if key == "suite":
+                if value != suite:
+                    raise ValidationError(f"config is for suite {value!r}, not {suite}")
                 continue
             if key not in readable:
                 raise ValidationError(

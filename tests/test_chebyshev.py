@@ -2,31 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace.qsvt import SUP_NORM_SLACK
 
 
 # ------------------------------------------------------------ power_expansion
 
 def test_expansion_k1_is_t1():
-    p = pt.power_expansion(1)
-    assert p.coeffs == {1: 1.0}
-    assert p.parity == "odd"
+    c = pt.power_expansion(1)
+    assert c.dtype == np.float64 and c.tolist() == [0.0, 1.0]
+    assert not c.flags.writeable
 
 
 def test_expansion_k2():
-    p = pt.power_expansion(2)
-    assert p.coeffs == {0: 0.5, 2: 0.5}
-    assert p.parity == "even"
+    assert pt.power_expansion(2).tolist() == [0.5, 0.0, 0.5]
 
 
 def test_expansion_k3_matches_basis_change_oracle():
     # brute-force basis change via numpy's monomial -> Chebyshev conversion
-    p = pt.power_expansion(3)
-    assert p.coeffs[1] == pytest.approx(0.75, abs=1e-15)
-    assert p.coeffs[3] == pytest.approx(0.25, abs=1e-15)
+    c = pt.power_expansion(3)
+    assert c[1] == pytest.approx(0.75, abs=1e-15)
+    assert c[3] == pytest.approx(0.25, abs=1e-15)
     oracle = np.polynomial.chebyshev.poly2cheb([0, 0, 0, 1])
-    assert np.allclose([0, p.coeffs[1], 0, p.coeffs[3]], oracle, atol=1e-14)
+    assert np.allclose(c, oracle, atol=1e-14)
 
 
 @pytest.mark.parametrize("k", [4, 7, 12, 19, 30])
@@ -34,29 +35,23 @@ def test_expansion_matches_poly2cheb(k):
     mono = np.zeros(k + 1)
     mono[k] = 1.0
     oracle = np.polynomial.chebyshev.poly2cheb(mono)
-    p = pt.power_expansion(k)
-    dense = np.zeros(k + 1)
-    for n, c in p.coeffs.items():
-        dense[n] = c
-    assert np.allclose(dense, oracle, atol=1e-13)
+    assert np.allclose(pt.power_expansion(k), oracle, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 64, 200])
 def test_expansion_nonnegative_and_normalized(k):
-    p = pt.power_expansion(k)
-    assert all(c >= 0 for c in p.coeffs.values())
+    c = pt.power_expansion(k)
+    assert np.all(c >= 0)
     # evaluation at 1 equals 1^k
-    assert pt.clenshaw_eval(p, 1.0) == pytest.approx(1.0, abs=1e-12)
-    if k % 2 == 0:
-        assert all(n % 2 == 0 for n in p.coeffs)
-    else:
-        assert all(n % 2 == 1 for n in p.coeffs)
+    assert pt.clenshaw_eval(c, 1.0) == pytest.approx(1.0, abs=1e-12)
+    # modes of the other parity are exact zeros
+    assert np.all(c[1 - k % 2::2] == 0.0)
 
 
 def test_expansion_large_k_stays_finite():
-    p = pt.power_expansion(1024)
-    assert all(np.isfinite(c) for c in p.coeffs.values())
-    assert pt.clenshaw_eval(p, 1.0) == pytest.approx(1.0, abs=1e-9)
+    c = pt.power_expansion(1024)
+    assert np.all(np.isfinite(c))
+    assert pt.clenshaw_eval(c, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_expansion_rejects_bad_k():
@@ -91,72 +86,85 @@ def test_required_degree_validation():
         pt.required_degree(5, 0.0)
 
 
-# ------------------------------------------------------------------ truncate
+# ---------------------------------------------------- truncation: c[:m + 1]
 
 def test_truncate_k2_at_zero():
-    report = pt.truncate(pt.power_expansion(2), 0, k=2)
-    assert report.tail_exact == pytest.approx(0.5, abs=1e-15)
-    assert report.kept.coeffs == {0: 0.5}
+    c = pt.power_expansion(2)
+    tail_exact, _ = pt.truncation_tails(c, 0)
+    assert tail_exact == pytest.approx(0.5, abs=1e-15)
+    assert c[:1].tolist() == [0.5]
 
 
 def test_truncate_nothing_dropped():
     for k in (3, 8):
-        report = pt.truncate(pt.power_expansion(k), k, k=k)
-        assert report.tail_exact == 0.0
-        assert report.degree == k
+        c = pt.power_expansion(k)
+        assert pt.truncation_tails(c, k)[0] == 0.0
+        assert c[k] > 0  # the truncation keeps degree k
 
 
 def test_truncate_k8_m4():
-    report = pt.truncate(pt.power_expansion(8), 4, k=8)
+    tail_exact, tail_chernoff = pt.truncation_tails(pt.power_expansion(8), 4)
     # drops T_6 (8/128) and T_8 (1/128)
-    assert report.tail_exact == pytest.approx(9 / 128, abs=1e-15)
-    assert report.tail_exact <= 2 * math.exp(-1) + 1e-12
-    assert report.tail_chernoff == pytest.approx(2 * math.exp(-1), abs=1e-12)
+    assert tail_exact == pytest.approx(9 / 128, abs=1e-15)
+    assert tail_exact <= 2 * math.exp(-1) + 1e-12
+    assert tail_chernoff == pytest.approx(2 * math.exp(-1), abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [3, 10, 41, 100])
 def test_tail_exact_below_chernoff(k):
     expansion = pt.power_expansion(k)
     for m in range(0, k + 1):
-        report = pt.truncate(expansion, m, k=k)
-        assert report.tail_exact <= report.tail_chernoff + 1e-12
+        tail_exact, tail_chernoff = pt.truncation_tails(expansion, m)
+        assert tail_exact <= tail_chernoff + 1e-12
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(k=st.integers(1, 1024))
+def test_expansion_is_a_normalised_nonnegative_array(k):
+    """Nonnegative, zero at the other parity and summing to 1; every
+    prefix passes the transform's certificate, and every exact tail is
+    within the Chernoff bound."""
+    c = pt.power_expansion(k)
+    assert c.shape == (k + 1,) and np.all(c >= 0)
+    assert np.all(c[1 - k % 2::2] == 0.0)
+    assert abs(math.fsum(c) - 1.0) <= 1e-12
+    assert np.all(np.cumsum(c) <= 1.0 + SUP_NORM_SLACK)
+    for m in range(k + 1):
+        tail_exact, tail_chernoff = pt.truncation_tails(c, m)
+        assert tail_exact <= tail_chernoff
 
 
 # ------------------------------------------------------------- clenshaw_eval
 
 def test_clenshaw_t3_at_half():
-    p = pt.ChebyshevPoly(coeffs={3: 1.0}, parity="odd")
-    assert pt.clenshaw_eval(p, 0.5) == pytest.approx(-1.0, abs=1e-14)
+    assert pt.clenshaw_eval(np.array([0.0, 0.0, 0.0, 1.0]), 0.5) == pytest.approx(-1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 17, 30])
 def test_clenshaw_reproduces_powers(k):
-    p = pt.power_expansion(k)
+    c = pt.power_expansion(k)
     xs = np.linspace(-1, 1, 101)
-    assert np.max(np.abs(pt.clenshaw_eval(p, xs) - xs ** k)) <= 1e-12
+    assert np.max(np.abs(pt.clenshaw_eval(c, xs) - xs ** k)) <= 1e-12
 
 
 def test_clenshaw_many_random_points_high_degree():
     rng = np.random.default_rng(0)
     xs = rng.uniform(-1, 1, size=1000)
     for k in (40, 60):
-        p = pt.power_expansion(k)
-        assert np.max(np.abs(pt.clenshaw_eval(p, xs) - xs ** k)) <= 1e-10
+        c = pt.power_expansion(k)
+        assert np.max(np.abs(pt.clenshaw_eval(c, xs) - xs ** k)) <= 1e-10
 
 
 def test_clenshaw_at_one_equals_coefficient_sum():
-    report = pt.truncate(pt.power_expansion(12), 6)
-    assert pt.clenshaw_eval(report.kept, 1.0) == pytest.approx(
-        report.kept.coefficient_sum(), abs=1e-13
-    )
+    kept = pt.power_expansion(12)[:7]
+    assert pt.clenshaw_eval(kept, 1.0) == pytest.approx(kept.sum(), abs=1e-13)
 
 
 def test_clenshaw_bounded_by_abs_sum():
     rng = np.random.default_rng(5)
-    coeffs = {int(n): float(c) for n, c in enumerate(rng.standard_normal(9))}
-    p = pt.ChebyshevPoly(coeffs=coeffs)
+    c = rng.standard_normal(9)
     xs = rng.uniform(-1, 1, 200)
-    assert np.max(np.abs(pt.clenshaw_eval(p, xs))) <= p.abs_coefficient_sum() + 1e-12
+    assert np.max(np.abs(pt.clenshaw_eval(c, xs))) <= np.abs(c).sum() + 1e-12
 
 
 def test_clenshaw_rejects_out_of_domain():
@@ -167,27 +175,24 @@ def test_clenshaw_rejects_out_of_domain():
 # ------------------------------------------------------------ sup_error_scan
 
 def test_sup_error_untruncated():
-    p = pt.power_expansion(20)
-    assert pt.sup_error_scan(p, 20, 512) <= 1e-12
+    assert pt.sup_error_scan(pt.power_expansion(20), 20, 512) <= 1e-12
 
 
 def test_sup_error_at_formula_degree():
     k = 50
     m = pt.required_degree(k, 1e-3)
-    kept = pt.truncate(pt.power_expansion(k), m).kept
-    assert pt.sup_error_scan(kept, k, 4096) <= 1e-3
+    assert pt.sup_error_scan(pt.power_expansion(k)[:m + 1], k, 4096) <= 1e-3
 
 
 def test_gross_truncation_fails():
-    kept = pt.truncate(pt.power_expansion(10), 2).kept
-    assert pt.sup_error_scan(kept, 10, 1024) > 0.1
+    assert pt.sup_error_scan(pt.power_expansion(10)[:3], 10, 1024) > 0.1
 
 
 def test_scan_maximum_sits_at_the_boundary():
     # dropped coefficients are positive, so the error peaks at x = 1
-    report = pt.truncate(pt.power_expansion(16), 8, k=16)
-    measured = pt.sup_error_scan(report.kept, 16, 2048)
-    assert measured == pytest.approx(report.tail_exact, abs=1e-12)
+    c = pt.power_expansion(16)
+    measured = pt.sup_error_scan(c[:9], 16, 2048)
+    assert measured == pytest.approx(pt.truncation_tails(c, 8)[0], abs=1e-12)
 
 
 def test_minimal_empirical_degree_frozen_values():
@@ -201,9 +206,9 @@ def test_minimal_empirical_degree_is_minimal():
     k, eps = 24, 1e-3
     m = pt.minimal_empirical_degree(k, eps)
     expansion = pt.power_expansion(k)
-    assert pt.sup_error_scan(pt.truncate(expansion, m).kept, k, 4096) <= eps
+    assert pt.sup_error_scan(expansion[:m + 1], k, 4096) <= eps
     if m >= 2:
-        assert pt.sup_error_scan(pt.truncate(expansion, m - 2).kept, k, 4096) > eps
+        assert pt.sup_error_scan(expansion[:m - 1], k, 4096) > eps
 
 
 # ------------------------------------------------- degree_lower_bound_solve
@@ -250,8 +255,7 @@ def test_truncations_are_admissible():
     for k in (5, 12, 33):
         expansion = pt.power_expansion(k)
         for m in range(k % 2, k + 1, max(2, k // 4)):
-            kept = pt.truncate(expansion, m).kept
-            assert np.max(np.abs(pt.clenshaw_eval(kept, xs))) <= 1.0 + 1e-12
+            assert np.max(np.abs(pt.clenshaw_eval(expansion[:m + 1], xs))) <= 1.0 + 1e-12
 
 
 def test_endpoint_derivative_of_chebyshev_basis():
@@ -261,10 +265,3 @@ def test_endpoint_derivative_of_chebyshev_basis():
         dt = t.deriv()
         assert abs(dt(1.0)) == pytest.approx(ell ** 2, rel=1e-10)
         assert abs(dt(-1.0)) == pytest.approx(ell ** 2, rel=1e-10)
-
-
-def test_poly_parity_validation():
-    with pytest.raises(pt.ValidationError):
-        pt.ChebyshevPoly(coeffs={0: 0.5, 1: 0.5}, parity="even")
-    with pytest.raises(pt.ValidationError):
-        pt.ChebyshevPoly(coeffs={2: 1.0}, parity="odd")

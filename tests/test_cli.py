@@ -125,11 +125,20 @@ def test_empty_list_flag_element_is_rejected(resolved, capsys, argv):
     assert resolved == []
 
 
-def test_seed_and_suite_keys_are_accepted_by_every_suite(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_seed_and_suite_keys_are_accepted_by_every_suite(resolved, tmp_path, capsys):
+    """A config naming its own suite is accepted, so a summary's config
+    block can be fed back; one naming another suite exits 2 before any
+    record runs and writes no output directory."""
     for suite in SUITES:
-        cfg = resolve_config(suite, {"suite": "estimate", "seed": 4}, None)
+        cfg = resolve_config(suite, {"suite": suite, "seed": 4}, None)
         assert cfg["seed"] == 4 and cfg["suite"] == suite
+        other = "approx" if suite == "estimate" else "estimate"
+        path = tmp_path / f"{suite}.json"
+        path.write_text(json.dumps({"suite": other, "seed": 4}))
+        out = tmp_path / "out"
+        assert main([suite, "--config", str(path), "--out", str(out)]) == 2
+        assert f"config is for suite {other!r}, not {suite}" in capsys.readouterr().err
+        assert resolved == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_random_density_deterministic():
 def test_random_density_rank_validation():
     with pytest.raises(pt.ValidationError):
         pt.random_density(1, 3, seed=0)
+
+
+def test_random_density_builds_its_matrix_in_place():
+    """A full-rank state keeps two d x d arrays (its matrix and cached
+    eigenvectors); building it peaks at no more than 3.5 arrays' worth."""
+    dim = 2 ** 8
+    tracemalloc.start()
+    try:
+        pt.random_density(8, dim, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * dim * dim * 16
 
 
 def test_make_state_kinds():

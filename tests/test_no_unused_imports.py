@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import powertrace
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "powertrace"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -36,3 +38,13 @@ def test_module_has_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_package_exports_are_its_imports():
+    """``powertrace.__all__`` is exactly the names ``__init__.py`` imports,
+    and each one resolves, so trimming an export leaves no dangling name."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {name for name, _, _ in _imported_names(tree)}
+    assert set(powertrace.__all__) == imported
+    assert len(powertrace.__all__) == len(imported)
+    assert all(hasattr(powertrace, name) for name in powertrace.__all__)

@@ -16,56 +16,56 @@ def _dense(spectrum):
     return (v * p_w) @ v.conj().T
 
 
-def _transform(rho, poly):
-    return _dense(qsvt._eigen_transform(rho.spectrum(), poly))
+def _transform(monkeypatch, rho, c):
+    """p(rho) for p = sum_n c[n] T_n, through ``power_block_encoding``
+    handed c in place of the expansion of x. At k = 2 and eps = 1 it keeps
+    degree 3, so up to four coefficients all reach the transform."""
+    assert len(c) <= 4
+    monkeypatch.setattr(qsvt, "power_expansion", lambda exponent: np.asarray(c, dtype=float))
+    power, _ = pt.power_block_encoding(pt.purify(rho), 2, 1.0)
+    return _dense(power)
 
 
-# ----------------------------------------------------------- _eigen_transform
+# -------------------------------------------------- the eigenvalue transform
 
-def test_identity_map_polynomial():
+def test_identity_map_polynomial(monkeypatch):
     rho = pt.random_density(1, 2, seed=0)
-    out = _transform(rho, pt.ChebyshevPoly({1: 1.0}, parity="odd"))
+    out = _transform(monkeypatch, rho, [0.0, 1.0])
     assert np.linalg.norm(out - rho.mat, 2) <= 1e-12
 
 
-def test_constant_one_polynomial():
+def test_constant_one_polynomial(monkeypatch):
     rho = pt.random_density(1, 2, seed=1)
-    out = _transform(rho, pt.ChebyshevPoly({0: 1.0}, parity="even"))
+    out = _transform(monkeypatch, rho, [1.0, 0.0])
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
-def test_square_through_eigenvalues():
+def test_square_through_eigenvalues(monkeypatch):
     rho = pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    poly = pt.truncate(pt.power_expansion(2), 2).kept
-    out = _transform(rho, poly)
+    out = _transform(monkeypatch, rho, pt.power_expansion(2))
     assert np.allclose(out, np.diag([0.49, 0.09]), atol=1e-12)
 
 
-def test_transform_matches_independent_eigen_sum():
+def test_transform_matches_independent_eigen_sum(monkeypatch):
     rho = pt.random_density(2, 3, seed=5)
-    poly = pt.truncate(pt.power_expansion(5), 3).kept
+    c = pt.power_expansion(5)[:4]
     w, v = np.linalg.eigh(rho.mat)
     expected = sum(
-        pt.clenshaw_eval(poly, float(np.clip(lam, -1, 1))) * np.outer(v[:, i], v[:, i].conj())
+        pt.clenshaw_eval(c, float(np.clip(lam, -1, 1))) * np.outer(v[:, i], v[:, i].conj())
         for i, lam in enumerate(w)
     )
     # the transform reads the spectrum rho's validation cached; the
     # recurrence on rho.mat decomposes nothing
-    out = _transform(rho, poly)
+    out = _transform(monkeypatch, rho, c)
     assert np.linalg.norm(out - expected, 2) <= 1e-10
-    assert np.linalg.norm(out - chebyshev_matrix(poly, rho.mat), 2) <= 1e-10
+    assert np.linalg.norm(out - chebyshev_matrix(c, rho.mat), 2) <= 1e-10
 
 
-def test_rejects_mixed_parity():
-    rho = pt.random_density(1, 2, seed=2)
-    with pytest.raises(pt.ContractError):
-        _transform(rho, pt.ChebyshevPoly({0: 0.5, 1: 0.5}))
-
-
-def test_rejects_sup_norm_violation():
+def test_rejects_sup_norm_violation(monkeypatch):
+    """Kept coefficients summing to more than 1 fail the certificate."""
     rho = pt.random_density(1, 2, seed=3)
-    with pytest.raises(pt.ContractError):
-        _transform(rho, pt.ChebyshevPoly({1: 2.0}, parity="odd"))
+    with pytest.raises(pt.ContractError, match="coefficient sum"):
+        _transform(monkeypatch, rho, [0.0, 2.0])
 
 
 def _count_clenshaw(monkeypatch):
@@ -75,45 +75,16 @@ def _count_clenshaw(monkeypatch):
     return calls
 
 
-def test_admissibility_certificate_then_scan(monkeypatch):
-    calls = _count_clenshaw(monkeypatch)
-    # coefficients summing to 1: certified without evaluating the polynomial
-    qsvt._check_admissible(pt.truncate(pt.power_expansion(9), 5).kept)
-    assert calls == []
-    # 0.9 T1 - 0.3 T3 = 1.8x - 1.2x^3: sum |c| = 1.2 fails the certificate,
-    # but its sup, 1.2 / sqrt(2), passes the grid scan
-    wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
-    qsvt._check_admissible(wide)
-    assert len(calls) == 1
-    rho = pt.random_density(1, 2, seed=3)
-    out = _transform(rho, wide)
-    w, v = np.linalg.eigh(rho.mat)
-    assert np.allclose(out, (v * (1.8 * w - 1.2 * w ** 3)) @ v.conj().T, atol=1e-12)
-    # a sup of 1 + 1e-7, reached at x = 1, is still rejected
-    with pytest.raises(pt.ContractError, match="sup-norm"):
-        qsvt._check_admissible(pt.ChebyshevPoly({1: 0.5, 3: 0.5 + 1e-7}, parity="odd"))
-
-
-def test_qsvt_request_rejects_what_the_scan_rejects():
-    """A transform request is admitted by the transform's own check."""
-    rho = pt.random_density(1, 2, seed=4)
-    wide = pt.ChebyshevPoly({1: 0.9, 3: -0.3}, parity="odd")
-    _transform(rho, wide)
-    too_wide = pt.ChebyshevPoly({1: 1.2, 3: -0.1}, parity="odd")  # p(1) = 1.1
-    with pytest.raises(pt.ContractError, match="sup-norm"):
-        _transform(rho, too_wide)
-
-
 def test_transform_carries_its_spectrum():
     """p(rho) is returned as (p(l_i), V) in rho's own cached eigenbasis."""
     rho = pt.random_density(2, 3, seed=5)
     k, eps = 6, 1e-3
-    poly = pt.truncate(pt.power_expansion(k - 1), pt.required_degree(k - 1, eps)).kept
+    c = pt.power_expansion(k - 1)[:pt.required_degree(k - 1, eps) + 1]
     (p_w, v), _ = pt.power_block_encoding(pt.purify(rho), k, eps)
     w, v_rho = rho.spectrum()
     assert v is v_rho
-    assert np.array_equal(p_w, pt.clenshaw_eval(poly, np.clip(w, -1, 1)))
-    assert np.linalg.norm(_dense((p_w, v)) - chebyshev_matrix(poly, rho.mat), 2) <= 1e-12
+    assert np.array_equal(p_w, pt.clenshaw_eval(c, np.clip(w, -1, 1)))
+    assert np.linalg.norm(_dense((p_w, v)) - chebyshev_matrix(c, rho.mat), 2) <= 1e-12
 
 
 def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
@@ -129,17 +100,6 @@ def test_rejects_non_hermitian_block():
     m = np.array([[0.5, 0.5], [0, 0.5]], dtype=complex)
     with pytest.raises(pt.ValidationError, match="Hermitian"):
         pt.DensityMatrix(m)
-
-
-def test_qsvt_request_parity_discipline():
-    """The polynomial's parity must match the exponent it approximates."""
-    poly = pt.truncate(pt.power_expansion(3), 3).kept  # odd
-    with pytest.raises(pt.ContractError, match="does not match exponent"):
-        qsvt._check_parity(poly, 2)
-    qsvt._check_parity(poly, 3)
-    with pytest.raises(pt.ContractError, match="definite parity"):
-        qsvt._check_parity(pt.ChebyshevPoly({0: 0.5, 1: 0.5}), 3)
-
 
 # ------------------------------------------------------ power_block_encoding
 
