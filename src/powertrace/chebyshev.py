@@ -90,15 +90,19 @@ def clenshaw_eval(c: np.ndarray, x):
 
     ``x`` may be a scalar or an array; every entry must lie in [-1, 1].
     Trailing zero coefficients leave the recurrence at +0, so a prefix
-    padded with zeros evaluates to the same bits.
+    padded with zeros evaluates to the same bits. Each step computes
+    (c[n] + 2x b1) - b2 in place, in the buffer the last b2 left free.
     """
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x_arr) > 1.0):
         raise ValidationError("clenshaw_eval requires |x| <= 1")
-    b1 = np.zeros_like(x_arr)
-    b2 = np.zeros_like(x_arr)
+    two_x = 2.0 * x_arr
+    b1, b2, b0 = np.zeros_like(x_arr), np.zeros_like(x_arr), np.empty_like(x_arr)
     for n in range(len(c) - 1, 0, -1):
-        b1, b2 = c[n] + 2.0 * x_arr * b1 - b2, b1
+        np.multiply(two_x, b1, out=b0)
+        np.add(b0, c[n], out=b0)
+        np.subtract(b0, b2, out=b0)
+        b0, b1, b2 = b2, b0, b1
     out = c[0] + x_arr * b1 - b2
     return float(out) if np.isscalar(x) else out
 

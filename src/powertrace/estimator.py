@@ -36,15 +36,14 @@ tested against are in ``reference``.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
-from .instances import derive_seed
+from .instances import derive_seed, shared_observable
 from .linalg import Observable, trace_power_obs_oracle
 from .qsvt import QueryLedger, power_block_encoding
 
@@ -82,7 +81,7 @@ class EstimationReport:
     model_error: float
 
     def to_json(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         for key in ("estimate", "oracle_value"):
             out[key] = {"re": out[key].real, "im": out[key].imag}
         return out
@@ -97,7 +96,9 @@ def _power_overlap(
     error stays below eps / 2, and alpha_O = max(1, ||O||): never below
     the operator norm, and never below 1 so that O / alpha_O stays a
     contraction for tiny observables. The overlap is
-    sum_i l_i p(l_i) (V^dag O V)_ii over rho's cached spectrum (l, V).
+    sum_i l_i p(l_i) (V^dag O V)_ii over rho's cached spectrum (l, V). The
+    diagonal is summed over column blocks of at most 2^16 entries, so O V
+    is the one d x d temporary (d <= 256 is one block).
     """
     if purification.state.dim != o.dim:
         raise ValidationError(
@@ -108,7 +109,10 @@ def _power_overlap(
     eps_poly = min(1.0, eps / (2.0 * o.op_norm))
     (p_w, v), ledger = power_block_encoding(purification, k, eps_poly)
     w = purification.state.spectrum().eigenvalues
-    o_diag = np.sum(v.conj() * (o.mat @ v), axis=0)  # (V^dag O V)_ii
+    ov, step = o.mat @ v, max(1, 2 ** 16 // len(w))
+    o_diag = np.concatenate([  # (V^dag O V)_ii
+        np.sum(v[:, j:j + step].conj() * ov[:, j:j + step], axis=0) for j in range(0, len(w), step)
+    ])
     return complex(np.sum(w * p_w * o_diag)), max(1.0, o.op_norm), ledger
 
 
@@ -295,12 +299,12 @@ def estimate_trace_power(
     )
 
 
-@functools.cache
-def _identity_observable(dim: int) -> Observable:
-    """The identity observable, built once per dimension and shared read-only."""
-    obs = Observable(np.eye(dim))
-    obs.mat.flags.writeable = False
-    return obs
+def _trace_power(
+    purification: PurifiedState, k: int, eps: float, mode: str, seed: int
+) -> EstimationReport:
+    """The estimate of Tr(rho^k): O is the shared identity observable."""
+    identity = shared_observable("identity", purification.state.qubits)
+    return estimate_trace_power(purification, identity, k, eps, mode=mode, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -327,14 +331,7 @@ def renyi_entropy(
     """
     if not isinstance(alpha_order, (int, np.integer)) or alpha_order < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {alpha_order!r}")
-    report = estimate_trace_power(
-        purification,
-        _identity_observable(purification.state.dim),
-        int(alpha_order),
-        eps,
-        mode=mode,
-        seed=seed,
-    )
+    report = _trace_power(purification, int(alpha_order), eps, mode, seed)
     t_est = report.estimate.real
     if t_est - eps <= 0.0:
         raise UnreliableEstimateError(
@@ -363,14 +360,7 @@ def tsallis_entropy(
     """
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
-    report = estimate_trace_power(
-        purification,
-        _identity_observable(purification.state.dim),
-        int(q),
-        eps,
-        mode=mode,
-        seed=seed,
-    )
+    report = _trace_power(purification, int(q), eps, mode, seed)
     return EntropyEstimate(
         value=report.estimate.real / (1 - int(q)),
         error_bound=eps / (int(q) - 1),
@@ -411,14 +401,7 @@ def vd_ratio(
     num = estimate_trace_power(
         purification, o, int(k), eps_num, mode=mode, seed=derive_seed(seed, 100)
     )
-    den = estimate_trace_power(
-        purification,
-        _identity_observable(purification.state.dim),
-        int(k),
-        eps_den,
-        mode=mode,
-        seed=derive_seed(seed, 200),
-    )
+    den = _trace_power(purification, int(k), eps_den, mode, derive_seed(seed, 200))
     a_est = num.estimate.real
     b_est = den.estimate.real
     if b_est <= eps_den:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityMatrix, Observable
+from .linalg import DensityMatrix, Observable, op_norm
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -30,7 +31,7 @@ class InstanceSpec:
     eps: float = 0.05
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -104,24 +105,35 @@ def make_state(spec: InstanceSpec) -> DensityMatrix:
 
 
 def make_observable(spec: InstanceSpec) -> Observable:
-    dim = 2 ** spec.qubits
-    kind = spec.observable_kind
-    if kind == "random_hermitian":
+    """The observable of ``spec``. A seeded ``random_hermitian`` is built
+    fresh; every other kind depends only on (kind, qubits) and is the one
+    read-only ``shared_observable``."""
+    if spec.observable_kind == "random_hermitian":
+        dim = 2 ** spec.qubits
         rng = np.random.default_rng(spec.seed + 1)
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         h = (g + g.conj().T) / 2
-        return Observable(h / np.linalg.norm(h, 2))
+        return Observable(h / op_norm(h))
+    return shared_observable(spec.observable_kind, spec.qubits)
+
+
+@functools.cache
+def shared_observable(kind: str, qubits: int) -> Observable:
+    """The seed-independent observable ``kind`` ("identity", "projector" or
+    "pauli:<label>") on ``qubits`` qubits, built once and shared read-only."""
+    dim = 2 ** qubits
     if kind == "projector":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-        return Observable(m)
-    if kind == "identity":
-        return Observable(np.eye(dim, dtype=complex))
-    if kind.startswith("pauli:"):
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[0, 0] = 1.0
+    elif kind == "identity":
+        mat = np.eye(dim, dtype=complex)
+    elif kind.startswith("pauli:"):
         label = kind.split(":", 1)[1]
-        if len(label) != spec.qubits:
-            raise ValidationError(
-                f"Pauli string {label!r} does not match {spec.qubits} qubits"
-            )
-        return Observable(pauli_string(label))
-    raise ValidationError(f"unknown observable kind {kind!r}")
+        if len(label) != qubits:
+            raise ValidationError(f"Pauli string {label!r} does not match {qubits} qubits")
+        mat = pauli_string(label)
+    else:
+        raise ValidationError(f"unknown observable kind {kind!r}")
+    obs = Observable(mat)
+    obs.mat.flags.writeable = False
+    return obs

@@ -96,12 +96,18 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def op_norm(m) -> float:
+    """Operator (spectral) norm of a finite matrix: its largest singular
+    value, the same float as ``np.linalg.norm(m, 2)``, one SVD."""
+    return float(np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[0])
+
+
 def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
     """Raise ValidationError if ||m - m^dag|| > atol in operator norm. The
     Frobenius norm bounds it, so an SVD runs only when that exceeds atol."""
     diff = m - m.conj().T
     if np.linalg.norm(diff) > atol:
-        defect = np.linalg.norm(diff, 2)
+        defect = op_norm(diff)
         if defect > atol:
             raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e}){hint}")
 
@@ -165,8 +171,9 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace matrix on a power-of-two dimension.
 
     Validation tolerances: Hermiticity defect and |Tr - 1| at most 1e-10,
-    minimum eigenvalue at least -1e-10. One ``eigh`` checks Hermiticity and
-    the minimum eigenvalue; its result is what ``spectrum`` returns.
+    minimum eigenvalue at least -1e-10. The matrix is coerced once, checked
+    Hermitian once and decomposed once; that ``eigh`` is what ``spectrum``
+    returns.
     """
 
     mat: np.ndarray
@@ -174,7 +181,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _square_operator(self.mat, "density matrix")
-        w, v = eigh(mat, HERMITIAN_ATOL, "density matrix")
+        _check_hermitian(mat, HERMITIAN_ATOL, "density matrix")
+        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace {tr} is not 1")
@@ -224,7 +232,7 @@ class Observable:
             )
             mat = (mat + mat.conj().T) / 2
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "op_norm", float(np.linalg.norm(mat, 2)))
+        object.__setattr__(self, "op_norm", op_norm(mat))
 
     @property
     def dim(self) -> int:
@@ -255,11 +263,6 @@ def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex
         )
     power = np.linalg.matrix_power(rho.mat, int(k))
     return complex(np.sum(power * o.mat.T))
-
-
-def op_norm(m) -> float:
-    """Operator (spectral) norm: largest singular value."""
-    return float(np.linalg.norm(as_complex_matrix(m), 2))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

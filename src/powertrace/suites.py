@@ -59,8 +59,8 @@ from .chebyshev import (
     truncation_tails,
 )
 from .errors import ValidationError
-from .estimator import (AE_SUCCESS_PROB, _identity_observable, estimate_trace_power,
-                        renyi_entropy, tsallis_entropy, vd_ratio)
+from .estimator import (AE_SUCCESS_PROB, estimate_trace_power, renyi_entropy,
+                        tsallis_entropy, vd_ratio)
 from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
@@ -412,20 +412,17 @@ def _run_vd_record(cfg: dict, index: int) -> dict:
         k=int(cfg["vd_k"]),
         eps=float(cfg["vd_eps"]),
     )
-    rho = make_state(spec)
-    obs = make_observable(spec)
     result = vd_ratio(
-        purify(rho),
-        obs,
+        purify(make_state(spec)),
+        make_observable(spec),
         int(cfg["vd_k"]),
         float(cfg["vd_eps"]),
         float(cfg["vd_eps"]),
         mode=cfg["mode"],
         seed=seed,
     )
-    num = trace_power_obs_oracle(rho, obs, int(cfg["vd_k"])).real
-    den = trace_power_obs_oracle(rho, _identity_observable(rho.dim), int(cfg["vd_k"])).real
-    true_ratio = num / den
+    # each half's report carries its exact oracle Tr(rho^k O) / Tr(rho^k)
+    true_ratio = result.numerator.oracle_value.real / result.denominator.oracle_value.real
     true_err = abs(result.ratio_estimate - true_ratio)
     return {"application": "vd_ratio", "run": index, "spec": spec.to_json(), "report": {
         "ratio_estimate": result.ratio_estimate,

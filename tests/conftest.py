@@ -6,9 +6,10 @@ import powertrace as pt
 
 @pytest.fixture
 def numpy_decompositions(monkeypatch):
-    """Every numpy eigendecomposition, eigenvalue solve, operator-norm SVD
-    (``np.linalg.norm`` with ``ord=2``) and ``np.einsum`` made while the
-    test runs, as (name, first argument) pairs in call order."""
+    """Every numpy eigendecomposition, eigenvalue solve, SVD (``np.linalg.svd``,
+    which ``linalg.op_norm`` runs, and ``np.linalg.norm`` with ``ord=2``) and
+    ``np.einsum`` made while the test runs, as (name, first argument) pairs
+    in call order."""
     calls = []
 
     def counting(name, real, counted=lambda *a, **kw: True):
@@ -21,6 +22,7 @@ def numpy_decompositions(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
     monkeypatch.setattr(
         np.linalg,

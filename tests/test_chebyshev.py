@@ -172,6 +172,31 @@ def test_clenshaw_rejects_out_of_domain():
         pt.clenshaw_eval(pt.power_expansion(2), 1.5)
 
 
+def _textbook_clenshaw(c, x):
+    b1 = b2 = np.zeros_like(x)
+    for n in range(len(c) - 1, 0, -1):
+        b1, b2 = c[n] + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=80),
+    x=st.one_of(_unit, st.lists(_unit, min_size=1, max_size=16)),
+)
+def test_clenshaw_step_is_the_textbook_recurrence_bit_for_bit(c, x):
+    """The in-place step computes (c[n] + (2x) b1) - b2, the textbook
+    expression in the same operation order, so every bit agrees."""
+    c = np.array(c)
+    x_arr = np.array(x, dtype=np.float64)
+    got = pt.clenshaw_eval(c, x if isinstance(x, float) else x_arr)
+    assert isinstance(got, float) == isinstance(x, float)
+    assert np.array_equal(got, _textbook_clenshaw(c, x_arr))
+
+
 # ------------------------------------------------------------ sup_error_scan
 
 def test_sup_error_untruncated():

@@ -10,7 +10,7 @@ from scipy.stats import chi2
 
 import powertrace as pt
 from conftest import dense_power_times_obs
-from powertrace import blockenc, estimator, linalg, qsvt, reference
+from powertrace import blockenc, estimator, instances, linalg, qsvt, reference
 from powertrace.cli import main
 from powertrace.estimator import ae_error_bound, choose_ae_grid
 from powertrace.reference import (
@@ -610,6 +610,24 @@ def test_estimate_leaves_no_block_on_the_purification():
     assert growth < 256 * 256 * 16
 
 
+def test_overlap_holds_one_square_temporary():
+    """Above one 2^16-entry block the overlap's diagonal is summed block by
+    block: at n = 9 the traced peak stays below 1.5 d x d complex arrays
+    (O V plus two blocks), and the sum is bitwise the unblocked one."""
+    spec = pt.InstanceSpec(qubits=9, rank=2 ** 9, seed=8)
+    pur, obs = pt.purify(pt.make_state(spec)), pt.make_observable(spec)
+    tracemalloc.start()
+    try:
+        overlap = estimator._power_overlap(pur, obs, 16, 0.05)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 18 * 16
+    eps_poly = min(1.0, 0.05 / (2 * obs.op_norm))
+    (w, v), (p_w, _) = pur.state.spectrum(), qsvt.power_block_encoding(pur, 16, eps_poly)[0]
+    assert overlap == complex(np.sum(w * p_w * np.sum(v.conj() * (obs.mat @ v), axis=0)))
+
+
 @pytest.mark.parametrize(
     "module, name",
     [("powertrace", "BlockEncoding"), ("powertrace", "density_block"),
@@ -685,8 +703,9 @@ def test_vd_ratio_refuses_vanishing_denominator():
 
 
 def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
-    assert estimator._identity_observable(4) is estimator._identity_observable(4)
-    assert not estimator._identity_observable(4).mat.flags.writeable
+    identity = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=0, observable_kind="identity"))
+    assert instances.shared_observable("identity", 2) is identity
+    assert not identity.mat.flags.writeable
     rho = pt.random_density(2, 3, seed=23)
     pt.renyi_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
     numpy_decompositions.clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import powertrace as pt
+from powertrace import estimator, suites
 from powertrace.cli import main
 from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
 
@@ -72,6 +74,57 @@ def test_make_observable_kinds():
     spec = pt.InstanceSpec(qubits=1, rank=1, seed=0, observable_kind="random_hermitian")
     obs = pt.make_observable(spec)
     assert obs.op_norm == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["pauli:ZI", "identity", "projector"])
+def test_seed_independent_observables_are_built_once_read_only(kind):
+    first = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=0, observable_kind=kind))
+    again = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=9, observable_kind=kind))
+    assert again is first
+    with pytest.raises(ValueError, match="read-only"):
+        first.mat[0, 0] = 2.0
+
+
+def test_random_hermitian_observable_is_fresh_per_seed():
+    def build(seed):
+        return pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
+
+    a, b = build(4), build(5)
+    assert a is not b and not np.array_equal(a.mat, b.mat)
+    again = build(4)
+    assert again is not a and np.array_equal(again.mat, a.mat)
+
+
+def test_to_json_is_a_fresh_copy_of_the_fields():
+    spec = pt.InstanceSpec(qubits=2, rank=2, seed=3)
+    report = pt.estimate_trace_power(
+        pt.purify(pt.make_state(spec)), pt.make_observable(spec), 4, 0.05, seed=1
+    )
+    expected = dataclasses.asdict(report)
+    for key in ("estimate", "oracle_value"):
+        expected[key] = {"re": expected[key].real, "im": expected[key].imag}
+    for obj, want in ((spec, dataclasses.asdict(spec)), (report, expected)):
+        out = obj.to_json()
+        assert out == want and out is not obj.to_json()
+        out["seed"] = -1
+        assert obj.seed != -1 and obj.to_json() == want
+
+
+def test_vd_record_runs_each_oracle_once(monkeypatch):
+    # the record's true ratio is read from the two reports vd_ratio returns
+    calls = []
+    real = pt.trace_power_obs_oracle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (suites, estimator):
+        monkeypatch.setattr(module, "trace_power_obs_oracle", counting)
+    record = suites._run_vd_record(resolve_config("apps", None, None), 0)
+    assert len(calls) == 2
+    report = record["report"]
+    assert report["true_error"] == abs(report["ratio_estimate"] - report["true_ratio"])
 
 
 def test_random_unitary_is_unitary():

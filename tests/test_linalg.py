@@ -300,6 +300,14 @@ def test_op_norm():
     assert pt.op_norm(m) == pytest.approx(np.sqrt(2), abs=1e-12)
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(rows=st.integers(1, 64), cols=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_op_norm_is_numpy_two_norm_bit_for_bit(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    assert pt.op_norm(m) == np.linalg.norm(m, 2)
+
+
 # ----------------------------------------------------------- type validation
 
 def test_density_matrix_rejects_bad_trace():
@@ -345,15 +353,17 @@ def test_hermitian_check_threshold_is_the_operator_norm(build, base):
         build(_skewed(base, 1.001e-10))
 
 
-def test_density_matrix_validation_checks_hermiticity_once(monkeypatch):
+def test_density_matrix_validation_checks_hermiticity_once(monkeypatch, numpy_decompositions):
     calls = []
-    for name in ("eigh", "_check_hermitian"):
+    for name in ("eigh", "_check_hermitian", "as_complex_matrix"):
         real = getattr(linalg, name)
         monkeypatch.setattr(
             linalg, name, lambda *a, _n=name, _r=real, **kw: calls.append(_n) or _r(*a, **kw)
         )
     pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    assert calls == ["eigh", "_check_hermitian"]
+    # one coercion and finiteness scan, one Hermiticity check, one eigh
+    assert calls == ["as_complex_matrix", "_check_hermitian"]
+    assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
 def test_observable_spectrum_is_computed_once_and_read_only(monkeypatch):
