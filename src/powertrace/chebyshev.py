@@ -16,6 +16,7 @@ estimate 2*exp(-m^2 / (2k)).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,8 +29,9 @@ COEFF_FLOOR = 1e-300
 MAX_POWER = 1024
 
 
+@functools.cache
 def power_expansion(k: int) -> np.ndarray:
-    """Chebyshev-T coefficients c[0..k] of x^k on [-1, 1], read-only.
+    """Chebyshev-T coefficients c[0..k] of x^k on [-1, 1], read-only, built once per k.
 
     Each coefficient is the exact integer ratio a_j C(k, j) / 2^(k-1)
     evaluated with arbitrary-precision integers, so nothing overflows for
@@ -88,13 +90,14 @@ def required_degree(k: int, eps: float) -> int:
 def clenshaw_eval(c: np.ndarray, x):
     """Evaluate sum_n c[n] T_n(x) by the backward (Clenshaw) recurrence.
 
-    ``x`` may be a scalar or an array; every entry must lie in [-1, 1].
+    ``x`` may be a scalar or an array; every entry must lie in [-1, 1]. A
+    ``c`` of shape (n, R, 1) holds one column per row of an x (R, d).
     Trailing zero coefficients leave the recurrence at +0, so a prefix
     padded with zeros evaluates to the same bits. Each step computes
     (c[n] + 2x b1) - b2 in place, in the buffer the last b2 left free.
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x_arr) > 1.0):
+    if (np.abs(x_arr) > 1.0).any():
         raise ValidationError("clenshaw_eval requires |x| <= 1")
     two_x = 2.0 * x_arr
     b1, b2, b0 = np.zeros_like(x_arr), np.zeros_like(x_arr), np.empty_like(x_arr)

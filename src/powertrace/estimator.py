@@ -20,7 +20,11 @@ is the spectral sum
     Tr(rho p(rho) O) = sum_i l_i p(l_i) (V^dag O V)_ii,
 
 read from the spectrum of the state the purified access carries and one
-O V product. No d x d block and no purification vector is built.
+O V product. No d x d block and no purification vector is built. For a
+stack of R states, one per record, ``estimate_stack`` runs the transform,
+the products, the sums and the oracle once over the record axis and draws
+only the scalar readout below record by record; ``estimate_trace_power``
+and ``vd_ratio`` are its one-record case.
 
 The readout draws the phase-estimation outcome exactly in O(log K) time
 and O(1) memory on a K = 2^t point grid, as the circuit produces it:
@@ -45,7 +49,7 @@ from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
 from .instances import derive_seed, shared_observable
 from .linalg import Observable, trace_power_obs_oracle
-from .qsvt import QueryLedger, power_block_encoding
+from .qsvt import QueryLedger, transform_spectra
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
@@ -88,9 +92,10 @@ class EstimationReport:
 
 
 def _power_overlap(
-    purification: PurifiedState, o: Observable, k: int, eps: float
-) -> tuple[complex, float, QueryLedger]:
-    """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and the ledger.
+    purification: PurifiedState, o: Observable, k, eps: float
+) -> tuple[np.ndarray, np.ndarray, list[QueryLedger]]:
+    """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and the ledger
+    of each state (R, d, d) of ``purification``, for k one integer or R.
 
     p approximates x^(k-1) to eps / (2 ||O||), so the trace-level model
     error stays below eps / 2, and alpha_O = max(1, ||O||): never below
@@ -98,22 +103,23 @@ def _power_overlap(
     contraction for tiny observables. The overlap is
     sum_i l_i p(l_i) (V^dag O V)_ii over rho's cached spectrum (l, V). The
     diagonal is summed over column blocks of at most 2^16 entries, so O V
-    is the one d x d temporary (d <= 256 is one block).
+    is the one d x d temporary per state (d <= 256 is one block).
     """
-    if purification.state.dim != o.dim:
-        raise ValidationError(
-            f"system dim {purification.state.dim} does not match observable dim {o.dim}"
-        )
-    if o.op_norm <= 0.0:
+    dim = purification.state.dim
+    if dim != o.dim:
+        raise ValidationError(f"system dim {dim} does not match observable dim {o.dim}")
+    w, v = purification.state.spectrum()
+    w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
+    norms = [o.op_norm] * len(w) if isinstance(o.op_norm, float) else o.op_norm.ravel().tolist()
+    if min(norms) <= 0.0:
         raise ValidationError("observable must be nonzero")
-    eps_poly = min(1.0, eps / (2.0 * o.op_norm))
-    (p_w, v), ledger = power_block_encoding(purification, k, eps_poly)
-    w = purification.state.spectrum().eigenvalues
-    ov, step = o.mat @ v, max(1, 2 ** 16 // len(w))
-    o_diag = np.concatenate([  # (V^dag O V)_ii
-        np.sum(v[:, j:j + step].conj() * ov[:, j:j + step], axis=0) for j in range(0, len(w), step)
-    ])
-    return complex(np.sum(w * p_w * o_diag)), max(1.0, o.op_norm), ledger
+    p_w, ledgers = transform_spectra(w, k, [min(1.0, eps / (2.0 * norm)) for norm in norms])
+    ov, step = o.mat @ v, max(1, 2 ** 16 // dim)
+    blocks = [  # (V^dag O V)_ii
+        (v[..., j:j + step].conj() * ov[..., j:j + step]).sum(axis=-2) for j in range(0, dim, step)
+    ]
+    o_diag = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+    return (w * p_w * o_diag).sum(axis=-1), np.array([max(1.0, norm) for norm in norms]), ledgers
 
 
 def _p_zero(overlap: complex, w: str) -> float:
@@ -233,6 +239,46 @@ def choose_ae_grid(eps_prime: float) -> int:
     return K
 
 
+def estimate_stack(purification: PurifiedState, o: Observable, k, eps: float, seeds: list,
+                   mode: str = "sampled", ae_grid: int | None = None) -> list[EstimationReport]:
+    """One ``estimate_trace_power`` report per record of a stack (R, d, d) of
+    states, with ``o`` one observable or R, ``k`` one integer or R and
+    ``seeds`` the R readout seeds. Each report equals its record's alone."""
+    count = purification.state.mat[..., 0, 0].size
+    ks = [int(k_i) for k_i in (k if isinstance(k, (list, tuple, np.ndarray)) else [k] * count)
+          if isinstance(k_i, (int, np.integer)) and k_i >= 2]
+    if len(ks) != count or len(seeds) != count:
+        raise ValidationError(f"estimation needs {count} integers k >= 2 and seeds, got k={k!r}")
+    if not 0.0 < eps <= 1.0:
+        raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
+    _check_mode(mode)
+    if ae_grid is not None:
+        _check_grid(ae_grid, mode)
+    overlaps, alphas, ledgers = _power_overlap(purification, o, ks, eps)
+    oracles = trace_power_obs_oracle(purification.state, o, k)
+    oracles = [oracles] if isinstance(oracles, complex) else oracles.tolist()
+    settings = ["I"] if o.hermitian else ["I", "S_dagger"]
+    reports = []
+    for overlap, alpha_o, ledger, oracle, k_i, seed in zip(
+        overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds
+    ):
+        eps_prime = eps / (4.0 * alpha_o)
+        grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
+        parts = []
+        for idx, setting in enumerate(settings):
+            p_true = _p_zero(overlap / alpha_o, setting)
+            outcome = amplitude_estimate(p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx))
+            parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
+        reports.append(EstimationReport(
+            estimate=complex(parts[0], parts[1] if len(parts) > 1 else 0.0), oracle_value=oracle,
+            k=k_i, eps_requested=float(eps), eps_poly_budget=eps / 2.0, eps_ae_budget=eps_prime,
+            ae_queries_K=grid, u_rho_queries_total=ledger.u_rho_queries * grid * len(settings),
+            seed=int(seed), mode=mode, alpha_o=alpha_o, poly_degree=ledger.poly_degree,
+            model_error=abs(overlap - oracle),
+        ))
+    return reports
+
+
 def estimate_trace_power(
     purification: PurifiedState,
     o: Observable,
@@ -254,57 +300,15 @@ def estimate_trace_power(
     carries the exact oracle value and query counts. ``ae_grid`` forces a
     specific readout grid size instead of the smallest one meeting the
     budget; it and ``mode`` are checked before the overlap is computed.
-    The overlap is computed once and serves every setting and the
-    trace-level model error. Nothing decomposes rho again, and no d x d
-    block of p(rho) or p(rho) O is built: every stage reads the state and
-    spectrum the purification carries.
+    The overlap serves every setting and the trace-level model error.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValidationError(f"estimation needs integer k >= 2, got {k!r}")
-    if not 0.0 < eps <= 1.0:
-        raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
-    _check_mode(mode)
-    if ae_grid is not None:
-        _check_grid(ae_grid, mode)
-    overlap, alpha_o, ledger = _power_overlap(purification, o, int(k), eps)
-    eps_prime = eps / (4.0 * alpha_o)
-    grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
-
-    settings = ["I"] if o.hermitian else ["I", "S_dagger"]
-    parts = []
-    for idx, setting in enumerate(settings):
-        p_true = _p_zero(overlap / alpha_o, setting)
-        outcome = amplitude_estimate(
-            p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx)
-        )
-        parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
-    estimate = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-
-    oracle = trace_power_obs_oracle(purification.state, o, int(k))
-    model_error = abs(overlap - oracle)
-    return EstimationReport(
-        estimate=estimate,
-        oracle_value=oracle,
-        k=int(k),
-        eps_requested=float(eps),
-        eps_poly_budget=eps / 2.0,
-        eps_ae_budget=eps_prime,
-        ae_queries_K=grid,
-        u_rho_queries_total=ledger.u_rho_queries * grid * len(settings),
-        seed=int(seed),
-        mode=mode,
-        alpha_o=alpha_o,
-        poly_degree=ledger.poly_degree,
-        model_error=model_error,
-    )
+    return estimate_stack(purification, o, k, eps, [seed], mode, ae_grid)[0]
 
 
-def _trace_power(
-    purification: PurifiedState, k: int, eps: float, mode: str, seed: int
-) -> EstimationReport:
-    """The estimate of Tr(rho^k): O is the shared identity observable."""
+def _trace_powers(purification: PurifiedState, k: int, eps: float, seeds: list, mode: str) -> list:
+    """The estimates of Tr(rho^k): O is the shared identity observable."""
     identity = shared_observable("identity", purification.state.qubits)
-    return estimate_trace_power(purification, identity, k, eps, mode=mode, seed=seed)
+    return estimate_stack(purification, identity, k, eps, seeds, mode)
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ def renyi_entropy(
     """
     if not isinstance(alpha_order, (int, np.integer)) or alpha_order < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {alpha_order!r}")
-    report = _trace_power(purification, int(alpha_order), eps, mode, seed)
+    report = _trace_powers(purification, int(alpha_order), eps, [seed], mode)[0]
     t_est = report.estimate.real
     if t_est - eps <= 0.0:
         raise UnreliableEstimateError(
@@ -360,7 +364,7 @@ def tsallis_entropy(
     """
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
-    report = _trace_power(purification, int(q), eps, mode, seed)
+    report = _trace_powers(purification, int(q), eps, [seed], mode)[0]
     return EntropyEstimate(
         value=report.estimate.real / (1 - int(q)),
         error_bound=eps / (int(q) - 1),
@@ -376,6 +380,27 @@ class VdRatioResult:
     error_bound: float
     numerator: EstimationReport
     denominator: EstimationReport
+
+
+def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: float,
+                   eps_den: float, seeds: list, mode: str = "sampled") -> list[VdRatioResult]:
+    """One ``vd_ratio`` result per record of a stack: the numerators and the
+    denominators are two ``estimate_stack`` calls over the whole stack."""
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
+    nums = estimate_stack(purification, o, int(k), eps_num, [derive_seed(s, 100) for s in seeds], mode)
+    dens = _trace_powers(purification, int(k), eps_den, [derive_seed(s, 200) for s in seeds], mode)
+    results = []
+    for num, den in zip(nums, dens):
+        a_est, b_est = num.estimate.real, den.estimate.real
+        if b_est <= eps_den:
+            raise UnreliableEstimateError(
+                f"denominator estimate {b_est} is indistinguishable from 0 at accuracy {eps_den}"
+            )
+        b_low = b_est - eps_den
+        error_bound = eps_num / b_low + (abs(a_est) + eps_num) * eps_den / b_low ** 2
+        results.append(VdRatioResult(a_est / b_est, error_bound, num, den))
+    return results
 
 
 def vd_ratio(
@@ -396,24 +421,4 @@ def vd_ratio(
     amplitude-estimation success probability, so the joint success is the
     product (no boosting applied here).
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
-    num = estimate_trace_power(
-        purification, o, int(k), eps_num, mode=mode, seed=derive_seed(seed, 100)
-    )
-    den = _trace_power(purification, int(k), eps_den, mode, derive_seed(seed, 200))
-    a_est = num.estimate.real
-    b_est = den.estimate.real
-    if b_est <= eps_den:
-        raise UnreliableEstimateError(
-            f"denominator estimate {b_est} is indistinguishable from 0 at "
-            f"accuracy {eps_den}"
-        )
-    b_low = b_est - eps_den
-    error_bound = eps_num / b_low + (abs(a_est) + eps_num) * eps_den / b_low ** 2
-    return VdRatioResult(
-        ratio_estimate=a_est / b_est,
-        error_bound=error_bound,
-        numerator=num,
-        denominator=den,
-    )
+    return vd_ratio_stack(purification, o, k, eps_num, eps_den, [seed], mode)[0]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,19 +39,26 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
-def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
+def _gaussian(shape: tuple, seed) -> np.ndarray:
+    """Complex Gaussian of ``shape`` from ``default_rng(seed)``, or a stack."""
+    if isinstance(seed, list):
+        return np.stack([_gaussian(shape, s) for s in seed])
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_density(qubits: int, rank: int, seed) -> DensityMatrix:
     """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
-    of shape (2^qubits, rank)."""
+    of shape (2^qubits, rank), or a stack of them for a list of seeds."""
     dim = 2 ** qubits
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
+    g = _gaussian((dim, rank), seed)
+    m = g @ g.conj().swapaxes(-1, -2)
     del g  # built in place from here: m and one transpose temporary
-    m += m.conj().T
+    m += m.conj().swapaxes(-1, -2)
     m /= 2
-    m /= np.trace(m).real
+    m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
     return DensityMatrix(m)
 
 
@@ -73,13 +80,15 @@ def pauli_string(label: str) -> np.ndarray:
     return out
 
 
-def make_state(spec: InstanceSpec) -> DensityMatrix:
+def make_state(spec: InstanceSpec, seeds=None) -> DensityMatrix:
+    """The state of ``spec``, or the stack of its states under ``seeds``."""
     dim = 2 ** spec.qubits
     kind = spec.state_kind
-    if kind == "random_mixed":
-        return random_density(spec.qubits, spec.rank, spec.seed)
-    if kind == "pure":
-        return random_density(spec.qubits, 1, spec.seed)
+    if kind in ("random_mixed", "pure"):
+        rank = spec.rank if kind == "random_mixed" else 1
+        return random_density(spec.qubits, rank, spec.seed if seeds is None else list(seeds))
+    if seeds is not None:  # the other kinds are built seed by seed
+        return DensityMatrix(np.stack([make_state(replace(spec, seed=s)).mat for s in seeds]))
     if kind == "diagonal":
         rng = np.random.default_rng(spec.seed)
         w = rng.random(spec.rank)
@@ -104,16 +113,15 @@ def make_state(spec: InstanceSpec) -> DensityMatrix:
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
-def make_observable(spec: InstanceSpec) -> Observable:
+def make_observable(spec: InstanceSpec, seeds=None) -> Observable:
     """The observable of ``spec``. A seeded ``random_hermitian`` is built
-    fresh; every other kind depends only on (kind, qubits) and is the one
-    read-only ``shared_observable``."""
+    fresh, as a stack for a list of ``seeds``; every other kind depends only
+    on (kind, qubits) and is the one read-only ``shared_observable``."""
     if spec.observable_kind == "random_hermitian":
         dim = 2 ** spec.qubits
-        rng = np.random.default_rng(spec.seed + 1)
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        return Observable(h / op_norm(h))
+        g = _gaussian((dim, dim), spec.seed + 1 if seeds is None else [s + 1 for s in seeds])
+        h = (g + g.conj().swapaxes(-1, -2)) / 2
+        return Observable(h / np.asarray(op_norm(h))[..., None, None])
     return shared_observable(spec.observable_kind, spec.qubits)
 
 

@@ -6,6 +6,9 @@ later use reads that ``eigh``: purified access to a state is the state
 itself, and the swap test's outcome law is read from the spectrum too.
 The oracle ``trace_power_obs_oracle`` forms rho^k by repeated squaring
 instead, so it shares no eigendecomposition with the estimation pipeline.
+A ``DensityMatrix`` or ``Observable`` may hold a stack (..., d, d), one
+matrix per record: each check names the first failing matrix, and the
+``eigh``, the norm SVD and the oracle run once on the whole stack.
 
 Everything is stored as dense ``numpy.complex128``. Composite registers
 follow the Kronecker convention of ``numpy.kron``: in ``kron(a, b)`` the
@@ -69,14 +72,27 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _fail_first(bad, what: str, message: str, values=None) -> None:
+    """Raise ValidationError for the first matrix ``bad`` flags (one flag per
+    matrix), naming its index in a stack and its entry of ``values``."""
+    if bad.any() if bad.size > 1 else bad:  # a numpy bool's .any() costs more than the check
+        i = np.unravel_index(np.argmax(bad), np.shape(bad))
+        name = f"{what} {[int(j) for j in i]}" if i else what
+        raise ValidationError(f"{name} " + message.format(None if values is None else np.asarray(values)[i]))
+
+
 def _square_operator(m, name: str) -> np.ndarray:
-    """Coerce to a finite square complex matrix on a power-of-two dimension."""
-    mat = as_complex_matrix(m, name)
-    dim = mat.shape[0]
-    if dim != mat.shape[1]:
+    """Coerce to finite square complex matrices (..., d), d a power of two."""
+    mat = np.asarray(m, dtype=np.complex128)
+    if mat.ndim < 2:
+        raise ValidationError(f"{name} must be 2-dimensional, got shape {mat.shape}")
+    dim = mat.shape[-1]
+    if dim != mat.shape[-2]:
         raise ValidationError(f"{name} must be square")
     if dim < 1 or dim & (dim - 1):
         raise ValidationError(f"{name} dimension {dim} is not a power of two")
+    if not np.isfinite(mat).all():
+        _fail_first(~np.isfinite(mat).all(axis=(-2, -1)), name, "contains non-finite entries")
     return mat
 
 
@@ -96,20 +112,22 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def op_norm(m) -> float:
+def op_norm(m):
     """Operator (spectral) norm of a finite matrix: its largest singular
-    value, the same float as ``np.linalg.norm(m, 2)``, one SVD."""
-    return float(np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[0])
+    value, the same float as ``np.linalg.norm(m, 2)``, one SVD. A stack
+    (..., d, d) gives the array of its matrices' norms, from one SVD call."""
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[..., 0]
+    return float(s) if s.ndim == 0 else s
 
 
 def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
-    """Raise ValidationError if ||m - m^dag|| > atol in operator norm. The
-    Frobenius norm bounds it, so an SVD runs only when that exceeds atol."""
-    diff = m - m.conj().T
-    if np.linalg.norm(diff) > atol:
+    """Raise ValidationError if ||m - m^dag|| > atol in operator norm for m or
+    a matrix of its stack. The Frobenius norm bounds it, so an SVD runs only
+    when that exceeds atol."""
+    diff = m - m.conj().swapaxes(-1, -2)
+    if np.linalg.norm(diff) > atol:  # the stack's norm bounds each matrix's
         defect = op_norm(diff)
-        if defect > atol:
-            raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e}){hint}")
+        _fail_first(np.asarray(defect) > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
 
 
 def eigh(h, atol: float = 1e-8, what: str = "eigh input") -> EighResult:
@@ -168,12 +186,13 @@ def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive semidefinite, unit-trace matrix on a power-of-two dimension.
+    """Positive semidefinite, unit-trace matrix on a power-of-two dimension,
+    or a stack (..., d, d) of them.
 
-    Validation tolerances: Hermiticity defect and |Tr - 1| at most 1e-10,
-    minimum eigenvalue at least -1e-10. The matrix is coerced once, checked
-    Hermitian once and decomposed once; that ``eigh`` is what ``spectrum``
-    returns.
+    Validation tolerances, per matrix: Hermiticity defect and |Tr - 1| at
+    most 1e-10, minimum eigenvalue at least -1e-10. The matrix is coerced
+    once, checked Hermitian once and decomposed once; that ``eigh`` is what
+    ``spectrum`` returns.
     """
 
     mat: np.ndarray
@@ -182,14 +201,10 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _square_operator(self.mat, "density matrix")
         _check_hermitian(mat, HERMITIAN_ATOL, "density matrix")
-        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-        tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density matrix trace {tr} is not 1")
-        if w[0] < EIG_FLOOR:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {w[0]:.3e}"
-            )
+        w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+        tr = mat.trace(axis1=-2, axis2=-1)
+        _fail_first(abs(tr - 1.0) > TRACE_ATOL, "density matrix", "trace {} is not 1", tr)
+        _fail_first(w[..., 0] < EIG_FLOOR, "density matrix", "has negative eigenvalue {:.3e}", w[..., 0])
         w = clip_spectrum(w)
         w.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "mat", mat)
@@ -197,7 +212,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     @property
     def qubits(self) -> int:
@@ -215,7 +230,7 @@ class Observable:
 
     Hermitian by default; pass ``hermitian=False`` to carry a general
     matrix (downstream estimation then needs both the real- and
-    imaginary-part circuit settings).
+    imaginary-part circuit settings). A stack's ``op_norm`` is an array.
     """
 
     mat: np.ndarray
@@ -230,13 +245,13 @@ class Observable:
                 mat, HERMITIAN_ATOL, "observable",
                 "; pass hermitian=False for general matrices",
             )
-            mat = (mat + mat.conj().T) / 2
+            mat = (mat + mat.conj().swapaxes(-1, -2)) / 2
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "op_norm", op_norm(mat))
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def spectrum(self) -> EighResult:
         """Eigendecomposition by ``eigh`` on first use, then cached read-only."""
@@ -247,22 +262,32 @@ class Observable:
         return self._spectrum
 
 
-def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex:
+def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k):
     """Exact Tr(rho^k O) by repeated squaring.
 
     rho^k takes about log2(k) matrix products and never reads the cached
     spectrum, so the oracle is independent of the eigendecomposition the
     estimation pipeline transforms; the trace against O is O(d^2).
-    Accepts any integer k >= 1.
+    Accepts any integer k >= 1. A stack of R states takes one O or R, and
+    one k or R; ``matrix_power`` runs once per distinct k.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    per_state = isinstance(k, (list, tuple, np.ndarray))
+    if not all(isinstance(k_i, (int, np.integer)) and k_i >= 1 for k_i in (k if per_state else [k])):
         raise ValidationError(f"trace power order must be an integer >= 1, got {k!r}")
     if rho.dim != o.dim:
         raise ValidationError(
             f"dimension mismatch: state dim {rho.dim}, observable dim {o.dim}"
         )
-    power = np.linalg.matrix_power(rho.mat, int(k))
-    return complex(np.sum(power * o.mat.T))
+    o_t = o.mat.swapaxes(-1, -2)  # products in C order: every trace sums row by row
+    if not per_state:  # one k: the whole stack at once
+        out = np.multiply(np.linalg.matrix_power(rho.mat, int(k)), o_t, order="C").sum(axis=(-2, -1))
+        return complex(out) if out.ndim == 0 else out
+    ks, out = np.asarray(k), np.empty(len(k), dtype=complex)
+    for power_k in set(ks.tolist()):
+        sel = ks == power_k
+        power = np.linalg.matrix_power(rho.mat.reshape(len(k), rho.dim, rho.dim)[sel], power_k)
+        out[sel] = np.multiply(power, o_t if o_t.ndim == 2 else o_t[sel], order="C").sum(axis=(-2, -1))
+    return out
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ realizes p(rho) exactly on rho's eigenvalues. So p(rho) is returned as
 its eigendecomposition (p(l_i), V) in rho's cached eigenbasis, and no
 d x d matrix is built. Query counts are recorded as the polynomial degree
 the query-model circuit would use, with each application of the density
-block encoding costing two queries to the purification unitary.
+block encoding costing two queries to the purification unitary. A stack
+of spectra is transformed in one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .blockenc import PurifiedState
 from .chebyshev import clenshaw_eval, power_expansion, required_degree, truncation_tails
-from .errors import ContractError, ValidationError
+from .errors import ContractError
 from .linalg import EighResult
 
 SUP_NORM_SLACK = 1e-9
@@ -30,57 +31,64 @@ class QueryLedger:
     """Query accounting for one power encoding.
 
     ``poly_degree`` is the degree the query-model circuit is charged for
-    (the Chernoff-formula degree), ``be_rho_applications`` the number of
-    applications of the density block encoding, and ``u_rho_queries`` the
-    resulting purification-unitary queries (two per application).
-    ``model_error`` is the measured operator-norm distance between the
-    encoded polynomial of the state and the exact matrix power; both are
-    diagonal in the state's eigenbasis, so it is max_i |p(l_i) - l_i^(k-1)|
-    over the cached spectrum; ``tail_bound`` is its closed-form Chernoff
-    bound.
+    (the Chernoff-formula degree), one density-block application per
+    degree, and ``u_rho_queries`` the purification-unitary queries (two per
+    application). ``model_error`` is the operator-norm distance between the
+    encoded polynomial of the state and the exact matrix power, both
+    diagonal in the state's eigenbasis: max_i |p(l_i) - l_i^(k-1)| over the
+    cached spectrum. ``tail_bound`` is its closed-form Chernoff bound.
     """
 
     poly_degree: int
-    be_rho_applications: int
     u_rho_queries: int
     model_error: float
     tail_bound: float
 
 
-def power_block_encoding(
-    purification: PurifiedState, k: int, eps: float
-) -> tuple[EighResult, QueryLedger]:
-    """p(rho) for a truncated-expansion stand-in p of x^(k-1), as its
-    eigendecomposition (p(l_i), V) in the cached eigenbasis of the state
-    rho that ``purification`` gives access to.
+def transform_spectra(w: np.ndarray, k, eps) -> tuple[np.ndarray, list[QueryLedger]]:
+    """p(l) on spectra w (R, d) for the truncated-expansion stand-in p of
+    x^(k-1), with k and eps one value or R, and one ledger per spectrum.
 
     p keeps the Chebyshev modes of x^(k-1) up to the Chernoff-formula
     degree for sup error ``eps``. |T_n| <= 1 on [-1, 1], so kept
     coefficients whose absolute values sum to at most 1 + SUP_NORM_SLACK
     certify |p| <= 1 there in O(m); otherwise ContractError is raised. The
-    returned ledger carries that degree, the implied purification-query
-    count (two per application of the density encoding), the model error
-    max_i |p(l_i) - l_i^(k-1)| and the Chernoff tail bound. p is evaluated
-    once, on rho's eigenvalues.
+    prefixes are zero-padded to the longest, which leaves their bits
+    unchanged, so one Clenshaw pass evaluates the stack.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValidationError(f"power estimation needs integer k >= 2, got {k!r}")
-    if not 0.0 < eps <= 1.0:
-        raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
-    exponent = int(k) - 1
-    degree = required_degree(exponent, eps)
-    expansion = power_expansion(exponent)
-    kept = expansion[:degree + 1]
-    coefficient_sum = float(np.sum(np.abs(kept)))
-    if coefficient_sum > 1.0 + SUP_NORM_SLACK:
-        raise ContractError(f"polynomial coefficient sum {coefficient_sum} exceeds 1")
+    k = list(k) if isinstance(k, (list, tuple, np.ndarray)) else [k] * len(w)
+    prefixes, terms = {}, []
+    for k_i, eps_i in zip(k, eps if isinstance(eps, (list, tuple, np.ndarray)) else [eps] * len(k)):
+        degree = required_degree(k_i - 1, eps_i)
+        if (k_i, degree) not in prefixes:
+            expansion = power_expansion(k_i - 1)
+            kept = expansion[:degree + 1]
+            if (coefficient_sum := float(np.abs(kept).sum())) > 1.0 + SUP_NORM_SLACK:
+                raise ContractError(f"polynomial coefficient sum {coefficient_sum} exceeds 1")
+            prefixes[k_i, degree] = kept, truncation_tails(expansion, degree)[1]
+        terms.append((degree, *prefixes[k_i, degree]))
+    if len(prefixes) == 1:  # one polynomial for every spectrum
+        c = terms[0][1]
+    else:
+        c = np.zeros((max(len(kept) for _, kept, _ in terms), len(terms), 1))
+        for j, (_, kept, _) in enumerate(terms):
+            c[:len(kept), j, 0] = kept
+    p_w = clenshaw_eval(c, w.clip(-1.0, 1.0))
+    errors = np.empty(len(k))
+    for k_i in set(k):  # one power per distinct k, each with a Python int exponent
+        sel = slice(None) if len(prefixes) == 1 else np.equal(k, k_i)
+        errors[sel] = np.abs(p_w[sel] - w[sel] ** (k_i - 1)).max(axis=-1)
+    return p_w, [QueryLedger(degree, 2 * degree, error, tail)
+                 for (degree, _, tail), error in zip(terms, errors.tolist())]
+
+
+def power_block_encoding(purification: PurifiedState, k: int, eps: float) -> tuple[EighResult, QueryLedger]:
+    """p(rho) for a truncated-expansion stand-in p of x^(k-1), as its
+    eigendecomposition (p(l_i), V) in the cached eigenbasis of the state
+    rho that ``purification`` gives access to, and its ledger: the
+    one-state case of ``transform_spectra``, whose ``required_degree``
+    rejects any k but an integer >= 2 and any eps outside (0, 1].
+    """
     w, v = purification.state.spectrum()
-    p_w = clenshaw_eval(kept, np.clip(w, -1.0, 1.0))
-    ledger = QueryLedger(
-        poly_degree=degree,
-        be_rho_applications=degree,
-        u_rho_queries=2 * degree,
-        model_error=float(np.max(np.abs(p_w - w ** exponent))),
-        tail_bound=truncation_tails(expansion, degree)[1],
-    )
-    return EighResult(p_w, v), ledger
+    p_w, (ledger,) = transform_spectra(w[None], k, eps)
+    return EighResult(p_w[0], v), ledger

@@ -15,6 +15,11 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
+The ``estimate`` and ``apps`` runners cut their records into one
+contiguous chunk per ``--jobs`` worker and run each chunk as one stack of
+states. A record does not depend on its chunk, so every ``--jobs`` value
+writes the same bytes.
+
 A config key outside the suite's defaults is rejected, and so is a value
 of another JSON kind than its default's, or a count below its least
 value; ``seed`` is read by every suite, since POWERTRACE_SEED sets it for
@@ -59,8 +64,8 @@ from .chebyshev import (
     truncation_tails,
 )
 from .errors import ValidationError
-from .estimator import (AE_SUCCESS_PROB, estimate_trace_power, renyi_entropy,
-                        tsallis_entropy, vd_ratio)
+from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, renyi_entropy,
+                        tsallis_entropy, vd_ratio_stack)
 from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
@@ -81,31 +86,28 @@ def fmt(x) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = " " * indent
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+    Each value is written once, at ``indent``, the indent of its line."""
     if isinstance(obj, dict):
-        items = [
-            f'{pad}  "{key}": {canonical_json(obj[key], indent + 2).lstrip()}'
-            for key in sorted(obj)
-        ]
-        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else pad + "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [canonical_json(v, indent + 2) for v in obj]
-        return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else pad + "[]"
-    if isinstance(obj, bool):
-        return pad + ("true" if obj else "false")
-    if obj is None:
-        return pad + "null"
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
+        pad = " " * (indent + 2)
+        items = [f'{pad}"{key}": {canonical_json(obj[key], indent + 2)}' for key in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad[2:] + "}" if items else "{}"
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return pad + '"nan"'
-        if math.isinf(x):
-            return pad + ('"inf"' if x > 0 else '"-inf"')
-        return pad + format(x, ".17g")
-    return pad + json.dumps(str(obj))
+        if math.isfinite(x):
+            return format(x, ".17g")
+        return '"nan"' if math.isnan(x) else ('"inf"' if x > 0 else '"-inf"')
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (list, tuple)):
+        pad = " " * (indent + 2)
+        items = [pad + canonical_json(v, indent + 2) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad[2:] + "]" if items else "[]"
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
 
 
 def config_hash(config: dict) -> str:
@@ -171,6 +173,14 @@ def _map(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
+def _map_chunks(fn, count: int, jobs: int) -> list:
+    """``fn(indices)`` for ``range(count)`` cut into at most ``jobs``
+    contiguous chunks, one worker each, joining the record lists in order."""
+    parts = min(jobs, count)
+    chunks = [range(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
+    return [record for chunk in _map(fn, chunks, jobs) for record in chunk]
+
+
 # --------------------------------------------------------------------------
 # suite runners: run(cfg, jobs) -> (records, summary)
 # --------------------------------------------------------------------------
@@ -209,42 +219,29 @@ def _suite_approx(cfg: dict, jobs: int):
     return records, summary
 
 
-def _run_estimate_record(cfg: dict, index: int) -> dict:
-    ks = cfg["k_values"]
-    k = int(ks[index % len(ks)])
-    seed = derive_seed(int(cfg["seed"]), index)
-    spec = InstanceSpec(
-        qubits=int(cfg["qubits"]),
-        rank=int(cfg["rank"]),
-        seed=seed,
-        state_kind=cfg["state_kind"],
-        observable_kind=cfg["observable_kind"],
-        k=k,
-        eps=float(cfg["eps"]),
+def _estimate_records(cfg: dict, indices: range) -> list[dict]:
+    """The ``estimate`` records ``indices``, estimated as one stack."""
+    ks, eps = cfg["k_values"], float(cfg["eps"])
+    specs = [InstanceSpec(
+        qubits=int(cfg["qubits"]), rank=int(cfg["rank"]), seed=derive_seed(int(cfg["seed"]), index),
+        state_kind=cfg["state_kind"], observable_kind=cfg["observable_kind"],
+        k=int(ks[index % len(ks)]), eps=eps,
+    ) for index in indices]
+    seeds = [spec.seed for spec in specs]
+    reports = estimate_stack(
+        purify(make_state(specs[0], seeds)), make_observable(specs[0], seeds), [spec.k for spec in specs],
+        eps, seeds, mode=cfg["mode"], ae_grid=cfg["ae_grid_override"],
     )
-    rho = make_state(spec)
-    obs = make_observable(spec)
-    report = estimate_trace_power(
-        purify(rho),
-        obs,
-        k,
-        float(cfg["eps"]),
-        mode=cfg["mode"],
-        seed=seed,
-        ae_grid=cfg["ae_grid_override"],
-    )
-    err = abs(report.estimate - report.oracle_value)
-    return {
-        "run": index,
-        "spec": spec.to_json(),
-        "report": report.to_json(),
-        "abs_error": err,
-        "within_eps": bool(err <= float(cfg["eps"])),
-    }
+    records = []
+    for index, spec, report in zip(indices, specs, reports):
+        err = abs(report.estimate - report.oracle_value)
+        records.append({"run": index, "spec": spec.to_json(), "report": report.to_json(),
+                        "abs_error": err, "within_eps": bool(err <= eps)})
+    return records
 
 
 def _suite_estimate(cfg: dict, jobs: int):
-    records = _map(partial(_run_estimate_record, cfg), range(int(cfg["runs"])), jobs)
+    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), jobs)
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
@@ -402,35 +399,29 @@ def _suite_bqp(cfg: dict, jobs: int):
     return records, summary
 
 
-def _run_vd_record(cfg: dict, index: int) -> dict:
-    seed = derive_seed(int(cfg["seed"]), 1000 + index)
-    spec = InstanceSpec(
-        qubits=int(cfg["qubits"]),
-        rank=int(cfg["rank"]),
-        seed=seed,
-        observable_kind="pauli:" + "Z" + "I" * (int(cfg["qubits"]) - 1),
-        k=int(cfg["vd_k"]),
-        eps=float(cfg["vd_eps"]),
-    )
-    result = vd_ratio(
-        purify(make_state(spec)),
-        make_observable(spec),
-        int(cfg["vd_k"]),
-        float(cfg["vd_eps"]),
-        float(cfg["vd_eps"]),
-        mode=cfg["mode"],
-        seed=seed,
-    )
-    # each half's report carries its exact oracle Tr(rho^k O) / Tr(rho^k)
-    true_ratio = result.numerator.oracle_value.real / result.denominator.oracle_value.real
-    true_err = abs(result.ratio_estimate - true_ratio)
-    return {"application": "vd_ratio", "run": index, "spec": spec.to_json(), "report": {
-        "ratio_estimate": result.ratio_estimate,
-        "error_bound": result.error_bound,
-        "true_ratio": true_ratio,
-        "true_error": true_err,
-        "covered": bool(result.error_bound >= true_err),
-    }}
+def _vd_records(cfg: dict, indices: range) -> list[dict]:
+    """The ``apps`` virtual-distillation records ``indices``, as one stack."""
+    k, eps = int(cfg["vd_k"]), float(cfg["vd_eps"])
+    specs = [InstanceSpec(
+        qubits=int(cfg["qubits"]), rank=int(cfg["rank"]), seed=derive_seed(int(cfg["seed"]), 1000 + index),
+        observable_kind="pauli:" + "Z" + "I" * (int(cfg["qubits"]) - 1), k=k, eps=eps,
+    ) for index in indices]
+    seeds = [spec.seed for spec in specs]
+    results = vd_ratio_stack(purify(make_state(specs[0], seeds)), make_observable(specs[0], seeds),
+                             k, eps, eps, seeds, mode=cfg["mode"])
+    records = []
+    for index, spec, result in zip(indices, specs, results):
+        # each half's report carries its exact oracle Tr(rho^k O) / Tr(rho^k)
+        true_ratio = result.numerator.oracle_value.real / result.denominator.oracle_value.real
+        true_err = abs(result.ratio_estimate - true_ratio)
+        records.append({"application": "vd_ratio", "run": index, "spec": spec.to_json(), "report": {
+            "ratio_estimate": result.ratio_estimate,
+            "error_bound": result.error_bound,
+            "true_ratio": true_ratio,
+            "true_error": true_err,
+            "covered": bool(result.error_bound >= true_err),
+        }})
+    return records
 
 
 def _suite_apps(cfg: dict, jobs: int):
@@ -455,7 +446,7 @@ def _suite_apps(cfg: dict, jobs: int):
         })
     renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
-    vd = _map(partial(_run_vd_record, cfg), range(int(cfg["vd_runs"])), jobs)
+    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), jobs)
     records += vd
     coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
     summary = {

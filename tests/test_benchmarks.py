@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import statistics
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "estimator_reach.py"
@@ -28,3 +30,26 @@ def test_estimator_reach_keeps_each_labelled_run(tmp_path, capsys):
         assert 0 < row["setup_peak_mib"] <= row["tracemalloc_peak_mib"]
         assert 0 < row["estimate_peak_mib"] <= row["tracemalloc_peak_mib"]
         assert row["model_error"] <= 0.05 / 2
+
+
+SUITES_SCRIPT = SCRIPT.parent / "suites_wall.py"
+
+
+def test_suites_wall_keeps_each_labelled_run(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("suites_wall", SUITES_SCRIPT)
+    wall = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wall)
+    monkeypatch.setenv("POWERTRACE_SEED", "5")  # the script clears it for the suites
+    out = tmp_path / "BENCH_suites.json"
+    assert wall.main(["--label", "a", "--suites", "bounds", "separation", "--runs", "2", "--out", str(out)]) == 0
+    assert "POWERTRACE_SEED" not in os.environ
+    assert wall.main(["--label", "b", "--suites", "bounds", "--runs", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc["runs"]) == {"a", "b"}
+    rows = doc["runs"]["a"]["rows"]
+    assert [row["suite"] for row in rows] == ["bounds", "separation"]
+    for row in rows:
+        assert len(row["wall_s_runs"]) == 2 and all(t > 0 for t in row["wall_s_runs"])
+        assert row["wall_s"] == statistics.median(row["wall_s_runs"])
+        assert row["tracemalloc_peak_mib"] > 0
+    assert [row["suite"] for row in doc["runs"]["b"]["rows"]] == ["bounds"]

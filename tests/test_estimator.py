@@ -502,8 +502,8 @@ def test_no_sampled_draw_builds_the_dense_law(monkeypatch, tmp_path):
 
 def test_forced_grid_is_checked_before_encoding(monkeypatch):
     calls = []
-    real = estimator.power_block_encoding
-    monkeypatch.setattr(estimator, "power_block_encoding", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = estimator.transform_spectra
+    monkeypatch.setattr(estimator, "transform_spectra", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     pur = pt.purify(pt.random_density(1, 2, seed=20))
     tracemalloc.start()
     try:
@@ -524,8 +524,8 @@ def test_forced_grid_is_checked_before_encoding(monkeypatch):
 
 def test_mode_is_checked_before_encoding(monkeypatch):
     calls = []
-    real = estimator.power_block_encoding
-    monkeypatch.setattr(estimator, "power_block_encoding", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = estimator.transform_spectra
+    monkeypatch.setattr(estimator, "transform_spectra", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     pur = pt.purify(pt.random_density(1, 2, seed=20))
     with pytest.raises(pt.ValidationError, match="mode"):
         pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="bogus")
@@ -579,7 +579,7 @@ def test_overlap_is_the_trace_of_the_dense_product(n, levels, kind, hermitian, s
         obs = _non_hermitian_observable(n, seed)
     obs = pt.Observable(scale * obs.mat, hermitian=hermitian)
     pur = pt.purify(rho)
-    overlap, alpha, ledger = estimator._power_overlap(pur, obs, k, eps)
+    overlap, alpha, (ledger,) = estimator._power_overlap(pur, obs, k, eps)
     assert ledger.poly_degree == pt.required_degree(k - 1, min(1.0, eps / (2 * obs.op_norm)))
     block = dense_power_times_obs(rho, obs, k, eps)
     assert abs(overlap - np.trace(rho.mat @ block)) <= 1e-12
@@ -729,3 +729,96 @@ def test_vd_ratio_bound_covers_in_most_runs():
         if abs(result.ratio_estimate - true_ratio) <= result.error_bound:
             covered += 1
     assert covered / runs >= 0.9
+
+
+# ------------------------------------------------------------ record stacks
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    records=st.lists(
+        st.tuples(st.integers(1, 16), st.integers(2, 64), st.integers(0, 2 ** 32 - 1)),
+        min_size=1, max_size=4,
+    ),
+    eps=st.sampled_from([0.5, 0.05, 1e-3]),
+    mode=st.sampled_from(["sampled", "ideal"]),
+    observable=st.sampled_from(["hermitian", "non-hermitian", "shared"]),
+)
+def test_a_record_does_not_depend_on_its_stack(n, records, eps, mode, observable):
+    """Estimating a stack of R states gives each record the report it gets
+    alone: any rank, a k of its own, Hermitian, non-Hermitian or shared O."""
+    dim = 2 ** n
+    mats = [pt.random_density(n, min(rank, dim), seed).mat for rank, _, seed in records]
+    rng = np.random.default_rng(len(records))
+    if observable == "shared":
+        o_mats = None
+        shared = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=0))
+    else:
+        o_mats = rng.standard_normal((len(records), dim, dim)) + 1j * rng.standard_normal((len(records), dim, dim))
+        if observable == "hermitian":
+            o_mats = o_mats + o_mats.conj().swapaxes(-1, -2)
+    hermitian = observable != "non-hermitian"
+    ks = [k for _, k, _ in records]
+    seeds = [seed for _, _, seed in records]
+    stack_o = shared if o_mats is None else pt.Observable(o_mats, hermitian=hermitian)
+    reports = estimator.estimate_stack(
+        pt.purify(pt.DensityMatrix(np.stack(mats))), stack_o, ks, eps, seeds, mode
+    )
+    assert len(reports) == len(records)
+    for i, report in enumerate(reports):
+        o = shared if o_mats is None else pt.Observable(o_mats[i], hermitian=hermitian)
+        alone = pt.estimate_trace_power(
+            pt.purify(pt.DensityMatrix(mats[i])), o, ks[i], eps, mode=mode, seed=seeds[i]
+        )
+        assert report == alone
+
+
+def test_vd_ratio_stack_is_its_records_alone():
+    spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
+    obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=0, observable_kind="pauli:ZI"))
+    seeds = [3, 4, 5]
+    stack = estimator.vd_ratio_stack(pt.purify(pt.make_state(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
+    for seed, result in zip(seeds, stack):
+        state = pt.make_state(dataclasses.replace(spec, seed=seed))
+        assert result == pt.vd_ratio(pt.purify(state), obs, 4, 0.02, 0.02, seed=seed)
+
+
+def test_stacked_instances_are_their_seeds_alone():
+    seeds = [11, 12, 13]
+    for kind in ("random_mixed", "pure", "diagonal", "named:max_mixed"):
+        spec = pt.InstanceSpec(qubits=2, rank=3, seed=0, state_kind=kind)
+        stack = pt.make_state(spec, seeds)
+        for i, seed in enumerate(seeds):
+            alone = pt.make_state(dataclasses.replace(spec, seed=seed))
+            assert np.array_equal(stack.mat[i], alone.mat)
+            assert np.array_equal(stack.spectrum().eigenvalues[i], alone.spectrum().eigenvalues)
+    spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
+    stack = pt.make_observable(spec, seeds)
+    for i, seed in enumerate(seeds):
+        alone = pt.make_observable(dataclasses.replace(spec, seed=seed))
+        assert np.array_equal(stack.mat[i], alone.mat) and stack.op_norm[i] == alone.op_norm
+
+
+def test_stack_needs_one_k_and_seed_per_record():
+    spec = pt.InstanceSpec(qubits=1, rank=2, seed=0)
+    pur = pt.purify(pt.make_state(spec, [1, 2]))
+    obs = pt.Observable(Z)
+    with pytest.raises(pt.ValidationError, match="2 integers k >= 2 and seeds"):
+        estimator.estimate_stack(pur, obs, 4, 0.05, [1])
+    with pytest.raises(pt.ValidationError, match="2 integers k >= 2 and seeds"):
+        estimator.estimate_stack(pur, obs, [4, 1], 0.05, [1, 2])
+    one = pt.purify(pt.make_state(spec))
+    assert estimator.estimate_stack(one, obs, [4], 0.05, [1]) == [pt.estimate_trace_power(one, obs, 4, 0.05, seed=1)]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_large_stack_records_match_their_single_estimates(n):
+    seeds = [5, 6]
+    spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=0)
+    reports = estimator.estimate_stack(
+        pt.purify(pt.make_state(spec, seeds)), pt.make_observable(spec, seeds), [16, 4], 0.05, seeds=seeds
+    )
+    for seed, k, report in zip(seeds, [16, 4], reports):
+        one = dataclasses.replace(spec, seed=seed)
+        alone = pt.estimate_trace_power(pt.purify(pt.make_state(one)), pt.make_observable(one), k, 0.05, seed=seed)
+        assert report == alone

@@ -1,16 +1,21 @@
 """Byte-level regression gate on the seven suites at their defaults.
 
-Each hash is the sha256 of the suite's ``table.csv``. A change that moves
-numbers on purpose updates the hash it changes and says why; any other
-difference is a behaviour change. The same run pins the key paths of
-``records.json`` and checks that every table row is the projection of
-the record it came from.
+Each suite has two hashes: the sha256 of its ``table.csv``, and that of
+its ``records.json`` with every record's ``timestamp`` value emptied (the
+one field a rerun changes). The records hold every field a record
+carries, so they pin what no table column reads: ``model_error``,
+``eps_ae_budget``, ``alpha_o`` and the ledger-derived fields. A change
+that moves numbers on purpose updates the hashes it changes and says why;
+any other difference is a behaviour change. The same run pins the key
+paths of ``records.json`` and checks that every table row is the
+projection of the record it came from.
 """
 
 import csv
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -26,6 +31,21 @@ GOLDEN_TABLE_SHA256 = {
     "apps": "8831a561d137f2948fa0e3d803b0d0b582686c18a78a8cc75783add6948a5c54",
     "separation": "a406d05163c5fa0ae028a311ec518acea4ce1edc7114603b9e12bbd6b08c9456",
 }
+
+GOLDEN_RECORDS_SHA256 = {
+    "approx": "1142c158798cb9dbd1f82a1afa6bd8e220b9c2b63ec8fb17d5905049f34f94c1",
+    "estimate": "4914a551a44ddc0fa6840eda2f654abdef248f7dc759c1c60ba250730de8895b",
+    "baseline": "77f1554cdffb45309becf84bb864983d30e6286f3677bb32e0af554bd6296eae",
+    "bounds": "624f9a521535c1c79dbc897d3311ab1e54bb78d45adb3020a5b6fbc93e17a92e",
+    "bqp": "12d1f5df0b00afdafe0019d0b94b0d18ef0f6fb8c0d0ac70c3797c4cc178de8d",
+    "apps": "417844af864cc3de96bf21a1eebdcfc2c258a5439c40d8062aac736d8c177e28",
+    "separation": "d02a2bd6613a376179a2689d8d4db76073724f7b36dd691c0e8618ecb44a315e",
+}
+
+
+def records_digest(text: bytes) -> str:
+    """sha256 of a ``records.json`` with each ``timestamp`` value emptied."""
+    return hashlib.sha256(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', text)).hexdigest()
 
 
 # An ``EstimationReport.to_json()``, as it appears under a record.
@@ -109,7 +129,7 @@ def _same_cell(text, value):
 
 
 def test_every_suite_has_a_golden_hash():
-    assert set(GOLDEN_TABLE_SHA256) == set(SUITES)
+    assert set(GOLDEN_TABLE_SHA256) == set(SUITES) == set(GOLDEN_RECORDS_SHA256)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -120,7 +140,9 @@ def test_default_table_matches_golden_hash(suite, tmp_path, monkeypatch):
     table = (tmp_path / suite / config_dir / "table.csv").read_bytes()
     assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_SHA256[suite]
 
-    records = json.loads((tmp_path / suite / config_dir / "records.json").read_text())
+    records_text = (tmp_path / suite / config_dir / "records.json").read_bytes()
+    assert records_digest(records_text) == GOLDEN_RECORDS_SHA256[suite]
+    records = json.loads(records_text)
     assert sorted({p for rec in records for p in _key_paths(rec)}) == sorted(RECORD_KEY_PATHS[suite])
 
     header, *rows = csv.reader(table.decode().splitlines())

@@ -111,7 +111,8 @@ def test_to_json_is_a_fresh_copy_of_the_fields():
 
 
 def test_vd_record_runs_each_oracle_once(monkeypatch):
-    # the record's true ratio is read from the two reports vd_ratio returns
+    # the records' true ratios are read from the reports vd_ratio_stack
+    # returns: one oracle call per half for the whole stack of records
     calls = []
     real = pt.trace_power_obs_oracle
 
@@ -121,10 +122,12 @@ def test_vd_record_runs_each_oracle_once(monkeypatch):
 
     for module in (suites, estimator):
         monkeypatch.setattr(module, "trace_power_obs_oracle", counting)
-    record = suites._run_vd_record(resolve_config("apps", None, None), 0)
+    records = suites._vd_records(resolve_config("apps", None, None), range(5))
     assert len(calls) == 2
-    report = record["report"]
-    assert report["true_error"] == abs(report["ratio_estimate"] - report["true_ratio"])
+    assert [record["run"] for record in records] == list(range(5))
+    for record in records:
+        report = record["report"]
+        assert report["true_error"] == abs(report["ratio_estimate"] - report["true_ratio"])
 
 
 def test_random_unitary_is_unitary():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -355,14 +357,14 @@ def test_hermitian_check_threshold_is_the_operator_norm(build, base):
 
 def test_density_matrix_validation_checks_hermiticity_once(monkeypatch, numpy_decompositions):
     calls = []
-    for name in ("eigh", "_check_hermitian", "as_complex_matrix"):
+    for name in ("eigh", "_check_hermitian", "_square_operator"):
         real = getattr(linalg, name)
         monkeypatch.setattr(
             linalg, name, lambda *a, _n=name, _r=real, **kw: calls.append(_n) or _r(*a, **kw)
         )
     pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
     # one coercion and finiteness scan, one Hermiticity check, one eigh
-    assert calls == ["as_complex_matrix", "_check_hermitian"]
+    assert calls == ["_square_operator", "_check_hermitian"]
     assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
@@ -409,3 +411,51 @@ def test_clip_spectrum_only_touches_tiny_negatives():
     out = clip_spectrum(w)
     assert np.all(out >= 0)
     assert np.allclose(out[2:], w[2:])
+
+
+# ------------------------------------------------------------------ stacks
+
+def _stack_of_states(count=4):
+    return np.stack([pt.random_density(2, 2, seed).mat for seed in range(count)])
+
+
+@pytest.mark.parametrize(
+    "spoil, match",
+    [
+        (lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-3), "density matrix \\[2\\] is not Hermitian"),
+        (lambda m: m.__imul__(1.01), "density matrix \\[2\\] trace"),
+        (lambda m: m.__setitem__(slice(None), np.diag([1.5, -0.5, 0.0, 0.0])), "density matrix \\[2\\] has negative eigenvalue"),
+        (lambda m: m.__setitem__((1, 1), np.nan), "density matrix \\[2\\] contains non-finite entries"),
+    ],
+    ids=["non-hermitian", "trace", "negative-eigenvalue", "non-finite"],
+)
+def test_stack_validation_names_the_failing_index(spoil, match):
+    mats = _stack_of_states()
+    spoil(mats[2])
+    with pytest.raises(pt.ValidationError, match=match):
+        pt.DensityMatrix(mats)
+
+
+def test_stacked_observable_check_names_the_failing_index():
+    mats = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])]).astype(complex)
+    with pytest.raises(pt.ValidationError, match="observable \\[2\\] is not Hermitian"):
+        pt.Observable(mats)
+    assert np.array_equal(pt.Observable(mats, hermitian=False).op_norm, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("ks", [[4, 15, 4], 16], ids=["per-record-k", "shared-k"])
+def test_stacked_state_and_oracle_are_each_matrix_alone(n, ks):
+    """The stack's eigh, norm SVD and oracle are bitwise the per-matrix
+    calls, also for a k that only one record of the stack has."""
+    seeds = [1, 2, 3]
+    spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=0)
+    stack, obs = pt.make_state(spec, seeds), pt.make_observable(spec, seeds)
+    oracle = pt.trace_power_obs_oracle(stack, obs, ks)
+    for i, seed in enumerate(seeds):
+        one = dataclasses.replace(spec, seed=seed)
+        rho, o = pt.make_state(one), pt.make_observable(one)
+        assert np.array_equal(stack.spectrum().eigenvalues[i], rho.spectrum().eigenvalues)
+        assert np.array_equal(stack.spectrum().eigenvectors[i], rho.spectrum().eigenvectors)
+        assert obs.op_norm[i] == o.op_norm
+        assert oracle[i] == pt.trace_power_obs_oracle(rho, o, ks[i] if isinstance(ks, list) else ks)
