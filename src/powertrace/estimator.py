@@ -48,7 +48,7 @@ import numpy as np
 from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
 from .instances import derive_seed, shared_observable
-from .linalg import Observable, trace_power_obs_oracle
+from .linalg import Observable, trace_power_obs_oracles
 from .qsvt import QueryLedger, transform_spectra
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
@@ -92,10 +92,11 @@ class EstimationReport:
 
 
 def _power_overlap(
-    purification: PurifiedState, o: Observable, k, eps: float
+    purification: PurifiedState, o: Observable, ks: list, eps: float
 ) -> tuple[np.ndarray, np.ndarray, list[QueryLedger]]:
     """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and the ledger
-    of each state (R, d, d) of ``purification``, for k one integer or R.
+    of each of the R states of ``purification``, with ``ks`` their powers
+    and ``o`` one observable or R, a pair ``trace_power_obs_oracles`` accepts.
 
     p approximates x^(k-1) to eps / (2 ||O||), so the trace-level model
     error stays below eps / 2, and alpha_O = max(1, ||O||): never below
@@ -105,15 +106,13 @@ def _power_overlap(
     diagonal is summed over column blocks of at most 2^16 entries, so O V
     is the one d x d temporary per state (d <= 256 is one block).
     """
-    dim = purification.state.dim
-    if dim != o.dim:
-        raise ValidationError(f"system dim {dim} does not match observable dim {o.dim}")
-    w, v = purification.state.spectrum()
+    rho, dim = purification.state, purification.state.dim
+    w, v = rho.spectrum()
     w, v = w.reshape(-1, dim), v.reshape(-1, dim, dim)
-    norms = [o.op_norm] * len(w) if isinstance(o.op_norm, float) else o.op_norm.ravel().tolist()
+    norms = np.full(rho.mat.shape[:-2], o.op_norm).ravel().tolist()
     if min(norms) <= 0.0:
         raise ValidationError("observable must be nonzero")
-    p_w, ledgers = transform_spectra(w, k, [min(1.0, eps / (2.0 * norm)) for norm in norms])
+    p_w, ledgers = transform_spectra(w, ks, [min(1.0, eps / (2.0 * norm)) for norm in norms])
     ov, step = o.mat @ v, max(1, 2 ** 16 // dim)
     blocks = [  # (V^dag O V)_ii
         (v[..., j:j + step].conj() * ov[..., j:j + step]).sum(axis=-2) for j in range(0, dim, step)
@@ -239,28 +238,25 @@ def choose_ae_grid(eps_prime: float) -> int:
     return K
 
 
-def estimate_stack(purification: PurifiedState, o: Observable, k, eps: float, seeds: list,
+def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: float, seeds: list,
                    mode: str = "sampled", ae_grid: int | None = None) -> list[EstimationReport]:
     """One ``estimate_trace_power`` report per record of a stack (R, d, d) of
-    states, with ``o`` one observable or R, ``k`` one integer or R and
-    ``seeds`` the R readout seeds. Each report equals its record's alone."""
-    count = purification.state.mat[..., 0, 0].size
-    ks = [int(k_i) for k_i in (k if isinstance(k, (list, tuple, np.ndarray)) else [k] * count)
-          if isinstance(k_i, (int, np.integer)) and k_i >= 2]
-    if len(ks) != count or len(seeds) != count:
-        raise ValidationError(f"estimation needs {count} integers k >= 2 and seeds, got k={k!r}")
+    states, with ``o`` one observable or R, and ``ks`` and ``seeds`` the R
+    powers and readout seeds. Each report equals its record's alone."""
+    if len(seeds) != len(ks) or not all(isinstance(k, (int, np.integer)) and k >= 2 for k in ks):
+        raise ValidationError(f"estimation needs integers k >= 2, one per seed, got k={ks!r}")
+    ks = [int(k) for k in ks]
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
     _check_mode(mode)
     if ae_grid is not None:
         _check_grid(ae_grid, mode)
+    oracles = trace_power_obs_oracles(purification.state, o, ks)  # also checks the stacks pair up
     overlaps, alphas, ledgers = _power_overlap(purification, o, ks, eps)
-    oracles = trace_power_obs_oracle(purification.state, o, k)
-    oracles = [oracles] if isinstance(oracles, complex) else oracles.tolist()
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     reports = []
     for overlap, alpha_o, ledger, oracle, k_i, seed in zip(
-        overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds
+        overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds, strict=True
     ):
         eps_prime = eps / (4.0 * alpha_o)
         grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
@@ -302,13 +298,13 @@ def estimate_trace_power(
     budget; it and ``mode`` are checked before the overlap is computed.
     The overlap serves every setting and the trace-level model error.
     """
-    return estimate_stack(purification, o, k, eps, [seed], mode, ae_grid)[0]
+    return estimate_stack(purification, o, [k], eps, [seed], mode, ae_grid)[0]
 
 
-def _trace_powers(purification: PurifiedState, k: int, eps: float, seeds: list, mode: str) -> list:
+def _trace_powers(purification: PurifiedState, ks: list, eps: float, seeds: list, mode: str) -> list:
     """The estimates of Tr(rho^k): O is the shared identity observable."""
     identity = shared_observable("identity", purification.state.qubits)
-    return estimate_stack(purification, identity, k, eps, seeds, mode)
+    return estimate_stack(purification, identity, ks, eps, seeds, mode)
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,7 @@ def renyi_entropy(
     """
     if not isinstance(alpha_order, (int, np.integer)) or alpha_order < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {alpha_order!r}")
-    report = _trace_powers(purification, int(alpha_order), eps, [seed], mode)[0]
+    report = _trace_powers(purification, [int(alpha_order)], eps, [seed], mode)[0]
     t_est = report.estimate.real
     if t_est - eps <= 0.0:
         raise UnreliableEstimateError(
@@ -364,7 +360,7 @@ def tsallis_entropy(
     """
     if not isinstance(q, (int, np.integer)) or q < 2:
         raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
-    report = _trace_powers(purification, int(q), eps, [seed], mode)[0]
+    report = _trace_powers(purification, [int(q)], eps, [seed], mode)[0]
     return EntropyEstimate(
         value=report.estimate.real / (1 - int(q)),
         error_bound=eps / (int(q) - 1),
@@ -388,10 +384,11 @@ def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: 
     denominators are two ``estimate_stack`` calls over the whole stack."""
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
-    nums = estimate_stack(purification, o, int(k), eps_num, [derive_seed(s, 100) for s in seeds], mode)
-    dens = _trace_powers(purification, int(k), eps_den, [derive_seed(s, 200) for s in seeds], mode)
+    ks = [int(k)] * len(seeds)
+    nums = estimate_stack(purification, o, ks, eps_num, [derive_seed(s, 100) for s in seeds], mode)
+    dens = _trace_powers(purification, ks, eps_den, [derive_seed(s, 200) for s in seeds], mode)
     results = []
-    for num, den in zip(nums, dens):
+    for num, den in zip(nums, dens, strict=True):
         a_est, b_est = num.estimate.real, den.estimate.real
         if b_est <= eps_den:
             raise UnreliableEstimateError(

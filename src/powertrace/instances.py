@@ -39,27 +39,35 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
-def _gaussian(shape: tuple, seed) -> np.ndarray:
-    """Complex Gaussian of ``shape`` from ``default_rng(seed)``, or a stack."""
-    if isinstance(seed, list):
-        return np.stack([_gaussian(shape, s) for s in seed])
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _gaussians(shape: tuple, seeds: list) -> np.ndarray:
+    """A complex Gaussian of ``shape`` per seed, each from its own
+    ``default_rng(seed)``, stacked."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        out.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return np.stack(out)
 
 
-def random_density(qubits: int, rank: int, seed) -> DensityMatrix:
-    """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
-    of shape (2^qubits, rank), or a stack of them for a list of seeds."""
+def _random_densities(qubits: int, rank: int, seeds: list) -> np.ndarray:
+    """The stack of G G^dag / Tr(G G^dag), G complex Gaussian of shape
+    (2^qubits, rank), one per seed."""
     dim = 2 ** qubits
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
-    g = _gaussian((dim, rank), seed)
+    g = _gaussians((dim, rank), seeds)
     m = g @ g.conj().swapaxes(-1, -2)
     del g  # built in place from here: m and one transpose temporary
     m += m.conj().swapaxes(-1, -2)
     m /= 2
     m /= m.trace(axis1=-2, axis2=-1).real[..., None, None]
-    return DensityMatrix(m)
+    return m
+
+
+def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
+    """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
+    of shape (2^qubits, rank)."""
+    return DensityMatrix(_random_densities(qubits, rank, [seed])[0])
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -80,15 +88,13 @@ def pauli_string(label: str) -> np.ndarray:
     return out
 
 
-def make_state(spec: InstanceSpec, seeds=None) -> DensityMatrix:
-    """The state of ``spec``, or the stack of its states under ``seeds``."""
+def make_state(spec: InstanceSpec) -> DensityMatrix:
     dim = 2 ** spec.qubits
     kind = spec.state_kind
-    if kind in ("random_mixed", "pure"):
-        rank = spec.rank if kind == "random_mixed" else 1
-        return random_density(spec.qubits, rank, spec.seed if seeds is None else list(seeds))
-    if seeds is not None:  # the other kinds are built seed by seed
-        return DensityMatrix(np.stack([make_state(replace(spec, seed=s)).mat for s in seeds]))
+    if kind == "random_mixed":
+        return random_density(spec.qubits, spec.rank, spec.seed)
+    if kind == "pure":
+        return random_density(spec.qubits, 1, spec.seed)
     if kind == "diagonal":
         rng = np.random.default_rng(spec.seed)
         w = rng.random(spec.rank)
@@ -113,16 +119,38 @@ def make_state(spec: InstanceSpec, seeds=None) -> DensityMatrix:
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
-def make_observable(spec: InstanceSpec, seeds=None) -> Observable:
+def make_states(spec: InstanceSpec, seeds: list) -> DensityMatrix:
+    """The stack of the states of ``spec`` under each of ``seeds``."""
+    if spec.state_kind in ("random_mixed", "pure"):
+        rank = spec.rank if spec.state_kind == "random_mixed" else 1
+        return DensityMatrix(_random_densities(spec.qubits, rank, seeds))
+    return DensityMatrix(np.stack([make_state(replace(spec, seed=s)).mat for s in seeds]))
+
+
+def _random_hermitians(qubits: int, seeds: list) -> np.ndarray:
+    """The stack of Hermitian parts of complex Gaussians, seeded seed + 1,
+    each scaled to operator norm 1."""
+    dim = 2 ** qubits
+    g = _gaussians((dim, dim), [seed + 1 for seed in seeds])
+    h = (g + g.conj().swapaxes(-1, -2)) / 2
+    return h / np.asarray(op_norm(h))[..., None, None]
+
+
+def make_observable(spec: InstanceSpec) -> Observable:
     """The observable of ``spec``. A seeded ``random_hermitian`` is built
-    fresh, as a stack for a list of ``seeds``; every other kind depends only
-    on (kind, qubits) and is the one read-only ``shared_observable``."""
+    fresh; every other kind depends only on (kind, qubits) and is the one
+    read-only ``shared_observable``."""
     if spec.observable_kind == "random_hermitian":
-        dim = 2 ** spec.qubits
-        g = _gaussian((dim, dim), spec.seed + 1 if seeds is None else [s + 1 for s in seeds])
-        h = (g + g.conj().swapaxes(-1, -2)) / 2
-        return Observable(h / np.asarray(op_norm(h))[..., None, None])
+        return Observable(_random_hermitians(spec.qubits, [spec.seed])[0])
     return shared_observable(spec.observable_kind, spec.qubits)
+
+
+def make_observables(spec: InstanceSpec, seeds: list) -> Observable:
+    """The stack of the ``random_hermitian`` observables of ``spec`` under
+    each of ``seeds``; for any other kind, its one ``shared_observable``."""
+    if spec.observable_kind == "random_hermitian":
+        return Observable(_random_hermitians(spec.qubits, seeds))
+    return make_observable(spec)
 
 
 @functools.cache

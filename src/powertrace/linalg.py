@@ -115,9 +115,9 @@ def kron(a, b) -> np.ndarray:
 def op_norm(m):
     """Operator (spectral) norm of a finite matrix: its largest singular
     value, the same float as ``np.linalg.norm(m, 2)``, one SVD. A stack
-    (..., d, d) gives the array of its matrices' norms, from one SVD call."""
-    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[..., 0]
-    return float(s) if s.ndim == 0 else s
+    (..., d, d) gives its matrices' norms from one SVD call, as nested
+    lists (``ndarray.tolist``)."""
+    return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[..., 0].tolist()
 
 
 def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
@@ -126,8 +126,8 @@ def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> N
     when that exceeds atol."""
     diff = m - m.conj().swapaxes(-1, -2)
     if np.linalg.norm(diff) > atol:  # the stack's norm bounds each matrix's
-        defect = op_norm(diff)
-        _fail_first(np.asarray(defect) > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
+        defect = np.asarray(op_norm(diff))
+        _fail_first(defect > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
 
 
 def eigh(h, atol: float = 1e-8, what: str = "eigh input") -> EighResult:
@@ -230,7 +230,8 @@ class Observable:
 
     Hermitian by default; pass ``hermitian=False`` to carry a general
     matrix (downstream estimation then needs both the real- and
-    imaginary-part circuit settings). A stack's ``op_norm`` is an array.
+    imaginary-part circuit settings). A stack's ``op_norm`` lists its
+    matrices' norms.
     """
 
     mat: np.ndarray
@@ -262,32 +263,40 @@ class Observable:
         return self._spectrum
 
 
-def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k):
-    """Exact Tr(rho^k O) by repeated squaring.
+def trace_power_obs_oracle(rho: DensityMatrix, o: Observable, k: int) -> complex:
+    """Exact Tr(rho^k O) by repeated squaring, for any integer k >= 1: the
+    one-state case of ``trace_power_obs_oracles``.
 
     rho^k takes about log2(k) matrix products and never reads the cached
     spectrum, so the oracle is independent of the eigendecomposition the
     estimation pipeline transforms; the trace against O is O(d^2).
-    Accepts any integer k >= 1. A stack of R states takes one O or R, and
-    one k or R; ``matrix_power`` runs once per distinct k.
     """
-    per_state = isinstance(k, (list, tuple, np.ndarray))
-    if not all(isinstance(k_i, (int, np.integer)) and k_i >= 1 for k_i in (k if per_state else [k])):
-        raise ValidationError(f"trace power order must be an integer >= 1, got {k!r}")
+    return trace_power_obs_oracles(rho, o, [k])[0]
+
+
+def trace_power_obs_oracles(rho: DensityMatrix, o: Observable, ks: list) -> list[complex]:
+    """Exact Tr(rho^k O) for each of the R states of ``rho``, with ``ks``
+    their R powers and ``o`` one observable or a stack of the same shape as
+    ``rho``; ``matrix_power`` runs once per distinct k, on the states that
+    have it.
+    """
     if rho.dim != o.dim:
+        raise ValidationError(f"state dim {rho.dim} does not match observable dim {o.dim}")
+    if o.mat.shape[:-2] not in ((), rho.mat.shape[:-2]):
         raise ValidationError(
-            f"dimension mismatch: state dim {rho.dim}, observable dim {o.dim}"
+            f"observable stack {o.mat.shape[:-2]} does not match state stack {rho.mat.shape[:-2]}"
         )
-    o_t = o.mat.swapaxes(-1, -2)  # products in C order: every trace sums row by row
-    if not per_state:  # one k: the whole stack at once
-        out = np.multiply(np.linalg.matrix_power(rho.mat, int(k)), o_t, order="C").sum(axis=(-2, -1))
-        return complex(out) if out.ndim == 0 else out
-    ks, out = np.asarray(k), np.empty(len(k), dtype=complex)
-    for power_k in set(ks.tolist()):
-        sel = ks == power_k
-        power = np.linalg.matrix_power(rho.mat.reshape(len(k), rho.dim, rho.dim)[sel], power_k)
-        out[sel] = np.multiply(power, o_t if o_t.ndim == 2 else o_t[sel], order="C").sum(axis=(-2, -1))
-    return out
+    count = rho.mat[..., 0, 0].size
+    if len(ks) != count or not all(isinstance(k, (int, np.integer)) and k >= 1 for k in ks):
+        raise ValidationError(f"{count} trace power orders must be integers >= 1, got {ks!r}")
+    mats = rho.mat.reshape(count, rho.dim, rho.dim)
+    o_t = o.mat.reshape(-1, o.dim, o.dim).swapaxes(-1, -2)  # products in C order: each trace sums row by row
+    distinct, out = set(ks), np.empty(count, dtype=complex)
+    for k in distinct:
+        sel = slice(None) if len(distinct) == 1 else np.equal(ks, k)
+        power = np.linalg.matrix_power(mats[sel], int(k))
+        out[sel] = np.multiply(power, o_t if len(o_t) == 1 else o_t[sel], order="C").sum(axis=(-2, -1))
+    return out.tolist()
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

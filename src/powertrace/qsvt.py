@@ -45,41 +45,42 @@ class QueryLedger:
     tail_bound: float
 
 
-def transform_spectra(w: np.ndarray, k, eps) -> tuple[np.ndarray, list[QueryLedger]]:
+def transform_spectra(w: np.ndarray, ks: list, eps: list) -> tuple[np.ndarray, list[QueryLedger]]:
     """p(l) on spectra w (R, d) for the truncated-expansion stand-in p of
-    x^(k-1), with k and eps one value or R, and one ledger per spectrum.
+    x^(k-1), with ``ks`` and ``eps`` the R powers and accuracies, and one
+    ledger per spectrum.
 
     p keeps the Chebyshev modes of x^(k-1) up to the Chernoff-formula
     degree for sup error ``eps``. |T_n| <= 1 on [-1, 1], so kept
     coefficients whose absolute values sum to at most 1 + SUP_NORM_SLACK
     certify |p| <= 1 there in O(m); otherwise ContractError is raised. The
     prefixes are zero-padded to the longest, which leaves their bits
-    unchanged, so one Clenshaw pass evaluates the stack.
+    unchanged, so one Clenshaw pass evaluates the stack; a stack that shares
+    one polynomial passes its coefficients as they are.
     """
-    k = list(k) if isinstance(k, (list, tuple, np.ndarray)) else [k] * len(w)
     prefixes, terms = {}, []
-    for k_i, eps_i in zip(k, eps if isinstance(eps, (list, tuple, np.ndarray)) else [eps] * len(k)):
-        degree = required_degree(k_i - 1, eps_i)
-        if (k_i, degree) not in prefixes:
-            expansion = power_expansion(k_i - 1)
+    for k, eps_k in zip(ks, eps, strict=True):
+        degree = required_degree(k - 1, eps_k)
+        if (k, degree) not in prefixes:
+            expansion = power_expansion(k - 1)
             kept = expansion[:degree + 1]
             if (coefficient_sum := float(np.abs(kept).sum())) > 1.0 + SUP_NORM_SLACK:
                 raise ContractError(f"polynomial coefficient sum {coefficient_sum} exceeds 1")
-            prefixes[k_i, degree] = kept, truncation_tails(expansion, degree)[1]
-        terms.append((degree, *prefixes[k_i, degree]))
-    if len(prefixes) == 1:  # one polynomial for every spectrum
+            prefixes[k, degree] = kept, truncation_tails(expansion, degree)[1]
+        terms.append((degree, *prefixes[k, degree]))
+    if len(prefixes) == 1:  # scalar coefficients step faster than broadcast columns
         c = terms[0][1]
     else:
         c = np.zeros((max(len(kept) for _, kept, _ in terms), len(terms), 1))
         for j, (_, kept, _) in enumerate(terms):
             c[:len(kept), j, 0] = kept
     p_w = clenshaw_eval(c, w.clip(-1.0, 1.0))
-    errors = np.empty(len(k))
-    for k_i in set(k):  # one power per distinct k, each with a Python int exponent
-        sel = slice(None) if len(prefixes) == 1 else np.equal(k, k_i)
-        errors[sel] = np.abs(p_w[sel] - w[sel] ** (k_i - 1)).max(axis=-1)
+    errors, distinct = np.empty(len(ks)), set(ks)
+    for k in distinct:  # one power per distinct k, each with a Python int exponent
+        sel = slice(None) if len(distinct) == 1 else np.equal(ks, k)
+        errors[sel] = np.abs(p_w[sel] - w[sel] ** (k - 1)).max(axis=-1)
     return p_w, [QueryLedger(degree, 2 * degree, error, tail)
-                 for (degree, _, tail), error in zip(terms, errors.tolist())]
+                 for (degree, _, tail), error in zip(terms, errors.tolist(), strict=True)]
 
 
 def power_block_encoding(purification: PurifiedState, k: int, eps: float) -> tuple[EighResult, QueryLedger]:
@@ -90,5 +91,5 @@ def power_block_encoding(purification: PurifiedState, k: int, eps: float) -> tup
     rejects any k but an integer >= 2 and any eps outside (0, 1].
     """
     w, v = purification.state.spectrum()
-    p_w, (ledger,) = transform_spectra(w[None], k, eps)
+    p_w, (ledger,) = transform_spectra(w[None], [k], [eps])
     return EighResult(p_w[0], v), ledger

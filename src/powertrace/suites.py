@@ -15,10 +15,10 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
-The ``estimate`` and ``apps`` runners cut their records into one
-contiguous chunk per ``--jobs`` worker and run each chunk as one stack of
-states. A record does not depend on its chunk, so every ``--jobs`` value
-writes the same bytes.
+The ``estimate`` and ``apps`` runners cut their records into contiguous
+chunks, at least one per ``--jobs`` worker and at most 2^16 / d^2 records
+each, and run each chunk as one stack of states. A record does not depend
+on its chunk, so every ``--jobs`` value writes the same bytes.
 
 A config key outside the suite's defaults is rejected, and so is a value
 of another JSON kind than its default's, or a count below its least
@@ -66,7 +66,8 @@ from .chebyshev import (
 from .errors import ValidationError
 from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, renyi_entropy,
                         tsallis_entropy, vd_ratio_stack)
-from .instances import InstanceSpec, derive_seed, make_observable, make_state, random_unitary
+from .instances import (InstanceSpec, derive_seed, make_observable, make_observables, make_state,
+                        make_states, random_unitary)
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
 SEED_ENV_VAR = "POWERTRACE_SEED"
@@ -173,10 +174,14 @@ def _map(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _map_chunks(fn, count: int, jobs: int) -> list:
-    """``fn(indices)`` for ``range(count)`` cut into at most ``jobs``
-    contiguous chunks, one worker each, joining the record lists in order."""
-    parts = min(jobs, count)
+def _map_chunks(fn, count: int, jobs: int, dim: int) -> list:
+    """``fn(indices)`` for ``range(count)`` cut into contiguous chunks over
+    at most ``jobs`` workers, joining the record lists in order. A chunk
+    holds at most 2^16 / dim^2 records (at least one), so a stack of its
+    d x d matrices holds at most max(2^16, d^2) entries: at d = 4 the 200
+    default records are one stack per worker, at d >= 256 each record is
+    its own."""
+    parts = max(min(jobs, count), -(-count // max(1, 2 ** 16 // dim ** 2)))
     chunks = [range(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
     return [record for chunk in _map(fn, chunks, jobs) for record in chunk]
 
@@ -229,7 +234,7 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
     ) for index in indices]
     seeds = [spec.seed for spec in specs]
     reports = estimate_stack(
-        purify(make_state(specs[0], seeds)), make_observable(specs[0], seeds), [spec.k for spec in specs],
+        purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds), [spec.k for spec in specs],
         eps, seeds, mode=cfg["mode"], ae_grid=cfg["ae_grid_override"],
     )
     records = []
@@ -241,7 +246,7 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
 
 
 def _suite_estimate(cfg: dict, jobs: int):
-    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), jobs)
+    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), jobs, 2 ** int(cfg["qubits"]))
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
@@ -407,7 +412,7 @@ def _vd_records(cfg: dict, indices: range) -> list[dict]:
         observable_kind="pauli:" + "Z" + "I" * (int(cfg["qubits"]) - 1), k=k, eps=eps,
     ) for index in indices]
     seeds = [spec.seed for spec in specs]
-    results = vd_ratio_stack(purify(make_state(specs[0], seeds)), make_observable(specs[0], seeds),
+    results = vd_ratio_stack(purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds),
                              k, eps, eps, seeds, mode=cfg["mode"])
     records = []
     for index, spec, result in zip(indices, specs, results):
@@ -446,7 +451,7 @@ def _suite_apps(cfg: dict, jobs: int):
         })
     renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
-    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), jobs)
+    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), jobs, 2 ** int(cfg["qubits"]))
     records += vd
     coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
     summary = {

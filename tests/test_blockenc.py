@@ -266,7 +266,7 @@ def test_pipeline_norm_bounds_hold(seed):
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
     (p_w, _), _ = pt.power_block_encoding(pur, 6, 1e-3)
     assert np.max(np.abs(p_w)) <= 1.0 + qsvt.SUP_NORM_SLACK
-    overlap, alpha, _ = estimator._power_overlap(pur, obs, 6, 1e-2)
+    overlap, alpha, _ = estimator._power_overlap(pur, obs, [6], 1e-2)
     assert pt.op_norm(obs.mat) <= alpha
     assert abs(overlap) <= alpha
 
@@ -278,7 +278,7 @@ def test_product_scale_and_ancilla_bookkeeping():
     overlap is its trace against rho."""
     rho = pt.random_density(1, 2, seed=1)
     obs = pt.Observable(3 * PROJ0)
-    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, 4, 1e-2)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [4], 1e-2)
     assert alpha == pytest.approx(3.0)
     block = dense_power_times_obs(rho, obs, 4, 1e-2)
     assert overlap == pytest.approx(np.trace(rho.mat @ block), abs=1e-12)
@@ -288,7 +288,7 @@ def test_product_identity_times_identity():
     """At k = 2 the truncation is x itself, so with O = I the product is
     rho at scale 1 and the overlap is the purity Tr(rho^2)."""
     rho = pt.random_density(1, 2, seed=1)
-    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), pt.Observable(np.eye(2)), 2, 0.5)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), pt.Observable(np.eye(2)), [2], 0.5)
     assert alpha == 1.0
     assert np.allclose(dense_power_times_obs(rho, pt.Observable(np.eye(2)), 2, 0.5), rho.mat, atol=1e-12)
     assert overlap == pytest.approx(np.trace(rho.mat @ rho.mat), abs=1e-12)
@@ -305,7 +305,7 @@ def test_product_defect_within_bookkeeping(seed):
     k, eps = 2 + seed % 7, 1e-2
     block = dense_power_times_obs(rho, obs, k, eps)
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
-    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, k, eps)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [k], eps)
     assert pt.op_norm(block - target) <= alpha * min(1.0, eps / (2 * obs.op_norm)) + 1e-8
     assert abs(overlap - np.trace(rho.mat @ block)) <= 1e-12
 

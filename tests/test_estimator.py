@@ -579,7 +579,7 @@ def test_overlap_is_the_trace_of_the_dense_product(n, levels, kind, hermitian, s
         obs = _non_hermitian_observable(n, seed)
     obs = pt.Observable(scale * obs.mat, hermitian=hermitian)
     pur = pt.purify(rho)
-    overlap, alpha, (ledger,) = estimator._power_overlap(pur, obs, k, eps)
+    overlap, alpha, (ledger,) = estimator._power_overlap(pur, obs, [k], eps)
     assert ledger.poly_degree == pt.required_degree(k - 1, min(1.0, eps / (2 * obs.op_norm)))
     block = dense_power_times_obs(rho, obs, k, eps)
     assert abs(overlap - np.trace(rho.mat @ block)) <= 1e-12
@@ -618,7 +618,7 @@ def test_overlap_holds_one_square_temporary():
     pur, obs = pt.purify(pt.make_state(spec)), pt.make_observable(spec)
     tracemalloc.start()
     try:
-        overlap = estimator._power_overlap(pur, obs, 16, 0.05)[0]
+        overlap = estimator._power_overlap(pur, obs, [16], 0.05)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -777,7 +777,7 @@ def test_vd_ratio_stack_is_its_records_alone():
     spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=0, observable_kind="pauli:ZI"))
     seeds = [3, 4, 5]
-    stack = estimator.vd_ratio_stack(pt.purify(pt.make_state(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
+    stack = estimator.vd_ratio_stack(pt.purify(instances.make_states(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
     for seed, result in zip(seeds, stack):
         state = pt.make_state(dataclasses.replace(spec, seed=seed))
         assert result == pt.vd_ratio(pt.purify(state), obs, 4, 0.02, 0.02, seed=seed)
@@ -787,13 +787,13 @@ def test_stacked_instances_are_their_seeds_alone():
     seeds = [11, 12, 13]
     for kind in ("random_mixed", "pure", "diagonal", "named:max_mixed"):
         spec = pt.InstanceSpec(qubits=2, rank=3, seed=0, state_kind=kind)
-        stack = pt.make_state(spec, seeds)
+        stack = instances.make_states(spec, seeds)
         for i, seed in enumerate(seeds):
             alone = pt.make_state(dataclasses.replace(spec, seed=seed))
             assert np.array_equal(stack.mat[i], alone.mat)
             assert np.array_equal(stack.spectrum().eigenvalues[i], alone.spectrum().eigenvalues)
     spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
-    stack = pt.make_observable(spec, seeds)
+    stack = instances.make_observables(spec, seeds)
     for i, seed in enumerate(seeds):
         alone = pt.make_observable(dataclasses.replace(spec, seed=seed))
         assert np.array_equal(stack.mat[i], alone.mat) and stack.op_norm[i] == alone.op_norm
@@ -801,11 +801,13 @@ def test_stacked_instances_are_their_seeds_alone():
 
 def test_stack_needs_one_k_and_seed_per_record():
     spec = pt.InstanceSpec(qubits=1, rank=2, seed=0)
-    pur = pt.purify(pt.make_state(spec, [1, 2]))
+    pur = pt.purify(instances.make_states(spec, [1, 2]))
     obs = pt.Observable(Z)
-    with pytest.raises(pt.ValidationError, match="2 integers k >= 2 and seeds"):
-        estimator.estimate_stack(pur, obs, 4, 0.05, [1])
-    with pytest.raises(pt.ValidationError, match="2 integers k >= 2 and seeds"):
+    with pytest.raises(pt.ValidationError, match="2 trace power orders"):
+        estimator.estimate_stack(pur, obs, [4], 0.05, [1])
+    with pytest.raises(pt.ValidationError, match="k >= 2, one per seed"):
+        estimator.estimate_stack(pur, obs, [4, 4], 0.05, [1])
+    with pytest.raises(pt.ValidationError, match="k >= 2, one per seed"):
         estimator.estimate_stack(pur, obs, [4, 1], 0.05, [1, 2])
     one = pt.purify(pt.make_state(spec))
     assert estimator.estimate_stack(one, obs, [4], 0.05, [1]) == [pt.estimate_trace_power(one, obs, 4, 0.05, seed=1)]
@@ -816,9 +818,29 @@ def test_large_stack_records_match_their_single_estimates(n):
     seeds = [5, 6]
     spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=0)
     reports = estimator.estimate_stack(
-        pt.purify(pt.make_state(spec, seeds)), pt.make_observable(spec, seeds), [16, 4], 0.05, seeds=seeds
+        pt.purify(instances.make_states(spec, seeds)), instances.make_observables(spec, seeds), [16, 4], 0.05, seeds=seeds
     )
     for seed, k, report in zip(seeds, [16, 4], reports):
         one = dataclasses.replace(spec, seed=seed)
         alone = pt.estimate_trace_power(pt.purify(pt.make_state(one)), pt.make_observable(one), k, 0.05, seed=seed)
         assert report == alone
+
+
+def test_an_observable_stack_must_match_the_state_stack():
+    """A stacked O pairs with the state stack record by record: one of
+    another length, against a stack or a single state, is rejected rather
+    than cut to the shorter of the two."""
+    spec = pt.InstanceSpec(qubits=1, rank=2, seed=0)
+    two = pt.purify(instances.make_states(spec, [1, 2]))
+    one = pt.purify(pt.make_state(spec))
+    for pur, o, ks in [
+        (two, pt.Observable(Z[None]), [4, 4]),
+        (two, pt.Observable(np.stack([Z, Z, Z])), [4, 4]),
+        (one, pt.Observable(np.stack([Z, Z])), [4]),
+    ]:
+        with pytest.raises(pt.ValidationError, match="observable stack"):
+            estimator.estimate_stack(pur, o, ks, 0.05, list(range(len(ks))))
+        with pytest.raises(pt.ValidationError, match="observable stack"):
+            linalg.trace_power_obs_oracles(pur.state, o, ks)
+    with pytest.raises(pt.ValidationError, match="observable stack"):
+        pt.estimate_trace_power(one, pt.Observable(np.stack([Z, Z])), 4, 0.05)

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 import powertrace as pt
-from powertrace import estimator, suites
+from powertrace import estimator, linalg, suites
 from powertrace.cli import main
 from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
 
@@ -114,20 +115,46 @@ def test_vd_record_runs_each_oracle_once(monkeypatch):
     # the records' true ratios are read from the reports vd_ratio_stack
     # returns: one oracle call per half for the whole stack of records
     calls = []
-    real = pt.trace_power_obs_oracle
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real):
+        return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
 
-    for module in (suites, estimator):
-        monkeypatch.setattr(module, "trace_power_obs_oracle", counting)
+    monkeypatch.setattr(suites, "trace_power_obs_oracle", counting(pt.trace_power_obs_oracle))
+    monkeypatch.setattr(estimator, "trace_power_obs_oracles", counting(linalg.trace_power_obs_oracles))
     records = suites._vd_records(resolve_config("apps", None, None), range(5))
     assert len(calls) == 2
     assert [record["run"] for record in records] == list(range(5))
     for record in records:
         report = record["report"]
         assert report["true_error"] == abs(report["ratio_estimate"] - report["true_ratio"])
+
+
+def _chunk_size(chunk: range) -> list:
+    return [len(chunk)]
+
+
+def test_chunks_hold_at_most_two_to_the_sixteen_matrix_entries():
+    sizes = partial(suites._map_chunks, _chunk_size)
+    assert sizes(200, 1, 4) == [200] and sizes(200, 2, 4) == [100, 100]
+    assert sizes(20, 1, 64) == [10, 10] and sizes(3, 2, 256) == [1, 1, 1]
+    assert sizes(0, 1, 4) == []
+
+
+def test_a_large_state_run_peaks_at_one_record():
+    """At qubits = 8 each record is its own stack, so the traced peak of an
+    ``estimate`` run does not grow with its record count."""
+    def peak(runs):
+        cfg = resolve_config("estimate", None, {"qubits": 8, "rank": 256, "runs": runs, "k_values": [16]})
+        tracemalloc.start()
+        try:
+            suites._suite_estimate(cfg, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(1), peak(4)
+    assert one > 4 * 256 * 256 * 16  # a record holds several d x d arrays
+    assert four < 1.25 * one
 
 
 def test_random_unitary_is_unitary():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from powertrace import linalg
+from powertrace import instances, linalg
 from powertrace.chebyshev import MAX_POWER
 from powertrace.linalg import clip_spectrum
 
@@ -444,18 +444,20 @@ def test_stacked_observable_check_names_the_failing_index():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
-@pytest.mark.parametrize("ks", [[4, 15, 4], 16], ids=["per-record-k", "shared-k"])
+@pytest.mark.parametrize("ks", [[4, 15, 4], [16, 16, 16]], ids=["per-record-k", "shared-k"])
 def test_stacked_state_and_oracle_are_each_matrix_alone(n, ks):
     """The stack's eigh, norm SVD and oracle are bitwise the per-matrix
-    calls, also for a k that only one record of the stack has."""
+    calls, also for a k that only one record of the stack has; the oracle
+    is bitwise the one-matrix power and trace."""
     seeds = [1, 2, 3]
     spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=0)
-    stack, obs = pt.make_state(spec, seeds), pt.make_observable(spec, seeds)
-    oracle = pt.trace_power_obs_oracle(stack, obs, ks)
+    stack, obs = instances.make_states(spec, seeds), instances.make_observables(spec, seeds)
+    oracle = linalg.trace_power_obs_oracles(stack, obs, ks)
     for i, seed in enumerate(seeds):
         one = dataclasses.replace(spec, seed=seed)
         rho, o = pt.make_state(one), pt.make_observable(one)
         assert np.array_equal(stack.spectrum().eigenvalues[i], rho.spectrum().eigenvalues)
         assert np.array_equal(stack.spectrum().eigenvectors[i], rho.spectrum().eigenvectors)
         assert obs.op_norm[i] == o.op_norm
-        assert oracle[i] == pt.trace_power_obs_oracle(rho, o, ks[i] if isinstance(ks, list) else ks)
+        direct = complex(np.sum(np.linalg.matrix_power(rho.mat, ks[i]) * o.mat.T))
+        assert oracle[i] == pt.trace_power_obs_oracle(rho, o, ks[i]) == direct

@@ -161,7 +161,7 @@ def test_power_rejects_k_below_two():
 def test_identity_observable_reduces_to_power():
     rho = pt.random_density(1, 2, seed=11)
     obs = pt.Observable(np.eye(2, dtype=complex))
-    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, 3, 1e-3)
+    overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [3], 1e-3)
     power, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3 / 2)
     assert alpha == pytest.approx(1.0)
     assert overlap == pytest.approx(np.trace(rho.mat @ _dense(power)), abs=1e-12)
@@ -170,7 +170,7 @@ def test_identity_observable_reduces_to_power():
 def test_depolarized_projector_product():
     rho1 = pt.DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
     obs = pt.Observable(PROJ0)
-    overlap, _, _ = estimator._power_overlap(pt.purify(rho1), obs, 3, 1e-3)
+    overlap, _, _ = estimator._power_overlap(pt.purify(rho1), obs, [3], 1e-3)
     # p(rho) O ~ 0.81 |0><0|, so Tr(rho p(rho) O) ~ 0.9 * 0.81
     assert np.linalg.norm(dense_power_times_obs(rho1, obs, 3, 1e-3) - 0.81 * PROJ0, 2) <= 1e-3
     assert abs(overlap - 0.9 * 0.81) <= 1e-3
@@ -180,7 +180,7 @@ def test_trace_against_oracle_two_qubits():
     rho = pt.random_density(2, 2, seed=12)
     zz = pt.Observable(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex))
     eps = 1e-3
-    got, _, _ = estimator._power_overlap(pt.purify(rho), zz, 5, eps)
+    got, _, _ = estimator._power_overlap(pt.purify(rho), zz, [5], eps)
     want = pt.trace_power_obs_oracle(rho, zz, 5)
     assert abs(got - want) <= eps
 
@@ -192,7 +192,7 @@ def test_recorded_error_bounds_true_defect():
     obs = pt.Observable(3 * np.kron(PROJ0, np.eye(2)).astype(complex))
     k, eps = 6, 1e-2
     eps_poly = min(1.0, eps / (2 * obs.op_norm))
-    overlap, alpha, (ledger,) = estimator._power_overlap(pt.purify(rho), obs, k, eps)
+    overlap, alpha, (ledger,) = estimator._power_overlap(pt.purify(rho), obs, [k], eps)
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
     assert pt.op_norm(target - dense_power_times_obs(rho, obs, k, eps)) <= alpha * eps_poly + 1e-8
     assert ledger.model_error <= eps_poly
@@ -204,7 +204,7 @@ def test_product_encoding_is_validated_once(numpy_decompositions):
     pur = pt.purify(pt.random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
     numpy_decompositions.clear()
-    _, alpha, _ = estimator._power_overlap(pur, obs, 5, 1e-2)
+    _, alpha, _ = estimator._power_overlap(pur, obs, [5], 1e-2)
     # the transform reads the spectrum rho's validation computed, and
     # alpha_O the norm the observable cached: no SVD, no eigh
     assert [name for name, _ in numpy_decompositions] == []
