@@ -26,11 +26,9 @@ from .linalg import (
     Observable,
     eigh,
     fidelity,
-    get_qubit_cap,
     kron,
     op_norm,
     partial_trace,
-    set_qubit_cap,
     trace_power_obs_oracle,
 )
 from .chebyshev import (
@@ -108,7 +106,6 @@ __all__ = [
     "eigh",
     "estimate_trace_power",
     "fidelity",
-    "get_qubit_cap",
     "halmos_dilate",
     "helstrom_experiment",
     "hybrid_bound_demo",
@@ -127,7 +124,6 @@ __all__ = [
     "random_unitary",
     "renyi_entropy",
     "required_degree",
-    "set_qubit_cap",
     "sup_error_scan",
     "swap_test_estimate",
     "swap_test_moments",

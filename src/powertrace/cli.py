@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    powertrace <suite> [--config PATH] [--out DIR] [--seed INT] [--jobs INT]
+    powertrace <suite> [--config PATH] [--out DIR] [--seed INT]
                [suite flags: --k --eps --qubits --rank --shots --K --runs --q --c]
 
 Each subparser is built from the suite's registry entry and registers only
@@ -8,9 +8,8 @@ the shared flags whose config key that suite reads; ``powertrace <suite>
 -h`` lists them and the key each one sets. Any other flag, a config-file
 key the suite does not read, a ``suite`` key naming another suite, a
 value of the wrong kind, a seed that is not a non-negative integer, a
-count (runs, repeats, shots, grid size) below its least value, an empty
-list, a ``*_range`` that is not a [low, high] pair, or ``--jobs`` below 1
-exits 2.
+count (runs, repeats, shots, grid size, qubits) below its least value, an
+empty list or a ``*_range`` that is not a [low, high] pair exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat JSON config file")
         sp.add_argument("--out", default="out", help="output directory root (default: out)")
         sp.add_argument("--seed", type=int, help="master RNG seed override")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel record workers (at least 1)")
         for flag, key in _suite_flags(suite).items():
             kind, _, text = _FLAGS[flag]
             sp.add_argument(f"--{flag}", type=kind, help=f"{text} (sets {key})")
@@ -97,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_cfg = load_config_file(args.config) if args.config else None
         cfg = resolve_config(suite, file_cfg, _overrides_from_args(args))
-        code = run_suite_config(suite, cfg, out_root=args.out, jobs=args.jobs)
+        code = run_suite_config(suite, cfg, out_root=args.out)
     except ValidationError as exc:
         print(f"powertrace: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityMatrix, Observable, op_norm
+from .linalg import DensityMatrix, Observable, check_dim_within_cap, op_norm
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -53,6 +53,7 @@ def _random_densities(qubits: int, rank: int, seeds: list) -> np.ndarray:
     """The stack of G G^dag / Tr(G G^dag), G complex Gaussian of shape
     (2^qubits, rank), one per seed."""
     dim = 2 ** qubits
+    check_dim_within_cap(dim, "random state")
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must lie in [1, {dim}], got {rank}")
     g = _gaussians((dim, rank), seeds)
@@ -90,6 +91,7 @@ def pauli_string(label: str) -> np.ndarray:
 
 def make_state(spec: InstanceSpec) -> DensityMatrix:
     dim = 2 ** spec.qubits
+    check_dim_within_cap(dim, "state")
     kind = spec.state_kind
     if kind == "random_mixed":
         return random_density(spec.qubits, spec.rank, spec.seed)
@@ -131,6 +133,7 @@ def _random_hermitians(qubits: int, seeds: list) -> np.ndarray:
     """The stack of Hermitian parts of complex Gaussians, seeded seed + 1,
     each scaled to operator norm 1."""
     dim = 2 ** qubits
+    check_dim_within_cap(dim, "random observable")
     g = _gaussians((dim, dim), [seed + 1 for seed in seeds])
     h = (g + g.conj().swapaxes(-1, -2)) / 2
     return h / np.asarray(op_norm(h))[..., None, None]
@@ -158,6 +161,7 @@ def shared_observable(kind: str, qubits: int) -> Observable:
     """The seed-independent observable ``kind`` ("identity", "projector" or
     "pauli:<label>") on ``qubits`` qubits, built once and shared read-only."""
     dim = 2 ** qubits
+    check_dim_within_cap(dim, "observable")
     if kind == "projector":
         mat = np.zeros((dim, dim), dtype=complex)
         mat[0, 0] = 1.0

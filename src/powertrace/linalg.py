@@ -16,7 +16,7 @@ factor ``a`` is the more significant register, so ancilla registers written
 to the left of a system register occupy the leading index blocks and the
 "ancillas in |0>" subspace is the top-left block of a matrix.
 
-A global qubit cap (default 14) bounds the dimension of any operator the
+The qubit cap ``QUBIT_CAP`` (14) bounds the dimension of any operator the
 package builds and the width of any circuit it simulates, keeping every
 simulation within a desk machine. A circuit simulated on its state vector
 is checked against the cap by its width, before anything is allocated.
@@ -36,29 +36,15 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIG_FLOOR = -1e-10
 
-DEFAULT_QUBIT_CAP = 14
-_qubit_cap = DEFAULT_QUBIT_CAP
-
-
-def get_qubit_cap() -> int:
-    """Current global qubit cap."""
-    return _qubit_cap
-
-
-def set_qubit_cap(n: int) -> None:
-    """Set the global qubit cap (dimension cap is 2**n)."""
-    global _qubit_cap
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"qubit cap must be a positive integer, got {n!r}")
-    _qubit_cap = int(n)
+QUBIT_CAP = 14
 
 
 def check_dim_within_cap(dim: int, what: str = "operator") -> None:
     """Raise ResourceError if a dim x dim operator exceeds the qubit cap."""
-    if dim > 2 ** _qubit_cap:
+    if dim > 2 ** QUBIT_CAP:
         raise ResourceError(
             f"{what} of dimension {dim} exceeds the qubit cap "
-            f"({_qubit_cap} qubits = dimension {2 ** _qubit_cap})"
+            f"({QUBIT_CAP} qubits = dimension {2 ** QUBIT_CAP})"
         )
 
 
@@ -255,9 +241,13 @@ class Observable:
         return self.mat.shape[-1]
 
     def spectrum(self) -> EighResult:
-        """Eigendecomposition by ``eigh`` on first use, then cached read-only."""
+        """Eigendecomposition by ``eigh`` on first use, then cached read-only.
+        Validation already made a Hermitian observable's matrix exactly
+        Hermitian; one with ``hermitian=False`` has no spectrum."""
         if self._spectrum is None:
-            w, v = eigh(self.mat)
+            if not self.hermitian:
+                raise ValidationError("observable is not Hermitian; its spectrum needs hermitian=True")
+            w, v = np.linalg.eigh(self.mat)
             w.flags.writeable = v.flags.writeable = False
             object.__setattr__(self, "_spectrum", EighResult(w, v))
         return self._spectrum

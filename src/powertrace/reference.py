@@ -17,12 +17,11 @@ import math
 import numpy as np
 
 from .blockenc import PurifiedState
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
     as_complex_matrix,
     check_dim_within_cap,
-    get_qubit_cap,
     kron,
     op_norm,
 )
@@ -141,11 +140,7 @@ def hadamard_test_prob(unitary, purification: PurifiedState, w: str = "I") -> fl
         raise ValidationError("unitary does not act on (ancillas, system) registers")
     # a power of two's bit length is 1 + its log2: the control plus the ancillas
     total_qubits = anc_dim.bit_length() + 2 * purification.state.qubits
-    if total_qubits > get_qubit_cap():
-        raise ResourceError(
-            f"Hadamard-test circuit needs {total_qubits} qubits, cap is "
-            f"{get_qubit_cap()}"
-        )
+    check_dim_within_cap(2 ** total_qubits, f"{total_qubits}-qubit Hadamard-test circuit")
     unitary = as_complex_matrix(unitary, "unitary")
     vec = purification_vector(purification.state)
     psi = vec.reshape(env_dim, sys_dim)

@@ -16,9 +16,8 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
 The ``estimate`` and ``apps`` runners cut their records into contiguous
-chunks, at least one per ``--jobs`` worker and at most 2^16 / d^2 records
-each, and run each chunk as one stack of states. A record does not depend
-on its chunk, so every ``--jobs`` value writes the same bytes.
+chunks of at most 2^16 / d^2 records each and run each chunk as one stack
+of states. A record does not depend on its chunk.
 
 A config key outside the suite's defaults is rejected, and so is a value
 of another JSON kind than its default's, or a count below its least
@@ -32,7 +31,6 @@ record timestamps). Files are written atomically (temp then rename).
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -163,34 +161,22 @@ def _log_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _map(fn, items, jobs: int):
-    """``[fn(item) for item in items]``, over at most ``jobs`` worker
-    processes and never more workers than items."""
-    items = list(items)
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _map_chunks(fn, count: int, jobs: int, dim: int) -> list:
-    """``fn(indices)`` for ``range(count)`` cut into contiguous chunks over
-    at most ``jobs`` workers, joining the record lists in order. A chunk
-    holds at most 2^16 / dim^2 records (at least one), so a stack of its
-    d x d matrices holds at most max(2^16, d^2) entries: at d = 4 the 200
-    default records are one stack per worker, at d >= 256 each record is
-    its own."""
-    parts = max(min(jobs, count), -(-count // max(1, 2 ** 16 // dim ** 2)))
-    chunks = [range(count * j // parts, count * (j + 1) // parts) for j in range(parts)]
-    return [record for chunk in _map(fn, chunks, jobs) for record in chunk]
+def _map_chunks(fn, count: int, dim: int) -> list:
+    """``fn(indices)`` for ``range(count)`` cut into contiguous chunks of at
+    most 2^16 / dim^2 records (at least one), joining the record lists in
+    order. A stack of a chunk's d x d matrices thus holds at most
+    max(2^16, d^2) entries: at d = 4 the 200 default records are one stack,
+    at d >= 256 each record is its own."""
+    size = max(1, 2 ** 16 // dim ** 2)
+    chunks = (range(start, min(start + size, count)) for start in range(0, count, size))
+    return [record for chunk in chunks for record in fn(chunk)]
 
 
 # --------------------------------------------------------------------------
-# suite runners: run(cfg, jobs) -> (records, summary)
+# suite runners: run(cfg) -> (records, summary)
 # --------------------------------------------------------------------------
 
-def _suite_approx(cfg: dict, jobs: int):
+def _suite_approx(cfg: dict):
     records = []
     eps = float(cfg["eps"])
     for k in map(int, cfg["k_values"]):
@@ -245,8 +231,8 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
     return records
 
 
-def _suite_estimate(cfg: dict, jobs: int):
-    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), jobs, 2 ** int(cfg["qubits"]))
+def _suite_estimate(cfg: dict):
+    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), 2 ** int(cfg["qubits"]))
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
@@ -257,7 +243,7 @@ def _suite_estimate(cfg: dict, jobs: int):
     return records, summary
 
 
-def _suite_baseline(cfg: dict, jobs: int):
+def _suite_baseline(cfg: dict):
     spec = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -303,7 +289,7 @@ def _suite_baseline(cfg: dict, jobs: int):
     return records, summary
 
 
-def _suite_bounds(cfg: dict, jobs: int):
+def _suite_bounds(cfg: dict):
     records = []
     z = Observable(np.diag([1.0, -1.0]).astype(complex))
 
@@ -371,7 +357,7 @@ def _suite_bounds(cfg: dict, jobs: int):
     return records, summary
 
 
-def _suite_bqp(cfg: dict, jobs: int):
+def _suite_bqp(cfg: dict):
     records = []
     r_dim = 2 ** int(cfg["r_qubits"])
     acc = np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex))
@@ -429,7 +415,7 @@ def _vd_records(cfg: dict, indices: range) -> list[dict]:
     return records
 
 
-def _suite_apps(cfg: dict, jobs: int):
+def _suite_apps(cfg: dict):
     records = []
     q = int(cfg["tsallis_q"])
     entropies = (
@@ -451,7 +437,7 @@ def _suite_apps(cfg: dict, jobs: int):
         })
     renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
-    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), jobs, 2 ** int(cfg["qubits"]))
+    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), 2 ** int(cfg["qubits"]))
     records += vd
     coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
     summary = {
@@ -470,7 +456,7 @@ def _separation_confidence_z(confidence: float) -> float:
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
-def _suite_separation(cfg: dict, jobs: int):
+def _suite_separation(cfg: dict):
     spec_base = InstanceSpec(
         qubits=int(cfg["qubits"]),
         rank=int(cfg["rank"]),
@@ -515,11 +501,10 @@ def _suite_separation(cfg: dict, jobs: int):
 # --------------------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """One suite. ``run(cfg, jobs)`` returns ``(records, summary)``, with
-    ``jobs`` the worker count of the suites that map records over a pool;
-    ``columns`` maps each table header to its record paths; ``flag_keys``
-    names the config key a shared CLI flag sets where it is not the
-    flag's usual key."""
+    """One suite. ``run(cfg)`` returns ``(records, summary)``; ``columns``
+    maps each table header to its record paths; ``flag_keys`` names the
+    config key a shared CLI flag sets where it is not the flag's usual
+    key."""
 
     defaults: dict
     run: Callable
@@ -641,8 +626,10 @@ def _check_kind(key: str, value, default) -> None:
 
 
 # count-like keys and their least value; a list key bounds every element.
-# A swap test needs two shots for its standard error, a scan two points.
-_COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2}
+# A swap test needs two shots for its standard error, a scan two points, and
+# the bqp acceptance projector one qubit of the reduction register.
+_COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
+                  "qubits": 0, "r_qubits": 1}
 
 
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
@@ -679,14 +666,12 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
 # entry points
 # --------------------------------------------------------------------------
 
-def run_suite_config(suite: str, cfg: dict, out_root: str = "out", jobs: int = 1) -> int:
+def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
     """Run one suite with a fully resolved config; returns the exit code."""
     entry = suite_entry(suite)
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     cfg = {**cfg, "suite": suite}
     cfg_hash = config_hash(cfg)
-    records, summary = entry.run(cfg, jobs)
+    records, summary = entry.run(cfg)
     stamp = {"tool_version": __version__, "config_hash": cfg_hash}
     records = [{**rec, **stamp, "timestamp": _timestamp()} for rec in records]
 

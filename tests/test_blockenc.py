@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import powertrace as pt
 from conftest import dense_power_times_obs
-from powertrace import blockenc, estimator, qsvt, reference
+from powertrace import blockenc, estimator, linalg, qsvt, reference
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -175,14 +175,11 @@ def test_density_encoding_dilation_is_unitary():
     assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim), 2) <= 1e-9
 
 
-def test_density_encoding_respects_cap():
-    pt.set_qubit_cap(4)
-    try:
-        rho = pt.random_density(2, 2, seed=0)
-        with pytest.raises(pt.ResourceError):
-            reference.density_block_unitary(pt.purify(rho))
-    finally:
-        pt.set_qubit_cap(14)
+def test_density_encoding_respects_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "QUBIT_CAP", 4)
+    rho = pt.random_density(2, 2, seed=0)
+    with pytest.raises(pt.ResourceError):
+        reference.density_block_unitary(pt.purify(rho))
 
 
 def test_density_block_is_the_encoding_without_its_dilation():

@@ -2,10 +2,9 @@
 
 Each shared flag sets one config key of the suite it is given to; a flag
 whose key the suite does not read is a usage error, as is a config-file
-key the suite does not read or a worker count below one.
+key the suite does not read.
 """
 
-import concurrent.futures
 import json
 
 import pytest
@@ -13,7 +12,7 @@ import pytest
 import powertrace.cli as cli
 from powertrace.cli import main
 from powertrace.errors import ValidationError
-from powertrace.suites import SEED_ENV_VAR, SUITES, _map, resolve_config, suite_defaults
+from powertrace.suites import SEED_ENV_VAR, SUITES, resolve_config, suite_defaults
 
 # (suite, argv after the suite name, config keys it sets)
 ROUTES = [
@@ -49,13 +48,13 @@ SHARED_FLAGS = {"k": "4", "eps": "0.1", "qubits": "2", "rank": "1", "shots": "10
 
 @pytest.fixture
 def resolved(monkeypatch):
-    """The (suite, config, jobs) that ``main`` hands to the suite runner;
-    no suite runs."""
+    """The (suite, config) that ``main`` hands to the suite runner; no
+    suite runs."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     calls = []
 
-    def recorder(suite, cfg, out_root="out", jobs=1):
-        calls.append((suite, cfg, jobs))
+    def recorder(suite, cfg, out_root="out"):
+        calls.append((suite, cfg))
         return 0
 
     monkeypatch.setattr(cli, "run_suite_config", recorder)
@@ -65,7 +64,7 @@ def resolved(monkeypatch):
 @pytest.mark.parametrize("suite, argv, keys", ROUTES, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
 def test_flag_sets_the_suites_config_key(resolved, suite, argv, keys):
     assert main([suite, *argv]) == 0
-    ((got_suite, cfg, _),) = resolved
+    ((got_suite, cfg),) = resolved
     assert got_suite == suite
     assert cfg == {**suite_defaults(suite), **keys, "suite": suite}
 
@@ -73,7 +72,8 @@ def test_flag_sets_the_suites_config_key(resolved, suite, argv, keys):
 @pytest.mark.parametrize("suite", SUITES)
 def test_flags_a_suite_does_not_read_are_rejected(resolved, suite, capsys):
     routed = {arg[2:] for s, argv, _ in ROUTES if s == suite for arg in argv if arg.startswith("--")}
-    for flag, value in SHARED_FLAGS.items():
+    # --jobs is no flag of any suite: every suite runs in one process
+    for flag, value in {**SHARED_FLAGS, "jobs": "2"}.items():
         if flag in routed:
             continue
         with pytest.raises(SystemExit) as exc:
@@ -173,7 +173,7 @@ def test_seed_from_each_source_is_accepted(resolved, monkeypatch, tmp_path):
     assert main(["approx", "--seed", "0"]) == 0
     monkeypatch.setenv(SEED_ENV_VAR, " 12 ")
     assert main(["approx", "--seed", "5"]) == 0
-    assert [cfg["seed"] for _, cfg, _ in resolved] == [3, 0, 12]
+    assert [cfg["seed"] for _, cfg in resolved] == [3, 0, 12]
 
 
 @pytest.mark.parametrize(
@@ -209,9 +209,12 @@ def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
     [("estimate", ["--runs", "0"], {}, "runs"), ("estimate", ["--runs", "-1"], {}, "runs"),
      ("bqp", ["--runs", "0"], {}, "runs"), ("apps", ["--runs", "0"], {}, "vd_runs"),
      ("baseline", [], {"repeats": 0}, "repeats"), ("baseline", ["--shots", "100,0"], {}, "shots_list"),
-     ("baseline", [], {"shots_list": [1, 100]}, "shots_list"), ("approx", [], {"grid_size": 1}, "grid_size")],
+     ("baseline", [], {"shots_list": [1, 100]}, "shots_list"), ("approx", [], {"grid_size": 1}, "grid_size"),
+     ("estimate", ["--qubits", "-1"], {}, "qubits"), ("bqp", [], {"r_qubits": -1}, "r_qubits"),
+     ("bqp", [], {"r_qubits": 0}, "r_qubits")],
     ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
-         "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1"],
+         "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1", "estimate-qubits-negative",
+         "bqp-r_qubits-negative", "bqp-r_qubits-0"],
 )
 def test_count_below_its_least_value_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, suite, argv, config, key
@@ -227,8 +230,8 @@ def test_count_below_its_least_value_exits_2_before_any_work(
 
 def test_counts_at_their_least_value_are_accepted(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    least = {"estimate": {"runs": 1}, "bqp": {"runs": 1}, "apps": {"vd_runs": 1},
-             "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
+    least = {"estimate": {"runs": 1, "qubits": 0, "rank": 1}, "bqp": {"runs": 1, "r_qubits": 1},
+             "apps": {"vd_runs": 1}, "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
     for suite, given in least.items():
         cfg = resolve_config(suite, given, None)
         assert {key: cfg[key] for key in given} == given
@@ -264,45 +267,3 @@ def test_range_that_is_not_a_pair_exits_2_before_any_work(
     low, high = suite_defaults(suite)[key]
     assert _exits_2_before_any_work(tmp_path, suite, {key: [low, high, high][:size]})
     assert f"config key {key!r} must be a [low, high] pair" in capsys.readouterr().err
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its worker count and maps
-    in this process, starting none."""
-
-    workers: list = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    monkeypatch.setattr(_RecordingPool, "workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    return _RecordingPool.workers
-
-
-def test_map_asks_for_no_more_workers_than_records(pool):
-    assert _map(abs, [-1, -2, -3], 8) == [1, 2, 3]
-    assert _map(abs, [-1], 8) == [1]
-    assert _map(abs, [], 8) == []
-    assert pool == [3]
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_rejected_before_any_work(pool, tmp_path, capsys, jobs):
-    out = tmp_path / "out"
-    assert main(["estimate", "--runs", "4", "--jobs", jobs, "--out", str(out)]) == 2
-    assert "jobs" in capsys.readouterr().err
-    assert pool == []
-    assert not out.exists()

@@ -105,16 +105,13 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
             assert abs(circuit - _dense_circuit_p_zero(unitary, pur, setting)) <= 1e-12
 
 
-def test_hadamard_test_respects_cap():
+def test_hadamard_test_respects_cap(monkeypatch):
     rho = pt.random_density(2, 2, seed=2)
     unitary = _unitary(rho, pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
     # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
-    pt.set_qubit_cap(5)
-    try:
-        with pytest.raises(pt.ResourceError):
-            hadamard_test_prob(unitary, pt.purify(rho), "I")
-    finally:
-        pt.set_qubit_cap(14)
+    monkeypatch.setattr(linalg, "QUBIT_CAP", 5)
+    with pytest.raises(pt.ResourceError):
+        hadamard_test_prob(unitary, pt.purify(rho), "I")
 
 
 def test_hadamard_test_rejects_bad_setting():
@@ -404,7 +401,7 @@ def _matrix_power_value(rho, obs, k):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_estimate_beyond_four_qubits_at_default_cap(n):
-    assert pt.get_qubit_cap() == 14
+    assert linalg.QUBIT_CAP == 14
     spec = pt.InstanceSpec(qubits=n, rank=1, seed=n)
     rho, obs = pt.make_state(spec), pt.make_observable(spec)
     eps = 0.05

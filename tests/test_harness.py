@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import powertrace as pt
-from powertrace import estimator, linalg, suites
+from powertrace import estimator, instances, linalg, suites
 from powertrace.cli import main
 from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
 
@@ -135,9 +135,23 @@ def _chunk_size(chunk: range) -> list:
 
 def test_chunks_hold_at_most_two_to_the_sixteen_matrix_entries():
     sizes = partial(suites._map_chunks, _chunk_size)
-    assert sizes(200, 1, 4) == [200] and sizes(200, 2, 4) == [100, 100]
-    assert sizes(20, 1, 64) == [10, 10] and sizes(3, 2, 256) == [1, 1, 1]
-    assert sizes(0, 1, 4) == []
+    assert sizes(200, 4) == [200] and sizes(5000, 4) == [4096, 904]
+    assert sizes(20, 64) == [16, 4] and sizes(3, 256) == [1, 1, 1]
+    assert sizes(0, 4) == []
+
+
+def test_chunk_boundaries_do_not_change_a_record(tmp_path):
+    """At qubits = 5 a chunk holds 64 records, so 70 runs are stacks of 64
+    and 6; every written record is the one its index gives alone."""
+    over = {"qubits": 5, "rank": 32, "runs": 70}
+    main(["estimate", *(f"--{key}={value}" for key, value in over.items()), "--out", str(tmp_path)])
+    (path,) = (tmp_path / "estimate").glob("*/records.json")
+    written = json.loads(path.read_text())
+    cfg = resolve_config("estimate", None, over)
+    assert len(written) == 70
+    for i, record in enumerate(written):
+        (alone,) = suites._estimate_records(cfg, range(i, i + 1))
+        assert {key: record[key] for key in alone} == json.loads(canonical_json(alone))
 
 
 def test_a_large_state_run_peaks_at_one_record():
@@ -147,7 +161,7 @@ def test_a_large_state_run_peaks_at_one_record():
         cfg = resolve_config("estimate", None, {"qubits": 8, "rank": 256, "runs": runs, "k_values": [16]})
         tracemalloc.start()
         try:
-            suites._suite_estimate(cfg, 1)
+            suites._suite_estimate(cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -155,6 +169,39 @@ def test_a_large_state_run_peaks_at_one_record():
     one, four = peak(1), peak(4)
     assert one > 4 * 256 * 256 * 16  # a record holds several d x d arrays
     assert four < 1.25 * one
+
+
+SPEC_15 = pt.InstanceSpec(qubits=15, rank=1, seed=0)
+BUILDERS_15 = {
+    "make_state": lambda: pt.make_state(SPEC_15),
+    "make_state-named": lambda: pt.make_state(dataclasses.replace(SPEC_15, state_kind="named:max_mixed")),
+    "make_states": lambda: instances.make_states(SPEC_15, [0, 1]),
+    "make_observable": lambda: pt.make_observable(SPEC_15),
+    "make_observables": lambda: instances.make_observables(SPEC_15, [0, 1]),
+    "random_density": lambda: pt.random_density(15, 1, 0),
+    "shared_observable": lambda: instances.shared_observable("identity", 15),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS_15.values(), ids=BUILDERS_15)
+def test_instance_builders_check_the_qubit_cap_before_they_allocate(build):
+    """A 15-qubit matrix is 16 GiB; each builder refuses it before it
+    allocates any array."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(pt.ResourceError, match="exceeds the qubit cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_cli_beyond_the_qubit_cap_exits_1_before_any_work(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["estimate", "--qubits", "15", "--runs", "1", "--out", str(out)]) == 1
+    assert "powertrace: random state of dimension 32768 exceeds the qubit cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_random_unitary_is_unitary():
@@ -289,29 +336,6 @@ def test_cli_reproducibility_byte_identical(tmp_path):
         x.pop("timestamp")
         y.pop("timestamp")
     assert ra == rb
-
-
-def test_cli_jobs_parallel_matches_serial(tmp_path):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "parallel"
-    args = ["estimate", "--runs", "8", "--k", "4", "--seed", "3"]
-    assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
-    (csv_a,) = list((out_a / "estimate").glob("*/table.csv"))
-    (csv_b,) = list((out_b / "estimate").glob("*/table.csv"))
-    assert csv_a.read_bytes() == csv_b.read_bytes()
-
-
-def test_cli_apps_jobs_parallel_matches_serial(tmp_path):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "parallel"
-    args = ["apps", "--runs", "6"]
-    assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
-    (csv_a,) = list((out_a / "apps").glob("*/table.csv"))
-    (csv_b,) = list((out_b / "apps").glob("*/table.csv"))
-    assert csv_a.read_bytes() == csv_b.read_bytes()
-    assert len(csv_a.read_text().splitlines()) == 1 + 2 + 6
 
 
 def test_seed_env_var_overrides(tmp_path, monkeypatch):

@@ -42,13 +42,10 @@ def test_kron_diagonal_product():
     assert np.allclose(got, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
-def test_kron_respects_qubit_cap():
-    pt.set_qubit_cap(3)
-    try:
-        with pytest.raises(pt.ResourceError):
-            pt.kron(np.eye(4), np.eye(4))
-    finally:
-        pt.set_qubit_cap(14)
+def test_kron_respects_qubit_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "QUBIT_CAP", 3)
+    with pytest.raises(pt.ResourceError):
+        pt.kron(np.eye(4), np.eye(4))
 
 
 def test_eigh_pauli_z():
@@ -368,14 +365,12 @@ def test_density_matrix_validation_checks_hermiticity_once(monkeypatch, numpy_de
     assert [name for name, _ in numpy_decompositions] == ["eigh"]
 
 
-def test_observable_spectrum_is_computed_once_and_read_only(monkeypatch):
-    calls = []
-    real = linalg.eigh
-    monkeypatch.setattr(linalg, "eigh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+def test_observable_spectrum_is_computed_once_and_read_only(numpy_decompositions):
     obs = pt.Observable(np.kron(Z, X))
-    assert calls == []
+    assert [name for name, _ in numpy_decompositions].count("eigh") == 0
     w, v = obs.spectrum()
-    assert obs.spectrum() is obs.spectrum() and len(calls) == 1
+    assert obs.spectrum() is obs.spectrum()
+    assert [name for name, _ in numpy_decompositions].count("eigh") == 1
     assert np.allclose((v * w) @ v.conj().T, obs.mat, atol=1e-12)
     assert not w.flags.writeable and not v.flags.writeable
     with pytest.raises(pt.ValidationError, match="not Hermitian"):
@@ -446,9 +441,9 @@ def test_stacked_observable_check_names_the_failing_index():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("ks", [[4, 15, 4], [16, 16, 16]], ids=["per-record-k", "shared-k"])
 def test_stacked_state_and_oracle_are_each_matrix_alone(n, ks):
-    """The stack's eigh, norm SVD and oracle are bitwise the per-matrix
-    calls, also for a k that only one record of the stack has; the oracle
-    is bitwise the one-matrix power and trace."""
+    """The stack's eighs (state and observable), norm SVD and oracle are
+    bitwise the per-matrix calls, also for a k that only one record of the
+    stack has; the oracle is bitwise the one-matrix power and trace."""
     seeds = [1, 2, 3]
     spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=0)
     stack, obs = instances.make_states(spec, seeds), instances.make_observables(spec, seeds)
@@ -458,6 +453,8 @@ def test_stacked_state_and_oracle_are_each_matrix_alone(n, ks):
         rho, o = pt.make_state(one), pt.make_observable(one)
         assert np.array_equal(stack.spectrum().eigenvalues[i], rho.spectrum().eigenvalues)
         assert np.array_equal(stack.spectrum().eigenvectors[i], rho.spectrum().eigenvectors)
+        assert np.array_equal(obs.spectrum().eigenvalues[i], o.spectrum().eigenvalues)
+        assert np.array_equal(obs.spectrum().eigenvectors[i], o.spectrum().eigenvectors)
         assert obs.op_norm[i] == o.op_norm
         direct = complex(np.sum(np.linalg.matrix_power(rho.mat, ks[i]) * o.mat.T))
         assert oracle[i] == pt.trace_power_obs_oracle(rho, o, ks[i]) == direct
