@@ -25,10 +25,7 @@ from .linalg import (
     EighResult,
     Observable,
     eigh,
-    fidelity,
-    kron,
     op_norm,
-    partial_trace,
     trace_power_obs_oracle,
 )
 from .chebyshev import (
@@ -41,7 +38,7 @@ from .chebyshev import (
     truncation_tails,
 )
 from .blockenc import PurifiedState, halmos_dilate, purify
-from .qsvt import QueryLedger, power_block_encoding
+from .qsvt import QueryLedger
 from .estimator import (
     AE_SUCCESS_PROB,
     AeOutcome,
@@ -52,7 +49,7 @@ from .estimator import (
     estimate_trace_power,
     renyi_entropy,
     tsallis_entropy,
-    vd_ratio,
+    vd_ratio_stack,
 )
 from .bounds import (
     BqpInstance,
@@ -61,7 +58,6 @@ from .bounds import (
     HybridBoundTable,
     SwapTestResult,
     bqp_instance,
-    cyclic_permutation,
     discrimination_instance,
     helstrom_experiment,
     hybrid_bound_demo,
@@ -100,24 +96,19 @@ __all__ = [
     "amplitude_estimate",
     "bqp_instance",
     "clenshaw_eval",
-    "cyclic_permutation",
     "degree_lower_bound_solve",
     "discrimination_instance",
     "eigh",
     "estimate_trace_power",
-    "fidelity",
     "halmos_dilate",
     "helstrom_experiment",
     "hybrid_bound_demo",
-    "kron",
     "lecam_construction",
     "make_observable",
     "make_state",
     "minimal_empirical_degree",
     "op_norm",
-    "partial_trace",
     "pauli_string",
-    "power_block_encoding",
     "power_expansion",
     "purify",
     "random_density",
@@ -130,5 +121,5 @@ __all__ = [
     "trace_power_obs_oracle",
     "truncation_tails",
     "tsallis_entropy",
-    "vd_ratio",
+    "vd_ratio_stack",
 ]

@@ -2,20 +2,19 @@
 
 The generalized swap test reads Tr(rho^k O) out of k state copies through
 the identity Tr(P_k rho^(x k) (O x I)) = Tr(rho^k O) with P_k the cyclic
-permutation of the copies. The sampled test needs only the control and
-first-copy state after the controlled cycle, (1/2) [[rho, rho^k], [rho^k,
-rho]]: its off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k. Both
-blocks are diagonal in rho's eigenbasis, so the exact outcome law is read
-from rho's and O's cached spectra at every k, without forming rho^k, and
-no Gaussian surrogate is needed (``SwapTestResult.mode`` is always
-"exact").
-The remaining constructions turn the estimation
-task into discrimination problems: a two-state instance whose optimal
-discrimination success is governed by fidelity decay, a two-coin instance
-governed by the Bernoulli KL divergence, a hybrid-argument pair of
-dilations whose distinguishability grows linearly in circuit queries, and
-a reduction encoding a circuit's acceptance probability into a trace
-power.
+permutation of the copies (``reference.cyclic_permutation`` builds it for
+the tests). The sampled test needs only the control and first-copy state
+after the controlled cycle, (1/2) [[rho, rho^k], [rho^k, rho]]: its
+off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k. Both blocks are
+diagonal in rho's eigenbasis, so the exact outcome law is read from rho's
+and O's cached spectra at every k, without forming rho^k or P_k
+(``SwapTestResult.mode`` is always "exact"). The remaining constructions
+turn the estimation task into discrimination problems: a two-state
+instance whose optimal discrimination success is governed by fidelity
+decay, a two-coin instance governed by the Bernoulli KL divergence, a
+hybrid-argument pair of dilations whose distinguishability grows linearly
+in circuit queries, and a reduction encoding a circuit's acceptance
+probability into a trace power.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .linalg import (
     as_complex_matrix,
     check_dim_within_cap,
     op_norm,
-    partial_trace,
     trace_power_obs_oracle,
 )
 
@@ -63,23 +61,6 @@ def discrimination_instance(k: int, eps_prime: float) -> DiscriminationInstance:
     return DiscriminationInstance(
         rho0=rho0, rho1=rho1, obs=obs, eps_prime=eps_prime, k=int(k)
     )
-
-
-def cyclic_permutation(k: int, d: int) -> np.ndarray:
-    """Permutation matrix cycling k registers of dimension d:
-    |a_1, a_2, ..., a_k>  ->  |a_k, a_1, ..., a_{k-1}>."""
-    if k < 1 or d < 1:
-        raise ValidationError("cyclic permutation needs k >= 1 and d >= 1")
-    total = d ** k
-    check_dim_within_cap(total, "cyclic permutation")
-    idx = np.arange(total)
-    weights = d ** np.arange(k - 1, -1, -1)
-    digits = (idx[:, None] // weights[None, :]) % d
-    rotated = np.concatenate([digits[:, -1:], digits[:, :-1]], axis=1)
-    new_idx = rotated @ weights
-    p = np.zeros((total, total))
-    p[new_idx, idx] = 1.0
-    return p
 
 
 def swap_test_moments(rho: DensityMatrix, o: Observable, k: int) -> tuple[float, float]:
@@ -375,7 +356,8 @@ def bqp_instance(u_x: np.ndarray, accept_projector: Observable, q: float, k: int
     ) * np.kron(e1, np.kron(e1, phi))
 
     obs = Observable(np.kron(np.diag([1.0, 0.0]).astype(complex), pi_acc))
-    rho_mat = partial_trace(gamma, (2, 2 * r_dim), keep="B")
+    psi = gamma.reshape(2, 2 * r_dim)  # trace out the branch label A
+    rho_mat = psi.T @ psi.conj()
     rho = DensityMatrix((rho_mat + rho_mat.conj().T) / 2)
 
     oracle = trace_power_obs_oracle(rho, obs, int(k)).real

@@ -10,8 +10,8 @@ An expansion is its coefficient array c[0..k]; the truncation at degree m
 is the prefix c[:m + 1]. All coefficients are nonnegative and sum to 1,
 so every truncation is bounded by 1 on [-1, 1] -- the admissibility
 condition the eigenvalue transform in :mod:`powertrace.qsvt` certifies.
-Dropping the modes above m leaves a tail bounded by the binomial Chernoff
-estimate 2*exp(-m^2 / (2k)).
+Dropping the modes above m leaves a tail, the sup error at x = 1, bounded
+by the binomial Chernoff estimate 2*exp(-m^2 / (2k)).
 """
 
 from __future__ import annotations
@@ -130,28 +130,17 @@ def sup_error_scan(c: np.ndarray, k: int, grid_size: int) -> float:
     return float(np.max(np.abs(xs ** int(k) - clenshaw_eval(c, xs))))
 
 
-def minimal_empirical_degree(k: int, eps: float, grid_size: int = 4096) -> int:
-    """Smallest parity-respecting truncation degree with measured sup error <= eps.
+def minimal_empirical_degree(k: int, eps: float) -> int:
+    """Least truncation degree of the parity of k, at most k, whose exact
+    tail (its sup error, attained at x = 1) is at most eps.
 
-    Binary search over degrees of the parity of k, using
-    :func:`sup_error_scan`; deterministic and reproducible.
+    :func:`sup_error_scan` measures the same error independently.
     """
     expansion = power_expansion(k)
-
-    def err(m: int) -> float:
-        return sup_error_scan(expansion[:m + 1], k, grid_size)
-
-    lo_t, hi_t = 0, (k - k % 2) // 2  # m = 2t + (k mod 2)
-    parity_bit = k % 2
-    if err(2 * hi_t + parity_bit) > eps:
-        raise NumericalError(f"full expansion of x^{k} misses eps={eps}")
-    while lo_t < hi_t:
-        mid = (lo_t + hi_t) // 2
-        if err(2 * mid + parity_bit) <= eps:
-            hi_t = mid
-        else:
-            lo_t = mid + 1
-    return 2 * lo_t + parity_bit
+    m = k % 2
+    while m < k and truncation_tails(expansion, m)[0] > eps:
+        m += 2
+    return m
 
 
 def degree_lower_bound_solve(k: int, eps: float, max_iter: int = 10_000) -> float:

@@ -7,9 +7,9 @@ Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
 -h`` lists them and the key each one sets. Any other flag, a config-file
 key the suite does not read, a ``suite`` key naming another suite, a
-value of the wrong kind, a seed that is not a non-negative integer, a
-count (runs, repeats, shots, grid size, qubits) below its least value, an
-empty list or a ``*_range`` that is not a [low, high] pair exits 2.
+value of the wrong kind, a seed that is not a non-negative integer, an
+integer key (count, k, rank, order) that is fractional or below its least
+value, an empty list or a ``*_range`` that is not a [low, high] pair exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition

@@ -24,7 +24,7 @@ O V product. No d x d block and no purification vector is built. For a
 stack of R states, one per record, ``estimate_stack`` runs the transform,
 the products, the sums and the oracle once over the record axis and draws
 only the scalar readout below record by record; ``estimate_trace_power``
-and ``vd_ratio`` are its one-record case.
+is its one-record case, and ``vd_ratio_stack`` makes two of its calls.
 
 The readout draws the phase-estimation outcome exactly in O(log K) time
 and O(1) memory on a K = 2^t point grid, as the circuit produces it:
@@ -380,8 +380,12 @@ class VdRatioResult:
 
 def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: float,
                    eps_den: float, seeds: list, mode: str = "sampled") -> list[VdRatioResult]:
-    """One ``vd_ratio`` result per record of a stack: the numerators and the
-    denominators are two ``estimate_stack`` calls over the whole stack."""
+    """Estimate Tr(rho^k O) / Tr(rho^k), the distilled expectation value, for
+    each record of a stack (one per seed) from two ``estimate_stack`` calls.
+    The ratio's bound |a/b - a~/b~| <= |a - a~|/b + |a| |b - b~| / b^2 is
+    evaluated with b replaced by (b~ - eps_den) and |a| by (|a~| + eps_num).
+    Each estimate carries its own amplitude-estimation success probability,
+    so the joint success is their product (no boosting applied here)."""
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
     ks = [int(k)] * len(seeds)
@@ -398,24 +402,3 @@ def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: 
         error_bound = eps_num / b_low + (abs(a_est) + eps_num) * eps_den / b_low ** 2
         results.append(VdRatioResult(a_est / b_est, error_bound, num, den))
     return results
-
-
-def vd_ratio(
-    purification: PurifiedState,
-    o: Observable,
-    k: int,
-    eps_num: float,
-    eps_den: float,
-    mode: str = "sampled",
-    seed: int = 0,
-) -> VdRatioResult:
-    """Estimate Tr(rho^k O) / Tr(rho^k), the distilled expectation value.
-
-    Error propagation for the ratio follows
-    |a/b - a~/b~| <= |a - a~|/b + |a| |b - b~| / b^2, evaluated
-    conservatively with b replaced by (b~ - eps_den) and |a| by
-    (|a~| + eps_num). Each of the two calls carries its own
-    amplitude-estimation success probability, so the joint success is the
-    product (no boosting applied here).
-    """
-    return vd_ratio_stack(purification, o, k, eps_num, eps_den, [seed], mode)[0]

@@ -98,6 +98,8 @@ def make_state(spec: InstanceSpec) -> DensityMatrix:
     if kind == "pure":
         return random_density(spec.qubits, 1, spec.seed)
     if kind == "diagonal":
+        if not 1 <= spec.rank <= dim:
+            raise ValidationError(f"rank must lie in [1, {dim}], got {spec.rank}")
         rng = np.random.default_rng(spec.seed)
         w = rng.random(spec.rank)
         probs = np.zeros(dim)

@@ -11,8 +11,8 @@ matrix per record: each check names the first failing matrix, and the
 ``eigh``, the norm SVD and the oracle run once on the whole stack.
 
 Everything is stored as dense ``numpy.complex128``. Composite registers
-follow the Kronecker convention of ``numpy.kron``: in ``kron(a, b)`` the
-factor ``a`` is the more significant register, so ancilla registers written
+follow the Kronecker convention of ``numpy.kron``: in ``np.kron(a, b)``
+the factor ``a`` is the more significant register, so ancilla registers written
 to the left of a system register occupy the leading index blocks and the
 "ancillas in |0>" subspace is the top-left block of a matrix.
 
@@ -89,15 +89,6 @@ class EighResult(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the global dimension cap enforced."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_dim = max(a.shape) * max(b.shape)
-    check_dim_within_cap(out_dim, "kron product")
-    return np.kron(a, b)
-
-
 def op_norm(m):
     """Operator (spectral) norm of a finite matrix: its largest singular
     value, the same float as ``np.linalg.norm(m, 2)``, one SVD. A stack
@@ -130,46 +121,6 @@ def eigh(h, atol: float = 1e-8, what: str = "eigh input") -> EighResult:
     return EighResult(w, v)
 
 
-def clip_spectrum(w: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Zero out tiny negative eigenvalues in [floor, 0) produced by solvers."""
-    w = np.asarray(w, dtype=np.float64).copy()
-    mask = (w < 0) & (w >= floor)
-    w[mask] = 0.0
-    return w
-
-
-def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one factor of a bipartite state.
-
-    ``state_or_dm`` may be a state vector of length dA*dB or a density
-    matrix of shape (dA*dB, dA*dB). ``keep`` selects the surviving factor,
-    "A" (leading register) or "B" (trailing register).
-    """
-    da, db = int(dims[0]), int(dims[1])
-    if keep not in ("A", "B"):
-        raise ValidationError(f'keep must be "A" or "B", got {keep!r}')
-    arr = np.asarray(state_or_dm, dtype=np.complex128)
-    if arr.ndim == 1 or (arr.ndim == 2 and 1 in arr.shape):
-        vec = arr.reshape(-1)
-        if vec.size != da * db:
-            raise ValidationError(
-                f"vector of length {vec.size} inconsistent with dims {dims}"
-            )
-        psi = vec.reshape(da, db)
-        if keep == "A":
-            return psi @ psi.conj().T
-        return psi.T @ psi.conj()
-    mat = as_complex_matrix(arr, "partial_trace input")
-    if mat.shape != (da * db, da * db):
-        raise ValidationError(
-            f"matrix of shape {mat.shape} inconsistent with dims {dims}"
-        )
-    t = mat.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("abcb->ac", t)
-    return np.einsum("abad->bd", t)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive semidefinite, unit-trace matrix on a power-of-two dimension,
@@ -191,7 +142,8 @@ class DensityMatrix:
         tr = mat.trace(axis1=-2, axis2=-1)
         _fail_first(abs(tr - 1.0) > TRACE_ATOL, "density matrix", "trace {} is not 1", tr)
         _fail_first(w[..., 0] < EIG_FLOOR, "density matrix", "has negative eigenvalue {:.3e}", w[..., 0])
-        w = clip_spectrum(w)
+        # what passed the floor and is still negative is a solver's rounding
+        w[w < 0] = 0.0
         w.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_spectrum", EighResult(w, v))
@@ -293,17 +245,3 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = eigh(m)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2.
-
-    Square roots are taken through eigendecompositions with negative
-    eigenvalue clipping, the same route used for matrix powers.
-    """
-    if a.dim != b.dim:
-        raise ValidationError("fidelity requires matching dimensions")
-    ra = _psd_sqrt(a.mat)
-    inner = ra @ b.mat @ ra
-    w = np.clip(eigh(inner, atol=1e-7).eigenvalues, 0.0, None)
-    return float(np.sum(np.sqrt(w)) ** 2)

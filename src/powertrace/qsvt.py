@@ -4,8 +4,8 @@ The transform is simulated at the matrix-function level: for the purified
 state's density block rho, whose spectrum lies in [0, 1], and an
 admissible polynomial p (|p| <= 1 on [-1, 1], certified by its Chebyshev
 coefficients summing to at most 1), the quantum singular-value transform
-realizes p(rho) exactly on rho's eigenvalues. So p(rho) is returned as
-its eigendecomposition (p(l_i), V) in rho's cached eigenbasis, and no
+realizes p(rho) exactly on rho's eigenvalues. So p(rho) is its values
+p(l_i) on the spectrum, in the eigenbasis V the state cached, and no
 d x d matrix is built. Query counts are recorded as the polynomial degree
 the query-model circuit would use, with each application of the density
 block encoding costing two queries to the purification unitary. A stack
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import PurifiedState
 from .chebyshev import clenshaw_eval, power_expansion, required_degree, truncation_tails
 from .errors import ContractError
-from .linalg import EighResult
 
 SUP_NORM_SLACK = 1e-9
 
@@ -81,15 +79,3 @@ def transform_spectra(w: np.ndarray, ks: list, eps: list) -> tuple[np.ndarray, l
         errors[sel] = np.abs(p_w[sel] - w[sel] ** (k - 1)).max(axis=-1)
     return p_w, [QueryLedger(degree, 2 * degree, error, tail)
                  for (degree, _, tail), error in zip(terms, errors.tolist(), strict=True)]
-
-
-def power_block_encoding(purification: PurifiedState, k: int, eps: float) -> tuple[EighResult, QueryLedger]:
-    """p(rho) for a truncated-expansion stand-in p of x^(k-1), as its
-    eigendecomposition (p(l_i), V) in the cached eigenbasis of the state
-    rho that ``purification`` gives access to, and its ledger: the
-    one-state case of ``transform_spectra``, whose ``required_degree``
-    rejects any k but an integer >= 2 and any eps outside (0, 1].
-    """
-    w, v = purification.state.spectrum()
-    p_w, (ledger,) = transform_spectra(w[None], [k], [eps])
-    return EighResult(p_w[0], v), ledger

@@ -1,4 +1,4 @@
-"""Circuit-level references that the pipeline's closed forms are tested against.
+"""Circuit references and oracles that the pipeline's closed forms are tested against.
 
 The estimation pipeline builds no unitary, no block and no purification
 vector: P(0) of the Hadamard test is read from the spectral sum
@@ -6,8 +6,9 @@ Tr(rho p(rho) O) over rho's eigenbasis, the amplitude-estimation outcome
 drawn bit by bit in O(log K). This module builds what those stand for (a
 purification vector of the state, the SWAP-lemma unitary of the density
 block encoding, the block identity ``closed_form_p_zero``, the simulated
-Hadamard-test circuit and the dense phase-estimation law) so the tests
-can compare the two. No pipeline module imports it.
+Hadamard-test circuit, the dense phase-estimation law, the swap test's
+cyclic permutation, ``partial_trace`` and ``fidelity``) so the tests can
+compare the two. No pipeline module imports it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .blockenc import PurifiedState
 from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
+    _psd_sqrt,
     as_complex_matrix,
     check_dim_within_cap,
-    kron,
+    eigh,
     op_norm,
 )
 
@@ -69,8 +71,8 @@ def _complete_unitary(first_column: np.ndarray) -> np.ndarray:
 
 def density_block_unitary(purification: PurifiedState) -> np.ndarray:
     """The SWAP lemma's 3n-qubit unitary, with the purified state in its
-    top-left block: the density block encoding that the eigenvalue
-    transform (``qsvt.power_block_encoding``) acts on.
+    top-left block: the density block encoding whose eigenvalue transform
+    ``qsvt.transform_spectra`` evaluates on the state's spectrum.
 
     With U the unitary preparing ``purification_vector`` from |0>_E |0>_I
     and a fresh system-sized register appended, the product
@@ -81,8 +83,8 @@ def density_block_unitary(purification: PurifiedState) -> np.ndarray:
     """
     s_dim = a_dim = purification.state.dim
     check_dim_within_cap(a_dim * s_dim * s_dim, "density block encoding")
-    u_big = kron(_complete_unitary(purification_vector(purification.state)), np.eye(s_dim))
-    middle = kron(np.eye(a_dim), _swap_registers(s_dim, s_dim))
+    u_big = np.kron(_complete_unitary(purification_vector(purification.state)), np.eye(s_dim))
+    middle = np.kron(np.eye(a_dim), _swap_registers(s_dim, s_dim))
     return u_big.conj().T @ middle @ u_big
 
 
@@ -188,3 +190,66 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
         raise ValidationError(f"outcome distribution sums to {total}, not 1")
     return probs / total
+
+
+def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Trace out one factor of a bipartite state.
+
+    ``state_or_dm`` may be a state vector of length dA*dB or a density
+    matrix of shape (dA*dB, dA*dB). ``keep`` selects the surviving factor,
+    "A" (leading register) or "B" (trailing register).
+    """
+    da, db = int(dims[0]), int(dims[1])
+    if keep not in ("A", "B"):
+        raise ValidationError(f'keep must be "A" or "B", got {keep!r}')
+    arr = np.asarray(state_or_dm, dtype=np.complex128)
+    if arr.ndim == 1 or (arr.ndim == 2 and 1 in arr.shape):
+        vec = arr.reshape(-1)
+        if vec.size != da * db:
+            raise ValidationError(
+                f"vector of length {vec.size} inconsistent with dims {dims}"
+            )
+        psi = vec.reshape(da, db)
+        if keep == "A":
+            return psi @ psi.conj().T
+        return psi.T @ psi.conj()
+    mat = as_complex_matrix(arr, "partial_trace input")
+    if mat.shape != (da * db, da * db):
+        raise ValidationError(
+            f"matrix of shape {mat.shape} inconsistent with dims {dims}"
+        )
+    t = mat.reshape(da, db, da, db)
+    if keep == "A":
+        return np.einsum("abcb->ac", t)
+    return np.einsum("abad->bd", t)
+
+
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2.
+
+    Square roots are taken through eigendecompositions with negative
+    eigenvalue clipping, the same route used for matrix powers.
+    """
+    if a.dim != b.dim:
+        raise ValidationError("fidelity requires matching dimensions")
+    ra = _psd_sqrt(a.mat)
+    inner = ra @ b.mat @ ra
+    w = np.clip(eigh(inner, atol=1e-7).eigenvalues, 0.0, None)
+    return float(np.sum(np.sqrt(w)) ** 2)
+
+
+def cyclic_permutation(k: int, d: int) -> np.ndarray:
+    """Permutation matrix cycling k registers of dimension d:
+    |a_1, a_2, ..., a_k>  ->  |a_k, a_1, ..., a_{k-1}>."""
+    if k < 1 or d < 1:
+        raise ValidationError("cyclic permutation needs k >= 1 and d >= 1")
+    total = d ** k
+    check_dim_within_cap(total, "cyclic permutation")
+    idx = np.arange(total)
+    weights = d ** np.arange(k - 1, -1, -1)
+    digits = (idx[:, None] // weights[None, :]) % d
+    rotated = np.concatenate([digits[:, -1:], digits[:, :-1]], axis=1)
+    new_idx = rotated @ weights
+    p = np.zeros((total, total))
+    p[new_idx, idx] = 1.0
+    return p

@@ -20,9 +20,9 @@ chunks of at most 2^16 / d^2 records each and run each chunk as one stack
 of states. A record does not depend on its chunk.
 
 A config key outside the suite's defaults is rejected, and so is a value
-of another JSON kind than its default's, or a count below its least
-value; ``seed`` is read by every suite, since POWERTRACE_SEED sets it for
-all of them, and must be a non-negative integer wherever it comes from.
+of another JSON kind than its default's, or a fractional or too small
+value of an integer key; ``seed`` is read by every suite, since
+POWERTRACE_SEED sets it for all, and must be a non-negative integer.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -179,14 +179,14 @@ def _map_chunks(fn, count: int, dim: int) -> list:
 def _suite_approx(cfg: dict):
     records = []
     eps = float(cfg["eps"])
-    for k in map(int, cfg["k_values"]):
+    for k in cfg["k_values"]:
         degree = required_degree(k, eps)
         expansion = power_expansion(k)
         tail_exact, chernoff_tail = truncation_tails(expansion, degree)
-        measured = sup_error_scan(expansion[:degree + 1], k, int(cfg["grid_size"]))
+        measured = sup_error_scan(expansion[:degree + 1], k, cfg["grid_size"])
         records.append({"spec": {"k": k, "eps": eps}, "report": {
             "formula_degree": degree,
-            "empirical_degree": minimal_empirical_degree(k, eps, int(cfg["grid_size"])),
+            "empirical_degree": minimal_empirical_degree(k, eps),
             "measured_sup_error": measured,
             "tail_exact": tail_exact,
             "chernoff_tail": chernoff_tail,
@@ -214,9 +214,9 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
     """The ``estimate`` records ``indices``, estimated as one stack."""
     ks, eps = cfg["k_values"], float(cfg["eps"])
     specs = [InstanceSpec(
-        qubits=int(cfg["qubits"]), rank=int(cfg["rank"]), seed=derive_seed(int(cfg["seed"]), index),
+        qubits=cfg["qubits"], rank=cfg["rank"], seed=derive_seed(cfg["seed"], index),
         state_kind=cfg["state_kind"], observable_kind=cfg["observable_kind"],
-        k=int(ks[index % len(ks)]), eps=eps,
+        k=ks[index % len(ks)], eps=eps,
     ) for index in indices]
     seeds = [spec.seed for spec in specs]
     reports = estimate_stack(
@@ -232,7 +232,7 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
 
 
 def _suite_estimate(cfg: dict):
-    records = _map_chunks(partial(_estimate_records, cfg), int(cfg["runs"]), 2 ** int(cfg["qubits"]))
+    records = _map_chunks(partial(_estimate_records, cfg), cfg["runs"], 2 ** cfg["qubits"])
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
@@ -245,30 +245,30 @@ def _suite_estimate(cfg: dict):
 
 def _suite_baseline(cfg: dict):
     spec = InstanceSpec(
-        qubits=int(cfg["qubits"]),
-        rank=int(cfg["rank"]),
-        seed=int(cfg["seed"]),
+        qubits=cfg["qubits"],
+        rank=cfg["rank"],
+        seed=cfg["seed"],
         state_kind=cfg["state_kind"],
         observable_kind=cfg["observable_kind"],
-        k=int(cfg["k"]),
+        k=cfg["k"],
     )
     rho = make_state(spec)
     obs = make_observable(spec)
-    oracle = trace_power_obs_oracle(rho, obs, int(cfg["k"])).real
+    oracle = trace_power_obs_oracle(rho, obs, cfg["k"]).real
     records, mean_stderrs = [], []
     for i, shots in enumerate(cfg["shots_list"]):
         stderrs = []
-        for rep in range(int(cfg["repeats"])):
+        for rep in range(cfg["repeats"]):
             result = swap_test_estimate(
                 rho,
                 obs,
-                int(cfg["k"]),
-                int(shots),
-                seed=derive_seed(int(cfg["seed"]), 100 * i + rep),
+                cfg["k"],
+                shots,
+                seed=derive_seed(cfg["seed"], 100 * i + rep),
             )
             stderrs.append(result.stderr)
             records.append({"spec": spec.to_json(), "report": {
-                "shots": int(shots),
+                "shots": shots,
                 "repeat": rep,
                 "mean": result.mean,
                 "stderr": result.stderr,
@@ -278,7 +278,7 @@ def _suite_baseline(cfg: dict):
                 "abs_error": abs(result.mean - oracle),
             }})
         mean_stderrs.append(float(np.mean(stderrs)))
-    slope = _log_slope([int(s) for s in cfg["shots_list"]], mean_stderrs)
+    slope = _log_slope(cfg["shots_list"], mean_stderrs)
     tol = float(cfg["slope_tolerance"])
     summary = {
         "stderr_slope": slope,
@@ -294,7 +294,7 @@ def _suite_bounds(cfg: dict):
     z = Observable(np.diag([1.0, -1.0]).astype(complex))
 
     m_stars = []
-    for k in map(int, cfg["k_values"]):
+    for k in cfg["k_values"]:
         table = helstrom_experiment(k, float(cfg["c"]), [0, k, 4 * k])
         m_stars.append(table.m_star)
         records.append({
@@ -332,9 +332,8 @@ def _suite_bounds(cfg: dict):
             "t_star": table.t_star,
         }})
 
-    ks = [int(k) for k in cfg["k_values"]]
     ratio = m_stars[-1] / m_stars[0] if len(m_stars) >= 2 else math.nan
-    expected_ratio = ks[-1] / ks[0] if len(ks) >= 2 else math.nan
+    expected_ratio = cfg["k_values"][-1] / cfg["k_values"][0] if len(m_stars) >= 2 else math.nan
     lecam_slope = _log_slope(
         [1.0 / float(e) for e in cfg["eps_grid"]], [1.0 / kl for kl in kl_values]
     )
@@ -359,17 +358,17 @@ def _suite_bounds(cfg: dict):
 
 def _suite_bqp(cfg: dict):
     records = []
-    r_dim = 2 ** int(cfg["r_qubits"])
+    r_dim = 2 ** cfg["r_qubits"]
     acc = np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex))
     accept = Observable(acc)
     qs, ks = list(cfg["q_values"]), list(cfg["k_values"])
-    for i in range(int(cfg["runs"])):
-        seed = derive_seed(int(cfg["seed"]), i)
+    for i in range(cfg["runs"]):
+        seed = derive_seed(cfg["seed"], i)
         q = float(qs[i % len(qs)])
-        k = int(ks[(i // len(qs)) % len(ks)])
+        k = ks[(i // len(qs)) % len(ks)]
         inst = bqp_instance(random_unitary(r_dim, seed), accept, q, k)
         records.append({
-            "spec": {"run": i, "q": q, "k": k, "seed": seed, "r_qubits": int(cfg["r_qubits"])},
+            "spec": {"run": i, "q": q, "k": k, "seed": seed, "r_qubits": cfg["r_qubits"]},
             "report": {
                 "lambda": inst.lam,
                 "p_x": inst.p_x,
@@ -392,10 +391,10 @@ def _suite_bqp(cfg: dict):
 
 def _vd_records(cfg: dict, indices: range) -> list[dict]:
     """The ``apps`` virtual-distillation records ``indices``, as one stack."""
-    k, eps = int(cfg["vd_k"]), float(cfg["vd_eps"])
+    k, eps = cfg["vd_k"], float(cfg["vd_eps"])
     specs = [InstanceSpec(
-        qubits=int(cfg["qubits"]), rank=int(cfg["rank"]), seed=derive_seed(int(cfg["seed"]), 1000 + index),
-        observable_kind="pauli:" + "Z" + "I" * (int(cfg["qubits"]) - 1), k=k, eps=eps,
+        qubits=cfg["qubits"], rank=cfg["rank"], seed=derive_seed(cfg["seed"], 1000 + index),
+        observable_kind="pauli:" + "Z" + "I" * (cfg["qubits"] - 1), k=k, eps=eps,
     ) for index in indices]
     seeds = [spec.seed for spec in specs]
     results = vd_ratio_stack(purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds),
@@ -417,9 +416,9 @@ def _vd_records(cfg: dict, indices: range) -> list[dict]:
 
 def _suite_apps(cfg: dict):
     records = []
-    q = int(cfg["tsallis_q"])
+    q = cfg["tsallis_q"]
     entropies = (
-        ("renyi", renyi_entropy, int(cfg["renyi_alpha"]), 1, math.log(2.0)),
+        ("renyi", renyi_entropy, cfg["renyi_alpha"], 1, math.log(2.0)),
         ("tsallis", tsallis_entropy, q, 2, (1.0 / 4.0 ** (q - 1)) / (1 - q)),
     )
     for offset, (application, entropy, order, qubits, true_value) in enumerate(entropies):
@@ -427,7 +426,7 @@ def _suite_apps(cfg: dict):
         est = entropy(
             purify(DensityMatrix(np.eye(dim, dtype=complex) / dim)), order,
             float(cfg["entropy_eps"]), mode=cfg["entropy_mode"],
-            seed=derive_seed(int(cfg["seed"]), offset),
+            seed=derive_seed(cfg["seed"], offset),
         )
         records.append({
             "spec": {"application": application, "order": order, "state": f"max_mixed_{qubits}q"},
@@ -437,7 +436,7 @@ def _suite_apps(cfg: dict):
         })
     renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
-    vd = _map_chunks(partial(_vd_records, cfg), int(cfg["vd_runs"]), 2 ** int(cfg["qubits"]))
+    vd = _map_chunks(partial(_vd_records, cfg), cfg["vd_runs"], 2 ** cfg["qubits"])
     records += vd
     coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
     summary = {
@@ -458,9 +457,9 @@ def _separation_confidence_z(confidence: float) -> float:
 
 def _suite_separation(cfg: dict):
     spec_base = InstanceSpec(
-        qubits=int(cfg["qubits"]),
-        rank=int(cfg["rank"]),
-        seed=int(cfg["seed"]),
+        qubits=cfg["qubits"],
+        rank=cfg["rank"],
+        seed=cfg["seed"],
         observable_kind=cfg["observable_kind"],
     )
     rho = make_state(spec_base)
@@ -469,12 +468,12 @@ def _suite_separation(cfg: dict):
     eps = float(cfg["eps"])
     z = _separation_confidence_z(float(cfg["confidence"]))
     records = []
-    ks = [int(k) for k in cfg["k_values"]]
+    ks = cfg["k_values"]
     for k in ks:
         mean, var = swap_test_moments(rho, obs, k)
         shots = math.ceil(var * (z / eps) ** 2)
         report = estimate_trace_power(
-            pur, obs, k, eps, mode="sampled", seed=derive_seed(int(cfg["seed"]), k)
+            pur, obs, k, eps, mode="sampled", seed=derive_seed(cfg["seed"], k)
         )
         records.append({
             "spec": {"k": k, "eps": eps, "confidence": float(cfg["confidence"]),
@@ -625,11 +624,13 @@ def _check_kind(key: str, value, default) -> None:
         raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
-# count-like keys and their least value; a list key bounds every element.
-# A swap test needs two shots for its standard error, a scan two points, and
-# the bqp acceptance projector one qubit of the reduction register.
+# integer keys and their least value; a list key holds integers and bounds
+# every element. A swap test needs two shots for its standard error, a scan
+# two points, and the bqp acceptance projector one qubit of the reduction
+# register.
 _COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
-                  "qubits": 0, "r_qubits": 1}
+                  "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 1, "rank": 1,
+                  "t_values": 1, "renyi_alpha": 1, "tsallis_q": 1}
 
 
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
@@ -650,6 +651,8 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
                 _check_kind(key, value, defaults.get(key))
                 least = _COUNT_MINIMUM.get(key)
                 values = value if isinstance(value, list) else [value]
+                if least is not None and not all(type(x) is int for x in values):
+                    raise ValidationError(f"config key {key!r} takes integers only, got {value!r}")
                 if least is not None and any(x < least for x in values):
                     raise ValidationError(f"config key {key!r} must be at least {least}, got {value!r}")
                 cfg[key] = value

@@ -37,7 +37,7 @@ def test_purify_maximally_mixed():
     rho = pt.DensityMatrix(np.eye(2, dtype=complex) / 2)
     vec = _vector(pt.purify(rho).state)
     assert vec.size == 4  # one environment qubit on one system qubit
-    assert np.allclose(pt.partial_trace(vec, (2, 2), keep="B"), rho.mat, atol=1e-12)
+    assert np.allclose(reference.partial_trace(vec, (2, 2), keep="B"), rho.mat, atol=1e-12)
     # equal weight on two orthogonal environment states
     psi = vec.reshape(2, 2)
     weights = np.linalg.norm(psi, axis=1) ** 2
@@ -54,7 +54,7 @@ def test_purify_pure_state_is_product():
 
 def _traced_back(rho):
     """The system's reduced state of rho's purification vector."""
-    return pt.partial_trace(_vector(pt.purify(rho).state), (rho.dim, rho.dim), keep="B")
+    return reference.partial_trace(_vector(pt.purify(rho).state), (rho.dim, rho.dim), keep="B")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -112,7 +112,7 @@ def test_purification_traces_back_to_its_state(n, data, kind, seed):
     else:
         rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
     pur = pt.purify(rho)
-    traced = pt.partial_trace(_vector(pur.state), (dim, dim), keep="B")
+    traced = reference.partial_trace(_vector(pur.state), (dim, dim), keep="B")
     assert np.max(np.abs(traced - rho.mat)) <= 1e-12
     assert pur.state is rho
 
@@ -261,7 +261,7 @@ def test_pipeline_norm_bounds_hold(seed):
     |Tr(rho p(rho) O)| <= alpha_O: P(0) is a probability in both settings."""
     pur = pt.purify(pt.random_density(2, 1 + seed % 4, seed))
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
-    (p_w, _), _ = pt.power_block_encoding(pur, 6, 1e-3)
+    p_w, _ = qsvt.transform_spectra(pur.state.spectrum().eigenvalues[None], [6], [1e-3])
     assert np.max(np.abs(p_w)) <= 1.0 + qsvt.SUP_NORM_SLACK
     overlap, alpha, _ = estimator._power_overlap(pur, obs, [6], 1e-2)
     assert pt.op_norm(obs.mat) <= alpha

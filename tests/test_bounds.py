@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import powertrace as pt
 from powertrace.bounds import _swap_test_outcome_table, helstrom_m_star
+from powertrace.reference import cyclic_permutation, fidelity, partial_trace
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -24,19 +25,19 @@ def tensor_power(m, k):
 def test_two_cycle_is_swap():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    assert np.array_equal(pt.cyclic_permutation(2, 2), swap)
+    assert np.array_equal(cyclic_permutation(2, 2), swap)
 
 
 @pytest.mark.parametrize("k,d", [(2, 2), (3, 2), (4, 2), (3, 3)])
 def test_cycle_has_order_k(k, d):
-    p = pt.cyclic_permutation(k, d)
+    p = cyclic_permutation(k, d)
     assert np.array_equal(np.linalg.matrix_power(p, k), np.eye(d ** k))
     if k > 1:
         assert not np.array_equal(p, np.eye(d ** k))
 
 
 def test_cycle_action_on_basis():
-    p = pt.cyclic_permutation(3, 2)
+    p = cyclic_permutation(3, 2)
     # |0,1,1> -> |1,0,1>
     src = np.zeros(8)
     src[0b011] = 1.0
@@ -50,7 +51,7 @@ def test_permutation_trace_identity_one_qubit(k):
         rho = pt.random_density(1, 2, seed)
         obs = pt.make_observable(pt.InstanceSpec(qubits=1, rank=1, seed=seed))
         lhs = np.trace(
-            pt.cyclic_permutation(k, 2)
+            cyclic_permutation(k, 2)
             @ tensor_power(rho.mat, k)
             @ np.kron(obs.mat, np.eye(2 ** (k - 1)))
         )
@@ -64,7 +65,7 @@ def test_permutation_trace_identity_two_qubits(k):
         rho = pt.random_density(2, 3, seed)
         obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
         lhs = np.trace(
-            pt.cyclic_permutation(k, 4)
+            cyclic_permutation(k, 4)
             @ tensor_power(rho.mat, k)
             @ np.kron(obs.mat, np.eye(4 ** (k - 1)))
         )
@@ -74,7 +75,7 @@ def test_permutation_trace_identity_two_qubits(k):
 
 def test_cycle_respects_cap():
     with pytest.raises(pt.ResourceError):
-        pt.cyclic_permutation(20, 2)
+        cyclic_permutation(20, 2)
 
 
 # --------------------------------------------------------- swap_test_estimate
@@ -116,7 +117,7 @@ def test_swap_test_outcome_table_matches_full_circuit():
     ctrl_p = np.block(
         [
             [np.eye(n_all), np.zeros((n_all, n_all))],
-            [np.zeros((n_all, n_all)), pt.cyclic_permutation(k, d)],
+            [np.zeros((n_all, n_all)), cyclic_permutation(k, d)],
         ]
     )
     circuit = ctrl_p @ big_h
@@ -162,11 +163,11 @@ def _tensor_product_outcome_table(rho, obs, k):
     # the first copy, read out in the same order as the closed form
     d = rho.dim
     r = tensor_power(rho.mat, k)
-    p_cycle = pt.cyclic_permutation(k, d).astype(complex)
+    p_cycle = cyclic_permutation(k, d).astype(complex)
     rest = d ** (k - 1)
-    top_right = pt.partial_trace(r @ p_cycle.conj().T, (d, rest), keep="A")
-    bottom_left = pt.partial_trace(p_cycle @ r, (d, rest), keep="A")
-    diag = pt.partial_trace(r, (d, rest), keep="A")
+    top_right = partial_trace(r @ p_cycle.conj().T, (d, rest), keep="A")
+    bottom_left = partial_trace(p_cycle @ r, (d, rest), keep="A")
+    diag = partial_trace(r, (d, rest), keep="A")
     tau = 0.5 * np.block([[diag, top_right], [bottom_left, diag]])
     w_o, v_o = pt.eigh(obs.mat)
     values, probs = [], []
@@ -289,7 +290,7 @@ def test_helstrom_fidelity_matches_dense_computation():
     a = pt.DensityMatrix(tensor_power(inst.rho0.mat, m))
     b = pt.DensityMatrix(tensor_power(inst.rho1.mat, m))
     table = pt.helstrom_experiment(k, c, [m])
-    assert table.rows[0].fidelity == pytest.approx(pt.fidelity(a, b), abs=1e-9)
+    assert table.rows[0].fidelity == pytest.approx(fidelity(a, b), abs=1e-9)
 
 
 def test_discrimination_instance_gap():

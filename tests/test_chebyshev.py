@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
@@ -225,6 +225,21 @@ def test_minimal_empirical_degree_frozen_values():
     assert pt.minimal_empirical_degree(8, 1e-3) == 8
     assert pt.minimal_empirical_degree(16, 1e-3) == 12
     assert pt.minimal_empirical_degree(32, 1e-3) == 18
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 1024), eps=st.floats(1e-12, 1.0))
+def test_minimal_empirical_degree_is_the_least_scanned_degree(k, eps):
+    """The exact-tail degree passes the grid scan, and the degree of the same
+    parity below it fails the scan: the scan's binary search, as an oracle."""
+    c = pt.power_expansion(k)
+    tails = [pt.truncation_tails(c, m)[0] for m in range(k + 1)]
+    assume(all(abs(tail - eps) > 1e-12 * eps for tail in tails))  # rounding decides there
+    m = pt.minimal_empirical_degree(k, eps)
+    assert m % 2 == k % 2 and m <= k
+    assert pt.sup_error_scan(c[:m + 1], k, 4096) <= eps
+    if m >= 2:
+        assert pt.sup_error_scan(c[:m - 1], k, 4096) > eps
 
 
 def test_minimal_empirical_degree_is_minimal():

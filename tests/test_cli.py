@@ -10,6 +10,7 @@ import json
 import pytest
 
 import powertrace.cli as cli
+import powertrace.suites as suites
 from powertrace.cli import main
 from powertrace.errors import ValidationError
 from powertrace.suites import SEED_ENV_VAR, SUITES, resolve_config, suite_defaults
@@ -199,7 +200,7 @@ def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suit
 
 def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    given = {"eps": 1, "k_values": [4, 8.0], "mode": "ideal", "ae_grid_override": 64, "runs": None}
+    given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "ae_grid_override": 64, "runs": None}
     cfg = resolve_config("estimate", given, None)
     assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
 
@@ -211,10 +212,14 @@ def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
      ("baseline", [], {"repeats": 0}, "repeats"), ("baseline", ["--shots", "100,0"], {}, "shots_list"),
      ("baseline", [], {"shots_list": [1, 100]}, "shots_list"), ("approx", [], {"grid_size": 1}, "grid_size"),
      ("estimate", ["--qubits", "-1"], {}, "qubits"), ("bqp", [], {"r_qubits": -1}, "r_qubits"),
-     ("bqp", [], {"r_qubits": 0}, "r_qubits")],
+     ("bqp", [], {"r_qubits": 0}, "r_qubits"), ("approx", [], {"k_values": [8, 0]}, "k_values"),
+     ("baseline", ["--k", "0"], {}, "k"), ("apps", ["--k", "0"], {}, "vd_k"), ("estimate", ["--rank", "0"], {}, "rank"),
+     ("bounds", [], {"t_values": [0, 1]}, "t_values"), ("apps", [], {"renyi_alpha": 0}, "renyi_alpha"),
+     ("apps", [], {"tsallis_q": -1}, "tsallis_q")],
     ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
          "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1", "estimate-qubits-negative",
-         "bqp-r_qubits-negative", "bqp-r_qubits-0"],
+         "bqp-r_qubits-negative", "bqp-r_qubits-0", "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
+         "estimate-rank-0", "bounds-t_values-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative"],
 )
 def test_count_below_its_least_value_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, suite, argv, config, key
@@ -235,6 +240,26 @@ def test_counts_at_their_least_value_are_accepted(monkeypatch):
     for suite, given in least.items():
         cfg = resolve_config(suite, given, None)
         assert {key: cfg[key] for key in given} == given
+
+
+# each integer key, a suite that reads it, and a fractional value of the key's shape
+FRACTIONAL = [("estimate", "runs", 3.9), ("apps", "vd_runs", 2.5), ("baseline", "repeats", 1.5),
+              ("baseline", "shots_list", [100, 1000.5]), ("approx", "grid_size", 100.7),
+              ("estimate", "qubits", 1.5), ("bqp", "r_qubits", 2.0), ("approx", "k_values", [8.5, 16.9]),
+              ("baseline", "k", 3.5), ("apps", "vd_k", 4.5), ("estimate", "rank", 1.2),
+              ("bounds", "t_values", [1, 2.5]), ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0)]
+
+
+def test_every_integer_key_has_a_fractional_case():
+    assert sorted(key for _, key, _ in FRACTIONAL) == sorted(suites._COUNT_MINIMUM)
+
+
+@pytest.mark.parametrize("suite, key, value", FRACTIONAL, ids=[f"{s}-{k}" for s, k, _ in FRACTIONAL])
+def test_fractional_integer_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key, value):
+    """A fraction is not truncated to an integer: it exits 2 and names the key."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert _exits_2_before_any_work(tmp_path, suite, {key: value})
+    assert f"config key {key!r} takes integers only, got {value!r}" in capsys.readouterr().err
 
 
 LIST_KEYS = [(suite, key) for suite in SUITES for key, value in suite_defaults(suite).items()

@@ -621,7 +621,8 @@ def test_overlap_holds_one_square_temporary():
         tracemalloc.stop()
     assert peak <= 1.5 * 2 ** 18 * 16
     eps_poly = min(1.0, 0.05 / (2 * obs.op_norm))
-    (w, v), (p_w, _) = pur.state.spectrum(), qsvt.power_block_encoding(pur, 16, eps_poly)[0]
+    w, v = pur.state.spectrum()
+    p_w = qsvt.transform_spectra(w[None], [16], [eps_poly])[0][0]
     assert overlap == complex(np.sum(w * p_w * np.sum(v.conj() * (obs.mat @ v), axis=0)))
 
 
@@ -676,7 +677,7 @@ def test_tsallis_printed_form():
 def test_vd_ratio_pure_state():
     rho = pt.random_density(2, 1, seed=12)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    result = pt.vd_ratio(pt.purify(rho), obs, 4, 0.01, 0.01, mode="ideal", seed=0)
+    result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.01, 0.01, [0], mode="ideal")[0]
     expected = pt.trace_power_obs_oracle(rho, obs, 1).real  # <psi|O|psi>
     assert abs(result.ratio_estimate - expected) <= result.error_bound
 
@@ -687,7 +688,7 @@ def test_vd_ratio_distills_dominant_eigenvector():
     psi /= np.linalg.norm(psi)
     rho = pt.DensityMatrix(0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(4) / 4)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    result = pt.vd_ratio(pt.purify(rho), obs, 20, 2e-3, 2e-3, mode="ideal", seed=1)
+    result = pt.vd_ratio_stack(pt.purify(rho), obs, 20, 2e-3, 2e-3, [1], mode="ideal")[0]
     pure_expectation = float(np.real(psi.conj() @ obs.mat @ psi))
     assert abs(result.ratio_estimate - pure_expectation) <= 0.02
 
@@ -696,7 +697,7 @@ def test_vd_ratio_refuses_vanishing_denominator():
     rho = pt.DensityMatrix(np.eye(4, dtype=complex) / 4)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     with pytest.raises(pt.UnreliableEstimateError):
-        pt.vd_ratio(pt.purify(rho), obs, 8, 0.01, 0.01, mode="ideal", seed=2)
+        pt.vd_ratio_stack(pt.purify(rho), obs, 8, 0.01, 0.01, [2], mode="ideal")[0]
 
 
 def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
@@ -718,7 +719,7 @@ def test_vd_ratio_bound_covers_in_most_runs():
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     for seed in range(runs):
         rho = pt.random_density(2, 2, seed=seed)
-        result = pt.vd_ratio(pt.purify(rho), obs, 4, 0.02, 0.02, seed=seed)
+        result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.02, 0.02, [seed])[0]
         true_ratio = (
             pt.trace_power_obs_oracle(rho, obs, 4).real
             / pt.trace_power_obs_oracle(rho, pt.Observable(np.eye(4, dtype=complex)), 4).real
@@ -774,10 +775,10 @@ def test_vd_ratio_stack_is_its_records_alone():
     spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=0, observable_kind="pauli:ZI"))
     seeds = [3, 4, 5]
-    stack = estimator.vd_ratio_stack(pt.purify(instances.make_states(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
+    stack = pt.vd_ratio_stack(pt.purify(instances.make_states(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
     for seed, result in zip(seeds, stack):
         state = pt.make_state(dataclasses.replace(spec, seed=seed))
-        assert result == pt.vd_ratio(pt.purify(state), obs, 4, 0.02, 0.02, seed=seed)
+        assert result == pt.vd_ratio_stack(pt.purify(state), obs, 4, 0.02, 0.02, [seed])[0]
 
 
 def test_stacked_instances_are_their_seeds_alone():

@@ -40,6 +40,25 @@ def test_random_density_rank_validation():
         pt.random_density(1, 3, seed=0)
 
 
+@pytest.mark.parametrize("kind", ["random_mixed", "diagonal"])
+@pytest.mark.parametrize("rank", [0, 5])
+def test_make_state_checks_the_rank_before_it_allocates(kind, rank):
+    """A rank outside [1, d] is refused with the same message by every kind
+    that reads it, before any array is sized from it."""
+    spec = pt.InstanceSpec(qubits=2, rank=rank, seed=0, state_kind=kind)
+    with pytest.raises(pt.ValidationError, match=rf"rank must lie in \[1, 4\], got {rank}$"):
+        pt.make_state(spec)
+
+
+def test_cli_diagonal_rank_above_the_dimension_exits_2_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state_kind": "diagonal", "qubits": 2, "rank": 5}))
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "powertrace: rank must lie in [1, 4], got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_random_density_builds_its_matrix_in_place():
     """A full-rank state keeps two d x d arrays (its matrix and cached
     eigenvectors); building it peaks at no more than 3.5 arrays' worth."""

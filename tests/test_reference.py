@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import powertrace
+from powertrace import bounds, estimator, linalg, qsvt, reference
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "powertrace"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "reference.py")
 
@@ -59,3 +62,16 @@ def test_importing_the_package_leaves_the_references_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "name, home",
+    [("partial_trace", "reference"), ("fidelity", "reference"), ("cyclic_permutation", "reference"),
+     ("power_block_encoding", None), ("vd_ratio", None), ("kron", None), ("clip_spectrum", None)],
+)
+def test_names_without_a_pipeline_caller_left_the_package(name, home):
+    """The test oracles live with the other references; the one-record
+    wrappers and ``kron`` are gone."""
+    assert name not in powertrace.__all__ and not hasattr(powertrace, name)
+    assert not any(hasattr(module, name) for module in (bounds, estimator, linalg, qsvt))
+    assert hasattr(reference, name) == (home == "reference")
