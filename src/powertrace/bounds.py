@@ -239,28 +239,21 @@ def lecam_construction(
 
 
 @dataclass(frozen=True)
-class HybridBoundRow:
-    t: int
-    cumulative_bound: float
-
-
-@dataclass(frozen=True)
 class HybridBoundTable:
     delta: float
     norm_direct: float
     norm_closed_form: float
-    rows: tuple[HybridBoundRow, ...]
     t_star: int
 
 
-def hybrid_bound_demo(o: Observable, eps: float, t_values: list[int]) -> HybridBoundTable:
+def hybrid_bound_demo(o: Observable, eps: float) -> HybridBoundTable:
     """Distinguishability growth of two dilations differing by a rank-one kick.
 
     Dilates the zero matrix and delta |nu><nu| (nu the top eigenvector of
     O, delta = 2 eps / ||O||), confirms the closed form
-    ||U0 - U1|| = sqrt(delta^2 + (1 - sqrt(1 - delta^2))^2), and tabulates
-    the cumulative bound t * ||U0 - U1|| together with the query count
-    where it first reaches 1.
+    ||U0 - U1|| = sqrt(delta^2 + (1 - sqrt(1 - delta^2))^2), and returns
+    the query count t* = ceil(1 / ||U0 - U1||) where the cumulative hybrid
+    bound t ||U0 - U1|| first reaches 1.
     """
     norm = o.op_norm
     if norm <= 0.0:
@@ -280,15 +273,11 @@ def hybrid_bound_demo(o: Observable, eps: float, t_values: list[int]) -> HybridB
         raise ConstructionError(
             f"dilation distance {direct} disagrees with the closed form {closed}"
         )
-    rows = tuple(
-        HybridBoundRow(t=int(t), cumulative_bound=int(t) * direct) for t in t_values
-    )
     t_star = math.ceil(1.0 / direct) if direct > 0 else 0
     return HybridBoundTable(
         delta=delta,
         norm_direct=direct,
         norm_closed_form=closed,
-        rows=rows,
         t_star=t_star,
     )
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     powertrace <suite> [--config PATH] [--out DIR] [--seed INT]
-               [suite flags: --k --eps --qubits --rank --shots --K --runs --q --c]
+               [suite flags: --k --eps --qubits --rank --shots --runs --q --c]
 
 Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
@@ -9,7 +9,7 @@ the shared flags whose config key that suite reads; ``powertrace <suite>
 key the suite does not read, a ``suite`` key naming another suite, a
 value of the wrong kind, a seed that is not a non-negative integer, an
 integer key (count, k, rank, order) that is fractional or below its least
-value, an empty list or a ``*_range`` that is not a [low, high] pair exits 2.
+value, or an empty list exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
@@ -41,7 +41,6 @@ _FLAGS = {
     "qubits": (int, "qubits", "system qubit count"),
     "rank": (int, "rank", "state rank"),
     "shots": (_int_list, "shots_list", "comma-separated shot counts"),
-    "K": (int, "ae_grid_override", "force the amplitude-estimation grid size"),
     "runs": (int, "runs", "number of records to run"),
     "q": (float, "q_values", "weight parameter for the reduction suite"),
     "c": (float, "c", "bias constant for the discrimination suite"),

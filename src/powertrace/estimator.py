@@ -139,19 +139,6 @@ def _check_mode(mode: str) -> None:
         raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
 
 
-def _check_grid(K, mode: str) -> None:
-    """Reject a readout grid before anything is sized from it: an integer
-    >= 2, and in ``sampled`` mode also a power of two <= ``_MAX_AE_GRID``,
-    the K = 2^t outcomes of t counting qubits."""
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
-    if mode == "sampled" and (K & (K - 1) or K > _MAX_AE_GRID):
-        raise ValidationError(
-            f"sampled mode needs a power-of-two grid size <= {_MAX_AE_GRID}, "
-            f"got {K!r}"
-        )
-
-
 def _bit_probability(phi: float, t: int, m: int, low: int) -> float:
     """P(y_m = 1) for bit m of the t-qubit phase-estimation outcome y, given
     its lower bits low = y mod 2^m: sin^2(pi (2^(t-1-m) phi - low / 2^(m+1))).
@@ -194,13 +181,20 @@ def amplitude_estimate(
     O(log K) time and O(1) memory: the counting register is measured one
     qubit at a time (see ``_draw_outcome``). ``ideal`` returns the true
     probability pushed exactly to the edge of the error bound, for
-    deterministic worst-case budget checks.
+    deterministic worst-case budget checks. K is an integer >= 2, and in
+    ``sampled`` mode the 2^t <= ``_MAX_AE_GRID`` outcomes of t counting qubits.
     """
     if not -1e-12 <= p_true <= 1.0 + 1e-12:
         raise ValidationError(f"probability {p_true} outside [0, 1]")
     p_true = min(max(p_true, 0.0), 1.0)
     _check_mode(mode)
-    _check_grid(K, mode)
+    if not isinstance(K, (int, np.integer)) or K < 2:
+        raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
+    if mode == "sampled" and (K & (K - 1) or K > _MAX_AE_GRID):
+        raise ValidationError(
+            f"sampled mode needs a power-of-two grid size <= {_MAX_AE_GRID}, "
+            f"got {K!r}"
+        )
     bound = ae_error_bound(p_true, K)
     if mode == "ideal":
         p_est = p_true + bound
@@ -239,7 +233,7 @@ def choose_ae_grid(eps_prime: float) -> int:
 
 
 def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: float, seeds: list,
-                   mode: str = "sampled", ae_grid: int | None = None) -> list[EstimationReport]:
+                   mode: str = "sampled") -> list[EstimationReport]:
     """One ``estimate_trace_power`` report per record of a stack (R, d, d) of
     states, with ``o`` one observable or R, and ``ks`` and ``seeds`` the R
     powers and readout seeds. Each report equals its record's alone."""
@@ -249,8 +243,6 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
     _check_mode(mode)
-    if ae_grid is not None:
-        _check_grid(ae_grid, mode)
     oracles = trace_power_obs_oracles(purification.state, o, ks)  # also checks the stacks pair up
     overlaps, alphas, ledgers = _power_overlap(purification, o, ks, eps)
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
@@ -259,7 +251,7 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
         overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds, strict=True
     ):
         eps_prime = eps / (4.0 * alpha_o)
-        grid = int(ae_grid) if ae_grid is not None else choose_ae_grid(eps_prime)
+        grid = choose_ae_grid(eps_prime)
         parts = []
         for idx, setting in enumerate(settings):
             p_true = _p_zero(overlap / alpha_o, setting)
@@ -282,7 +274,6 @@ def estimate_trace_power(
     eps: float,
     mode: str = "sampled",
     seed: int = 0,
-    ae_grid: int | None = None,
 ) -> EstimationReport:
     """Estimate Tr(rho^k O) to additive error eps from purified access.
 
@@ -293,12 +284,12 @@ def estimate_trace_power(
     eigenbasis at every system size, and feeds the amplitude-estimation
     readout. The report splits the error budget (eps/2 model error at
     trace level, eps/2 after amplitude-estimation amplification) and
-    carries the exact oracle value and query counts. ``ae_grid`` forces a
-    specific readout grid size instead of the smallest one meeting the
-    budget; it and ``mode`` are checked before the overlap is computed.
-    The overlap serves every setting and the trace-level model error.
+    carries the exact oracle value and query counts. The readout grid is
+    the smallest one meeting the amplitude-estimation budget, and ``mode``
+    is checked before the overlap is computed. The overlap serves every
+    setting and the trace-level model error.
     """
-    return estimate_stack(purification, o, [k], eps, [seed], mode, ae_grid)[0]
+    return estimate_stack(purification, o, [k], eps, [seed], mode)[0]
 
 
 def _trace_powers(purification: PurifiedState, ks: list, eps: float, seeds: list, mode: str) -> list:
@@ -383,7 +374,8 @@ def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: 
     """Estimate Tr(rho^k O) / Tr(rho^k), the distilled expectation value, for
     each record of a stack (one per seed) from two ``estimate_stack`` calls.
     The ratio's bound |a/b - a~/b~| <= |a - a~|/b + |a| |b - b~| / b^2 is
-    evaluated with b replaced by (b~ - eps_den) and |a| by (|a~| + eps_num).
+    evaluated with b replaced by (b~ - eps_den) and |a| by (|a~| + eps_num);
+    a record whose b~ is at most eps_den is refused alone, with nan for both.
     Each estimate carries its own amplitude-estimation success probability,
     so the joint success is their product (no boosting applied here)."""
     if not isinstance(k, (int, np.integer)) or k < 2:
@@ -395,9 +387,8 @@ def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: 
     for num, den in zip(nums, dens, strict=True):
         a_est, b_est = num.estimate.real, den.estimate.real
         if b_est <= eps_den:
-            raise UnreliableEstimateError(
-                f"denominator estimate {b_est} is indistinguishable from 0 at accuracy {eps_den}"
-            )
+            results.append(VdRatioResult(math.nan, math.nan, num, den))
+            continue
         b_low = b_est - eps_den
         error_bound = eps_num / b_low + (abs(a_est) + eps_num) * eps_den / b_low ** 2
         results.append(VdRatioResult(a_est / b_est, error_bound, num, den))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,46 +89,48 @@ def pauli_string(label: str) -> np.ndarray:
     return out
 
 
-def make_state(spec: InstanceSpec) -> DensityMatrix:
+def _state_matrices(spec: InstanceSpec, seeds: list) -> np.ndarray:
+    """The stack of the unvalidated matrices of ``spec`` under ``seeds``."""
+    kind = spec.state_kind
+    if kind in ("random_mixed", "pure"):
+        return _random_densities(spec.qubits, spec.rank if kind == "random_mixed" else 1, seeds)
     dim = 2 ** spec.qubits
     check_dim_within_cap(dim, "state")
-    kind = spec.state_kind
-    if kind == "random_mixed":
-        return random_density(spec.qubits, spec.rank, spec.seed)
-    if kind == "pure":
-        return random_density(spec.qubits, 1, spec.seed)
     if kind == "diagonal":
         if not 1 <= spec.rank <= dim:
             raise ValidationError(f"rank must lie in [1, {dim}], got {spec.rank}")
-        rng = np.random.default_rng(spec.seed)
-        w = rng.random(spec.rank)
-        probs = np.zeros(dim)
-        probs[: spec.rank] = w / w.sum()
-        return DensityMatrix(np.diag(probs).astype(complex))
+        probs = np.zeros((len(seeds), dim))
+        for row, seed in zip(probs, seeds):
+            w = np.random.default_rng(seed).random(spec.rank)
+            row[: spec.rank] = w / w.sum()
+        return (probs[:, :, None] * np.eye(dim)).astype(complex)
     if kind.startswith("named:"):
         name = kind.split(":", 1)[1]
         if name == "rho0":
             m = np.zeros((dim, dim), dtype=complex)
             m[0, 0] = 1.0
-            return DensityMatrix(m)
-        if name == "max_mixed":
-            return DensityMatrix(np.eye(dim, dtype=complex) / dim)
-        if name.startswith("rho1_"):
+        elif name == "max_mixed":
+            m = np.eye(dim, dtype=complex) / dim
+        elif name.startswith("rho1_"):
             # one-qubit (1-e)|0><0| + e|1><1|, e encoded after the underscore
             eps_prime = float(name.split("_", 1)[1])
             if spec.qubits != 1:
                 raise ValidationError("rho1_* states are one-qubit")
-            return DensityMatrix(np.diag([1 - eps_prime, eps_prime]).astype(complex))
-        raise ValidationError(f"unknown named state {name!r}")
+            m = np.diag([1 - eps_prime, eps_prime]).astype(complex)
+        else:
+            raise ValidationError(f"unknown named state {name!r}")
+        return np.stack([m] * len(seeds))  # seed-independent
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
+def make_state(spec: InstanceSpec) -> DensityMatrix:
+    return DensityMatrix(_state_matrices(spec, [spec.seed])[0])
+
+
 def make_states(spec: InstanceSpec, seeds: list) -> DensityMatrix:
-    """The stack of the states of ``spec`` under each of ``seeds``."""
-    if spec.state_kind in ("random_mixed", "pure"):
-        rank = spec.rank if spec.state_kind == "random_mixed" else 1
-        return DensityMatrix(_random_densities(spec.qubits, rank, seeds))
-    return DensityMatrix(np.stack([make_state(replace(spec, seed=s)).mat for s in seeds]))
+    """The stack of the states of ``spec`` under each of ``seeds``, validated
+    once as a stack."""
+    return DensityMatrix(_state_matrices(spec, seeds))
 
 
 def _random_hermitians(qubits: int, seeds: list) -> np.ndarray:

@@ -19,10 +19,12 @@ The ``estimate`` and ``apps`` runners cut their records into contiguous
 chunks of at most 2^16 / d^2 records each and run each chunk as one stack
 of states. A record does not depend on its chunk.
 
-A config key outside the suite's defaults is rejected, and so is a value
-of another JSON kind than its default's, or a fractional or too small
-value of an integer key; ``seed`` is read by every suite, since
-POWERTRACE_SEED sets it for all, and must be a non-negative integer.
+A config holds only experiment parameters; the gate thresholds are the
+module constants below, and each summary reports those it applied. A
+config key outside the suite's defaults is rejected, and so is a value of
+another JSON kind than its default's, or a fractional or too small value
+of an integer key; ``seed`` is read by every suite, since POWERTRACE_SEED
+sets it for all, and must be a non-negative integer.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -69,6 +71,17 @@ from .instances import (InstanceSpec, derive_seed, make_observable, make_observa
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
 SEED_ENV_VAR = "POWERTRACE_SEED"
+
+APPROX_SLOPE_RANGE = (0.4, 0.6)  # degree ~ sqrt(k)
+ESTIMATE_PASS_THRESHOLD = AE_SUCCESS_PROB - 0.05  # share of estimates within eps
+BASELINE_SLOPE_TOLERANCE = 0.05  # stderr ~ shots^(-1/2)
+HELSTROM_RATIO_WINDOW = (0.875, 1.125)  # m* ~ k: the m* ratio over the k ratio
+LECAM_EXPONENT_WINDOW = (1.9, 2.1)  # copies ~ 1/eps^2
+HYBRID_EXPONENT_WINDOW = (0.95, 1.05)  # t* ~ 1/eps
+BQP_DEFECT_TOLERANCE = 1e-10
+APPS_COVERAGE_THRESHOLD = 0.95
+SWAP_EXPONENT_RANGE = (0.85, 1.15)  # copies ~ k
+QUERY_EXPONENT_MAX = 0.65  # queries ~ sqrt(k)
 
 
 # --------------------------------------------------------------------------
@@ -196,13 +209,13 @@ def _suite_approx(cfg: dict):
     ks = [r["spec"]["k"] for r in records]
     within = [r["report"]["within_eps"] for r in records]
     slope = _log_slope(ks, [r["report"]["empirical_degree"] for r in records])
-    lo, hi = cfg["slope_range"]
+    lo, hi = APPROX_SLOPE_RANGE
     # a scaling fit needs a few decades; short sweeps only gate on accuracy
     slope_checked = len(set(ks)) >= 3
     summary = {
         "all_within_eps": all(within),
         "empirical_degree_slope": slope,
-        "slope_range": list(cfg["slope_range"]),
+        "slope_range": APPROX_SLOPE_RANGE,
         "slope_checked": slope_checked,
         "pass": bool(all(within) and ((not slope_checked) or (lo <= slope <= hi))),
         "pass_fraction": float(np.mean(within)),
@@ -221,7 +234,7 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
     seeds = [spec.seed for spec in specs]
     reports = estimate_stack(
         purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds), [spec.k for spec in specs],
-        eps, seeds, mode=cfg["mode"], ae_grid=cfg["ae_grid_override"],
+        eps, seeds, mode=cfg["mode"],
     )
     records = []
     for index, spec, report in zip(indices, specs, reports):
@@ -236,8 +249,8 @@ def _suite_estimate(cfg: dict):
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
     summary = {
         "pass_fraction": fraction,
-        "pass_threshold": float(cfg["pass_threshold"]),
-        "pass": bool(fraction >= float(cfg["pass_threshold"])),
+        "pass_threshold": ESTIMATE_PASS_THRESHOLD,
+        "pass": bool(fraction >= ESTIMATE_PASS_THRESHOLD),
         "runs": len(records),
     }
     return records, summary
@@ -279,12 +292,11 @@ def _suite_baseline(cfg: dict):
             }})
         mean_stderrs.append(float(np.mean(stderrs)))
     slope = _log_slope(cfg["shots_list"], mean_stderrs)
-    tol = float(cfg["slope_tolerance"])
     summary = {
         "stderr_slope": slope,
         "expected_slope": -0.5,
-        "slope_tolerance": tol,
-        "pass": bool(abs(slope + 0.5) <= tol),
+        "slope_tolerance": BASELINE_SLOPE_TOLERANCE,
+        "pass": bool(abs(slope + 0.5) <= BASELINE_SLOPE_TOLERANCE),
     }
     return records, summary
 
@@ -323,7 +335,7 @@ def _suite_bounds(cfg: dict):
 
     t_stars = []
     for eps in map(float, cfg["hybrid_eps_grid"]):
-        table = hybrid_bound_demo(z, eps, list(cfg["t_values"]))
+        table = hybrid_bound_demo(z, eps)
         t_stars.append(table.t_star)
         records.append({"spec": {"experiment": "hybrid", "eps": eps, "obs": "Z"}, "report": {
             "delta": table.delta,
@@ -340,17 +352,20 @@ def _suite_bounds(cfg: dict):
     hybrid_slope = _log_slope(
         [1.0 / float(e) for e in cfg["hybrid_eps_grid"]], t_stars
     )
-    lo, hi = cfg["helstrom_ratio_range"]
+    lo, hi = (bound * expected_ratio for bound in HELSTROM_RATIO_WINDOW)
     summary = {
         "helstrom_m_stars": m_stars,
         "helstrom_ratio": ratio,
         "helstrom_ratio_expected": expected_ratio,
+        "helstrom_ratio_range": [lo, hi],
         "lecam_copies_exponent": lecam_slope,
+        "lecam_exponent_window": LECAM_EXPONENT_WINDOW,
         "hybrid_t_star_exponent": hybrid_slope,
+        "hybrid_exponent_window": HYBRID_EXPONENT_WINDOW,
         "pass": bool(
             (math.isnan(ratio) or lo <= ratio <= hi)
-            and abs(lecam_slope - 2.0) <= 0.1
-            and abs(hybrid_slope - 1.0) <= 0.05
+            and LECAM_EXPONENT_WINDOW[0] <= lecam_slope <= LECAM_EXPONENT_WINDOW[1]
+            and HYBRID_EXPONENT_WINDOW[0] <= hybrid_slope <= HYBRID_EXPONENT_WINDOW[1]
         ),
     }
     return records, summary
@@ -383,8 +398,8 @@ def _suite_bqp(cfg: dict):
     summary = {
         "max_identity_defect": max(defects) if defects else math.nan,
         "all_bernoulli_ok": all_ok,
-        "defect_tolerance": float(cfg["defect_tolerance"]),
-        "pass": bool(defects and max(defects) <= float(cfg["defect_tolerance"]) and all_ok),
+        "defect_tolerance": BQP_DEFECT_TOLERANCE,
+        "pass": bool(defects and max(defects) <= BQP_DEFECT_TOLERANCE and all_ok),
     }
     return records, summary
 
@@ -443,8 +458,8 @@ def _suite_apps(cfg: dict):
         "renyi_within_bound": renyi_ok,
         "tsallis_within_bound": tsallis_ok,
         "vd_coverage": coverage,
-        "coverage_threshold": float(cfg["coverage_threshold"]),
-        "pass": bool(renyi_ok and tsallis_ok and coverage >= float(cfg["coverage_threshold"])),
+        "coverage_threshold": APPS_COVERAGE_THRESHOLD,
+        "pass": bool(renyi_ok and tsallis_ok and coverage >= APPS_COVERAGE_THRESHOLD),
     }
     return records, summary
 
@@ -460,7 +475,7 @@ def _suite_separation(cfg: dict):
         qubits=cfg["qubits"],
         rank=cfg["rank"],
         seed=cfg["seed"],
-        observable_kind=cfg["observable_kind"],
+        observable_kind="pauli:Z" + "I" * (cfg["qubits"] - 1),
     )
     rho = make_state(spec_base)
     obs = make_observable(spec_base)
@@ -484,13 +499,13 @@ def _suite_separation(cfg: dict):
         })
     swap_exp = _log_slope(ks, [r["report"]["swap_copies"] for r in records])
     query_exp = _log_slope(ks, [r["report"]["estimator"]["u_rho_queries_total"] for r in records])
-    lo, hi = cfg["swap_exponent_range"]
+    lo, hi = SWAP_EXPONENT_RANGE
     summary = {
         "swap_copies_exponent": swap_exp,
         "qsvt_queries_exponent": query_exp,
-        "swap_exponent_range": list(cfg["swap_exponent_range"]),
-        "query_exponent_max": float(cfg["query_exponent_max"]),
-        "pass": bool(lo <= swap_exp <= hi and query_exp <= float(cfg["query_exponent_max"])),
+        "swap_exponent_range": SWAP_EXPONENT_RANGE,
+        "query_exponent_max": QUERY_EXPONENT_MAX,
+        "pass": bool(lo <= swap_exp <= hi and query_exp <= QUERY_EXPONENT_MAX),
     }
     return records, summary
 
@@ -513,7 +528,7 @@ class Suite(NamedTuple):
 
 SUITE_REGISTRY = {
     "approx": Suite(
-        {"k_values": [8, 16, 32, 64, 128], "eps": 1e-3, "grid_size": 4096, "slope_range": [0.4, 0.6]},
+        {"k_values": [8, 16, 32, 64, 128], "eps": 1e-3, "grid_size": 4096},
         _suite_approx,
         {"k": "spec.k", "eps": "spec.eps", "formula_degree": "report.formula_degree",
          "empirical_degree": "report.empirical_degree",
@@ -522,8 +537,7 @@ SUITE_REGISTRY = {
     ),
     "estimate": Suite(
         {"qubits": 2, "rank": 2, "k_values": [4, 8, 16], "eps": 0.05, "runs": 200, "seed": 0,
-         "state_kind": "random_mixed", "observable_kind": "random_hermitian", "mode": "sampled",
-         "pass_threshold": AE_SUCCESS_PROB - 0.05, "ae_grid_override": None},
+         "state_kind": "random_mixed", "observable_kind": "random_hermitian", "mode": "sampled"},
         _suite_estimate,
         {"run": "run", "k": "spec.k", "seed": "spec.seed",
          "estimate_re": "report.estimate.re", "estimate_im": "report.estimate.im",
@@ -534,7 +548,7 @@ SUITE_REGISTRY = {
     ),
     "baseline": Suite(
         {"qubits": 1, "rank": 2, "k": 3, "shots_list": [100, 1000, 10000], "repeats": 5, "seed": 0,
-         "state_kind": "random_mixed", "observable_kind": "identity", "slope_tolerance": 0.05},
+         "state_kind": "random_mixed", "observable_kind": "identity"},
         _suite_baseline,
         {"shots": "report.shots", "repeat": "report.repeat", "mean": "report.mean",
          "stderr": "report.stderr", "copies_used": "report.copies_used", "mode": "report.mode",
@@ -543,8 +557,7 @@ SUITE_REGISTRY = {
     ),
     "bounds": Suite(
         {"k_values": [10, 20, 40, 80], "c": 0.5, "eps_grid": [0.3, 0.1, 0.03, 0.01],
-         "t_values": [1, 2, 4, 8, 16, 32, 64, 128], "hybrid_eps_grid": [0.1, 0.03, 0.01, 0.003],
-         "helstrom_ratio_range": [7.0, 9.0]},
+         "hybrid_eps_grid": [0.1, 0.03, 0.01, 0.003]},
         _suite_bounds,
         {"experiment": "spec.experiment", "k": "spec.k", "eps_or_c": "spec.c|spec.eps",
          "delta_or_epsprime": "report.eps_prime|report.delta",
@@ -552,8 +565,7 @@ SUITE_REGISTRY = {
          "value": "report.kl|report.norm_direct"},
     ),
     "bqp": Suite(
-        {"r_qubits": 2, "runs": 50, "q_values": [2, 10], "k_values": [1, 5, 20], "seed": 0,
-         "defect_tolerance": 1e-10},
+        {"r_qubits": 2, "runs": 50, "q_values": [2, 10], "k_values": [1, 5, 20], "seed": 0},
         _suite_bqp,
         {"run": "spec.run", "q": "spec.q", "k": "spec.k", "lambda": "report.lambda",
          "p_x": "report.p_x", "trace_power": "report.trace_power",
@@ -562,7 +574,7 @@ SUITE_REGISTRY = {
     "apps": Suite(
         {"renyi_alpha": 2, "tsallis_q": 3, "entropy_eps": 0.01, "entropy_mode": "ideal",
          "vd_runs": 200, "vd_k": 4, "vd_eps": 0.02, "qubits": 2, "rank": 2, "seed": 0,
-         "coverage_threshold": 0.95, "mode": "sampled"},
+         "mode": "sampled"},
         _suite_apps,
         {"application": "spec.application|application", "order_or_run": "spec.order|run",
          "value": "report.value|report.ratio_estimate", "error_bound": "report.error_bound",
@@ -572,8 +584,7 @@ SUITE_REGISTRY = {
     ),
     "separation": Suite(
         {"qubits": 2, "rank": 2, "k_values": [4, 8, 16, 32, 64], "eps": 0.05, "seed": 7,
-         "observable_kind": "pauli:ZI", "confidence": AE_SUCCESS_PROB,
-         "swap_exponent_range": [0.85, 1.15], "query_exponent_max": 0.65},
+         "confidence": AE_SUCCESS_PROB},
         _suite_separation,
         {"k": "spec.k", "swap_variance": "report.swap_variance",
          "swap_shots_for_eps": "report.swap_shots", "swap_copies_for_eps": "report.swap_copies",
@@ -606,18 +617,16 @@ def _kind(value) -> str:
 def _check_kind(key: str, value, default) -> None:
     """Reject a config value of another JSON kind than its default's, and
     for a list key an empty list or any element of another kind than the
-    default's elements; a ``*_range`` key is a (low, high) pair. ``seed``
-    is a non-negative integer, ``ae_grid_override`` an integer."""
-    if key in ("seed", "ae_grid_override"):
-        ok = type(value) is int and (key != "seed" or value >= 0)
-        expected = "a non-negative integer" if key == "seed" else "an integer"
+    default's elements. ``seed`` is a non-negative integer."""
+    if key == "seed":
+        ok = type(value) is int and value >= 0
+        expected = "a non-negative integer"
     elif isinstance(default, list):
         kinds = sorted({_kind(x) for x in default})
         ok = isinstance(value, list) and all(_kind(x) in kinds for x in value)
         expected = f"a list of {' or '.join(kinds)} values"
-        pair = key.endswith("_range")
-        if ok and (len(value) != 2 if pair else not value):
-            ok, expected = False, "a [low, high] pair" if pair else "a non-empty list"
+        if ok and not value:
+            ok, expected = False, "a non-empty list"
     else:
         ok, expected = _kind(value) == _kind(default), f"a {_kind(default)}"
     if not ok:
@@ -630,7 +639,7 @@ def _check_kind(key: str, value, default) -> None:
 # register.
 _COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
                   "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 1, "rank": 1,
-                  "t_values": 1, "renyi_alpha": 1, "tsallis_q": 1}
+                  "renyi_alpha": 1, "tsallis_q": 1}
 
 
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:

@@ -341,14 +341,14 @@ def test_lecam_rejects_one_sided_spectrum():
 # ------------------------------------------------------------ hybrid_bound_demo
 
 def test_hybrid_zero_kick():
-    table = pt.hybrid_bound_demo(pt.Observable(Z), 0.0, [1, 10])
+    table = pt.hybrid_bound_demo(pt.Observable(Z), 0.0)
     assert table.norm_direct == pytest.approx(0.0, abs=1e-12)
     assert table.t_star == 0
 
 
 def test_hybrid_closed_form_delta_03():
     # ||O|| = 1, eps = 0.15 -> delta = 0.3
-    table = pt.hybrid_bound_demo(pt.Observable(Z), 0.15, [1])
+    table = pt.hybrid_bound_demo(pt.Observable(Z), 0.15)
     expected = math.sqrt(0.09 + (1 - math.sqrt(0.91)) ** 2)
     assert table.delta == pytest.approx(0.3)
     assert table.norm_direct == pytest.approx(expected, abs=1e-9)
@@ -358,7 +358,7 @@ def test_hybrid_closed_form_delta_03():
 def test_hybrid_crossing_scales_inversely_with_eps():
     eps_grid = [0.1, 0.03, 0.01, 0.003]
     t_stars = [
-        pt.hybrid_bound_demo(pt.Observable(Z), eps, [1]).t_star for eps in eps_grid
+        pt.hybrid_bound_demo(pt.Observable(Z), eps).t_star for eps in eps_grid
     ]
     slope = np.polyfit(np.log([1 / e for e in eps_grid]), np.log(t_stars), 1)[0]
     assert abs(slope - 1.0) <= 0.05
@@ -366,7 +366,7 @@ def test_hybrid_crossing_scales_inversely_with_eps():
 
 def test_hybrid_rejects_delta_above_one():
     with pytest.raises(pt.ValidationError):
-        pt.hybrid_bound_demo(pt.Observable(Z), 0.6, [1])
+        pt.hybrid_bound_demo(pt.Observable(Z), 0.6)
 
 
 # ---------------------------------------------------------------- bqp_instance

@@ -24,7 +24,7 @@ ROUTES = [
     ("estimate", ["--qubits", "3"], {"qubits": 3}),
     ("estimate", ["--rank", "1"], {"rank": 1}),
     ("estimate", ["--runs", "7"], {"runs": 7}),
-    ("estimate", ["--K", "64"], {"ae_grid_override": 64}),
+    ("estimate", ["--qubits", "3", "--rank", "8"], {"qubits": 3, "rank": 8}),
     ("baseline", ["--k", "5"], {"k": 5}),
     ("baseline", ["--qubits", "2"], {"qubits": 2}),
     ("baseline", ["--rank", "1"], {"rank": 1}),
@@ -44,7 +44,7 @@ ROUTES = [
 ] + [(suite, ["--seed", "9"], {"seed": 9}) for suite in SUITES]
 
 SHARED_FLAGS = {"k": "4", "eps": "0.1", "qubits": "2", "rank": "1", "shots": "10",
-                "K": "64", "runs": "3", "q": "2", "c": "0.5"}
+                "runs": "3", "q": "2", "c": "0.5"}
 
 
 @pytest.fixture
@@ -73,8 +73,9 @@ def test_flag_sets_the_suites_config_key(resolved, suite, argv, keys):
 @pytest.mark.parametrize("suite", SUITES)
 def test_flags_a_suite_does_not_read_are_rejected(resolved, suite, capsys):
     routed = {arg[2:] for s, argv, _ in ROUTES if s == suite for arg in argv if arg.startswith("--")}
-    # --jobs is no flag of any suite: every suite runs in one process
-    for flag, value in {**SHARED_FLAGS, "jobs": "2"}.items():
+    # --jobs and --K are no flags of any suite: every suite runs in one
+    # process, and the readout grid is always the one the error budget sets
+    for flag, value in {**SHARED_FLAGS, "jobs": "2", "K": "64"}.items():
         if flag in routed:
             continue
         with pytest.raises(SystemExit) as exc:
@@ -182,11 +183,11 @@ def test_seed_from_each_source_is_accepted(resolved, monkeypatch, tmp_path):
     [("estimate", "runs", "x", "a number"), ("estimate", "k_values", 5, "a list of number values"),
      ("estimate", "k_values", [4, "8"], "a list of number values"), ("estimate", "eps", [0.1], "a number"),
      ("estimate", "mode", 3, "a string"), ("estimate", "qubits", True, "a number"),
-     ("estimate", "ae_grid_override", 64.0, "an integer"), ("estimate", "ae_grid_override", "64", "an integer"),
-     ("approx", "slope_range", [0.4, None], "a list of number values"),
-     ("separation", "observable_kind", ["pauli:ZI"], "a string"), ("bqp", "runs", {"n": 1}, "a number")],
+     ("bounds", "c", "0.5", "a number"), ("apps", "entropy_mode", 1, "a string"),
+     ("bounds", "eps_grid", [0.3, None], "a list of number values"),
+     ("estimate", "observable_kind", ["pauli:ZI"], "a string"), ("bqp", "runs", {"n": 1}, "a number")],
     ids=["runs-string", "k_values-scalar", "k_values-string-element", "eps-list", "mode-number",
-         "qubits-bool", "ae_grid_override-float", "ae_grid_override-string", "slope_range-null-element",
+         "qubits-bool", "c-string", "entropy_mode-number", "eps_grid-null-element",
          "observable_kind-list", "runs-object"],
 )
 def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suite, key, value, expected):
@@ -200,7 +201,7 @@ def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suit
 
 def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "ae_grid_override": 64, "runs": None}
+    given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "state_kind": "pure", "runs": None}
     cfg = resolve_config("estimate", given, None)
     assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
 
@@ -214,12 +215,12 @@ def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
      ("estimate", ["--qubits", "-1"], {}, "qubits"), ("bqp", [], {"r_qubits": -1}, "r_qubits"),
      ("bqp", [], {"r_qubits": 0}, "r_qubits"), ("approx", [], {"k_values": [8, 0]}, "k_values"),
      ("baseline", ["--k", "0"], {}, "k"), ("apps", ["--k", "0"], {}, "vd_k"), ("estimate", ["--rank", "0"], {}, "rank"),
-     ("bounds", [], {"t_values": [0, 1]}, "t_values"), ("apps", [], {"renyi_alpha": 0}, "renyi_alpha"),
+     ("apps", [], {"renyi_alpha": 0}, "renyi_alpha"),
      ("apps", [], {"tsallis_q": -1}, "tsallis_q")],
     ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
          "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1", "estimate-qubits-negative",
          "bqp-r_qubits-negative", "bqp-r_qubits-0", "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
-         "estimate-rank-0", "bounds-t_values-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative"],
+         "estimate-rank-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative"],
 )
 def test_count_below_its_least_value_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, suite, argv, config, key
@@ -247,7 +248,7 @@ FRACTIONAL = [("estimate", "runs", 3.9), ("apps", "vd_runs", 2.5), ("baseline", 
               ("baseline", "shots_list", [100, 1000.5]), ("approx", "grid_size", 100.7),
               ("estimate", "qubits", 1.5), ("bqp", "r_qubits", 2.0), ("approx", "k_values", [8.5, 16.9]),
               ("baseline", "k", 3.5), ("apps", "vd_k", 4.5), ("estimate", "rank", 1.2),
-              ("bounds", "t_values", [1, 2.5]), ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0)]
+              ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0)]
 
 
 def test_every_integer_key_has_a_fractional_case():
@@ -264,7 +265,6 @@ def test_fractional_integer_key_exits_2_before_any_work(tmp_path, capsys, monkey
 
 LIST_KEYS = [(suite, key) for suite in SUITES for key, value in suite_defaults(suite).items()
              if isinstance(value, list)]
-RANGE_KEYS = [(suite, key) for suite, key in LIST_KEYS if key.endswith("_range")]
 
 
 def _exits_2_before_any_work(tmp_path, suite, config):
@@ -279,16 +279,31 @@ def _exits_2_before_any_work(tmp_path, suite, config):
 def test_empty_list_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert _exits_2_before_any_work(tmp_path, suite, {key: []})
-    expected = "a [low, high] pair" if key.endswith("_range") else "a non-empty list"
-    assert f"config key {key!r} must be {expected}" in capsys.readouterr().err
+    assert f"config key {key!r} must be a non-empty list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("size", [1, 3])
-@pytest.mark.parametrize("suite, key", RANGE_KEYS, ids=[f"{s}-{k}" for s, k in RANGE_KEYS])
-def test_range_that_is_not_a_pair_exits_2_before_any_work(
-    tmp_path, capsys, monkeypatch, suite, key, size
-):
+# gate thresholds, and keys that changed no record or overrode the error
+# budget: a suite's verdict and its readout grid are set by its code
+REMOVED_KEYS = [("approx", "slope_range", [0.0, 9.0]), ("estimate", "pass_threshold", 0.0),
+                ("estimate", "ae_grid_override", 64), ("baseline", "slope_tolerance", 9.0),
+                ("bounds", "helstrom_ratio_range", [0.0, 99.0]), ("bounds", "t_values", [1, 2]),
+                ("bqp", "defect_tolerance", 1.0), ("apps", "coverage_threshold", 0.0),
+                ("separation", "swap_exponent_range", [0.0, 9.0]), ("separation", "query_exponent_max", 2.0),
+                ("separation", "observable_kind", "pauli:ZI")]
+
+
+@pytest.mark.parametrize("suite, key, value", REMOVED_KEYS, ids=[f"{s}-{k}" for s, k, _ in REMOVED_KEYS])
+def test_removed_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key, value):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    low, high = suite_defaults(suite)[key]
-    assert _exits_2_before_any_work(tmp_path, suite, {key: [low, high, high][:size]})
-    assert f"config key {key!r} must be a [low, high] pair" in capsys.readouterr().err
+    assert key not in suite_defaults(suite)
+    assert _exits_2_before_any_work(tmp_path, suite, {key: value})
+    assert f"suite {suite} reads no config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qubits, label", [(1, "pauli:Z"), (3, "pauli:ZII")])
+def test_separation_observable_follows_its_qubit_count(tmp_path, monkeypatch, qubits, label):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["separation", "--qubits", str(qubits), "--out", str(tmp_path)]) == 0
+    (config_dir,) = (tmp_path / "separation").iterdir()
+    records = json.loads((config_dir / "records.json").read_text())
+    assert {rec["spec"]["instance"]["observable_kind"] for rec in records} == {label}

@@ -33,13 +33,13 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 GOLDEN_RECORDS_SHA256 = {
-    "approx": "1142c158798cb9dbd1f82a1afa6bd8e220b9c2b63ec8fb17d5905049f34f94c1",
-    "estimate": "4914a551a44ddc0fa6840eda2f654abdef248f7dc759c1c60ba250730de8895b",
-    "baseline": "77f1554cdffb45309becf84bb864983d30e6286f3677bb32e0af554bd6296eae",
-    "bounds": "624f9a521535c1c79dbc897d3311ab1e54bb78d45adb3020a5b6fbc93e17a92e",
-    "bqp": "12d1f5df0b00afdafe0019d0b94b0d18ef0f6fb8c0d0ac70c3797c4cc178de8d",
-    "apps": "417844af864cc3de96bf21a1eebdcfc2c258a5439c40d8062aac736d8c177e28",
-    "separation": "d02a2bd6613a376179a2689d8d4db76073724f7b36dd691c0e8618ecb44a315e",
+    "approx": "8dc1ba1aad3a93ac1675ad9f54ddb6d7d709faa0d120d14999280c22dd68ab5f",
+    "estimate": "9e55107da2a4683111ab50de921c8b1fe847a8860a1b41639a275a4685405314",
+    "baseline": "1bf9ae12266046220f8f81430fa7bd487e274863d81c5845e3d4a64293b4fb9f",
+    "bounds": "2ec8c2d79de3ddf92387a56b44698c131b0207a5036cc762c6a86196fd7fda86",
+    "bqp": "ff1bb2fee068bc52f55639dfa0ebe80505e6fb9037ccd82c0fa87cb13882f3ac",
+    "apps": "a9950f8f29429f1aab6dfbb2400f75e8857b832606949f0d041179b0f6c06d6c",
+    "separation": "bf71fc251962aceaa16b4b0ead1200d297e213559c30fd0b451f640d7c3f18db",
 }
 
 

@@ -84,6 +84,18 @@ def test_make_state_kinds():
     assert np.allclose(mat, np.diag(np.diag(mat)))
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "named:max_mixed"])
+def test_make_states_validates_a_non_random_kind_once(numpy_decompositions, kind):
+    """A stack of a non-random kind is built raw and validated once: one
+    eigh of the (3, 4, 4) stack, and each matrix is what ``make_state``
+    builds for its seed."""
+    spec = pt.InstanceSpec(qubits=2, rank=3, seed=0, state_kind=kind)
+    states = instances.make_states(spec, [1, 2, 3])
+    assert [(name, arg.shape) for name, arg in numpy_decompositions] == [("eigh", (3, 4, 4))]
+    for mat, seed in zip(states.mat, [1, 2, 3]):
+        assert np.array_equal(mat, pt.make_state(dataclasses.replace(spec, seed=seed)).mat)
+
+
 def test_make_observable_kinds():
     spec = pt.InstanceSpec(qubits=2, rank=1, seed=0, observable_kind="pauli:ZI")
     assert np.allclose(
@@ -287,6 +299,19 @@ def test_cli_bqp_defect(tmp_path):
     assert summary["all_bernoulli_ok"] is True
 
 
+@pytest.mark.parametrize("ks, ratio_range", [("10,20,40,80", [7.0, 9.0]), ("10,20", [1.75, 2.25])])
+def test_bounds_helstrom_window_follows_the_k_sweep(tmp_path, ks, ratio_range):
+    """m* grows as k, so the m* ratio is gated within 7/8 to 9/8 of the
+    sweep's k ratio: [7, 9] on the default sweep, [1.75, 2.25] on k = 10, 20."""
+    out = tmp_path / "out"
+    assert main(["bounds", "--k", ks, "--out", str(out)]) == 0
+    (summary_path,) = list((out / "bounds").glob("*/summary.json"))
+    summary = json.loads(summary_path.read_text())
+    assert summary["helstrom_ratio_range"] == ratio_range
+    assert summary["lecam_exponent_window"] == [1.9, 2.1]
+    assert summary["hybrid_exponent_window"] == [0.95, 1.05]
+
+
 def test_cli_estimate_small_run(tmp_path):
     out = tmp_path / "out"
     code = main(["estimate", "--runs", "12", "--k", "4", "--out", str(out)])
@@ -300,6 +325,21 @@ def test_cli_estimate_small_run(tmp_path):
     for rec in records:
         assert "within_eps" in rec
         assert "oracle_value" in rec["report"]
+
+
+def test_apps_keeps_its_records_when_one_denominator_is_refused(tmp_path, monkeypatch):
+    """At seed 4 one distillation record's denominator estimate is within
+    vd_eps of 0. That record is refused (nan ratio, not covered), and the
+    suite still writes all 202 records and applies its coverage gate."""
+    monkeypatch.delenv(suites.SEED_ENV_VAR, raising=False)
+    assert main(["apps", "--seed", "4", "--out", str(tmp_path)]) == 0
+    (config_dir,) = (tmp_path / "apps").iterdir()
+    records = json.loads((config_dir / "records.json").read_text())
+    assert len(records) == 202
+    refused = [r["report"] for r in records if r["report"].get("ratio_estimate") == "nan"]
+    assert len(refused) == 1 and refused[0]["error_bound"] == "nan" and not refused[0]["covered"]
+    summary = json.loads((config_dir / "summary.json").read_text())
+    assert summary["coverage_threshold"] <= summary["vd_coverage"] < 1.0
 
 
 def test_cli_estimate_named_instance(tmp_path):

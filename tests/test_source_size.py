@@ -9,7 +9,7 @@ package lowers the ceiling to the new count.
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "powertrace"
-MAX_SRC_LINES = 2780
+MAX_SRC_LINES = 2770
 
 
 def test_source_stays_under_its_line_ceiling():
