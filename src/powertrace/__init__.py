@@ -65,7 +65,7 @@ from .bounds import (
     swap_test_estimate,
     swap_test_moments,
 )
-from .instances import InstanceSpec, make_observable, make_state, pauli_string, random_density, random_unitary
+from .instances import InstanceSpec, make_observable, make_state, pauli_string, random_unitary
 
 __version__ = "0.1.0"
 
@@ -111,7 +111,6 @@ __all__ = [
     "pauli_string",
     "power_expansion",
     "purify",
-    "random_density",
     "random_unitary",
     "renyi_entropy",
     "required_degree",

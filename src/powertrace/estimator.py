@@ -31,7 +31,7 @@ and O(1) memory on a K = 2^t point grid, as the circuit produces it:
 ``amplitude_estimate`` picks one of the two rotation branches with a fair
 coin, then measures the t counting qubits one at a time (the
 semiclassical inverse QFT), each bit from a Bernoulli law set by the
-phase and the bits already drawn.
+phase and the bits already drawn, all 1 + t uniforms from one call.
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
@@ -160,13 +160,15 @@ def _draw_outcome(theta: float, grid_size: int, rng: np.random.Generator) -> int
     first, each bit from ``_bit_probability``. The product of these
     Bernoulli laws telescopes (sin 2x = 2 sin x cos x) to the Fejer law
     sin^2(pi K d) / (K^2 sin^2(pi d)), d = phi - y / K, so the draw is
-    exact and takes 1 + t uniform draws.
+    exact. It takes 1 + t uniforms from one ``rng.random`` call, then draws
+    the bits on Python floats with ``math.sin``.
     """
-    phi = theta if rng.random() < 0.5 else -theta
     t = grid_size.bit_length() - 1
+    coin, *uniforms = rng.random(1 + t).tolist()
+    phi = theta if coin < 0.5 else -theta
     y = 0
-    for m in range(t):
-        if rng.random() < _bit_probability(phi, t, m, y):
+    for m, u in enumerate(uniforms):
+        if u < _bit_probability(phi, t, m, y):
             y += 1 << m
     return y
 
@@ -247,11 +249,11 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
     overlaps, alphas, ledgers = _power_overlap(purification, o, ks, eps)
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     reports = []
+    grids = {alpha_o: choose_ae_grid(eps / (4.0 * alpha_o)) for alpha_o in set(alphas.tolist())}
     for overlap, alpha_o, ledger, oracle, k_i, seed in zip(
         overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds, strict=True
     ):
-        eps_prime = eps / (4.0 * alpha_o)
-        grid = choose_ae_grid(eps_prime)
+        eps_prime, grid = eps / (4.0 * alpha_o), grids[alpha_o]
         parts = []
         for idx, setting in enumerate(settings):
             p_true = _p_zero(overlap / alpha_o, setting)

@@ -65,18 +65,13 @@ def _random_densities(qubits: int, rank: int, seeds: list) -> np.ndarray:
     return m
 
 
-def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
-    """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
-    of shape (2^qubits, rank)."""
-    return DensityMatrix(_random_densities(qubits, rank, [seed])[0])
-
-
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-ish random unitary from the QR decomposition of a Gaussian."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def random_unitary(dim: int, seeds: list) -> np.ndarray:
+    """The stack of Haar random unitaries, one per seed: Q of the QR
+    decomposition of a complex Gaussian (dim, dim), its columns rephased by
+    R's diagonal. The stack takes one batched QR."""
+    q, r = np.linalg.qr(_gaussians((dim, dim), seeds))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def pauli_string(label: str) -> np.ndarray:

@@ -8,7 +8,8 @@ purification vector of the state, the SWAP-lemma unitary of the density
 block encoding, the block identity ``closed_form_p_zero``, the simulated
 Hadamard-test circuit, the dense phase-estimation law, the swap test's
 cyclic permutation, ``partial_trace`` and ``fidelity``) so the tests can
-compare the two. No pipeline module imports it.
+compare the two, and the one seeded ``random_density`` the tests build
+their states from. No pipeline module imports it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .blockenc import PurifiedState
 from .errors import ValidationError
+from .instances import _random_densities
 from .linalg import (
     DensityMatrix,
     _psd_sqrt,
@@ -27,6 +29,12 @@ from .linalg import (
     eigh,
     op_norm,
 )
+
+
+def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
+    """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
+    of shape (2^qubits, rank): one record of ``make_states``."""
+    return DensityMatrix(_random_densities(qubits, rank, [seed])[0])
 
 
 def purification_vector(state: DensityMatrix) -> np.ndarray:

@@ -15,9 +15,10 @@ overrides <- POWERTRACE_SEED), runs its records, and writes
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
 
-The ``estimate`` and ``apps`` runners cut their records into contiguous
-chunks of at most 2^16 / d^2 records each and run each chunk as one stack
-of states. A record does not depend on its chunk.
+The ``estimate``, ``apps`` and ``bqp`` runners cut their records into
+contiguous chunks of at most 2^16 / d^2 records each and run each chunk as
+one stack of states (the 50 default ``bqp`` circuits are one stack). A
+record does not depend on its chunk.
 
 A config holds only experiment parameters; the gate thresholds are the
 module constants below, and each summary reports those it applied. A
@@ -97,23 +98,32 @@ def fmt(x) -> str:
     return str(x)
 
 
+# the built-in kind canonical_json writes a numpy scalar or a subclass as
+_JSON_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, bool), (int, (int, np.integer)),
+               (list, (list, tuple)))
+
+
 def canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
-    Each value is written once, at ``indent``, the indent of its line."""
-    if isinstance(obj, dict):
-        pad = " " * (indent + 2)
-        items = [f'{pad}"{key}": {canonical_json(obj[key], indent + 2)}' for key in sorted(obj)]
-        return "{\n" + ",\n".join(items) + "\n" + pad[2:] + "}" if items else "{}"
-    if isinstance(obj, (float, np.floating)):
+    Each value is written once, at ``indent``, the indent of its line. It
+    dispatches on the exact type, floats first."""
+    kind = type(obj)
+    if kind not in (float, dict, str, bool, int, list):
+        kind = next((base for base, types in _JSON_KINDS if isinstance(obj, types)), None)
+    if kind is float:
         x = float(obj)
         if math.isfinite(x):
             return format(x, ".17g")
         return '"nan"' if math.isnan(x) else ('"inf"' if x > 0 else '"-inf"')
-    if isinstance(obj, bool):
+    if kind is dict:
+        pad = " " * (indent + 2)
+        items = [f'{pad}"{key}": {canonical_json(obj[key], indent + 2)}' for key in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad[2:] + "}" if items else "{}"
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if kind is int:
         return str(int(obj))
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         pad = " " * (indent + 2)
         items = [pad + canonical_json(v, indent + 2) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad[2:] + "]" if items else "[]"
@@ -140,12 +150,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _cell(record: dict, paths: str):
-    """The value at the first of the "|"-separated dotted ``paths`` that
+def _cell(record: dict, paths: list):
+    """The value at the first of ``paths`` (each a list of keys) that
     ``record`` holds; nan if it holds none of them."""
-    for path in paths.split("|"):
+    for path in paths:
         value = record
-        for key in path.split("."):
+        for key in path:
             if not isinstance(value, dict) or key not in value:
                 break
             value = value[key]
@@ -156,9 +166,11 @@ def _cell(record: dict, paths: str):
 
 def write_csv(path: str, columns: dict[str, str], records: list[dict]) -> None:
     """Write the table of ``records``: one row per record, one column per
-    (header, paths) entry of ``columns``."""
+    (header, paths) entry of ``columns``, its "|"-separated dotted paths
+    split once per table."""
+    split = [[p.split(".") for p in paths.split("|")] for paths in columns.values()]
     lines = [",".join(columns)]
-    lines += [",".join(fmt(_cell(rec, paths)) for paths in columns.values()) for rec in records]
+    lines += [",".join(fmt(_cell(rec, paths)) for paths in split) for rec in records]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -167,10 +179,13 @@ def _timestamp() -> str:
 
 
 def _log_slope(xs, ys) -> float:
+    """The least-squares slope of log y against log x; nan for fewer than
+    two distinct x, or for a y <= 0, which has no logarithm."""
     xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    if xs.size < 2 or np.allclose(xs, xs[0]):
+    ys = np.asarray(ys, dtype=float)
+    if xs.size < 2 or np.allclose(xs, xs[0]) or (ys <= 0).any():
         return math.nan
+    ys = np.log(ys)
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -257,28 +272,15 @@ def _suite_estimate(cfg: dict):
 
 
 def _suite_baseline(cfg: dict):
-    spec = InstanceSpec(
-        qubits=cfg["qubits"],
-        rank=cfg["rank"],
-        seed=cfg["seed"],
-        state_kind=cfg["state_kind"],
-        observable_kind=cfg["observable_kind"],
-        k=cfg["k"],
-    )
-    rho = make_state(spec)
-    obs = make_observable(spec)
+    spec = InstanceSpec(qubits=cfg["qubits"], rank=cfg["rank"], seed=cfg["seed"], state_kind=cfg["state_kind"],
+                        observable_kind=cfg["observable_kind"], k=cfg["k"])
+    rho, obs = make_state(spec), make_observable(spec)
     oracle = trace_power_obs_oracle(rho, obs, cfg["k"]).real
     records, mean_stderrs = [], []
     for i, shots in enumerate(cfg["shots_list"]):
         stderrs = []
         for rep in range(cfg["repeats"]):
-            result = swap_test_estimate(
-                rho,
-                obs,
-                cfg["k"],
-                shots,
-                seed=derive_seed(cfg["seed"], 100 * i + rep),
-            )
+            result = swap_test_estimate(rho, obs, cfg["k"], shots, seed=derive_seed(cfg["seed"], 100 * i + rep))
             stderrs.append(result.stderr)
             records.append({"spec": spec.to_json(), "report": {
                 "shots": shots,
@@ -371,28 +373,25 @@ def _suite_bounds(cfg: dict):
     return records, summary
 
 
-def _suite_bqp(cfg: dict):
-    records = []
+def _bqp_records(cfg: dict, indices: range) -> list[dict]:
+    """The ``bqp`` records ``indices``, built as one stack of circuits."""
     r_dim = 2 ** cfg["r_qubits"]
-    acc = np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex))
-    accept = Observable(acc)
+    accept = Observable(np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex)))
     qs, ks = list(cfg["q_values"]), list(cfg["k_values"])
-    for i in range(cfg["runs"]):
-        seed = derive_seed(cfg["seed"], i)
-        q = float(qs[i % len(qs)])
-        k = ks[(i // len(qs)) % len(ks)]
-        inst = bqp_instance(random_unitary(r_dim, seed), accept, q, k)
-        records.append({
-            "spec": {"run": i, "q": q, "k": k, "seed": seed, "r_qubits": cfg["r_qubits"]},
-            "report": {
-                "lambda": inst.lam,
-                "p_x": inst.p_x,
-                "trace_power": inst.lam ** inst.k * inst.p_x,
-                "identity_defect": inst.identity_defect,
-                "thresholds": list(inst.thresholds),
-                "bernoulli_ok": bool(inst.lam ** inst.k >= 1.0 - 1.0 / q - 1e-12),
-            },
-        })
+    specs = [{"run": i, "q": float(qs[i % len(qs)]), "k": ks[(i // len(qs)) % len(ks)],
+              "seed": derive_seed(cfg["seed"], i), "r_qubits": cfg["r_qubits"]} for i in indices]
+    inst = bqp_instance(random_unitary(r_dim, [spec["seed"] for spec in specs]), accept,
+                        [spec["q"] for spec in specs], [spec["k"] for spec in specs])
+    return [{"spec": spec, "report": {
+        "lambda": lam, "p_x": p_x, "trace_power": lam ** k * p_x, "identity_defect": defect,
+        "thresholds": list(thresholds), "bernoulli_ok": bool(lam ** k >= 1.0 - 1.0 / spec["q"] - 1e-12),
+    }} for spec, lam, k, p_x, defect, thresholds in zip(
+        specs, inst.lam, inst.k, inst.p_x, inst.identity_defect, inst.thresholds, strict=True)]
+
+
+def _suite_bqp(cfg: dict):
+    # a record's circuit, state and oracle are 2^(r_qubits + 1) wide at most
+    records = _map_chunks(partial(_bqp_records, cfg), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
     defects = [r["report"]["identity_defect"] for r in records]
     all_ok = all(r["report"]["bernoulli_ok"] for r in records)
     summary = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import powertrace as pt
 from conftest import dense_power_times_obs
 from powertrace import blockenc, estimator, linalg, qsvt, reference
+from powertrace.reference import random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -59,7 +60,7 @@ def _traced_back(rho):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_purify_round_trip_random(seed):
-    rho = pt.random_density(2, 2, seed)
+    rho = random_density(2, 2, seed)
     back = _traced_back(rho)
     assert np.linalg.norm(back - rho.mat, 2) <= 1e-11
 
@@ -67,14 +68,14 @@ def test_purify_round_trip_random(seed):
 @pytest.mark.parametrize("qubits,rank", [(1, 2), (2, 3), (3, 4)])
 def test_purify_round_trip_dims(qubits, rank):
     for seed in range(5):
-        rho = pt.random_density(qubits, rank, seed)
+        rho = random_density(qubits, rank, seed)
         back = _traced_back(rho)
         assert np.linalg.norm(back - rho.mat, 2) <= 1e-11
 
 
 def _rotated_spectrum(weights, seed):
     """U diag(weights) U^dag for a seeded random unitary U."""
-    u = pt.random_unitary(len(weights), seed)
+    u = pt.random_unitary(len(weights), [seed])[0]
     m = (u * np.asarray(weights, dtype=float)) @ u.conj().T
     m = (m + m.conj().T) / 2
     return pt.DensityMatrix(m / np.trace(m).real)
@@ -108,7 +109,7 @@ def test_purification_traces_back_to_its_state(n, data, kind, seed):
     if kind == "rotated":
         rho = _rotated_spectrum(weights, seed)
     elif kind == "random":
-        rho = pt.random_density(n, rank, seed)
+        rho = random_density(n, rank, seed)
     else:
         rho = pt.DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
     pur = pt.purify(rho)
@@ -133,8 +134,8 @@ def test_purify_allocates_no_vector():
     256 x 256 complex array (1 MiB); the state is all a purification holds."""
     assert [f.name for f in dataclasses.fields(pt.PurifiedState)] == ["state"]
     assert not hasattr(blockenc, "partial_trace")
-    rho = pt.random_density(8, 2 ** 8, seed=8)
-    pt.purify(pt.random_density(1, 2, seed=0))
+    rho = random_density(8, 2 ** 8, seed=8)
+    pt.purify(random_density(1, 2, seed=0))
     tracemalloc.start()
     try:
         pur = pt.purify(rho)
@@ -163,13 +164,13 @@ def test_density_encoding_maximally_mixed():
 @pytest.mark.parametrize("seed", range(50))
 def test_density_encoding_exact_on_random_states(seed):
     qubits = 1 + seed % 2
-    rho = pt.random_density(qubits, 1 + seed % 2 ** qubits, seed)
+    rho = random_density(qubits, 1 + seed % 2 ** qubits, seed)
     unitary = reference.density_block_unitary(pt.purify(rho))
     assert reference.verify_block_encoding(unitary, 1.0, rho.mat) <= 1e-10
 
 
 def test_density_encoding_dilation_is_unitary():
-    rho = pt.random_density(2, 3, seed=12)
+    rho = random_density(2, 3, seed=12)
     unitary = reference.density_block_unitary(pt.purify(rho))
     dim = unitary.shape[0]
     assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(dim), 2) <= 1e-9
@@ -177,7 +178,7 @@ def test_density_encoding_dilation_is_unitary():
 
 def test_density_encoding_respects_cap(monkeypatch):
     monkeypatch.setattr(linalg, "QUBIT_CAP", 4)
-    rho = pt.random_density(2, 2, seed=0)
+    rho = random_density(2, 2, seed=0)
     with pytest.raises(pt.ResourceError):
         reference.density_block_unitary(pt.purify(rho))
 
@@ -185,7 +186,7 @@ def test_density_encoding_respects_cap(monkeypatch):
 def test_density_block_is_the_encoding_without_its_dilation():
     """The state the pipeline transforms, the one the purification carries,
     is the top-left block of the SWAP-lemma unitary on a + n ancillas."""
-    pur = pt.purify(pt.random_density(2, 3, seed=13))
+    pur = pt.purify(random_density(2, 3, seed=13))
     rho = pur.state
     unitary = reference.density_block_unitary(pur)
     assert unitary.shape[0] == rho.dim ** 3
@@ -195,7 +196,7 @@ def test_density_block_is_the_encoding_without_its_dilation():
 def test_reduced_state_is_computed_once():
     """The purification's reduced state is the state it was given: never
     computed again."""
-    rho = pt.random_density(2, 3, seed=15)
+    rho = random_density(2, 3, seed=15)
     assert pt.purify(rho).state is rho
     assert pt.purify(rho) == pt.PurifiedState(rho)
 
@@ -259,7 +260,7 @@ def test_alpha_below_the_block_norm_is_rejected(seed):
 def test_pipeline_norm_bounds_hold(seed):
     """|p(l_i)| <= 1 for the transform, alpha_O >= ||O||, and so
     |Tr(rho p(rho) O)| <= alpha_O: P(0) is a probability in both settings."""
-    pur = pt.purify(pt.random_density(2, 1 + seed % 4, seed))
+    pur = pt.purify(random_density(2, 1 + seed % 4, seed))
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
     p_w, _ = qsvt.transform_spectra(pur.state.spectrum().eigenvalues[None], [6], [1e-3])
     assert np.max(np.abs(p_w)) <= 1.0 + qsvt.SUP_NORM_SLACK
@@ -273,7 +274,7 @@ def test_pipeline_norm_bounds_hold(seed):
 def test_product_scale_and_ancilla_bookkeeping():
     """The product with 3|0><0| is read at scale alpha_O = 3, and the
     overlap is its trace against rho."""
-    rho = pt.random_density(1, 2, seed=1)
+    rho = random_density(1, 2, seed=1)
     obs = pt.Observable(3 * PROJ0)
     overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [4], 1e-2)
     assert alpha == pytest.approx(3.0)
@@ -284,7 +285,7 @@ def test_product_scale_and_ancilla_bookkeeping():
 def test_product_identity_times_identity():
     """At k = 2 the truncation is x itself, so with O = I the product is
     rho at scale 1 and the overlap is the purity Tr(rho^2)."""
-    rho = pt.random_density(1, 2, seed=1)
+    rho = random_density(1, 2, seed=1)
     overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), pt.Observable(np.eye(2)), [2], 0.5)
     assert alpha == 1.0
     assert np.allclose(dense_power_times_obs(rho, pt.Observable(np.eye(2)), 2, 0.5), rho.mat, atol=1e-12)
@@ -297,7 +298,7 @@ def test_product_defect_within_bookkeeping(seed):
     estimate books for it, and the estimator's overlap is its trace
     against rho."""
     qubits = 1 + seed % 2
-    rho = pt.random_density(qubits, 1 + seed % 2 ** qubits, seed)
+    rho = random_density(qubits, 1 + seed % 2 ** qubits, seed)
     obs = pt.make_observable(pt.InstanceSpec(qubits=qubits, rank=1, seed=seed))
     k, eps = 2 + seed % 7, 1e-2
     block = dense_power_times_obs(rho, obs, k, eps)
@@ -308,7 +309,7 @@ def test_product_defect_within_bookkeeping(seed):
 
 
 def test_product_dim_mismatch():
-    pur = pt.purify(pt.random_density(1, 2, seed=2))
+    pur = pt.purify(random_density(1, 2, seed=2))
     with pytest.raises(pt.ValidationError, match="does not match"):
         pt.estimate_trace_power(pur, pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
 
@@ -325,7 +326,7 @@ def test_verify_needs_dilation():
 
 
 def test_verify_flags_corrupted_dilation():
-    rho = pt.random_density(1, 2, seed=3)
+    rho = random_density(1, 2, seed=3)
     corrupted = reference.density_block_unitary(pt.purify(rho))
     corrupted[:, 0] *= -1.0  # phase flip on one basis column
     assert reference.verify_block_encoding(corrupted, 1.0, rho.mat) > 1e-3

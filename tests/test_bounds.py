@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import powertrace as pt
 from powertrace.bounds import _swap_test_outcome_table, helstrom_m_star
-from powertrace.reference import cyclic_permutation, fidelity, partial_trace
+from powertrace.reference import cyclic_permutation, fidelity, partial_trace, random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -48,7 +48,7 @@ def test_cycle_action_on_basis():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_permutation_trace_identity_one_qubit(k):
     for seed in range(6):
-        rho = pt.random_density(1, 2, seed)
+        rho = random_density(1, 2, seed)
         obs = pt.make_observable(pt.InstanceSpec(qubits=1, rank=1, seed=seed))
         lhs = np.trace(
             cyclic_permutation(k, 2)
@@ -62,7 +62,7 @@ def test_permutation_trace_identity_one_qubit(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_permutation_trace_identity_two_qubits(k):
     for seed in range(4):
-        rho = pt.random_density(2, 3, seed)
+        rho = random_density(2, 3, seed)
         obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
         lhs = np.trace(
             cyclic_permutation(k, 4)
@@ -81,7 +81,7 @@ def test_cycle_respects_cap():
 # --------------------------------------------------------- swap_test_estimate
 
 def test_swap_test_pure_state_identity_observable():
-    rho = pt.random_density(1, 1, seed=0)
+    rho = random_density(1, 1, seed=0)
     obs = pt.Observable(np.eye(2, dtype=complex))
     result = pt.swap_test_estimate(rho, obs, 4, shots=200, seed=1)
     assert result.mean == pytest.approx(1.0, abs=1e-9)
@@ -98,7 +98,7 @@ def test_swap_test_maximally_mixed_purity():
 
 
 def test_swap_test_unbiased_pooled():
-    rho = pt.random_density(1, 2, seed=3)
+    rho = random_density(1, 2, seed=3)
     obs = pt.Observable(Z)
     oracle = pt.trace_power_obs_oracle(rho, obs, 3).real
     result = pt.swap_test_estimate(rho, obs, 3, shots=100_000, seed=4)
@@ -107,7 +107,7 @@ def test_swap_test_unbiased_pooled():
 
 def test_swap_test_outcome_table_matches_full_circuit():
     # independent oracle: build the (H, controlled-cycle) circuit explicitly
-    rho = pt.random_density(1, 2, seed=5)
+    rho = random_density(1, 2, seed=5)
     obs = pt.make_observable(pt.InstanceSpec(qubits=1, rank=1, seed=5))
     k = 3
     d, n_all = 2, 2 ** 3
@@ -137,7 +137,7 @@ def test_swap_test_outcome_table_matches_full_circuit():
 
 
 def test_swap_test_moments_closed_form():
-    rho = pt.random_density(2, 2, seed=6)
+    rho = random_density(2, 2, seed=6)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     mean, var = pt.swap_test_moments(rho, obs, 5)
     assert mean == pytest.approx(pt.trace_power_obs_oracle(rho, obs, 5).real, abs=1e-12)
@@ -148,7 +148,7 @@ def test_swap_test_moments_closed_form():
 
 @pytest.mark.parametrize("k", [10, 64])  # 21 and 129 qubits
 def test_swap_test_exact_above_cap(k):
-    rho = pt.random_density(2, 2, seed=7)
+    rho = random_density(2, 2, seed=7)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     result = pt.swap_test_estimate(rho, obs, k, shots=50_000, seed=8)
     assert result.mode == "exact"
@@ -182,7 +182,7 @@ def _tensor_product_outcome_table(rho, obs, k):
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 3), (1, 5), (2, 4), (3, 3), (1, 8)])
 def test_swap_test_closed_form_matches_tensor_construction(n, k):
-    rho = pt.random_density(n, 2, seed=20 + n + k)
+    rho = random_density(n, 2, seed=20 + n + k)
     obs = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=k))
     want_values, want_probs = _tensor_product_outcome_table(rho, obs, k)
     values, probs = _swap_test_outcome_table(rho, obs, k)
@@ -218,7 +218,7 @@ def test_swap_test_outcome_table_law(n, rank_frac, k, seed):
 
 
 def test_swap_tests_on_one_state_share_one_decomposition(numpy_decompositions):
-    rho = pt.random_density(2, 3, seed=21)
+    rho = random_density(2, 3, seed=21)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     pt.swap_test_moments(rho, obs, 4)
     for seed in range(5):
@@ -251,7 +251,7 @@ def test_swap_test_stderr_scaling():
 
 
 def test_swap_test_validation():
-    rho = pt.random_density(1, 2, seed=10)
+    rho = random_density(1, 2, seed=10)
     with pytest.raises(pt.ValidationError):
         pt.swap_test_estimate(rho, pt.Observable(Z), 3, shots=1)
     ladder = pt.Observable(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False)
@@ -403,7 +403,7 @@ def test_bqp_weight_decay_bound(q, k):
     if q * k <= 1:
         pytest.skip("weight undefined")
     inst = pt.bqp_instance(
-        pt.random_unitary(4, seed=int(q) + k), _accept_first_qubit(2), q=q, k=k
+        pt.random_unitary(4, [int(q) + k])[0], _accept_first_qubit(2), q=q, k=k
     )
     assert inst.lam ** k >= 1 - 1 / q - 1e-12
 
@@ -411,7 +411,7 @@ def test_bqp_weight_decay_bound(q, k):
 @pytest.mark.parametrize("seed", range(10))
 def test_bqp_identity_defect_random_circuits(seed):
     inst = pt.bqp_instance(
-        pt.random_unitary(4, seed=seed), _accept_first_qubit(2), q=2.0, k=5
+        pt.random_unitary(4, [seed])[0], _accept_first_qubit(2), q=2.0, k=5
     )
     assert inst.identity_defect <= 1e-10
     a, b = inst.thresholds
@@ -419,7 +419,7 @@ def test_bqp_identity_defect_random_circuits(seed):
 
 
 def test_bqp_thresholds_classify_promise():
-    u = pt.random_unitary(4, seed=0)
+    u = pt.random_unitary(4, [0])[0]
     inst = pt.bqp_instance(u, _accept_first_qubit(2), q=10.0, k=3)
     value = inst.lam ** inst.k * inst.p_x
     a, b = inst.thresholds
@@ -451,10 +451,68 @@ def test_bqp_rejects_non_unitary():
         )
 
 
+def _bqp_stack(runs=50):
+    """The default ``bqp`` suite's circuits, q and k, as stacks."""
+    seeds = [pt.instances.derive_seed(0, i) for i in range(runs)]
+    qs = [[2.0, 10.0][i % 2] for i in range(runs)]
+    ks = [[1, 5, 20][(i // 2) % 3] for i in range(runs)]
+    return seeds, pt.random_unitary(4, seeds), qs, ks
+
+
+def test_bqp_stack_equals_its_records():
+    seeds, unitaries, qs, ks = _bqp_stack()
+    accept = _accept_first_qubit(2)
+    stack = pt.bqp_instance(unitaries, accept, qs, ks)
+    states = stack.purified_state.state.mat
+    assert states.shape == (50, 8, 8)
+    for i, seed in enumerate(seeds):
+        u = pt.random_unitary(4, [seed])[0]
+        assert u.tobytes() == unitaries[i].tobytes()
+        one = pt.bqp_instance(u, accept, qs[i], ks[i])
+        for field in ("lam", "k", "p_x", "thresholds", "identity_defect"):
+            assert getattr(stack, field)[i] == getattr(one, field), field
+        assert type(one.lam) is float and type(one.thresholds) is tuple
+        assert states[i].tobytes() == one.purified_state.state.mat.tobytes()
+        assert stack.obs.mat.tobytes() == one.obs.mat.tobytes()
+
+
+def test_bqp_stack_decomposes_as_one_record(numpy_decompositions):
+    """The unitarity check, the projector check, the observable's norm and
+    the state's ``eigh`` each run once for a stack, as for one record."""
+    _, unitaries, qs, ks = _bqp_stack()
+    accept = _accept_first_qubit(2)
+    numpy_decompositions.clear()
+    pt.bqp_instance(unitaries[0], accept, qs[0], ks[0])
+    single = [name for name, _ in numpy_decompositions]
+    numpy_decompositions.clear()
+    pt.bqp_instance(unitaries, accept, qs, ks)
+    assert [name for name, _ in numpy_decompositions] == single == ["svd", "svd", "svd", "eigh"]
+
+
+def test_bqp_stack_names_its_non_unitary_record():
+    _, unitaries, qs, ks = _bqp_stack(6)
+    unitaries[3, 0, 0] *= 1.5
+    with pytest.raises(pt.ValidationError, match=r"^circuit matrix \[3\] is not unitary$"):
+        pt.bqp_instance(unitaries, _accept_first_qubit(2), qs, ks)
+
+
+@pytest.mark.parametrize("q, k", [([2.0] * 5, [5] * 6), (2.0, [[5]] * 6)])
+def test_bqp_stack_needs_one_or_r_of_q_and_k(q, k):
+    _, unitaries, _, _ = _bqp_stack(6)
+    with pytest.raises(pt.ValidationError, match=r"one or R of q and k"):
+        pt.bqp_instance(unitaries, _accept_first_qubit(2), q, k)
+
+
+def test_bqp_stack_names_its_record_below_unit_weight():
+    _, unitaries, _, _ = _bqp_stack(4)
+    with pytest.raises(pt.ValidationError, match=r"^bqp record \[2\] needs q\*k > 1"):
+        pt.bqp_instance(unitaries, _accept_first_qubit(2), [2.0, 2.0, 0.5, 2.0], 1)
+
+
 def test_bqp_estimator_integration():
     # the reduction instance feeds straight into the query-access estimator
     inst = pt.bqp_instance(
-        pt.random_unitary(4, seed=13), _accept_first_qubit(2), q=10.0, k=2
+        pt.random_unitary(4, [13])[0], _accept_first_qubit(2), q=10.0, k=2
     )
     report = pt.estimate_trace_power(inst.purified_state, inst.obs, 2, 0.05, seed=3)
     assert abs(report.estimate - report.oracle_value) <= 0.05

@@ -65,12 +65,7 @@ ALTERNATIVES = {
 }
 
 
-# A one-qubit rank-1 state is pure: its swap test of the identity reads 1 on
-# every shot, so each stderr is 0 and the suite's log-log stderr fit warns.
-_ZERO_STDERR_WARNING = pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
-CASES = [pytest.param(suite, key, id=f"{suite}-{key}",
-                      marks=[_ZERO_STDERR_WARNING] if (suite, key) == ("baseline", "rank") else [])
-         for suite, key in ALTERNATIVES]
+CASES = [pytest.param(suite, key, id=f"{suite}-{key}") for suite, key in ALTERNATIVES]
 
 
 def _records(suite: str, file_config: dict, out) -> str:

@@ -18,6 +18,7 @@ from powertrace.reference import (
     ae_outcome_distribution,
     closed_form_p_zero,
     hadamard_test_prob,
+    random_density,
 )
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -27,13 +28,13 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 # --------------------------------------------------------- hadamard_test_prob
 
 def test_zero_block_gives_half():
-    rho = pt.random_density(1, 2, seed=0)
+    rho = random_density(1, 2, seed=0)
     p_zero = hadamard_test_prob(pt.halmos_dilate(np.zeros((2, 2))), pt.purify(rho), "I")
     assert p_zero == pytest.approx(0.5, abs=1e-12)
 
 
 def test_pure_state_projector_gives_one():
-    rho = pt.random_density(2, 1, seed=1)
+    rho = random_density(2, 1, seed=1)
     p_zero = hadamard_test_prob(pt.halmos_dilate(rho.mat), pt.purify(rho), "I")
     assert p_zero == pytest.approx(1.0, abs=1e-10)
 
@@ -51,7 +52,7 @@ def _unitary(rho, obs, k, eps):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_circuit_matches_closed_form(seed):
-    rho = pt.random_density(2, 2, seed)
+    rho = random_density(2, 2, seed)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=seed))
     block = dense_power_times_obs(rho, obs, 3, 0.05)
     for setting in ("I", "S_dagger"):
@@ -93,7 +94,7 @@ def _non_hermitian_observable(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
     for seed in range(3):
-        rho = pt.random_density(n, 2 ** n, seed)
+        rho = random_density(n, 2 ** n, seed)
         if hermitian:
             obs = pt.make_observable(pt.InstanceSpec(qubits=n, rank=1, seed=seed))
         else:
@@ -106,7 +107,7 @@ def test_state_vector_circuit_matches_dense_circuit(n, hermitian):
 
 
 def test_hadamard_test_respects_cap(monkeypatch):
-    rho = pt.random_density(2, 2, seed=2)
+    rho = random_density(2, 2, seed=2)
     unitary = _unitary(rho, pt.Observable(np.eye(4, dtype=complex)), 3, 0.05)
     # 1 control + 1 ancilla + 2 environment + 2 system = 6 qubits
     monkeypatch.setattr(linalg, "QUBIT_CAP", 5)
@@ -115,7 +116,7 @@ def test_hadamard_test_respects_cap(monkeypatch):
 
 
 def test_hadamard_test_rejects_bad_setting():
-    rho = pt.random_density(1, 2, seed=3)
+    rho = random_density(1, 2, seed=3)
     unitary = reference.density_block_unitary(pt.purify(rho))
     with pytest.raises(pt.ValidationError):
         hadamard_test_prob(unitary, pt.purify(rho), "S")
@@ -256,24 +257,55 @@ def test_ae_draws_follow_dense_law(K):
 
 
 class _CountingRng:
-    """A generator that counts its uniform draws and offers nothing else."""
+    """A generator that records the size of each uniform draw and offers
+    nothing else."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.draws = 0
+        self.sizes = []
 
-    def random(self):
-        self.draws += 1
-        return self._rng.random()
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self._rng.random(size)
 
 
 def test_ae_draw_takes_one_uniform_per_counting_qubit():
-    K = 2 ** 26
-    for seed, theta in enumerate((0.0, 0.5, 0.123456789, 1 / 3)):
-        rng = _CountingRng(seed)
-        y = estimator._draw_outcome(theta, K, rng)
-        assert 0 <= y < K
-        assert rng.draws <= 1 + 26
+    """A draw over t counting qubits takes its 1 + t uniforms in one call."""
+    for t in (1, 10, 26):
+        for seed, theta in enumerate((0.0, 0.5, 0.123456789, 1 / 3)):
+            rng = _CountingRng(seed)
+            y = estimator._draw_outcome(theta, 2 ** t, rng)
+            assert 0 <= y < 2 ** t
+            assert rng.sizes == [1 + t]
+
+
+# (theta, t, seed, y): amplitude_estimate(sin^2(pi theta), 2^t, rng_seed=seed)
+# reads outcome y; recorded when each draw took its uniforms one at a time.
+_PINNED_AE_OUTCOMES = [
+    (0.0, 1, 3, 0), (0.5, 2, 20, 2), (0.123456789, 3, 37, 7), (1 / 3, 4, 54, 5),
+    (0.25, 5, 71, 8), (0.07, 6, 88, 4), (0.4999, 7, 105, 64), (1e-07, 8, 122, 0),
+    (0.2718281828, 9, 139, 139), (0.31415926, 10, 156, 319), (0.0, 11, 173, 0),
+    (0.5, 12, 190, 2048), (0.123456789, 13, 207, 1011), (1 / 3, 14, 224, 10923),
+    (0.25, 15, 241, 8192), (0.07, 16, 258, 4588), (0.4999, 17, 275, 65549),
+    (1e-07, 18, 292, 0), (0.2718281828, 19, 309, 142517), (0.31415926, 20, 326, 329420),
+    (0.0, 21, 343, 0), (0.5, 22, 360, 2097152), (0.123456789, 23, 377, 1035631),
+    (1 / 3, 24, 394, 11184811), (0.25, 25, 411, 8388608), (0.07, 26, 428, 62411244),
+    (0.4999, 3, 445, 4), (1e-07, 7, 462, 0), (0.2718281828, 10, 479, 278),
+    (0.31415926, 13, 496, 5619), (0.0, 16, 513, 0), (0.5, 19, 530, 262144),
+    (0.123456789, 21, 547, 258908), (1 / 3, 22, 564, 2796203), (0.25, 24, 581, 12582912),
+    (0.07, 26, 598, 62411244), (0.4999, 26, 615, 33561143), (1e-07, 25, 632, 3),
+    (0.2718281828, 20, 649, 763544), (0.31415926, 12, 666, 2809),
+]
+
+
+def test_ae_outcomes_are_pinned():
+    """Every seeded draw reads the outcome it read when its uniforms were
+    drawn one at a time: the one-call draw takes the same uniforms in the
+    same order."""
+    got = [(theta, t, seed, pt.amplitude_estimate(math.sin(math.pi * theta) ** 2, 2 ** t,
+                                                  rng_seed=seed).raw_outcome_index)
+           for theta, t, seed, _ in _PINNED_AE_OUTCOMES]
+    assert got == _PINNED_AE_OUTCOMES
 
 
 def test_ae_sampled_draw_memory_is_independent_of_grid():
@@ -319,7 +351,7 @@ def test_estimate_traceless_is_near_zero():
 
 
 def test_budget_split_identity():
-    rho = pt.random_density(2, 2, seed=4)
+    rho = random_density(2, 2, seed=4)
     obs = pt.Observable(2.5 * np.kron(Z, np.eye(2)).astype(complex))
     report = pt.estimate_trace_power(pt.purify(rho), obs, 5, 0.08, seed=2)
     assert report.eps_poly_budget + report.eps_ae_budget * 2 * report.alpha_o == pytest.approx(
@@ -328,7 +360,7 @@ def test_budget_split_identity():
 
 
 def test_budget_split_observability_ideal_mode():
-    rho = pt.random_density(2, 3, seed=5)
+    rho = random_density(2, 3, seed=5)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=5))
     eps = 0.04
     report = pt.estimate_trace_power(pt.purify(rho), obs, 8, eps, mode="ideal", seed=3)
@@ -345,7 +377,7 @@ def test_estimate_success_fraction_sampled(k):
     hits = 0
     runs = 60
     for seed in range(runs):
-        rho = pt.random_density(2, 2, seed)
+        rho = random_density(2, 2, seed)
         obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=seed))
         report = pt.estimate_trace_power(pt.purify(rho), obs, k, 0.05, seed=seed)
         if abs(report.estimate - report.oracle_value) <= 0.05:
@@ -354,7 +386,7 @@ def test_estimate_success_fraction_sampled(k):
 
 
 def test_query_count_structure():
-    rho = pt.random_density(2, 2, seed=6)
+    rho = random_density(2, 2, seed=6)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=6))
     report = pt.estimate_trace_power(pt.purify(rho), obs, 16, 0.05, seed=4)
     assert report.poly_degree == pt.required_degree(15, 0.05 / (2 * obs.op_norm))
@@ -362,7 +394,7 @@ def test_query_count_structure():
 
 
 def test_query_scaling_exponent():
-    rho = pt.random_density(2, 2, seed=7)
+    rho = random_density(2, 2, seed=7)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     ks = [4, 8, 16, 32, 64]
     queries = []
@@ -374,7 +406,7 @@ def test_query_scaling_exponent():
 
 
 def test_non_hermitian_observable_recovers_complex_value():
-    rho = pt.random_density(1, 2, seed=8)
+    rho = random_density(1, 2, seed=8)
     ladder = pt.Observable(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False)
     eps = 0.02
     report = pt.estimate_trace_power(pt.purify(rho), ladder, 4, eps, mode="ideal", seed=5)
@@ -386,7 +418,7 @@ def test_non_hermitian_observable_recovers_complex_value():
 
 
 def test_estimate_is_reproducible():
-    rho = pt.random_density(2, 2, seed=9)
+    rho = random_density(2, 2, seed=9)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=9))
     a = pt.estimate_trace_power(pt.purify(rho), obs, 6, 0.05, seed=77)
     b = pt.estimate_trace_power(pt.purify(rho), obs, 6, 0.05, seed=77)
@@ -432,7 +464,7 @@ def test_ideal_estimate_against_matrix_power(n, rank_frac, k, eps, seed):
 
 
 def test_estimate_decomposes_the_reduced_state_once(numpy_decompositions):
-    rho = pt.random_density(3, 5, seed=17)
+    rho = random_density(3, 5, seed=17)
     hermitian = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=17))
     for obs in (hermitian, _non_hermitian_observable(3, 17)):
         pur = pt.purify(rho)
@@ -447,7 +479,7 @@ def test_estimate_evaluates_its_polynomial_once(monkeypatch):
     calls = []
     real = qsvt.clenshaw_eval
     monkeypatch.setattr(qsvt, "clenshaw_eval", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    rho = pt.random_density(2, 3, seed=19)
+    rho = random_density(2, 3, seed=19)
     hermitian = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=19))
     for obs in (hermitian, _non_hermitian_observable(2, 19)):
         calls.clear()
@@ -458,7 +490,7 @@ def test_estimate_evaluates_its_polynomial_once(monkeypatch):
 
 
 def test_estimate_checks_hermiticity_of_the_state_once(monkeypatch):
-    rho = pt.random_density(2, 3, seed=20)
+    rho = random_density(2, 3, seed=20)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=20))
     calls = []
     real = linalg._check_hermitian
@@ -479,7 +511,7 @@ def test_estimate_builds_no_unitary(monkeypatch):
     counting(blockenc, "halmos_dilate")
     for name in ("_complete_unitary", "density_block_unitary", "hadamard_test_prob"):
         counting(reference, name)
-    pur = pt.purify(pt.random_density(2, 3, seed=18))
+    pur = pt.purify(random_density(2, 3, seed=18))
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=18))
     pt.estimate_trace_power(pur, obs, 5, 0.05, seed=0)
     pt.estimate_trace_power(pur, _non_hermitian_observable(2, 18), 5, 0.05, seed=0)
@@ -491,7 +523,7 @@ def test_no_sampled_draw_builds_the_dense_law(monkeypatch, tmp_path):
         raise AssertionError("the sampled readout built the dense outcome law")
 
     monkeypatch.setattr(reference, "ae_outcome_distribution", dense_law)
-    pur = pt.purify(pt.random_density(1, 2, seed=19))
+    pur = pt.purify(random_density(1, 2, seed=19))
     report = pt.estimate_trace_power(pur, pt.Observable(Z), 4, 1e-5, seed=0)
     assert report.ae_queries_K >= 2 ** 20
     assert main(["estimate", "--runs", "5", "--out", str(tmp_path)]) == 0
@@ -501,14 +533,14 @@ def test_mode_is_checked_before_encoding(monkeypatch):
     calls = []
     real = estimator.transform_spectra
     monkeypatch.setattr(estimator, "transform_spectra", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    pur = pt.purify(pt.random_density(1, 2, seed=20))
+    pur = pt.purify(random_density(1, 2, seed=20))
     with pytest.raises(pt.ValidationError, match="mode"):
         pt.estimate_trace_power(pur, pt.Observable(Z), 4, 0.05, mode="bogus")
     assert calls == []
 
 
 def test_estimate_validation():
-    rho = pt.random_density(1, 2, seed=10)
+    rho = random_density(1, 2, seed=10)
     obs = pt.Observable(Z)
     with pytest.raises(pt.ValidationError):
         pt.estimate_trace_power(pt.purify(rho), obs, 1, 0.05)
@@ -527,7 +559,7 @@ def _state(n, levels, kind, seed):
     weights = weights / weights.sum()
     if kind == "diagonal":
         return pt.DensityMatrix(np.diag(weights).astype(complex))
-    u = pt.random_unitary(2 ** n, seed)
+    u = pt.random_unitary(2 ** n, [seed])[0]
     m = (u * weights) @ u.conj().T
     return pt.DensityMatrix((m + m.conj().T) / 2)
 
@@ -569,7 +601,7 @@ def test_overlap_is_the_trace_of_the_dense_product(n, levels, kind, hermitian, s
 def test_estimate_leaves_no_block_on_the_purification():
     """An estimate keeps no d x d array alive: at n = 8 the memory traced
     across it grows by less than one 256 x 256 complex array (1 MiB)."""
-    warm = pt.purify(pt.random_density(1, 2, seed=0))
+    warm = pt.purify(random_density(1, 2, seed=0))
     pt.estimate_trace_power(warm, pt.Observable(Z), 16, 0.05, seed=0)
     spec = pt.InstanceSpec(qubits=8, rank=2 ** 8, seed=8)
     rho, obs = pt.make_state(spec), pt.make_observable(spec)
@@ -625,7 +657,7 @@ def test_the_block_machinery_is_gone(module, name):
 # ------------------------------------------------------------------ entropies
 
 def test_renyi_of_pure_state_is_zero():
-    rho = pt.random_density(2, 1, seed=11)
+    rho = random_density(2, 1, seed=11)
     est = pt.renyi_entropy(pt.purify(rho), 3, 0.05, seed=0)
     assert abs(est.value) <= est.error_bound + 1e-12
 
@@ -653,7 +685,7 @@ def test_tsallis_printed_form():
 # -------------------------------------------------------------------- vd_ratio
 
 def test_vd_ratio_pure_state():
-    rho = pt.random_density(2, 1, seed=12)
+    rho = random_density(2, 1, seed=12)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.01, 0.01, [0], mode="ideal")[0]
     expected = pt.trace_power_obs_oracle(rho, obs, 1).real  # <psi|O|psi>
@@ -674,7 +706,7 @@ def test_vd_ratio_distills_dominant_eigenvector():
 def test_vd_ratio_refuses_vanishing_denominator():
     """Tr((I/4)^8) = 4^-7 is below eps_den: that record's ratio and bound are
     nan, and the other record of the stack is what it is alone."""
-    pure = pt.random_density(2, 1, seed=12)
+    pure = random_density(2, 1, seed=12)
     stack = pt.DensityMatrix(np.stack([np.eye(4, dtype=complex) / 4, pure.mat]))
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     refused, kept = pt.vd_ratio_stack(pt.purify(stack), obs, 8, 0.01, 0.01, [2, 0], mode="ideal")
@@ -688,7 +720,7 @@ def test_identity_observable_is_built_once_per_dimension(numpy_decompositions):
     identity = pt.make_observable(pt.InstanceSpec(qubits=2, rank=1, seed=0, observable_kind="identity"))
     assert instances.shared_observable("identity", 2) is identity
     assert not identity.mat.flags.writeable
-    rho = pt.random_density(2, 3, seed=23)
+    rho = random_density(2, 3, seed=23)
     pt.renyi_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
     numpy_decompositions.clear()
     pt.tsallis_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
@@ -702,7 +734,7 @@ def test_vd_ratio_bound_covers_in_most_runs():
     runs = 40
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     for seed in range(runs):
-        rho = pt.random_density(2, 2, seed=seed)
+        rho = random_density(2, 2, seed=seed)
         result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.02, 0.02, [seed])[0]
         true_ratio = (
             pt.trace_power_obs_oracle(rho, obs, 4).real
@@ -730,7 +762,7 @@ def test_a_record_does_not_depend_on_its_stack(n, records, eps, mode, observable
     """Estimating a stack of R states gives each record the report it gets
     alone: any rank, a k of its own, Hermitian, non-Hermitian or shared O."""
     dim = 2 ** n
-    mats = [pt.random_density(n, min(rank, dim), seed).mat for rank, _, seed in records]
+    mats = [random_density(n, min(rank, dim), seed).mat for rank, _, seed in records]
     rng = np.random.default_rng(len(records))
     if observable == "shared":
         o_mats = None

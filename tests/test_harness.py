@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -12,32 +13,33 @@ import pytest
 import powertrace as pt
 from powertrace import estimator, instances, linalg, suites
 from powertrace.cli import main
+from powertrace.reference import random_density
 from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
 
 
 # ------------------------------------------------------------ random_density
 
 def test_random_density_rank_one_is_pure():
-    rho = pt.random_density(2, 1, seed=0)
+    rho = random_density(2, 1, seed=0)
     purity = np.trace(rho.mat @ rho.mat).real
     assert purity == pytest.approx(1.0, abs=1e-10)
 
 
 def test_random_density_full_rank():
-    rho = pt.random_density(2, 4, seed=1)
+    rho = random_density(2, 4, seed=1)
     w = np.linalg.eigvalsh(rho.mat)
     assert np.all(w > 1e-12)
 
 
 def test_random_density_deterministic():
-    a = pt.random_density(3, 5, seed=42)
-    b = pt.random_density(3, 5, seed=42)
+    a = random_density(3, 5, seed=42)
+    b = random_density(3, 5, seed=42)
     assert np.array_equal(a.mat, b.mat)
 
 
 def test_random_density_rank_validation():
     with pytest.raises(pt.ValidationError):
-        pt.random_density(1, 3, seed=0)
+        random_density(1, 3, seed=0)
 
 
 @pytest.mark.parametrize("kind", ["random_mixed", "diagonal"])
@@ -65,7 +67,7 @@ def test_random_density_builds_its_matrix_in_place():
     dim = 2 ** 8
     tracemalloc.start()
     try:
-        pt.random_density(8, dim, seed=3)
+        random_density(8, dim, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,7 +211,7 @@ BUILDERS_15 = {
     "make_states": lambda: instances.make_states(SPEC_15, [0, 1]),
     "make_observable": lambda: pt.make_observable(SPEC_15),
     "make_observables": lambda: instances.make_observables(SPEC_15, [0, 1]),
-    "random_density": lambda: pt.random_density(15, 1, 0),
+    "random_density": lambda: random_density(15, 1, 0),
     "shared_observable": lambda: instances.shared_observable("identity", 15),
 }
 
@@ -236,7 +238,7 @@ def test_cli_beyond_the_qubit_cap_exits_1_before_any_work(tmp_path, capsys):
 
 
 def test_random_unitary_is_unitary():
-    u = pt.random_unitary(8, seed=5)
+    u = pt.random_unitary(8, [5])[0]
     assert np.linalg.norm(u.conj().T @ u - np.eye(8), 2) <= 1e-10
 
 
@@ -420,6 +422,18 @@ def test_load_config_requires_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(pt.ValidationError):
         load_config_file(str(path))
+
+
+def test_baseline_of_a_pure_state_fails_its_fit_without_a_warning(tmp_path):
+    """A one-qubit rank-1 state is pure: its swap test of the identity reads 1
+    on every shot, so each stderr is 0. The log-log stderr fit has no
+    logarithm to take and reads nan, so the run exits 1, and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["baseline", "--rank", "1", "--out", str(tmp_path)]) == 1
+    (summary,) = (tmp_path / "baseline").glob("*/summary.json")
+    summary = json.loads(summary.read_text())
+    assert summary["stderr_slope"] == "nan" and summary["pass"] is False
 
 
 def test_output_layout(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import powertrace as pt
 from powertrace import instances, linalg
 from powertrace.chebyshev import MAX_POWER
-from powertrace.reference import fidelity, partial_trace
+from powertrace.reference import fidelity, partial_trace, random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -97,7 +97,7 @@ def test_partial_trace_matches_loop_oracle(keep):
 
 
 def test_partial_trace_preserves_trace():
-    rho = pt.random_density(2, 3, seed=5)
+    rho = random_density(2, 3, seed=5)
     red = partial_trace(rho.mat, (2, 2), keep="B")
     assert abs(np.trace(red) - np.trace(rho.mat)) <= 1e-12
 
@@ -144,14 +144,14 @@ def test_trace_power_rejects_k_zero():
 def test_trace_power_identity_normalization(seed):
     qubits = 1 + seed % 3
     rank = 1 + seed % (2 ** qubits)
-    rho = pt.random_density(qubits, rank, seed)
+    rho = random_density(qubits, rank, seed)
     obs = pt.Observable(np.eye(2 ** qubits, dtype=complex))
     assert pt.trace_power_obs_oracle(rho, obs, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed,k", [(0, 2), (1, 5), (2, 11), (3, 20)])
 def test_trace_power_matches_repeated_multiplication(seed, k):
-    rho = pt.random_density(4, 6, seed)  # dim 16
+    rho = random_density(4, 6, seed)  # dim 16
     obs = pt.make_observable(pt.InstanceSpec(qubits=4, rank=1, seed=seed))
     dense = np.linalg.matrix_power(rho.mat, k)
     expected = np.trace(dense @ obs.mat)
@@ -176,7 +176,7 @@ def _eigen_route_oracle(w, v, o, k):
 )
 def test_oracle_by_squaring_matches_eigen_route_and_matrix_power(n, rank_frac, k, hermitian, seed):
     rank = 1 + round(rank_frac * (2 ** n - 1))
-    rho = pt.random_density(n, rank, seed)
+    rho = random_density(n, rank, seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
     obs = pt.Observable((g + g.conj().T) / 2 if hermitian else g, hermitian=hermitian)
@@ -197,7 +197,7 @@ def test_oracle_by_squaring_matches_eigen_route_and_matrix_power(n, rank_frac, k
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
 def test_oracle_matches_k_fold_product(k):
-    rho = pt.random_density(3, 5, seed=k)
+    rho = random_density(3, 5, seed=k)
     obs = pt.make_observable(pt.InstanceSpec(qubits=3, rank=1, seed=k))
     product = np.eye(8, dtype=complex)
     for _ in range(k):
@@ -207,7 +207,7 @@ def test_oracle_matches_k_fold_product(k):
 
 
 def test_spectrum_is_computed_once_and_read_only():
-    rho = pt.random_density(2, 3, seed=4)
+    rho = random_density(2, 3, seed=4)
     spec = rho.spectrum()
     assert spec is rho.spectrum()
     for arr in spec:
@@ -220,7 +220,7 @@ def test_spectrum_is_computed_once_and_read_only():
 def test_density_power_matches_repeated_multiplication(seed, k):
     """The cached spectrum gives rho^k = V diag(w^k) V^dag, as the swap
     test's outcome law reads it."""
-    rho = pt.random_density(3, 1 + seed, seed)
+    rho = random_density(3, 1 + seed, seed)
     w, v = rho.spectrum()
     dense = np.linalg.matrix_power(rho.mat, k)
     assert np.max(np.abs((v * w ** k) @ v.conj().T - dense)) <= 1e-12
@@ -229,7 +229,7 @@ def test_density_power_matches_repeated_multiplication(seed, k):
 # ------------------------------------------------- distances and fidelities
 
 def test_fidelity_of_state_with_itself():
-    rho = pt.random_density(2, 2, seed=0)
+    rho = random_density(2, 2, seed=0)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -253,8 +253,8 @@ def _tensor_power(m, k):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fuchs_van_de_graaf(seed):
-    a = pt.random_density(2, 2, seed)
-    b = pt.random_density(2, 3, seed + 100)
+    a = random_density(2, 2, seed)
+    b = random_density(2, 3, seed + 100)
     f = fidelity(a, b)
     t = 0.5 * np.linalg.norm(a.mat - b.mat, "nuc")  # trace distance
     assert 1 - np.sqrt(f) <= t + 1e-9
@@ -263,8 +263,8 @@ def test_fuchs_van_de_graaf(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fidelity_matches_sqrtm_oracle(seed):
-    a = pt.random_density(2, 4, seed)
-    b = pt.random_density(2, 4, seed + 50)
+    a = random_density(2, 4, seed)
+    b = random_density(2, 4, seed + 50)
     ra = scipy.linalg.sqrtm(a.mat)
     expected = np.trace(scipy.linalg.sqrtm(ra @ b.mat @ ra)).real ** 2
     assert fidelity(a, b) == pytest.approx(expected, abs=1e-9)
@@ -389,7 +389,7 @@ def test_clip_spectrum_only_touches_tiny_negatives():
 # ------------------------------------------------------------------ stacks
 
 def _stack_of_states(count=4):
-    return np.stack([pt.random_density(2, 2, seed).mat for seed in range(count)])
+    return np.stack([random_density(2, 2, seed).mat for seed in range(count)])
 
 
 @pytest.mark.parametrize(

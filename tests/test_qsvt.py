@@ -6,6 +6,7 @@ import pytest
 import powertrace as pt
 from conftest import chebyshev_matrix, dense_power_times_obs
 from powertrace import estimator, qsvt
+from powertrace.reference import random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
@@ -37,13 +38,13 @@ def _transform(monkeypatch, rho, c):
 # -------------------------------------------------- the eigenvalue transform
 
 def test_identity_map_polynomial(monkeypatch):
-    rho = pt.random_density(1, 2, seed=0)
+    rho = random_density(1, 2, seed=0)
     out = _transform(monkeypatch, rho, [0.0, 1.0])
     assert np.linalg.norm(out - rho.mat, 2) <= 1e-12
 
 
 def test_constant_one_polynomial(monkeypatch):
-    rho = pt.random_density(1, 2, seed=1)
+    rho = random_density(1, 2, seed=1)
     out = _transform(monkeypatch, rho, [1.0, 0.0])
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
@@ -55,7 +56,7 @@ def test_square_through_eigenvalues(monkeypatch):
 
 
 def test_transform_matches_independent_eigen_sum(monkeypatch):
-    rho = pt.random_density(2, 3, seed=5)
+    rho = random_density(2, 3, seed=5)
     c = pt.power_expansion(5)[:4]
     w, v = np.linalg.eigh(rho.mat)
     expected = sum(
@@ -71,7 +72,7 @@ def test_transform_matches_independent_eigen_sum(monkeypatch):
 
 def test_rejects_sup_norm_violation(monkeypatch):
     """Kept coefficients summing to more than 1 fail the certificate."""
-    rho = pt.random_density(1, 2, seed=3)
+    rho = random_density(1, 2, seed=3)
     with pytest.raises(pt.ContractError, match="coefficient sum"):
         _transform(monkeypatch, rho, [0.0, 2.0])
 
@@ -86,7 +87,7 @@ def _count_clenshaw(monkeypatch):
 def test_transform_carries_its_spectrum():
     """p(rho) is p(l_i) on rho's own cached spectrum (l, V), and in that
     eigenbasis it is the matrix function p(rho)."""
-    rho = pt.random_density(2, 3, seed=5)
+    rho = random_density(2, 3, seed=5)
     k, eps = 6, 1e-3
     c = pt.power_expansion(k - 1)[:pt.required_degree(k - 1, eps) + 1]
     w, v = rho.spectrum()
@@ -97,7 +98,7 @@ def test_transform_carries_its_spectrum():
 
 def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
     calls = _count_clenshaw(monkeypatch)
-    _, ledger = _power(pt.random_density(2, 3, seed=6), 9, 1e-3)
+    _, ledger = _power(random_density(2, 3, seed=6), 9, 1e-3)
     assert len(calls) == 1
     assert ledger.model_error <= 1e-3
 
@@ -112,7 +113,7 @@ def test_rejects_non_hermitian_block():
 # ------------------------------------------------------ one state's transform
 
 def test_power_of_pure_state():
-    rho = pt.random_density(2, 1, seed=6)
+    rho = random_density(2, 1, seed=6)
     for k in (2, 5):
         power, _ = _power(rho, k, eps=1e-3)
         assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-3
@@ -125,7 +126,7 @@ def test_power_of_maximally_mixed():
 
 
 def test_power_high_order_rank3():
-    rho = pt.random_density(3, 3, seed=7)
+    rho = random_density(3, 3, seed=7)
     power, ledger = _power(rho, 9, eps=1e-4)
     oracle = np.linalg.matrix_power(rho.mat, 8)
     assert np.linalg.norm(_dense(power) - oracle, 2) <= 1e-4
@@ -134,7 +135,7 @@ def test_power_high_order_rank3():
 
 @pytest.mark.parametrize("k,eps", [(2, 0.5), (4, 1e-2), (9, 1e-3), (16, 1e-4)])
 def test_power_contract_tighter_than_chernoff(k, eps):
-    rho = pt.random_density(2, 3, seed=k)
+    rho = random_density(2, 3, seed=k)
     power, ledger = _power(rho, k, eps)
     oracle = np.linalg.matrix_power(rho.mat, k - 1)
     defect = np.linalg.norm(_dense(power) - oracle, 2)
@@ -144,7 +145,7 @@ def test_power_contract_tighter_than_chernoff(k, eps):
 
 
 def test_power_query_accounting():
-    rho = pt.random_density(2, 2, seed=8)
+    rho = random_density(2, 2, seed=8)
     for k, eps in ((3, 0.05), (10, 1e-3), (33, 1e-2)):
         _, ledger = _power(rho, k, eps)
         assert ledger.poly_degree == pt.required_degree(k - 1, eps)
@@ -152,14 +153,14 @@ def test_power_query_accounting():
 
 
 def test_power_k1_shortcut_is_exact():
-    rho = pt.random_density(1, 2, seed=9)
+    rho = random_density(1, 2, seed=9)
     power, ledger = _power(rho, 2, eps=0.9)
     assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-12
     assert ledger.model_error <= 1e-12
 
 
 def test_power_rejects_k_below_two():
-    rho = pt.random_density(1, 2, seed=10)
+    rho = random_density(1, 2, seed=10)
     with pytest.raises(pt.ValidationError):
         _power(rho, 1, eps=0.1)
 
@@ -167,7 +168,7 @@ def test_power_rejects_k_below_two():
 # ------------------------------------------------------ the estimator's overlap
 
 def test_identity_observable_reduces_to_power():
-    rho = pt.random_density(1, 2, seed=11)
+    rho = random_density(1, 2, seed=11)
     obs = pt.Observable(np.eye(2, dtype=complex))
     overlap, alpha, _ = estimator._power_overlap(pt.purify(rho), obs, [3], 1e-3)
     power, _ = _power(rho, 3, eps=1e-3 / 2)
@@ -185,7 +186,7 @@ def test_depolarized_projector_product():
 
 
 def test_trace_against_oracle_two_qubits():
-    rho = pt.random_density(2, 2, seed=12)
+    rho = random_density(2, 2, seed=12)
     zz = pt.Observable(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])).astype(complex))
     eps = 1e-3
     got, _, _ = estimator._power_overlap(pt.purify(rho), zz, [5], eps)
@@ -196,7 +197,7 @@ def test_trace_against_oracle_two_qubits():
 def test_recorded_error_bounds_true_defect():
     """p(rho) O lies within alpha_O * eps_poly of rho^(k-1) O, and the
     overlap within ||O|| times the ledger's model error of Tr(rho^k O)."""
-    rho = pt.random_density(2, 3, seed=13)
+    rho = random_density(2, 3, seed=13)
     obs = pt.Observable(3 * np.kron(PROJ0, np.eye(2)).astype(complex))
     k, eps = 6, 1e-2
     eps_poly = min(1.0, eps / (2 * obs.op_norm))
@@ -209,7 +210,7 @@ def test_recorded_error_bounds_true_defect():
 
 
 def test_product_encoding_is_validated_once(numpy_decompositions):
-    pur = pt.purify(pt.random_density(2, 3, seed=16))
+    pur = pt.purify(random_density(2, 3, seed=16))
     obs = pt.Observable(np.kron(PROJ0, np.eye(2)).astype(complex))
     numpy_decompositions.clear()
     _, alpha, _ = estimator._power_overlap(pur, obs, [5], 1e-2)
@@ -220,6 +221,6 @@ def test_product_encoding_is_validated_once(numpy_decompositions):
 
 
 def test_rejects_zero_observable():
-    rho = pt.random_density(1, 2, seed=15)
+    rho = random_density(1, 2, seed=15)
     with pytest.raises(pt.ValidationError, match="nonzero"):
         pt.estimate_trace_power(pt.purify(rho), pt.Observable(np.zeros((2, 2))), 3, 1e-2)

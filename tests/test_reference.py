@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import powertrace
-from powertrace import bounds, estimator, linalg, qsvt, reference
+from powertrace import bounds, estimator, instances, linalg, qsvt, reference
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "powertrace"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "reference.py")
@@ -67,11 +67,12 @@ def test_importing_the_package_leaves_the_references_unloaded():
 @pytest.mark.parametrize(
     "name, home",
     [("partial_trace", "reference"), ("fidelity", "reference"), ("cyclic_permutation", "reference"),
+     ("random_density", "reference"),
      ("power_block_encoding", None), ("vd_ratio", None), ("kron", None), ("clip_spectrum", None)],
 )
 def test_names_without_a_pipeline_caller_left_the_package(name, home):
-    """The test oracles live with the other references; the one-record
-    wrappers and ``kron`` are gone."""
+    """The test oracles and the tests' seeded state live with the other
+    references; the one-record wrappers and ``kron`` are gone."""
     assert name not in powertrace.__all__ and not hasattr(powertrace, name)
-    assert not any(hasattr(module, name) for module in (bounds, estimator, linalg, qsvt))
+    assert not any(hasattr(module, name) for module in (bounds, estimator, instances, linalg, qsvt))
     assert hasattr(reference, name) == (home == "reference")
