@@ -7,6 +7,9 @@ One row per suite:
   ``cli.main([suite, "--out", <fresh temporary directory>])``, after one
   untimed warm-up call;
 - ``wall_s_runs``: every timed call, in order;
+- ``run_s`` and ``run_s_runs``: the same for the time inside the suite's
+  runner alone, so ``wall_s - run_s`` is the share of the command line,
+  the config and the output writers;
 - ``tracemalloc_peak_mib``: the ``tracemalloc`` peak of one more call, run
   after the timed ones so that tracing never reaches a timing.
 
@@ -40,28 +43,40 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from powertrace.cli import main as cli_main  # noqa: E402
-from powertrace.suites import SEED_ENV_VAR, SUITES  # noqa: E402
+from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, SUITES  # noqa: E402
 
 MIB = 2 ** 20
 
 
-def _call(suite: str) -> float:
-    """Wall time of one default run of ``suite``, into a directory removed after."""
+def _call(suite: str) -> tuple[float, float]:
+    """Wall time of one default run of ``suite``, into a directory removed
+    after, and the time inside its runner; the registry entry is restored."""
     out = tempfile.mkdtemp(prefix="suites-wall-")
+    entry, inside = SUITE_REGISTRY[suite], []
+
+    def timed_run(cfg):
+        start = time.perf_counter()
+        try:
+            return entry.run(cfg)
+        finally:
+            inside.append(time.perf_counter() - start)
+
+    SUITE_REGISTRY[suite] = entry._replace(run=timed_run)
     try:
         start = time.perf_counter()
         code = cli_main([suite, "--out", out])
         elapsed = time.perf_counter() - start
     finally:
+        SUITE_REGISTRY[suite] = entry
         shutil.rmtree(out, ignore_errors=True)
     if code != 0:
         raise RuntimeError(f"suite {suite} exited with {code}")
-    return elapsed
+    return elapsed, inside[0]
 
 
 def measure(suite: str, runs: int) -> dict:
     _call(suite)  # warm-up: imports, caches and first-touch costs
-    walls = [_call(suite) for _ in range(runs)]
+    walls, inside = zip(*(_call(suite) for _ in range(runs)))
     tracemalloc.start()
     try:
         _call(suite)
@@ -71,7 +86,9 @@ def measure(suite: str, runs: int) -> dict:
     return {
         "suite": suite,
         "wall_s": statistics.median(walls),
-        "wall_s_runs": walls,
+        "wall_s_runs": list(walls),
+        "run_s": statistics.median(inside),
+        "run_s_runs": list(inside),
         "tracemalloc_peak_mib": peak / MIB,
     }
 

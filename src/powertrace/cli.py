@@ -5,11 +5,13 @@
 
 Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
--h`` lists them and the key each one sets. Any other flag, a config-file
-key the suite does not read, a ``suite`` key naming another suite, a
-value of the wrong kind, a seed that is not a non-negative integer, an
-integer key (count, k, rank, order) that is fractional or below its least
-value, or an empty list exits 2.
+-h`` lists them and the key each one sets. ``main`` builds only the named
+suite's subparser; help, no suite or an unknown one build all seven. Any
+other flag, a config-file key the suite does not read, a ``suite`` key
+naming another suite, a value of the wrong kind, a non-finite number, a
+seed that is not a non-negative integer, an integer key (count, k, rank,
+order) that is fractional or below its least value, or an empty list
+exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
@@ -54,13 +56,13 @@ def _suite_flags(suite: str) -> dict[str, str]:
     return {flag: key for flag, key in keys.items() if key in entry.defaults}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suites: tuple = SUITES) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powertrace",
         description="Trace-power estimation experiments with exact self-validation.",
     )
     sub = parser.add_subparsers(dest="suite", required=True, metavar="|".join(SUITES))
-    for suite in SUITES:
+    for suite in suites:
         # no abbreviations: "--c" must not be read as "--config" by a suite without --c
         sp = sub.add_parser(suite, help=f"run the {suite} suite", allow_abbrev=False)
         sp.add_argument("--config", help="flat JSON config file")
@@ -88,8 +90,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv  # a named suite is parsed by its own subparser alone
+    args = build_parser(argv[:1] if argv[:1] and argv[0] in SUITES else SUITES).parse_args(argv)
     suite = args.suite
     try:
         file_cfg = load_config_file(args.config) if args.config else None

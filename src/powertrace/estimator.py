@@ -32,6 +32,10 @@ and O(1) memory on a K = 2^t point grid, as the circuit produces it:
 coin, then measures the t counting qubits one at a time (the
 semiclassical inverse QFT), each bit from a Bernoulli law set by the
 phase and the bits already drawn, all 1 + t uniforms from one call.
+Setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``.
+``estimate_stack`` derives a stack's readout seeds and builds their
+generators with ``instances.derive_seeds`` and ``instances.generators``,
+one array hash each for a stack of ``STACK_SEEDS`` or more records.
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
@@ -47,7 +51,7 @@ import numpy as np
 
 from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
-from .instances import derive_seed, shared_observable
+from .instances import derive_seeds, generators, shared_observable
 from .linalg import Observable, trace_power_obs_oracles
 from .qsvt import QueryLedger, transform_spectra
 
@@ -185,6 +189,7 @@ def amplitude_estimate(
     probability pushed exactly to the edge of the error bound, for
     deterministic worst-case budget checks. K is an integer >= 2, and in
     ``sampled`` mode the 2^t <= ``_MAX_AE_GRID`` outcomes of t counting qubits.
+    ``rng_seed`` is a seed or a ``Generator``, which ``default_rng`` returns as is.
     """
     if not -1e-12 <= p_true <= 1.0 + 1e-12:
         raise ValidationError(f"probability {p_true} outside [0, 1]")
@@ -250,14 +255,16 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     reports = []
     grids = {alpha_o: choose_ae_grid(eps / (4.0 * alpha_o)) for alpha_o in set(alphas.tolist())}
+    masters = [seed for seed in seeds for _ in settings]  # record-major, as the loop draws them
+    readouts = generators(derive_seeds(masters, [*range(len(settings))] * len(seeds)))
     for overlap, alpha_o, ledger, oracle, k_i, seed in zip(
         overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds, strict=True
     ):
         eps_prime, grid = eps / (4.0 * alpha_o), grids[alpha_o]
         parts = []
-        for idx, setting in enumerate(settings):
+        for setting in settings:
             p_true = _p_zero(overlap / alpha_o, setting)
-            outcome = amplitude_estimate(p_true, grid, mode=mode, rng_seed=derive_seed(seed, idx))
+            outcome = amplitude_estimate(p_true, grid, mode=mode, rng_seed=next(readouts))
             parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
         reports.append(EstimationReport(
             estimate=complex(parts[0], parts[1] if len(parts) > 1 else 0.0), oracle_value=oracle,
@@ -383,8 +390,8 @@ def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: 
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
     ks = [int(k)] * len(seeds)
-    nums = estimate_stack(purification, o, ks, eps_num, [derive_seed(s, 100) for s in seeds], mode)
-    dens = _trace_powers(purification, ks, eps_den, [derive_seed(s, 200) for s in seeds], mode)
+    nums = estimate_stack(purification, o, ks, eps_num, derive_seeds(seeds, [100] * len(seeds)), mode)
+    dens = _trace_powers(purification, ks, eps_den, derive_seeds(seeds, [200] * len(seeds)), mode)
     results = []
     for num, den in zip(nums, dens, strict=True):
         a_est, b_est = num.estimate.real, den.estimate.real

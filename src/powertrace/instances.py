@@ -35,18 +35,74 @@ class InstanceSpec:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Child seed number ``index`` of a master seed, via SeedSequence."""
+    """Child seed ``index`` of a master seed: SeedSequence((master, index))'s first word."""
     return int(np.random.SeedSequence((master, index)).generate_state(1)[0])
 
 
+# A stack of STACK_SEEDS or more seeds runs numpy's SeedSequence hash (bit_generator.pyx; hash
+# constant j is init * mult^j mod 2^32) once, as uint64 arrays; below it numpy's own is cheaper.
+STACK_SEEDS = 16
+INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+INIT_B, MULT_B, XSHIFT, _MASK32 = 0x8B51F9DD, 0x58F38DED, np.uint64(16), np.uint64(2 ** 32 - 1)
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_POOL_CONSTS, _STATE_CONSTS = (np.array([[a * pow(m, j, 2 ** 32) % 2 ** 32] for j in range(n)], np.uint64)
+                               for a, m, n in ((INIT_A, MULT_A, 17), (INIT_B, MULT_B, 9)))
+
+
+def _seed_state(masters: list, indices: list, n_words: int) -> np.ndarray | None:
+    """``SeedSequence((master, index)).generate_state(n_words)`` of each
+    pair, as (n_words, R) words. The entropy row, master's uint32 words then
+    index's, hashes as if zero-padded to the 4-word pool. None for a value
+    that is not an integer in [0, 2^64), whose row may outgrow the pool;
+    numpy's own hash serves those, as it serves stacks below STACK_SEEDS."""
+    def hashmix(v, consts):  # numpy's hashmix of row j of v with constants consts[j], consts[j + 1]
+        v = (v ^ consts[:-1]) * consts[1:] & _MASK32
+        return v ^ v >> XSHIFT
+
+    m, i = np.asarray(masters), np.asarray(indices)
+    if not all(a.dtype.kind in "iu" and a.min() >= 0 for a in (m, i)):
+        return None
+    m, i = m.astype(np.uint64), i.astype(np.uint64)
+    m_hi, i_lo, i_hi, wide = m >> np.uint64(32), i & _MASK32, i >> np.uint64(32), m > _MASK32
+    pool = hashmix(np.stack([m & _MASK32, np.where(wide, m_hi, i_lo), np.where(wide, i_lo, i_hi),
+                             np.where(wide, i_hi, 0)]), _POOL_CONSTS[:5])
+    for src in range(4):  # pool word src is read only by the other three's updates: one step
+        dst = [j for j in range(4) if j != src]
+        mixed = MIX_MULT_L * pool[dst] - MIX_MULT_R * hashmix(pool[src], _POOL_CONSTS[4 + 3 * src:8 + 3 * src])
+        mixed &= _MASK32
+        pool[dst] = mixed ^ mixed >> XSHIFT
+    return hashmix(pool[np.arange(n_words) % 4], _STATE_CONSTS[:n_words + 1])
+
+
+def derive_seeds(masters: list, indices: list) -> list[int]:
+    """``[derive_seed(m, i) for m, i in zip(masters, indices)]``, one array hash where it can."""
+    state = _seed_state(masters, indices, 1) if len(masters) >= STACK_SEEDS else None
+    return [derive_seed(m, i) for m, i in zip(masters, indices)] if state is None else state[0].tolist()
+
+
+def generators(seeds: list):
+    """Yield per seed a ``Generator`` whose stream is ``default_rng(seed)``'s.
+    The entropy (seed) pads as (seed, 0), so ``_seed_state`` hashes a stack;
+    each seed's words (seed, seq) go through PCG64's set-seq init, inc =
+    2 seq + 1 and state = ((inc + seed) PCG64_MULT + inc) mod 2^128, into one
+    shared PCG64 through ``.state``: a stack's generators are one object, so use
+    each up before drawing the next. Otherwise it yields ``default_rng(seed)``."""
+    words = _seed_state(seeds, [0] * len(seeds), 8) if len(seeds) >= STACK_SEEDS else None
+    if words is None:
+        yield from map(np.random.default_rng, seeds)
+        return
+    gen, mask = np.random.Generator(np.random.PCG64(0)), 2 ** 128 - 1
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & mask
+        state = ((inc + (seed_hi << 64 | seed_lo)) * PCG64_MULT + inc) & mask
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
 def _gaussians(shape: tuple, seeds: list) -> np.ndarray:
-    """A complex Gaussian of ``shape`` per seed, each from its own
-    ``default_rng(seed)``, stacked."""
-    out = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        out.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return np.stack(out)
+    """A complex Gaussian of ``shape`` per seed from its ``default_rng(seed)`` stream, stacked."""
+    return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for rng in generators(seeds)])
 
 
 def _random_densities(qubits: int, rank: int, seeds: list) -> np.ndarray:
@@ -95,8 +151,8 @@ def _state_matrices(spec: InstanceSpec, seeds: list) -> np.ndarray:
         if not 1 <= spec.rank <= dim:
             raise ValidationError(f"rank must lie in [1, {dim}], got {spec.rank}")
         probs = np.zeros((len(seeds), dim))
-        for row, seed in zip(probs, seeds):
-            w = np.random.default_rng(seed).random(spec.rank)
+        for row, rng in zip(probs, generators(seeds)):
+            w = rng.random(spec.rank)
             row[: spec.rank] = w / w.sum()
         return (probs[:, :, None] * np.eye(dim)).astype(complex)
     if kind.startswith("named:"):

@@ -40,7 +40,7 @@ import json
 import math
 import os
 import tempfile
-from functools import partial
+from functools import lru_cache, partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -67,7 +67,7 @@ from .chebyshev import (
 from .errors import ValidationError
 from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, renyi_entropy,
                         tsallis_entropy, vd_ratio_stack)
-from .instances import (InstanceSpec, derive_seed, make_observable, make_observables, make_state,
+from .instances import (InstanceSpec, derive_seed, derive_seeds, make_observable, make_observables, make_state,
                         make_states, random_unitary)
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
 
@@ -101,35 +101,43 @@ def fmt(x) -> str:
 # the built-in kind canonical_json writes a numpy scalar or a subclass as
 _JSON_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, bool), (int, (int, np.integer)),
                (list, (list, tuple)))
+_quote = json.encoder.encode_basestring_ascii
+_heads = lru_cache(256)(lambda pad, keys: tuple(f"{pad}{_quote(str(key))}: " for key in keys))  # a dict's heads
 
 
-def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits.
-    Each value is written once, at ``indent``, the indent of its line. It
-    dispatches on the exact type, floats first."""
-    kind = type(obj)
-    if kind not in (float, dict, str, bool, int, list):
-        kind = next((base for base, types in _JSON_KINDS if isinstance(obj, types)), None)
-    if kind is float:
-        x = float(obj)
-        if math.isfinite(x):
-            return format(x, ".17g")
-        return '"nan"' if math.isnan(x) else ('"inf"' if x > 0 else '"-inf"')
-    if kind is dict:
-        pad = " " * (indent + 2)
-        items = [f'{pad}"{key}": {canonical_json(obj[key], indent + 2)}' for key in sorted(obj)]
-        return "{\n" + ",\n".join(items) + "\n" + pad[2:] + "}" if items else "{}"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return str(int(obj))
-    if kind is list:
-        pad = " " * (indent + 2)
-        items = [pad + canonical_json(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad[2:] + "]" if items else "[]"
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
+def _emit(heads: list, values, pad: str, out: list) -> list:
+    """Append each of ``values`` to ``out`` after its head (indent, and key in a dict), comma-separated at
+    indent ``pad``: scalars in place, dispatching on the exact type, floats first, recursing only into a
+    non-empty dict or list. Each item of the top-level container (``pad`` of 2) is joined before the next."""
+    sep, top = "", len(pad) == 2
+    for head, value in zip(heads, values):
+        mark, kind, lead, sep = len(out), type(value), sep, ",\n"  # lead: the separator before this item
+        if kind not in (float, dict, str, bool, int, list):
+            kind = next((base for base, types in _JSON_KINDS if isinstance(value, types)), None)
+            value = kind(value) if kind is float or kind is int else value
+        if kind is float:
+            out.append(f"{lead}{head}{value:.17g}" if math.isfinite(value) else f'{lead}{head}"{value}"')
+        elif (kind is dict or kind is list) and value:
+            inner, keys = pad + "  ", tuple(sorted(value)) if kind is dict else None
+            out.append(lead + head + ("{\n" if keys else "[\n"))
+            _emit(_heads(inner, keys) if keys else [inner] * len(value),
+                  [value[k] for k in keys] if keys else value, inner, out)
+            out.append("\n" + pad + ("}" if keys else "]"))
+        elif kind is int:
+            out.append(f"{lead}{head}{value}")
+        else:  # a bool, None, a string, an empty dict or list, or any other value as its string
+            text = ("{}" if kind is dict else "[]") if kind is dict or kind is list else _quote(str(value))
+            out.append(lead + head + ("true" if value is True else "false" if value is False else
+                                      "null" if value is None else text))
+        if top:
+            out[mark:] = ["".join(out[mark:])]
+    return out
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON in one ``_emit`` pass: sorted keys, floats at 17 significant digits, non-finite
+    floats as "nan", "inf" and "-inf", strings and keys ASCII-escaped, any other value as its string."""
+    return "".join(_emit([""], [obj], "", []))
 
 
 def config_hash(config: dict) -> str:
@@ -172,10 +180,6 @@ def write_csv(path: str, columns: dict[str, str], records: list[dict]) -> None:
     lines = [",".join(columns)]
     lines += [",".join(fmt(_cell(rec, paths)) for paths in split) for rec in records]
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _log_slope(xs, ys) -> float:
@@ -240,17 +244,13 @@ def _suite_approx(cfg: dict):
 
 def _estimate_records(cfg: dict, indices: range) -> list[dict]:
     """The ``estimate`` records ``indices``, estimated as one stack."""
-    ks, eps = cfg["k_values"], float(cfg["eps"])
+    ks, eps, seeds = cfg["k_values"], float(cfg["eps"]), derive_seeds([cfg["seed"]] * len(indices), [*indices])
     specs = [InstanceSpec(
-        qubits=cfg["qubits"], rank=cfg["rank"], seed=derive_seed(cfg["seed"], index),
-        state_kind=cfg["state_kind"], observable_kind=cfg["observable_kind"],
-        k=ks[index % len(ks)], eps=eps,
-    ) for index in indices]
-    seeds = [spec.seed for spec in specs]
-    reports = estimate_stack(
-        purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds), [spec.k for spec in specs],
-        eps, seeds, mode=cfg["mode"],
-    )
+        qubits=cfg["qubits"], rank=cfg["rank"], seed=seed, state_kind=cfg["state_kind"],
+        observable_kind=cfg["observable_kind"], k=ks[index % len(ks)], eps=eps,
+    ) for index, seed in zip(indices, seeds)]
+    reports = estimate_stack(purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds),
+                             [spec.k for spec in specs], eps, seeds, mode=cfg["mode"])
     records = []
     for index, spec, report in zip(indices, specs, reports):
         err = abs(report.estimate - report.oracle_value)
@@ -377,10 +377,10 @@ def _bqp_records(cfg: dict, indices: range) -> list[dict]:
     """The ``bqp`` records ``indices``, built as one stack of circuits."""
     r_dim = 2 ** cfg["r_qubits"]
     accept = Observable(np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex)))
-    qs, ks = list(cfg["q_values"]), list(cfg["k_values"])
-    specs = [{"run": i, "q": float(qs[i % len(qs)]), "k": ks[(i // len(qs)) % len(ks)],
-              "seed": derive_seed(cfg["seed"], i), "r_qubits": cfg["r_qubits"]} for i in indices]
-    inst = bqp_instance(random_unitary(r_dim, [spec["seed"] for spec in specs]), accept,
+    qs, ks, seeds = cfg["q_values"], cfg["k_values"], derive_seeds([cfg["seed"]] * len(indices), [*indices])
+    specs = [{"run": i, "q": float(qs[i % len(qs)]), "k": ks[(i // len(qs)) % len(ks)], "seed": seed,
+              "r_qubits": cfg["r_qubits"]} for i, seed in zip(indices, seeds)]
+    inst = bqp_instance(random_unitary(r_dim, seeds), accept,
                         [spec["q"] for spec in specs], [spec["k"] for spec in specs])
     return [{"spec": spec, "report": {
         "lambda": lam, "p_x": p_x, "trace_power": lam ** k * p_x, "identity_defect": defect,
@@ -406,11 +406,9 @@ def _suite_bqp(cfg: dict):
 def _vd_records(cfg: dict, indices: range) -> list[dict]:
     """The ``apps`` virtual-distillation records ``indices``, as one stack."""
     k, eps = cfg["vd_k"], float(cfg["vd_eps"])
-    specs = [InstanceSpec(
-        qubits=cfg["qubits"], rank=cfg["rank"], seed=derive_seed(cfg["seed"], 1000 + index),
-        observable_kind="pauli:" + "Z" + "I" * (cfg["qubits"] - 1), k=k, eps=eps,
-    ) for index in indices]
-    seeds = [spec.seed for spec in specs]
+    seeds = derive_seeds([cfg["seed"]] * len(indices), [1000 + index for index in indices])
+    specs = [InstanceSpec(qubits=cfg["qubits"], rank=cfg["rank"], seed=seed, k=k, eps=eps,
+                          observable_kind="pauli:Z" + "I" * (cfg["qubits"] - 1)) for seed in seeds]
     results = vd_ratio_stack(purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds),
                              k, eps, eps, seeds, mode=cfg["mode"])
     records = []
@@ -470,28 +468,21 @@ def _separation_confidence_z(confidence: float) -> float:
 
 
 def _suite_separation(cfg: dict):
-    spec_base = InstanceSpec(
-        qubits=cfg["qubits"],
-        rank=cfg["rank"],
-        seed=cfg["seed"],
-        observable_kind="pauli:Z" + "I" * (cfg["qubits"] - 1),
-    )
-    rho = make_state(spec_base)
-    obs = make_observable(spec_base)
+    eps, confidence = float(cfg["eps"]), float(cfg["confidence"])
+    if not (0.0 < confidence < 1.0 and 0.0 < eps <= 1.0):
+        raise ValidationError(f"separation needs 0 < confidence < 1 and 0 < eps <= 1, got {confidence}, {eps}")
+    spec_base = InstanceSpec(qubits=cfg["qubits"], rank=cfg["rank"], seed=cfg["seed"],
+                             observable_kind="pauli:Z" + "I" * (cfg["qubits"] - 1))
+    rho, obs = make_state(spec_base), make_observable(spec_base)
     pur = purify(rho)
-    eps = float(cfg["eps"])
-    z = _separation_confidence_z(float(cfg["confidence"]))
-    records = []
-    ks = cfg["k_values"]
+    z = _separation_confidence_z(confidence)
+    records, ks = [], cfg["k_values"]
     for k in ks:
         mean, var = swap_test_moments(rho, obs, k)
         shots = math.ceil(var * (z / eps) ** 2)
-        report = estimate_trace_power(
-            pur, obs, k, eps, mode="sampled", seed=derive_seed(cfg["seed"], k)
-        )
+        report = estimate_trace_power(pur, obs, k, eps, mode="sampled", seed=derive_seed(cfg["seed"], k))
         records.append({
-            "spec": {"k": k, "eps": eps, "confidence": float(cfg["confidence"]),
-                     "instance": spec_base.to_json()},
+            "spec": {"k": k, "eps": eps, "confidence": confidence, "instance": spec_base.to_json()},
             "report": {"swap_variance": var, "swap_shots": shots, "swap_copies": k * shots,
                        "abs_error": abs(report.estimate - report.oracle_value),
                        "estimator": report.to_json()},
@@ -659,6 +650,8 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
                 _check_kind(key, value, defaults.get(key))
                 least = _COUNT_MINIMUM.get(key)
                 values = value if isinstance(value, list) else [value]
+                if any(type(x) is float and not math.isfinite(x) for x in values):
+                    raise ValidationError(f"config key {key!r} must be finite, got {value!r}")
                 if least is not None and not all(type(x) is int for x in values):
                     raise ValidationError(f"config key {key!r} takes integers only, got {value!r}")
                 if least is not None and any(x < least for x in values):
@@ -683,24 +676,16 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
     cfg = {**cfg, "suite": suite}
     cfg_hash = config_hash(cfg)
     records, summary = entry.run(cfg)
-    stamp = {"tool_version": __version__, "config_hash": cfg_hash}
-    records = [{**rec, **stamp, "timestamp": _timestamp()} for rec in records]
+    stamp = {"tool_version": __version__, "config_hash": cfg_hash,
+             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}  # one per run
+    records = [{**rec, **stamp} for rec in records]
 
     out_dir = os.path.join(out_root, suite, cfg_hash)
     write_csv(os.path.join(out_dir, "table.csv"), entry.columns, records)
-    _atomic_write(
-        os.path.join(out_dir, "records.json"), canonical_json(records) + "\n"
-    )
-    summary_obj = {
-        "suite": suite,
-        "config": cfg,
-        "config_hash": cfg_hash,
-        "tool_version": __version__,
-        **summary,
-    }
-    _atomic_write(
-        os.path.join(out_dir, "summary.json"), canonical_json(summary_obj) + "\n"
-    )
+    _atomic_write(os.path.join(out_dir, "records.json"), canonical_json(records) + "\n")
+    summary_obj = {"suite": suite, "config": cfg, "config_hash": cfg_hash, "tool_version": __version__,
+                   **summary}
+    _atomic_write(os.path.join(out_dir, "summary.json"), canonical_json(summary_obj) + "\n")
     return 0 if summary["pass"] else 1
 
 

@@ -4,6 +4,8 @@ import os
 import statistics
 from pathlib import Path
 
+import powertrace.suites as suites
+
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "estimator_reach.py"
 
 
@@ -51,5 +53,9 @@ def test_suites_wall_keeps_each_labelled_run(tmp_path, monkeypatch):
     for row in rows:
         assert len(row["wall_s_runs"]) == 2 and all(t > 0 for t in row["wall_s_runs"])
         assert row["wall_s"] == statistics.median(row["wall_s_runs"])
+        assert row["run_s"] == statistics.median(row["run_s_runs"])
+        # the runner's time lies inside its call's wall time
+        assert all(0 < inner < whole for inner, whole in zip(row["run_s_runs"], row["wall_s_runs"]))
         assert row["tracemalloc_peak_mib"] > 0
+    assert wall.SUITE_REGISTRY["bounds"].run is suites._suite_bounds  # the timed runner is taken out again
     assert [row["suite"] for row in doc["runs"]["b"]["rows"]] == ["bounds"]

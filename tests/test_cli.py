@@ -307,3 +307,55 @@ def test_separation_observable_follows_its_qubit_count(tmp_path, monkeypatch, qu
     (config_dir,) = (tmp_path / "separation").iterdir()
     records = json.loads((config_dir / "records.json").read_text())
     assert {rec["spec"]["instance"]["observable_kind"] for rec in records} == {label}
+
+
+@pytest.mark.parametrize(
+    "argv, config, reason",
+    [(["--eps", "nan"], {}, "'eps' must be finite"), ([], '{"eps": NaN}', "'eps' must be finite"),
+     ([], '{"eps": 1e400}', "'eps' must be finite"), ([], '{"c": -Infinity}', "'c' must be finite"),
+     ([], {"confidence": 1}, "0 < confidence < 1"), ([], {"confidence": 1.5}, "0 < confidence < 1"),
+     ([], {"confidence": 0}, "0 < confidence < 1"), ([], {"confidence": -0.2}, "0 < confidence < 1"),
+     ([], {"eps": 0.0}, "0 < eps <= 1"), ([], {"eps": 2.0}, "0 < eps <= 1")],
+    ids=["eps-nan-flag", "eps-nan", "eps-overflow", "c-minus-infinity", "confidence-1", "confidence-1.5",
+         "confidence-0", "confidence-negative", "eps-0", "eps-2"],
+)
+def test_non_finite_value_or_bad_confidence_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                     argv, config, reason):
+    """argparse's float and json.loads both accept nan and infinities; a
+    config rejects them for every key, and ``separation`` checks its
+    confidence and eps before any record runs."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    suite = "bounds" if "'c'" in reason else "separation"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    assert main([suite, *argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``; 0 if it returns."""
+    try:
+        parse(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["estimate", "-h"], [], ["estimat"], ["baseline", "--bogus"]],
+                         ids=lambda argv: " ".join(argv) or "empty")
+def test_main_prints_what_the_seven_suite_parser_prints(resolved, capsys, argv):
+    assert _outcome(main, argv, capsys) == _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert resolved == []
+
+
+def test_main_builds_only_the_named_suites_parser(resolved, monkeypatch):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda suites=SUITES: built.append(tuple(suites)) or real(suites))
+    assert main(["bqp", "--runs", "3"]) == 0
+    with pytest.raises(SystemExit):
+        main(["bqpx"])
+    assert built == [("bqp",), SUITES]
