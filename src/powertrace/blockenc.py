@@ -12,7 +12,7 @@ vector is built (queries to the unitary preparing one are counted in
 ``qsvt.QueryLedger``). ``halmos_dilate`` builds a contraction's
 one-ancilla unitary, which the hybrid-argument bound runs; a purification
 vector and the SWAP-lemma unitary of the density block live with the
-other test references in ``reference``.
+other test references in ``tests/reference.py``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The generalized swap test reads Tr(rho^k O) out of k state copies through
 the identity Tr(P_k rho^(x k) (O x I)) = Tr(rho^k O) with P_k the cyclic
-permutation of the copies (``reference.cyclic_permutation`` builds it for
-the tests). The sampled test needs only the control and first-copy state
+permutation of the copies (``tests/reference.py`` builds it for the
+tests). The sampled test needs only the control and first-copy state
 after the controlled cycle, (1/2) [[rho, rho^k], [rho^k, rho]]: its
 off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k. Both blocks are
 diagonal in rho's eigenbasis, so the exact outcome law is read from rho's

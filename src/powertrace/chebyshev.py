@@ -143,7 +143,7 @@ def minimal_empirical_degree(k: int, eps: float) -> int:
     return m
 
 
-def degree_lower_bound_solve(k: int, eps: float, max_iter: int = 10_000) -> float:
+def degree_lower_bound_solve(k: int, eps: float) -> float:
     """Solve d^2 = 2k [ln(pi^2/(2 eps)) - ln(pi^2 + ln d)] by fixed point.
 
     This transcendental equation arises when the near-best Chebyshev
@@ -158,7 +158,7 @@ def degree_lower_bound_solve(k: int, eps: float, max_iter: int = 10_000) -> floa
         raise ValidationError(f"eps must lie in (0, 0.1], got {eps!r}")
     a = math.log(math.pi ** 2 / (2.0 * eps))
     d = math.sqrt(2.0 * k * a)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         inner = a - math.log(math.pi ** 2 + math.log(d))
         if inner <= 0:
             raise NumericalError(
@@ -168,6 +168,4 @@ def degree_lower_bound_solve(k: int, eps: float, max_iter: int = 10_000) -> floa
         if abs(d_next - d) < 1e-9:
             return d_next
         d = d_next
-    raise NumericalError(
-        f"degree lower bound iteration did not converge in {max_iter} steps"
-    )
+    raise NumericalError("degree lower bound iteration did not converge in 10000 steps")

@@ -39,7 +39,7 @@ one array hash each for a stack of ``STACK_SEEDS`` or more records.
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
-tested against are in ``reference``.
+tested against are in ``tests/reference.py``.
 """
 
 from __future__ import annotations

@@ -107,16 +107,16 @@ def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> N
         _fail_first(defect > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
 
 
-def eigh(h, atol: float = 1e-8, what: str = "eigh input") -> EighResult:
+def eigh(h, atol: float = 1e-8) -> EighResult:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises ValidationError when the input deviates from Hermitian by more
-    than ``atol`` in operator norm; ``what`` names the input in the error.
+    Raises ValidationError, naming the "eigh input", when the input
+    deviates from Hermitian by more than ``atol`` in operator norm.
     """
-    h = as_complex_matrix(h, what)
+    h = as_complex_matrix(h, "eigh input")
     if h.shape[0] != h.shape[1]:
-        raise ValidationError(f"{what} must be square")
-    _check_hermitian(h, atol, what)
+        raise ValidationError("eigh input must be square")
+    _check_hermitian(h, atol, "eigh input")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return EighResult(w, v)
 

@@ -91,7 +91,7 @@ QUERY_EXPONENT_MAX = 0.65  # queries ~ sqrt(k)
 
 def fmt(x) -> str:
     """Render one CSV cell; floats with 17 significant digits."""
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
@@ -99,8 +99,8 @@ def fmt(x) -> str:
 
 
 # the built-in kind canonical_json writes a numpy scalar or a subclass as
-_JSON_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, bool), (int, (int, np.integer)),
-               (list, (list, tuple)))
+_JSON_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, (bool, np.bool_)),
+               (int, (int, np.integer)), (list, (list, tuple)))
 _quote = json.encoder.encode_basestring_ascii
 _heads = lru_cache(256)(lambda pad, keys: tuple(f"{pad}{_quote(str(key))}: " for key in keys))  # a dict's heads
 
@@ -114,7 +114,7 @@ def _emit(heads: list, values, pad: str, out: list) -> list:
         mark, kind, lead, sep = len(out), type(value), sep, ",\n"  # lead: the separator before this item
         if kind not in (float, dict, str, bool, int, list):
             kind = next((base for base, types in _JSON_KINDS if isinstance(value, types)), None)
-            value = kind(value) if kind is float or kind is int else value
+            value = kind(value) if kind in (float, int, bool) else value
         if kind is float:
             out.append(f"{lead}{head}{value:.17g}" if math.isfinite(value) else f'{lead}{head}"{value}"')
         elif (kind is dict or kind is list) and value:
@@ -272,6 +272,8 @@ def _suite_estimate(cfg: dict):
 
 
 def _suite_baseline(cfg: dict):
+    if cfg["repeats"] > 100:  # repeat r of shot level i is seeded 100 i + r
+        raise ValidationError(f"baseline needs repeats <= 100, got {cfg['repeats']}")
     spec = InstanceSpec(qubits=cfg["qubits"], rank=cfg["rank"], seed=cfg["seed"], state_kind=cfg["state_kind"],
                         observable_kind=cfg["observable_kind"], k=cfg["k"])
     rho, obs = make_state(spec), make_observable(spec)

@@ -3,13 +3,16 @@
 The estimation pipeline builds no unitary, no block and no purification
 vector: P(0) of the Hadamard test is read from the spectral sum
 Tr(rho p(rho) O) over rho's eigenbasis, the amplitude-estimation outcome
-drawn bit by bit in O(log K). This module builds what those stand for (a
-purification vector of the state, the SWAP-lemma unitary of the density
+drawn bit by bit in O(log K). This test helper builds what those stand for
+(a purification vector of the state, the SWAP-lemma unitary of the density
 block encoding, the block identity ``closed_form_p_zero``, the simulated
 Hadamard-test circuit, the dense phase-estimation law, the swap test's
 cyclic permutation, ``partial_trace`` and ``fidelity``) so the tests can
-compare the two, and the one seeded ``random_density`` the tests build
-their states from. No pipeline module imports it.
+compare the two. It also holds the dense Chebyshev oracles
+``chebyshev_matrix`` and ``dense_power_times_obs``, and the one seeded
+``random_density`` the tests build their states from. It lives beside the
+tests, outside the installed package, and the tests import it as
+``reference``.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import math
 
 import numpy as np
 
-from .blockenc import PurifiedState
-from .errors import ValidationError
-from .instances import _random_densities
-from .linalg import (
+import powertrace as pt
+from powertrace.blockenc import PurifiedState
+from powertrace.errors import ValidationError
+from powertrace.linalg import (
     DensityMatrix,
     _psd_sqrt,
     as_complex_matrix,
@@ -33,8 +36,29 @@ from .linalg import (
 
 def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
-    of shape (2^qubits, rank): one record of ``make_states``."""
-    return DensityMatrix(_random_densities(qubits, rank, [seed])[0])
+    of shape (2^qubits, rank): the default ``random_mixed`` instance."""
+    return pt.make_state(pt.InstanceSpec(qubits, rank, seed))
+
+
+def chebyshev_matrix(c, mat) -> np.ndarray:
+    """p(M) = sum_n c[n] T_n(M), by the matrix recurrence T_0 = I,
+    T_1 = M, T_(n+1) = 2 M T_n - T_(n-1): no eigendecomposition, so it
+    shares nothing with the pipeline's spectral route."""
+    mat = np.asarray(mat, dtype=complex)
+    prev, cur = np.eye(mat.shape[0], dtype=complex), mat
+    out = c[0] * prev
+    for n in range(1, len(c)):
+        out = out + c[n] * cur
+        prev, cur = cur, 2 * mat @ cur - prev
+    return out
+
+
+def dense_power_times_obs(rho, obs, k: int, eps: float) -> np.ndarray:
+    """B = p(rho) O for the truncation p of x^(k-1) an estimate uses at
+    eps, whose polynomial budget is eps / (2 ||O||), built densely by
+    ``chebyshev_matrix``."""
+    degree = pt.required_degree(k - 1, min(1.0, eps / (2 * obs.op_norm)))
+    return chebyshev_matrix(pt.power_expansion(k - 1)[:degree + 1], rho.mat) @ obs.mat
 
 
 def purification_vector(state: DensityMatrix) -> np.ndarray:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
-from conftest import dense_power_times_obs
-from powertrace import blockenc, estimator, linalg, qsvt, reference
-from powertrace.reference import random_density
+import reference
+from powertrace import blockenc, estimator, linalg, qsvt
+from reference import dense_power_times_obs, random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

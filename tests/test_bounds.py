@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import powertrace as pt
 from powertrace.bounds import _swap_test_outcome_table, helstrom_m_star
-from powertrace.reference import cyclic_permutation, fidelity, partial_trace, random_density
+from reference import cyclic_permutation, fidelity, partial_trace, random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

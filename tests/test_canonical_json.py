@@ -3,7 +3,8 @@
 ``reference_canonical_json`` is that writer, kept here as the oracle: it
 formats each value by one recursive call and joins every level. The
 one-pass emitter must write the same bytes for every tree whose keys need
-no escaping; keys that do are escaped as string values are.
+no escaping; keys that do are escaped as string values are. Both write a
+numpy ``bool_`` as a JSON bool, where the replaced writer wrote its string.
 """
 
 import json
@@ -14,10 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertrace.suites import canonical_json
+from powertrace.suites import canonical_json, fmt
 
-_REFERENCE_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, bool), (int, (int, np.integer)),
-                    (list, (list, tuple)))
+_REFERENCE_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, (bool, np.bool_)),
+                    (int, (int, np.integer)), (list, (list, tuple)))
 
 
 def reference_canonical_json(obj, indent: int = 0) -> str:
@@ -94,3 +95,8 @@ def test_a_key_with_a_quote_is_escaped():
 def test_top_level_items_and_empty_containers():
     assert canonical_json([]) == "[]" and canonical_json({}) == "{}" and canonical_json(2.5) == "2.5"
     assert canonical_json([{"b": [], "a": {}}, (1,)]) == '[\n  {\n    "a": {},\n    "b": []\n  },\n  [\n    1\n  ]\n]'
+
+
+def test_a_numpy_bool_is_written_as_a_json_bool():
+    assert canonical_json({"a": np.True_, "b": [np.False_]}) == '{\n  "a": true,\n  "b": [\n    false\n  ]\n}'
+    assert (fmt(np.True_), fmt(np.False_), fmt(True)) == ("true", "false", "true")

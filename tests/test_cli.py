@@ -300,6 +300,14 @@ def test_removed_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suit
     assert f"suite {suite} reads no config key {key!r}" in capsys.readouterr().err
 
 
+def test_baseline_repeats_above_100_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    """Repeat r of shot level i is seeded 100 i + r, so a 101st repeat
+    would draw the next level's first record."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert _exits_2_before_any_work(tmp_path, "baseline", {"repeats": 101, "shots_list": [100, 100]})
+    assert "baseline needs repeats <= 100, got 101" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("qubits, label", [(1, "pauli:Z"), (3, "pauli:ZII")])
 def test_separation_observable_follows_its_qubit_count(tmp_path, monkeypatch, qubits, label):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import powertrace as pt
-from conftest import dense_power_times_obs
-from powertrace import blockenc, estimator, instances, linalg, qsvt, reference
+import reference
+from powertrace import blockenc, estimator, instances, linalg, qsvt
 from powertrace.cli import main
 from powertrace.estimator import ae_error_bound, choose_ae_grid
-from powertrace.reference import (
+from reference import (
     _swap_registers,
     ae_outcome_distribution,
     closed_form_p_zero,
+    dense_power_times_obs,
     hadamard_test_prob,
     random_density,
 )

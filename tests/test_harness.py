@@ -13,8 +13,8 @@ import pytest
 import powertrace as pt
 from powertrace import estimator, instances, linalg, suites
 from powertrace.cli import main
-from powertrace.reference import random_density
 from powertrace.suites import _separation_confidence_z, canonical_json, config_hash, load_config_file, resolve_config
+from reference import random_density
 
 
 # ------------------------------------------------------------ random_density

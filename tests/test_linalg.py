@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import powertrace as pt
 from powertrace import instances, linalg
 from powertrace.chebyshev import MAX_POWER
-from powertrace.reference import fidelity, partial_trace, random_density
+from reference import fidelity, partial_trace, random_density
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)

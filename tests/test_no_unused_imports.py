@@ -1,8 +1,8 @@
 """Every name a source module imports is used in that module.
 
 No linter ships with the test environment, so this walks the syntax tree
-of each ``src/powertrace`` module. ``__init__.py`` is skipped: its imports
-are the package's re-exports.
+of each ``src/powertrace`` module and of the tests' ``reference`` module.
+``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -12,8 +12,9 @@ import pytest
 
 import powertrace
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "powertrace"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "powertrace"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + [TESTS / "reference.py"]
 
 
 def _imported_names(tree):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import powertrace as pt
-from conftest import chebyshev_matrix, dense_power_times_obs
 from powertrace import estimator, qsvt
-from powertrace.reference import random_density
+from reference import chebyshev_matrix, dense_power_times_obs, random_density
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 
