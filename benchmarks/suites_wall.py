@@ -13,11 +13,10 @@ One row per suite:
 - ``tracemalloc_peak_mib``: the ``tracemalloc`` peak of one more call, run
   after the timed ones so that tracing never reaches a timing.
 
-``POWERTRACE_SEED`` is cleared first, since it would override the suites'
-seeds. The powertrace that is measured is the one in this checkout's
-``src/``. Results are stored under ``--label`` in the output file, next to
-the runs already there, so several versions of the package can be recorded
-in one file:
+The powertrace that is measured is the one in this checkout's ``src/``.
+Results are stored under ``--label`` in the output file, next to the runs
+already there, so several versions of the package can be recorded in one
+file:
 
     python3 benchmarks/suites_wall.py --label after
     python3 benchmarks/suites_wall.py --label quick --suites estimate apps --runs 3 --out /tmp/suites.json
@@ -43,7 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from powertrace.cli import main as cli_main  # noqa: E402
-from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, SUITES  # noqa: E402
+from powertrace.suites import SUITE_REGISTRY, SUITES  # noqa: E402
 
 MIB = 2 ** 20
 
@@ -102,7 +101,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    os.environ.pop(SEED_ENV_VAR, None)
 
     rows = []
     for suite in args.suites:

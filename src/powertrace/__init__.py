@@ -38,7 +38,6 @@ from .chebyshev import (
     truncation_tails,
 )
 from .blockenc import PurifiedState, halmos_dilate, purify
-from .qsvt import QueryLedger
 from .estimator import (
     AE_SUCCESS_PROB,
     AeOutcome,
@@ -87,7 +86,6 @@ __all__ = [
     "Observable",
     "PowertraceError",
     "PurifiedState",
-    "QueryLedger",
     "ResourceError",
     "SwapTestResult",
     "UnreliableEstimateError",

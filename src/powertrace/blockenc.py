@@ -8,9 +8,9 @@ purified state holds rho, the eigenvalue transform maps it to p(rho), and
 the Hadamard test reads Tr(rho p(rho) O)/alpha_O, which the estimator sums
 over rho's spectrum. So purified access is the state itself: a
 ``PurifiedState`` carries rho and its cached spectrum, and no purification
-vector is built (queries to the unitary preparing one are counted in
-``qsvt.QueryLedger``). ``halmos_dilate`` builds a contraction's
-one-ancilla unitary, which the hybrid-argument bound runs; a purification
+vector is built (the estimator counts the queries to the unitary
+preparing one). ``halmos_dilate`` builds a contraction's one-ancilla
+unitary, which the hybrid-argument bound runs; a purification
 vector and the SWAP-lemma unitary of the density block live with the
 other test references in ``tests/reference.py``.
 """

@@ -1,17 +1,17 @@
 """Command-line entry point.
 
-    powertrace <suite> [--config PATH] [--out DIR] [--seed INT]
-               [suite flags: --k --eps --qubits --rank --shots --runs --q --c]
+    powertrace <suite> [--config PATH] [--out DIR]
+               [suite flags: --k --eps --qubits --rank --shots --runs --q --c --seed]
 
 Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
 -h`` lists them and the key each one sets. ``main`` builds only the named
 suite's subparser; help, no suite or an unknown one build all seven. Any
 other flag, a config-file key the suite does not read, a ``suite`` key
-naming another suite, a value of the wrong kind, a non-finite number, a
-seed that is not a non-negative integer, an integer key (count, k, rank,
-order) that is fractional or below its least value, or an empty list
-exits 2.
+naming another suite, a value of the wrong kind, a non-finite number, an
+integer key (count, k, rank, order, seed) that is fractional or below its
+least value, an empty list, or a list flag of several values for a scalar
+key exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
@@ -46,6 +46,7 @@ _FLAGS = {
     "runs": (int, "runs", "number of records to run"),
     "q": (float, "q_values", "weight parameter for the reduction suite"),
     "c": (float, "c", "bias constant for the discrimination suite"),
+    "seed": (int, "seed", "master RNG seed"),
 }
 
 
@@ -67,7 +68,6 @@ def build_parser(suites: tuple = SUITES) -> argparse.ArgumentParser:
         sp = sub.add_parser(suite, help=f"run the {suite} suite", allow_abbrev=False)
         sp.add_argument("--config", help="flat JSON config file")
         sp.add_argument("--out", default="out", help="output directory root (default: out)")
-        sp.add_argument("--seed", type=int, help="master RNG seed override")
         for flag, key in _suite_flags(suite).items():
             kind, _, text = _FLAGS[flag]
             sp.add_argument(f"--{flag}", type=kind, help=f"{text} (sets {key})")
@@ -76,14 +76,17 @@ def build_parser(suites: tuple = SUITES) -> argparse.ArgumentParser:
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     """The config keys the given flags set. A value takes the shape of the
-    key's default: a list flag sets a scalar key to its first entry, and a
-    scalar flag sets a list key to a one-entry list."""
+    key's default: a one-value list flag sets a scalar key to that value,
+    and a scalar flag sets a list key to a one-entry list. A list flag of
+    several values for a scalar key raises ValidationError."""
     defaults = suite_entry(args.suite).defaults
-    over = {"seed": args.seed}
+    over = {}
     for flag, key in _suite_flags(args.suite).items():
         value = getattr(args, flag)
         if value is not None:
             if isinstance(defaults[key], list) != isinstance(value, list):
+                if not isinstance(defaults[key], list) and len(value) > 1:
+                    raise ValidationError(f"--{flag} sets {key!r}, which takes one value, got {value!r}")
                 value = [value] if isinstance(defaults[key], list) else value[0]
             over[key] = value
     return over

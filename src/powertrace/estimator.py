@@ -53,7 +53,7 @@ from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
 from .instances import derive_seeds, generators, shared_observable
 from .linalg import Observable, trace_power_obs_oracles
-from .qsvt import QueryLedger, transform_spectra
+from .qsvt import transform_spectra
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
@@ -97,9 +97,9 @@ class EstimationReport:
 
 def _power_overlap(
     purification: PurifiedState, o: Observable, ks: list, eps: float
-) -> tuple[np.ndarray, np.ndarray, list[QueryLedger]]:
-    """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and the ledger
-    of each of the R states of ``purification``, with ``ks`` their powers
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The Hadamard test's overlap Tr(rho p(rho) O), alpha_O and p's degree
+    for each of the R states of ``purification``, with ``ks`` their powers
     and ``o`` one observable or R, a pair ``trace_power_obs_oracles`` accepts.
 
     p approximates x^(k-1) to eps / (2 ||O||), so the trace-level model
@@ -116,13 +116,13 @@ def _power_overlap(
     norms = np.full(rho.mat.shape[:-2], o.op_norm).ravel().tolist()
     if min(norms) <= 0.0:
         raise ValidationError("observable must be nonzero")
-    p_w, ledgers = transform_spectra(w, ks, [min(1.0, eps / (2.0 * norm)) for norm in norms])
+    p_w, degrees = transform_spectra(w, ks, [min(1.0, eps / (2.0 * norm)) for norm in norms])
     ov, step = o.mat @ v, max(1, 2 ** 16 // dim)
     blocks = [  # (V^dag O V)_ii
         (v[..., j:j + step].conj() * ov[..., j:j + step]).sum(axis=-2) for j in range(0, dim, step)
     ]
     o_diag = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
-    return (w * p_w * o_diag).sum(axis=-1), np.array([max(1.0, norm) for norm in norms]), ledgers
+    return (w * p_w * o_diag).sum(axis=-1), np.array([max(1.0, norm) for norm in norms]), degrees
 
 
 def _p_zero(overlap: complex, w: str) -> float:
@@ -251,14 +251,14 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
     _check_mode(mode)
     oracles = trace_power_obs_oracles(purification.state, o, ks)  # also checks the stacks pair up
-    overlaps, alphas, ledgers = _power_overlap(purification, o, ks, eps)
+    overlaps, alphas, degrees = _power_overlap(purification, o, ks, eps)
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     reports = []
     grids = {alpha_o: choose_ae_grid(eps / (4.0 * alpha_o)) for alpha_o in set(alphas.tolist())}
     masters = [seed for seed in seeds for _ in settings]  # record-major, as the loop draws them
     readouts = generators(derive_seeds(masters, [*range(len(settings))] * len(seeds)))
-    for overlap, alpha_o, ledger, oracle, k_i, seed in zip(
-        overlaps.tolist(), alphas.tolist(), ledgers, oracles, ks, seeds, strict=True
+    for overlap, alpha_o, degree, oracle, k_i, seed in zip(
+        overlaps.tolist(), alphas.tolist(), degrees, oracles, ks, seeds, strict=True
     ):
         eps_prime, grid = eps / (4.0 * alpha_o), grids[alpha_o]
         parts = []
@@ -266,11 +266,12 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
             p_true = _p_zero(overlap / alpha_o, setting)
             outcome = amplitude_estimate(p_true, grid, mode=mode, rng_seed=next(readouts))
             parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
+        # each degree of p applies the density block encoding: two purification-unitary queries
         reports.append(EstimationReport(
             estimate=complex(parts[0], parts[1] if len(parts) > 1 else 0.0), oracle_value=oracle,
             k=k_i, eps_requested=float(eps), eps_poly_budget=eps / 2.0, eps_ae_budget=eps_prime,
-            ae_queries_K=grid, u_rho_queries_total=ledger.u_rho_queries * grid * len(settings),
-            seed=int(seed), mode=mode, alpha_o=alpha_o, poly_degree=ledger.poly_degree,
+            ae_queries_K=grid, u_rho_queries_total=2 * degree * grid * len(settings),
+            seed=int(seed), mode=mode, alpha_o=alpha_o, poly_degree=degree,
             model_error=abs(overlap - oracle),
         ))
     return reports

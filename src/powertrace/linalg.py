@@ -39,7 +39,7 @@ EIG_FLOOR = -1e-10
 QUBIT_CAP = 14
 
 
-def check_dim_within_cap(dim: int, what: str = "operator") -> None:
+def check_dim_within_cap(dim: int, what: str) -> None:
     """Raise ResourceError if a dim x dim operator exceeds the qubit cap."""
     if dim > 2 ** QUBIT_CAP:
         raise ResourceError(

@@ -9,7 +9,7 @@ with "|"-separated fallbacks for tables that mix record kinds
 ("report.m_star|report.t_star"), and a cell no path reaches is nan.
 
 Every suite resolves a flat JSON config (defaults <- config file <- CLI
-overrides <- POWERTRACE_SEED), runs its records, and writes
+overrides), runs its records, and writes
 
     <out>/<suite>/<config-hash>/records.json   per-record inputs + reports
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
@@ -24,8 +24,8 @@ A config holds only experiment parameters; the gate thresholds are the
 module constants below, and each summary reports those it applied. A
 config key outside the suite's defaults is rejected, and so is a value of
 another JSON kind than its default's, or a fractional or too small value
-of an integer key; ``seed`` is read by every suite, since POWERTRACE_SEED
-sets it for all, and must be a non-negative integer.
+of an integer key. A suite that draws random numbers reads ``seed``, a
+non-negative integer.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
@@ -70,8 +70,6 @@ from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, r
 from .instances import (InstanceSpec, derive_seed, derive_seeds, make_observable, make_observables, make_state,
                         make_states, random_unitary)
 from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
-
-SEED_ENV_VAR = "POWERTRACE_SEED"
 
 APPROX_SLOPE_RANGE = (0.4, 0.6)  # degree ~ sqrt(k)
 ESTIMATE_PASS_THRESHOLD = AE_SUCCESS_PROB - 0.05  # share of estimates within eps
@@ -609,11 +607,8 @@ def _kind(value) -> str:
 def _check_kind(key: str, value, default) -> None:
     """Reject a config value of another JSON kind than its default's, and
     for a list key an empty list or any element of another kind than the
-    default's elements. ``seed`` is a non-negative integer."""
-    if key == "seed":
-        ok = type(value) is int and value >= 0
-        expected = "a non-negative integer"
-    elif isinstance(default, list):
+    default's elements."""
+    if isinstance(default, list):
         kinds = sorted({_kind(x) for x in default})
         ok = isinstance(value, list) and all(_kind(x) in kinds for x in value)
         expected = f"a list of {' or '.join(kinds)} values"
@@ -631,25 +626,24 @@ def _check_kind(key: str, value, default) -> None:
 # register.
 _COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
                   "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 1, "rank": 1,
-                  "renyi_alpha": 1, "tsallis_q": 1}
+                  "renyi_alpha": 1, "tsallis_q": 1, "seed": 0}
 
 
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
     defaults = suite_entry(suite).defaults
     cfg = dict(defaults)
-    readable = {*cfg, "seed"}
     for layer in (file_config or {}), (overrides or {}):
         for key, value in layer.items():
             if key == "suite":
                 if value != suite:
                     raise ValidationError(f"config is for suite {value!r}, not {suite}")
                 continue
-            if key not in readable:
+            if key not in defaults:
                 raise ValidationError(
-                    f"suite {suite} reads no config key {key!r}; it reads {', '.join(sorted(readable))}"
+                    f"suite {suite} reads no config key {key!r}; it reads {', '.join(sorted(defaults))}"
                 )
             if value is not None:
-                _check_kind(key, value, defaults.get(key))
+                _check_kind(key, value, defaults[key])
                 least = _COUNT_MINIMUM.get(key)
                 values = value if isinstance(value, list) else [value]
                 if any(type(x) is float and not math.isfinite(x) for x in values):
@@ -659,11 +653,6 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
                 if least is not None and any(x < least for x in values):
                     raise ValidationError(f"config key {key!r} must be at least {least}, got {value!r}")
                 cfg[key] = value
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        if not env_seed.strip().isdecimal():
-            raise ValidationError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env_seed!r}")
-        cfg["seed"] = int(env_seed)
     cfg["suite"] = suite
     return cfg
 

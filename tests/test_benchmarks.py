@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 import statistics
 from pathlib import Path
 
@@ -37,14 +36,12 @@ def test_estimator_reach_keeps_each_labelled_run(tmp_path, capsys):
 SUITES_SCRIPT = SCRIPT.parent / "suites_wall.py"
 
 
-def test_suites_wall_keeps_each_labelled_run(tmp_path, monkeypatch):
+def test_suites_wall_keeps_each_labelled_run(tmp_path):
     spec = importlib.util.spec_from_file_location("suites_wall", SUITES_SCRIPT)
     wall = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wall)
-    monkeypatch.setenv("POWERTRACE_SEED", "5")  # the script clears it for the suites
     out = tmp_path / "BENCH_suites.json"
     assert wall.main(["--label", "a", "--suites", "bounds", "separation", "--runs", "2", "--out", str(out)]) == 0
-    assert "POWERTRACE_SEED" not in os.environ
     assert wall.main(["--label", "b", "--suites", "bounds", "--runs", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert set(doc["runs"]) == {"a", "b"}

@@ -13,7 +13,7 @@ import powertrace.cli as cli
 import powertrace.suites as suites
 from powertrace.cli import main
 from powertrace.errors import ValidationError
-from powertrace.suites import SEED_ENV_VAR, SUITES, resolve_config, suite_defaults
+from powertrace.suites import SUITES, resolve_config, suite_defaults
 
 # (suite, argv after the suite name, config keys it sets)
 ROUTES = [
@@ -41,17 +41,19 @@ ROUTES = [
     ("separation", ["--eps", "0.1"], {"eps": 0.1}),
     ("separation", ["--qubits", "3"], {"qubits": 3}),
     ("separation", ["--rank", "1"], {"rank": 1}),
-] + [(suite, ["--seed", "9"], {"seed": 9}) for suite in SUITES]
+] + [  # a suite that draws nothing has no --seed: it gets a one-value --k instead
+    (suite, ["--seed", "9"], {"seed": 9}) if "seed" in suite_defaults(suite)
+    else (suite, ["--k", "9"], {"k_values": [9]}) for suite in SUITES
+]
 
 SHARED_FLAGS = {"k": "4", "eps": "0.1", "qubits": "2", "rank": "1", "shots": "10",
-                "runs": "3", "q": "2", "c": "0.5"}
+                "runs": "3", "q": "2", "c": "0.5", "seed": "1"}
 
 
 @pytest.fixture
 def resolved(monkeypatch):
     """The (suite, config) that ``main`` hands to the suite runner; no
     suite runs."""
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     calls = []
 
     def recorder(suite, cfg, out_root="out"):
@@ -102,6 +104,9 @@ def test_config_file_key_a_suite_does_not_read_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     with pytest.raises(ValidationError, match="eps"):
         resolve_config("bounds", {"eps": 0.1}, None)
+    for suite in ("approx", "bounds"):  # they draw nothing, so they read no seed
+        with pytest.raises(ValidationError, match="reads no config key 'seed'"):
+            resolve_config(suite, {"seed": 3}, None)
 
 
 @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
@@ -128,54 +133,68 @@ def test_empty_list_flag_element_is_rejected(resolved, capsys, argv):
 
 
 def test_seed_and_suite_keys_are_accepted_by_every_suite(resolved, tmp_path, capsys):
-    """A config naming its own suite is accepted, so a summary's config
-    block can be fed back; one naming another suite exits 2 before any
-    record runs and writes no output directory."""
+    """A config naming its own suite, with a seed for a suite that reads
+    one, is accepted, so a summary's config block can be fed back; one
+    naming another suite exits 2 before any record runs and writes no
+    output directory."""
     for suite in SUITES:
-        cfg = resolve_config(suite, {"suite": suite, "seed": 4}, None)
-        assert cfg["seed"] == 4 and cfg["suite"] == suite
+        seed = {"seed": 4} if "seed" in suite_defaults(suite) else {}
+        cfg = resolve_config(suite, {"suite": suite, **seed}, None)
+        assert cfg == {**suite_defaults(suite), **seed, "suite": suite}
         other = "approx" if suite == "estimate" else "estimate"
         path = tmp_path / f"{suite}.json"
-        path.write_text(json.dumps({"suite": other, "seed": 4}))
+        path.write_text(json.dumps({"suite": other, **seed}))
         out = tmp_path / "out"
         assert main([suite, "--config", str(path), "--out", str(out)]) == 2
         assert f"config is for suite {other!r}, not {suite}" in capsys.readouterr().err
         assert resolved == [] and not out.exists()
 
 
+def _exit_code(argv):
+    """``main(argv)``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize(
-    "argv, env_seed, config_seed",
-    [(["estimate", "--seed", "-1"], None, None), (["approx", "--seed", "-3"], None, None),
-     (["approx"], "abc", None), (["estimate"], "-1", None), (["estimate"], "1.5", None),
-     (["bounds"], "", None), (["estimate"], None, -2), (["estimate"], None, "7"),
-     (["approx"], None, 1.5), (["baseline"], None, True)],
-    ids=["flag-negative", "flag-negative-no-default", "env-text", "env-negative", "env-float",
-         "env-empty", "file-negative", "file-string", "file-float", "file-bool"],
+    "argv, config_seed, reason",
+    [(["estimate", "--seed", "-1"], None, "'seed' must be at least 0"),
+     (["approx", "--seed", "-3"], None, "unrecognized arguments: --seed"),
+     (["estimate"], -2, "'seed' must be at least 0"), (["estimate"], "7", "'seed' must be a number"),
+     (["bqp"], 1.5, "'seed' takes integers only"), (["baseline"], True, "'seed' must be a number")],
+    ids=["flag-negative", "flag-negative-no-default", "file-negative", "file-string", "file-float", "file-bool"],
 )
-def test_seed_that_is_not_a_non_negative_integer_exits_2(
-    resolved, monkeypatch, tmp_path, capsys, argv, env_seed, config_seed
-):
-    if env_seed is not None:
-        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+def test_seed_that_is_not_a_non_negative_integer_exits_2(resolved, tmp_path, capsys, argv, config_seed, reason):
     if config_seed is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": config_seed}))
         argv = [*argv, "--config", str(cfg)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "non-negative integer" in err
-    assert (SEED_ENV_VAR if env_seed is not None else "'seed'") in err
+    assert _exit_code(argv) == 2
+    assert reason in capsys.readouterr().err
     assert resolved == []
 
 
 def test_seed_from_each_source_is_accepted(resolved, monkeypatch, tmp_path):
+    """A seed comes from the config file or the flag, the flag last; the
+    environment sets none."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3}))
-    assert main(["approx", "--config", str(cfg)]) == 0
-    assert main(["approx", "--seed", "0"]) == 0
-    monkeypatch.setenv(SEED_ENV_VAR, " 12 ")
-    assert main(["approx", "--seed", "5"]) == 0
-    assert [cfg["seed"] for _, cfg in resolved] == [3, 0, 12]
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    assert main(["estimate", "--seed", "0"]) == 0
+    assert main(["estimate", "--seed", "5", "--config", str(cfg)]) == 0
+    monkeypatch.setenv("POWERTRACE_SEED", "12")
+    assert main(["estimate"]) == 0
+    assert [cfg["seed"] for _, cfg in resolved] == [3, 0, 5, 0]
+
+
+@pytest.mark.parametrize("suite, key", [("baseline", "k"), ("apps", "vd_k")])
+def test_list_flag_of_several_values_for_a_scalar_key_exits_2(resolved, capsys, suite, key):
+    """The values are not cut to the first: the run exits 2 and names the key."""
+    assert main([suite, "--k", "3,5"]) == 2
+    assert f"--k sets {key!r}, which takes one value, got [3, 5]" in capsys.readouterr().err
+    assert resolved == []
 
 
 @pytest.mark.parametrize(
@@ -199,8 +218,7 @@ def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suit
     assert resolved == []
 
 
-def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_config_values_of_their_defaults_kind_are_accepted():
     given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "state_kind": "pure", "runs": None}
     cfg = resolve_config("estimate", given, None)
     assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
@@ -222,10 +240,7 @@ def test_config_values_of_their_defaults_kind_are_accepted(monkeypatch):
          "bqp-r_qubits-negative", "bqp-r_qubits-0", "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
          "estimate-rank-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative"],
 )
-def test_count_below_its_least_value_exits_2_before_any_work(
-    tmp_path, capsys, monkeypatch, suite, argv, config, key
-):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_count_below_its_least_value_exits_2_before_any_work(tmp_path, capsys, suite, argv, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -234,8 +249,7 @@ def test_count_below_its_least_value_exits_2_before_any_work(
     assert not out.exists()
 
 
-def test_counts_at_their_least_value_are_accepted(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_counts_at_their_least_value_are_accepted():
     least = {"estimate": {"runs": 1, "qubits": 0, "rank": 1}, "bqp": {"runs": 1, "r_qubits": 1},
              "apps": {"vd_runs": 1}, "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
     for suite, given in least.items():
@@ -248,7 +262,7 @@ FRACTIONAL = [("estimate", "runs", 3.9), ("apps", "vd_runs", 2.5), ("baseline", 
               ("baseline", "shots_list", [100, 1000.5]), ("approx", "grid_size", 100.7),
               ("estimate", "qubits", 1.5), ("bqp", "r_qubits", 2.0), ("approx", "k_values", [8.5, 16.9]),
               ("baseline", "k", 3.5), ("apps", "vd_k", 4.5), ("estimate", "rank", 1.2),
-              ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0)]
+              ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0), ("estimate", "seed", 2.5)]
 
 
 def test_every_integer_key_has_a_fractional_case():
@@ -256,9 +270,8 @@ def test_every_integer_key_has_a_fractional_case():
 
 
 @pytest.mark.parametrize("suite, key, value", FRACTIONAL, ids=[f"{s}-{k}" for s, k, _ in FRACTIONAL])
-def test_fractional_integer_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key, value):
+def test_fractional_integer_key_exits_2_before_any_work(tmp_path, capsys, suite, key, value):
     """A fraction is not truncated to an integer: it exits 2 and names the key."""
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert _exits_2_before_any_work(tmp_path, suite, {key: value})
     assert f"config key {key!r} takes integers only, got {value!r}" in capsys.readouterr().err
 
@@ -276,8 +289,7 @@ def _exits_2_before_any_work(tmp_path, suite, config):
 
 
 @pytest.mark.parametrize("suite, key", LIST_KEYS, ids=[f"{s}-{k}" for s, k in LIST_KEYS])
-def test_empty_list_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_empty_list_exits_2_before_any_work(tmp_path, capsys, suite, key):
     assert _exits_2_before_any_work(tmp_path, suite, {key: []})
     assert f"config key {key!r} must be a non-empty list" in capsys.readouterr().err
 
@@ -293,24 +305,21 @@ REMOVED_KEYS = [("approx", "slope_range", [0.0, 9.0]), ("estimate", "pass_thresh
 
 
 @pytest.mark.parametrize("suite, key, value", REMOVED_KEYS, ids=[f"{s}-{k}" for s, k, _ in REMOVED_KEYS])
-def test_removed_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, key, value):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_removed_key_exits_2_before_any_work(tmp_path, capsys, suite, key, value):
     assert key not in suite_defaults(suite)
     assert _exits_2_before_any_work(tmp_path, suite, {key: value})
     assert f"suite {suite} reads no config key {key!r}" in capsys.readouterr().err
 
 
-def test_baseline_repeats_above_100_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+def test_baseline_repeats_above_100_exit_2_before_any_work(tmp_path, capsys):
     """Repeat r of shot level i is seeded 100 i + r, so a 101st repeat
     would draw the next level's first record."""
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert _exits_2_before_any_work(tmp_path, "baseline", {"repeats": 101, "shots_list": [100, 100]})
     assert "baseline needs repeats <= 100, got 101" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("qubits, label", [(1, "pauli:Z"), (3, "pauli:ZII")])
-def test_separation_observable_follows_its_qubit_count(tmp_path, monkeypatch, qubits, label):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_separation_observable_follows_its_qubit_count(tmp_path, qubits, label):
     assert main(["separation", "--qubits", str(qubits), "--out", str(tmp_path)]) == 0
     (config_dir,) = (tmp_path / "separation").iterdir()
     records = json.loads((config_dir / "records.json").read_text())
@@ -327,12 +336,10 @@ def test_separation_observable_follows_its_qubit_count(tmp_path, monkeypatch, qu
     ids=["eps-nan-flag", "eps-nan", "eps-overflow", "c-minus-infinity", "confidence-1", "confidence-1.5",
          "confidence-0", "confidence-negative", "eps-0", "eps-2"],
 )
-def test_non_finite_value_or_bad_confidence_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                                     argv, config, reason):
+def test_non_finite_value_or_bad_confidence_exits_2_before_any_work(tmp_path, capsys, argv, config, reason):
     """argparse's float and json.loads both accept nan and infinities; a
     config rejects them for every key, and ``separation`` checks its
     confidence and eps before any record runs."""
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     suite = "bounds" if "'c'" in reason else "separation"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config if isinstance(config, str) else json.dumps(config))

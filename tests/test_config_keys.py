@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, resolve_config, run_suite_config
+from powertrace.suites import SUITE_REGISTRY, resolve_config, run_suite_config
 
 # (suite, key) -> one alternative value
 ALTERNATIVES = {
@@ -85,9 +85,7 @@ def default_records(tmp_path_factory):
 
     def records(suite: str) -> str:
         if suite not in cache:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.delenv(SEED_ENV_VAR, raising=False)
-                cache[suite] = _records(suite, None, tmp_path_factory.mktemp(suite))
+            cache[suite] = _records(suite, None, tmp_path_factory.mktemp(suite))
         return cache[suite]
 
     return records
@@ -99,7 +97,6 @@ def test_every_config_key_has_an_alternative():
 
 
 @pytest.mark.parametrize("suite, key", CASES)
-def test_every_config_key_changes_a_record(default_records, tmp_path, monkeypatch, suite, key):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_every_config_key_changes_a_record(default_records, tmp_path, suite, key):
     assert ALTERNATIVES[suite, key] != SUITE_REGISTRY[suite].defaults[key]
     assert _records(suite, {key: ALTERNATIVES[suite, key]}, tmp_path) != default_records(suite)

@@ -4,7 +4,7 @@ Each suite has two hashes: the sha256 of its ``table.csv``, and that of
 its ``records.json`` with every record's ``timestamp`` value emptied (the
 one field a rerun changes). The records hold every field a record
 carries, so they pin what no table column reads: ``model_error``,
-``eps_ae_budget``, ``alpha_o`` and the ledger-derived fields. A change
+``eps_ae_budget``, ``alpha_o`` and the query counts. A change
 that moves numbers on purpose updates the hashes it changes and says why;
 any other difference is a behaviour change. The same run pins the key
 paths of ``records.json`` and checks that every table row is the
@@ -20,7 +20,7 @@ import re
 import pytest
 
 from powertrace.cli import main
-from powertrace.suites import SEED_ENV_VAR, SUITE_REGISTRY, SUITES
+from powertrace.suites import SUITE_REGISTRY, SUITES
 
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
@@ -133,8 +133,7 @@ def test_every_suite_has_a_golden_hash():
 
 
 @pytest.mark.parametrize("suite", SUITES)
-def test_default_table_matches_golden_hash(suite, tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_default_table_matches_golden_hash(suite, tmp_path):
     assert main([suite, "--out", str(tmp_path)]) == 0
     (config_dir,) = os.listdir(tmp_path / suite)
     table = (tmp_path / suite / config_dir / "table.csv").read_bytes()

@@ -329,11 +329,10 @@ def test_cli_estimate_small_run(tmp_path):
         assert "oracle_value" in rec["report"]
 
 
-def test_apps_keeps_its_records_when_one_denominator_is_refused(tmp_path, monkeypatch):
+def test_apps_keeps_its_records_when_one_denominator_is_refused(tmp_path):
     """At seed 4 one distillation record's denominator estimate is within
     vd_eps of 0. That record is refused (nan ratio, not covered), and the
     suite still writes all 202 records and applies its coverage gate."""
-    monkeypatch.delenv(suites.SEED_ENV_VAR, raising=False)
     assert main(["apps", "--seed", "4", "--out", str(tmp_path)]) == 0
     (config_dir,) = (tmp_path / "apps").iterdir()
     records = json.loads((config_dir / "records.json").read_text())
@@ -399,13 +398,6 @@ def test_cli_reproducibility_byte_identical(tmp_path):
     assert ra == rb
 
 
-def test_seed_env_var_overrides(tmp_path, monkeypatch):
-    monkeypatch.setenv("POWERTRACE_SEED", "123")
-    cfg = resolve_config("estimate", None, {"seed": 5})
-    assert cfg["seed"] == 123
-    monkeypatch.delenv("POWERTRACE_SEED")
-    cfg = resolve_config("estimate", None, {"seed": 5})
-    assert cfg["seed"] == 5
 
 
 def test_run_suite_from_config_file(tmp_path):

@@ -18,10 +18,16 @@ def _dense(spectrum):
 
 def _power(rho, k, eps):
     """The transform of rho's one spectrum (l, V) by the stand-in p of
-    x^(k-1): (p(l_i), V) and its ledger."""
+    x^(k-1): (p(l_i), V) and p's degree."""
     w, v = rho.spectrum()
-    p_w, (ledger,) = qsvt.transform_spectra(w[None], [k], [eps])
-    return (p_w[0], v), ledger
+    p_w, (degree,) = qsvt.transform_spectra(w[None], [k], [eps])
+    return (p_w[0], v), degree
+
+
+def _model_error(rho, power, k):
+    """max_i |p(l_i) - l_i^(k-1)|: the operator-norm distance between p(rho)
+    and rho^(k-1), both diagonal in rho's eigenbasis."""
+    return float(np.abs(power[0] - rho.spectrum()[0] ** (k - 1)).max())
 
 
 def _transform(monkeypatch, rho, c):
@@ -97,9 +103,10 @@ def test_transform_carries_its_spectrum():
 
 def test_power_encoding_evaluates_its_polynomial_once(monkeypatch):
     calls = _count_clenshaw(monkeypatch)
-    _, ledger = _power(random_density(2, 3, seed=6), 9, 1e-3)
+    rho = random_density(2, 3, seed=6)
+    power, _ = _power(rho, 9, 1e-3)
     assert len(calls) == 1
-    assert ledger.model_error <= 1e-3
+    assert _model_error(rho, power, 9) <= 1e-3
 
 
 def test_rejects_non_hermitian_block():
@@ -126,36 +133,46 @@ def test_power_of_maximally_mixed():
 
 def test_power_high_order_rank3():
     rho = random_density(3, 3, seed=7)
-    power, ledger = _power(rho, 9, eps=1e-4)
+    power, degree = _power(rho, 9, eps=1e-4)
     oracle = np.linalg.matrix_power(rho.mat, 8)
     assert np.linalg.norm(_dense(power) - oracle, 2) <= 1e-4
-    assert ledger.model_error <= ledger.tail_bound + 1e-12
+    chernoff = pt.truncation_tails(pt.power_expansion(8), degree)[1]
+    assert _model_error(rho, power, 9) <= chernoff + 1e-12
 
 
 @pytest.mark.parametrize("k,eps", [(2, 0.5), (4, 1e-2), (9, 1e-3), (16, 1e-4)])
 def test_power_contract_tighter_than_chernoff(k, eps):
     rho = random_density(2, 3, seed=k)
-    power, ledger = _power(rho, k, eps)
+    power, degree = _power(rho, k, eps)
     oracle = np.linalg.matrix_power(rho.mat, k - 1)
     defect = np.linalg.norm(_dense(power) - oracle, 2)
-    chernoff = 2 * math.exp(-ledger.poly_degree ** 2 / (2 * (k - 1)))
+    chernoff = 2 * math.exp(-degree ** 2 / (2 * (k - 1)))
     assert defect <= chernoff + 1e-12
     assert defect <= eps + 1e-12
 
 
 def test_power_query_accounting():
+    """p has the Chernoff-formula degree, and a report charges two
+    purification-unitary queries per degree, on each readout-grid point
+    of each circuit setting (two for a non-Hermitian observable)."""
     rho = random_density(2, 2, seed=8)
+    pur = pt.purify(rho)
+    observables = [(pt.Observable(np.eye(4, dtype=complex)), 1),
+                   (pt.Observable(1j * np.eye(4, dtype=complex), hermitian=False), 2)]
     for k, eps in ((3, 0.05), (10, 1e-3), (33, 1e-2)):
-        _, ledger = _power(rho, k, eps)
-        assert ledger.poly_degree == pt.required_degree(k - 1, eps)
-        assert ledger.u_rho_queries == 2 * ledger.poly_degree
+        _, degree = _power(rho, k, eps)
+        assert degree == pt.required_degree(k - 1, eps)
+        for obs, settings in observables:  # ||O|| = 1, so the estimate's p keeps accuracy eps
+            report = pt.estimate_trace_power(pur, obs, k, 2 * eps, mode="ideal")
+            assert report.poly_degree == degree
+            assert report.u_rho_queries_total == 2 * degree * report.ae_queries_K * settings
 
 
 def test_power_k1_shortcut_is_exact():
     rho = random_density(1, 2, seed=9)
-    power, ledger = _power(rho, 2, eps=0.9)
+    power, _ = _power(rho, 2, eps=0.9)
     assert np.linalg.norm(_dense(power) - rho.mat, 2) <= 1e-12
-    assert ledger.model_error <= 1e-12
+    assert _model_error(rho, power, 2) <= 1e-12
 
 
 def test_power_rejects_k_below_two():
@@ -195,17 +212,19 @@ def test_trace_against_oracle_two_qubits():
 
 def test_recorded_error_bounds_true_defect():
     """p(rho) O lies within alpha_O * eps_poly of rho^(k-1) O, and the
-    overlap within ||O|| times the ledger's model error of Tr(rho^k O)."""
+    overlap within ||O|| times p's model error of Tr(rho^k O)."""
     rho = random_density(2, 3, seed=13)
     obs = pt.Observable(3 * np.kron(PROJ0, np.eye(2)).astype(complex))
     k, eps = 6, 1e-2
     eps_poly = min(1.0, eps / (2 * obs.op_norm))
-    overlap, alpha, (ledger,) = estimator._power_overlap(pt.purify(rho), obs, [k], eps)
+    overlap, alpha, (degree,) = estimator._power_overlap(pt.purify(rho), obs, [k], eps)
     target = np.linalg.matrix_power(rho.mat, k - 1) @ obs.mat
     assert pt.op_norm(target - dense_power_times_obs(rho, obs, k, eps)) <= alpha * eps_poly + 1e-8
-    assert ledger.model_error <= eps_poly
+    power, degree_alone = _power(rho, k, eps_poly)
+    model_error = _model_error(rho, power, k)
+    assert degree == degree_alone and model_error <= eps_poly
     oracle = pt.trace_power_obs_oracle(rho, obs, k)
-    assert abs(overlap - oracle) <= obs.op_norm * ledger.model_error + 1e-12
+    assert abs(overlap - oracle) <= obs.op_norm * model_error + 1e-12
 
 
 def test_product_encoding_is_validated_once(numpy_decompositions):
