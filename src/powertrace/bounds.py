@@ -7,14 +7,14 @@ tests). The sampled test needs only the control and first-copy state
 after the controlled cycle, (1/2) [[rho, rho^k], [rho^k, rho]]: its
 off-diagonal block is Tr_{2..k}(P_k rho^(x k)) = rho^k. Both blocks are
 diagonal in rho's eigenbasis, so the exact outcome law is read from rho's
-and O's cached spectra at every k, without forming rho^k or P_k
-(``SwapTestResult.mode`` is always "exact"). The remaining constructions
-turn the estimation task into discrimination problems: a two-state
-instance whose optimal discrimination success is governed by fidelity
-decay, a two-coin instance governed by the Bernoulli KL divergence, a
-hybrid-argument pair of dilations whose distinguishability grows linearly
-in circuit queries, and a reduction encoding a circuit's acceptance
-probability into a trace power.
+and O's cached spectra at every k, without forming rho^k or P_k, and the
+shots are one multinomial draw of counts over it: O(d) at any shot count.
+The remaining constructions turn the estimation task into discrimination
+problems: a two-state instance whose optimal discrimination success is
+governed by fidelity decay, a two-coin instance governed by the Bernoulli
+KL divergence, a hybrid-argument pair of dilations whose
+distinguishability grows linearly in circuit queries, and a reduction
+encoding a circuit's acceptance probability into a trace power.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ def swap_test_estimate(
 ) -> SwapTestResult:
     """Estimate Tr(rho^k O) by sampling the generalized swap test.
 
-    The shots are drawn from the exact outcome law of the (n*k + 1)-qubit
-    circuit, which ``_swap_test_outcome_table`` computes in closed form at
-    a cost independent of k. There is no surrogate: ``mode`` is always
-    "exact".
+    The shots are one multinomial draw of counts over the exact outcome law
+    of the (n*k + 1)-qubit circuit (``_swap_test_outcome_table``, closed
+    form at any k); the mean and ddof=1 stderr read only the 2d counts, so
+    the draw is O(d) at any shot count below 2^63. ``mode`` is always "exact".
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 2:
-        raise ValidationError(f"shots must be an integer >= 2, got {shots!r}")
+    if not isinstance(shots, (int, np.integer)) or not 2 <= shots < 2 ** 63:
+        raise ValidationError(f"shots must be an integer in [2, 2^63), got {shots!r}")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"copy order k must be a positive integer, got {k!r}")
     if not o.hermitian:
@@ -128,9 +128,9 @@ def swap_test_estimate(
         raise ValidationError("state and observable dimensions differ")
     rng = np.random.default_rng(seed)
     values, probs = _swap_test_outcome_table(rho, o, int(k))
-    draws = values[rng.choice(values.size, size=int(shots), p=probs)]
-    mean_hat = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(shots))
+    counts = rng.multinomial(int(shots), probs)
+    mean_hat = float(counts @ values / shots)
+    stderr = math.sqrt(counts @ (values - mean_hat) ** 2 / (shots - 1) / shots)
     return SwapTestResult(
         mean=mean_hat,
         stderr=stderr,

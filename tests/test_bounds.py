@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,11 +191,11 @@ def test_swap_test_closed_form_matches_tensor_construction(n, k):
     assert np.max(np.abs(values - want_values)) <= 1e-12
     assert np.max(np.abs(probs - want_probs)) <= 1e-12
     for seed in (0, 1, 2):
-        rng = np.random.default_rng(seed)
-        draws = want_values[rng.choice(want_values.size, size=500, p=want_probs)]
+        counts = np.random.default_rng(seed).multinomial(500, want_probs)
+        mean = float(counts @ want_values / 500)
         result = pt.swap_test_estimate(rho, obs, k, shots=500, seed=seed)
-        assert result.mean == float(np.mean(draws))
-        assert result.stderr == float(np.std(draws, ddof=1) / math.sqrt(500))
+        assert result.mean == mean
+        assert result.stderr == math.sqrt(counts @ (want_values - mean) ** 2 / 499 / 500)
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -250,10 +252,44 @@ def test_swap_test_stderr_scaling():
     assert abs(slope + 0.5) <= 0.05
 
 
+def test_swap_test_costs_no_memory_per_shot():
+    # the shots are one multinomial draw over the 2d-entry outcome table
+    rho = random_density(2, 3, seed=11)
+    obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
+    tracemalloc.start()
+    start = time.perf_counter()
+    result = pt.swap_test_estimate(rho, obs, 6, shots=10 ** 12, seed=12)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2 ** 20
+    mean = pt.swap_test_moments(rho, obs, 6)[0]
+    assert abs(result.mean - mean) <= 5 * result.stderr
+    assert result.copies_used == 6 * 10 ** 12
+
+
+def test_swap_test_sampling_law_over_fixed_seeds():
+    # seeds, shot count and thresholds are fixed: the mean of 2000 sample
+    # means within 5 standard errors of Tr(rho^3 Z), and the mean stderr^2
+    # (unbiased for var / shots) within 5 of its own standard errors
+    rho = random_density(1, 2, seed=3)
+    obs = pt.Observable(Z)
+    shots, seeds = 50, range(2000)
+    results = [pt.swap_test_estimate(rho, obs, 3, shots=shots, seed=seed) for seed in seeds]
+    means = np.array([r.mean for r in results])
+    variances = np.array([r.stderr ** 2 for r in results])
+    mean, var = pt.swap_test_moments(rho, obs, 3)
+    assert abs(means.mean() - mean) <= 5 * math.sqrt(var / shots / len(seeds))
+    assert abs(variances.mean() - var / shots) <= 5 * variances.std(ddof=1) / math.sqrt(len(seeds))
+
+
 def test_swap_test_validation():
     rho = random_density(1, 2, seed=10)
-    with pytest.raises(pt.ValidationError):
-        pt.swap_test_estimate(rho, pt.Observable(Z), 3, shots=1)
+    for shots in (1, 2 ** 63, np.uint64(2 ** 63), 100.0):
+        with pytest.raises(pt.ValidationError):
+            pt.swap_test_estimate(rho, pt.Observable(Z), 3, shots=shots)
+    assert pt.swap_test_estimate(rho, pt.Observable(Z), 3, shots=2 ** 63 - 1).copies_used == 3 * (2 ** 63 - 1)
     ladder = pt.Observable(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False)
     with pytest.raises(pt.ValidationError):
         pt.swap_test_estimate(rho, ladder, 3, shots=100)

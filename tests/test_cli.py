@@ -318,6 +318,14 @@ def test_baseline_repeats_above_100_exit_2_before_any_work(tmp_path, capsys):
     assert "baseline needs repeats <= 100, got 101" in capsys.readouterr().err
 
 
+def test_baseline_shots_beyond_int64_exit_2_without_output(tmp_path, capsys):
+    """A swap test's shots are one multinomial draw of int64 counts."""
+    out = tmp_path / "out"
+    assert main(["baseline", "--shots", str(2 ** 63), "--out", str(out)]) == 2
+    assert f"shots must be an integer in [2, 2^63), got {2 ** 63}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("qubits, label", [(1, "pauli:Z"), (3, "pauli:ZII")])
 def test_separation_observable_follows_its_qubit_count(tmp_path, qubits, label):
     assert main(["separation", "--qubits", str(qubits), "--out", str(tmp_path)]) == 0

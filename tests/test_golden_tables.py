@@ -25,7 +25,7 @@ from powertrace.suites import SUITE_REGISTRY, SUITES
 GOLDEN_TABLE_SHA256 = {
     "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
     "estimate": "28c453530a1af4ea9be8143f8ce85480969bfb3d8c4cc042f8135cb9a75d347b",
-    "baseline": "56cbb6e74ff28193c48330dc2aa6abebe9f6ed39ba916cd0d4b0dca619881125",
+    "baseline": "497f39a0a8900ac44ed75e8cd28042fa465c5c55678421bdfb0ebe18e579f2cf",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
     "bqp": "591f0a3a14091ab6588367638fb12f036bbfe9beaf518bb55c2df13bf805eaeb",
     "apps": "8831a561d137f2948fa0e3d803b0d0b582686c18a78a8cc75783add6948a5c54",
@@ -35,7 +35,7 @@ GOLDEN_TABLE_SHA256 = {
 GOLDEN_RECORDS_SHA256 = {
     "approx": "8dc1ba1aad3a93ac1675ad9f54ddb6d7d709faa0d120d14999280c22dd68ab5f",
     "estimate": "9e55107da2a4683111ab50de921c8b1fe847a8860a1b41639a275a4685405314",
-    "baseline": "1bf9ae12266046220f8f81430fa7bd487e274863d81c5845e3d4a64293b4fb9f",
+    "baseline": "04804331d4879fc7247d3e52c236f2bcd329a2948d9a1960c0cec9a35f60c9e4",
     "bounds": "2ec8c2d79de3ddf92387a56b44698c131b0207a5036cc762c6a86196fd7fda86",
     "bqp": "ff1bb2fee068bc52f55639dfa0ebe80505e6fb9037ccd82c0fa87cb13882f3ac",
     "apps": "a9950f8f29429f1aab6dfbb2400f75e8857b832606949f0d041179b0f6c06d6c",
