@@ -21,7 +21,9 @@ seed = n):
 Every figure is a single run. The powertrace that is measured is the one
 in this checkout's ``src/``. Results are stored under ``--label`` in the
 output file, next to the runs already there, so several versions of the
-package can be recorded in one file:
+package can be recorded in one file. The file is append-only: a label it
+already holds is refused (exit 2) before anything is measured, and the file
+is left as it was:
 
     python3 benchmarks/estimator_reach.py --label after
     python3 benchmarks/estimator_reach.py --label after --max-n 7 --out /tmp/reach.json
@@ -90,13 +92,15 @@ def main(argv=None) -> int:
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--out", default=str(ROOT / "BENCH_estimator.json"))
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    if args.label in doc.get("runs", {}):
+        parser.error(f"{out} already holds a run labelled {args.label!r}; choose a new --label")
 
     rows = []
     for n in range(1, args.max_n + 1):
         rows.append(measure(n))
         print(json.dumps(rows[-1]), flush=True)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
     doc["config"] = {
         "k": K,
         "eps": EPS,

@@ -16,7 +16,8 @@ One row per suite:
 The powertrace that is measured is the one in this checkout's ``src/``.
 Results are stored under ``--label`` in the output file, next to the runs
 already there, so several versions of the package can be recorded in one
-file:
+file. The file is append-only: a label it already holds is refused (exit 2)
+before anything is measured, and the file is left as it was:
 
     python3 benchmarks/suites_wall.py --label after
     python3 benchmarks/suites_wall.py --label quick --suites estimate apps --runs 3 --out /tmp/suites.json
@@ -99,6 +100,10 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=7, help="timed calls per suite (at least 1)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_suites.json"))
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    if args.label in doc.get("runs", {}):
+        parser.error(f"{out} already holds a run labelled {args.label!r}; choose a new --label")
     if args.runs < 1:
         parser.error("--runs must be at least 1")
 
@@ -106,8 +111,6 @@ def main(argv=None) -> int:
     for suite in args.suites:
         rows.append(measure(suite, args.runs))
         print(json.dumps(rows[-1]), flush=True)
-    out = Path(args.out)
-    doc = json.loads(out.read_text()) if out.exists() else {}
     doc["config"] = {
         "suites": "default configs through cli.main, one fresh output directory per call",
         "note": "medians on a shared machine: compare runs recorded side by side, not across days",

@@ -14,7 +14,6 @@ for self-validation.
 from .errors import (
     ConstructionError,
     ContractError,
-    NumericalError,
     PowertraceError,
     ResourceError,
     UnreliableEstimateError,
@@ -24,13 +23,11 @@ from .linalg import (
     DensityMatrix,
     EighResult,
     Observable,
-    eigh,
     op_norm,
     trace_power_obs_oracle,
 )
 from .chebyshev import (
     clenshaw_eval,
-    degree_lower_bound_solve,
     minimal_empirical_degree,
     power_expansion,
     required_degree,
@@ -82,7 +79,6 @@ __all__ = [
     "HelstromTable",
     "HybridBoundTable",
     "InstanceSpec",
-    "NumericalError",
     "Observable",
     "PowertraceError",
     "PurifiedState",
@@ -94,9 +90,7 @@ __all__ = [
     "amplitude_estimate",
     "bqp_instance",
     "clenshaw_eval",
-    "degree_lower_bound_solve",
     "discrimination_instance",
-    "eigh",
     "estimate_trace_power",
     "halmos_dilate",
     "helstrom_experiment",

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    DensityMatrix,
-    _psd_sqrt,
-    as_complex_matrix,
-    check_dim_within_cap,
-    op_norm,
-)
+from .linalg import DensityMatrix, _psd_sqrt, _square_operator, check_dim_within_cap, op_norm
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ def purify(rho: DensityMatrix) -> PurifiedState:
 
 
 def halmos_dilate(m) -> np.ndarray:
-    """One-ancilla unitary dilation of a contraction M:
+    """One-ancilla unitary dilation of a contraction M, square on a power-of-two dimension:
 
         [[ M,              sqrt(I - M M^dag) ],
          [ sqrt(I - M^dag M),     -M^dag     ]].
@@ -60,9 +54,9 @@ def halmos_dilate(m) -> np.ndarray:
     Square roots go through eigendecompositions of the PSD Gram matrices
     with tiny negative eigenvalues clipped.
     """
-    m = as_complex_matrix(m, "contraction")
-    if m.shape[0] != m.shape[1]:
-        raise ValidationError("contraction must be square")
+    m = _square_operator(m, "contraction")
+    if m.ndim != 2:
+        raise ValidationError(f"contraction must be 2-dimensional, got shape {m.shape}")
     norm = op_norm(m)
     if norm > 1.0 + 1e-6:
         raise ValidationError(f"matrix with norm {norm} is not a contraction")

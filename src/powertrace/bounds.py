@@ -255,14 +255,15 @@ def hybrid_bound_demo(o: Observable, eps: float) -> HybridBoundTable:
     O, delta = 2 eps / ||O||), confirms the closed form
     ||U0 - U1|| = sqrt(delta^2 + (1 - sqrt(1 - delta^2))^2), and returns
     the query count t* = ceil(1 / ||U0 - U1||) where the cumulative hybrid
-    bound t ||U0 - U1|| first reaches 1.
+    bound t ||U0 - U1|| first reaches 1. It needs 0 < delta <= 1: at delta = 0
+    the dilations are equal, and no query count separates them.
     """
     norm = o.op_norm
     if norm <= 0.0:
         raise ValidationError("observable must be nonzero")
     delta = 2.0 * eps / norm
-    if delta > 1.0:
-        raise ValidationError(f"eps={eps} gives delta={delta} > 1")
+    if not 0.0 < delta <= 1.0:
+        raise ValidationError(f"eps={eps} gives delta={delta} outside (0, 1]")
     w, v = o.spectrum()
     top = int(np.argmax(np.abs(w)))
     nu = v[:, top]

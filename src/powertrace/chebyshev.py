@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 # binomial terms below this are dropped as exact zeros (log-space underflow)
 COEFF_FLOOR = 1e-300
@@ -141,31 +141,3 @@ def minimal_empirical_degree(k: int, eps: float) -> int:
     while m < k and truncation_tails(expansion, m)[0] > eps:
         m += 2
     return m
-
-
-def degree_lower_bound_solve(k: int, eps: float) -> float:
-    """Solve d^2 = 2k [ln(pi^2/(2 eps)) - ln(pi^2 + ln d)] by fixed point.
-
-    This transcendental equation arises when the near-best Chebyshev
-    truncation error is converted into a lower bound on the degree any
-    polynomial needs to reach sup error eps. Iterates
-    d <- sqrt(2k [ln(pi^2/(2 eps)) - ln(pi^2 + ln d)]) from the leading-order
-    seed d0 = sqrt(2k ln(pi^2/(2 eps))) until the step is below 1e-9.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
-    if not 0.0 < eps <= 0.1:
-        raise ValidationError(f"eps must lie in (0, 0.1], got {eps!r}")
-    a = math.log(math.pi ** 2 / (2.0 * eps))
-    d = math.sqrt(2.0 * k * a)
-    for _ in range(10_000):
-        inner = a - math.log(math.pi ** 2 + math.log(d))
-        if inner <= 0:
-            raise NumericalError(
-                f"degree lower bound iteration left its domain (k={k}, eps={eps})"
-            )
-        d_next = math.sqrt(2.0 * k * inner)
-        if abs(d_next - d) < 1e-9:
-            return d_next
-        d = d_next
-    raise NumericalError("degree lower bound iteration did not converge in 10000 steps")

@@ -13,10 +13,6 @@ class ResourceError(PowertraceError):
     """A construction would exceed the configured qubit cap."""
 
 
-class NumericalError(PowertraceError):
-    """A numerical routine failed to converge or lost accuracy."""
-
-
 class ContractError(PowertraceError):
     """A polynomial handed to the eigenvalue transform fails its
     admissibility certificate: its Chebyshev coefficients sum to more

@@ -141,37 +141,22 @@ def pauli_string(label: str) -> np.ndarray:
 
 
 def _state_matrices(spec: InstanceSpec, seeds: list) -> np.ndarray:
-    """The stack of the unvalidated matrices of ``spec`` under ``seeds``."""
-    kind = spec.state_kind
-    if kind in ("random_mixed", "pure"):
-        return _random_densities(spec.qubits, spec.rank if kind == "random_mixed" else 1, seeds)
+    """The unvalidated matrices of ``spec`` under ``seeds``: ``random_mixed`` (G G^dag / Tr,
+    G of ``spec.rank`` columns) or ``diagonal`` (seeded weights on the first ``spec.rank``
+    basis states, so rank 1 is |0><0| exactly)."""
+    if spec.state_kind == "random_mixed":
+        return _random_densities(spec.qubits, spec.rank, seeds)
+    if spec.state_kind != "diagonal":
+        raise ValidationError(f"unknown state kind {spec.state_kind!r}; choose random_mixed or diagonal")
     dim = 2 ** spec.qubits
     check_dim_within_cap(dim, "state")
-    if kind == "diagonal":
-        if not 1 <= spec.rank <= dim:
-            raise ValidationError(f"rank must lie in [1, {dim}], got {spec.rank}")
-        probs = np.zeros((len(seeds), dim))
-        for row, rng in zip(probs, generators(seeds)):
-            w = rng.random(spec.rank)
-            row[: spec.rank] = w / w.sum()
-        return (probs[:, :, None] * np.eye(dim)).astype(complex)
-    if kind.startswith("named:"):
-        name = kind.split(":", 1)[1]
-        if name == "rho0":
-            m = np.zeros((dim, dim), dtype=complex)
-            m[0, 0] = 1.0
-        elif name == "max_mixed":
-            m = np.eye(dim, dtype=complex) / dim
-        elif name.startswith("rho1_"):
-            # one-qubit (1-e)|0><0| + e|1><1|, e encoded after the underscore
-            eps_prime = float(name.split("_", 1)[1])
-            if spec.qubits != 1:
-                raise ValidationError("rho1_* states are one-qubit")
-            m = np.diag([1 - eps_prime, eps_prime]).astype(complex)
-        else:
-            raise ValidationError(f"unknown named state {name!r}")
-        return np.stack([m] * len(seeds))  # seed-independent
-    raise ValidationError(f"unknown state kind {kind!r}")
+    if not 1 <= spec.rank <= dim:
+        raise ValidationError(f"rank must lie in [1, {dim}], got {spec.rank}")
+    probs = np.zeros((len(seeds), dim))
+    for row, rng in zip(probs, generators(seeds)):
+        w = rng.random(spec.rank)
+        row[: spec.rank] = w / w.sum()
+    return (probs[:, :, None] * np.eye(dim)).astype(complex)
 
 
 def make_state(spec: InstanceSpec) -> DensityMatrix:

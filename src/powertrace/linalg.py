@@ -1,9 +1,14 @@
 """Dense complex linear algebra, quantum-state types, and the exact
 ground-truth value of Tr(rho^k O).
 
-A ``DensityMatrix`` is diagonalised once, by its validation, and every
-later use reads that ``eigh``: purified access to a state is the state
-itself, and the swap test's outcome law is read from the spectrum too.
+Every matrix is coerced and checked by one route, ``_square_operator``,
+and decomposed by one, ``_eigh`` (``numpy.linalg.eigh`` of the Hermitian
+part, which leaves an exactly Hermitian matrix's bits as they are). A
+``DensityMatrix`` is diagonalised once, by its validation, and every later
+use reads that decomposition: purified access to a state is the state
+itself, and the swap test's outcome law is read from the spectrum too. An
+``Observable`` decomposes itself on first use and caches the result, and
+the PSD square roots of a dilation take the same route.
 The oracle ``trace_power_obs_oracle`` forms rho^k by repeated squaring
 instead, so it shares no eigendecomposition with the estimation pipeline.
 A ``DensityMatrix`` or ``Observable`` may hold a stack (..., d, d), one
@@ -46,16 +51,6 @@ def check_dim_within_cap(dim: int, what: str) -> None:
             f"{what} of dimension {dim} exceeds the qubit cap "
             f"({QUBIT_CAP} qubits = dimension {2 ** QUBIT_CAP})"
         )
-
-
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    arr = np.asarray(m, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _fail_first(bad, what: str, message: str, values=None) -> None:
@@ -107,17 +102,10 @@ def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> N
         _fail_first(defect > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
 
 
-def eigh(h, atol: float = 1e-8) -> EighResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises ValidationError, naming the "eigh input", when the input
-    deviates from Hermitian by more than ``atol`` in operator norm.
-    """
-    h = as_complex_matrix(h, "eigh input")
-    if h.shape[0] != h.shape[1]:
-        raise ValidationError("eigh input must be square")
-    _check_hermitian(h, atol, "eigh input")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+def _eigh(m: np.ndarray) -> EighResult:
+    """Eigendecomposition of the Hermitian part (m + m^dag)/2 of a checked
+    matrix or stack: the package's one ``eigh``."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
     return EighResult(w, v)
 
 
@@ -138,7 +126,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _square_operator(self.mat, "density matrix")
         _check_hermitian(mat, HERMITIAN_ATOL, "density matrix")
-        w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+        w, v = _eigh(mat)
         tr = mat.trace(axis1=-2, axis2=-1)
         _fail_first(abs(tr - 1.0) > TRACE_ATOL, "density matrix", "trace {} is not 1", tr)
         _fail_first(w[..., 0] < EIG_FLOOR, "density matrix", "has negative eigenvalue {:.3e}", w[..., 0])
@@ -193,13 +181,14 @@ class Observable:
         return self.mat.shape[-1]
 
     def spectrum(self) -> EighResult:
-        """Eigendecomposition by ``eigh`` on first use, then cached read-only.
+        """Eigendecomposition by ``_eigh`` on first use, then cached read-only.
         Validation already made a Hermitian observable's matrix exactly
-        Hermitian; one with ``hermitian=False`` has no spectrum."""
+        Hermitian, so its Hermitian part is itself, bit for bit; one with
+        ``hermitian=False`` has no spectrum."""
         if self._spectrum is None:
             if not self.hermitian:
                 raise ValidationError("observable is not Hermitian; its spectrum needs hermitian=True")
-            w, v = np.linalg.eigh(self.mat)
+            w, v = _eigh(self.mat)
             w.flags.writeable = v.flags.writeable = False
             object.__setattr__(self, "_spectrum", EighResult(w, v))
         return self._spectrum
@@ -242,6 +231,6 @@ def trace_power_obs_oracles(rho: DensityMatrix, o: Observable, ks: list) -> list
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = eigh(m)
+    w, v = _eigh(m)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

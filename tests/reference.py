@@ -24,14 +24,7 @@ import numpy as np
 import powertrace as pt
 from powertrace.blockenc import PurifiedState
 from powertrace.errors import ValidationError
-from powertrace.linalg import (
-    DensityMatrix,
-    _psd_sqrt,
-    as_complex_matrix,
-    check_dim_within_cap,
-    eigh,
-    op_norm,
-)
+from powertrace.linalg import DensityMatrix, _psd_sqrt, check_dim_within_cap, op_norm
 
 
 def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
@@ -127,8 +120,8 @@ def verify_block_encoding(unitary, alpha: float, target) -> float:
     the ancilla count; the caller compares the defect with the encoding's
     recorded error.
     """
-    unitary = as_complex_matrix(unitary, "unitary")
-    target = as_complex_matrix(target, "target")
+    unitary = np.asarray(unitary, dtype=np.complex128)
+    target = np.asarray(target, dtype=np.complex128)
     dim = target.shape[0]
     if unitary.shape[0] != unitary.shape[1] or unitary.shape[0] % dim:
         raise ValidationError(f"a {unitary.shape} unitary does not dilate a {target.shape} target")
@@ -175,7 +168,7 @@ def hadamard_test_prob(unitary, purification: PurifiedState, w: str = "I") -> fl
     # a power of two's bit length is 1 + its log2: the control plus the ancillas
     total_qubits = anc_dim.bit_length() + 2 * purification.state.qubits
     check_dim_within_cap(2 ** total_qubits, f"{total_qubits}-qubit Hadamard-test circuit")
-    unitary = as_complex_matrix(unitary, "unitary")
+    unitary = np.asarray(unitary, dtype=np.complex128)
     vec = purification_vector(purification.state)
     psi = vec.reshape(env_dim, sys_dim)
     # U (|0>_anc x |psi_e>) for every environment row e, ordered (env, anc, sys)
@@ -245,12 +238,11 @@ def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
         if keep == "A":
             return psi @ psi.conj().T
         return psi.T @ psi.conj()
-    mat = as_complex_matrix(arr, "partial_trace input")
-    if mat.shape != (da * db, da * db):
+    if arr.shape != (da * db, da * db):
         raise ValidationError(
-            f"matrix of shape {mat.shape} inconsistent with dims {dims}"
+            f"matrix of shape {arr.shape} inconsistent with dims {dims}"
         )
-    t = mat.reshape(da, db, da, db)
+    t = arr.reshape(da, db, da, db)
     if keep == "A":
         return np.einsum("abcb->ac", t)
     return np.einsum("abad->bd", t)
@@ -259,14 +251,15 @@ def partial_trace(state_or_dm, dims: tuple[int, int], keep: str) -> np.ndarray:
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2.
 
-    Square roots are taken through eigendecompositions with negative
-    eigenvalue clipping, the same route used for matrix powers.
+    sqrt(a) is the package's PSD square root (``linalg._psd_sqrt``); the
+    outer root reads the eigenvalues of the Hermitian part of the inner
+    matrix, with negative rounding clipped to 0.
     """
     if a.dim != b.dim:
         raise ValidationError("fidelity requires matching dimensions")
     ra = _psd_sqrt(a.mat)
     inner = ra @ b.mat @ ra
-    w = np.clip(eigh(inner, atol=1e-7).eigenvalues, 0.0, None)
+    w = np.clip(np.linalg.eigh((inner + inner.conj().T) / 2).eigenvalues, 0.0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 
 

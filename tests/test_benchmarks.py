@@ -3,6 +3,8 @@ import json
 import statistics
 from pathlib import Path
 
+import pytest
+
 import powertrace.suites as suites
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "estimator_reach.py"
@@ -56,3 +58,21 @@ def test_suites_wall_keeps_each_labelled_run(tmp_path):
         assert row["tracemalloc_peak_mib"] > 0
     assert wall.SUITE_REGISTRY["bounds"].run is suites._suite_bounds  # the timed runner is taken out again
     assert [row["suite"] for row in doc["runs"]["b"]["rows"]] == ["bounds"]
+
+
+def test_bench_scripts_refuse_a_label_their_file_holds(tmp_path, monkeypatch, capsys):
+    """A label already in the output file exits 2 before anything is measured
+    and leaves the file byte-identical, so a recorded run is never replaced."""
+    for script, args in ((SCRIPT, ["--max-n", "1"]), (SUITES_SCRIPT, ["--suites", "bounds", "--runs", "1"])):
+        spec = importlib.util.spec_from_file_location(script.stem, script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "measure", lambda *a: pytest.fail("measured a refused label"))
+        out = tmp_path / f"{script.stem}.json"
+        out.write_text('{"runs": {"parent": {"rows": []}}}\n')
+        before = out.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            module.main(["--label", "parent", *args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "already holds a run labelled 'parent'" in capsys.readouterr().err
+        assert out.read_bytes() == before

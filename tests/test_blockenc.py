@@ -242,6 +242,17 @@ def test_halmos_rejects_expansion():
         pt.halmos_dilate(2.0 * np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "m, match",
+    [(np.zeros((2, 2, 2)), "2-dimensional"), (np.zeros((2, 3)), "must be square"),
+     (np.zeros((3, 3)), "not a power of two"), (np.diag([0.5, np.nan]), "non-finite")],
+    ids=["stack", "rectangular", "dimension-3", "non-finite"],
+)
+def test_halmos_rejects_what_is_not_one_square_operator(m, match):
+    with pytest.raises(pt.ValidationError, match=match):
+        pt.halmos_dilate(m)
+
+
 # ------------------------------------------------------- alpha >= ||block||
 
 @pytest.mark.parametrize("seed", range(5))

@@ -171,7 +171,7 @@ def _tensor_product_outcome_table(rho, obs, k):
     bottom_left = partial_trace(p_cycle @ r, (d, rest), keep="A")
     diag = partial_trace(r, (d, rest), keep="A")
     tau = 0.5 * np.block([[diag, top_right], [bottom_left, diag]])
-    w_o, v_o = pt.eigh(obs.mat)
+    w_o, v_o = obs.spectrum()
     values, probs = [], []
     for s, ctrl in ((1.0, [1.0, 1.0]), (-1.0, [1.0, -1.0])):
         for j in range(d):
@@ -377,9 +377,10 @@ def test_lecam_rejects_one_sided_spectrum():
 # ------------------------------------------------------------ hybrid_bound_demo
 
 def test_hybrid_zero_kick():
-    table = pt.hybrid_bound_demo(pt.Observable(Z), 0.0)
-    assert table.norm_direct == pytest.approx(0.0, abs=1e-12)
-    assert table.t_star == 0
+    # equal dilations: no query count separates them, so there is no t* to report
+    for eps in (0.0, -0.1):
+        with pytest.raises(pt.ValidationError, match="outside \\(0, 1\\]"):
+            pt.hybrid_bound_demo(pt.Observable(Z), eps)
 
 
 def test_hybrid_closed_form_delta_03():

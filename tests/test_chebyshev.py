@@ -251,42 +251,6 @@ def test_minimal_empirical_degree_is_minimal():
         assert pt.sup_error_scan(expansion[:m - 1], k, 4096) > eps
 
 
-# ------------------------------------------------- degree_lower_bound_solve
-
-def test_lower_bound_monotone_in_k():
-    values = [pt.degree_lower_bound_solve(k, 1e-3) for k in (2, 5, 20, 100, 400)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_lower_bound_below_leading_order_seed():
-    for k, eps in ((10, 1e-2), (100, 1e-3), (500, 1e-4)):
-        d0 = math.sqrt(2 * k * math.log(math.pi ** 2 / (2 * eps)))
-        assert pt.degree_lower_bound_solve(k, eps) <= d0
-
-
-def test_lower_bound_regression_value():
-    # frozen output of the fixed-point iteration
-    assert pt.degree_lower_bound_solve(100, 1e-3) == pytest.approx(
-        34.37526801631292, abs=1e-8
-    )
-
-
-def test_lower_bound_satisfies_fixed_point():
-    k, eps = 64, 1e-2
-    d = pt.degree_lower_bound_solve(k, eps)
-    rhs = math.sqrt(
-        2 * k * (math.log(math.pi ** 2 / (2 * eps)) - math.log(math.pi ** 2 + math.log(d)))
-    )
-    assert d == pytest.approx(rhs, abs=1e-8)
-
-
-def test_lower_bound_validation():
-    with pytest.raises(pt.ValidationError):
-        pt.degree_lower_bound_solve(1, 1e-3)
-    with pytest.raises(pt.ValidationError):
-        pt.degree_lower_bound_solve(10, 0.5)
-
-
 # ------------------------------------------------------- assorted invariants
 
 def test_truncations_are_admissible():

@@ -219,7 +219,7 @@ def test_config_value_of_the_wrong_kind_exits_2(resolved, tmp_path, capsys, suit
 
 
 def test_config_values_of_their_defaults_kind_are_accepted():
-    given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "state_kind": "pure", "runs": None}
+    given = {"eps": 1, "k_values": [4, 8], "mode": "ideal", "state_kind": "diagonal", "runs": None}
     cfg = resolve_config("estimate", given, None)
     assert {key: cfg[key] for key in given} == {**given, "runs": suite_defaults("estimate")["runs"]}
 
@@ -323,6 +323,38 @@ def test_baseline_shots_beyond_int64_exit_2_without_output(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["baseline", "--shots", str(2 ** 63), "--out", str(out)]) == 2
     assert f"shots must be an integer in [2, 2^63), got {2 ** 63}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [[0.0, 0.03], [-0.1, -0.03]], ids=["zero", "negative"])
+def test_bounds_non_positive_hybrid_eps_exits_2_without_output(tmp_path, capsys, grid):
+    """A hybrid eps <= 0 is a zero or negative kick, for which no t* exists."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"hybrid_eps_grid": grid}))
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"eps={grid[0]} gives delta={2 * grid[0]} outside (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_separation_eps_too_small_for_the_ae_grid_exits_2_without_output(tmp_path, capsys):
+    """The estimator refuses the eps before the swap-shot count can overflow."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"eps": 1e-300}))
+    assert main(["separation", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "amplitude-estimation grid for accuracy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["pure", "named:rho0", "named:max_mixed", "named:rho1_0.1"])
+@pytest.mark.parametrize("suite", ["estimate", "baseline"])
+def test_removed_state_kind_exits_2_before_any_work(tmp_path, capsys, monkeypatch, suite, kind):
+    """Two state kinds remain, random_mixed and diagonal; any other name is
+    refused before a state is drawn or anything is written."""
+    monkeypatch.setattr("powertrace.instances.generators", lambda seeds: pytest.fail("drew a state"))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"state_kind": kind, "rank": 1}))
+    assert main([suite, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown state kind {kind!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

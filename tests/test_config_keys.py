@@ -25,7 +25,7 @@ ALTERNATIVES = {
     ("estimate", "eps"): 0.1,
     ("estimate", "runs"): 20,
     ("estimate", "seed"): 1,
-    ("estimate", "state_kind"): "pure",
+    ("estimate", "state_kind"): "diagonal",
     ("estimate", "observable_kind"): "projector",
     ("estimate", "mode"): "ideal",
     ("baseline", "qubits"): 2,

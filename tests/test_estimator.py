@@ -800,7 +800,7 @@ def test_vd_ratio_stack_is_its_records_alone():
 
 def test_stacked_instances_are_their_seeds_alone():
     seeds = [11, 12, 13]
-    for kind in ("random_mixed", "pure", "diagonal", "named:max_mixed"):
+    for kind in ("random_mixed", "diagonal"):
         spec = pt.InstanceSpec(qubits=2, rank=3, seed=0, state_kind=kind)
         stack = instances.make_states(spec, seeds)
         for i, seed in enumerate(seeds):

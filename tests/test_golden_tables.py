@@ -1,8 +1,9 @@
 """Byte-level regression gate on the seven suites at their defaults.
 
-Each suite has two hashes: the sha256 of its ``table.csv``, and that of
-its ``records.json`` with every record's ``timestamp`` value emptied (the
-one field a rerun changes). The records hold every field a record
+Each suite has three hashes: the sha256 of its ``table.csv``, that of its
+``records.json`` with every record's ``timestamp`` value emptied (the one
+field a rerun changes), and that of its ``summary.json`` (config, config
+hash, version and the gate figures, none of which a rerun changes). The records hold every field a record
 carries, so they pin what no table column reads: ``model_error``,
 ``eps_ae_budget``, ``alpha_o`` and the query counts. A change
 that moves numbers on purpose updates the hashes it changes and says why;
@@ -23,7 +24,7 @@ from powertrace.cli import main
 from powertrace.suites import SUITE_REGISTRY, SUITES
 
 GOLDEN_TABLE_SHA256 = {
-    "approx": "c07c5b96377d8ebe01e0c95396d7929de66ef03cd7bbe0cc1801f2c8a8b3f2b8",
+    "approx": "7cdd5f3bcc110571832f6bcf05fe27f2a11f4fc6a0e7172717d709af5c70d42c",
     "estimate": "28c453530a1af4ea9be8143f8ce85480969bfb3d8c4cc042f8135cb9a75d347b",
     "baseline": "497f39a0a8900ac44ed75e8cd28042fa465c5c55678421bdfb0ebe18e579f2cf",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
@@ -33,13 +34,23 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 GOLDEN_RECORDS_SHA256 = {
-    "approx": "8dc1ba1aad3a93ac1675ad9f54ddb6d7d709faa0d120d14999280c22dd68ab5f",
+    "approx": "fdd9dfa3ee74c0c23a9b0020e5f9c4e03d7431cbb31fa6f788b8c9906f864176",
     "estimate": "9e55107da2a4683111ab50de921c8b1fe847a8860a1b41639a275a4685405314",
     "baseline": "04804331d4879fc7247d3e52c236f2bcd329a2948d9a1960c0cec9a35f60c9e4",
     "bounds": "2ec8c2d79de3ddf92387a56b44698c131b0207a5036cc762c6a86196fd7fda86",
     "bqp": "ff1bb2fee068bc52f55639dfa0ebe80505e6fb9037ccd82c0fa87cb13882f3ac",
     "apps": "a9950f8f29429f1aab6dfbb2400f75e8857b832606949f0d041179b0f6c06d6c",
     "separation": "bf71fc251962aceaa16b4b0ead1200d297e213559c30fd0b451f640d7c3f18db",
+}
+
+GOLDEN_SUMMARY_SHA256 = {
+    "approx": "cdeff87c765fe4cd600fcb758ca12a023877479e7f3640f20983639f5a672e95",
+    "estimate": "ed513663062e754a3a36c87b46a25af1d1245374e7ed9b715dce89d1474c5b59",
+    "baseline": "f82344afd7f1ae38989c3fa1c66ff6a4f747f7c4392a768bd028caee958aa7d4",
+    "bounds": "0bed2af3bea6e51f5ce9945f7f0e5c375a0bdb6bb83a7d12095d961af98184a2",
+    "bqp": "ed6c0ab5ef8cd84521f667e9500328acd1321440aea2e845b926900f8c43d73f",
+    "apps": "00a8fe8b724e1f3f11e5fa3d54ae4c6955cc76d3a50b1fca183cc4985b488097",
+    "separation": "2f52b6f7c6da538b857afd4c6daac77b3312848aa4a24f8833bea64c261e0196",
 }
 
 
@@ -65,8 +76,7 @@ def _under(prefix, keys):
 # "[]" steps into a list.
 RECORD_KEY_PATHS = {
     "approx": _STAMP + _under("report", [
-        "chernoff_tail", "empirical_degree", "formula_degree", "lower_bound_d",
-        "measured_sup_error", "tail_exact", "within_eps"]) + ["spec.eps", "spec.k"],
+        "chernoff_tail", "empirical_degree", "formula_degree", "measured_sup_error", "tail_exact", "within_eps"]) + ["spec.eps", "spec.k"],
     "estimate": ["abs_error", *_STAMP, *_under("report", _ESTIMATION_REPORT), "run",
                  *_under("spec", _INSTANCE_SPEC), "within_eps"],
     "baseline": _STAMP + _under("report", [
@@ -129,7 +139,7 @@ def _same_cell(text, value):
 
 
 def test_every_suite_has_a_golden_hash():
-    assert set(GOLDEN_TABLE_SHA256) == set(SUITES) == set(GOLDEN_RECORDS_SHA256)
+    assert set(GOLDEN_TABLE_SHA256) == set(SUITES) == set(GOLDEN_RECORDS_SHA256) == set(GOLDEN_SUMMARY_SHA256)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -141,6 +151,8 @@ def test_default_table_matches_golden_hash(suite, tmp_path):
 
     records_text = (tmp_path / suite / config_dir / "records.json").read_bytes()
     assert records_digest(records_text) == GOLDEN_RECORDS_SHA256[suite]
+    summary = (tmp_path / suite / config_dir / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == GOLDEN_SUMMARY_SHA256[suite]
     records = json.loads(records_text)
     assert sorted({p for rec in records for p in _key_paths(rec)}) == sorted(RECORD_KEY_PATHS[suite])
 

@@ -75,18 +75,16 @@ def test_random_density_builds_its_matrix_in_place():
 
 
 def test_make_state_kinds():
-    spec = pt.InstanceSpec(qubits=1, rank=2, seed=3, state_kind="named:rho0")
-    assert np.allclose(pt.make_state(spec).mat, np.diag([1.0, 0.0]))
-    spec = pt.InstanceSpec(qubits=2, rank=4, seed=3, state_kind="named:max_mixed")
-    assert np.allclose(pt.make_state(spec).mat, np.eye(4) / 4)
-    spec = pt.InstanceSpec(qubits=1, rank=2, seed=3, state_kind="named:rho1_0.1")
-    assert np.allclose(pt.make_state(spec).mat, np.diag([0.9, 0.1]))
+    spec = pt.InstanceSpec(qubits=1, rank=1, seed=3, state_kind="diagonal")
+    assert np.array_equal(pt.make_state(spec).mat, np.diag([1.0, 0.0]))  # rank 1 is |0><0| exactly
     spec = pt.InstanceSpec(qubits=2, rank=2, seed=3, state_kind="diagonal")
     mat = pt.make_state(spec).mat
-    assert np.allclose(mat, np.diag(np.diag(mat)))
+    assert np.array_equal(mat, np.diag(np.diag(mat))) and np.count_nonzero(np.diag(mat)) == 2
+    spec = pt.InstanceSpec(qubits=2, rank=1, seed=3)
+    assert np.linalg.matrix_rank(pt.make_state(spec).mat, tol=1e-10) == 1
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "named:max_mixed"])
+@pytest.mark.parametrize("kind", ["diagonal"])
 def test_make_states_validates_a_non_random_kind_once(numpy_decompositions, kind):
     """A stack of a non-random kind is built raw and validated once: one
     eigh of the (3, 4, 4) stack, and each matrix is what ``make_state``
@@ -207,7 +205,7 @@ def test_a_large_state_run_peaks_at_one_record():
 SPEC_15 = pt.InstanceSpec(qubits=15, rank=1, seed=0)
 BUILDERS_15 = {
     "make_state": lambda: pt.make_state(SPEC_15),
-    "make_state-named": lambda: pt.make_state(dataclasses.replace(SPEC_15, state_kind="named:max_mixed")),
+    "make_state-diagonal": lambda: pt.make_state(dataclasses.replace(SPEC_15, state_kind="diagonal")),
     "make_states": lambda: instances.make_states(SPEC_15, [0, 1]),
     "make_observable": lambda: pt.make_observable(SPEC_15),
     "make_observables": lambda: instances.make_observables(SPEC_15, [0, 1]),
@@ -344,7 +342,8 @@ def test_apps_keeps_its_records_when_one_denominator_is_refused(tmp_path):
 
 
 def test_cli_estimate_named_instance(tmp_path):
-    # the projector instance: Tr(rho0^k O) = 1, estimate must flag a pass
+    # the projector instance: rho0 = |0><0| (diagonal at rank 1), Tr(rho0^k O) = 1,
+    # and the estimate must flag a pass
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -352,7 +351,7 @@ def test_cli_estimate_named_instance(tmp_path):
             {
                 "runs": 1,
                 "k_values": [4],
-                "state_kind": "named:rho0",
+                "state_kind": "diagonal",
                 "observable_kind": "projector",
                 "qubits": 1,
                 "rank": 1,
