@@ -155,9 +155,11 @@ class HelstromTable:
 
 
 def helstrom_m_star(k: int, c: float) -> int:
-    """Smallest copy count m with 1 - (1/2)(1 - c/k)^(m/2) >= 2/3."""
-    eps_prime = c / k
-    return math.ceil(math.log(4.0 / 9.0) / math.log(1.0 - eps_prime))
+    """Smallest copy count m with 1 - (1/2)(1 - c/k)^(m/2) >= 2/3; refused where 1 - c/k rounds to 1."""
+    log_fidelity = math.log(1.0 - c / k)
+    if log_fidelity == 0.0:
+        raise ValidationError(f"c={c} is too small for k={k}: m* is not a finite number")
+    return math.ceil(math.log(4.0 / 9.0) / log_fidelity)
 
 
 def helstrom_experiment(k: int, c: float, m_values: list[int]) -> HelstromTable:
@@ -237,6 +239,8 @@ def lecam_construction(
             )
     p, q = 0.5 + delta, 0.5 - delta
     kl = p * math.log(p / q) + q * math.log(q / p)
+    if not (kl > 0.0 and math.isfinite(1.0 / kl)):
+        raise ValidationError(f"eps={eps} is too small: the copy bound 1/KL is not a finite number")
     return rho0, rho1, kl
 
 
@@ -276,7 +280,9 @@ def hybrid_bound_demo(o: Observable, eps: float) -> HybridBoundTable:
         raise ConstructionError(
             f"dilation distance {direct} disagrees with the closed form {closed}"
         )
-    t_star = math.ceil(1.0 / direct) if direct > 0 else 0
+    if not (direct > 0.0 and math.isfinite(1.0 / direct)):
+        raise ValidationError(f"eps={eps} is too small: t* = ceil(1 / ||U0 - U1||) is not a finite number")
+    t_star = math.ceil(1.0 / direct)
     return HybridBoundTable(
         delta=delta,
         norm_direct=direct,

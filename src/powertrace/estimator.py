@@ -22,9 +22,9 @@ is the spectral sum
 read from the spectrum of the state the purified access carries and one
 O V product. No d x d block and no purification vector is built. For a
 stack of R states, one per record, ``estimate_stack`` runs the transform,
-the products, the sums and the oracle once over the record axis and draws
-only the scalar readout below record by record; ``estimate_trace_power``
-is its one-record case, and ``vd_ratio_stack`` makes two of its calls.
+the products, the sums, the oracle and the readout once over the record
+axis; ``estimate_trace_power`` is its one-record case, and
+``vd_ratio_stack`` makes two of its calls.
 
 The readout draws the phase-estimation outcome exactly in O(log K) time
 and O(1) memory on a K = 2^t point grid, as the circuit produces it:
@@ -33,9 +33,9 @@ coin, then measures the t counting qubits one at a time (the
 semiclassical inverse QFT), each bit from a Bernoulli law set by the
 phase and the bits already drawn, all 1 + t uniforms from one call.
 Setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``.
-``estimate_stack`` derives a stack's readout seeds and builds their
-generators with ``instances.derive_seeds`` and ``instances.generators``,
-one array hash each for a stack of ``STACK_SEEDS`` or more records.
+A stack of ``STACK_SEEDS`` or more sampled draws hashes its seeds as
+arrays (``instances.derive_seeds``, ``instances.generators``) and decides
+each bit for all its draws at once, to the same outcomes (``_readouts``).
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
@@ -51,7 +51,7 @@ import numpy as np
 
 from .blockenc import PurifiedState
 from .errors import UnreliableEstimateError, ValidationError
-from .instances import derive_seeds, generators, shared_observable
+from .instances import STACK_SEEDS, derive_seeds, generators, shared_observable
 from .linalg import Observable, trace_power_obs_oracles
 from .qsvt import transform_spectra
 
@@ -177,6 +177,28 @@ def _draw_outcome(theta: float, grid_size: int, rng: np.random.Generator) -> int
     return y
 
 
+def _draw_outcomes(thetas: np.ndarray, grid_size: int, uniforms: np.ndarray) -> np.ndarray:
+    """``_draw_outcome`` of each of ``thetas`` from its row of 1 + t ``uniforms``, a bit for all rows at
+    once. ``np.sin`` may round apart from ``math.sin``, so a bit whose uniform lies within 2^-40 of its
+    array probability is decided again by ``_bit_probability``: each outcome is the scalar draw's."""
+    t = grid_size.bit_length() - 1
+    phi, y = np.where(uniforms[:, 0] < 0.5, thetas, -thetas), np.zeros(len(thetas))
+    for m in range(t):
+        u = uniforms[:, 1 + m]
+        p = np.sin(np.pi * ((np.ldexp(phi, t - 1 - m) % 1.0 - np.ldexp(y, -(m + 1))) % 1.0)) ** 2
+        bit = u < p
+        for i in np.flatnonzero(np.abs(u - p) < 2.0 ** -40).tolist():
+            bit[i] = u[i] < _bit_probability(float(phi[i]), t, m, int(y[i]))
+        y += bit * 2.0 ** m
+    return y
+
+
+def _checked_probability(p_true: float) -> float:
+    if not -1e-12 <= p_true <= 1.0 + 1e-12:
+        raise ValidationError(f"probability {p_true} outside [0, 1]")
+    return min(max(p_true, 0.0), 1.0)
+
+
 def amplitude_estimate(
     p_true: float, K: int, mode: str = "sampled", rng_seed: int = 0
 ) -> AeOutcome:
@@ -191,9 +213,7 @@ def amplitude_estimate(
     ``sampled`` mode the 2^t <= ``_MAX_AE_GRID`` outcomes of t counting qubits.
     ``rng_seed`` is a seed or a ``Generator``, which ``default_rng`` returns as is.
     """
-    if not -1e-12 <= p_true <= 1.0 + 1e-12:
-        raise ValidationError(f"probability {p_true} outside [0, 1]")
-    p_true = min(max(p_true, 0.0), 1.0)
+    p_true = _checked_probability(p_true)
     _check_mode(mode)
     if not isinstance(K, (int, np.integer)) or K < 2:
         raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
@@ -239,6 +259,22 @@ def choose_ae_grid(eps_prime: float) -> int:
     return K
 
 
+def _readouts(draws: list, mode: str, seeds: list, settings: int) -> list[float]:
+    """The estimate of each (P(0), K) of ``draws``, ``settings`` per record of ``seeds`` (record-major;
+    setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``): by ``_draw_outcomes`` for
+    a sampled stack of ``STACK_SEEDS`` or more draws on one grid, else by ``amplitude_estimate``."""
+    masters = [seed for seed in seeds for _ in range(settings)]  # an ideal readout draws nothing
+    readouts = generators(derive_seeds(masters, [*range(settings)] * len(seeds))) if mode == "sampled" else masters
+    if mode == "ideal" or len(draws) < STACK_SEEDS or len({grid for _, grid in draws}) > 1:
+        return [amplitude_estimate(p, grid, mode, rng).p_estimate for (p, grid), rng in zip(draws, readouts)]
+    thetas = np.array([math.asin(math.sqrt(_checked_probability(p))) / math.pi for p, _ in draws])
+    K = draws[0][1]
+    uniforms = np.empty((len(draws), K.bit_length()))
+    for row, rng in zip(uniforms, readouts):
+        rng.random(out=row)
+    return [math.sin(math.pi * y / K) ** 2 for y in _draw_outcomes(thetas, K, uniforms).tolist()]
+
+
 def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: float, seeds: list,
                    mode: str = "sampled") -> list[EstimationReport]:
     """One ``estimate_trace_power`` report per record of a stack (R, d, d) of
@@ -255,17 +291,14 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]
     reports = []
     grids = {alpha_o: choose_ae_grid(eps / (4.0 * alpha_o)) for alpha_o in set(alphas.tolist())}
-    masters = [seed for seed in seeds for _ in settings]  # record-major, as the loop draws them
-    readouts = generators(derive_seeds(masters, [*range(len(settings))] * len(seeds)))
+    draws = [(_p_zero(overlap / alpha_o, setting), grids[alpha_o])
+             for overlap, alpha_o in zip(overlaps.tolist(), alphas.tolist()) for setting in settings]
+    p_estimates = iter(_readouts(draws, mode, seeds, len(settings)))
     for overlap, alpha_o, degree, oracle, k_i, seed in zip(
         overlaps.tolist(), alphas.tolist(), degrees, oracles, ks, seeds, strict=True
     ):
         eps_prime, grid = eps / (4.0 * alpha_o), grids[alpha_o]
-        parts = []
-        for setting in settings:
-            p_true = _p_zero(overlap / alpha_o, setting)
-            outcome = amplitude_estimate(p_true, grid, mode=mode, rng_seed=next(readouts))
-            parts.append(alpha_o * (2.0 * outcome.p_estimate - 1.0))
+        parts = [alpha_o * (2.0 * next(p_estimates) - 1.0) for _ in settings]
         # each degree of p applies the density block encoding: two purification-unitary queries
         reports.append(EstimationReport(
             estimate=complex(parts[0], parts[1] if len(parts) > 1 else 0.0), oracle_value=oracle,

@@ -35,9 +35,10 @@ def transform_spectra(w: np.ndarray, ks: list, eps: list) -> tuple[np.ndarray, l
     unchanged, so one Clenshaw pass evaluates the stack; a stack that shares
     one polynomial passes its coefficients as they are.
     """
-    prefixes, degrees = {}, []
+    prefixes, degrees, degree_of = {}, [], {}
     for k, eps_k in zip(ks, eps, strict=True):
-        degree = required_degree(k - 1, eps_k)
+        # one degree per distinct (k, eps); a degree is at least 1
+        degree = degree_of.get((k, eps_k)) or degree_of.setdefault((k, eps_k), required_degree(k - 1, eps_k))
         if (k, degree) not in prefixes:
             kept = power_expansion(k - 1)[:degree + 1]
             if (coefficient_sum := float(np.abs(kept).sum())) > 1.0 + SUP_NORM_SLACK:

@@ -29,7 +29,9 @@ non-negative integer.
 
 Numeric output is printed with 17 significant digits and JSON keys are
 sorted, so reruns with the same config and seed are byte-identical (except
-record timestamps). Files are written atomically (temp then rename).
+record timestamps). A record's ``records.json`` item and ``table.csv`` row
+are each one ``str.format`` of its shape's template (``_Shape``), compiled
+once per shape. Files are written atomically (temp then rename).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import json
 import math
 import os
 import tempfile
-from functools import lru_cache, partial
+from functools import partial
+from operator import itemgetter
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -95,59 +98,113 @@ def fmt(x) -> str:
     return str(x)
 
 
-# the built-in kind canonical_json writes a numpy scalar or a subclass as
-_JSON_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, (bool, np.bool_)),
-               (int, (int, np.integer)), (list, (list, tuple)))
-_quote = json.encoder.encode_basestring_ascii
-_heads = lru_cache(256)(lambda pad, keys: tuple(f"{pad}{_quote(str(key))}: " for key in keys))  # a dict's heads
+_quote, _CONTAINERS, _NONE = json.encoder.encode_basestring_ascii, (dict, list, tuple), type(None)
 
 
-def _emit(heads: list, values, pad: str, out: list) -> list:
-    """Append each of ``values`` to ``out`` after its head (indent, and key in a dict), comma-separated at
-    indent ``pad``: scalars in place, dispatching on the exact type, floats first, recursing only into a
-    non-empty dict or list. Each item of the top-level container (``pad`` of 2) is joined before the next."""
-    sep, top = "", len(pad) == 2
-    for head, value in zip(heads, values):
-        mark, kind, lead, sep = len(out), type(value), sep, ",\n"  # lead: the separator before this item
-        if kind not in (float, dict, str, bool, int, list):
-            kind = next((base for base, types in _JSON_KINDS if isinstance(value, types)), None)
-            value = kind(value) if kind in (float, int, bool) else value
-        if kind is float:
-            out.append(f"{lead}{head}{value:.17g}" if math.isfinite(value) else f'{lead}{head}"{value}"')
-        elif (kind is dict or kind is list) and value:
-            inner, keys = pad + "  ", tuple(sorted(value)) if kind is dict else None
-            out.append(lead + head + ("{\n" if keys else "[\n"))
-            _emit(_heads(inner, keys) if keys else [inner] * len(value),
-                  [value[k] for k in keys] if keys else value, inner, out)
-            out.append("\n" + pad + ("}" if keys else "]"))
-        elif kind is int:
-            out.append(f"{lead}{head}{value}")
-        else:  # a bool, None, a string, an empty dict or list, or any other value as its string
-            text = ("{}" if kind is dict else "[]") if kind is dict or kind is list else _quote(str(value))
-            out.append(lead + head + ("true" if value is True else "false" if value is False else
-                                      "null" if value is None else text))
-        if top:
-            out[mark:] = ["".join(out[mark:])]
-    return out
+def _leaf_json(value) -> str:
+    """The JSON of a value that is no container: ``fmt`` of a number or bool (numpy's too), quoted if it
+    is nan or +-inf; null; any other value as its quoted string."""
+    if not isinstance(value, (bool, np.bool_, float, np.floating, int, np.integer)):
+        return "null" if value is None else _quote(str(value))
+    return f'"{text}"' if (text := fmt(value)) in ("nan", "inf", "-inf") else text
+
+
+class _Shape:
+    """One value shape's templates: ``json`` writes the value as ``canonical_json`` at indent ``pad``,
+    ``row`` as a table row of ``fmt`` of its value at each column's first key path in ``split``, or nan.
+    Both format ``values``: the flattened value (container types and lengths, sorted dict keys and exact
+    leaf types checked) and the JSON of each leaf but a finite float, an int or None."""
+
+    def __init__(self, value, pad: str, split: list = ()):
+        self.types, self.kinds, self.steps, self.cached, paths = [type(value)], [_CONTAINERS], [], True, {}
+        pieces = [pad]  # the head of the value: its indent
+        self._compile(value, 0, pad, (), paths, pieces)
+        kinds, types = self.kinds, self.types
+        cells = [next((paths[path] for path in column if path in paths), None) for column in split]
+        self.floats = [i for i, kind in enumerate(kinds) if kind is float]
+        self.texts = [i for i, kind in enumerate(kinds) if kind in (str, object)]
+        text = {i: len(kinds) + j for j, i in enumerate(self.texts)}  # where leaf i's JSON is
+        self.json = "".join(piece.replace("{", "{{").replace("}", "}}") if type(piece) is str else "null"
+                            if kinds[piece] is _NONE else "{%d:.17g}" % piece if kinds[piece] is float else
+                            "{%d}" % (piece if kinds[piece] is int else text[piece]) for piece in pieces)
+        self.row = ",".join("nan" if i is None else "{%d:.17g}" % i if issubclass(types[i], (float, np.floating))
+                            else "{%d}" % text[i] if issubclass(types[i], (bool, np.bool_)) else "{%d!s}" % i
+                            for i in cells)
+
+    def _compile(self, value, at: int, pad: str, path, paths: dict, pieces: list) -> None:
+        """Add the steps that flatten container ``value`` (at position ``at``, indent ``pad``, key path
+        ``path``, None under a list), its key paths to ``paths`` and its format pieces to ``pieces``."""
+        is_dict, inner, base = isinstance(value, dict), pad + "  ", len(self.kinds)
+        keys = sorted(value) if is_dict else range(len(value))
+        items = [value[key] for key in keys] if is_dict else list(value)
+        self.cached &= type(value) in _CONTAINERS and (not is_dict or all(type(key) is str for key in keys))
+        getter = None if not is_dict else itemgetter(*keys) if len(keys) > 1 else (
+            lambda d: [*map(d.__getitem__, keys)])
+        self.steps.append((at, type(value), frozenset(keys) if is_dict else len(items), getter))
+        self.types += map(type, items)
+        self.kinds += [_CONTAINERS if isinstance(v, _CONTAINERS) else float if type(v) is float and math.isfinite(v)
+                       else type(v) if type(v) in (int, str, _NONE) else object for v in items]
+        close = "}" if is_dict else "]"
+        pieces.append(("{" if is_dict else "[") + ("\n" if items else close))
+        for i, (key, v) in enumerate(zip(keys, items)):
+            where = path + (key,) if is_dict and path is not None else None
+            if where is not None:
+                paths[where] = base + i
+            pieces.append((",\n" if i else "") + inner + (_quote(str(key)) + ": " if is_dict else ""))
+            if isinstance(v, _CONTAINERS):
+                self._compile(v, base + i, inner, where, paths, pieces)
+            else:
+                pieces.append(base + i)
+        if items:
+            pieces.append("\n" + pad + close)
+
+    def values(self, value) -> list | None:
+        """The flattened ``value``, or None unless it has this shape."""
+        out = [value]
+        for at, kind, keys, getter in self.steps:  # a getter reads only the type and keys it was compiled for
+            item = out[at]
+            if type(item) is not kind or (item.keys() != keys if getter else len(item) != keys):
+                return None
+            out += getter(item) if getter else item
+        if [*map(type, out)] != self.types or not all(map(math.isfinite, map(out.__getitem__, self.floats))):
+            return None
+        return out + [*map(_leaf_json, map(out.__getitem__, self.texts))]
+
+
+def _rendered(records: list, columns: dict):
+    """Per record, its ``records.json`` item and table row, each one ``str.format`` of the first cached
+    shape it has (latest first) or of its own, cached while fewer than 8 are; a leaf has a row of nan."""
+    split, shapes = [[tuple(p.split(".")) for p in paths.split("|")] for paths in columns.values()], []
+    for record in records:
+        shape, values = next(((shape, values) for shape in shapes if (values := shape.values(record))), (None, None))
+        if shape is None and isinstance(record, _CONTAINERS):
+            shape = _Shape(record, "  ", split)
+            values = shape.values(record)
+            if shape.cached and len(shapes) < 8:
+                shapes.insert(0, shape)
+        yield (shape.json.format(*values), shape.row.format(*values)) if shape else (
+            "  " + _leaf_json(record), ",".join(["nan"] * len(split)))
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON in one ``_emit`` pass: sorted keys, floats at 17 significant digits, non-finite
-    floats as "nan", "inf" and "-inf", strings and keys ASCII-escaped, any other value as its string."""
-    return "".join(_emit([""], [obj], "", []))
+    """Deterministic JSON: sorted keys, floats at 17 significant digits, non-finite floats as "nan",
+    "inf" and "-inf", strings and keys ASCII-escaped, any other value as its string: through its
+    shape's template, or each item of a non-empty list through its own (``_rendered``)."""
+    if type(obj) is list and obj:
+        return "[\n" + ",\n".join(item for item, _ in _rendered(obj, {})) + "\n]"
+    shape = _Shape(obj, "") if isinstance(obj, _CONTAINERS) else None
+    return shape.json.format(*shape.values(obj)) if shape else _leaf_json(obj)
 
 
 def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _atomic_write(path: str, pieces: list[str]) -> None:
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,28 +212,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _cell(record: dict, paths: list):
-    """The value at the first of ``paths`` (each a list of keys) that
-    ``record`` holds; nan if it holds none of them."""
-    for path in paths:
-        value = record
-        for key in path:
-            if not isinstance(value, dict) or key not in value:
-                break
-            value = value[key]
-        else:
-            return value
-    return math.nan
-
-
 def write_csv(path: str, columns: dict[str, str], records: list[dict]) -> None:
-    """Write the table of ``records``: one row per record, one column per
-    (header, paths) entry of ``columns``, its "|"-separated dotted paths
-    split once per table."""
-    split = [[p.split(".") for p in paths.split("|")] for paths in columns.values()]
-    lines = [",".join(columns)]
-    lines += [",".join(fmt(_cell(rec, paths)) for paths in split) for rec in records]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write the table of ``records``, a row each: per (header, "|"-separated dotted paths) entry of
+    ``columns``, ``fmt`` of the value at the first path the record holds, or nan."""
+    _atomic_write(path, ["\n".join([",".join(columns), *(row for _, row in _rendered(records, columns))]), "\n"])
 
 
 def _log_slope(xs, ys) -> float:
@@ -671,11 +710,18 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
     records = [{**rec, **stamp} for rec in records]
 
     out_dir = os.path.join(out_root, suite, cfg_hash)
-    write_csv(os.path.join(out_dir, "table.csv"), entry.columns, records)
-    _atomic_write(os.path.join(out_dir, "records.json"), canonical_json(records) + "\n")
+    os.makedirs(out_dir, exist_ok=True)
+    rows, items = [",".join(entry.columns)], []
+    for item, row in _rendered(records, entry.columns):  # both files in one pass over the records
+        items.append(item)
+        rows.append(row)
+    table, listing = "\n".join(rows), ",\n".join(items)
+    del rows, items  # each file's text is held once: not also as its parts, nor copied to add its brackets
+    _atomic_write(os.path.join(out_dir, "table.csv"), [table, "\n"])
+    _atomic_write(os.path.join(out_dir, "records.json"), ["[\n", listing, "\n]\n"] if listing else ["[]\n"])
     summary_obj = {"suite": suite, "config": cfg, "config_hash": cfg_hash, "tool_version": __version__,
                    **summary}
-    _atomic_write(os.path.join(out_dir, "summary.json"), canonical_json(summary_obj) + "\n")
+    _atomic_write(os.path.join(out_dir, "summary.json"), [canonical_json(summary_obj), "\n"])
     return 0 if summary["pass"] else 1
 
 

@@ -1,21 +1,30 @@
-"""``suites.canonical_json`` against the recursive writer it replaced.
+"""``suites.canonical_json``, ``suites.write_csv`` and the one-pass writer
+of ``suites.run_suite_config`` against the writers their templates replaced.
 
-``reference_canonical_json`` is that writer, kept here as the oracle: it
-formats each value by one recursive call and joins every level. The
-one-pass emitter must write the same bytes for every tree whose keys need
-no escaping; keys that do are escaped as string values are. Both write a
-numpy ``bool_`` as a JSON bool, where the replaced writer wrote its string.
+``reference_canonical_json`` is the recursive JSON writer, kept here as the
+oracle: it formats each value by one recursive call and joins every level,
+and escapes keys as string values are. The templates must write the same
+bytes for every tree, and for every list of records, whatever their shapes.
+Both write a numpy ``bool_`` as a JSON bool, where the first recursive writer
+wrote its string. ``reference_table`` is the cell-by-cell table writer:
+``fmt`` of the value at a column's first path the record holds, or nan.
 """
 
+import collections
+import glob
 import json
 import math
+import os
 import string
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powertrace.suites import canonical_json, fmt
+from powertrace import suites
+from powertrace.suites import canonical_json, fmt, write_csv
 
 _REFERENCE_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, (bool, np.bool_)),
                     (int, (int, np.integer)), (list, (list, tuple)))
@@ -33,7 +42,8 @@ def reference_canonical_json(obj, indent: int = 0) -> str:
         return '"nan"' if math.isnan(x) else ('"inf"' if x > 0 else '"-inf"')
     if kind is dict:
         pad = " " * (indent + 2)
-        items = [f'{pad}"{key}": {reference_canonical_json(obj[key], indent + 2)}' for key in sorted(obj)]
+        items = [f'{pad}{json.dumps(str(key))}: {reference_canonical_json(obj[key], indent + 2)}'
+                 for key in sorted(obj)]
         return "{\n" + ",\n".join(items) + "\n" + pad[2:] + "}" if items else "{}"
     if kind is bool:
         return "true" if obj else "false"
@@ -61,8 +71,8 @@ SCALARS = st.one_of(
     st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
 )
-# keys the reference writes unescaped
-KEYS = st.text(alphabet=string.ascii_letters + string.digits + "_.", max_size=8)
+KEYS = st.one_of(st.text(alphabet=string.ascii_letters + string.digits + "_.", max_size=8),
+                 st.sampled_from(['a"b', "k\\", "{x}", "}{", "ü"]))
 TREES = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -100,3 +110,138 @@ def test_top_level_items_and_empty_containers():
 def test_a_numpy_bool_is_written_as_a_json_bool():
     assert canonical_json({"a": np.True_, "b": [np.False_]}) == '{\n  "a": true,\n  "b": [\n    false\n  ]\n}'
     assert (fmt(np.True_), fmt(np.False_), fmt(True)) == ("true", "false", "true")
+
+
+def _refill(draw, tree):
+    """A tree of ``tree``'s containers and keys, each leaf kept, or drawn anew of its type if it is a
+    float (nan and infinities too), or of any scalar type."""
+    if isinstance(tree, dict):
+        return {key: _refill(draw, value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_refill(draw, value) for value in tree)
+    choice = draw(st.integers(0, 2))
+    return tree if choice == 0 else draw(st.floats() if choice == 1 and type(tree) is float else SCALARS)
+
+
+SKELETONS = st.dictionaries(KEYS, st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=3), st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(KEYS, children, max_size=3)), max_leaves=10), max_size=4)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of records: runs of one shape, whose leaves may change type, between other trees."""
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        skeleton = draw(SKELETONS)
+        records += [_refill(draw, skeleton) for _ in range(draw(st.integers(1, 5)))]
+        records += draw(st.lists(SKELETONS, max_size=1))
+    return records
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(record_lists())
+def test_records_of_one_shape_write_the_reference_bytes(records):
+    assert canonical_json(records) == reference_canonical_json(records)
+
+
+def test_hash_equal_keys_subclasses_and_non_finite_floats_are_not_read_through_another_shape():
+    """1, True and 1.0 are one dict key; each record is written with its own, and a float that
+    turns non-finite is quoted."""
+    records = [{1: 1.0}, {True: 2.0}, {1.0: 3}, {"a": 1}, collections.OrderedDict(a=2.0),
+               collections.defaultdict(int, b=1), {"a": np.float64(0.5)}, {"a": math.nan}, {"a": 0.5},
+               {"b": 0.5}, {"b": math.nan}, {"b": -math.inf}, {"b": 2.5}]
+    assert canonical_json(records) == reference_canonical_json(records)
+    assert dict(records[5]) == {"b": 1}  # not written through another shape's keys
+
+
+def test_more_shapes_than_the_cache_holds():
+    records = [{f"k{i}": float(i), "v": [i] * (i % 3)} for i in range(3 * 8)] * 2
+    assert canonical_json(records) == reference_canonical_json(records)
+
+
+def reference_cell(record, paths: str):
+    """The value at the first of the "|"-separated dotted ``paths`` that ``record`` holds, or nan."""
+    for path in paths.split("|"):
+        value = record
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                break
+            value = value[key]
+        else:
+            return value
+    return math.nan
+
+
+def reference_table(columns: dict, records: list) -> str:
+    lines = [",".join(columns)] + [",".join(fmt(reference_cell(rec, paths)) for paths in columns.values())
+                                   for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def _table(columns, records) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write_csv(path, columns, records)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+SMALL_KEYS = st.sampled_from("abc")
+PATHS = st.lists(st.lists(SMALL_KEYS, min_size=1, max_size=3).map(".".join), min_size=1, max_size=3).map("|".join)
+SMALL_TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=3), st.dictionaries(SMALL_KEYS, children, max_size=3)), max_leaves=12)
+
+
+@st.composite
+def tables(draw):
+    columns = {f"c{i}": paths for i, paths in enumerate(draw(st.lists(PATHS, min_size=1, max_size=6)))}
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        skeleton = draw(st.dictionaries(SMALL_KEYS, SMALL_TREES, max_size=3))
+        records += [_refill(draw, skeleton) for _ in range(draw(st.integers(1, 5)))]
+        records += draw(st.lists(SMALL_TREES, max_size=1))
+    return columns, records
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(tables())
+def test_write_csv_writes_the_cell_by_cell_table(table):
+    columns, records = table
+    assert _table(columns, records) == reference_table(columns, records)
+
+
+def test_write_csv_reaches_a_nan_through_a_fallback_path():
+    columns = {"value": "report.m_star|report.t_star", "kind": "spec.kind", "flag": "ok|report.ok",
+               "box": "report", "none": "spec.none"}
+    records = [{"spec": {"kind": "a", "none": None}, "report": {"t_star": math.nan, "ok": np.True_}},
+               {"spec": {"kind": "b", "none": None}, "report": {"t_star": 2.5, "ok": False}},
+               {"spec": {"kind": 'q"uote', "none": None}, "report": {"m_star": -math.inf}, "ok": True}, 7]
+    text = _table(columns, records)
+    assert text == reference_table(columns, records)
+    assert text.splitlines()[1].startswith("nan,a,true,{'t_star': nan,") and text.endswith("\nnan,nan,nan,nan,nan\n")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(tables())
+@example(({"c0": "a"}, []))
+def test_a_suite_run_writes_the_reference_table_and_records(table):
+    """``run_suite_config`` writes both files from one pass over its stamped
+    records: the cell-by-cell table and the recursive JSON, byte for byte."""
+    columns, records = table
+    records = [record for record in records if isinstance(record, dict)]  # a runner returns dicts
+    entry = suites.SUITE_REGISTRY["approx"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setitem(suites.SUITE_REGISTRY, "approx",
+                      entry._replace(run=lambda cfg: (records, {"pass": True}), columns=columns))
+        assert suites.run_suite_config("approx", suites.suite_defaults("approx"), tmp) == 0
+        (out_dir,) = glob.glob(os.path.join(tmp, "approx", "*"))
+        texts = {}
+        for name in ("table.csv", "records.json"):
+            with open(os.path.join(out_dir, name), encoding="utf-8", newline="") as fh:
+                texts[name] = fh.read()
+    stamp = {key: json.loads(texts["records.json"])[0][key] for key in ("tool_version", "config_hash", "timestamp")
+             } if records else {}
+    stamped = [{**record, **stamp} for record in records]
+    assert texts["table.csv"] == reference_table(columns, stamped)
+    assert texts["records.json"] == reference_canonical_json(stamped) + "\n"

@@ -336,6 +336,21 @@ def test_bounds_non_positive_hybrid_eps_exits_2_without_output(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"hybrid_eps_grid": [1e-320, 0.03]}, "eps=1e-320 is too small: t* = ceil(1 / ||U0 - U1||) is not a finite number"),
+    ({"eps_grid": [1e-200, 0.1]}, "eps=1e-200 is too small: the copy bound 1/KL is not a finite number"),
+    ({"c": 1e-320}, "c=1e-320 is too small for k=10: m* is not a finite number"),
+], ids=["hybrid-t-star", "lecam-kl", "helstrom-m-star"])
+def test_bounds_tiny_parameter_without_a_finite_bound_exits_2_without_output(tmp_path, capsys, config, message):
+    """An in-range parameter so small that t*, 1/KL or m* is no finite number
+    is refused, not carried into an overflow or a division by zero."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_separation_eps_too_small_for_the_ae_grid_exits_2_without_output(tmp_path, capsys):
     """The estimator refuses the eps before the swap-shot count can overflow."""
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"

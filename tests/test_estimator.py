@@ -309,6 +309,65 @@ def test_ae_outcomes_are_pinned():
     assert got == _PINNED_AE_OUTCOMES
 
 
+def _near_bit_boundaries(t: int) -> list:
+    """0, 1, 1/2, a grid point sin^2(pi j / 2^t) with its two float neighbours, and 0.3."""
+    edge = math.sin(math.pi * (2 ** t // 3) / 2 ** t) ** 2
+    return [0.0, 1.0, 0.5, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), 0.3]
+
+
+@pytest.mark.parametrize("size", [instances.STACK_SEEDS, 200])
+@pytest.mark.parametrize("t", range(1, 27))
+def test_a_stacked_readout_is_each_draw_alone(t, size):
+    """The stacked readout reads each draw's outcome and estimate bit for bit as
+    ``amplitude_estimate`` with the same derived seed."""
+    K, ps = 2 ** t, _near_bit_boundaries(t)
+    draws, seeds = [(ps[j % len(ps)], K) for j in range(size)], list(range(1000 * t, 1000 * t + size))
+    alone = [pt.amplitude_estimate(p, K, rng_seed=instances.derive_seed(seed, 0)) for (p, _), seed in zip(draws, seeds)]
+    assert estimator._readouts(draws, "sampled", seeds, 1) == [a.p_estimate for a in alone]
+    thetas = np.array([math.asin(math.sqrt(p)) / math.pi for p, _ in draws])
+    uniforms = np.array([np.random.default_rng(instances.derive_seed(seed, 0)).random(1 + t) for seed in seeds])
+    assert estimator._draw_outcomes(thetas, K, uniforms).tolist() == [a.raw_outcome_index for a in alone]
+
+
+def test_a_stack_on_two_grids_reads_each_draw_alone():
+    draws, seeds = [(0.3, 2 ** (5 + 4 * (j % 2))) for j in range(40)], list(range(40))
+    assert estimator._readouts(draws, "sampled", seeds, 1) == [
+        pt.amplitude_estimate(p, K, rng_seed=instances.derive_seed(seed, 0)).p_estimate
+        for (p, K), seed in zip(draws, seeds)]
+
+
+class _FixedUniforms:
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size):
+        assert size == len(self.row)
+        return self.row
+
+
+def test_a_bit_at_its_array_probability_is_decided_by_the_scalar_law():
+    """Where ``np.sin`` rounds apart from ``math.sin``, a uniform equal to the
+    smaller of the two probabilities is a 1 for one of them and a 0 for the
+    other; the stacked draw decides it as the scalar draw does. So does a
+    uniform of 0 at probability 0 (theta 0)."""
+    thetas = np.random.default_rng(5).random(20000) / 2
+    p_np = np.sin(np.pi * thetas) ** 2
+    p_math = np.array([math.sin(math.pi * theta) ** 2 for theta in thetas.tolist()])
+    apart = np.flatnonzero(p_np != p_math)[:50]
+    thetas = np.append(thetas[apart], 0.0)
+    uniforms = np.stack([np.zeros(len(thetas)), np.append(np.minimum(p_np, p_math)[apart], 0.0)], axis=1)
+    expected = [estimator._draw_outcome(theta, 2, _FixedUniforms(row)) for theta, row in zip(thetas, uniforms)]
+    assert estimator._draw_outcomes(thetas, 2, uniforms).tolist() == expected
+    assert apart.size > 0, "np.sin rounds as math.sin on every phase tried"
+
+
+def test_an_ideal_stack_builds_no_readout_generator(monkeypatch):
+    monkeypatch.setattr(estimator, "generators", lambda seeds: pytest.fail("built readout generators"))
+    draws = [(p, 64) for p in np.linspace(0.0, 1.0, 40).tolist()]
+    assert estimator._readouts(draws, "ideal", list(range(40)), 1) == [
+        pt.amplitude_estimate(p, 64, mode="ideal").p_estimate for p, _ in draws]
+
+
 def test_ae_sampled_draw_memory_is_independent_of_grid():
     pt.amplitude_estimate(0.3, 2 ** 22, rng_seed=0)  # warm-up
     tracemalloc.start()

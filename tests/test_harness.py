@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -241,6 +242,25 @@ def test_random_unitary_is_unitary():
 
 
 # ------------------------------------------------------- canonical rendering
+
+@pytest.mark.parametrize("suite", ["estimate", "apps"])
+def test_default_stacks_take_the_template_writers_and_the_stacked_readout(monkeypatch, tmp_path, suite):
+    """No record of the default ``estimate`` or ``apps`` suite compiles a
+    template of its own, and no readout of their stacks is drawn record by
+    record."""
+    counts, real_draw = collections.Counter(), estimator._draw_outcome
+
+    class CountingShape(suites._Shape):
+        def __init__(self, *args):
+            counts["shapes"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(suites, "_Shape", CountingShape)
+    monkeypatch.setattr(estimator, "_draw_outcome", lambda *args: counts.update(["draws"]) or real_draw(*args))
+    assert main([suite, "--out", str(tmp_path)]) == 0
+    # the config hash, the record shapes (one; apps two) and the summary
+    assert counts == {"shapes": 3 if suite == "estimate" else 4}
+
 
 def test_canonical_json_sorted_and_17_digits():
     text = canonical_json({"b": 1 / 3, "a": True, "c": [1, 2.5]})

@@ -8,7 +8,7 @@ the ``SeedSequence`` word and the ``default_rng`` stream bit for bit.
 import numpy as np
 import pytest
 
-from powertrace.instances import STACK_SEEDS, derive_seeds, generators
+from powertrace.instances import STACK_SEEDS, _gaussians, derive_seeds, generators
 
 MASTERS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 100]  # the last is above 64 bits: numpy's path
 SIZES = [STACK_SEEDS - 1, STACK_SEEDS, 200]
@@ -72,3 +72,14 @@ def test_a_seed_numpy_refuses_is_refused_in_a_stack(bad):
         derive_seeds([bad] * STACK_SEEDS, list(range(STACK_SEEDS)))
     with pytest.raises((ValueError, TypeError)):
         next(generators([bad] * STACK_SEEDS))
+
+
+@pytest.mark.parametrize("size", [1, *SIZES])
+@pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3, 5)])
+def test_gaussians_are_the_per_record_draws(shape, size):
+    """One buffer per stack holds the bits of each seed's two draws, combined per record."""
+    seeds = [2 ** 40 + 17 * j for j in range(size)]
+    expected = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         for rng in map(np.random.default_rng, seeds)])
+    got = _gaussians(shape, seeds)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
