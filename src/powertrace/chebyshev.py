@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# binomial terms below this are dropped as exact zeros (log-space underflow)
+# terms below this are exact zeros: 2^-(k-1) is the least term, first below it at k = 998
 COEFF_FLOOR = 1e-300
 
 MAX_POWER = 1024

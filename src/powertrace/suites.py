@@ -27,11 +27,12 @@ another JSON kind than its default's, or a fractional or too small value
 of an integer key. A suite that draws random numbers reads ``seed``, a
 non-negative integer.
 
-Numeric output is printed with 17 significant digits and JSON keys are
-sorted, so reruns with the same config and seed are byte-identical (except
-record timestamps). A record's ``records.json`` item and ``table.csv`` row
-are each one ``str.format`` of its shape's template (``_Shape``), compiled
-once per shape. Files are written atomically (temp then rename).
+Floats are printed with 17 significant digits and JSON keys are sorted, so
+reruns with the same config and seed are byte-identical (except record
+timestamps). A JSON leaf is true, false, a number (quoted if nan or +-inf),
+null or a quoted string; a table cell is true, false, a float or any other
+value's ``str()``. One ``run_suite_config`` pass writes each record's JSON
+item and row by its shape's template (``_Shape``); files are written atomically.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, r
                         tsallis_entropy, vd_ratio_stack)
 from .instances import (InstanceSpec, derive_seed, derive_seeds, make_observable, make_observables, make_state,
                         make_states, random_unitary, shared_observable)
-from .linalg import DensityMatrix, Observable, trace_power_obs_oracle
+from .linalg import DensityMatrix, Observable, check_dim_within_cap, trace_power_obs_oracle
 
 APPROX_SLOPE_RANGE = (0.4, 0.6)  # degree ~ sqrt(k)
 ESTIMATE_PASS_THRESHOLD = AE_SUCCESS_PROB - 0.05  # share of estimates within eps
@@ -89,31 +90,24 @@ QUERY_EXPONENT_MAX = 0.65  # queries ~ sqrt(k)
 # formatting, hashing, atomic output
 # --------------------------------------------------------------------------
 
-def fmt(x) -> str:
-    """Render one CSV cell; floats with 17 significant digits."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 _quote, _CONTAINERS, _NONE = json.encoder.encode_basestring_ascii, (dict, list, tuple), type(None)
 
 
 def _leaf_json(value) -> str:
-    """The JSON of a value that is no container: ``fmt`` of a number or bool (numpy's too), quoted if it
-    is nan or +-inf; null; any other value as its quoted string."""
+    """The JSON of a value that is no container: a bool (numpy's too) as true or false, a number's digits
+    (a float's 17 significant ones, quoted if nan or +-inf), null, or any other value's quoted string."""
     if not isinstance(value, (bool, np.bool_, float, np.floating, int, np.integer)):
         return "null" if value is None else _quote(str(value))
-    return f'"{text}"' if (text := fmt(value)) in ("nan", "inf", "-inf") else text
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    text = format(float(value), ".17g") if isinstance(value, (float, np.floating)) else str(value)
+    return f'"{text}"' if text in ("nan", "inf", "-inf") else text
 
 
 class _Shape:
-    """One value shape's templates: ``json`` writes the value as ``canonical_json`` at indent ``pad``,
-    ``row`` as a table row of ``fmt`` of its value at each column's first key path in ``split``, or nan.
-    Both format ``values``: the flattened value (container types and lengths, sorted dict keys and exact
-    leaf types checked) and the JSON of each leaf but a finite float, an int or None."""
+    """One value shape's templates, both formatting ``values``: ``json`` writes the value as ``canonical_json``
+    at indent ``pad``, ``row`` as a table row of its value at each column's first key path in ``split``, or
+    nan; a cell is a float's 17 significant digits, a bool's ``_leaf_json`` or any other value's ``str()``."""
 
     def __init__(self, value, pad: str, split: list = ()):
         self.types, self.kinds, self.steps, self.cached, paths = [type(value)], [_CONTAINERS], [], True, {}
@@ -159,7 +153,8 @@ class _Shape:
             pieces.append("\n" + pad + close)
 
     def values(self, value) -> list | None:
-        """The flattened ``value``, or None unless it has this shape."""
+        """The flattened ``value`` (container types and lengths, sorted dict keys and exact leaf types checked),
+        then the JSON of each leaf but a finite float, an int or None; None unless it has this shape."""
         out = [value]
         for at, kind, keys, getter in self.steps:  # a getter reads only the type and keys it was compiled for
             item = out[at]
@@ -172,26 +167,22 @@ class _Shape:
 
 
 def _rendered(records: list, columns: dict):
-    """Per record, its ``records.json`` item and table row, each one ``str.format`` of the first cached
-    shape it has (latest first) or of its own, cached while fewer than 8 are; a leaf has a row of nan."""
+    """Per record (a container), its ``records.json`` item and table row, each one ``str.format`` of the
+    first cached shape it has (latest first) or of its own, cached while fewer than 8 are."""
     split, shapes = [[tuple(p.split(".")) for p in paths.split("|")] for paths in columns.values()], []
     for record in records:
         shape, values = next(((shape, values) for shape in shapes if (values := shape.values(record))), (None, None))
-        if shape is None and isinstance(record, _CONTAINERS):
+        if shape is None:
             shape = _Shape(record, "  ", split)
             values = shape.values(record)
             if shape.cached and len(shapes) < 8:
                 shapes.insert(0, shape)
-        yield (shape.json.format(*values), shape.row.format(*values)) if shape else (
-            "  " + _leaf_json(record), ",".join(["nan"] * len(split)))
+        yield shape.json.format(*values), shape.row.format(*values)
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits, non-finite floats as "nan",
-    "inf" and "-inf", strings and keys ASCII-escaped, any other value as its string: through its
-    shape's template, or each item of a non-empty list through its own (``_rendered``)."""
-    if type(obj) is list and obj:
-        return "[\n" + ",\n".join(item for item, _ in _rendered(obj, {})) + "\n]"
+    """Deterministic JSON by the value's shape's template (``_Shape``): sorted keys, strings and keys
+    ASCII-escaped, each leaf as ``_leaf_json`` writes it (a non-finite float as "nan", "inf" or "-inf")."""
     shape = _Shape(obj, "") if isinstance(obj, _CONTAINERS) else None
     return shape.json.format(*shape.values(obj)) if shape else _leaf_json(obj)
 
@@ -210,12 +201,6 @@ def _atomic_write(path: str, pieces: list[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_csv(path: str, columns: dict[str, str], records: list[dict]) -> None:
-    """Write the table of ``records``, a row each: per (header, "|"-separated dotted paths) entry of
-    ``columns``, ``fmt`` of the value at the first path the record holds, or nan."""
-    _atomic_write(path, ["\n".join([",".join(columns), *(row for _, row in _rendered(records, columns))]), "\n"])
 
 
 def _log_slope(xs, ys) -> float:
@@ -427,6 +412,7 @@ def _bqp_records(cfg: dict, indices: range) -> list[dict]:
 
 
 def _suite_bqp(cfg: dict):
+    check_dim_within_cap(4 * 2 ** cfg["r_qubits"], "reduction instance")  # before any circuit is drawn
     # a record's circuit, state and oracle are 2^(r_qubits + 1) wide at most
     records = _map_chunks(partial(_bqp_records, cfg), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
     defects = [r["report"]["identity_defect"] for r in records]

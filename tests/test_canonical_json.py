@@ -1,5 +1,6 @@
-"""``suites.canonical_json``, ``suites.write_csv`` and the one-pass writer
-of ``suites.run_suite_config`` against the writers their templates replaced.
+"""``suites.canonical_json``, the records pass ``suites._rendered`` and the
+files ``suites.run_suite_config`` writes from it, against the writers their
+templates replaced.
 
 ``reference_canonical_json`` is the recursive JSON writer, kept here as the
 oracle: it formats each value by one recursive call and joins every level,
@@ -7,7 +8,8 @@ and escapes keys as string values are. The templates must write the same
 bytes for every tree, and for every list of records, whatever their shapes.
 Both write a numpy ``bool_`` as a JSON bool, where the first recursive writer
 wrote its string. ``reference_table`` is the cell-by-cell table writer:
-``fmt`` of the value at a column's first path the record holds, or nan.
+``reference_cell_text`` of the value at a column's first path the record
+holds, or nan.
 """
 
 import collections
@@ -24,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powertrace import suites
-from powertrace.suites import canonical_json, fmt, write_csv
+from powertrace.suites import canonical_json
 
 _REFERENCE_KINDS = ((dict, dict), (float, (float, np.floating)), (bool, (bool, np.bool_)),
                     (int, (int, np.integer)), (list, (list, tuple)))
@@ -109,7 +111,7 @@ def test_top_level_items_and_empty_containers():
 
 def test_a_numpy_bool_is_written_as_a_json_bool():
     assert canonical_json({"a": np.True_, "b": [np.False_]}) == '{\n  "a": true,\n  "b": [\n    false\n  ]\n}'
-    assert (fmt(np.True_), fmt(np.False_), fmt(True)) == ("true", "false", "true")
+    assert [*map(suites._leaf_json, (np.True_, np.False_, True))] == ["true", "false", "true"]
 
 
 def _refill(draw, tree):
@@ -139,10 +141,15 @@ def record_lists(draw):
     return records
 
 
+def _listed(records: list) -> str:
+    """The JSON list of the non-empty ``records``, each item as the records pass writes it."""
+    return "[\n" + ",\n".join(item for item, _ in suites._rendered(records, {})) + "\n]"
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(record_lists())
 def test_records_of_one_shape_write_the_reference_bytes(records):
-    assert canonical_json(records) == reference_canonical_json(records)
+    assert _listed(records) == reference_canonical_json(records)
 
 
 def test_hash_equal_keys_subclasses_and_non_finite_floats_are_not_read_through_another_shape():
@@ -151,13 +158,13 @@ def test_hash_equal_keys_subclasses_and_non_finite_floats_are_not_read_through_a
     records = [{1: 1.0}, {True: 2.0}, {1.0: 3}, {"a": 1}, collections.OrderedDict(a=2.0),
                collections.defaultdict(int, b=1), {"a": np.float64(0.5)}, {"a": math.nan}, {"a": 0.5},
                {"b": 0.5}, {"b": math.nan}, {"b": -math.inf}, {"b": 2.5}]
-    assert canonical_json(records) == reference_canonical_json(records)
+    assert _listed(records) == reference_canonical_json(records)
     assert dict(records[5]) == {"b": 1}  # not written through another shape's keys
 
 
 def test_more_shapes_than_the_cache_holds():
     records = [{f"k{i}": float(i), "v": [i] * (i % 3)} for i in range(3 * 8)] * 2
-    assert canonical_json(records) == reference_canonical_json(records)
+    assert _listed(records) == reference_canonical_json(records)
 
 
 def reference_cell(record, paths: str):
@@ -173,18 +180,38 @@ def reference_cell(record, paths: str):
     return math.nan
 
 
+def reference_cell_text(x) -> str:
+    """One table cell: a float (numpy's too) at 17 significant digits, a bool as true or false, any other
+    value as its ``str()``."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
 def reference_table(columns: dict, records: list) -> str:
-    lines = [",".join(columns)] + [",".join(fmt(reference_cell(rec, paths)) for paths in columns.values())
-                                   for rec in records]
+    lines = [",".join(columns)] + [",".join(reference_cell_text(reference_cell(rec, paths))
+                                            for paths in columns.values()) for rec in records]
     return "\n".join(lines) + "\n"
 
 
-def _table(columns, records) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        write_csv(path, columns, records)
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+def _suite_run(columns: dict, records: list) -> tuple[dict, list]:
+    """The ``table.csv`` and ``records.json`` texts ``run_suite_config`` writes for a suite whose runner
+    returns ``records`` and whose table has ``columns``, and the records as it stamped them."""
+    entry = suites.SUITE_REGISTRY["approx"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setitem(suites.SUITE_REGISTRY, "approx",
+                      entry._replace(run=lambda cfg: (records, {"pass": True}), columns=columns))
+        assert suites.run_suite_config("approx", suites.suite_defaults("approx"), tmp) == 0
+        (out_dir,) = glob.glob(os.path.join(tmp, "approx", "*"))
+        texts = {}
+        for name in ("table.csv", "records.json"):
+            with open(os.path.join(out_dir, name), encoding="utf-8", newline="") as fh:
+                texts[name] = fh.read()
+    stamp = {key: json.loads(texts["records.json"])[0][key] for key in ("tool_version", "config_hash", "timestamp")
+             } if records else {}
+    return texts, [{**record, **stamp} for record in records]
 
 
 SMALL_KEYS = st.sampled_from("abc")
@@ -204,44 +231,26 @@ def tables(draw):
     return columns, records
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(tables())
-def test_write_csv_writes_the_cell_by_cell_table(table):
-    columns, records = table
-    assert _table(columns, records) == reference_table(columns, records)
-
-
-def test_write_csv_reaches_a_nan_through_a_fallback_path():
+def test_a_suite_table_reaches_a_nan_through_a_fallback_path():
     columns = {"value": "report.m_star|report.t_star", "kind": "spec.kind", "flag": "ok|report.ok",
                "box": "report", "none": "spec.none"}
     records = [{"spec": {"kind": "a", "none": None}, "report": {"t_star": math.nan, "ok": np.True_}},
                {"spec": {"kind": "b", "none": None}, "report": {"t_star": 2.5, "ok": False}},
-               {"spec": {"kind": 'q"uote', "none": None}, "report": {"m_star": -math.inf}, "ok": True}, 7]
-    text = _table(columns, records)
-    assert text == reference_table(columns, records)
+               {"spec": {"kind": 'q"uote', "none": None}, "report": {"m_star": -math.inf}, "ok": True},
+               {"spec": {}, "other": 7}]
+    texts, stamped = _suite_run(columns, records)
+    text = texts["table.csv"]
+    assert text == reference_table(columns, stamped)
     assert text.splitlines()[1].startswith("nan,a,true,{'t_star': nan,") and text.endswith("\nnan,nan,nan,nan,nan\n")
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(tables())
 @example(({"c0": "a"}, []))
 def test_a_suite_run_writes_the_reference_table_and_records(table):
     """``run_suite_config`` writes both files from one pass over its stamped
     records: the cell-by-cell table and the recursive JSON, byte for byte."""
     columns, records = table
-    records = [record for record in records if isinstance(record, dict)]  # a runner returns dicts
-    entry = suites.SUITE_REGISTRY["approx"]
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setitem(suites.SUITE_REGISTRY, "approx",
-                      entry._replace(run=lambda cfg: (records, {"pass": True}), columns=columns))
-        assert suites.run_suite_config("approx", suites.suite_defaults("approx"), tmp) == 0
-        (out_dir,) = glob.glob(os.path.join(tmp, "approx", "*"))
-        texts = {}
-        for name in ("table.csv", "records.json"):
-            with open(os.path.join(out_dir, name), encoding="utf-8", newline="") as fh:
-                texts[name] = fh.read()
-    stamp = {key: json.loads(texts["records.json"])[0][key] for key in ("tool_version", "config_hash", "timestamp")
-             } if records else {}
-    stamped = [{**record, **stamp} for record in records]
+    texts, stamped = _suite_run(columns, [record for record in records if isinstance(record, dict)])
     assert texts["table.csv"] == reference_table(columns, stamped)
     assert texts["records.json"] == reference_canonical_json(stamped) + "\n"

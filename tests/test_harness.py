@@ -241,6 +241,26 @@ def test_random_unitary_is_unitary():
     assert np.linalg.norm(u.conj().T @ u - np.eye(8), 2) <= 1e-10
 
 
+@pytest.mark.parametrize("build", [lambda: pt.random_unitary(32, [0]), lambda: pt.pauli_string("XXXXX")],
+                         ids=["random_unitary", "pauli_string"])
+def test_unitary_and_pauli_builders_check_the_qubit_cap(monkeypatch, build):
+    monkeypatch.setattr(linalg, "QUBIT_CAP", 4)
+    with pytest.raises(pt.ResourceError, match="dimension 32 exceeds the qubit cap"):
+        build()
+
+
+def test_bqp_refuses_an_oversize_reduction_before_it_draws_a_circuit(monkeypatch, tmp_path):
+    """The reduction instance is 4 * 2^r_qubits wide: at r_qubits = 3 and a
+    4-qubit cap the runner refuses it before it draws any of the 50 circuits."""
+    drawn, draw = [], suites.random_unitary
+    monkeypatch.setattr(linalg, "QUBIT_CAP", 4)
+    monkeypatch.setattr(suites, "random_unitary", lambda dim, seeds: drawn.append(len(seeds)) or draw(dim, seeds))
+    cfg = resolve_config("bqp", None, {"r_qubits": 3})
+    with pytest.raises(pt.ResourceError, match="reduction instance of dimension 32"):
+        suites.run_suite_config("bqp", cfg, str(tmp_path))
+    assert drawn == [] and not os.listdir(tmp_path)
+
+
 # ------------------------------------------------------- canonical rendering
 
 @pytest.mark.parametrize("suite", ["estimate", "apps"])
