@@ -29,6 +29,7 @@ from .errors import ConstructionError, ValidationError
 from .linalg import (
     DensityMatrix,
     Observable,
+    _check_defect,
     _fail_first,
     _square_operator,
     check_dim_within_cap,
@@ -322,21 +323,19 @@ def bqp_instance(u_x: np.ndarray, accept_projector: Observable, q, k) -> BqpInst
     section label S, and the circuit register R. The observable is
     |0><0|_S (x) P_acc. The orthogonal branch state is the last
     computational basis state of R that P_acc annihilates. A stack is
-    checked unitary by one SVD, its states are one ``DensityMatrix`` and
-    the oracle runs once per distinct k; a failed check names the first
-    failing record.
+    checked unitary by one Frobenius norm (an SVD only if that exceeds the
+    tolerance), its states are one ``DensityMatrix`` and the oracle runs
+    once per distinct k; a failed check names the first failing record.
     """
     u_x = _square_operator(u_x, "circuit unitary")
     lead, r_dim = u_x.shape[:-2], u_x.shape[-1]
     if len(lead) > 1 or any(np.shape(v) not in ((), lead) for v in (q, k)):
         raise ValidationError("circuit unitaries must be (r, r) or (R, r, r), with one or R of q and k")
-    defect = np.asarray(op_norm(u_x.conj().swapaxes(-1, -2) @ u_x - np.eye(r_dim)))
-    _fail_first(defect > 1e-9, "circuit matrix", "is not unitary")
+    _check_defect(u_x.conj().swapaxes(-1, -2) @ u_x - np.eye(r_dim), 1e-9, "circuit matrix", "is not unitary")
     if accept_projector.dim != r_dim:
         raise ValidationError("acceptance projector dimension mismatch")
     pi_acc = accept_projector.mat
-    if op_norm(pi_acc @ pi_acc - pi_acc) > 1e-9:
-        raise ValidationError("acceptance observable is not a projector")
+    _check_defect(pi_acc @ pi_acc - pi_acc, 1e-9, "acceptance observable", "is not a projector")
     qs, ks = np.broadcast_to(q, lead), np.broadcast_to(k, lead)
     _fail_first(qs * ks <= 1.0, "bqp record", "needs q*k > 1 for a weight in (0, 1), got {}", qs * ks)
     check_dim_within_cap(4 * r_dim, "reduction instance")

@@ -92,14 +92,17 @@ def op_norm(m):
     return np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)[..., 0].tolist()
 
 
-def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
-    """Raise ValidationError if ||m - m^dag|| > atol in operator norm for m or
-    a matrix of its stack. The Frobenius norm bounds it, so an SVD runs only
-    when that exceeds atol."""
-    diff = m - m.conj().swapaxes(-1, -2)
+def _check_defect(diff: np.ndarray, atol: float, what: str, message: str) -> None:
+    """Raise ValidationError, ``message`` formatted with the defect, if ||diff|| > atol in operator norm for
+    diff or a matrix of its stack. The Frobenius norm bounds it, so an SVD runs only when that exceeds atol."""
     if np.linalg.norm(diff) > atol:  # the stack's norm bounds each matrix's
         defect = np.asarray(op_norm(diff))
-        _fail_first(defect > atol, what, "is not Hermitian (defect {:.3e})" + hint, defect)
+        _fail_first(defect > atol, what, message, defect)
+
+
+def _check_hermitian(m: np.ndarray, atol: float, what: str, hint: str = "") -> None:
+    """Raise ValidationError if ||m - m^dag|| > atol in operator norm for m or a matrix of its stack."""
+    _check_defect(m - m.conj().swapaxes(-1, -2), atol, what, "is not Hermitian (defect {:.3e})" + hint)
 
 
 def _eigh(m: np.ndarray) -> EighResult:

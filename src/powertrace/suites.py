@@ -28,16 +28,16 @@ of an integer key. A suite that draws random numbers reads ``seed``, a
 non-negative integer.
 
 Floats are printed with 17 significant digits and JSON keys are sorted, so
-reruns with the same config and seed are byte-identical (except record
-timestamps). A JSON leaf is true, false, a number (quoted if nan or +-inf),
-null or a quoted string; a table cell is true, false, a float or any other
-value's ``str()``. One ``run_suite_config`` pass writes each record's JSON
-item and row by its shape's template (``_Shape``); files are written atomically.
+reruns with the same config and seed are byte-identical; a record holds
+only what its runner returned. A JSON leaf is true, false, a number
+(quoted if nan or +-inf), null or a quoted string; a table cell is true,
+false, a float or any other value's ``str()``. One ``run_suite_config``
+pass writes each record's JSON item and row by its shape's template
+(``_Shape``); files are written atomically.
 """
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import json
 import math
@@ -395,14 +395,12 @@ def _suite_bounds(cfg: dict):
     return records, summary
 
 
-def _bqp_records(cfg: dict, indices: range) -> list[dict]:
-    """The ``bqp`` records ``indices``, built as one stack of circuits."""
-    r_dim = 2 ** cfg["r_qubits"]
-    accept = Observable(np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(r_dim // 2, dtype=complex)))
+def _bqp_records(cfg: dict, accept: Observable, indices: range) -> list[dict]:
+    """The ``bqp`` records ``indices``, built as one stack of circuits; ``accept`` is their acceptance projector."""
     qs, ks, seeds = cfg["q_values"], cfg["k_values"], derive_seeds([cfg["seed"]] * len(indices), [*indices])
     specs = [{"run": i, "q": float(qs[i % len(qs)]), "k": ks[(i // len(qs)) % len(ks)], "seed": seed,
               "r_qubits": cfg["r_qubits"]} for i, seed in zip(indices, seeds)]
-    inst = bqp_instance(random_unitary(r_dim, seeds), accept,
+    inst = bqp_instance(random_unitary(accept.dim, seeds), accept,
                         [spec["q"] for spec in specs], [spec["k"] for spec in specs])
     return [{"spec": spec, "report": {
         "lambda": lam, "p_x": p_x, "trace_power": lam ** k * p_x, "identity_defect": defect,
@@ -413,8 +411,9 @@ def _bqp_records(cfg: dict, indices: range) -> list[dict]:
 
 def _suite_bqp(cfg: dict):
     check_dim_within_cap(4 * 2 ** cfg["r_qubits"], "reduction instance")  # before any circuit is drawn
+    accept = Observable(np.kron(np.diag([0.0, 1.0]), np.eye(2 ** (cfg["r_qubits"] - 1))))  # one per run
     # a record's circuit, state and oracle are 2^(r_qubits + 1) wide at most
-    records = _map_chunks(partial(_bqp_records, cfg), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
+    records = _map_chunks(partial(_bqp_records, cfg, accept), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
     defects = [r["report"]["identity_defect"] for r in records]
     all_ok = all(r["report"]["bernoulli_ok"] for r in records)
     summary = {
@@ -646,11 +645,11 @@ def _check_kind(key: str, value, default) -> None:
 
 # integer keys and their least value; a list key holds integers and bounds
 # every element. A swap test needs two shots for its standard error, a scan
-# two points, and the bqp acceptance projector one qubit of the reduction
-# register.
+# two points, the bqp acceptance projector one qubit of the reduction
+# register, and an entropy or virtual distillation an order of at least 2.
 _COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
-                  "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 1, "rank": 1,
-                  "renyi_alpha": 1, "tsallis_q": 1, "seed": 0}
+                  "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 2, "rank": 1,
+                  "renyi_alpha": 2, "tsallis_q": 2, "seed": 0}
 
 
 def resolve_config(suite: str, file_config: dict | None, overrides: dict | None) -> dict:
@@ -691,9 +690,6 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
     cfg = {**cfg, "suite": suite}
     cfg_hash = config_hash(cfg)
     records, summary = entry.run(cfg)
-    stamp = {"tool_version": __version__, "config_hash": cfg_hash,
-             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}  # one per run
-    records = [{**rec, **stamp} for rec in records]
 
     out_dir = os.path.join(out_root, suite, cfg_hash)
     os.makedirs(out_dir, exist_ok=True)

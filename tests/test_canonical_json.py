@@ -196,9 +196,9 @@ def reference_table(columns: dict, records: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suite_run(columns: dict, records: list) -> tuple[dict, list]:
+def _suite_run(columns: dict, records: list) -> dict:
     """The ``table.csv`` and ``records.json`` texts ``run_suite_config`` writes for a suite whose runner
-    returns ``records`` and whose table has ``columns``, and the records as it stamped them."""
+    returns ``records`` and whose table has ``columns``."""
     entry = suites.SUITE_REGISTRY["approx"]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setitem(suites.SUITE_REGISTRY, "approx",
@@ -209,9 +209,7 @@ def _suite_run(columns: dict, records: list) -> tuple[dict, list]:
         for name in ("table.csv", "records.json"):
             with open(os.path.join(out_dir, name), encoding="utf-8", newline="") as fh:
                 texts[name] = fh.read()
-    stamp = {key: json.loads(texts["records.json"])[0][key] for key in ("tool_version", "config_hash", "timestamp")
-             } if records else {}
-    return texts, [{**record, **stamp} for record in records]
+    return texts
 
 
 SMALL_KEYS = st.sampled_from("abc")
@@ -238,9 +236,8 @@ def test_a_suite_table_reaches_a_nan_through_a_fallback_path():
                {"spec": {"kind": "b", "none": None}, "report": {"t_star": 2.5, "ok": False}},
                {"spec": {"kind": 'q"uote', "none": None}, "report": {"m_star": -math.inf}, "ok": True},
                {"spec": {}, "other": 7}]
-    texts, stamped = _suite_run(columns, records)
-    text = texts["table.csv"]
-    assert text == reference_table(columns, stamped)
+    text = _suite_run(columns, records)["table.csv"]
+    assert text == reference_table(columns, records)
     assert text.splitlines()[1].startswith("nan,a,true,{'t_star': nan,") and text.endswith("\nnan,nan,nan,nan,nan\n")
 
 
@@ -248,9 +245,11 @@ def test_a_suite_table_reaches_a_nan_through_a_fallback_path():
 @given(tables())
 @example(({"c0": "a"}, []))
 def test_a_suite_run_writes_the_reference_table_and_records(table):
-    """``run_suite_config`` writes both files from one pass over its stamped
-    records: the cell-by-cell table and the recursive JSON, byte for byte."""
+    """``run_suite_config`` writes both files from one pass over the records
+    its runner returned: the cell-by-cell table and the recursive JSON, byte
+    for byte."""
     columns, records = table
-    texts, stamped = _suite_run(columns, [record for record in records if isinstance(record, dict)])
-    assert texts["table.csv"] == reference_table(columns, stamped)
-    assert texts["records.json"] == reference_canonical_json(stamped) + "\n"
+    records = [record for record in records if isinstance(record, dict)]
+    texts = _suite_run(columns, records)
+    assert texts["table.csv"] == reference_table(columns, records)
+    assert texts["records.json"] == reference_canonical_json(records) + "\n"

@@ -234,11 +234,15 @@ def test_config_values_of_their_defaults_kind_are_accepted():
      ("bqp", [], {"r_qubits": 0}, "r_qubits"), ("approx", [], {"k_values": [8, 0]}, "k_values"),
      ("baseline", ["--k", "0"], {}, "k"), ("apps", ["--k", "0"], {}, "vd_k"), ("estimate", ["--rank", "0"], {}, "rank"),
      ("apps", [], {"renyi_alpha": 0}, "renyi_alpha"),
-     ("apps", [], {"tsallis_q": -1}, "tsallis_q")],
+     ("apps", [], {"tsallis_q": -1}, "tsallis_q"),
+     # an order of 1 has no entropy or distillation (a Tsallis q of 1 would divide by zero)
+     ("apps", ["--k", "1"], {}, "vd_k"), ("apps", [], {"renyi_alpha": 1}, "renyi_alpha"),
+     ("apps", [], {"tsallis_q": 1}, "tsallis_q")],
     ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
          "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1", "estimate-qubits-negative",
          "bqp-r_qubits-negative", "bqp-r_qubits-0", "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
-         "estimate-rank-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative"],
+         "estimate-rank-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative", "apps-vd_k-1",
+         "apps-renyi_alpha-1", "apps-tsallis_q-1"],
 )
 def test_count_below_its_least_value_exits_2_before_any_work(tmp_path, capsys, suite, argv, config, key):
     cfg = tmp_path / "cfg.json"
@@ -251,7 +255,8 @@ def test_count_below_its_least_value_exits_2_before_any_work(tmp_path, capsys, s
 
 def test_counts_at_their_least_value_are_accepted():
     least = {"estimate": {"runs": 1, "qubits": 0, "rank": 1}, "bqp": {"runs": 1, "r_qubits": 1},
-             "apps": {"vd_runs": 1}, "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
+             "apps": {"vd_runs": 1, "renyi_alpha": 2, "tsallis_q": 2, "vd_k": 2},
+             "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
     for suite, given in least.items():
         cfg = resolve_config(suite, given, None)
         assert {key: cfg[key] for key in given} == given

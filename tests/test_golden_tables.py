@@ -1,22 +1,20 @@
 """Byte-level regression gate on the seven suites at their defaults.
 
-Each suite has three hashes: the sha256 of its ``table.csv``, that of its
-``records.json`` with every record's ``timestamp`` value emptied (the one
-field a rerun changes), and that of its ``summary.json`` (config, config
-hash, version and the gate figures, none of which a rerun changes). The records hold every field a record
-carries, so they pin what no table column reads: ``model_error``,
-``eps_ae_budget``, ``alpha_o`` and the query counts. A change
-that moves numbers on purpose updates the hashes it changes and says why;
-any other difference is a behaviour change. The same run pins the key
-paths of ``records.json`` and checks that every table row is the
-projection of the record it came from.
+Each suite has three hashes: the sha256 of the raw bytes of its
+``table.csv``, its ``records.json`` and its ``summary.json`` (config,
+config hash, version and the gate figures). A rerun changes none of them.
+The records hold every field a record carries, so they pin what no table
+column reads: ``model_error``, ``eps_ae_budget``, ``alpha_o`` and the
+query counts. A change that moves numbers on purpose updates the hashes
+it changes and says why; any other difference is a behaviour change. The
+same run pins the key paths of ``records.json`` and checks that every
+table row is the projection of the record it came from.
 """
 
 import csv
 import hashlib
 import json
 import os
-import re
 
 import pytest
 
@@ -34,13 +32,13 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 GOLDEN_RECORDS_SHA256 = {
-    "approx": "fdd9dfa3ee74c0c23a9b0020e5f9c4e03d7431cbb31fa6f788b8c9906f864176",
-    "estimate": "9e55107da2a4683111ab50de921c8b1fe847a8860a1b41639a275a4685405314",
-    "baseline": "04804331d4879fc7247d3e52c236f2bcd329a2948d9a1960c0cec9a35f60c9e4",
-    "bounds": "2ec8c2d79de3ddf92387a56b44698c131b0207a5036cc762c6a86196fd7fda86",
-    "bqp": "ff1bb2fee068bc52f55639dfa0ebe80505e6fb9037ccd82c0fa87cb13882f3ac",
-    "apps": "a9950f8f29429f1aab6dfbb2400f75e8857b832606949f0d041179b0f6c06d6c",
-    "separation": "bf71fc251962aceaa16b4b0ead1200d297e213559c30fd0b451f640d7c3f18db",
+    "approx": "529f3b8fe402dae44553a61ff31c1e4930abe26169edf20c60144451126b4605",
+    "estimate": "6d6e30f04f0642212e624175dea4255d0a47d0de7c463a144eea2a93c4d9d242",
+    "baseline": "ac1505f10cdd6c440fee71cec4efd8698cf2d5ff837c607e8d3b7e902269b1d1",
+    "bounds": "f9cbe636e83e9ec26d414716747c03e7c25fd14b741cfcff83c7dff8c0751d8c",
+    "bqp": "76651d71a214cf7cb2189760127b15b6fe0cfdc7af9191797fe64fc5dd0dc759",
+    "apps": "2307029f3bf2221275ddfa2b28a6b59f64b451c5b5c5522ac177fe17e4ce9e46",
+    "separation": "8666eff97fcf0d611f275fb399f6f6a0f478b86bfcf68d105bd0ef62fe74ebfc",
 }
 
 GOLDEN_SUMMARY_SHA256 = {
@@ -54,18 +52,12 @@ GOLDEN_SUMMARY_SHA256 = {
 }
 
 
-def records_digest(text: bytes) -> str:
-    """sha256 of a ``records.json`` with each ``timestamp`` value emptied."""
-    return hashlib.sha256(re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', text)).hexdigest()
-
-
 # An ``EstimationReport.to_json()``, as it appears under a record.
 _ESTIMATION_REPORT = (
     "ae_queries_K alpha_o eps_ae_budget eps_poly_budget eps_requested estimate.im estimate.re k "
     "mode model_error oracle_value.im oracle_value.re poly_degree seed u_rho_queries_total"
 ).split()
 _INSTANCE_SPEC = "eps k observable_kind qubits rank seed state_kind".split()
-_STAMP = ["config_hash", "timestamp", "tool_version"]
 
 
 def _under(prefix, keys):
@@ -75,22 +67,22 @@ def _under(prefix, keys):
 # Sorted dotted key paths over all records of each default records.json;
 # "[]" steps into a list.
 RECORD_KEY_PATHS = {
-    "approx": _STAMP + _under("report", [
+    "approx": _under("report", [
         "chernoff_tail", "empirical_degree", "formula_degree", "measured_sup_error", "tail_exact", "within_eps"]) + ["spec.eps", "spec.k"],
-    "estimate": ["abs_error", *_STAMP, *_under("report", _ESTIMATION_REPORT), "run",
+    "estimate": ["abs_error", *_under("report", _ESTIMATION_REPORT), "run",
                  *_under("spec", _INSTANCE_SPEC), "within_eps"],
-    "baseline": _STAMP + _under("report", [
+    "baseline": _under("report", [
         "abs_error", "copies_used", "mean", "mode", "oracle_value", "repeat", "shots", "stderr",
     ]) + _under("spec", _INSTANCE_SPEC),
-    "bounds": _STAMP + _under("report", [
+    "bounds": _under("report", [
         "copies_bound", "delta", "eps_prime", "expectation_0", "expectation_1", "kl", "m_star",
         "norm_closed_form", "norm_direct", "rows[].fidelity", "rows[].m",
         "rows[].success_lower_bound", "t_star",
     ]) + _under("spec", ["c", "eps", "experiment", "k", "obs"]),
-    "bqp": _STAMP + _under("report", [
+    "bqp": _under("report", [
         "bernoulli_ok", "identity_defect", "lambda", "p_x", "thresholds[]", "trace_power",
     ]) + _under("spec", ["k", "q", "r_qubits", "run", "seed"]),
-    "apps": ["application", *_STAMP] + _under("report", [
+    "apps": ["application"] + _under("report", [
         "covered", "error_bound", "ratio_estimate",
         *_under("trace_power", _ESTIMATION_REPORT),
         "true_error", "true_ratio", "true_value", "value", "within_bound",
@@ -98,7 +90,7 @@ RECORD_KEY_PATHS = {
         "application", "eps", "k", "observable_kind", "order", "qubits", "rank", "seed",
         "state", "state_kind",
     ]),
-    "separation": _STAMP + _under("report", [
+    "separation": _under("report", [
         "abs_error", *_under("estimator", _ESTIMATION_REPORT),
         "swap_copies", "swap_shots", "swap_variance",
     ]) + _under("spec", ["confidence", "eps", *_under("instance", _INSTANCE_SPEC), "k"]),
@@ -150,7 +142,7 @@ def test_default_table_matches_golden_hash(suite, tmp_path):
     assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_SHA256[suite]
 
     records_text = (tmp_path / suite / config_dir / "records.json").read_bytes()
-    assert records_digest(records_text) == GOLDEN_RECORDS_SHA256[suite]
+    assert hashlib.sha256(records_text).hexdigest() == GOLDEN_RECORDS_SHA256[suite]
     summary = (tmp_path / suite / config_dir / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == GOLDEN_SUMMARY_SHA256[suite]
     records = json.loads(records_text)

@@ -429,14 +429,18 @@ def test_cli_reproducibility_byte_identical(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     (rec_a,) = list((out_a / "estimate").glob("*/records.json"))
     (rec_b,) = list((out_b / "estimate").glob("*/records.json"))
-    ra = json.loads(rec_a.read_text())
-    rb = json.loads(rec_b.read_text())
-    for x, y in zip(ra, rb):
-        x.pop("timestamp")
-        y.pop("timestamp")
-    assert ra == rb
+    assert rec_a.read_bytes() == rec_b.read_bytes()
 
 
+@pytest.mark.parametrize("suite", suites.SUITES)
+def test_every_suite_reruns_to_the_same_bytes(tmp_path, suite):
+    """Two runs of a suite at its defaults write the same three files, byte for byte."""
+    texts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main([suite, "--out", str(out)]) == 0
+        (out_dir,) = (out / suite).iterdir()
+        texts.append({name: (out_dir / name).read_bytes() for name in ("table.csv", "records.json", "summary.json")})
+    assert texts[0] == texts[1]
 
 
 def test_run_suite_from_config_file(tmp_path):
