@@ -27,6 +27,7 @@ from .errors import ValidationError
 COEFF_FLOOR = 1e-300
 
 MAX_POWER = 1024
+SCALAR_POINTS = 16  # up to this many points, Python floats step faster than three numpy calls
 
 
 @functools.cache
@@ -94,11 +95,17 @@ def clenshaw_eval(c: np.ndarray, x):
     ``c`` of shape (n, R, 1) holds one column per row of an x (R, d).
     Trailing zero coefficients leave the recurrence at +0, so a prefix
     padded with zeros evaluates to the same bits. Each step computes
-    (c[n] + 2x b1) - b2 in place, in the buffer the last b2 left free.
+    ((2x) b1 + c[n]) - b2: on Python floats for a 1-D ``c`` on at most
+    ``SCALAR_POINTS`` points (one small record's spectrum), else in numpy,
+    in place, in the buffer the last b2 left free. Both routes make the
+    same IEEE operations in the same order, so their bits agree.
     """
-    x_arr = np.asarray(x, dtype=np.float64)
+    c, x_arr = np.asarray(c), np.asarray(x, dtype=np.float64)
     if (np.abs(x_arr) > 1.0).any():
         raise ValidationError("clenshaw_eval requires |x| <= 1")
+    if c.ndim == 1 and x_arr.size <= SCALAR_POINTS:
+        out = _clenshaw_floats(c.tolist(), x_arr.ravel().tolist())
+        return out[0] if np.isscalar(x) else np.array(out).reshape(x_arr.shape)
     two_x = 2.0 * x_arr
     b1, b2, b0 = np.zeros_like(x_arr), np.zeros_like(x_arr), np.empty_like(x_arr)
     for n in range(len(c) - 1, 0, -1):
@@ -108,6 +115,17 @@ def clenshaw_eval(c: np.ndarray, x):
         b0, b1, b2 = b2, b0, b1
     out = c[0] + x_arr * b1 - b2
     return float(out) if np.isscalar(x) else out
+
+
+def _clenshaw_floats(coeffs: list, points: list) -> list[float]:
+    """``clenshaw_eval``'s recurrence on Python floats, point by point, in its operation order."""
+    out = []
+    for x in points:
+        two_x, b1, b2 = 2.0 * x, 0.0, 0.0
+        for cn in coeffs[:0:-1]:
+            b1, b2 = two_x * b1 + cn - b2, b1
+        out.append(coeffs[0] + x * b1 - b2)
+    return out
 
 
 def _scan_grid(grid_size: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import powertrace as pt
+from powertrace import chebyshev
 from powertrace.qsvt import SUP_NORM_SLACK
 
 
@@ -195,6 +196,58 @@ def test_clenshaw_step_is_the_textbook_recurrence_bit_for_bit(c, x):
     got = pt.clenshaw_eval(c, x if isinstance(x, float) else x_arr)
     assert isinstance(got, float) == isinstance(x, float)
     assert np.array_equal(got, _textbook_clenshaw(c, x_arr))
+
+
+def _routes(c, x):
+    """``clenshaw_eval(c, x)`` on the numpy route, then on the Python-float route."""
+    outs = []
+    for limit in (0, 10 ** 9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chebyshev, "SCALAR_POINTS", limit)
+            outs.append(pt.clenshaw_eval(c, x))
+    return outs
+
+
+_point = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), _unit)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    c=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False)),
+               min_size=1, max_size=60),
+    x=st.lists(_point, min_size=1, max_size=40),
+)
+def test_clenshaw_routes_agree_bit_for_bit(c, x):
+    """The Python-float route makes the numpy route's IEEE operations in the
+    same order: every output bit agrees, the sign of a zero included."""
+    numpy_route, float_route = _routes(np.array(c), np.array(x))
+    assert numpy_route.shape == float_route.shape == (len(x),)
+    assert np.array_equal(numpy_route.view(np.uint64), float_route.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape,on_floats", [((16,), True), ((2, 8), True), ((17,), False), ((1, 17), False)],
+                         ids=["16", "2x8", "17", "1x17"])
+def test_clenshaw_takes_the_float_route_up_to_scalar_points(monkeypatch, shape, on_floats):
+    """A 1-D c on at most SCALAR_POINTS points steps on Python floats, point
+    by point, and on more it steps in numpy; the two agree bit for bit."""
+    points = []
+    monkeypatch.setattr(chebyshev, "_clenshaw_floats", lambda c, xs, real=chebyshev._clenshaw_floats:
+                        points.extend(xs) or real(c, xs))
+    c = pt.power_expansion(41)[:30]
+    x = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    got = pt.clenshaw_eval(c, x)
+    assert len(points) == (x.size if on_floats else 0)
+    assert got.shape == shape
+    for route in _routes(c, x):
+        assert np.array_equal(got.view(np.uint64), route.view(np.uint64))
+
+
+@pytest.mark.parametrize("x", [-1.0, -0.0, 0.3, np.float64(1.0)])
+def test_clenshaw_of_a_scalar_is_a_python_float_on_both_routes(x):
+    c = pt.power_expansion(9)
+    numpy_route, float_route = _routes(c, x)
+    assert type(numpy_route) is float and type(float_route) is float
+    assert np.float64(numpy_route).view(np.uint64) == np.float64(float_route).view(np.uint64)
 
 
 # ------------------------------------------------------------ sup_error_scan

@@ -304,15 +304,37 @@ def test_separation_confidence_z_matches_scipy():
         assert abs(got - want) <= 4 * np.spacing(abs(want)), confidence
 
 
+def _checkout_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_package_imports_without_scipy():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = "import sys, powertrace, powertrace.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ CLI runs
+
+def _python_m_powertrace(argv, cwd):
+    return subprocess.run([sys.executable, "-m", "powertrace", *argv], cwd=cwd, env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_powertrace_runs_the_cli(tmp_path):
+    """``python -m powertrace`` from a checkout is ``cli.main``: the same
+    table bytes and exit 0 for a suite, and exit 2 for no suite."""
+    run = _python_m_powertrace(["approx", "--out", str(tmp_path / "module")], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert main(["approx", "--out", str(tmp_path / "main")]) == 0
+    (module_table,) = (tmp_path / "module" / "approx").glob("*/table.csv")
+    (main_table,) = (tmp_path / "main" / "approx").glob("*/table.csv")
+    assert module_table.read_bytes() == main_table.read_bytes()
+    assert _python_m_powertrace([], tmp_path).returncode == 2
+
 
 def test_cli_approx_single_k(tmp_path):
     out = tmp_path / "out"
