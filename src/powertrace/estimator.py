@@ -27,12 +27,11 @@ axis; ``estimate_trace_power`` is its one-record case, and
 ``vd_ratio_stack`` makes two of its calls.
 
 The readout draws the phase-estimation outcome exactly in O(log K) time
-and O(1) memory on a K = 2^t point grid (``choose_ae_grid``, cached per
-accuracy), as the circuit produces it: ``_draw_outcome`` picks one of the
-two rotation branches with a fair coin, then measures the t counting
-qubits one at a time (the semiclassical inverse QFT), each bit from a
-Bernoulli law set by the phase and the bits already drawn, all 1 + t
-uniforms from one call; ``amplitude_estimate`` is the public one-draw API.
+and O(1) memory on a K = 2^t point grid, as the circuit produces it:
+``amplitude_estimate`` picks one of the two rotation branches with a fair
+coin, then measures the t counting qubits one at a time (the
+semiclassical inverse QFT), each bit from a Bernoulli law set by the
+phase and the bits already drawn, all 1 + t uniforms from one call.
 Setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``.
 A stack of ``STACK_SEEDS`` or more sampled draws hashes its seeds as
 arrays (``instances.derive_seeds``, ``instances.generators``) and decides
@@ -45,7 +44,6 @@ tested against are in ``tests/reference.py``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -246,9 +244,8 @@ def amplitude_estimate(
     )
 
 
-@functools.lru_cache(maxsize=4096)  # bounded: eps_prime = eps / (4 alpha_O) is new for each norm
 def choose_ae_grid(eps_prime: float) -> int:
-    """Smallest power-of-two K with 2 pi / K + pi^2 / K^2 <= eps_prime, found once per eps_prime."""
+    """Smallest power-of-two K with 2 pi / K + pi^2 / K^2 <= eps_prime."""
     if eps_prime <= 0:
         raise ValidationError("probability accuracy must be positive")
     K = 2
@@ -264,23 +261,18 @@ def choose_ae_grid(eps_prime: float) -> int:
 
 def _readouts(draws: list, mode: str, seeds: list, settings: int) -> list[float]:
     """The estimate of each (P(0), K) of ``draws``, ``settings`` per record of ``seeds`` (record-major;
-    setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``). A sampled draw is
-    sin^2(pi y / K), y drawn from theta = asin(sqrt(P(0))) / pi by ``_draw_outcomes`` for a stack of
-    ``STACK_SEEDS`` or more draws on one grid, else by ``_draw_outcome``; an ideal one draws nothing."""
-    if mode == "ideal":
-        return [amplitude_estimate(p, grid, mode).p_estimate for p, grid in draws]
-    masters = [seed for seed in seeds for _ in range(settings)]
-    readouts = generators(derive_seeds(masters, [*range(settings)] * len(seeds)))
-    thetas = [math.asin(math.sqrt(_checked_probability(p))) / math.pi for p, _ in draws]
-    grids = [grid for _, grid in draws]
-    if len(draws) < STACK_SEEDS or len(set(grids)) > 1:
-        outcomes = [_draw_outcome(theta, grid, rng) for theta, grid, rng in zip(thetas, grids, readouts)]
-    else:
-        uniforms = np.empty((len(draws), grids[0].bit_length()))
-        for row, rng in zip(uniforms, readouts):
-            rng.random(out=row)
-        outcomes = _draw_outcomes(np.array(thetas), grids[0], uniforms).tolist()
-    return [math.sin(math.pi * y / grid) ** 2 for y, grid in zip(outcomes, grids)]
+    setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``): by ``_draw_outcomes`` for
+    a sampled stack of ``STACK_SEEDS`` or more draws on one grid, else by ``amplitude_estimate``."""
+    masters = [seed for seed in seeds for _ in range(settings)]  # an ideal readout draws nothing
+    readouts = generators(derive_seeds(masters, [*range(settings)] * len(seeds))) if mode == "sampled" else masters
+    if mode == "ideal" or len(draws) < STACK_SEEDS or len({grid for _, grid in draws}) > 1:
+        return [amplitude_estimate(p, grid, mode, rng).p_estimate for (p, grid), rng in zip(draws, readouts)]
+    thetas = np.array([math.asin(math.sqrt(_checked_probability(p))) / math.pi for p, _ in draws])
+    K = draws[0][1]
+    uniforms = np.empty((len(draws), K.bit_length()))
+    for row, rng in zip(uniforms, readouts):
+        rng.random(out=row)
+    return [math.sin(math.pi * y / K) ** 2 for y in _draw_outcomes(thetas, K, uniforms).tolist()]
 
 
 def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: float, seeds: list,

@@ -9,12 +9,10 @@ p(l_i) on the spectrum, in the eigenbasis V the state cached, and no
 d x d matrix is built. The query count is the polynomial degree the
 query-model circuit would use; the estimator charges two queries to the
 purification unitary per degree. A stack of spectra is transformed in one
-pass; each (k, eps) polynomial is truncated and certified once per process.
+pass.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -22,18 +20,6 @@ from .chebyshev import clenshaw_eval, power_expansion, required_degree
 from .errors import ContractError
 
 SUP_NORM_SLACK = 1e-9
-
-
-@functools.lru_cache(maxsize=4096)  # bounded: eps_k = eps / (2 ||O||) is new for each norm
-def _truncation(k: int, eps_k: float) -> tuple[int, np.ndarray]:
-    """The degree (at least 1) and the read-only kept prefix of p for x^(k-1)
-    at ``eps_k``, certified once per (k, eps_k); a failed certificate raises
-    on every call, as the cache keeps no exception."""
-    degree = required_degree(k - 1, eps_k)
-    kept = power_expansion(k - 1)[:degree + 1]
-    if (coefficient_sum := float(np.abs(kept).sum())) > 1.0 + SUP_NORM_SLACK:
-        raise ContractError(f"polynomial coefficient sum {coefficient_sum} exceeds 1")
-    return degree, kept
 
 
 def transform_spectra(w: np.ndarray, ks: list, eps: list) -> tuple[np.ndarray, list[int]]:
@@ -44,16 +30,22 @@ def transform_spectra(w: np.ndarray, ks: list, eps: list) -> tuple[np.ndarray, l
     p keeps the Chebyshev modes of x^(k-1) up to the Chernoff-formula
     degree for sup error ``eps``. |T_n| <= 1 on [-1, 1], so kept
     coefficients whose absolute values sum to at most 1 + SUP_NORM_SLACK
-    certify |p| <= 1 there in O(m); otherwise ContractError is raised. Each
-    (k, eps) is truncated and certified once, by the cached ``_truncation``.
-    The prefixes are zero-padded to the longest, which leaves their bits
+    certify |p| <= 1 there in O(m); otherwise ContractError is raised. The
+    prefixes are zero-padded to the longest, which leaves their bits
     unchanged, so one Clenshaw pass evaluates the stack; a stack that shares
-    one polynomial passes its coefficients as they are, which run on Python
-    floats for at most ``SCALAR_POINTS`` eigenvalues in all (one small record).
+    one polynomial passes its coefficients as they are, which ``clenshaw_eval``
+    steps on Python floats for at most ``SCALAR_POINTS`` eigenvalues in all.
     """
-    truncations = [_truncation(k, eps_k) for k, eps_k in zip(ks, eps, strict=True)]
-    degrees = [degree for degree, _ in truncations]
-    prefixes = {(k, degree): kept for k, (degree, kept) in zip(ks, truncations)}
+    prefixes, degrees, degree_of = {}, [], {}
+    for k, eps_k in zip(ks, eps, strict=True):
+        # one degree per distinct (k, eps); a degree is at least 1
+        degree = degree_of.get((k, eps_k)) or degree_of.setdefault((k, eps_k), required_degree(k - 1, eps_k))
+        if (k, degree) not in prefixes:
+            kept = power_expansion(k - 1)[:degree + 1]
+            if (coefficient_sum := float(np.abs(kept).sum())) > 1.0 + SUP_NORM_SLACK:
+                raise ContractError(f"polynomial coefficient sum {coefficient_sum} exceeds 1")
+            prefixes[k, degree] = kept
+        degrees.append(degree)
     if len(prefixes) == 1:  # scalar coefficients step faster than broadcast columns
         (c,) = prefixes.values()
     else:

@@ -225,8 +225,11 @@ def test_clenshaw_routes_agree_bit_for_bit(c, x):
     assert np.array_equal(numpy_route.view(np.uint64), float_route.view(np.uint64))
 
 
-@pytest.mark.parametrize("shape,on_floats", [((16,), True), ((2, 8), True), ((17,), False), ((1, 17), False)],
-                         ids=["16", "2x8", "17", "1x17"])
+_LIMIT = chebyshev.SCALAR_POINTS
+
+
+@pytest.mark.parametrize("shape,on_floats", [((_LIMIT,), True), ((2, _LIMIT // 2), True), ((_LIMIT + 1,), False),
+                                             ((1, _LIMIT + 1), False)], ids=["at-limit", "two-rows", "one-past", "one-row-past"])
 def test_clenshaw_takes_the_float_route_up_to_scalar_points(monkeypatch, shape, on_floats):
     """A 1-D c on at most SCALAR_POINTS points steps on Python floats, point
     by point, and on more it steps in numpy; the two agree bit for bit."""

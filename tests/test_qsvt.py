@@ -30,44 +30,37 @@ def _model_error(rho, power, k):
     return float(np.abs(power[0] - rho.spectrum()[0] ** (k - 1)).max())
 
 
-@pytest.fixture
-def transform(monkeypatch):
+def _transform(monkeypatch, rho, c):
     """p(rho) for p = sum_n c[n] T_n, through ``transform_spectra`` handed
     c in place of the expansion of x. At k = 2 and eps = 1 it keeps
-    degree 3, so up to four coefficients all reach the transform. The
-    cached truncations are cleared before each patch and after the test,
-    so no prefix built from a patched expansion outlives it."""
-    def apply(rho, c):
-        assert len(c) <= 4
-        qsvt._truncation.cache_clear()
-        monkeypatch.setattr(qsvt, "power_expansion", lambda exponent: np.asarray(c, dtype=float))
-        power, _ = _power(rho, 2, 1.0)
-        return _dense(power)
-    yield apply
-    qsvt._truncation.cache_clear()
+    degree 3, so up to four coefficients all reach the transform."""
+    assert len(c) <= 4
+    monkeypatch.setattr(qsvt, "power_expansion", lambda exponent: np.asarray(c, dtype=float))
+    power, _ = _power(rho, 2, 1.0)
+    return _dense(power)
 
 
 # -------------------------------------------------- the eigenvalue transform
 
-def test_identity_map_polynomial(transform):
+def test_identity_map_polynomial(monkeypatch):
     rho = random_density(1, 2, seed=0)
-    out = transform(rho, [0.0, 1.0])
+    out = _transform(monkeypatch, rho, [0.0, 1.0])
     assert np.linalg.norm(out - rho.mat, 2) <= 1e-12
 
 
-def test_constant_one_polynomial(transform):
+def test_constant_one_polynomial(monkeypatch):
     rho = random_density(1, 2, seed=1)
-    out = transform(rho, [1.0, 0.0])
+    out = _transform(monkeypatch, rho, [1.0, 0.0])
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
-def test_square_through_eigenvalues(transform):
+def test_square_through_eigenvalues(monkeypatch):
     rho = pt.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-    out = transform(rho, pt.power_expansion(2))
+    out = _transform(monkeypatch, rho, pt.power_expansion(2))
     assert np.allclose(out, np.diag([0.49, 0.09]), atol=1e-12)
 
 
-def test_transform_matches_independent_eigen_sum(transform):
+def test_transform_matches_independent_eigen_sum(monkeypatch):
     rho = random_density(2, 3, seed=5)
     c = pt.power_expansion(5)[:4]
     w, v = np.linalg.eigh(rho.mat)
@@ -77,27 +70,16 @@ def test_transform_matches_independent_eigen_sum(transform):
     )
     # the transform reads the spectrum rho's validation cached; the
     # recurrence on rho.mat decomposes nothing
-    out = transform(rho, c)
+    out = _transform(monkeypatch, rho, c)
     assert np.linalg.norm(out - expected, 2) <= 1e-10
     assert np.linalg.norm(out - chebyshev_matrix(c, rho.mat), 2) <= 1e-10
 
 
-def test_rejects_sup_norm_violation(transform):
+def test_rejects_sup_norm_violation(monkeypatch):
     """Kept coefficients summing to more than 1 fail the certificate."""
     rho = random_density(1, 2, seed=3)
     with pytest.raises(pt.ContractError, match="coefficient sum"):
-        transform(rho, [0.0, 2.0])
-
-
-def test_certificate_failure_raises_on_every_call(transform):
-    """The truncation cache keeps no exception: a prefix that fails its
-    certificate is refused again on each later call, not served."""
-    rho = random_density(1, 2, seed=3)
-    with pytest.raises(pt.ContractError, match="coefficient sum"):
-        transform(rho, [0.0, 2.0])
-    for _ in range(2):
-        with pytest.raises(pt.ContractError, match="coefficient sum"):
-            _power(rho, 2, 1.0)
+        _transform(monkeypatch, rho, [0.0, 2.0])
 
 
 def _count_clenshaw(monkeypatch):
