@@ -14,8 +14,12 @@ least value, an empty list, or a list flag of several values for a scalar
 key exits 2.
 
 Each suite writes records.json, table.csv, and summary.json under
-out/<suite>/<config-hash>/ and exits 0 when its aggregate pass condition
-holds, 1 when it does not, and 2 on configuration errors.
+out/<suite>/<config-hash>/. Its runner returns the records, ungated
+statistics and gates (a measured value and the bound it must meet), and
+the run exits 0 when every gate is ok. It exits 1 when a gate fails, after
+naming each failed gate with its value and bound on stderr, or when a run
+raises another package error; and 2 on a configuration error or an --out
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -106,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     except PowertraceError as exc:
         print(f"powertrace: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the output step, after every record has run
+        print(f"powertrace: cannot write output under {args.out}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -2,8 +2,12 @@
 
 ``SUITE_REGISTRY`` holds one ``Suite`` per suite name: its config
 defaults, its runner, its table columns and the config keys the shared
-command-line flags set. A runner returns ``(records, summary)``; the
-records are the suite's only data. ``table.csv`` is a projection of them:
+command-line flags set. A runner returns ``(records, stats, gates)``: the
+records are the suite's only data, ``stats`` its ungated summary figures,
+and ``gates`` its ``Gate``s, each a measured value and the bound it must
+meet. ``run_suite_config`` alone decides the verdict: ``pass`` is true
+when every gate is ok, and the run exits 0, or else it names each failed
+gate on stderr and exits 1. ``table.csv`` is a projection of the records:
 each column names a dotted path into a record ("report.estimate.re"),
 with "|"-separated fallbacks for tables that mix record kinds
 ("report.m_star|report.t_star"), and a cell no path reaches is nan.
@@ -13,7 +17,7 @@ overrides), runs its records, and writes
 
     <out>/<suite>/<config-hash>/records.json   per-record inputs + reports
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
-    <out>/<suite>/<config-hash>/summary.json   fits, pass fraction, verdict
+    <out>/<suite>/<config-hash>/summary.json   stats, gates, verdict
 
 The ``estimate``, ``apps`` and ``bqp`` runners cut their records into
 contiguous chunks of at most 2^16 / d^2 records each and run each chunk as
@@ -21,7 +25,7 @@ one stack of states (the 50 default ``bqp`` circuits are one stack). A
 record does not depend on its chunk.
 
 A config holds only experiment parameters; the gate thresholds are the
-module constants below, and each summary reports those it applied. A
+module constants below, and each summary lists them as its gates' bounds. A
 config key outside the suite's defaults is rejected, and so is a value of
 another JSON kind than its default's, or a fractional or too small value
 of an integer key. A suite that draws random numbers reads ``seed``, a
@@ -42,6 +46,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from functools import partial
 from operator import itemgetter
@@ -225,8 +230,23 @@ def _map_chunks(fn, count: int, dim: int) -> list:
     return [record for chunk in chunks for record in fn(chunk)]
 
 
+class Gate(NamedTuple):
+    """One check of a suite's verdict: ``value`` must be true (``bound`` True) or lie in ``bound`` = (low, high),
+    ends included and a None end open. A nan lies in no bound."""
+
+    name: str
+    value: object
+    bound: tuple | bool
+
+    def ok(self) -> bool:
+        if self.bound is True:
+            return self.value is True
+        low, high = self.bound
+        return (low is None or low <= self.value) and (high is None or self.value <= high)
+
+
 # --------------------------------------------------------------------------
-# suite runners: run(cfg) -> (records, summary)
+# suite runners: run(cfg) -> (records, stats, gates)
 # --------------------------------------------------------------------------
 
 def _suite_approx(cfg: dict):
@@ -248,18 +268,12 @@ def _suite_approx(cfg: dict):
     ks = [r["spec"]["k"] for r in records]
     within = [r["report"]["within_eps"] for r in records]
     slope = _log_slope(ks, [r["report"]["empirical_degree"] for r in records])
-    lo, hi = APPROX_SLOPE_RANGE
-    # a scaling fit needs a few decades; short sweeps only gate on accuracy
-    slope_checked = len(set(ks)) >= 3
-    summary = {
-        "all_within_eps": all(within),
-        "empirical_degree_slope": slope,
-        "slope_range": APPROX_SLOPE_RANGE,
-        "slope_checked": slope_checked,
-        "pass": bool(all(within) and ((not slope_checked) or (lo <= slope <= hi))),
-        "pass_fraction": float(np.mean(within)),
-    }
-    return records, summary
+    stats, gates = {"pass_fraction": float(np.mean(within))}, [Gate("all_within_eps", all(within), True)]
+    if len(set(ks)) >= 3:  # a scaling fit needs a few decades; short sweeps only gate on accuracy
+        gates.append(Gate("empirical_degree_slope", slope, APPROX_SLOPE_RANGE))
+    else:
+        stats["empirical_degree_slope"] = slope
+    return records, stats, gates
 
 
 def _estimate_records(cfg: dict, indices: range) -> list[dict]:
@@ -282,13 +296,7 @@ def _estimate_records(cfg: dict, indices: range) -> list[dict]:
 def _suite_estimate(cfg: dict):
     records = _map_chunks(partial(_estimate_records, cfg), cfg["runs"], 2 ** cfg["qubits"])
     fraction = float(np.mean([r["within_eps"] for r in records])) if records else 0.0
-    summary = {
-        "pass_fraction": fraction,
-        "pass_threshold": ESTIMATE_PASS_THRESHOLD,
-        "pass": bool(fraction >= ESTIMATE_PASS_THRESHOLD),
-        "runs": len(records),
-    }
-    return records, summary
+    return records, {"runs": len(records)}, [Gate("pass_fraction", fraction, (ESTIMATE_PASS_THRESHOLD, None))]
 
 
 def _suite_baseline(cfg: dict):
@@ -315,14 +323,10 @@ def _suite_baseline(cfg: dict):
                 "abs_error": abs(result.mean - oracle),
             }})
         mean_stderrs.append(float(np.mean(stderrs)))
-    slope = _log_slope(cfg["shots_list"], mean_stderrs)
-    summary = {
-        "stderr_slope": slope,
-        "expected_slope": -0.5,
-        "slope_tolerance": BASELINE_SLOPE_TOLERANCE,
-        "pass": bool(abs(slope + 0.5) <= BASELINE_SLOPE_TOLERANCE),
-    }
-    return records, summary
+    # the slopes s with |s + 0.5| <= tolerance: s + 0.5 is exact near -0.5, so an end rounded outside steps in
+    window = tuple(end if abs(end + 0.5) <= BASELINE_SLOPE_TOLERANCE else math.nextafter(end, -0.5)
+                   for end in (-0.5 - BASELINE_SLOPE_TOLERANCE, -0.5 + BASELINE_SLOPE_TOLERANCE))
+    return records, {}, [Gate("stderr_slope", _log_slope(cfg["shots_list"], mean_stderrs), window)]
 
 
 def _suite_bounds(cfg: dict):
@@ -368,31 +372,15 @@ def _suite_bounds(cfg: dict):
             "t_star": table.t_star,
         }})
 
-    ratio = m_stars[-1] / m_stars[0] if len(m_stars) >= 2 else math.nan
-    expected_ratio = cfg["k_values"][-1] / cfg["k_values"][0] if len(m_stars) >= 2 else math.nan
-    lecam_slope = _log_slope(
-        [1.0 / float(e) for e in cfg["eps_grid"]], [1.0 / kl for kl in kl_values]
-    )
-    hybrid_slope = _log_slope(
-        [1.0 / float(e) for e in cfg["hybrid_eps_grid"]], t_stars
-    )
-    lo, hi = (bound * expected_ratio for bound in HELSTROM_RATIO_WINDOW)
-    summary = {
-        "helstrom_m_stars": m_stars,
-        "helstrom_ratio": ratio,
-        "helstrom_ratio_expected": expected_ratio,
-        "helstrom_ratio_range": [lo, hi],
-        "lecam_copies_exponent": lecam_slope,
-        "lecam_exponent_window": LECAM_EXPONENT_WINDOW,
-        "hybrid_t_star_exponent": hybrid_slope,
-        "hybrid_exponent_window": HYBRID_EXPONENT_WINDOW,
-        "pass": bool(
-            (math.isnan(ratio) or lo <= ratio <= hi)
-            and LECAM_EXPONENT_WINDOW[0] <= lecam_slope <= LECAM_EXPONENT_WINDOW[1]
-            and HYBRID_EXPONENT_WINDOW[0] <= hybrid_slope <= HYBRID_EXPONENT_WINDOW[1]
-        ),
-    }
-    return records, summary
+    lecam_slope = _log_slope([1.0 / float(e) for e in cfg["eps_grid"]], [1.0 / kl for kl in kl_values])
+    hybrid_slope = _log_slope([1.0 / float(e) for e in cfg["hybrid_eps_grid"]], t_stars)
+    gates = [Gate("lecam_copies_exponent", lecam_slope, LECAM_EXPONENT_WINDOW),
+             Gate("hybrid_t_star_exponent", hybrid_slope, HYBRID_EXPONENT_WINDOW)]
+    if len(m_stars) >= 2:  # m* ~ k: the last m* over the first, against the last k over the first
+        expected_ratio = cfg["k_values"][-1] / cfg["k_values"][0]
+        gates.insert(0, Gate("helstrom_ratio", m_stars[-1] / m_stars[0],
+                             tuple(bound * expected_ratio for bound in HELSTROM_RATIO_WINDOW)))
+    return records, {"helstrom_m_stars": m_stars}, gates
 
 
 def _bqp_records(cfg: dict, accept: Observable, indices: range) -> list[dict]:
@@ -415,14 +403,9 @@ def _suite_bqp(cfg: dict):
     # a record's circuit, state and oracle are 2^(r_qubits + 1) wide at most
     records = _map_chunks(partial(_bqp_records, cfg, accept), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
     defects = [r["report"]["identity_defect"] for r in records]
-    all_ok = all(r["report"]["bernoulli_ok"] for r in records)
-    summary = {
-        "max_identity_defect": max(defects) if defects else math.nan,
-        "all_bernoulli_ok": all_ok,
-        "defect_tolerance": BQP_DEFECT_TOLERANCE,
-        "pass": bool(defects and max(defects) <= BQP_DEFECT_TOLERANCE and all_ok),
-    }
-    return records, summary
+    return records, {}, [
+        Gate("max_identity_defect", max(defects) if defects else math.nan, (None, BQP_DEFECT_TOLERANCE)),
+        Gate("all_bernoulli_ok", all(r["report"]["bernoulli_ok"] for r in records), True)]
 
 
 def _vd_records(cfg: dict, indices: range) -> list[dict]:
@@ -473,14 +456,8 @@ def _suite_apps(cfg: dict):
     vd = _map_chunks(partial(_vd_records, cfg), cfg["vd_runs"], 2 ** cfg["qubits"])
     records += vd
     coverage = float(np.mean([r["report"]["covered"] for r in vd])) if vd else math.nan
-    summary = {
-        "renyi_within_bound": renyi_ok,
-        "tsallis_within_bound": tsallis_ok,
-        "vd_coverage": coverage,
-        "coverage_threshold": APPS_COVERAGE_THRESHOLD,
-        "pass": bool(renyi_ok and tsallis_ok and coverage >= APPS_COVERAGE_THRESHOLD),
-    }
-    return records, summary
+    return records, {}, [Gate("renyi_within_bound", renyi_ok, True), Gate("tsallis_within_bound", tsallis_ok, True),
+                         Gate("vd_coverage", coverage, (APPS_COVERAGE_THRESHOLD, None))]
 
 
 def _separation_confidence_z(confidence: float) -> float:
@@ -512,15 +489,8 @@ def _suite_separation(cfg: dict):
         })
     swap_exp = _log_slope(ks, [r["report"]["swap_copies"] for r in records])
     query_exp = _log_slope(ks, [r["report"]["estimator"]["u_rho_queries_total"] for r in records])
-    lo, hi = SWAP_EXPONENT_RANGE
-    summary = {
-        "swap_copies_exponent": swap_exp,
-        "qsvt_queries_exponent": query_exp,
-        "swap_exponent_range": SWAP_EXPONENT_RANGE,
-        "query_exponent_max": QUERY_EXPONENT_MAX,
-        "pass": bool(lo <= swap_exp <= hi and query_exp <= QUERY_EXPONENT_MAX),
-    }
-    return records, summary
+    return records, {}, [Gate("swap_copies_exponent", swap_exp, SWAP_EXPONENT_RANGE),
+                         Gate("qsvt_queries_exponent", query_exp, (None, QUERY_EXPONENT_MAX))]
 
 
 # --------------------------------------------------------------------------
@@ -528,7 +498,7 @@ def _suite_separation(cfg: dict):
 # --------------------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """One suite. ``run(cfg)`` returns ``(records, summary)``; ``columns``
+    """One suite. ``run(cfg)`` returns ``(records, stats, gates)``; ``columns``
     maps each table header to its record paths; ``flag_keys`` names the
     config key a shared CLI flag sets where it is not the flag's usual
     key."""
@@ -685,11 +655,12 @@ def resolve_config(suite: str, file_config: dict | None, overrides: dict | None)
 # --------------------------------------------------------------------------
 
 def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
-    """Run one suite with a fully resolved config; returns the exit code."""
+    """Run one suite with a fully resolved config and write its three files; returns the exit code: 0 when
+    every gate is ok, else 1 after naming each failed gate, its value and its bound on stderr."""
     entry = suite_entry(suite)
     cfg = {**cfg, "suite": suite}
     cfg_hash = config_hash(cfg)
-    records, summary = entry.run(cfg)
+    records, stats, gates = entry.run(cfg)
 
     out_dir = os.path.join(out_root, suite, cfg_hash)
     os.makedirs(out_dir, exist_ok=True)
@@ -701,10 +672,15 @@ def run_suite_config(suite: str, cfg: dict, out_root: str = "out") -> int:
     del rows, items  # each file's text is held once: not also as its parts, nor copied to add its brackets
     _atomic_write(os.path.join(out_dir, "table.csv"), [table, "\n"])
     _atomic_write(os.path.join(out_dir, "records.json"), ["[\n", listing, "\n]\n"] if listing else ["[]\n"])
-    summary_obj = {"suite": suite, "config": cfg, "config_hash": cfg_hash, "tool_version": __version__,
-                   **summary}
-    _atomic_write(os.path.join(out_dir, "summary.json"), [canonical_json(summary_obj), "\n"])
-    return 0 if summary["pass"] else 1
+    verdicts = [{**gate._asdict(), "ok": gate.ok()} for gate in gates]
+    failed = [verdict for verdict in verdicts if not verdict["ok"]]
+    summary = {"suite": suite, "config": cfg, "config_hash": cfg_hash, "tool_version": __version__, **stats,
+               "gates": verdicts, "pass": not failed}
+    _atomic_write(os.path.join(out_dir, "summary.json"), [canonical_json(summary), "\n"])
+    for verdict in failed:
+        print(f"powertrace: {suite} failed gate {verdict['name']}: value {json.dumps(verdict['value'])}, "
+              f"bound {json.dumps(verdict['bound'])}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def load_config_file(path: str) -> dict:

@@ -202,7 +202,7 @@ def _suite_run(columns: dict, records: list) -> dict:
     entry = suites.SUITE_REGISTRY["approx"]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setitem(suites.SUITE_REGISTRY, "approx",
-                      entry._replace(run=lambda cfg: (records, {"pass": True}), columns=columns))
+                      entry._replace(run=lambda cfg: (records, {}, []), columns=columns))
         assert suites.run_suite_config("approx", suites.suite_defaults("approx"), tmp) == 0
         (out_dir,) = glob.glob(os.path.join(tmp, "approx", "*"))
         texts = {}

@@ -331,6 +331,16 @@ def test_baseline_shots_beyond_int64_exit_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys):
+    """An --out naming a regular file cannot hold the suite's directory: the run exits 2 and says so once."""
+    out = tmp_path / "file"
+    out.write_text("kept\n")
+    assert main(["approx", "--k", "8", "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"powertrace: cannot write output under {out}: ")
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("grid", [[0.0, 0.03], [-0.1, -0.03]], ids=["zero", "negative"])
 def test_bounds_non_positive_hybrid_eps_exits_2_without_output(tmp_path, capsys, grid):
     """A hybrid eps <= 0 is a zero or negative kick, for which no t* exists."""

@@ -42,13 +42,13 @@ GOLDEN_RECORDS_SHA256 = {
 }
 
 GOLDEN_SUMMARY_SHA256 = {
-    "approx": "cdeff87c765fe4cd600fcb758ca12a023877479e7f3640f20983639f5a672e95",
-    "estimate": "ed513663062e754a3a36c87b46a25af1d1245374e7ed9b715dce89d1474c5b59",
-    "baseline": "f82344afd7f1ae38989c3fa1c66ff6a4f747f7c4392a768bd028caee958aa7d4",
-    "bounds": "0bed2af3bea6e51f5ce9945f7f0e5c375a0bdb6bb83a7d12095d961af98184a2",
-    "bqp": "ed6c0ab5ef8cd84521f667e9500328acd1321440aea2e845b926900f8c43d73f",
-    "apps": "00a8fe8b724e1f3f11e5fa3d54ae4c6955cc76d3a50b1fca183cc4985b488097",
-    "separation": "2f52b6f7c6da538b857afd4c6daac77b3312848aa4a24f8833bea64c261e0196",
+    "approx": "4e2e05d8d3b215b7efeee4513bb8bf75d57cb9b1b4452fe18ede3867418e4ae1",
+    "estimate": "c48bb9fffa6e7dc5fc36034aa9b220c15e736752c9cbceb43fa2653f0a7610fd",
+    "baseline": "62f9a9d8402286ea649ac8a4fbee2e13fce85a915f63162c37d598813f0afc2d",
+    "bounds": "6d495ee98374147b25f7db0294263c3f159cf7d3e97d328d61b5746f0beb4145",
+    "bqp": "57987b500ef0d0dab2e1a8495db50183fc1a32f125564605c711961c59f45757",
+    "apps": "6483352ccad9605bf82bfc0d1913a51989af0dd18b23bf330df91ac398e742a9",
+    "separation": "857ed7376a68a3ac87544587aa4122f1e73d5b2373b4b6a568ee3ecc8de52820",
 }
 
 

@@ -349,6 +349,11 @@ def test_cli_approx_single_k(tmp_path):
     assert float(cells["measured_sup_error"]) <= 1e-3
 
 
+def _gates(summary: dict) -> dict:
+    """A ``summary.json``'s gates by name."""
+    return {gate["name"]: gate for gate in summary["gates"]}
+
+
 def test_cli_bqp_defect(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -356,9 +361,9 @@ def test_cli_bqp_defect(tmp_path):
     )
     assert code == 0
     (summary_path,) = list((out / "bqp").glob("*/summary.json"))
-    summary = json.loads(summary_path.read_text())
-    assert summary["max_identity_defect"] <= 1e-10
-    assert summary["all_bernoulli_ok"] is True
+    gates = _gates(json.loads(summary_path.read_text()))
+    assert gates["max_identity_defect"]["value"] <= 1e-10
+    assert gates["all_bernoulli_ok"]["value"] is True
 
 
 @pytest.mark.parametrize("ks, ratio_range", [("10,20,40,80", [7.0, 9.0]), ("10,20", [1.75, 2.25])])
@@ -368,10 +373,10 @@ def test_bounds_helstrom_window_follows_the_k_sweep(tmp_path, ks, ratio_range):
     out = tmp_path / "out"
     assert main(["bounds", "--k", ks, "--out", str(out)]) == 0
     (summary_path,) = list((out / "bounds").glob("*/summary.json"))
-    summary = json.loads(summary_path.read_text())
-    assert summary["helstrom_ratio_range"] == ratio_range
-    assert summary["lecam_exponent_window"] == [1.9, 2.1]
-    assert summary["hybrid_exponent_window"] == [0.95, 1.05]
+    gates = _gates(json.loads(summary_path.read_text()))
+    assert gates["helstrom_ratio"]["bound"] == ratio_range
+    assert gates["lecam_copies_exponent"]["bound"] == [1.9, 2.1]
+    assert gates["hybrid_t_star_exponent"]["bound"] == [0.95, 1.05]
 
 
 def test_cli_estimate_small_run(tmp_path):
@@ -379,8 +384,8 @@ def test_cli_estimate_small_run(tmp_path):
     code = main(["estimate", "--runs", "12", "--k", "4", "--out", str(out)])
     assert code == 0
     (summary_path,) = list((out / "estimate").glob("*/summary.json"))
-    summary = json.loads(summary_path.read_text())
-    assert summary["pass_fraction"] >= summary["pass_threshold"]
+    fraction = _gates(json.loads(summary_path.read_text()))["pass_fraction"]
+    assert fraction["value"] >= fraction["bound"][0]
     (records_path,) = list((out / "estimate").glob("*/records.json"))
     records = json.loads(records_path.read_text())
     assert len(records) == 12
@@ -399,8 +404,8 @@ def test_apps_keeps_its_records_when_one_denominator_is_refused(tmp_path):
     assert len(records) == 202
     refused = [r["report"] for r in records if r["report"].get("ratio_estimate") == "nan"]
     assert len(refused) == 1 and refused[0]["error_bound"] == "nan" and not refused[0]["covered"]
-    summary = json.loads((config_dir / "summary.json").read_text())
-    assert summary["coverage_threshold"] <= summary["vd_coverage"] < 1.0
+    coverage = _gates(json.loads((config_dir / "summary.json").read_text()))["vd_coverage"]
+    assert coverage["bound"][0] <= coverage["value"] < 1.0
 
 
 def test_cli_estimate_named_instance(tmp_path):
@@ -490,7 +495,7 @@ def test_baseline_of_a_pure_state_fails_its_fit_without_a_warning(tmp_path):
         assert main(["baseline", "--rank", "1", "--out", str(tmp_path)]) == 1
     (summary,) = (tmp_path / "baseline").glob("*/summary.json")
     summary = json.loads(summary.read_text())
-    assert summary["stderr_slope"] == "nan" and summary["pass"] is False
+    assert _gates(summary)["stderr_slope"]["value"] == "nan" and summary["pass"] is False
 
 
 def test_output_layout(tmp_path):
