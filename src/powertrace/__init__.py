@@ -48,12 +48,10 @@ from .estimator import (
     vd_ratio_stack,
 )
 from .bounds import (
-    BqpInstance,
     DiscriminationInstance,
     HelstromTable,
     HybridBoundTable,
     SwapTestResult,
-    bqp_instance,
     discrimination_instance,
     helstrom_experiment,
     hybrid_bound_demo,
@@ -61,14 +59,13 @@ from .bounds import (
     swap_test_estimate,
     swap_test_moments,
 )
-from .instances import InstanceSpec, make_observable, make_state, pauli_string, random_unitary
+from .instances import InstanceSpec, make_observable, make_state, pauli_string
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AE_SUCCESS_PROB",
     "AeOutcome",
-    "BqpInstance",
     "ConstructionError",
     "ContractError",
     "DensityMatrix",
@@ -88,7 +85,6 @@ __all__ = [
     "ValidationError",
     "VdRatioResult",
     "amplitude_estimate",
-    "bqp_instance",
     "clenshaw_eval",
     "discrimination_instance",
     "estimate_trace_power",
@@ -103,7 +99,6 @@ __all__ = [
     "pauli_string",
     "power_expansion",
     "purify",
-    "random_unitary",
     "renyi_entropy",
     "required_degree",
     "sup_error_scan",

@@ -12,9 +12,8 @@ shots are one multinomial draw of counts over it: O(d) at any shot count.
 The remaining constructions turn the estimation task into discrimination
 problems: a two-state instance whose optimal discrimination success is
 governed by fidelity decay, a two-coin instance governed by the Bernoulli
-KL divergence, a hybrid-argument pair of dilations whose
-distinguishability grows linearly in circuit queries, and a reduction
-encoding a circuit's acceptance probability into a trace power.
+KL divergence, and a hybrid-argument pair of dilations whose
+distinguishability grows linearly in circuit queries.
 """
 
 from __future__ import annotations
@@ -24,19 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import PurifiedState, halmos_dilate, purify
+from .blockenc import halmos_dilate
 from .errors import ConstructionError, ValidationError
-from .linalg import (
-    DensityMatrix,
-    Observable,
-    _check_defect,
-    _fail_first,
-    _square_operator,
-    check_dim_within_cap,
-    op_norm,
-    trace_power_obs_oracle,
-    trace_power_obs_oracles,
-)
+from .linalg import DensityMatrix, Observable, op_norm, trace_power_obs_oracle
 
 
 @dataclass(frozen=True)
@@ -290,86 +279,3 @@ def hybrid_bound_demo(o: Observable, eps: float) -> HybridBoundTable:
         norm_closed_form=closed,
         t_star=t_star,
     )
-
-
-@dataclass(frozen=True)
-class BqpInstance:
-    """Trace-power instance encoding a circuit's acceptance probability.
-
-    The state is the reduced state of a purification that splits weight
-    lambda = 1 - 1/(q k) onto the circuit branch and the rest onto an
-    orthogonal branch the observable annihilates, so Tr(rho^k O) =
-    lambda^k p_x exactly. ``purified_state`` is purified access to that
-    checked state, which is what the estimators take. The instance of a
-    stack of circuits holds their states as one stack, and each field but
-    ``obs`` lists the records' values.
-    """
-
-    lam: float
-    k: int
-    p_x: float
-    purified_state: PurifiedState
-    obs: Observable
-    thresholds: tuple[float, float]
-    identity_defect: float
-
-
-def bqp_instance(u_x: np.ndarray, accept_projector: Observable, q, k) -> BqpInstance:
-    """Build and verify the reduction instance for a circuit u_x, or for each
-    circuit of a stack (R, r, r) with ``q`` and ``k`` their R values (or one
-    value for all).
-
-    Registers: a one-qubit branch label A (traced out), a one-qubit
-    section label S, and the circuit register R. The observable is
-    |0><0|_S (x) P_acc. The orthogonal branch state is the last
-    computational basis state of R that P_acc annihilates. A stack is
-    checked unitary by one Frobenius norm (an SVD only if that exceeds the
-    tolerance), its states are one ``DensityMatrix`` and the oracle runs
-    once per distinct k; a failed check names the first failing record.
-    """
-    u_x = _square_operator(u_x, "circuit unitary")
-    lead, r_dim = u_x.shape[:-2], u_x.shape[-1]
-    if len(lead) > 1 or any(np.shape(v) not in ((), lead) for v in (q, k)):
-        raise ValidationError("circuit unitaries must be (r, r) or (R, r, r), with one or R of q and k")
-    _check_defect(u_x.conj().swapaxes(-1, -2) @ u_x - np.eye(r_dim), 1e-9, "circuit matrix", "is not unitary")
-    if accept_projector.dim != r_dim:
-        raise ValidationError("acceptance projector dimension mismatch")
-    pi_acc = accept_projector.mat
-    _check_defect(pi_acc @ pi_acc - pi_acc, 1e-9, "acceptance observable", "is not a projector")
-    qs, ks = np.broadcast_to(q, lead), np.broadcast_to(k, lead)
-    _fail_first(qs * ks <= 1.0, "bqp record", "needs q*k > 1 for a weight in (0, 1), got {}", qs * ks)
-    check_dim_within_cap(4 * r_dim, "reduction instance")
-
-    qs, ks = qs.ravel().tolist(), [int(k_i) for k_i in ks.ravel().tolist()]
-    lams = [1.0 - 1.0 / (q_i * k_i) for q_i, k_i in zip(qs, ks)]
-    psi_x = u_x[..., :, 0]
-    p_xs = np.real(psi_x.conj()[..., None, :] @ pi_acc @ psi_x[..., :, None]).ravel().tolist()
-
-    null_candidates = np.where(np.real(np.diag(pi_acc)) <= 1e-12)[0]
-    if null_candidates.size == 0:
-        raise ConstructionError("no acceptance-null computational basis state available")
-
-    # gamma = sqrt(lam) |0>_A |0>_S psi_x + sqrt(1 - lam) |1>_A |1>_S phi
-    gamma = np.zeros(lead + (4 * r_dim,), dtype=complex)
-    gamma[..., :r_dim] = np.reshape(np.sqrt(lams), lead + (1,)) * psi_x
-    gamma[..., 3 * r_dim + null_candidates[-1]] = np.reshape(np.sqrt(np.subtract(1.0, lams)), lead)
-
-    obs = Observable(np.kron(np.diag([1.0, 0.0]).astype(complex), pi_acc))
-    psi = gamma.reshape(lead + (2, 2 * r_dim))  # trace out the branch label A
-    rho_mat = psi.swapaxes(-1, -2) @ psi.conj()
-    rho = DensityMatrix((rho_mat + rho_mat.conj().swapaxes(-1, -2)) / 2)
-
-    thresholds, defects = [], []
-    oracles = trace_power_obs_oracles(rho, obs, ks)
-    for i, (lam, k_i, q_i, p_x, oracle) in enumerate(zip(lams, ks, qs, p_xs, oracles)):
-        where, power = (f"bqp record [{i}]: " if lead else ""), lam ** k_i
-        defects.append(abs(oracle.real - power * p_x))
-        if defects[-1] > 1e-10:
-            raise ConstructionError(f"{where}reduction identity violated: "
-                                    f"|{oracle.real} - {power * p_x}| = {defects[-1]}")
-        if power < 1.0 - 1.0 / q_i - 1e-12:
-            raise ConstructionError(f"{where}weight decay check failed: lambda^k = {power} < 1 - 1/q")
-        thresholds.append((power * 2.0 / 3.0, power / 3.0))
-    fields = (lams, ks, p_xs, thresholds, defects)
-    lam, k, p_x, thresholds, defect = fields if lead else (field[0] for field in fields)
-    return BqpInstance(lam, k, p_x, purify(rho), obs, thresholds, defect)

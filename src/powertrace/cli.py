@@ -1,12 +1,12 @@
 """Command-line entry point.
 
     powertrace <suite> [--config PATH] [--out DIR]
-               [suite flags: --k --eps --qubits --rank --shots --runs --q --c --seed]
+               [suite flags: --k --eps --qubits --rank --shots --runs --c --seed]
 
 Each subparser is built from the suite's registry entry and registers only
 the shared flags whose config key that suite reads; ``powertrace <suite>
 -h`` lists them and the key each one sets. ``main`` builds only the named
-suite's subparser; help, no suite or an unknown one build all seven. Any
+suite's subparser; help, no suite or an unknown one build all six. Any
 other flag, a config-file key the suite does not read, a ``suite`` key
 naming another suite, a value of the wrong kind, a non-finite number, an
 integer key (count, k, rank, order, seed) that is fractional or below its
@@ -16,10 +16,12 @@ key exits 2.
 Each suite writes records.json, table.csv, and summary.json under
 out/<suite>/<config-hash>/. Its runner returns the records, ungated
 statistics and gates (a measured value and the bound it must meet), and
-the run exits 0 when every gate is ok. It exits 1 when a gate fails, after
-naming each failed gate with its value and bound on stderr, or when a run
-raises another package error; and 2 on a configuration error or an --out
-that cannot be written.
+the run exits 0 when every gate is ok, and 1 only when a gate fails, after
+naming each failed gate with its value and bound on stderr. It exits 2 on a
+configuration error or an --out that cannot be written, and 3 when the run
+refuses or cannot finish its work (a construction beyond the qubit cap, a
+failed construction or an estimate it cannot post-process), naming the
+cause on stderr.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ _FLAGS = {
     "rank": (int, "rank", "state rank"),
     "shots": (_int_list, "shots_list", "comma-separated shot counts"),
     "runs": (int, "runs", "number of records to run"),
-    "q": (float, "q_values", "weight parameter for the reduction suite"),
     "c": (float, "c", "bias constant for the discrimination suite"),
     "seed": (int, "seed", "master RNG seed"),
 }
@@ -79,19 +80,18 @@ def build_parser(suites: tuple = SUITES) -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """The config keys the given flags set. A value takes the shape of the
-    key's default: a one-value list flag sets a scalar key to that value,
-    and a scalar flag sets a list key to a one-entry list. A list flag of
-    several values for a scalar key raises ValidationError."""
+    """The config keys the given flags set. A one-value list flag sets a
+    scalar key to that value; a list flag of several values for a scalar
+    key raises ValidationError."""
     defaults = suite_entry(args.suite).defaults
     over = {}
     for flag, key in _suite_flags(args.suite).items():
         value = getattr(args, flag)
         if value is not None:
-            if isinstance(defaults[key], list) != isinstance(value, list):
-                if not isinstance(defaults[key], list) and len(value) > 1:
+            if isinstance(value, list) and not isinstance(defaults[key], list):
+                if len(value) > 1:
                     raise ValidationError(f"--{flag} sets {key!r}, which takes one value, got {value!r}")
-                value = [value] if isinstance(defaults[key], list) else value[0]
+                value = value[0]
             over[key] = value
     return over
 
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except PowertraceError as exc:
         print(f"powertrace: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except OSError as exc:  # the output step, after every record has run
         print(f"powertrace: cannot write output under {args.out}: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ class ContractError(PowertraceError):
 
 
 class ConstructionError(PowertraceError):
-    """A lower-bound or reduction instance cannot be built from the inputs."""
+    """A lower-bound construction cannot be built from the inputs."""
 
 
 class UnreliableEstimateError(PowertraceError):

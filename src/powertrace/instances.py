@@ -125,16 +125,6 @@ def _random_densities(qubits: int, rank: int, seeds: list) -> np.ndarray:
     return m
 
 
-def random_unitary(dim: int, seeds: list) -> np.ndarray:
-    """The stack of Haar random unitaries, one per seed: Q of the QR
-    decomposition of a complex Gaussian (dim, dim), its columns rephased by
-    R's diagonal. The stack takes one batched QR."""
-    check_dim_within_cap(dim, "random unitary")
-    q, r = np.linalg.qr(_gaussians((dim, dim), seeds))
-    phases = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (phases / np.abs(phases))[..., None, :]
-
-
 def pauli_string(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. "ZI" or "XX"."""
     if not label or any(ch not in _PAULI for ch in label):

@@ -19,10 +19,9 @@ overrides), runs its records, and writes
     <out>/<suite>/<config-hash>/table.csv      plot-ready table
     <out>/<suite>/<config-hash>/summary.json   stats, gates, verdict
 
-The ``estimate``, ``apps`` and ``bqp`` runners cut their records into
-contiguous chunks of at most 2^16 / d^2 records each and run each chunk as
-one stack of states (the 50 default ``bqp`` circuits are one stack). A
-record does not depend on its chunk.
+The ``estimate`` and ``apps`` runners cut their records into contiguous
+chunks of at most 2^16 / d^2 records each and run each chunk as one stack
+of states. A record does not depend on its chunk.
 
 A config holds only experiment parameters; the gate thresholds are the
 module constants below, and each summary lists them as its gates' bounds. A
@@ -57,7 +56,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    bqp_instance,
     helstrom_experiment,
     hybrid_bound_demo,
     lecam_construction,
@@ -76,8 +74,8 @@ from .errors import ValidationError
 from .estimator import (AE_SUCCESS_PROB, estimate_stack, estimate_trace_power, renyi_entropy,
                         tsallis_entropy, vd_ratio_stack)
 from .instances import (InstanceSpec, derive_seed, derive_seeds, make_observable, make_observables, make_state,
-                        make_states, random_unitary, shared_observable)
-from .linalg import DensityMatrix, Observable, check_dim_within_cap, trace_power_obs_oracle
+                        make_states, shared_observable)
+from .linalg import DensityMatrix, trace_power_obs_oracle
 
 APPROX_SLOPE_RANGE = (0.4, 0.6)  # degree ~ sqrt(k)
 ESTIMATE_PASS_THRESHOLD = AE_SUCCESS_PROB - 0.05  # share of estimates within eps
@@ -85,7 +83,6 @@ BASELINE_SLOPE_TOLERANCE = 0.05  # stderr ~ shots^(-1/2)
 HELSTROM_RATIO_WINDOW = (0.875, 1.125)  # m* ~ k: the m* ratio over the k ratio
 LECAM_EXPONENT_WINDOW = (1.9, 2.1)  # copies ~ 1/eps^2
 HYBRID_EXPONENT_WINDOW = (0.95, 1.05)  # t* ~ 1/eps
-BQP_DEFECT_TOLERANCE = 1e-10
 APPS_COVERAGE_THRESHOLD = 0.95
 SWAP_EXPONENT_RANGE = (0.85, 1.15)  # copies ~ k
 QUERY_EXPONENT_MAX = 0.65  # queries ~ sqrt(k)
@@ -383,31 +380,6 @@ def _suite_bounds(cfg: dict):
     return records, {"helstrom_m_stars": m_stars}, gates
 
 
-def _bqp_records(cfg: dict, accept: Observable, indices: range) -> list[dict]:
-    """The ``bqp`` records ``indices``, built as one stack of circuits; ``accept`` is their acceptance projector."""
-    qs, ks, seeds = cfg["q_values"], cfg["k_values"], derive_seeds([cfg["seed"]] * len(indices), [*indices])
-    specs = [{"run": i, "q": float(qs[i % len(qs)]), "k": ks[(i // len(qs)) % len(ks)], "seed": seed,
-              "r_qubits": cfg["r_qubits"]} for i, seed in zip(indices, seeds)]
-    inst = bqp_instance(random_unitary(accept.dim, seeds), accept,
-                        [spec["q"] for spec in specs], [spec["k"] for spec in specs])
-    return [{"spec": spec, "report": {
-        "lambda": lam, "p_x": p_x, "trace_power": lam ** k * p_x, "identity_defect": defect,
-        "thresholds": list(thresholds), "bernoulli_ok": bool(lam ** k >= 1.0 - 1.0 / spec["q"] - 1e-12),
-    }} for spec, lam, k, p_x, defect, thresholds in zip(
-        specs, inst.lam, inst.k, inst.p_x, inst.identity_defect, inst.thresholds, strict=True)]
-
-
-def _suite_bqp(cfg: dict):
-    check_dim_within_cap(4 * 2 ** cfg["r_qubits"], "reduction instance")  # before any circuit is drawn
-    accept = Observable(np.kron(np.diag([0.0, 1.0]), np.eye(2 ** (cfg["r_qubits"] - 1))))  # one per run
-    # a record's circuit, state and oracle are 2^(r_qubits + 1) wide at most
-    records = _map_chunks(partial(_bqp_records, cfg, accept), cfg["runs"], 2 ** (cfg["r_qubits"] + 1))
-    defects = [r["report"]["identity_defect"] for r in records]
-    return records, {}, [
-        Gate("max_identity_defect", max(defects) if defects else math.nan, (None, BQP_DEFECT_TOLERANCE)),
-        Gate("all_bernoulli_ok", all(r["report"]["bernoulli_ok"] for r in records), True)]
-
-
 def _vd_records(cfg: dict, indices: range) -> list[dict]:
     """The ``apps`` virtual-distillation records ``indices``, as one stack."""
     k, eps = cfg["vd_k"], float(cfg["vd_eps"])
@@ -547,13 +519,6 @@ SUITE_REGISTRY = {
          "threshold_count": "report.m_star|report.t_star",
          "value": "report.kl|report.norm_direct"},
     ),
-    "bqp": Suite(
-        {"r_qubits": 2, "runs": 50, "q_values": [2, 10], "k_values": [1, 5, 20], "seed": 0},
-        _suite_bqp,
-        {"run": "spec.run", "q": "spec.q", "k": "spec.k", "lambda": "report.lambda",
-         "p_x": "report.p_x", "trace_power": "report.trace_power",
-         "identity_defect": "report.identity_defect", "bernoulli_ok": "report.bernoulli_ok"},
-    ),
     "apps": Suite(
         {"renyi_alpha": 2, "tsallis_q": 3, "entropy_eps": 0.01, "entropy_mode": "ideal",
          "vd_runs": 200, "vd_k": 4, "vd_eps": 0.02, "qubits": 2, "rank": 2, "seed": 0,
@@ -615,10 +580,9 @@ def _check_kind(key: str, value, default) -> None:
 
 # integer keys and their least value; a list key holds integers and bounds
 # every element. A swap test needs two shots for its standard error, a scan
-# two points, the bqp acceptance projector one qubit of the reduction
-# register, and an entropy or virtual distillation an order of at least 2.
+# two points, and an entropy or virtual distillation an order of at least 2.
 _COUNT_MINIMUM = {"runs": 1, "vd_runs": 1, "repeats": 1, "shots_list": 2, "grid_size": 2,
-                  "qubits": 0, "r_qubits": 1, "k_values": 1, "k": 1, "vd_k": 2, "rank": 1,
+                  "qubits": 0, "k_values": 1, "k": 1, "vd_k": 2, "rank": 1,
                   "renyi_alpha": 2, "tsallis_q": 2, "seed": 0}
 
 

@@ -9,8 +9,9 @@ block encoding, the block identity ``closed_form_p_zero``, the simulated
 Hadamard-test circuit, the dense phase-estimation law, the swap test's
 cyclic permutation, ``partial_trace`` and ``fidelity``) so the tests can
 compare the two. It also holds the dense Chebyshev oracles
-``chebyshev_matrix`` and ``dense_power_times_obs``, and the one seeded
-``random_density`` the tests build their states from. It lives beside the
+``chebyshev_matrix`` and ``dense_power_times_obs``, the one seeded
+``random_density`` the tests build their states from, and the seeded
+``haar_unitary`` that rotates a chosen spectrum. It lives beside the
 tests, outside the installed package, and the tests import it as
 ``reference``.
 """
@@ -31,6 +32,16 @@ def random_density(qubits: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded random state G G^dag / Tr(G G^dag) with G complex Gaussian
     of shape (2^qubits, rank): the default ``random_mixed`` instance."""
     return pt.make_state(pt.InstanceSpec(qubits, rank, seed))
+
+
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Seeded Haar random unitary: Q of the QR decomposition of a complex
+    Gaussian (dim, dim), real then imaginary part from ``default_rng(seed)``,
+    its columns rephased by R's diagonal."""
+    g = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    phases = np.diagonal(r)
+    return q * (phases / np.abs(phases))
 
 
 def chebyshev_matrix(c, mat) -> np.ndarray:

@@ -75,7 +75,7 @@ def test_purify_round_trip_dims(qubits, rank):
 
 def _rotated_spectrum(weights, seed):
     """U diag(weights) U^dag for a seeded random unitary U."""
-    u = pt.random_unitary(len(weights), [seed])[0]
+    u = reference.haar_unitary(len(weights), seed)
     m = (u * np.asarray(weights, dtype=float)) @ u.conj().T
     m = (m + m.conj().T) / 2
     return pt.DensityMatrix(m / np.trace(m).real)

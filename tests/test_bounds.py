@@ -404,167 +404,3 @@ def test_hybrid_crossing_scales_inversely_with_eps():
 def test_hybrid_rejects_delta_above_one():
     with pytest.raises(pt.ValidationError):
         pt.hybrid_bound_demo(pt.Observable(Z), 0.6)
-
-
-# ---------------------------------------------------------------- bqp_instance
-
-def _accept_first_qubit(r_qubits):
-    return pt.Observable(
-        np.kron(np.diag([0.0, 1.0]).astype(complex), np.eye(2 ** (r_qubits - 1)))
-    )
-
-
-def test_bqp_accepting_circuit():
-    # X on the first register qubit sends |00> to an accepting state
-    x_first = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
-    inst = pt.bqp_instance(x_first, _accept_first_qubit(2), q=10.0, k=5)
-    assert inst.p_x == pytest.approx(1.0)
-    lam = 1 - 1 / (10 * 5)
-    assert inst.lam == pytest.approx(lam)
-    rho = inst.purified_state.state
-    assert pt.trace_power_obs_oracle(rho, inst.obs, 5).real == pytest.approx(
-        lam ** 5, abs=1e-10
-    )
-
-
-def test_bqp_rejecting_circuit():
-    inst = pt.bqp_instance(np.eye(4, dtype=complex), _accept_first_qubit(2), q=10.0, k=5)
-    assert inst.p_x == pytest.approx(0.0)
-    rho = inst.purified_state.state
-    assert abs(pt.trace_power_obs_oracle(rho, inst.obs, 5)) <= 1e-12
-
-
-@pytest.mark.parametrize("q", [2.0, 10.0, 100.0])
-@pytest.mark.parametrize("k", [1, 5, 50])
-def test_bqp_weight_decay_bound(q, k):
-    if q * k <= 1:
-        pytest.skip("weight undefined")
-    inst = pt.bqp_instance(
-        pt.random_unitary(4, [int(q) + k])[0], _accept_first_qubit(2), q=q, k=k
-    )
-    assert inst.lam ** k >= 1 - 1 / q - 1e-12
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_bqp_identity_defect_random_circuits(seed):
-    inst = pt.bqp_instance(
-        pt.random_unitary(4, [seed])[0], _accept_first_qubit(2), q=2.0, k=5
-    )
-    assert inst.identity_defect <= 1e-10
-    a, b = inst.thresholds
-    assert a - b == pytest.approx(inst.lam ** inst.k / 3, abs=1e-12)
-
-
-def test_bqp_thresholds_classify_promise():
-    u = pt.random_unitary(4, [0])[0]
-    inst = pt.bqp_instance(u, _accept_first_qubit(2), q=10.0, k=3)
-    value = inst.lam ** inst.k * inst.p_x
-    a, b = inst.thresholds
-    if inst.p_x >= 2 / 3:
-        assert value >= a - 1e-12
-    if inst.p_x <= 1 / 3:
-        assert value <= b + 1e-12
-
-
-def test_bqp_no_null_state_available():
-    always_accept = pt.Observable(np.eye(4, dtype=complex))
-    with pytest.raises(pt.ConstructionError):
-        pt.bqp_instance(np.eye(4, dtype=complex), always_accept, q=10.0, k=2)
-
-
-def test_bqp_rejects_non_projector():
-    bad = pt.Observable(0.5 * np.eye(4, dtype=complex))
-    with pytest.raises(pt.ValidationError):
-        pt.bqp_instance(np.eye(4, dtype=complex), bad, q=10.0, k=2)
-
-
-def test_bqp_rejects_non_unitary():
-    with pytest.raises(pt.ValidationError):
-        pt.bqp_instance(
-            np.diag([1.0, 0.5, 1.0, 1.0]).astype(complex),
-            _accept_first_qubit(2),
-            q=10.0,
-            k=2,
-        )
-
-
-def _bqp_stack(runs=50):
-    """The default ``bqp`` suite's circuits, q and k, as stacks."""
-    seeds = [pt.instances.derive_seed(0, i) for i in range(runs)]
-    qs = [[2.0, 10.0][i % 2] for i in range(runs)]
-    ks = [[1, 5, 20][(i // 2) % 3] for i in range(runs)]
-    return seeds, pt.random_unitary(4, seeds), qs, ks
-
-
-def test_bqp_stack_equals_its_records():
-    seeds, unitaries, qs, ks = _bqp_stack()
-    accept = _accept_first_qubit(2)
-    stack = pt.bqp_instance(unitaries, accept, qs, ks)
-    states = stack.purified_state.state.mat
-    assert states.shape == (50, 8, 8)
-    for i, seed in enumerate(seeds):
-        u = pt.random_unitary(4, [seed])[0]
-        assert u.tobytes() == unitaries[i].tobytes()
-        one = pt.bqp_instance(u, accept, qs[i], ks[i])
-        for field in ("lam", "k", "p_x", "thresholds", "identity_defect"):
-            assert getattr(stack, field)[i] == getattr(one, field), field
-        assert type(one.lam) is float and type(one.thresholds) is tuple
-        assert states[i].tobytes() == one.purified_state.state.mat.tobytes()
-        assert stack.obs.mat.tobytes() == one.obs.mat.tobytes()
-
-
-def test_bqp_stack_decomposes_as_one_record(numpy_decompositions):
-    """The observable's norm and the state's ``eigh`` each run once for a
-    stack, as for one record; the unitarity and projector checks pass on
-    their Frobenius norms and run no SVD."""
-    _, unitaries, qs, ks = _bqp_stack()
-    accept = _accept_first_qubit(2)
-    numpy_decompositions.clear()
-    pt.bqp_instance(unitaries[0], accept, qs[0], ks[0])
-    single = [name for name, _ in numpy_decompositions]
-    numpy_decompositions.clear()
-    pt.bqp_instance(unitaries, accept, qs, ks)
-    assert [name for name, _ in numpy_decompositions] == single == ["svd", "eigh"]
-
-
-def test_bqp_stack_within_the_unitarity_tolerance_passes(numpy_decompositions):
-    """Each circuit is off by 8e-10 < 1e-9 in operator norm, the stack by
-    5.7e-9 in Frobenius norm: the SVD runs and the stack passes."""
-    _, unitaries, qs, ks = _bqp_stack()
-    unitaries[..., :, -1] *= 1 + 4e-10  # the last column: the circuit's state, its first column, is untouched
-    defect = unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(4)
-    assert np.linalg.norm(defect) > 1e-9 and max(pt.op_norm(defect)) < 1e-9
-    accept = _accept_first_qubit(2)
-    numpy_decompositions.clear()
-    stack = pt.bqp_instance(unitaries, accept, qs, ks)
-    assert [name for name, _ in numpy_decompositions] == ["svd", "svd", "eigh"]
-    assert max(stack.identity_defect) <= 1e-10
-
-
-def test_bqp_stack_names_its_non_unitary_record():
-    _, unitaries, qs, ks = _bqp_stack(6)
-    unitaries[3, 0, 0] *= 1.5
-    with pytest.raises(pt.ValidationError, match=r"^circuit matrix \[3\] is not unitary$"):
-        pt.bqp_instance(unitaries, _accept_first_qubit(2), qs, ks)
-
-
-@pytest.mark.parametrize("q, k", [([2.0] * 5, [5] * 6), (2.0, [[5]] * 6)])
-def test_bqp_stack_needs_one_or_r_of_q_and_k(q, k):
-    _, unitaries, _, _ = _bqp_stack(6)
-    with pytest.raises(pt.ValidationError, match=r"one or R of q and k"):
-        pt.bqp_instance(unitaries, _accept_first_qubit(2), q, k)
-
-
-def test_bqp_stack_names_its_record_below_unit_weight():
-    _, unitaries, _, _ = _bqp_stack(4)
-    with pytest.raises(pt.ValidationError, match=r"^bqp record \[2\] needs q\*k > 1"):
-        pt.bqp_instance(unitaries, _accept_first_qubit(2), [2.0, 2.0, 0.5, 2.0], 1)
-
-
-def test_bqp_estimator_integration():
-    # the reduction instance feeds straight into the query-access estimator
-    inst = pt.bqp_instance(
-        pt.random_unitary(4, [13])[0], _accept_first_qubit(2), q=10.0, k=2
-    )
-    report = pt.estimate_trace_power(inst.purified_state, inst.obs, 2, 0.05, seed=3)
-    assert abs(report.estimate - report.oracle_value) <= 0.05

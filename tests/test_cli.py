@@ -31,9 +31,9 @@ ROUTES = [
     ("baseline", ["--shots", "10,20"], {"shots_list": [10, 20]}),
     ("bounds", ["--k", "10,20"], {"k_values": [10, 20]}),
     ("bounds", ["--c", "0.25"], {"c": 0.25}),
-    ("bqp", ["--k", "1,5"], {"k_values": [1, 5]}),
-    ("bqp", ["--runs", "6"], {"runs": 6}),
-    ("bqp", ["--q", "3"], {"q_values": [3.0]}),
+    ("estimate", ["--k", "16"], {"k_values": [16]}),
+    ("apps", ["--runs", "6"], {"vd_runs": 6}),
+    ("baseline", ["--k", "5", "--shots", "10"], {"k": 5, "shots_list": [10]}),
     ("apps", ["--k", "6", "--eps", "0.03", "--runs", "4"], {"vd_k": 6, "vd_eps": 0.03, "vd_runs": 4}),
     ("apps", ["--qubits", "3"], {"qubits": 3}),
     ("apps", ["--rank", "1"], {"rank": 1}),
@@ -47,7 +47,7 @@ ROUTES = [
 ]
 
 SHARED_FLAGS = {"k": "4", "eps": "0.1", "qubits": "2", "rank": "1", "shots": "10",
-                "runs": "3", "q": "2", "c": "0.5", "seed": "1"}
+                "runs": "3", "c": "0.5", "seed": "1"}
 
 
 @pytest.fixture
@@ -75,9 +75,10 @@ def test_flag_sets_the_suites_config_key(resolved, suite, argv, keys):
 @pytest.mark.parametrize("suite", SUITES)
 def test_flags_a_suite_does_not_read_are_rejected(resolved, suite, capsys):
     routed = {arg[2:] for s, argv, _ in ROUTES if s == suite for arg in argv if arg.startswith("--")}
-    # --jobs and --K are no flags of any suite: every suite runs in one
-    # process, and the readout grid is always the one the error budget sets
-    for flag, value in {**SHARED_FLAGS, "jobs": "2", "K": "64"}.items():
+    # --jobs, --K and --q are no flags of any suite: every suite runs in one
+    # process, the readout grid is always the one the error budget sets, and
+    # no suite reads a reduction weight
+    for flag, value in {**SHARED_FLAGS, "jobs": "2", "K": "64", "q": "2"}.items():
         if flag in routed:
             continue
         with pytest.raises(SystemExit) as exc:
@@ -121,7 +122,7 @@ def test_config_path_that_cannot_be_read_is_rejected(tmp_path, capsys, name):
 @pytest.mark.parametrize(
     "argv",
     [["approx", "--k", ""], ["baseline", "--k", ""], ["apps", "--k", ""], ["baseline", "--shots", ""],
-     ["approx", "--k", "8,,16"], ["bqp", "--k", "1,"]],
+     ["approx", "--k", "8,,16"], ["separation", "--k", "4,"]],
     ids=" ".join,
 )
 def test_empty_list_flag_element_is_rejected(resolved, capsys, argv):
@@ -163,7 +164,7 @@ def _exit_code(argv):
     [(["estimate", "--seed", "-1"], None, "'seed' must be at least 0"),
      (["approx", "--seed", "-3"], None, "unrecognized arguments: --seed"),
      (["estimate"], -2, "'seed' must be at least 0"), (["estimate"], "7", "'seed' must be a number"),
-     (["bqp"], 1.5, "'seed' takes integers only"), (["baseline"], True, "'seed' must be a number")],
+     (["apps"], 1.5, "'seed' takes integers only"), (["baseline"], True, "'seed' must be a number")],
     ids=["flag-negative", "flag-negative-no-default", "file-negative", "file-string", "file-float", "file-bool"],
 )
 def test_seed_that_is_not_a_non_negative_integer_exits_2(resolved, tmp_path, capsys, argv, config_seed, reason):
@@ -204,7 +205,7 @@ def test_list_flag_of_several_values_for_a_scalar_key_exits_2(resolved, capsys, 
      ("estimate", "mode", 3, "a string"), ("estimate", "qubits", True, "a number"),
      ("bounds", "c", "0.5", "a number"), ("apps", "entropy_mode", 1, "a string"),
      ("bounds", "eps_grid", [0.3, None], "a list of number values"),
-     ("estimate", "observable_kind", ["pauli:ZI"], "a string"), ("bqp", "runs", {"n": 1}, "a number")],
+     ("estimate", "observable_kind", ["pauli:ZI"], "a string"), ("estimate", "runs", {"n": 1}, "a number")],
     ids=["runs-string", "k_values-scalar", "k_values-string-element", "eps-list", "mode-number",
          "qubits-bool", "c-string", "entropy_mode-number", "eps_grid-null-element",
          "observable_kind-list", "runs-object"],
@@ -227,20 +228,19 @@ def test_config_values_of_their_defaults_kind_are_accepted():
 @pytest.mark.parametrize(
     "suite, argv, config, key",
     [("estimate", ["--runs", "0"], {}, "runs"), ("estimate", ["--runs", "-1"], {}, "runs"),
-     ("bqp", ["--runs", "0"], {}, "runs"), ("apps", ["--runs", "0"], {}, "vd_runs"),
+     ("apps", ["--runs", "0"], {}, "vd_runs"),
      ("baseline", [], {"repeats": 0}, "repeats"), ("baseline", ["--shots", "100,0"], {}, "shots_list"),
      ("baseline", [], {"shots_list": [1, 100]}, "shots_list"), ("approx", [], {"grid_size": 1}, "grid_size"),
-     ("estimate", ["--qubits", "-1"], {}, "qubits"), ("bqp", [], {"r_qubits": -1}, "r_qubits"),
-     ("bqp", [], {"r_qubits": 0}, "r_qubits"), ("approx", [], {"k_values": [8, 0]}, "k_values"),
+     ("estimate", ["--qubits", "-1"], {}, "qubits"), ("approx", [], {"k_values": [8, 0]}, "k_values"),
      ("baseline", ["--k", "0"], {}, "k"), ("apps", ["--k", "0"], {}, "vd_k"), ("estimate", ["--rank", "0"], {}, "rank"),
      ("apps", [], {"renyi_alpha": 0}, "renyi_alpha"),
      ("apps", [], {"tsallis_q": -1}, "tsallis_q"),
      # an order of 1 has no entropy or distillation (a Tsallis q of 1 would divide by zero)
      ("apps", ["--k", "1"], {}, "vd_k"), ("apps", [], {"renyi_alpha": 1}, "renyi_alpha"),
      ("apps", [], {"tsallis_q": 1}, "tsallis_q")],
-    ids=["estimate-runs-0", "estimate-runs-negative", "bqp-runs-0", "apps-vd_runs-0", "baseline-repeats-0",
+    ids=["estimate-runs-0", "estimate-runs-negative", "apps-vd_runs-0", "baseline-repeats-0",
          "baseline-shots-0", "baseline-shots-1", "approx-grid_size-1", "estimate-qubits-negative",
-         "bqp-r_qubits-negative", "bqp-r_qubits-0", "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
+         "approx-k_values-0", "baseline-k-0", "apps-vd_k-0",
          "estimate-rank-0", "apps-renyi_alpha-0", "apps-tsallis_q-negative", "apps-vd_k-1",
          "apps-renyi_alpha-1", "apps-tsallis_q-1"],
 )
@@ -254,7 +254,7 @@ def test_count_below_its_least_value_exits_2_before_any_work(tmp_path, capsys, s
 
 
 def test_counts_at_their_least_value_are_accepted():
-    least = {"estimate": {"runs": 1, "qubits": 0, "rank": 1}, "bqp": {"runs": 1, "r_qubits": 1},
+    least = {"estimate": {"runs": 1, "qubits": 0, "rank": 1},
              "apps": {"vd_runs": 1, "renyi_alpha": 2, "tsallis_q": 2, "vd_k": 2},
              "baseline": {"repeats": 1, "shots_list": [2]}, "approx": {"grid_size": 2}}
     for suite, given in least.items():
@@ -265,7 +265,7 @@ def test_counts_at_their_least_value_are_accepted():
 # each integer key, a suite that reads it, and a fractional value of the key's shape
 FRACTIONAL = [("estimate", "runs", 3.9), ("apps", "vd_runs", 2.5), ("baseline", "repeats", 1.5),
               ("baseline", "shots_list", [100, 1000.5]), ("approx", "grid_size", 100.7),
-              ("estimate", "qubits", 1.5), ("bqp", "r_qubits", 2.0), ("approx", "k_values", [8.5, 16.9]),
+              ("estimate", "qubits", 1.5), ("approx", "k_values", [8.5, 16.9]),
               ("baseline", "k", 3.5), ("apps", "vd_k", 4.5), ("estimate", "rank", 1.2),
               ("apps", "renyi_alpha", 2.5), ("apps", "tsallis_q", 3.0), ("estimate", "seed", 2.5)]
 
@@ -304,7 +304,7 @@ def test_empty_list_exits_2_before_any_work(tmp_path, capsys, suite, key):
 REMOVED_KEYS = [("approx", "slope_range", [0.0, 9.0]), ("estimate", "pass_threshold", 0.0),
                 ("estimate", "ae_grid_override", 64), ("baseline", "slope_tolerance", 9.0),
                 ("bounds", "helstrom_ratio_range", [0.0, 99.0]), ("bounds", "t_values", [1, 2]),
-                ("bqp", "defect_tolerance", 1.0), ("apps", "coverage_threshold", 0.0),
+                ("apps", "coverage_threshold", 0.0),
                 ("separation", "swap_exponent_range", [0.0, 9.0]), ("separation", "query_exponent_max", 2.0),
                 ("separation", "observable_kind", "pauli:ZI")]
 
@@ -430,9 +430,9 @@ def _outcome(parse, argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["estimate", "-h"], [], ["estimat"], ["baseline", "--bogus"]],
+@pytest.mark.parametrize("argv", [["-h"], ["estimate", "-h"], [], ["estimat"], ["bqp"], ["baseline", "--bogus"]],
                          ids=lambda argv: " ".join(argv) or "empty")
-def test_main_prints_what_the_seven_suite_parser_prints(resolved, capsys, argv):
+def test_main_prints_what_the_all_suite_parser_prints(resolved, capsys, argv):
     assert _outcome(main, argv, capsys) == _outcome(cli.build_parser().parse_args, argv, capsys)
     assert resolved == []
 
@@ -440,7 +440,7 @@ def test_main_prints_what_the_seven_suite_parser_prints(resolved, capsys, argv):
 def test_main_builds_only_the_named_suites_parser(resolved, monkeypatch):
     built, real = [], cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda suites=SUITES: built.append(tuple(suites)) or real(suites))
-    assert main(["bqp", "--runs", "3"]) == 0
+    assert main(["estimate", "--runs", "3"]) == 0
     with pytest.raises(SystemExit):
-        main(["bqpx"])
-    assert built == [("bqp",), SUITES]
+        main(["estimatex"])
+    assert built == [("estimate",), SUITES]

@@ -37,11 +37,6 @@ ALTERNATIVES = {
     ("bounds", "c"): 0.25,
     ("bounds", "eps_grid"): [0.3, 0.1],
     ("bounds", "hybrid_eps_grid"): [0.1, 0.03],
-    ("bqp", "r_qubits"): 3,
-    ("bqp", "runs"): 10,
-    ("bqp", "q_values"): [3],
-    ("bqp", "k_values"): [2],
-    ("bqp", "seed"): 1,
     ("apps", "renyi_alpha"): 3,
     ("apps", "tsallis_q"): 2,
     ("apps", "entropy_eps"): 0.02,

@@ -619,7 +619,7 @@ def _state(n, levels, kind, seed):
     weights = weights / weights.sum()
     if kind == "diagonal":
         return pt.DensityMatrix(np.diag(weights).astype(complex))
-    u = pt.random_unitary(2 ** n, [seed])[0]
+    u = reference.haar_unitary(2 ** n, seed)
     m = (u * weights) @ u.conj().T
     return pt.DensityMatrix((m + m.conj().T) / 2)
 

@@ -2,7 +2,7 @@
 
 A runner returns its gates; ``run_suite_config`` alone decides ``pass``,
 lists every gate in ``summary.json`` and names each failed one on stderr.
-Each of the fourteen gates is pushed past its bound in turn by a fault in
+Each of the twelve gates is pushed past its bound in turn by a fault in
 the function that measures its value, never by editing a threshold, and
 must then be the only gate that fails.
 """
@@ -21,7 +21,6 @@ GATES = {
     "estimate": ["pass_fraction"],
     "baseline": ["stderr_slope"],
     "bounds": ["helstrom_ratio", "lecam_copies_exponent", "hybrid_t_star_exponent"],
-    "bqp": ["max_identity_defect", "all_bernoulli_ok"],
     "apps": ["renyi_within_bound", "tsallis_within_bound", "vd_coverage"],
     "separation": ["swap_copies_exponent", "qsvt_queries_exponent"],
 }
@@ -51,10 +50,6 @@ FAULTS = {
     "helstrom_ratio": ("bounds", _wrap("helstrom_experiment", _replaced(m_star=1))),
     "lecam_copies_exponent": ("bounds", _wrap("lecam_construction", lambda out, *args: (*out[:2], 0.5))),
     "hybrid_t_star_exponent": ("bounds", _wrap("hybrid_bound_demo", _replaced(t_star=1))),
-    "max_identity_defect": ("bqp", _wrap("bqp_instance", lambda inst, *args: dataclasses.replace(
-        inst, identity_defect=[1.0] * len(inst.lam)))),
-    "all_bernoulli_ok": ("bqp", _wrap("bqp_instance", lambda inst, *args: dataclasses.replace(
-        inst, lam=[0.0] * len(inst.lam)))),
     "renyi_within_bound": ("apps", _wrap("renyi_entropy", lambda est, *args: dataclasses.replace(
         est, value=est.value + 1.0))),
     "tsallis_within_bound": ("apps", _wrap("tsallis_entropy", lambda est, *args: dataclasses.replace(
@@ -76,7 +71,7 @@ def _run(suite, tmp_path, capsys, *argv):
 
 def test_every_gate_has_a_fault():
     assert sorted(FAULTS) == sorted(gate for gates in GATES.values() for gate in gates)
-    assert len(FAULTS) == 14 and all(suite in GATES and gate in GATES[suite] for gate, (suite, _) in FAULTS.items())
+    assert len(FAULTS) == 12 and all(suite in GATES and gate in GATES[suite] for gate, (suite, _) in FAULTS.items())
 
 
 @pytest.mark.parametrize("suite", suites.SUITES)

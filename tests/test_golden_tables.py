@@ -1,4 +1,4 @@
-"""Byte-level regression gate on the seven suites at their defaults.
+"""Byte-level regression gate on the six suites at their defaults.
 
 Each suite has three hashes: the sha256 of the raw bytes of its
 ``table.csv``, its ``records.json`` and its ``summary.json`` (config,
@@ -26,7 +26,6 @@ GOLDEN_TABLE_SHA256 = {
     "estimate": "28c453530a1af4ea9be8143f8ce85480969bfb3d8c4cc042f8135cb9a75d347b",
     "baseline": "497f39a0a8900ac44ed75e8cd28042fa465c5c55678421bdfb0ebe18e579f2cf",
     "bounds": "adf2d34498aa8c5573903d48f2e23b2d06b9a04735f59bfd822f9f5af342cb78",
-    "bqp": "591f0a3a14091ab6588367638fb12f036bbfe9beaf518bb55c2df13bf805eaeb",
     "apps": "8831a561d137f2948fa0e3d803b0d0b582686c18a78a8cc75783add6948a5c54",
     "separation": "a406d05163c5fa0ae028a311ec518acea4ce1edc7114603b9e12bbd6b08c9456",
 }
@@ -36,7 +35,6 @@ GOLDEN_RECORDS_SHA256 = {
     "estimate": "6d6e30f04f0642212e624175dea4255d0a47d0de7c463a144eea2a93c4d9d242",
     "baseline": "ac1505f10cdd6c440fee71cec4efd8698cf2d5ff837c607e8d3b7e902269b1d1",
     "bounds": "f9cbe636e83e9ec26d414716747c03e7c25fd14b741cfcff83c7dff8c0751d8c",
-    "bqp": "76651d71a214cf7cb2189760127b15b6fe0cfdc7af9191797fe64fc5dd0dc759",
     "apps": "2307029f3bf2221275ddfa2b28a6b59f64b451c5b5c5522ac177fe17e4ce9e46",
     "separation": "8666eff97fcf0d611f275fb399f6f6a0f478b86bfcf68d105bd0ef62fe74ebfc",
 }
@@ -46,7 +44,6 @@ GOLDEN_SUMMARY_SHA256 = {
     "estimate": "c48bb9fffa6e7dc5fc36034aa9b220c15e736752c9cbceb43fa2653f0a7610fd",
     "baseline": "62f9a9d8402286ea649ac8a4fbee2e13fce85a915f63162c37d598813f0afc2d",
     "bounds": "6d495ee98374147b25f7db0294263c3f159cf7d3e97d328d61b5746f0beb4145",
-    "bqp": "57987b500ef0d0dab2e1a8495db50183fc1a32f125564605c711961c59f45757",
     "apps": "6483352ccad9605bf82bfc0d1913a51989af0dd18b23bf330df91ac398e742a9",
     "separation": "857ed7376a68a3ac87544587aa4122f1e73d5b2373b4b6a568ee3ecc8de52820",
 }
@@ -79,9 +76,6 @@ RECORD_KEY_PATHS = {
         "norm_closed_form", "norm_direct", "rows[].fidelity", "rows[].m",
         "rows[].success_lower_bound", "t_star",
     ]) + _under("spec", ["c", "eps", "experiment", "k", "obs"]),
-    "bqp": _under("report", [
-        "bernoulli_ok", "identity_defect", "lambda", "p_x", "thresholds[]", "trace_power",
-    ]) + _under("spec", ["k", "q", "r_qubits", "run", "seed"]),
     "apps": ["application"] + _under("report", [
         "covered", "error_bound", "ratio_estimate",
         *_under("trace_power", _ESTIMATION_REPORT),
