@@ -2,7 +2,9 @@
 memory, for n = 1..10 system qubits.
 
 Each row is one full-rank instance (k = 16, eps = 0.05, random Hermitian O,
-seed = n):
+seed = n), measured ``RUNS`` = 5 times; each column is the median of its 5
+values, since single runs spike. A run records ``runs_per_row``; rows of a
+run without it are single runs. The columns:
 
 - ``observable_s``: wall time of ``make_observable`` (rows recorded before
   this column existed lack it);
@@ -18,12 +20,11 @@ seed = n):
   left allocated (``tracemalloc.reset_peak`` between the two stages).
   Rows recorded before these two columns existed lack them.
 
-Every figure is a single run. The powertrace that is measured is the one
-in this checkout's ``src/``. Results are stored under ``--label`` in the
-output file, next to the runs already there, so several versions of the
-package can be recorded in one file. The file is append-only: a label it
-already holds is refused (exit 2) before anything is measured, and the file
-is left as it was:
+The powertrace that is measured is the one in this checkout's ``src/``.
+Results are stored under ``--label`` in the output file, next to the runs
+already there, so several versions of the package can be recorded in one
+file. The file is append-only: a label it already holds is refused (exit 2)
+before anything is measured, and the file is left as it was:
 
     python3 benchmarks/estimator_reach.py --label after
     python3 benchmarks/estimator_reach.py --label after --max-n 7 --out /tmp/reach.json
@@ -35,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -49,10 +51,12 @@ import powertrace as pt  # noqa: E402
 
 K = 16
 EPS = 0.05
+RUNS = 5
 MIB = 2 ** 20
 
 
 def measure(n: int) -> dict:
+    """One run of the row for ``n`` qubits."""
     spec = pt.InstanceSpec(qubits=n, rank=2 ** n, seed=n)
     start = time.perf_counter()
     obs = pt.make_observable(spec)
@@ -99,13 +103,15 @@ def main(argv=None) -> int:
 
     rows = []
     for n in range(1, args.max_n + 1):
-        rows.append(measure(n))
+        runs = [measure(n) for _ in range(RUNS)]
+        rows.append({key: statistics.median(run[key] for run in runs) for key in runs[0]})
         print(json.dumps(rows[-1]), flush=True)
     doc["config"] = {
         "k": K,
         "eps": EPS,
         "instance": "full rank, random Hermitian O, seed = n",
-        "note": "single runs on a shared machine: read them as orders of magnitude",
+        "note": "a row is the median of runs_per_row runs, column by column (a run without runs_per_row is a "
+                "single run), on a shared machine: read them as orders of magnitude",
     }
     doc.setdefault("runs", {})[args.label] = {
         "env": {
@@ -114,6 +120,7 @@ def main(argv=None) -> int:
             "nproc": os.cpu_count(),
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         },
+        "runs_per_row": RUNS,
         "rows": rows,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -363,21 +363,19 @@ def renyi_entropy(
     on [max(t - eps, dim^(1-alpha)), 1], the smallest interval the true
     trace power can occupy given the estimate.
     """
-    if not isinstance(alpha_order, (int, np.integer)) or alpha_order < 2:
-        raise ValidationError(f"entropy order must be an integer >= 2, got {alpha_order!r}")
-    report = _trace_powers(purification, [int(alpha_order)], eps, [seed], mode)[0]
-    t_est = report.estimate.real
+    report = _trace_powers(purification, [alpha_order], eps, [seed], mode)[0]
+    t_est, alpha = report.estimate.real, report.k
     if t_est - eps <= 0.0:
         raise UnreliableEstimateError(
             f"trace-power estimate {t_est} minus eps {eps} is not positive; "
             "logarithm undefined in this regime"
         )
-    floor = float(purification.state.dim) ** (1 - int(alpha_order))
+    floor = float(purification.state.dim) ** (1 - alpha)
     # interval must contain the true power (>= max(t - eps, floor)) and the
     # estimate itself, which can dip below the floor
     t_min = min(max(t_est - eps, floor), t_est)
-    value = math.log(t_est) / (1 - int(alpha_order))
-    error_bound = eps / ((int(alpha_order) - 1) * t_min)
+    value = math.log(t_est) / (1 - alpha)
+    error_bound = eps / ((alpha - 1) * t_min)
     return EntropyEstimate(value=value, error_bound=error_bound, trace_power=report)
 
 
@@ -392,12 +390,10 @@ def tsallis_entropy(
     Tr(rho^q) / (1 - q). It is linear in the trace power, so the error
     bound is eps / (q - 1).
     """
-    if not isinstance(q, (int, np.integer)) or q < 2:
-        raise ValidationError(f"entropy order must be an integer >= 2, got {q!r}")
-    report = _trace_powers(purification, [int(q)], eps, [seed], mode)[0]
+    report = _trace_powers(purification, [q], eps, [seed], mode)[0]
     return EntropyEstimate(
-        value=report.estimate.real / (1 - int(q)),
-        error_bound=eps / (int(q) - 1),
+        value=report.estimate.real / (1 - report.k),
+        error_bound=eps / (report.k - 1),
         trace_power=report,
     )
 
@@ -412,27 +408,26 @@ class VdRatioResult:
     denominator: EstimationReport
 
 
-def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps_num: float,
-                   eps_den: float, seeds: list, mode: str = "sampled") -> list[VdRatioResult]:
+def vd_ratio_stack(purification: PurifiedState, o: Observable, k: int, eps: float, seeds: list,
+                   mode: str = "sampled") -> list[VdRatioResult]:
     """Estimate Tr(rho^k O) / Tr(rho^k), the distilled expectation value, for
-    each record of a stack (one per seed) from two ``estimate_stack`` calls.
-    The ratio's bound |a/b - a~/b~| <= |a - a~|/b + |a| |b - b~| / b^2 is
-    evaluated with b replaced by (b~ - eps_den) and |a| by (|a~| + eps_num);
-    a record whose b~ is at most eps_den is refused alone, with nan for both.
+    each record of a stack (one per seed) from two ``estimate_stack`` calls,
+    each half to additive error ``eps``. The ratio's bound
+    |a/b - a~/b~| <= |a - a~|/b + |a| |b - b~| / b^2 is evaluated with b
+    replaced by (b~ - eps) and |a| by (|a~| + eps); a record whose b~ is at
+    most eps is refused alone, with nan for both.
     Each estimate carries its own amplitude-estimation success probability,
     so the joint success is their product (no boosting applied here)."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise ValidationError(f"distillation needs integer k >= 2, got {k!r}")
-    ks = [int(k)] * len(seeds)
-    nums = estimate_stack(purification, o, ks, eps_num, derive_seeds(seeds, [100] * len(seeds)), mode)
-    dens = _trace_powers(purification, ks, eps_den, derive_seeds(seeds, [200] * len(seeds)), mode)
+    ks = [k] * len(seeds)
+    nums = estimate_stack(purification, o, ks, eps, derive_seeds(seeds, [100] * len(seeds)), mode)
+    dens = _trace_powers(purification, ks, eps, derive_seeds(seeds, [200] * len(seeds)), mode)
     results = []
     for num, den in zip(nums, dens, strict=True):
         a_est, b_est = num.estimate.real, den.estimate.real
-        if b_est <= eps_den:
+        if b_est <= eps:
             results.append(VdRatioResult(math.nan, math.nan, num, den))
             continue
-        b_low = b_est - eps_den
-        error_bound = eps_num / b_low + (abs(a_est) + eps_num) * eps_den / b_low ** 2
+        b_low = b_est - eps
+        error_bound = eps / b_low + (abs(a_est) + eps) * eps / b_low ** 2
         results.append(VdRatioResult(a_est / b_est, error_bound, num, den))
     return results

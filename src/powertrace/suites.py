@@ -5,12 +5,15 @@ defaults, its runner, its table columns and the config keys the shared
 command-line flags set. A runner returns ``(records, stats, gates)``: the
 records are the suite's only data, ``stats`` its ungated summary figures,
 and ``gates`` its ``Gate``s, each a measured value and the bound it must
-meet. ``run_suite_config`` alone decides the verdict: ``pass`` is true
-when every gate is ok, and the run exits 0, or else it names each failed
-gate on stderr and exits 1. ``table.csv`` is a projection of the records:
-each column names a dotted path into a record ("report.estimate.re"),
-with "|"-separated fallbacks for tables that mix record kinds
-("report.m_star|report.t_star"), and a cell no path reaches is nan.
+meet. A fitted exponent is gated only over at least two distinct x
+(``approx``'s degree slope over three); over fewer, where a fit over one x
+is undefined, its slope is an ungated stat. ``run_suite_config`` alone
+decides the verdict: ``pass`` is true when every gate is ok, and the run
+exits 0, or else it names each failed gate on stderr and exits 1.
+``table.csv`` is a projection of the records: each column names a dotted
+path into a record ("report.estimate.re"), with "|"-separated fallbacks
+for tables that mix record kinds ("report.m_star|report.t_star"), and a
+cell no path reaches is nan.
 
 Every suite resolves a flat JSON config (defaults <- config file <- CLI
 overrides), runs its records, and writes
@@ -79,7 +82,7 @@ from .linalg import DensityMatrix, trace_power_obs_oracle
 
 APPROX_SLOPE_RANGE = (0.4, 0.6)  # degree ~ sqrt(k)
 ESTIMATE_PASS_THRESHOLD = AE_SUCCESS_PROB - 0.05  # share of estimates within eps
-BASELINE_SLOPE_TOLERANCE = 0.05  # stderr ~ shots^(-1/2)
+BASELINE_SLOPE_WINDOW = (-0.5499999999999999, -0.45)  # stderr ~ shots^(-1/2): the floats s with |s + 0.5| <= 0.05
 HELSTROM_RATIO_WINDOW = (0.875, 1.125)  # m* ~ k: the m* ratio over the k ratio
 LECAM_EXPONENT_WINDOW = (1.9, 2.1)  # copies ~ 1/eps^2
 HYBRID_EXPONENT_WINDOW = (0.95, 1.05)  # t* ~ 1/eps
@@ -242,6 +245,16 @@ class Gate(NamedTuple):
         return (low is None or low <= self.value) and (high is None or self.value <= high)
 
 
+def _fit_gate(name: str, xs, ys, bound, gates: list, stats: dict, least: int = 2) -> None:
+    """Append the gate ``name`` on the log-log slope of ``ys`` against ``xs`` to ``gates`` over at least
+    ``least`` distinct x; over fewer, the slope goes to ``stats`` ungated (over one x it is undefined)."""
+    slope = _log_slope(xs, ys)
+    if len(set(xs)) >= least:
+        gates.append(Gate(name, slope, bound))
+    else:
+        stats[name] = slope
+
+
 # --------------------------------------------------------------------------
 # suite runners: run(cfg) -> (records, stats, gates)
 # --------------------------------------------------------------------------
@@ -262,14 +275,11 @@ def _suite_approx(cfg: dict):
             "chernoff_tail": chernoff_tail,
             "within_eps": bool(measured <= eps),
         }})
-    ks = [r["spec"]["k"] for r in records]
     within = [r["report"]["within_eps"] for r in records]
-    slope = _log_slope(ks, [r["report"]["empirical_degree"] for r in records])
     stats, gates = {"pass_fraction": float(np.mean(within))}, [Gate("all_within_eps", all(within), True)]
-    if len(set(ks)) >= 3:  # a scaling fit needs a few decades; short sweeps only gate on accuracy
-        gates.append(Gate("empirical_degree_slope", slope, APPROX_SLOPE_RANGE))
-    else:
-        stats["empirical_degree_slope"] = slope
+    # a degree fit needs a few decades: shorter sweeps gate on accuracy alone
+    _fit_gate("empirical_degree_slope", cfg["k_values"], [r["report"]["empirical_degree"] for r in records],
+              APPROX_SLOPE_RANGE, gates, stats, least=3)
     return records, stats, gates
 
 
@@ -310,20 +320,12 @@ def _suite_baseline(cfg: dict):
             result = swap_test_estimate(rho, obs, cfg["k"], shots, seed=derive_seed(cfg["seed"], 100 * i + rep))
             stderrs.append(result.stderr)
             records.append({"spec": spec.to_json(), "report": {
-                "shots": shots,
-                "repeat": rep,
-                "mean": result.mean,
-                "stderr": result.stderr,
-                "copies_used": result.copies_used,
-                "mode": result.mode,
-                "oracle_value": oracle,
-                "abs_error": abs(result.mean - oracle),
-            }})
+                **vars(result), "shots": shots, "repeat": rep, "oracle_value": oracle,
+                "abs_error": abs(result.mean - oracle)}})
         mean_stderrs.append(float(np.mean(stderrs)))
-    # the slopes s with |s + 0.5| <= tolerance: s + 0.5 is exact near -0.5, so an end rounded outside steps in
-    window = tuple(end if abs(end + 0.5) <= BASELINE_SLOPE_TOLERANCE else math.nextafter(end, -0.5)
-                   for end in (-0.5 - BASELINE_SLOPE_TOLERANCE, -0.5 + BASELINE_SLOPE_TOLERANCE))
-    return records, {}, [Gate("stderr_slope", _log_slope(cfg["shots_list"], mean_stderrs), window)]
+    stats, gates = {}, []
+    _fit_gate("stderr_slope", cfg["shots_list"], mean_stderrs, BASELINE_SLOPE_WINDOW, gates, stats)
+    return records, stats, gates
 
 
 def _suite_bounds(cfg: dict):
@@ -334,17 +336,8 @@ def _suite_bounds(cfg: dict):
     for k in cfg["k_values"]:
         table = helstrom_experiment(k, float(cfg["c"]), [0, k, 4 * k])
         m_stars.append(table.m_star)
-        records.append({
-            "spec": {"experiment": "helstrom", "k": k, "c": float(cfg["c"])},
-            "report": {
-                "m_star": table.m_star,
-                "eps_prime": table.eps_prime,
-                "rows": [
-                    {"m": r.m, "fidelity": r.fidelity, "success_lower_bound": r.success_lower_bound}
-                    for r in table.rows
-                ],
-            },
-        })
+        records.append({"spec": {"experiment": "helstrom", "k": k, "c": float(cfg["c"])}, "report": {
+            "m_star": table.m_star, "eps_prime": table.eps_prime, "rows": [vars(row) for row in table.rows]}})
 
     kl_values = []
     for eps in map(float, cfg["eps_grid"]):
@@ -362,22 +355,18 @@ def _suite_bounds(cfg: dict):
     for eps in map(float, cfg["hybrid_eps_grid"]):
         table = hybrid_bound_demo(z, eps)
         t_stars.append(table.t_star)
-        records.append({"spec": {"experiment": "hybrid", "eps": eps, "obs": "Z"}, "report": {
-            "delta": table.delta,
-            "norm_direct": table.norm_direct,
-            "norm_closed_form": table.norm_closed_form,
-            "t_star": table.t_star,
-        }})
+        records.append({"spec": {"experiment": "hybrid", "eps": eps, "obs": "Z"}, "report": vars(table)})
 
-    lecam_slope = _log_slope([1.0 / float(e) for e in cfg["eps_grid"]], [1.0 / kl for kl in kl_values])
-    hybrid_slope = _log_slope([1.0 / float(e) for e in cfg["hybrid_eps_grid"]], t_stars)
-    gates = [Gate("lecam_copies_exponent", lecam_slope, LECAM_EXPONENT_WINDOW),
-             Gate("hybrid_t_star_exponent", hybrid_slope, HYBRID_EXPONENT_WINDOW)]
+    stats, gates = {"helstrom_m_stars": m_stars}, []
     if len(m_stars) >= 2:  # m* ~ k: the last m* over the first, against the last k over the first
         expected_ratio = cfg["k_values"][-1] / cfg["k_values"][0]
-        gates.insert(0, Gate("helstrom_ratio", m_stars[-1] / m_stars[0],
-                             tuple(bound * expected_ratio for bound in HELSTROM_RATIO_WINDOW)))
-    return records, {"helstrom_m_stars": m_stars}, gates
+        gates.append(Gate("helstrom_ratio", m_stars[-1] / m_stars[0],
+                          tuple(bound * expected_ratio for bound in HELSTROM_RATIO_WINDOW)))
+    _fit_gate("lecam_copies_exponent", [1.0 / float(e) for e in cfg["eps_grid"]], [1.0 / kl for kl in kl_values],
+              LECAM_EXPONENT_WINDOW, gates, stats)
+    _fit_gate("hybrid_t_star_exponent", [1.0 / float(e) for e in cfg["hybrid_eps_grid"]], t_stars,
+              HYBRID_EXPONENT_WINDOW, gates, stats)
+    return records, stats, gates
 
 
 def _vd_records(cfg: dict, indices: range) -> list[dict]:
@@ -387,7 +376,7 @@ def _vd_records(cfg: dict, indices: range) -> list[dict]:
     specs = [InstanceSpec(qubits=cfg["qubits"], rank=cfg["rank"], seed=seed, k=k, eps=eps,
                           observable_kind="pauli:Z" + "I" * (cfg["qubits"] - 1)) for seed in seeds]
     results = vd_ratio_stack(purify(make_states(specs[0], seeds)), make_observables(specs[0], seeds),
-                             k, eps, eps, seeds, mode=cfg["mode"])
+                             k, eps, seeds, mode=cfg["mode"])
     records = []
     for index, spec, result in zip(indices, specs, results):
         # each half's report carries its exact oracle Tr(rho^k O) / Tr(rho^k)
@@ -412,17 +401,11 @@ def _suite_apps(cfg: dict):
     )
     for offset, (application, entropy, order, qubits, true_value) in enumerate(entropies):
         dim = 2 ** qubits
-        est = entropy(
-            purify(DensityMatrix(np.eye(dim, dtype=complex) / dim)), order,
-            float(cfg["entropy_eps"]), mode=cfg["entropy_mode"],
-            seed=derive_seed(cfg["seed"], offset),
-        )
-        records.append({
-            "spec": {"application": application, "order": order, "state": f"max_mixed_{qubits}q"},
-            "report": {"value": est.value, "error_bound": est.error_bound, "true_value": true_value,
-                       "within_bound": bool(abs(est.value - true_value) <= est.error_bound),
-                       "trace_power": est.trace_power.to_json()},
-        })
+        est = entropy(purify(DensityMatrix(np.eye(dim, dtype=complex) / dim)), order, float(cfg["entropy_eps"]),
+                      mode=cfg["entropy_mode"], seed=derive_seed(cfg["seed"], offset))
+        records.append({"spec": {"application": application, "order": order, "state": f"max_mixed_{qubits}q"},
+                        "report": {**vars(est), "trace_power": est.trace_power.to_json(), "true_value": true_value,
+                                   "within_bound": bool(abs(est.value - true_value) <= est.error_bound)}})
     renyi_ok, tsallis_ok = (r["report"]["within_bound"] for r in records)
 
     vd = _map_chunks(partial(_vd_records, cfg), cfg["vd_runs"], 2 ** cfg["qubits"])
@@ -459,10 +442,12 @@ def _suite_separation(cfg: dict):
                        "abs_error": abs(report.estimate - report.oracle_value),
                        "estimator": report.to_json()},
         })
-    swap_exp = _log_slope(ks, [r["report"]["swap_copies"] for r in records])
-    query_exp = _log_slope(ks, [r["report"]["estimator"]["u_rho_queries_total"] for r in records])
-    return records, {}, [Gate("swap_copies_exponent", swap_exp, SWAP_EXPONENT_RANGE),
-                         Gate("qsvt_queries_exponent", query_exp, (None, QUERY_EXPONENT_MAX))]
+    stats, gates = {}, []
+    _fit_gate("swap_copies_exponent", ks, [r["report"]["swap_copies"] for r in records], SWAP_EXPONENT_RANGE,
+              gates, stats)
+    _fit_gate("qsvt_queries_exponent", ks, [r["report"]["estimator"]["u_rho_queries_total"] for r in records],
+              (None, QUERY_EXPONENT_MAX), gates, stats)
+    return records, stats, gates
 
 
 # --------------------------------------------------------------------------

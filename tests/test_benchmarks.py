@@ -35,6 +35,16 @@ def test_estimator_reach_keeps_each_labelled_run(tmp_path, capsys):
         assert row["model_error"] <= 0.05 / 2
 
 
+def test_estimator_reach_rows_are_medians_of_five_runs(tmp_path, monkeypatch, capsys):
+    reach = _load()
+    values = iter([3.0, 1.0, 9.0, 2.0, 5.0])
+    monkeypatch.setattr(reach, "measure", lambda n: {"n": n, "estimate_s": next(values)})
+    out = tmp_path / "BENCH_estimator.json"
+    assert reach.main(["--label", "a", "--max-n", "1", "--out", str(out)]) == 0
+    run = json.loads(out.read_text())["runs"]["a"]
+    assert run["runs_per_row"] == 5 and run["rows"] == [{"n": 1, "estimate_s": 3.0}]
+
+
 SUITES_SCRIPT = SCRIPT.parent / "suites_wall.py"
 
 

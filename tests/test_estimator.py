@@ -747,7 +747,7 @@ def test_tsallis_printed_form():
 def test_vd_ratio_pure_state():
     rho = random_density(2, 1, seed=12)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.01, 0.01, [0], mode="ideal")[0]
+    result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.01, [0], mode="ideal")[0]
     expected = pt.trace_power_obs_oracle(rho, obs, 1).real  # <psi|O|psi>
     assert abs(result.ratio_estimate - expected) <= result.error_bound
 
@@ -758,21 +758,21 @@ def test_vd_ratio_distills_dominant_eigenvector():
     psi /= np.linalg.norm(psi)
     rho = pt.DensityMatrix(0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(4) / 4)
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    result = pt.vd_ratio_stack(pt.purify(rho), obs, 20, 2e-3, 2e-3, [1], mode="ideal")[0]
+    result = pt.vd_ratio_stack(pt.purify(rho), obs, 20, 2e-3, [1], mode="ideal")[0]
     pure_expectation = float(np.real(psi.conj() @ obs.mat @ psi))
     assert abs(result.ratio_estimate - pure_expectation) <= 0.02
 
 
 def test_vd_ratio_refuses_vanishing_denominator():
-    """Tr((I/4)^8) = 4^-7 is below eps_den: that record's ratio and bound are
+    """Tr((I/4)^8) = 4^-7 is below eps: that record's ratio and bound are
     nan, and the other record of the stack is what it is alone."""
     pure = random_density(2, 1, seed=12)
     stack = pt.DensityMatrix(np.stack([np.eye(4, dtype=complex) / 4, pure.mat]))
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
-    refused, kept = pt.vd_ratio_stack(pt.purify(stack), obs, 8, 0.01, 0.01, [2, 0], mode="ideal")
+    refused, kept = pt.vd_ratio_stack(pt.purify(stack), obs, 8, 0.01, [2, 0], mode="ideal")
     assert refused.denominator.estimate.real <= 0.01
     assert math.isnan(refused.ratio_estimate) and math.isnan(refused.error_bound)
-    assert kept == pt.vd_ratio_stack(pt.purify(pure), obs, 8, 0.01, 0.01, [0], mode="ideal")[0]
+    assert kept == pt.vd_ratio_stack(pt.purify(pure), obs, 8, 0.01, [0], mode="ideal")[0]
     assert math.isfinite(kept.ratio_estimate) and math.isfinite(kept.error_bound)
 
 
@@ -795,7 +795,7 @@ def test_vd_ratio_bound_covers_in_most_runs():
     obs = pt.Observable(np.kron(Z, np.eye(2)).astype(complex))
     for seed in range(runs):
         rho = random_density(2, 2, seed=seed)
-        result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.02, 0.02, [seed])[0]
+        result = pt.vd_ratio_stack(pt.purify(rho), obs, 4, 0.02, [seed])[0]
         true_ratio = (
             pt.trace_power_obs_oracle(rho, obs, 4).real
             / pt.trace_power_obs_oracle(rho, pt.Observable(np.eye(4, dtype=complex)), 4).real
@@ -851,10 +851,10 @@ def test_vd_ratio_stack_is_its_records_alone():
     spec = pt.InstanceSpec(qubits=2, rank=2, seed=0)
     obs = pt.make_observable(pt.InstanceSpec(qubits=2, rank=2, seed=0, observable_kind="pauli:ZI"))
     seeds = [3, 4, 5]
-    stack = pt.vd_ratio_stack(pt.purify(instances.make_states(spec, seeds)), obs, 4, 0.02, 0.02, seeds)
+    stack = pt.vd_ratio_stack(pt.purify(instances.make_states(spec, seeds)), obs, 4, 0.02, seeds)
     for seed, result in zip(seeds, stack):
         state = pt.make_state(dataclasses.replace(spec, seed=seed))
-        assert result == pt.vd_ratio_stack(pt.purify(state), obs, 4, 0.02, 0.02, [seed])[0]
+        assert result == pt.vd_ratio_stack(pt.purify(state), obs, 4, 0.02, [seed])[0]
 
 
 def test_stacked_instances_are_their_seeds_alone():
@@ -885,6 +885,17 @@ def test_stack_needs_one_k_and_seed_per_record():
         estimator.estimate_stack(pur, obs, [4, 1], 0.05, [1, 2])
     one = pt.purify(pt.make_state(spec))
     assert estimator.estimate_stack(one, obs, [4], 0.05, [1]) == [pt.estimate_trace_power(one, obs, 4, 0.05, seed=1)]
+
+
+@pytest.mark.parametrize("order", [1, 2.0, True])
+def test_entropies_and_distillation_refuse_an_order_through_estimate_stack(order):
+    """Each application passes its order on unconverted; ``estimate_stack`` alone refuses a power that is not
+    an integer >= 2."""
+    pur = pt.purify(pt.make_state(pt.InstanceSpec(qubits=1, rank=2, seed=0)))
+    for refused in (lambda: pt.renyi_entropy(pur, order, 0.05), lambda: pt.tsallis_entropy(pur, order, 0.05),
+                    lambda: pt.vd_ratio_stack(pur, pt.Observable(Z), order, 0.05, [0])):
+        with pytest.raises(pt.ValidationError, match="k >= 2, one per seed"):
+            refused()
 
 
 @pytest.mark.parametrize("n", [6, 8])

@@ -101,7 +101,25 @@ def test_a_pure_baseline_names_its_nan_slope(tmp_path, capsys):
 
 
 def test_short_sweeps_report_their_fit_ungated(tmp_path, capsys):
-    """approx gates its degree slope only over three distinct k, and bounds its m* ratio only over two k."""
+    """A fit over too few x is a summary key, not a gate: approx's degree slope needs three distinct k, bounds'
+    m* ratio two k, and every other fitted exponent two distinct x. A fit over one x is nan and exits 0."""
+    one_eps = tmp_path / "one_eps.json"
+    one_eps.write_text(json.dumps({"eps_grid": [0.1]}))
+    one_hybrid_eps = tmp_path / "one_hybrid_eps.json"
+    one_hybrid_eps.write_text(json.dumps({"hybrid_eps_grid": [0.03]}))
+    cases = [  # (suite, flags, the gates kept in their order, the slopes reported ungated as nan)
+        ("separation", ["--k", "4"], [], ["swap_copies_exponent", "qsvt_queries_exponent"]),
+        ("baseline", ["--shots", "100"], [], ["stderr_slope"]),
+        ("bounds", ["--config", str(one_eps)], ["helstrom_ratio", "hybrid_t_star_exponent"],
+         ["lecam_copies_exponent"]),
+        ("bounds", ["--config", str(one_hybrid_eps)], ["helstrom_ratio", "lecam_copies_exponent"],
+         ["hybrid_t_star_exponent"]),
+    ]
+    for i, (suite, flags, kept, ungated) in enumerate(cases):
+        code, summary, err = _run(suite, tmp_path / str(i), capsys, *flags)
+        assert code == 0 and summary["pass"] is True and err == [], (suite, flags)
+        assert [gate["name"] for gate in summary["gates"]] == kept
+        assert [summary[name] for name in ungated] == ["nan"] * len(ungated)
     code, summary, _ = _run("approx", tmp_path / "approx", capsys, "--k", "8,16")
     assert code == 0 and [gate["name"] for gate in summary["gates"]] == ["all_within_eps"]
     assert 0.0 < summary["empirical_degree_slope"] < 1.0
@@ -111,8 +129,8 @@ def test_short_sweeps_report_their_fit_ungated(tmp_path, capsys):
 
 
 def test_baseline_window_is_the_tolerance_test(monkeypatch):
-    """The stderr slope s passes exactly when |s + 0.5| <= tolerance, at each float beside both ends."""
-    tol, slopes = suites.BASELINE_SLOPE_TOLERANCE, []
+    """The stderr slope s passes exactly when |s + 0.5| <= 0.05, at each float beside both ends."""
+    tol, slopes = 0.05, []
     for end in (-0.5 - tol, -0.5 + tol):
         for step in range(-3, 4):
             slope = end

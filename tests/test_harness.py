@@ -299,6 +299,16 @@ def test_package_imports_without_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_package_import_leaves_out_the_cli_stack():
+    """A bare ``import powertrace`` loads neither the suites and CLI nor what only they need (``hashlib``
+    pulls in OpenSSL)."""
+    heavy = ["powertrace.suites", "powertrace.cli", "argparse", "hashlib"]
+    code = f"import sys, powertrace; print([name for name in {heavy!r} if name in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------------ CLI runs
 
 def _python_m_powertrace(argv, cwd):
