@@ -37,11 +37,9 @@ from .chebyshev import (
 from .blockenc import PurifiedState, halmos_dilate, purify
 from .estimator import (
     AE_SUCCESS_PROB,
-    AeOutcome,
     EntropyEstimate,
     EstimationReport,
     VdRatioResult,
-    amplitude_estimate,
     estimate_trace_power,
     renyi_entropy,
     tsallis_entropy,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AE_SUCCESS_PROB",
-    "AeOutcome",
     "ConstructionError",
     "ContractError",
     "DensityMatrix",
@@ -84,7 +81,6 @@ __all__ = [
     "UnreliableEstimateError",
     "ValidationError",
     "VdRatioResult",
-    "amplitude_estimate",
     "clenshaw_eval",
     "discrimination_instance",
     "estimate_trace_power",

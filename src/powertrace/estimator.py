@@ -26,16 +26,19 @@ the products, the sums, the oracle and the readout once over the record
 axis; ``estimate_trace_power`` is its one-record case, and
 ``vd_ratio_stack`` makes two of its calls.
 
-The readout draws the phase-estimation outcome exactly in O(log K) time
-and O(1) memory on a K = 2^t point grid, as the circuit produces it:
-``amplitude_estimate`` picks one of the two rotation branches with a fair
-coin, then measures the t counting qubits one at a time (the
+``_readouts`` is the one route from a draw's (P(0), K) to its estimate.
+``ideal`` returns P(0) pushed exactly to the edge of the error bound, a
+deterministic worst case for budget checks. ``sampled`` draws the
+phase-estimation outcome y exactly in O(log K) time and O(1) memory on a
+K = 2^t point grid, as the circuit produces it, and returns
+sin^2(pi y / K): ``_draw_outcome`` picks one of the two rotation branches
+with a fair coin, then measures the t counting qubits one at a time (the
 semiclassical inverse QFT), each bit from a Bernoulli law set by the
 phase and the bits already drawn, all 1 + t uniforms from one call.
 Setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``.
 A stack of ``STACK_SEEDS`` or more sampled draws hashes its seeds as
 arrays (``instances.derive_seeds``, ``instances.generators``) and decides
-each bit for all its draws at once, to the same outcomes (``_readouts``).
+each bit for all its draws at once, to the same outcomes (``_draw_outcomes``).
 
 The simulated Hadamard-test circuit, the block identity
 ``closed_form_p_zero`` and the dense K-point outcome law that these are
@@ -57,16 +60,6 @@ from .qsvt import transform_spectra
 
 AE_SUCCESS_PROB = 8.0 / math.pi ** 2
 _MAX_AE_GRID = 2 ** 26
-
-
-@dataclass(frozen=True)
-class AeOutcome:
-    """One draw of the simulated amplitude-estimation readout."""
-
-    p_estimate: float
-    grid_size_K: int
-    raw_outcome_index: int
-    within_bound: bool
 
 
 @dataclass(frozen=True)
@@ -138,11 +131,6 @@ def ae_error_bound(p: float, grid_size: int) -> float:
     )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("sampled", "ideal"):
-        raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
-
-
 def _bit_probability(phi: float, t: int, m: int, low: int) -> float:
     """P(y_m = 1) for bit m of the t-qubit phase-estimation outcome y, given
     its lower bits low = y mod 2^m: sin^2(pi (2^(t-1-m) phi - low / 2^(m+1))).
@@ -199,51 +187,6 @@ def _checked_probability(p_true: float) -> float:
     return min(max(p_true, 0.0), 1.0)
 
 
-def amplitude_estimate(
-    p_true: float, K: int, mode: str = "sampled", rng_seed: int = 0
-) -> AeOutcome:
-    """Simulate one amplitude-estimation readout of a probability.
-
-    ``sampled`` draws a grid outcome y from the canonical phase-estimation
-    distribution and returns sin^2(pi y / K). The draw is exact and costs
-    O(log K) time and O(1) memory: the counting register is measured one
-    qubit at a time (see ``_draw_outcome``). ``ideal`` returns the true
-    probability pushed exactly to the edge of the error bound, for
-    deterministic worst-case budget checks. K is an integer >= 2, and in
-    ``sampled`` mode the 2^t <= ``_MAX_AE_GRID`` outcomes of t counting qubits.
-    ``rng_seed`` is a seed or a ``Generator``, which ``default_rng`` returns as is.
-    """
-    p_true = _checked_probability(p_true)
-    _check_mode(mode)
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise ValidationError(f"grid size must be an integer >= 2, got {K!r}")
-    if mode == "sampled" and (K & (K - 1) or K > _MAX_AE_GRID):
-        raise ValidationError(
-            f"sampled mode needs a power-of-two grid size <= {_MAX_AE_GRID}, "
-            f"got {K!r}"
-        )
-    bound = ae_error_bound(p_true, K)
-    if mode == "ideal":
-        p_est = p_true + bound
-        if p_est > 1.0:
-            p_est = max(0.0, p_true - bound)
-        return AeOutcome(
-            p_estimate=p_est,
-            grid_size_K=int(K),
-            raw_outcome_index=-1,
-            within_bound=True,
-        )
-    theta = math.asin(math.sqrt(p_true)) / math.pi
-    y = _draw_outcome(theta, int(K), np.random.default_rng(rng_seed))
-    p_est = math.sin(math.pi * y / K) ** 2
-    return AeOutcome(
-        p_estimate=p_est,
-        grid_size_K=int(K),
-        raw_outcome_index=y,
-        within_bound=abs(p_est - p_true) <= bound + 1e-12,
-    )
-
-
 def choose_ae_grid(eps_prime: float) -> int:
     """Smallest power-of-two K with 2 pi / K + pi^2 / K^2 <= eps_prime."""
     if eps_prime <= 0:
@@ -260,19 +203,27 @@ def choose_ae_grid(eps_prime: float) -> int:
 
 
 def _readouts(draws: list, mode: str, seeds: list, settings: int) -> list[float]:
-    """The estimate of each (P(0), K) of ``draws``, ``settings`` per record of ``seeds`` (record-major;
-    setting j of the record seeded s reads ``default_rng(derive_seed(s, j))``): by ``_draw_outcomes`` for
-    a sampled stack of ``STACK_SEEDS`` or more draws on one grid, else by ``amplitude_estimate``."""
-    masters = [seed for seed in seeds for _ in range(settings)]  # an ideal readout draws nothing
-    readouts = generators(derive_seeds(masters, [*range(settings)] * len(seeds))) if mode == "sampled" else masters
-    if mode == "ideal" or len(draws) < STACK_SEEDS or len({grid for _, grid in draws}) > 1:
-        return [amplitude_estimate(p, grid, mode, rng).p_estimate for (p, grid), rng in zip(draws, readouts)]
-    thetas = np.array([math.asin(math.sqrt(_checked_probability(p))) / math.pi for p, _ in draws])
-    K = draws[0][1]
-    uniforms = np.empty((len(draws), K.bit_length()))
-    for row, rng in zip(uniforms, readouts):
-        rng.random(out=row)
-    return [math.sin(math.pi * y / K) ** 2 for y in _draw_outcomes(thetas, K, uniforms).tolist()]
+    """The estimate of each (P(0), K) of ``draws``, ``settings`` per record of ``seeds`` (record-major),
+    each P(0) checked once. ``ideal`` returns p + b, b = ``ae_error_bound(p, K)``, or max(0, p - b) where
+    p + b passes 1, and draws nothing. ``sampled`` returns sin^2(pi y / K) for an outcome y of the phase
+    asin(sqrt(p)) / pi, drawn in O(log K) time and O(1) memory; setting j of the record seeded s reads
+    ``default_rng(derive_seed(s, j))``. A stack of ``STACK_SEEDS`` or more draws on one grid draws its
+    outcomes by ``_draw_outcomes``, any other by ``_draw_outcome``, to the same y."""
+    ps, grids = [_checked_probability(p) for p, _ in draws], [grid for _, grid in draws]
+    if mode == "ideal":
+        edges = [(p, ae_error_bound(p, grid)) for p, grid in zip(ps, grids)]
+        return [p + b if p + b <= 1.0 else max(0.0, p - b) for p, b in edges]
+    masters = [seed for seed in seeds for _ in range(settings)]
+    rngs = generators(derive_seeds(masters, [*range(settings)] * len(seeds)))
+    thetas = [math.asin(math.sqrt(p)) / math.pi for p in ps]
+    if len(draws) < STACK_SEEDS or len(set(grids)) > 1:
+        ys = [_draw_outcome(theta, grid, rng) for theta, grid, rng in zip(thetas, grids, rngs)]
+    else:
+        uniforms = np.empty((len(draws), grids[0].bit_length()))
+        for row, rng in zip(uniforms, rngs):
+            rng.random(out=row)
+        ys = _draw_outcomes(np.array(thetas), grids[0], uniforms).tolist()
+    return [math.sin(math.pi * y / grid) ** 2 for y, grid in zip(ys, grids)]
 
 
 def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: float, seeds: list,
@@ -285,7 +236,8 @@ def estimate_stack(purification: PurifiedState, o: Observable, ks: list, eps: fl
     ks = [int(k) for k in ks]
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must lie in (0, 1], got {eps!r}")
-    _check_mode(mode)
+    if mode not in ("sampled", "ideal"):
+        raise ValidationError(f"unknown amplitude-estimation mode {mode!r}")
     oracles = trace_power_obs_oracles(purification.state, o, ks)  # also checks the stacks pair up
     overlaps, alphas, degrees = _power_overlap(purification, o, ks, eps)
     settings = ["I"] if o.hermitian else ["I", "S_dagger"]

@@ -5,7 +5,7 @@ defaults, its runner, its table columns and the config keys the shared
 command-line flags set. A runner returns ``(records, stats, gates)``: the
 records are the suite's only data, ``stats`` its ungated summary figures,
 and ``gates`` its ``Gate``s, each a measured value and the bound it must
-meet. A fitted exponent is gated only over at least two distinct x
+meet. A fitted exponent is gated only over at least two distinct log x
 (``approx``'s degree slope over three); over fewer, where a fit over one x
 is undefined, its slope is an ungated stat. ``run_suite_config`` alone
 decides the verdict: ``pass`` is true when every gate is ok, and the run
@@ -210,10 +210,10 @@ def _atomic_write(path: str, pieces: list[str]) -> None:
 
 def _log_slope(xs, ys) -> float:
     """The least-squares slope of log y against log x; nan for fewer than
-    two distinct x, or for a y <= 0, which has no logarithm."""
+    two distinct log x, or for a y <= 0, which has no logarithm."""
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 2 or np.allclose(xs, xs[0]) or (ys <= 0).any():
+    if len(set(xs.tolist())) < 2 or (ys <= 0).any():
         return math.nan
     ys = np.log(ys)
     return float(np.polyfit(xs, ys, 1)[0])
@@ -247,9 +247,9 @@ class Gate(NamedTuple):
 
 def _fit_gate(name: str, xs, ys, bound, gates: list, stats: dict, least: int = 2) -> None:
     """Append the gate ``name`` on the log-log slope of ``ys`` against ``xs`` to ``gates`` over at least
-    ``least`` distinct x; over fewer, the slope goes to ``stats`` ungated (over one x it is undefined)."""
+    ``least`` distinct log x; over fewer, the slope goes to ``stats`` ungated (over one it is undefined)."""
     slope = _log_slope(xs, ys)
-    if len(set(xs)) >= least:
+    if len(set(np.log(np.asarray(xs, dtype=float)).tolist())) >= least:
         gates.append(Gate(name, slope, bound))
     else:
         stats[name] = slope

@@ -206,7 +206,7 @@ def ae_outcome_distribution(p_true: float, grid_size: int) -> np.ndarray:
     directions; each branch contributes the squared Dirichlet kernel
     sin^2(K pi d) / (K^2 sin^2(pi d)) at grid offset d, and the branches
     mix with weight 1/2. This dense O(K) law is the reference for
-    ``estimator.amplitude_estimate``'s O(log K) bit-by-bit draw.
+    ``estimator._draw_outcome``'s O(log K) bit-by-bit draw.
     """
     theta = math.asin(math.sqrt(p_true)) / math.pi
     y = np.arange(grid_size)

@@ -123,28 +123,37 @@ def test_hadamard_test_rejects_bad_setting():
         hadamard_test_prob(unitary, pt.purify(rho), "S")
 
 
-# ---------------------------------------------------------- amplitude_estimate
+# ------------------------------------------------------ amplitude estimation
+
+def _theta(p):
+    return math.asin(math.sqrt(p)) / math.pi
+
+
+def _draw_alone(p, K, seed):
+    """The outcome of the one-record draw of ``p`` on the K grid, record seeded ``seed``."""
+    return estimator._draw_outcome(_theta(p), K, np.random.default_rng(instances.derive_seed(seed, 0)))
+
+
+def _ideal_edge(p, K):
+    bound = ae_error_bound(p, K)
+    return p + bound if p + bound <= 1.0 else max(0.0, p - bound)
+
 
 def test_ae_zero_probability_is_exact():
     for seed in range(20):
-        out = pt.amplitude_estimate(0.0, 64, rng_seed=seed)
-        assert out.p_estimate == 0.0
-        assert out.within_bound
+        assert estimator._readouts([(0.0, 64)], "sampled", [seed], 1) == [0.0]
 
 
 def test_ae_one_probability_is_exact():
     for K in (8, 64, 256):
         for seed in range(10):
-            out = pt.amplitude_estimate(1.0, K, rng_seed=seed)
-            assert out.p_estimate == pytest.approx(1.0, abs=1e-12)
+            (p_est,) = estimator._readouts([(1.0, K)], "sampled", [seed], 1)
+            assert p_est == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ae_outcomes_live_on_grid():
-    out = pt.amplitude_estimate(0.37, 128, rng_seed=5)
-    assert 0 <= out.raw_outcome_index < 128
-    assert out.p_estimate == pytest.approx(
-        math.sin(math.pi * out.raw_outcome_index / 128) ** 2, abs=1e-15
-    )
+    (p_est,) = estimator._readouts([(0.37, 128)], "sampled", [5], 1)
+    assert min(abs(p_est - math.sin(math.pi * y / 128) ** 2) for y in range(128)) <= 1e-15
 
 
 def test_ae_coverage_p03_k256():
@@ -161,20 +170,6 @@ def test_ae_distribution_sums_to_one():
         probs = ae_outcome_distribution(p, 64)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
-
-
-def test_ae_rejects_bad_grid():
-    with pytest.raises(pt.ValidationError):
-        pt.amplitude_estimate(0.5, 100)  # not a power of two
-    with pytest.raises(pt.ValidationError):
-        pt.amplitude_estimate(0.5, 1)
-    for mode in ("sampled", "ideal"):
-        with pytest.raises(pt.ValidationError):
-            pt.amplitude_estimate(0.5, 0, mode=mode)
-    with pytest.raises(pt.ValidationError):
-        pt.amplitude_estimate(0.5, 2 * estimator._MAX_AE_GRID)
-    out = pt.amplitude_estimate(0.5, 2 * estimator._MAX_AE_GRID, mode="ideal")
-    assert out.grid_size_K == 2 * estimator._MAX_AE_GRID
 
 
 def _fft_outcome_law(p, K):
@@ -280,8 +275,9 @@ def test_ae_draw_takes_one_uniform_per_counting_qubit():
             assert rng.sizes == [1 + t]
 
 
-# (theta, t, seed, y): amplitude_estimate(sin^2(pi theta), 2^t, rng_seed=seed)
-# reads outcome y; recorded when each draw took its uniforms one at a time.
+# (theta, t, seed, y): the draw of P(0) = sin^2(pi theta) on the 2^t grid from
+# default_rng(seed) reads outcome y; recorded when each draw took its uniforms
+# one at a time.
 _PINNED_AE_OUTCOMES = [
     (0.0, 1, 3, 0), (0.5, 2, 20, 2), (0.123456789, 3, 37, 7), (1 / 3, 4, 54, 5),
     (0.25, 5, 71, 8), (0.07, 6, 88, 4), (0.4999, 7, 105, 64), (1e-07, 8, 122, 0),
@@ -303,8 +299,8 @@ def test_ae_outcomes_are_pinned():
     """Every seeded draw reads the outcome it read when its uniforms were
     drawn one at a time: the one-call draw takes the same uniforms in the
     same order."""
-    got = [(theta, t, seed, pt.amplitude_estimate(math.sin(math.pi * theta) ** 2, 2 ** t,
-                                                  rng_seed=seed).raw_outcome_index)
+    got = [(theta, t, seed, estimator._draw_outcome(_theta(math.sin(math.pi * theta) ** 2), 2 ** t,
+                                                    np.random.default_rng(seed)))
            for theta, t, seed, _ in _PINNED_AE_OUTCOMES]
     assert got == _PINNED_AE_OUTCOMES
 
@@ -319,21 +315,20 @@ def _near_bit_boundaries(t: int) -> list:
 @pytest.mark.parametrize("t", range(1, 27))
 def test_a_stacked_readout_is_each_draw_alone(t, size):
     """The stacked readout reads each draw's outcome and estimate bit for bit as
-    ``amplitude_estimate`` with the same derived seed."""
+    ``_draw_outcome`` alone with the same derived seed."""
     K, ps = 2 ** t, _near_bit_boundaries(t)
     draws, seeds = [(ps[j % len(ps)], K) for j in range(size)], list(range(1000 * t, 1000 * t + size))
-    alone = [pt.amplitude_estimate(p, K, rng_seed=instances.derive_seed(seed, 0)) for (p, _), seed in zip(draws, seeds)]
-    assert estimator._readouts(draws, "sampled", seeds, 1) == [a.p_estimate for a in alone]
-    thetas = np.array([math.asin(math.sqrt(p)) / math.pi for p, _ in draws])
+    alone = [_draw_alone(p, K, seed) for (p, _), seed in zip(draws, seeds)]
+    assert estimator._readouts(draws, "sampled", seeds, 1) == [math.sin(math.pi * y / K) ** 2 for y in alone]
+    thetas = np.array([_theta(p) for p, _ in draws])
     uniforms = np.array([np.random.default_rng(instances.derive_seed(seed, 0)).random(1 + t) for seed in seeds])
-    assert estimator._draw_outcomes(thetas, K, uniforms).tolist() == [a.raw_outcome_index for a in alone]
+    assert estimator._draw_outcomes(thetas, K, uniforms).tolist() == alone
 
 
 def test_a_stack_on_two_grids_reads_each_draw_alone():
     draws, seeds = [(0.3, 2 ** (5 + 4 * (j % 2))) for j in range(40)], list(range(40))
     assert estimator._readouts(draws, "sampled", seeds, 1) == [
-        pt.amplitude_estimate(p, K, rng_seed=instances.derive_seed(seed, 0)).p_estimate
-        for (p, K), seed in zip(draws, seeds)]
+        math.sin(math.pi * _draw_alone(p, K, seed) / K) ** 2 for (p, K), seed in zip(draws, seeds)]
 
 
 class _FixedUniforms:
@@ -364,15 +359,16 @@ def test_a_bit_at_its_array_probability_is_decided_by_the_scalar_law():
 def test_an_ideal_stack_builds_no_readout_generator(monkeypatch):
     monkeypatch.setattr(estimator, "generators", lambda seeds: pytest.fail("built readout generators"))
     draws = [(p, 64) for p in np.linspace(0.0, 1.0, 40).tolist()]
-    assert estimator._readouts(draws, "ideal", list(range(40)), 1) == [
-        pt.amplitude_estimate(p, 64, mode="ideal").p_estimate for p, _ in draws]
+    estimates = estimator._readouts(draws, "ideal", list(range(40)), 1)
+    assert estimates == [_ideal_edge(p, 64) for p, _ in draws]
+    assert estimates[-1] == 1.0 - ae_error_bound(1.0, 64)  # the lower edge where the upper passes 1
 
 
 def test_ae_sampled_draw_memory_is_independent_of_grid():
-    pt.amplitude_estimate(0.3, 2 ** 22, rng_seed=0)  # warm-up
+    estimator._readouts([(0.3, 2 ** 22)], "sampled", [0], 1)  # warm-up
     tracemalloc.start()
     try:
-        pt.amplitude_estimate(0.3, 2 ** 22, rng_seed=1)
+        estimator._readouts([(0.3, 2 ** 22)], "sampled", [1], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,9 +376,8 @@ def test_ae_sampled_draw_memory_is_independent_of_grid():
 
 
 def test_ae_ideal_mode_sits_on_bound_edge():
-    out = pt.amplitude_estimate(0.3, 128, mode="ideal")
-    assert abs(out.p_estimate - 0.3) == pytest.approx(ae_error_bound(0.3, 128), abs=1e-15)
-    assert out.within_bound
+    (p_est,) = estimator._readouts([(0.3, 128)], "ideal", [0], 1)
+    assert abs(p_est - 0.3) == pytest.approx(ae_error_bound(0.3, 128), abs=1e-15)
 
 
 def test_choose_ae_grid_meets_budget():

@@ -128,6 +128,20 @@ def test_short_sweeps_report_their_fit_ungated(tmp_path, capsys):
     assert summary["helstrom_m_stars"] == [summary["helstrom_m_stars"][0]] and "helstrom_ratio" not in summary
 
 
+def test_nearly_equal_x_are_distinct_for_the_fit_and_its_gate(tmp_path, capsys):
+    """Two nearly equal x of distinct logs are two x both to the fit and to its gate, so the gate is checked
+    on a finite slope, not on nan."""
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"eps_grid": [0.1, 0.1000000001]}))
+    code, summary, err = _run("bounds", tmp_path / "out", capsys, "--config", str(near))
+    assert code == 0 and err == [] and [gate["name"] for gate in summary["gates"]] == GATES["bounds"]
+    (lecam,) = [gate for gate in summary["gates"] if gate["name"] == "lecam_copies_exponent"]
+    assert lecam["ok"] is True and math.isfinite(lecam["value"])
+    gates, stats = [], {}  # two x whose logs round to one float are one x to both
+    suites._fit_gate("slope", [10.0, math.nextafter(10.0, 11.0)], [1.0, 2.0], (0.0, 1.0), gates, stats)
+    assert gates == [] and math.isnan(stats["slope"])
+
+
 def test_baseline_window_is_the_tolerance_test(monkeypatch):
     """The stderr slope s passes exactly when |s + 0.5| <= 0.05, at each float beside both ends."""
     tol, slopes = 0.05, []

@@ -264,6 +264,23 @@ def test_default_stacks_take_the_template_writers_and_the_stacked_readout(monkey
     assert counts == {"shapes": 3 if suite == "estimate" else 4}
 
 
+def test_one_record_readouts_draw_one_outcome_per_setting(monkeypatch, tmp_path):
+    """A one-record route draws its outcome by ``_draw_outcome``, once per circuit setting: once per k of
+    the default ``separation`` sweep, twice for a non-Hermitian observable, and never for an ideal readout."""
+    counts, real_draw = collections.Counter(), estimator._draw_outcome
+    monkeypatch.setattr(estimator, "_draw_outcome", lambda *args: counts.update(["draws"]) or real_draw(*args))
+    assert main(["separation", "--out", str(tmp_path)]) == 0
+    assert counts["draws"] == len(suites.suite_defaults("separation")["k_values"])
+    counts.clear()
+    rho = random_density(1, 2, seed=4)
+    o = pt.Observable(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), hermitian=False)
+    pt.estimate_trace_power(pt.purify(rho), o, 3, 0.05, seed=2)
+    assert counts["draws"] == 2
+    counts.clear()
+    pt.renyi_entropy(pt.purify(rho), 2, 0.05, mode="ideal")
+    assert counts["draws"] == 0
+
+
 def test_canonical_json_sorted_and_17_digits():
     text = canonical_json({"b": 1 / 3, "a": True, "c": [1, 2.5]})
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')

@@ -22,11 +22,12 @@ def test_the_package_has_no_reference_module():
     "name, home",
     [("partial_trace", "reference"), ("fidelity", "reference"), ("cyclic_permutation", "reference"),
      ("random_density", "reference"),
-     ("power_block_encoding", None), ("vd_ratio", None), ("kron", None), ("clip_spectrum", None)],
+     ("power_block_encoding", None), ("vd_ratio", None), ("kron", None), ("clip_spectrum", None),
+     ("amplitude_estimate", None), ("AeOutcome", None)],
 )
 def test_names_without_a_pipeline_caller_left_the_package(name, home):
     """The test oracles and the tests' seeded state live with the other
-    references; the one-record wrappers and ``kron`` are gone."""
+    references; the one-record and one-draw wrappers and ``kron`` are gone."""
     assert name not in powertrace.__all__ and not hasattr(powertrace, name)
     assert not any(hasattr(module, name) for module in (bounds, estimator, instances, linalg, qsvt))
     assert hasattr(reference, name) == (home == "reference")
